@@ -25,7 +25,12 @@ import time
 
 from repro.extension.backends import make_backend
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.runtime import CheckpointStore, merge_shard_results, run_shard
+from repro.runtime import (
+    CheckpointStore,
+    merge_shard_results,
+    plan_campaign,
+    run_shard,
+)
 
 #: Record count for the RSS probe — "scale >= 1.0" territory (the
 #: paper's full campaign collects ~50k readings; this is ~8x that).
@@ -130,14 +135,7 @@ def test_columnar_checkpoint_merge_faster_than_pickle(benchmark, tmp_path):
     """Load-and-merge from columnar .ckpt segments vs the legacy
     pickled-object spill format, same shards, identical output."""
     config = CampaignConfig(**MERGE_CFG)
-    users = ExtensionCampaign(config).population.users
-    per_shard = max(1, len(users) // MERGE_SHARDS)
-    planned = []
-    for shard_id in range(MERGE_SHARDS):
-        lo = shard_id * per_shard
-        hi = min(lo + per_shard, len(users))
-        if lo < hi:
-            planned.append((shard_id, list(range(lo, hi))))
+    _, planned = plan_campaign(config, MERGE_SHARDS)
     expected = {i for _, idx in planned for i in idx}
     results = [run_shard(config, shard_id, idx) for shard_id, idx in planned]
     n_records = sum(

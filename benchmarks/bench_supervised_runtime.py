@@ -15,10 +15,14 @@ from __future__ import annotations
 import multiprocessing
 import time
 
-from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.runtime import merge_shard_results, plan_shards, supervise_shards
-from repro.runtime.shard import _run_shard_task
-from repro.runtime.supervision import SupervisorPolicy
+from repro.extension.campaign import CampaignConfig
+from repro.runtime import (
+    SupervisorPolicy,
+    merge_shard_results,
+    plan_campaign,
+    run_shard,
+    supervise_shards,
+)
 
 #: Large enough that per-shard work dwarfs process startup, small
 #: enough for CI: ~13 days x 3 cities at 40% request volume.
@@ -37,22 +41,15 @@ ABSOLUTE_SLACK_S = 0.75
 
 
 def _tasks():
-    campaign = ExtensionCampaign(CampaignConfig(**SCALED))
-    users = campaign.population.users
-    shards = plan_shards(
-        [max(user.pages_per_day, 0.01) for user in users], N_WORKERS
-    )
-    return [
-        (campaign.config, shard_id, indices, None)
-        for shard_id, indices in enumerate(shards)
-        if indices
-    ]
+    config = CampaignConfig(**SCALED, n_workers=N_WORKERS)
+    _, planned = plan_campaign(config)
+    return [(config, shard_id, indices) for shard_id, indices in planned]
 
 
 def _bare_pool(tasks):
     context = multiprocessing.get_context("fork")
     with context.Pool(processes=min(N_WORKERS, len(tasks))) as pool:
-        return pool.map(_run_shard_task, tasks)
+        return pool.starmap(run_shard, tasks)
 
 
 def _supervised(tasks):
@@ -65,7 +62,7 @@ def _supervised(tasks):
 
 def test_supervision_overhead_within_5pct(benchmark):
     tasks = _tasks()
-    expected = {i for _, _, indices, _ in tasks for i in indices}
+    expected = {i for _, _, indices in tasks for i in indices}
 
     started = time.perf_counter()
     bare_results = _bare_pool(tasks)

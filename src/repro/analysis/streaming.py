@@ -26,8 +26,8 @@ O(segment) alternative:
   than one segment of columns.
 
 Sketch states are plain dicts of numpy arrays/scalars: picklable
-across the supervision pipe (the shard sketch-reduce path of
-:mod:`repro.runtime.reduce`) and mergeable in any order — merge is
+across the supervision pipe (the campaign executor's sketch task, see
+:mod:`repro.runtime.pool`) and mergeable in any order — merge is
 associative and commutative up to the rank-error bound, which is what
 makes the sketch the natural reduce step for sharded campaigns.
 
@@ -517,6 +517,45 @@ class GroupedAccumulator:
                 distinct_state
             )
         return grouped
+
+
+# -- the Table 1/3 fold --------------------------------------------------
+
+#: Speedtest value columns the Table 3 fold sketches per key.
+SPEEDTEST_VALUES = ("download_mbps", "upload_mbps")
+
+
+def new_table_accumulators() -> tuple[
+    GroupedAccumulator, dict[str, GroupedAccumulator]
+]:
+    """Empty ``(page loads, {speedtest value: accumulator})`` of the fold."""
+    return (
+        GroupedAccumulator(),
+        {value: GroupedAccumulator() for value in SPEEDTEST_VALUES},
+    )
+
+
+def fold_table_columns(page, speed, page_load_arrays, speedtest_arrays) -> None:
+    """Fold record columns into the Table 1/3 accumulators.
+
+    Every cell is keyed ``(city, is_starlink)``: page loads feed a PTT
+    sketch plus an exact distinct-domain count, speedtests feed one
+    sketch per :data:`SPEEDTEST_VALUES` column.  The campaign's sketch
+    task folds each user's columns through here, and the service folds
+    each accepted shard's columns, so both produce the same cells.
+    """
+    from repro.extension.columnar import derived_page_load_column
+
+    if page_load_arrays["city"].size:
+        page.update(
+            (page_load_arrays["city"], page_load_arrays["is_starlink"]),
+            derived_page_load_column("ptt_ms", page_load_arrays.__getitem__),
+            distinct=page_load_arrays["domain"],
+        )
+    if speedtest_arrays["city"].size:
+        keys = (speedtest_arrays["city"], speedtest_arrays["is_starlink"])
+        for value, grouped in speed.items():
+            grouped.update(keys, speedtest_arrays[value])
 
 
 # -- streaming figure/table builders ------------------------------------

@@ -14,17 +14,15 @@ Execution is organised per user: every record a user contributes is a
 pure function of ``(CampaignConfig, user)`` — sessions, connection
 draws, page profiles and capacity noise all come from RNG streams
 keyed by the root seed plus user-scoped labels.  That contract is what
-lets :mod:`repro.runtime` shard the population across worker processes
-(``CampaignConfig.n_workers``) and still produce a dataset bit-for-bit
-identical to the serial run.
+lets the campaign executor (:mod:`repro.runtime.pool`) shard the
+population across worker processes (``CampaignConfig.n_workers``) and
+still produce a dataset bit-for-bit identical to the serial run.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields, replace
 
-from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
 from repro.errors import ConfigurationError
 from repro.extension.connection import connection_for_user
 from repro.extension.ipinfo import lookup_isp
@@ -47,12 +45,16 @@ from repro.web.page import PageProfileGenerator
 from repro.web.speedtest import run_browser_speedtest
 from repro.web.tranco import TrancoList
 
-TIMELINE_AUTO_EPOCH_CAP = 100_000
-"""Auto-precompute serving timelines only up to this many scheduler
-epochs per city (~17 days at the 15 s epoch; ~2.8 MB of arrays).  Longer
-campaigns spend a noticeable up-front wall-clock slice on epochs the LRU
-cache would amortise anyway; force ``precompute_timelines=True`` to
-override."""
+#: Float fields coerced on construction, so ``7200`` and ``7200.0``
+#: are the same config (and fingerprint) on every path, including the
+#: float-only JSON round trip the fabric ships configs through.
+_FLOAT_FIELDS = (
+    "duration_s",
+    "request_fraction",
+    "speedtest_boost",
+    "shard_timeout_s",
+    "retry_backoff_s",
+)
 
 
 @dataclass
@@ -79,7 +81,7 @@ class CampaignConfig:
             when sharding, ships it to every worker).  None (default)
             decides automatically: precompute for sharded runs whose
             epoch count stays under
-            :data:`TIMELINE_AUTO_EPOCH_CAP`.  Timelines are
+            :data:`repro.runtime.pool.TIMELINE_AUTO_EPOCH_CAP`.  Timelines are
             bit-identical to the on-demand scan path, so this knob
             never changes the dataset — only how fast it is produced.
         mp_start_method: Explicit multiprocessing start method
@@ -154,14 +156,22 @@ class CampaignConfig:
     analytics: str | None = None
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, float(value))
         if self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {self.n_workers}"
             )
-        if self.mp_start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ConfigurationError(
-                f"unknown mp_start_method {self.mp_start_method!r}"
-            )
+        if self.mp_start_method is not None:
+            from repro.runtime.pool import VALID_START_METHODS
+
+            if self.mp_start_method not in VALID_START_METHODS:
+                raise ConfigurationError(
+                    f"unknown mp_start_method {self.mp_start_method!r}; "
+                    f"valid: {VALID_START_METHODS}"
+                )
         if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
             raise ConfigurationError(
                 f"shard_timeout_s must be positive, got {self.shard_timeout_s}"
@@ -430,19 +440,6 @@ class ExtensionCampaign:
         """All per-city serving timelines held by this campaign."""
         return list(self._timelines.values())
 
-    def _starlink_cities(self) -> list[str]:
-        """Cities with Starlink users, in deterministic order."""
-        return sorted(
-            {u.city_name for u in self.population.users if u.isp.is_starlink}
-        )
-
-    def _should_precompute_timelines(self) -> bool:
-        cfg = self.config
-        if cfg.precompute_timelines is not None:
-            return cfg.precompute_timelines
-        n_epochs = cfg.duration_s / STARLINK_RESCHEDULE_INTERVAL_S
-        return cfg.n_workers > 1 and n_epochs <= TIMELINE_AUTO_EPOCH_CAP
-
     def bentpipe_for_city(self, city_name: str) -> BentPipeModel:
         """The (shared) bent-pipe model of a city's Starlink users."""
         if city_name not in self._bentpipes:
@@ -478,59 +475,16 @@ class ExtensionCampaign:
     def run(self) -> Dataset:
         """Execute the campaign and return the collected dataset.
 
-        With ``config.n_workers > 1`` the population is sharded across
-        worker processes by :mod:`repro.runtime`; the result is
-        identical to the serial run.  Either way
+        Runs :func:`repro.runtime.pool.run_campaign` on this campaign's
+        config: in-process for ``n_workers == 1``, sharded across
+        worker processes otherwise, checkpointed and resumed as the
+        config asks — the dataset is identical either way.
         :attr:`last_run_stats` afterwards holds per-shard
         timing/throughput counters.
         """
-        from repro.runtime.shard import CampaignRunStats, ShardStats
+        from repro.runtime.pool import run_campaign
 
-        precompute = self._should_precompute_timelines()
-        if self.config.n_workers > 1:
-            from repro.runtime.pool import run_campaign_sharded
-
-            timelines = None
-            if precompute:
-                # One vectorised pass per city in the parent; workers
-                # receive the finished arrays and never scan an epoch.
-                timelines = {
-                    name: self.timeline_for_city(name)
-                    for name in self._starlink_cities()
-                }
-            dataset, stats = run_campaign_sharded(
-                self.config,
-                self.population.users,
-                self.config.n_workers,
-                timelines,
-            )
-            self.last_run_stats = stats
-            return dataset
-
-        started = time.perf_counter()
-        if precompute:
-            for name in self._starlink_cities():
-                self.timeline_for_city(name)
-        from repro.extension.backends import backend_for_config
-
-        dataset = Dataset(backend=backend_for_config(self.config))
-        shard_stats = ShardStats(shard_id=0, n_users=len(self.population.users))
-        for user in self.population.users:
-            page_loads, speedtests = self.run_user(user)
-            dataset.extend_page_loads(page_loads)
-            dataset.extend_speedtests(speedtests)
-            shard_stats.n_page_loads += len(page_loads)
-            shard_stats.n_speedtests += len(speedtests)
-        dataset.flush()
-        shard_stats.wall_s = time.perf_counter() - started
-        for cache in self.geometry_caches():
-            shard_stats.geometry_scans += cache.misses
-            shard_stats.geometry_hits += cache.hits
-        for timeline in self.timelines():
-            shard_stats.timeline_hits += timeline.hits
-        self.last_run_stats = CampaignRunStats(
-            n_workers=1, wall_s=shard_stats.wall_s, shards=[shard_stats]
-        )
+        dataset, self.last_run_stats = run_campaign(self.config)
         return dataset
 
     def run_user(

@@ -3,8 +3,23 @@
 Scales the extension campaign past a single core without giving up
 reproducibility — and keeps it running when workers don't:
 
-* :mod:`repro.runtime.shard` — shard planning (balanced, deterministic)
-  and per-shard execution with timing/throughput counters.
+* :mod:`repro.runtime.pool` — the campaign executor, one
+  plan → place → sink path for every run:
+
+  =====  =========================================  ======================
+  step   choices                                    code
+  =====  =========================================  ======================
+  task   records (``ShardResult``) or sketch        ``run_shard``,
+         (``ShardSketch``) over one shard body      ``run_task``
+  plan   LPT shards, empty ones dropped; timeline   ``plan_campaign``,
+         precompute decided once                    ``shared_timelines``
+  place  in-process (one shard), supervised         ``run_campaign``,
+         processes, or fabric leases                ``FabricCoordinator``
+  sink   backend merge (records) or sketch reduce   ``sink_results``
+  =====  =========================================  ======================
+
+* :mod:`repro.runtime.shard` — shard planning (balanced, deterministic),
+  the shard body and its two tasks, with timing/throughput counters.
 * :mod:`repro.runtime.supervision` — the supervising dispatcher:
   per-shard timeouts, crash detection, bounded-backoff retries,
   in-process graceful degradation, and a structured failure log.
@@ -13,9 +28,9 @@ reproducibility — and keeps it running when workers don't:
   testable without flaky real crashes.
 * :mod:`repro.runtime.checkpoint` — completed-shard spill keyed by a
   config fingerprint, so killed campaigns resume instead of restart.
-* :mod:`repro.runtime.pool` — the worker-pool engine tying it together.
-* :mod:`repro.runtime.merge` — order-preserving recombination of
-  per-shard datasets, validated against the planned partition.
+* :mod:`repro.runtime.merge` — the sinks: order-preserving
+  recombination of per-shard datasets and the sketch reduce, both
+  validated against the planned partition.
 * :mod:`repro.runtime.store` — the coordination-store seam: one
   five-primitive protocol (create-exclusive, conditional replace,
   point read, delete, prefix listing) over POSIX files (``FsStore``)
@@ -66,14 +81,16 @@ from repro.runtime.lease import (
     LeaseRecord,
     WorkerRegistry,
 )
-from repro.runtime.merge import merge_shard_results
+from repro.runtime.merge import merge_shard_results, merge_shard_sketches
 from repro.runtime.pool import (
+    plan_campaign,
     resolve_start_method,
-    run_campaign_sharded,
+    run_campaign,
 )
 from repro.runtime.shard import (
     CampaignRunStats,
     ShardResult,
+    ShardSketch,
     ShardStats,
     TimelineSpill,
     plan_shards,
@@ -117,6 +134,7 @@ __all__ = [
     "ObjectStore",
     "ShardFailure",
     "ShardResult",
+    "ShardSketch",
     "ShardStats",
     "StoredObject",
     "SupervisorPolicy",
@@ -131,10 +149,12 @@ __all__ = [
     "host_chaos_plan",
     "make_store",
     "merge_shard_results",
+    "merge_shard_sketches",
+    "plan_campaign",
     "plan_shards",
     "resolve_start_method",
     "resolve_store_kind",
-    "run_campaign_sharded",
+    "run_campaign",
     "run_fabric_campaign",
     "run_fabric_worker",
     "run_shard",

@@ -63,7 +63,6 @@ only the *coordination* metadata needs the store's arbitration.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -84,8 +83,8 @@ from repro.runtime.lease import (
     WorkerRegistry,
     default_worker_id,
 )
-from repro.runtime.merge import merge_shard_results
-from repro.runtime.shard import CampaignRunStats, plan_shards, run_shard
+from repro.runtime.pool import plan_campaign, resolve_start_method, sink_results
+from repro.runtime.shard import CampaignRunStats, run_shard
 from repro.runtime.store import (
     CoordinationStore,
     FsStore,
@@ -219,16 +218,6 @@ class FabricPlan:
         return {index for _, indices in self.shards for index in indices}
 
 
-def _campaign_users(config):
-    """The deterministic user population a config implies."""
-    from repro.extension.campaign import ExtensionCampaign
-
-    worker_config = dataclasses.replace(
-        config, n_workers=1, precompute_timelines=False
-    )
-    return ExtensionCampaign(worker_config).population.users
-
-
 def write_or_adopt_plan(
     config,
     paths: FabricPaths,
@@ -238,31 +227,23 @@ def write_or_adopt_plan(
 ) -> FabricPlan:
     """Publish ``plan.json`` — or adopt an existing one.
 
-    The plan is created with the store's create-exclusive put so two
-    racing coordinators agree on one partition.  An existing plan is
-    adopted only when its campaign fingerprint matches this config (a
-    fabric directory never mixes campaigns); its shard partition and
-    TTL win over the arguments, so a restarted coordinator with a
-    different ``n_shards`` still merges the original partition.
+    The partition is the campaign executor's
+    (:func:`~repro.runtime.pool.plan_campaign`, ``n_shards`` defaulting
+    to one per worker).  The plan is created with the store's
+    create-exclusive put so two racing coordinators agree on one
+    partition.  An existing plan is adopted only when its campaign
+    fingerprint matches this config (a fabric directory never mixes
+    campaigns); its shard partition and TTL win over the arguments, so
+    a restarted coordinator with a different ``n_shards`` still merges
+    the original partition.
     """
     if store is None:
         store = FsStore(paths.root)
     fingerprint = campaign_fingerprint(config)
     existing = store.get_json(PLAN_KEY)
     if existing is None and not store.exists(PLAN_KEY):
-        users = _campaign_users(config)
-        if n_shards is None:
-            n_shards = max(1, min(getattr(config, "n_workers", 1), len(users)))
-        if n_shards < 1:
-            raise ConfigurationError(f"need at least one shard, got {n_shards}")
-        shards = plan_shards(
-            [max(user.pages_per_day, 0.01) for user in users], n_shards
-        )
-        planned = [
-            (shard_id, tuple(indices))
-            for shard_id, indices in enumerate(shards)
-            if indices
-        ]
+        _, shards = plan_campaign(config, n_shards)
+        planned = [(shard_id, tuple(indices)) for shard_id, indices in shards]
         to_json = getattr(config, "to_json_dict", None)
         doc = {
             "version": PLAN_VERSION,
@@ -771,16 +752,10 @@ class FabricCoordinator:
                     self._marker(FAILED_MARKER, reason=str(exc))
                 self._log("campaign_failed", reason=str(exc))
             raise
-        results = [accepted[shard_id] for shard_id in sorted(accepted)]
-        merge_started = time.perf_counter()
-        from repro.extension.backends import backend_for_config
-
-        dataset = merge_shard_results(
-            results,
-            expected_indices=self.plan.expected_indices,
-            backend=backend_for_config(self.config),
+        sink_started = time.perf_counter()
+        dataset = sink_results(
+            self.config, "records", accepted.values(), self.plan.expected_indices
         )
-        finished = time.perf_counter()
         self._marker(DONE_MARKER, n_shards=self.plan.n_shards)
         self._log(
             "campaign_completed",
@@ -790,15 +765,11 @@ class FabricCoordinator:
             discarded=self._counters["discarded"],
             quarantined=self._counters["quarantined"],
         )
-        stats = FabricRunStats(
+        stats = FabricRunStats.assemble(
+            (result.stats for result in accepted.values()),
             n_workers=len(local_workers) or 1,
-            wall_s=finished - started,
-            merge_s=finished - merge_started,
-            shards=sorted(
-                (r.stats for r in results), key=lambda s: s.shard_id
-            ),
-            failures=[],
-            resumed_shards=0,
+            started=started,
+            sink_started=sink_started,
             n_worker_processes=len(local_workers),
             n_shards=self.plan.n_shards,
             redispatched_shards=self._counters["redispatched"],
@@ -1164,8 +1135,6 @@ def run_fabric_campaign(
     to the serial run regardless of the fault schedule survived and
     the store kind coordinated through.
     """
-    from repro.runtime.pool import resolve_start_method
-
     if n_workers is None:
         n_workers = max(1, getattr(config, "n_workers", 1))
     if n_workers < 0:

@@ -32,19 +32,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.streaming import (
+    GroupedAccumulator,
+    fold_table_columns,
+    new_table_accumulators,
+)
 from repro.errors import DatasetError
 from repro.extension import columnar
 from repro.extension.backends import DatasetBackend, InMemoryBackend
 from repro.extension.storage import Dataset
-from repro.runtime.shard import ShardResult
-
-
-def _covered_indices(result) -> list[int]:
-    """The user indices a shard result covers, without decoding records."""
-    indices = getattr(result, "user_indices", None)
-    if indices is not None:
-        return list(indices)
-    return list(result.user_records.keys())
+from repro.runtime.shard import ShardResult, ShardSketch, covered_indices
 
 
 def _validate_partition(covered_per_shard, expected_indices) -> None:
@@ -138,7 +135,7 @@ def merge_shard_results(
             appears in them.
     """
     _validate_partition(
-        (_covered_indices(result) for result in results), expected_indices
+        (covered_indices(result) for result in results), expected_indices
     )
     if backend is None:
         backend = InMemoryBackend()
@@ -153,3 +150,37 @@ def merge_shard_results(
         dataset.extend_page_loads(page_loads)
         dataset.extend_speedtests(speedtests)
     return dataset
+
+
+def fold_shard(page, speed, result) -> None:
+    """Fold one accepted shard into Table 1/3 accumulators.
+
+    Sketch-task shards merge their states.  Record shards fold their
+    columns through :func:`~repro.analysis.streaming.fold_table_columns`
+    — encoded once for a fresh shard, reused as stored for one
+    recovered from a checkpoint.
+    """
+    if isinstance(result, ShardSketch):
+        page.merge(GroupedAccumulator.from_state(result.page_load_state))
+        for value, state in result.speedtest_states.items():
+            speed[value].merge(GroupedAccumulator.from_state(state))
+    else:
+        fold_table_columns(page, speed, *_shard_arrays(result))
+
+
+def merge_shard_sketches(results, expected_indices=None):
+    """Reduce sketch-task shards to ``(page loads, {value: speedtests})``.
+
+    The sketch twin of :func:`merge_shard_results`: the same
+    exactly-once partition checks, then a merge in ascending shard id
+    (merges commute within the sketches' rank-error bound, so the order
+    only pins the result down bit for bit).
+    """
+    results = sorted(results, key=lambda result: result.shard_id)
+    _validate_partition(
+        (covered_indices(result) for result in results), expected_indices
+    )
+    page, speed = new_table_accumulators()
+    for result in results:
+        fold_shard(page, speed, result)
+    return page, speed

@@ -1,10 +1,13 @@
-"""Shard planning and per-shard campaign execution.
+"""Shard planning and the one shard body every campaign run shares.
 
 A *shard* is a subset of the campaign's user population, identified by
-indices into ``ExtensionCampaign.population.users``.  Each shard is
-executed by :func:`run_shard`, which rebuilds the campaign from its
-config (so shards are self-contained and cross-process safe) and runs
-the per-user pipeline for its users only.
+indices into ``ExtensionCampaign.population.users``.  :func:`run_users`
+is the shard loop: run each user, hand the records to a fold, count.
+A *task* picks the fold — ``records`` keeps every user's records
+(:class:`ShardResult`), ``sketch`` folds them into the Table 1/3
+accumulators (:class:`ShardSketch`).  :func:`run_shard` runs a task in
+a campaign rebuilt from its config, so shards are self-contained and
+cross-process safe.
 
 Determinism contract (see DESIGN.md): every record a user contributes
 is a pure function of ``(CampaignConfig, user)`` — all stochastic
@@ -23,7 +26,10 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.analysis.streaming import fold_table_columns, new_table_accumulators
 from repro.errors import ConfigurationError
+from repro.extension import columnar
+from repro.extension.campaign import ExtensionCampaign
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
 
 
@@ -173,15 +179,73 @@ class CampaignRunStats:
             f"scans{fault_part}{resume_part}) [{shard_part}]"
         )
 
+    @classmethod
+    def assemble(
+        cls,
+        shards,
+        *,
+        n_workers: int,
+        started: float,
+        sink_started: float,
+        **counters,
+    ) -> "CampaignRunStats":
+        """The stats of a run whose sink just finished.
+
+        ``shards`` are the :class:`ShardStats` of every shard the sink
+        consumed, in any order; ``started``/``sink_started`` are the
+        ``perf_counter`` readings at the run's and the sink's start.
+        ``counters`` fill the remaining fields (failures, resume and
+        process accounting, and a subclass's own counters).
+        """
+        finished = time.perf_counter()
+        return cls(
+            n_workers=n_workers,
+            wall_s=finished - started,
+            merge_s=finished - sink_started,
+            shards=sorted(shards, key=lambda s: s.shard_id),
+            **counters,
+        )
+
 
 @dataclass
 class ShardResult:
-    """Everything a shard sends back to the merge step."""
+    """A records task's shard: every user's records, for the merge."""
 
     shard_id: int
     #: user index -> (page loads, speedtests), both in event-time order.
     user_records: dict[int, tuple[list[PageLoadRecord], list[SpeedtestRecord]]]
     stats: ShardStats
+
+
+@dataclass
+class ShardSketch:
+    """A sketch task's shard: mergeable Table 1/3 states, no records.
+
+    ``user_indices`` carries the covered partition slice so the reduce
+    enforces the same exactly-once invariant as the record merge; the
+    states are :meth:`GroupedAccumulator.to_state
+    <repro.analysis.streaming.GroupedAccumulator.to_state>` snapshots of
+    the :func:`~repro.analysis.streaming.fold_table_columns` fold.
+    """
+
+    shard_id: int
+    user_indices: list[int]
+    page_load_state: dict
+    speedtest_states: dict[str, dict]
+    stats: ShardStats
+
+
+#: The per-shard work a campaign can run: ``records`` returns
+#: :class:`ShardResult`, ``sketch`` returns :class:`ShardSketch`.
+TASKS = ("records", "sketch")
+
+
+def covered_indices(result) -> list[int]:
+    """The user indices a shard result covers, without decoding records."""
+    indices = getattr(result, "user_indices", None)
+    if indices is not None:
+        return list(indices)
+    return list(result.user_records)
 
 
 def plan_shards(costs: list[float], n_shards: int) -> list[list[int]]:
@@ -213,41 +277,20 @@ def plan_shards(costs: list[float], n_shards: int) -> list[list[int]]:
     return shards
 
 
-def run_shard(
-    config, shard_id: int, user_indices: list[int], timelines=None
-) -> ShardResult:
-    """Execute one shard of a campaign and return its per-user records.
+def run_users(campaign, shard_id: int, user_indices, fold) -> ShardStats:
+    """The shard body every task and placement shares.
 
-    Rebuilds the campaign from ``config`` (forced serial so a worker
-    never recursively spawns workers); the population derives
-    deterministically from the config, so ``user_indices`` mean the
-    same users in every process.
-
-    ``timelines`` optionally maps city name to a precomputed
-    :class:`repro.starlink.timeline.ServingTimeline` computed once by
-    the campaign parent; installing it means this worker never redoes
-    the serving-geometry scans every sibling would otherwise repeat.
-    The timeline is bit-identical to the scan path, so the shard's
-    records are unchanged either way.
+    Runs each user of ``user_indices`` on ``campaign`` and hands its
+    records to ``fold(index, page_loads, speedtests)`` as soon as they
+    exist, then counts the shard's records, geometry scans/hits and
+    timeline hits.
     """
-    from repro.extension.campaign import ExtensionCampaign
-
-    if isinstance(timelines, TimelineSpill):
-        timelines = timelines.load()
-    worker_config = replace(config, n_workers=1)
-    if hasattr(worker_config, "precompute_timelines"):
-        # The parent already decided; workers only consume what they get.
-        worker_config = replace(worker_config, precompute_timelines=False)
-    campaign = ExtensionCampaign(worker_config)
-    if timelines:
-        campaign.install_timelines(timelines)
     users = campaign.population.users
     stats = ShardStats(shard_id=shard_id, n_users=len(user_indices))
-    user_records: dict[int, tuple[list[PageLoadRecord], list[SpeedtestRecord]]] = {}
     started = time.perf_counter()
     for index in user_indices:
         page_loads, speedtests = campaign.run_user(users[index])
-        user_records[index] = (page_loads, speedtests)
+        fold(index, page_loads, speedtests)
         stats.n_page_loads += len(page_loads)
         stats.n_speedtests += len(speedtests)
     stats.wall_s = time.perf_counter() - started
@@ -256,10 +299,62 @@ def run_shard(
         stats.geometry_hits += cache.hits
     for timeline in campaign.timelines():
         stats.timeline_hits += timeline.hits
-    return ShardResult(shard_id=shard_id, user_records=user_records, stats=stats)
+    return stats
 
 
-def _run_shard_task(args) -> ShardResult:
-    """`multiprocessing.Pool.map` entry point (must be a top-level callable)."""
-    config, shard_id, user_indices, timelines = args
-    return run_shard(config, shard_id, user_indices, timelines)
+def run_task(campaign, shard_id: int, user_indices, task: str = "records"):
+    """Run one shard of ``task`` on an already-built campaign."""
+    if task == "records":
+        user_records: dict = {}
+
+        def keep(index, page_loads, speedtests) -> None:
+            user_records[index] = (page_loads, speedtests)
+
+        stats = run_users(campaign, shard_id, user_indices, keep)
+        return ShardResult(shard_id=shard_id, user_records=user_records, stats=stats)
+    page, speed = new_table_accumulators()
+
+    def fold(index, page_loads, speedtests) -> None:
+        fold_table_columns(
+            page,
+            speed,
+            columnar.encode_page_loads(page_loads),
+            columnar.encode_speedtests(speedtests),
+        )
+
+    stats = run_users(campaign, shard_id, user_indices, fold)
+    return ShardSketch(
+        shard_id=shard_id,
+        user_indices=list(user_indices),
+        page_load_state=page.to_state(),
+        speedtest_states={
+            value: grouped.to_state() for value, grouped in speed.items()
+        },
+        stats=stats,
+    )
+
+
+def run_shard(
+    config, shard_id: int, user_indices, timelines=None, task: str = "records"
+):
+    """Execute one shard in a campaign rebuilt from ``config``.
+
+    The worker-process entry point (and the supervisor's in-process
+    fallback): the population derives deterministically from the
+    config, so ``user_indices`` mean the same users in every process.
+    ``timelines`` optionally maps city name to a
+    :class:`repro.starlink.timeline.ServingTimeline` the parent
+    precomputed (or a :class:`TimelineSpill` of them); installing it
+    means this worker never redoes the serving-geometry scans every
+    sibling would otherwise repeat.  Timelines are bit-identical to the
+    scan path, so the shard's records are unchanged either way.
+    """
+    if isinstance(timelines, TimelineSpill):
+        timelines = timelines.load()
+    # Forced serial, and the parent already decided about timelines.
+    campaign = ExtensionCampaign(
+        replace(config, n_workers=1, precompute_timelines=False)
+    )
+    if timelines:
+        campaign.install_timelines(timelines)
+    return run_task(campaign, shard_id, user_indices, task)

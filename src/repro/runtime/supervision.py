@@ -10,8 +10,8 @@ each, giving it everything ``Pool.map`` hides:
   closes its pipe; the supervisor sees EOF plus an abnormal exitcode.
 * **Hang detection** — an optional per-shard deadline; expired workers
   are terminated (then killed) and the shard is treated as failed.
-* **Result validation** — a returned :class:`ShardResult` must carry
-  the shard id and exactly the user-index set it was assigned;
+* **Result validation** — a returned shard result must carry the
+  shard id and exactly the user-index set it was assigned;
   anything else (a truncated/partial result) counts as corrupt.
 * **Bounded retries** — failed shards requeue with exponential backoff
   (``base * 2**attempt``, capped); every attempt is recorded as a
@@ -43,7 +43,7 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.runtime.faults import FaultPlan, apply_post_run, apply_pre_run
-from repro.runtime.shard import ShardResult, run_shard
+from repro.runtime.shard import ShardResult, ShardSketch, covered_indices, run_shard
 
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_BACKOFF_BASE_S = 0.05
@@ -160,17 +160,17 @@ class ShardFailure:
 def validate_shard_result(result, shard_id: int, user_indices) -> str | None:
     """Why a worker's returned result is unusable, or ``None`` if fine.
 
-    A valid result is a :class:`ShardResult` carrying the shard id it
-    was assigned and records for *exactly* the assigned user indices —
-    the per-attempt half of the partition invariant the merge step
-    enforces campaign-wide.
+    A valid result is a :class:`ShardResult` or :class:`ShardSketch`
+    carrying the shard id it was assigned and covering *exactly* the
+    assigned user indices — the per-attempt half of the partition
+    invariant the sink enforces campaign-wide.
     """
-    if not isinstance(result, ShardResult):
-        return f"expected ShardResult, got {type(result).__name__}"
+    if not isinstance(result, (ShardResult, ShardSketch)):
+        return f"expected a shard result, got {type(result).__name__}"
     if result.shard_id != shard_id:
         return f"shard id mismatch: assigned {shard_id}, got {result.shard_id}"
     expected = set(user_indices)
-    got = set(result.user_records)
+    got = set(covered_indices(result))
     if got != expected:
         missing = sorted(expected - got)
         surplus = sorted(got - expected)
@@ -213,20 +213,19 @@ def straggler_deadline_s(
     return max(float(floor_s), multiplier * reference)
 
 
-def _supervised_worker(conn, task, attempt, fault_plan, task_fn) -> None:
+def _supervised_worker(conn, task, attempt, fault_plan) -> None:
     """Worker-process entry point (top-level so ``spawn`` can pickle it).
 
     Applies any injected fault for ``(shard_id, attempt)``, runs the
-    shard task (``task_fn(*task)`` — :func:`run_shard` by default), and
-    ships ``("ok", result)`` or ``("error", detail)`` back over the
-    pipe.  A crash fault exits before sending anything — exactly what a
+    shard (``run_shard(*task)``), and ships ``("ok", result)`` or
+    ``("error", detail)`` back over the pipe.  A crash fault exits before sending anything — exactly what a
     real abnormal death looks like from the parent.
     """
     shard_id = task[1]
     fault = fault_plan.fault_for(shard_id, attempt) if fault_plan else None
     try:
         apply_pre_run(fault)
-        result = task_fn(*task)
+        result = run_shard(*task)
         result = apply_post_run(fault, result)
         conn.send(("ok", result))
     except BaseException as exc:  # the parent retries; report, don't die silently
@@ -256,20 +255,16 @@ def supervise_shards(
     context=None,
     fault_plan: FaultPlan | None = None,
     on_success=None,
-    task_fn=run_shard,
-    validate_fn=validate_shard_result,
     on_event=None,
     should_stop=None,
 ) -> tuple[list[ShardResult], list[ShardFailure]]:
     """Run shard tasks under supervision; returns (results, failures).
 
     Args:
-        tasks: ``(config, shard_id, user_indices, ...)`` tuples —
-            positions 1 and 2 must be the shard id and its user
-            indices (the supervisor's book-keeping keys); the whole
-            tuple is splatted into ``task_fn``.  The default shape is
-            the record path's ``(config, shard_id, user_indices,
-            timelines)``.
+        tasks: :func:`run_shard` argument tuples — ``(config,
+            shard_id, user_indices[, timelines[, task]])``; the shard
+            id and its user indices are the supervisor's book-keeping
+            keys.
         n_workers: Concurrency cap; the supervisor never has more than
             ``min(n_workers, len(tasks))`` worker processes alive.
         policy: Retry/timeout policy (default: ``SupervisorPolicy()``).
@@ -277,18 +272,10 @@ def supervise_shards(
             workers with; default: the interpreter default.
         fault_plan: Optional deterministic fault injection, applied in
             workers only (see :mod:`repro.runtime.faults`).
-        on_success: Callback invoked with each completed
-            :class:`ShardResult` as soon as it is accepted — the
-            checkpoint spill hook, called before slower shards finish
-            so a later kill loses as little as possible.
-        task_fn: The per-shard work (default :func:`run_shard`; the
-            sketch-reduce path of :mod:`repro.runtime.reduce` passes
-            its own).  Must be a top-level callable so ``spawn``
-            workers can pickle it, and must return a result whose
-            ``stats.attempts`` the supervisor may set.
-        validate_fn: ``(result, shard_id, user_indices) -> str | None``
-            result acceptance check (default
-            :func:`validate_shard_result`).
+        on_success: Callback invoked with each completed shard
+            result as soon as it is accepted — the checkpoint spill
+            hook, called before slower shards finish so a later kill
+            loses as little as possible.
         on_event: Progress-callback seam: invoked with one small dict
             per lifecycle transition — ``shard_dispatched`` /
             ``shard_completed`` / ``shard_failed`` /
@@ -379,7 +366,7 @@ def supervise_shards(
         recv_conn, send_conn = context.Pipe(duplex=False)
         process = context.Process(
             target=_supervised_worker,
-            args=(send_conn, task, attempt, fault_plan, task_fn),
+            args=(send_conn, task, attempt, fault_plan),
             daemon=True,
         )
         process.start()
@@ -429,7 +416,7 @@ def supervise_shards(
                 reap(inflight.process)
                 conn.close()
                 if status == "ok":
-                    problem = validate_fn(payload, shard_id, user_indices)
+                    problem = validate_shard_result(payload, shard_id, user_indices)
                     if problem is None:
                         payload.stats.attempts = inflight.attempt + 1
                         accept(payload)
@@ -527,7 +514,7 @@ def supervise_shards(
             # bypassed.  Determinism makes this bit-identical to what
             # a healthy worker would have produced.
             emit("shard_degraded", shard_id=task[1])
-            result = task_fn(*task)
+            result = run_shard(*task)
             result.stats.attempts = policy.max_retries + 2
             accept(result)
     return [results[shard_id] for shard_id in sorted(results)], failures

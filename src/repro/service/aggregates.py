@@ -1,15 +1,12 @@
 """Incremental campaign aggregates: partial sketch merges as JSON.
 
-Both execution modes of the service keep a running partial merge of
-the Table 1 / Table 3 shapes while shards complete:
-
-* sketch mode gets the partials for free — ``run_campaign_sketched``
-  invokes ``on_partial`` with the running
-  :class:`~repro.analysis.streaming.GroupedAccumulator` states after
-  every fold;
-* record mode folds each accepted shard's columns into the same
-  accumulators via :func:`fold_record_result` (fresh results are
-  encoded once; checkpoint-recovered shards already carry columns).
+Every execution mode of the service keeps a running partial merge of
+the Table 1 / Table 3 shapes while shards complete: the runner folds
+each accepted shard into the accumulators with
+:func:`~repro.runtime.merge.fold_shard` — sketch-task shards merge
+their states, record shards fold their columns through the same
+:func:`~repro.analysis.streaming.fold_table_columns` the sketch task
+uses.
 
 :func:`aggregate_payload` renders the accumulators as the JSON cells
 the SSE stream and the results endpoint serve: request/test counts and
@@ -23,49 +20,6 @@ shards land, they never oscillate from fold order.
 from __future__ import annotations
 
 from repro.analysis.streaming import GroupedAccumulator
-from repro.extension import columnar
-from repro.runtime.checkpoint import encode_user_records
-
-#: Speedtest value columns the service folds (the Table 3 medians).
-SPEEDTEST_VALUES = ("download_mbps", "upload_mbps")
-
-
-def new_accumulators() -> tuple[GroupedAccumulator, dict[str, GroupedAccumulator]]:
-    """Fresh ``(page-load, {value: speedtest})`` partial-merge state,
-    keyed ``(city, is_starlink)`` like the default sketch spec."""
-    return (
-        GroupedAccumulator(),
-        {value: GroupedAccumulator() for value in SPEEDTEST_VALUES},
-    )
-
-
-def fold_record_result(
-    page: GroupedAccumulator,
-    speed: dict[str, GroupedAccumulator],
-    result,
-) -> None:
-    """Fold one accepted record-path shard into the partial merge.
-
-    Accepts both fresh :class:`~repro.runtime.shard.ShardResult`
-    objects (records are encoded to columns once, the same encoding
-    the checkpoint spill uses) and checkpoint-recovered
-    :class:`~repro.runtime.checkpoint.CheckpointedShard` segments
-    (columns adopted directly, no record objects materialised).
-    """
-    pl_arrays = getattr(result, "page_load_arrays", None)
-    st_arrays = getattr(result, "speedtest_arrays", None)
-    if pl_arrays is None or st_arrays is None:
-        pl_arrays, st_arrays = encode_user_records(result.user_records)
-    if pl_arrays["city"].size:
-        page.update(
-            (pl_arrays["city"], pl_arrays["is_starlink"]),
-            columnar.derived_page_load_column("ptt_ms", pl_arrays.__getitem__),
-            distinct=pl_arrays["domain"],
-        )
-    if st_arrays["city"].size:
-        keys = (st_arrays["city"], st_arrays["is_starlink"])
-        for value, grouped in speed.items():
-            grouped.update(keys, st_arrays[value])
 
 
 def aggregate_payload(

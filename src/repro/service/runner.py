@@ -6,19 +6,21 @@ renders responses.  Each submitted campaign gets a sequential id, an
 :class:`~repro.service.events.EventLog`, and one daemon runner thread
 driving the supervised runtime:
 
-* ``records`` mode runs :func:`repro.runtime.pool.run_campaign_sharded`
-  — the full dataset is retained for the results endpoint, completed
-  shards spill to the service's shared checkpoint root (enabling
-  cancel → resume), and every accepted shard's columns fold into the
-  incremental aggregate partials streamed over SSE;
-* ``sketch`` mode runs :func:`repro.runtime.reduce.run_campaign_sketched`
-  — no records are centralised, the partial merges come straight off
-  the reduce's ``on_partial`` seam;
+* ``records`` mode runs the campaign executor
+  (:func:`repro.runtime.pool.run_campaign`) — the full dataset is
+  retained for the results endpoint, and completed shards spill to the
+  service's shared checkpoint root (enabling cancel → resume);
+* ``sketch`` mode runs the executor's sketch task — no records are
+  centralised, only the Table 1/3 aggregates;
 * ``fabric`` mode runs :func:`repro.runtime.fabric.run_fabric_campaign`
   — shard leases, heartbeats, straggler re-dispatch and work stealing
   over a per-campaign fabric directory; records are retained like
   ``records`` mode, every lease transition streams over SSE, and
   ``GET /v1/campaigns/{id}/workers`` serves the live fleet view.
+
+One runner drives all three with one ``on_result`` callback: every
+accepted shard folds into the incremental aggregate partials streamed
+over SSE.
 
 The state machine is ``pending → running → completed | failed |
 cancelled``.  Cancellation is cooperative: the HTTP layer sets the
@@ -44,15 +46,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.errors import CampaignCancelledError, ConfigurationError
-from repro.extension.campaign import CampaignConfig, ExtensionCampaign
+from repro.analysis.streaming import new_table_accumulators
+from repro.extension.campaign import CampaignConfig
 from repro.runtime.checkpoint import campaign_fingerprint
 from repro.runtime.faults import Fault, FaultKind, FaultPlan
+from repro.runtime.merge import fold_shard
 from repro.runtime.store import STORE_KINDS
-from repro.service.aggregates import (
-    aggregate_payload,
-    fold_record_result,
-    new_accumulators,
-)
+from repro.service.aggregates import aggregate_payload
 from repro.service.errors import (
     conflict,
     invalid_config,
@@ -369,12 +369,7 @@ class CampaignService:
         campaign.state = "running"
         campaign.events.append({"type": "campaign_started", "id": campaign.id})
         try:
-            if campaign.mode == "sketch":
-                self._run_sketch(campaign)
-            elif campaign.mode == "fabric":
-                self._run_fabric(campaign)
-            else:
-                self._run_records(campaign)
+            self._execute(campaign)
         except CampaignCancelledError as exc:
             campaign.state = "cancelled"
             campaign.events.append(
@@ -424,75 +419,24 @@ class CampaignService:
 
         return on_event
 
-    def _run_records(self, campaign: Campaign) -> None:
-        from repro.runtime.pool import run_campaign_sharded
+    def _execute(self, campaign: Campaign) -> None:
+        """Run the campaign in its mode, folding shards as they land.
 
-        config = campaign.config
-        extension = ExtensionCampaign(config)
-        timelines = None
-        if config.n_workers > 1 and extension._should_precompute_timelines():
-            timelines = {
-                name: extension.timeline_for_city(name)
-                for name in extension._starlink_cities()
-            }
-        page, speed = new_accumulators()
-        folded = 0
-
-        def on_result(result) -> None:
-            nonlocal folded
-            fold_record_result(page, speed, result)
-            folded += 1
-            campaign.aggregates = aggregate_payload(page, speed)
-            campaign.events.append(
-                {
-                    "type": "aggregate_partial",
-                    "completed_shards": folded,
-                    "n_shards": campaign.n_shards,
-                    **campaign.aggregates,
-                }
-            )
-
-        dataset, stats = run_campaign_sharded(
-            config,
-            extension.population.users,
-            config.n_workers,
-            timelines,
-            fault_plan=campaign.fault_plan,
-            on_event=self._on_event(campaign),
-            on_result=on_result,
-            should_stop=campaign.cancel_event.is_set,
-        )
-        campaign.dataset = dataset
-        campaign.run_stats = stats
-        campaign.aggregates = aggregate_payload(page, speed)
-        campaign.events.append(
-            {
-                "type": "aggregate_final",
-                "completed_shards": folded,
-                "n_shards": campaign.n_shards,
-                **campaign.aggregates,
-            }
-        )
-
-    def _run_fabric(self, campaign: Campaign) -> None:
-        """Fabric mode: leases + heartbeats + re-dispatch, records kept.
-
-        The coordinator (and its local worker processes) run inside the
-        service; the fabric directory lives under the campaign's
-        service subdirectory, so external ``repro worker`` processes on
-        the same filesystem may join mid-run.  Accepted shards fold
-        into the same incremental aggregates as records mode, and every
-        lease transition streams out over the campaign's SSE event log.
+        Fabric mode runs the coordinator (and its local worker
+        processes) inside the service; the fabric directory lives under
+        the campaign's service subdirectory, so external ``repro
+        worker`` processes on the same filesystem may join mid-run.
         """
         from repro.runtime.fabric import run_fabric_campaign
+        from repro.runtime.pool import run_campaign
 
         config = campaign.config
-        page, speed = new_accumulators()
+        page, speed = new_table_accumulators()
         folded = 0
 
         def on_result(result) -> None:
             nonlocal folded
-            fold_record_result(page, speed, result)
+            fold_shard(page, speed, result)
             folded += 1
             campaign.aggregates = aggregate_payload(page, speed)
             campaign.events.append(
@@ -504,17 +448,29 @@ class CampaignService:
                 }
             )
 
-        dataset, stats = run_fabric_campaign(
-            config,
-            n_workers=config.n_workers,
-            fabric_dir=campaign.fabric_dir,
-            fabric_store=campaign.fabric_store,
+        hooks = dict(
             fault_plan=campaign.fault_plan,
             on_event=self._on_event(campaign),
             on_result=on_result,
             should_stop=campaign.cancel_event.is_set,
         )
-        campaign.dataset = dataset
+        if campaign.mode == "fabric":
+            product, stats = run_fabric_campaign(
+                config,
+                config.n_workers,
+                campaign.fabric_dir,
+                fabric_store=campaign.fabric_store,
+                **hooks,
+            )
+        else:
+            task = "sketch" if campaign.mode == "sketch" else "records"
+            product, stats = run_campaign(config, task, **hooks)
+        if campaign.mode == "sketch":
+            # The final cells come off the executor's reduce, which
+            # merges in shard order rather than completion order.
+            page, speed = product
+        else:
+            campaign.dataset = product
         campaign.run_stats = stats
         campaign.aggregates = aggregate_payload(page, speed)
         campaign.events.append(
@@ -546,37 +502,3 @@ class CampaignService:
             "state": campaign.state,
             **fabric_status(campaign.fabric_dir),
         }
-
-    def _run_sketch(self, campaign: Campaign) -> None:
-        from repro.runtime.reduce import run_campaign_sketched
-
-        def on_partial(page, speed, folded, n_shards) -> None:
-            campaign.aggregates = aggregate_payload(page, speed)
-            campaign.events.append(
-                {
-                    "type": "aggregate_partial",
-                    "completed_shards": folded,
-                    "n_shards": n_shards,
-                    **campaign.aggregates,
-                }
-            )
-
-        result = run_campaign_sketched(
-            campaign.config,
-            fault_plan=campaign.fault_plan,
-            on_partial=on_partial,
-            on_event=self._on_event(campaign),
-            should_stop=campaign.cancel_event.is_set,
-        )
-        campaign.run_stats = result.stats
-        campaign.aggregates = aggregate_payload(
-            result.page_loads, result.speedtests
-        )
-        campaign.events.append(
-            {
-                "type": "aggregate_final",
-                "completed_shards": campaign.n_shards,
-                "n_shards": campaign.n_shards,
-                **campaign.aggregates,
-            }
-        )

@@ -1,0 +1,227 @@
+"""One differential matrix over the campaign executor.
+
+Every cell runs one campaign through one combination of
+
+* task — ``records`` (a merged dataset) or ``sketch`` (Table 1/3
+  accumulators, no records);
+* placement — ``in-process`` (one shard), ``processes`` (supervised
+  workers) or ``fabric`` (lease-coordinated workers);
+* storage — the ``memory``, ``columnar`` or ``spill`` backend the
+  records land in;
+* run — ``clean``, ``faulted`` (injected faults the runtime survives)
+  or ``resumed`` (a run that adopts an earlier run's shards);
+
+and checks it against the serial oracle: every user's records straight
+from :meth:`ExtensionCampaign.run_user`, in population order, with no
+executor involved.  Record cells must match bit for bit.  Sketch cells
+must match every count exactly and put each median within 1 % rank of
+the exact one.
+
+Cells that do not exist are left out by construction: a sketch has no
+storage backend, is never checkpointed (so never resumed) and is not
+placed on the fabric; faults are injected into worker processes, so an
+in-process run has none.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.analysis.streaming import SPEEDTEST_VALUES
+from repro.errors import ShardFailedError
+from repro.extension.campaign import CampaignConfig, ExtensionCampaign
+from repro.runtime import (
+    CheckpointStore,
+    SupervisorPolicy,
+    crash_plan,
+    host_chaos_plan,
+    run_campaign,
+    run_fabric_campaign,
+)
+from repro.runtime.fabric import FabricCoordinator
+
+TINY = dict(
+    seed=11,
+    duration_s=12 * 3600.0,
+    request_fraction=0.03,
+    speedtest_boost=300.0,
+    cities=("london", "seattle"),
+    shell_planes=24,
+    shell_sats_per_plane=12,
+    mp_start_method="fork",
+)
+
+#: Worker processes (and shards) of the multi-shard placements.
+N_WORKERS = 2
+
+#: Retries back off in milliseconds; the lost-shard run gives up after
+#: one retry instead of degrading in-process.
+POLICY = SupervisorPolicy(max_retries=1, backoff_base_s=0.01)
+KILL_POLICY = replace(POLICY, in_process_fallback=False)
+
+#: Fabric timings tight enough for test time.
+FABRIC = dict(lease_ttl_s=1.5, heartbeat_interval_s=0.1, straggler_floor_s=2.5)
+
+STORAGES = ("memory", "columnar", "spill")
+RUNS = ("clean", "faulted", "resumed")
+
+CELLS = [
+    ("records", placement, storage, run)
+    for placement in ("in-process", "processes", "fabric")
+    for storage in STORAGES
+    for run in RUNS
+    if not (placement == "in-process" and run == "faulted")
+] + [
+    ("sketch", placement, None, run)
+    for placement in ("in-process", "processes")
+    for run in ("clean", "faulted")
+    if not (placement == "in-process" and run == "faulted")
+]
+
+
+def _cell_id(cell) -> str:
+    return "-".join(part for part in cell if part is not None)
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The serial dataset, built user by user without the executor."""
+    campaign = ExtensionCampaign(CampaignConfig(**TINY))
+    page_loads, speedtests = [], []
+    for user in campaign.population.users:
+        user_page_loads, user_speedtests = campaign.run_user(user)
+        page_loads.extend(user_page_loads)
+        speedtests.extend(user_speedtests)
+    assert page_loads and speedtests
+    return page_loads, speedtests
+
+
+def _config(placement, storage, tmp_path):
+    return CampaignConfig(
+        **TINY,
+        n_workers=1 if placement == "in-process" else N_WORKERS,
+        storage=storage,
+        storage_dir=str(tmp_path / "segments") if storage == "spill" else None,
+        storage_segment_records=64,
+    )
+
+
+def _run_records(placement, run, config, tmp_path):
+    if placement == "fabric":
+        return _run_fabric(run, config, tmp_path)
+    checkpoint = CheckpointStore(str(tmp_path / "ckpt"), config)
+    if run == "faulted":
+        return run_campaign(
+            config, policy=POLICY, fault_plan=crash_plan([0, 1]), checkpoint=checkpoint
+        )
+    if run == "resumed":
+        if placement == "processes":
+            # Killed after k of n shards: shard 1 crashes on every try.
+            with pytest.raises(ShardFailedError):
+                run_campaign(
+                    config,
+                    policy=KILL_POLICY,
+                    fault_plan=crash_plan([1], attempts=(0, 1)),
+                    checkpoint=checkpoint,
+                )
+        else:
+            run_campaign(_elsewhere(config, tmp_path), checkpoint=checkpoint)
+        return run_campaign(config, checkpoint=checkpoint, resume=True)
+    return run_campaign(config, checkpoint=checkpoint)
+
+
+def _run_fabric(run, config, tmp_path):
+    fabric_dir = str(tmp_path / "fabric")
+    fault_plan = host_chaos_plan(torn_shards=(1,)) if run == "faulted" else None
+    first_config = _elsewhere(config, tmp_path) if run == "resumed" else config
+    dataset, stats = run_fabric_campaign(
+        first_config,
+        N_WORKERS,
+        fabric_dir,
+        n_shards=N_WORKERS,
+        fault_plan=fault_plan,
+        **FABRIC,
+    )
+    if run != "resumed":
+        return dataset, stats
+    # A restarted coordinator adopts every manifest; no worker runs.
+    return FabricCoordinator(config, fabric_dir).run()
+
+
+def _elsewhere(config, tmp_path):
+    """The same campaign spilling its dataset to another directory."""
+    if config.storage_dir is None:
+        return config
+    return replace(config, storage_dir=str(tmp_path / "first-segments"))
+
+
+def _check_run(placement, run, stats):
+    n_shards = 1 if placement == "in-process" else N_WORKERS
+    assert len(stats.shards) == n_shards
+    if run == "faulted":
+        if placement == "fabric":
+            assert stats.quarantined_segments >= 1
+        else:
+            assert [f.kind for f in stats.failures] == ["crash", "crash"]
+            assert stats.n_retried_shards == 2
+    elif run == "resumed":
+        if placement == "fabric":
+            assert not stats.transitions("lease_claimed")
+        else:
+            rerun = [s.shard_id for s in stats.shards if not s.resumed]
+            assert rerun == ([1] if placement == "processes" else [])
+            assert stats.resumed_shards == n_shards - len(rerun)
+    else:
+        assert stats.n_failures == 0 and stats.resumed_shards == 0
+
+
+def _check_sketch(product, oracle):
+    page, speed = product
+    page_loads, speedtests = oracle
+    keys = sorted({(r.city, r.is_starlink) for r in page_loads})
+    assert page.keys() == keys
+    for key in keys:
+        cell = [r for r in page_loads if (r.city, r.is_starlink) == key]
+        assert page.sketch(key).n == len(cell)
+        assert page.distinct(key).n == len({r.domain for r in cell})
+        _assert_median_rank(page.sketch(key), [r.timing.ptt_ms for r in cell])
+    keys = sorted({(r.city, r.is_starlink) for r in speedtests})
+    for value in SPEEDTEST_VALUES:
+        assert speed[value].keys() == keys
+        for key in keys:
+            cell = [
+                getattr(r, value)
+                for r in speedtests
+                if (r.city, r.is_starlink) == key
+            ]
+            assert speed[value].sketch(key).n == len(cell)
+            _assert_median_rank(speed[value].sketch(key), cell)
+
+
+def _assert_median_rank(sketch, values):
+    exact = np.sort(np.asarray(values, dtype=float))
+    median = sketch.quantile(0.5)
+    low = np.searchsorted(exact, median, side="left") / exact.size
+    high = np.searchsorted(exact, median, side="right") / exact.size
+    slack = 0.01 + 1.0 / exact.size
+    assert low - slack <= 0.5 <= high + slack
+
+
+@pytest.mark.parametrize(
+    "task,placement,storage,run", CELLS, ids=[_cell_id(cell) for cell in CELLS]
+)
+def test_cell_matches_serial_oracle(oracle, tmp_path, task, placement, storage, run):
+    config = _config(placement, storage, tmp_path)
+    if task == "sketch":
+        fault_plan = crash_plan([0, 1]) if run == "faulted" else None
+        product, stats = run_campaign(
+            config, "sketch", policy=POLICY, fault_plan=fault_plan
+        )
+        _check_sketch(product, oracle)
+    else:
+        dataset, stats = _run_records(placement, run, config, tmp_path)
+        assert dataset.storage == storage
+        assert dataset.page_loads == oracle[0]
+        assert dataset.speedtests == oracle[1]
+    _check_run(placement, run, stats)

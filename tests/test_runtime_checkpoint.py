@@ -2,17 +2,16 @@
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
-from repro.errors import CheckpointError, ShardFailedError
+from repro.errors import CheckpointError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 from repro.runtime import (
     CheckpointStore,
-    SupervisorPolicy,
     campaign_fingerprint,
-    crash_plan,
-    run_campaign_sharded,
+    run_campaign,
     run_shard,
 )
 from repro.runtime.checkpoint import resume_requested
@@ -270,85 +269,56 @@ def test_from_config_and_env(tmp_path, monkeypatch):
 # -- kill and resume ---------------------------------------------------
 
 
-def test_kill_and_resume_bit_identical(tmp_path, serial_dataset, campaign_users):
-    """The acceptance criterion: a campaign that dies after k of n
-    shards resumes from checkpoints, re-runs only the missing shards,
-    and produces the bit-identical dataset."""
-    config = CampaignConfig(**SMALL)
-    store = CheckpointStore(str(tmp_path), config)
-    # "Kill" the campaign: shard 1 crashes on every attempt and the
-    # policy forbids degradation, so the run aborts — after driving
-    # every other shard to completion and checkpointing it.
-    policy = SupervisorPolicy(
-        max_retries=1, backoff_base_s=0.01, in_process_fallback=False
-    )
-    with pytest.raises(ShardFailedError):
-        run_campaign_sharded(
-            config,
-            campaign_users,
-            4,
-            policy=policy,
-            fault_plan=crash_plan([1], attempts=(0, 1)),
-            checkpoint=store,
-        )
-    survivors = [
-        name
-        for name in os.listdir(store.directory)
-        if name.startswith("shard-")
-    ]
-    assert len(survivors) == 3  # k of n shards survived the kill
-    # Resume: only the lost shard is re-run, faults gone.
-    dataset, stats = run_campaign_sharded(
-        config, campaign_users, 4, checkpoint=store, resume=True
-    )
-    assert stats.resumed_shards == 3
-    rerun = [s.shard_id for s in stats.shards if not s.resumed]
-    assert rerun == [1]
-    assert dataset.page_loads == serial_dataset.page_loads
-    assert dataset.speedtests == serial_dataset.speedtests
-    assert "resumed from checkpoint" in stats.summary()
-
-
 def test_resume_with_complete_checkpoints_runs_nothing(
-    tmp_path, serial_dataset, campaign_users
+    tmp_path, serial_dataset
 ):
-    config = CampaignConfig(**SMALL)
+    config = CampaignConfig(**SMALL, n_workers=4)
     store = CheckpointStore(str(tmp_path), config)
-    run_campaign_sharded(config, campaign_users, 4, checkpoint=store)
-    dataset, stats = run_campaign_sharded(
-        config, campaign_users, 4, checkpoint=store, resume=True
-    )
+    run_campaign(config, checkpoint=store)
+    dataset, stats = run_campaign(config, checkpoint=store, resume=True)
     assert stats.resumed_shards == len(stats.shards)
     assert stats.n_worker_processes == 0
     assert dataset.page_loads == serial_dataset.page_loads
 
 
 def test_checkpoints_ignored_without_resume(
-    tmp_path, serial_dataset, campaign_users
+    tmp_path, serial_dataset
 ):
     """Without ``resume`` the run recomputes (and re-spills) everything."""
-    config = CampaignConfig(**SMALL)
+    config = CampaignConfig(**SMALL, n_workers=4)
     store = CheckpointStore(str(tmp_path), config)
-    run_campaign_sharded(config, campaign_users, 4, checkpoint=store)
-    dataset, stats = run_campaign_sharded(
-        config, campaign_users, 4, checkpoint=store, resume=False
-    )
+    run_campaign(config, checkpoint=store)
+    dataset, stats = run_campaign(config, checkpoint=store, resume=False)
     assert stats.resumed_shards == 0
     assert dataset.page_loads == serial_dataset.page_loads
 
 
 def test_resume_across_worker_counts_recomputes_safely(
-    tmp_path, serial_dataset, campaign_users
+    tmp_path, serial_dataset
 ):
     """Checkpoints from a different partition (other n_workers) are
     rejected per shard, so the resumed run recomputes instead of
     mixing partitions — and still matches the serial dataset."""
-    config = CampaignConfig(**SMALL)
+    config = CampaignConfig(**SMALL, n_workers=4)
     store = CheckpointStore(str(tmp_path), config)
-    run_campaign_sharded(config, campaign_users, 4, checkpoint=store)
-    dataset, stats = run_campaign_sharded(
-        config, campaign_users, 3, checkpoint=store, resume=True
+    run_campaign(config, checkpoint=store)
+    dataset, stats = run_campaign(
+        replace(config, n_workers=3), checkpoint=store, resume=True
     )
+    assert dataset.page_loads == serial_dataset.page_loads
+    assert dataset.speedtests == serial_dataset.speedtests
+
+
+def test_serial_run_checkpoints_and_resumes(tmp_path, serial_dataset):
+    """A serial run is the one-shard case of the executor, so it spills
+    its shard and a resumed serial run adopts it instead of re-running."""
+    config = CampaignConfig(**SMALL, checkpoint_dir=str(tmp_path))
+    ExtensionCampaign(config).run()
+    store = CheckpointStore(str(tmp_path), config)
+    assert os.path.exists(os.path.join(store.directory, "shard-0000.ckpt"))
+    again = ExtensionCampaign(replace(config, resume=True))
+    dataset = again.run()
+    assert again.last_run_stats.resumed_shards == 1
     assert dataset.page_loads == serial_dataset.page_loads
     assert dataset.speedtests == serial_dataset.speedtests
 

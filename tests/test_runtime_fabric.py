@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import FabricError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.runtime import host_chaos_plan, run_fabric_campaign
+from repro.runtime import campaign_fingerprint, host_chaos_plan, run_fabric_campaign
 from repro.runtime.fabric import (
     FabricCoordinator,
     FabricPaths,
@@ -156,6 +156,17 @@ def test_fabric_lease_loss_speculative_completion(serial_dataset):
     _assert_identical(dataset, serial_dataset)
     completed = stats.transitions("shard_completed")
     assert sorted(e["shard_id"] for e in completed) == list(range(4))
+
+
+def test_int_duration_config_runs_on_the_fabric():
+    """Configs cross the fabric as JSON, which turns every number into
+    a float; an int ``duration_s`` must fingerprint (and run) the same
+    as its float twin, or every worker refuses the plan."""
+    int_config = CampaignConfig(**SMALL | {"duration_s": 7200})
+    float_config = CampaignConfig(**SMALL | {"duration_s": 7200.0})
+    assert campaign_fingerprint(int_config) == campaign_fingerprint(float_config)
+    dataset, _ = run_fabric_campaign(int_config, n_workers=2, **FAST)
+    _assert_identical(dataset, ExtensionCampaign(float_config).run())
 
 
 # -- plan publication and adoption --------------------------------------

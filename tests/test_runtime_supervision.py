@@ -20,7 +20,7 @@ from repro.runtime import (
     merge_shard_results,
     plan_shards,
     resolve_start_method,
-    run_campaign_sharded,
+    run_campaign,
     supervise_shards,
 )
 from repro.runtime.faults import FaultKind
@@ -53,11 +53,9 @@ def campaign_users():
     return ExtensionCampaign(CampaignConfig(**SMALL)).population.users
 
 
-def _run_chaos(users, plan, policy=CHAOS_POLICY, n_workers=4):
-    config = CampaignConfig(**SMALL)
-    return run_campaign_sharded(
-        config, users, n_workers, policy=policy, fault_plan=plan
-    )
+def _run_chaos(plan, policy=CHAOS_POLICY, n_workers=4):
+    config = CampaignConfig(**SMALL, n_workers=n_workers)
+    return run_campaign(config, policy=policy, fault_plan=plan)
 
 
 @pytest.mark.parametrize(
@@ -68,10 +66,10 @@ def _run_chaos(users, plan, policy=CHAOS_POLICY, n_workers=4):
         ("corrupt", corrupt_plan([0, 1, 3]), "corrupt"),
     ],
 )
-def test_chaos_identity(serial_dataset, campaign_users, name, plan, expected_kind):
+def test_chaos_identity(serial_dataset, name, plan, expected_kind):
     """Crash / hang→timeout / corrupt-result schedules all recover to
     the bit-identical fault-free dataset, with the failures logged."""
-    dataset, stats = _run_chaos(campaign_users, plan)
+    dataset, stats = _run_chaos(plan)
     assert dataset.page_loads == serial_dataset.page_loads
     assert dataset.speedtests == serial_dataset.speedtests
     assert stats.n_failures == len(plan.faults)
@@ -81,13 +79,13 @@ def test_chaos_identity(serial_dataset, campaign_users, name, plan, expected_kin
     assert expected_kind in stats.summary()
 
 
-def test_chaos_identity_seeded_mixed_schedule(serial_dataset, campaign_users):
+def test_chaos_identity_seeded_mixed_schedule(serial_dataset):
     """A seeded random schedule mixing every fault kind still recovers."""
     plan = FaultPlan.seeded(
         seed=7, n_shards=4, rate=1.0, hang_s=60.0, slow_s=0.05
     )
     assert plan  # rate=1.0: every shard's first attempt is faulty
-    dataset, stats = _run_chaos(campaign_users, plan)
+    dataset, stats = _run_chaos(plan)
     assert dataset.page_loads == serial_dataset.page_loads
     assert dataset.speedtests == serial_dataset.speedtests
     # SLOW is a straggler, not a failure: it must finish within the
@@ -98,23 +96,23 @@ def test_chaos_identity_seeded_mixed_schedule(serial_dataset, campaign_users):
     assert stats.n_failures == injected_failures
 
 
-def test_repeated_crashes_degrade_to_in_process(serial_dataset, campaign_users):
+def test_repeated_crashes_degrade_to_in_process(serial_dataset):
     """A shard crashing on every worker attempt falls back in-process."""
     plan = crash_plan([1], attempts=(0, 1, 2))
-    dataset, stats = _run_chaos(campaign_users, plan)
+    dataset, stats = _run_chaos(plan)
     assert dataset.page_loads == serial_dataset.page_loads
     assert [f.kind for f in stats.failures] == ["crash"] * 3
     fallback = [s for s in stats.shards if s.shard_id == 1]
     assert fallback[0].attempts == CHAOS_POLICY.max_retries + 2
 
 
-def test_exhausted_retries_raise_without_fallback(campaign_users):
+def test_exhausted_retries_raise_without_fallback():
     policy = SupervisorPolicy(
         max_retries=1, backoff_base_s=0.01, in_process_fallback=False
     )
     plan = crash_plan([1], attempts=(0, 1))
     with pytest.raises(ShardFailedError) as excinfo:
-        _run_chaos(campaign_users, plan, policy=policy)
+        _run_chaos(plan, policy=policy)
     assert [f.kind for f in excinfo.value.failures] == ["crash", "crash"]
 
 
@@ -167,21 +165,19 @@ def test_pool_sized_to_tasks_not_workers(campaign_users, serial_dataset):
     """Over-provisioning regression: fewer users than workers must not
     spawn idle processes (the pre-supervision engine spawned
     ``n_shards`` processes even for empty shards)."""
-    dataset, stats = run_campaign_sharded(
-        CampaignConfig(**SMALL), campaign_users, 64
-    )
+    dataset, stats = run_campaign(CampaignConfig(**SMALL, n_workers=64))
     assert dataset.page_loads == serial_dataset.page_loads
     assert stats.n_workers == 64
     assert stats.n_worker_processes == len(stats.shards)
     assert stats.n_worker_processes <= len(campaign_users)
 
 
-def test_spawn_start_method_runs_and_matches(serial_dataset, campaign_users):
+def test_spawn_start_method_runs_and_matches(serial_dataset):
     """The spawn path (which also validates task pickling) is exercised
     explicitly — Python 3.14 changes the Linux default, and fork is
     unsafe with threaded parents."""
-    config = CampaignConfig(**SMALL, mp_start_method="spawn")
-    dataset, stats = run_campaign_sharded(config, campaign_users, 2)
+    config = CampaignConfig(**SMALL, n_workers=2, mp_start_method="spawn")
+    dataset, stats = run_campaign(config)
     assert dataset.page_loads == serial_dataset.page_loads
     assert dataset.speedtests == serial_dataset.speedtests
     assert stats.n_failures == 0
@@ -217,7 +213,6 @@ def test_config_rejects_bad_supervision_fields():
 
 def test_empty_population_yields_empty_dataset():
     """cities=() filters every user out; the run must still succeed."""
-    config = CampaignConfig(**SMALL | {"cities": ()})
     for n_workers in (1, 4):
         campaign = ExtensionCampaign(
             CampaignConfig(**SMALL | {"cities": ()}, n_workers=n_workers)
@@ -227,15 +222,14 @@ def test_empty_population_yields_empty_dataset():
         stats = campaign.last_run_stats
         assert stats.n_records == 0
         assert stats.summary()  # renders without dividing by zero
-    dataset, stats = run_campaign_sharded(config, [], 4)
-    assert dataset.page_loads == [] and dataset.speedtests == []
-    assert stats.n_worker_processes == 0
+        assert stats.n_worker_processes == 0
 
 
-def test_single_user_across_many_workers(serial_dataset, campaign_users):
+def test_single_user_across_many_workers():
     """One user, eight workers: one shard, in-process, correct records."""
-    single = campaign_users[:1]
-    dataset, stats = run_campaign_sharded(CampaignConfig(**SMALL), single, 8)
+    config = CampaignConfig(**SMALL | {"cities": ("warsaw",)}, n_workers=8)
+    assert len(ExtensionCampaign(config).population.users) == 1
+    dataset, stats = run_campaign(config)
     assert len(stats.shards) == 1
     assert stats.shards[0].n_users == 1
     assert stats.n_worker_processes == 0  # single shard runs in-process

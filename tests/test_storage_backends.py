@@ -29,7 +29,7 @@ from repro.runtime import (
     CheckpointStore,
     SupervisorPolicy,
     crash_plan,
-    run_campaign_sharded,
+    run_campaign,
 )
 from repro.web.timing import NavigationTiming
 
@@ -38,7 +38,8 @@ SEEDS = (11, 23)
 
 CFG = dict(
     duration_s=86_400.0,
-    request_fraction=0.1,
+    request_fraction=0.03,
+    speedtest_boost=50.0,  # a few speedtests per backend too
     cities=("london", "seattle"),
     shell_planes=24,
     shell_sats_per_plane=12,
@@ -68,11 +69,6 @@ def reference(seed):
     return ExtensionCampaign(CampaignConfig(**CFG, seed=seed)).run()
 
 
-@pytest.fixture(scope="module")
-def users(seed):
-    return ExtensionCampaign(CampaignConfig(**CFG, seed=seed)).population.users
-
-
 # -- campaign bit-identity ---------------------------------------------
 
 
@@ -95,26 +91,22 @@ def test_sharded_identity(backend, seed, reference, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_kill_and_resume_identity(backend, seed, reference, users, tmp_path):
+def test_kill_and_resume_identity(backend, seed, reference, tmp_path):
     """A campaign killed after k of n shards resumes from columnar
     checkpoints into any storage backend, bit-identically."""
-    config = storage_config(seed, backend, tmp_path)
+    config = storage_config(seed, backend, tmp_path, n_workers=4)
     store = CheckpointStore(str(tmp_path / "ckpt"), config)
     policy = SupervisorPolicy(
         max_retries=1, backoff_base_s=0.01, in_process_fallback=False
     )
     with pytest.raises(ShardFailedError):
-        run_campaign_sharded(
+        run_campaign(
             config,
-            users,
-            4,
             policy=policy,
             fault_plan=crash_plan([1], attempts=(0, 1)),
             checkpoint=store,
         )
-    dataset, stats = run_campaign_sharded(
-        config, users, 4, checkpoint=store, resume=True
-    )
+    dataset, stats = run_campaign(config, checkpoint=store, resume=True)
     assert stats.resumed_shards == 3
     assert dataset.storage == backend
     assert dataset.page_loads == reference.page_loads

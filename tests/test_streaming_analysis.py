@@ -13,6 +13,8 @@ Covers the tentpole contracts of DESIGN.md §11:
   resolves with the documented precedence.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,48 +361,43 @@ def test_stream_speedtest_medians_matches_exact(campaign_dataset):
 
 
 def test_sketch_reduce_matches_single_pass():
-    from repro.runtime.reduce import (
-        SketchSpec,
-        reduce_shard_sketches,
-        run_campaign_sketched,
-        run_shard_sketch,
-        validate_sketch_result,
+    from repro.runtime import (
+        merge_shard_sketches,
+        run_campaign,
+        run_shard,
+        validate_shard_result,
     )
 
-    config = CampaignConfig(seed=5, request_fraction=0.08)
-    serial = run_campaign_sketched(config)
-    sharded = run_campaign_sketched(
-        CampaignConfig(seed=5, request_fraction=0.08, n_workers=2)
+    config = CampaignConfig(
+        seed=5,
+        duration_s=4 * 86_400.0,
+        request_fraction=0.08,
+        shell_planes=24,
+        shell_sats_per_plane=12,
+        precompute_timelines=False,
     )
-    assert serial.page_loads.keys() == sharded.page_loads.keys()
-    for key, sketch in serial.page_loads.items():
-        other = sharded.page_loads.sketch(key)
+    (serial, _), _ = run_campaign(config, "sketch")
+    (sharded, _), stats = run_campaign(replace(config, n_workers=2), "sketch")
+    assert serial.keys() == sharded.keys()
+    for key, sketch in serial.items():
+        other = sharded.sketch(key)
         assert other.n == sketch.n  # counts exact across sharding
         if sketch.n >= 20:
             assert other.quantile(0.5) == pytest.approx(
                 sketch.quantile(0.5), rel=0.02
             )
-        assert sharded.page_loads.distinct(key).n == serial.page_loads.distinct(
-            key
-        ).n
-    assert len(sharded.stats.shards) == 2
+        assert sharded.distinct(key).n == serial.distinct(key).n
+    assert len(stats.shards) == 2
 
-    # validate_sketch_result rejects wrong shapes; the reduce enforces
-    # the exactly-once partition.
-    result = run_shard_sketch(config, shard_id=0, user_indices=[0, 1])
-    assert validate_sketch_result(result, 0, [0, 1]) is None
-    assert validate_sketch_result(result, 1, [0, 1]) is not None
-    assert validate_sketch_result(result, 0, [0, 2]) is not None
-    assert validate_sketch_result("junk", 0, [0, 1]) is not None
+    # The supervisor's validator rejects wrong shapes; the reduce
+    # enforces the exactly-once partition.
+    result = run_shard(config, 0, [0, 1], task="sketch")
+    assert validate_shard_result(result, 0, [0, 1]) is None
+    assert validate_shard_result(result, 1, [0, 1]) is not None
+    assert validate_shard_result(result, 0, [0, 2]) is not None
+    assert validate_shard_result("junk", 0, [0, 1]) is not None
     with pytest.raises(DatasetError):
-        reduce_shard_sketches([result], SketchSpec(), expected_indices={0, 1, 2})
-
-
-def test_sketch_spec_requires_a_fold():
-    from repro.runtime.reduce import SketchSpec
-
-    with pytest.raises(ConfigurationError):
-        SketchSpec(page_load_keys=(), speedtest_keys=())
+        merge_shard_sketches([result], expected_indices={0, 1, 2})
 
 
 # -- mode selection ------------------------------------------------------
