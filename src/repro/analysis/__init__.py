@@ -17,12 +17,7 @@
 from repro.analysis.aschange import detect_as_switch_time, split_around
 from repro.analysis.queueing import QueueingEstimate, max_min_queueing
 from repro.analysis.stats import ccdf, ecdf, median, percentile, summarize
-from repro.analysis.streaming import (
-    GroupedAccumulator,
-    QuantileSketch,
-    analytics_mode_for,
-    resolve_analytics,
-)
+from repro.analysis.streaming import GroupedAccumulator, QuantileSketch
 from repro.analysis.tables import format_table
 from repro.analysis.weatherjoin import ptt_by_condition
 
@@ -30,7 +25,6 @@ __all__ = [
     "GroupedAccumulator",
     "QuantileSketch",
     "QueueingEstimate",
-    "analytics_mode_for",
     "ccdf",
     "detect_as_switch_time",
     "ecdf",
@@ -39,7 +33,6 @@ __all__ = [
     "median",
     "percentile",
     "ptt_by_condition",
-    "resolve_analytics",
     "split_around",
     "summarize",
 ]

@@ -31,16 +31,13 @@ across the supervision pipe (the campaign executor's sketch task, see
 associative and commutative up to the rank-error bound, which is what
 makes the sketch the natural reduce step for sharded campaigns.
 
-Mode selection (``--analytics {exact,streaming}``) threads through
-:func:`resolve_analytics` exactly like the packet engine's
-``REPRO_ENGINE``; ``auto`` picks streaming only for spill-backed
-datasets big enough (:data:`STREAMING_AUTO_RECORDS`) that exact
-materialisation would dominate peak RSS.
+The dataset-backed experiments use these builders only when asked to:
+the ``analytics`` knob (``--analytics streaming``, ``REPRO_ANALYTICS``
+or ``CampaignConfig.analytics``; see :mod:`repro.knobs`) defaults to
+``exact``, so sketch medians never replace exact ones silently.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -57,61 +54,6 @@ DEFAULT_COMPRESSION = 800
 
 #: Buffered points a sketch accumulates before recompressing.
 _BUFFER_FACTOR = 16
-
-#: Environment variable the CLI uses to thread ``--analytics`` through
-#: the uniform experiment-runner signature (like ``REPRO_ENGINE``).
-ANALYTICS_ENV = "REPRO_ANALYTICS"
-
-#: Analytics modes a config / ``REPRO_ANALYTICS`` may request.
-VALID_ANALYTICS = ("exact", "streaming", "auto")
-
-#: ``auto`` switches to streaming only at or above this many records
-#: (and only for spill-backed datasets) — below it, exact
-#: materialisation is cheap and keeps outputs bit-identical to the
-#: historical pipeline.
-STREAMING_AUTO_RECORDS = 100_000
-
-
-def resolve_analytics(requested: str | None = None, config=None) -> str:
-    """The analytics mode an experiment will use.
-
-    Precedence: explicit ``requested``, then ``CampaignConfig.analytics``,
-    then the ``REPRO_ANALYTICS`` environment variable, then ``auto``.
-
-    Raises:
-        ConfigurationError: for an unknown mode name.
-    """
-    if not requested and config is not None:
-        requested = getattr(config, "analytics", None)
-    if not requested:
-        requested = os.environ.get(ANALYTICS_ENV) or None
-    if not requested:
-        return "auto"
-    if requested not in VALID_ANALYTICS:
-        raise ConfigurationError(
-            f"unknown analytics mode {requested!r}; valid: {VALID_ANALYTICS}"
-        )
-    return requested
-
-
-def analytics_mode_for(dataset, requested: str | None = None, config=None) -> str:
-    """Concrete mode (``exact``/``streaming``) for one dataset.
-
-    An explicit request always wins.  ``auto`` selects streaming only
-    when the dataset lives on the spill backend *and* is at least
-    :data:`STREAMING_AUTO_RECORDS` records — the regime where exact
-    materialisation costs O(dataset) RSS for no accuracy the shape
-    checks can use.  Everything smaller stays exact (bit-identical to
-    the historical outputs).
-    """
-    mode = resolve_analytics(requested, config)
-    if mode != "auto":
-        return mode
-    n_records = dataset.n_page_loads + dataset.n_speedtests
-    if dataset.storage == "spill" and n_records >= STREAMING_AUTO_RECORDS:
-        return "streaming"
-    return "exact"
-
 
 # -- exact mergeable accumulators ---------------------------------------
 

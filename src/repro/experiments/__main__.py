@@ -16,10 +16,13 @@ import argparse
 import sys
 import time
 
+from repro import knobs
+from repro.errors import ConfigurationError
 from repro.experiments import EXPERIMENTS, run_experiment
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; the knob flags come from :mod:`repro.knobs`."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
@@ -37,62 +40,7 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="worker processes for campaign experiments (same output as serial)",
     )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="spill completed campaign shards here (enables --resume)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="adopt surviving checkpointed shards from --checkpoint-dir "
-        "instead of re-running them (bit-identical dataset)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        metavar="N",
-        help="supervisor re-attempts per failed campaign shard (default 2)",
-    )
-    parser.add_argument(
-        "--shard-timeout",
-        type=float,
-        metavar="SECONDS",
-        help="kill and retry campaign shards exceeding this wall-clock budget",
-    )
-    parser.add_argument(
-        "--mp-start",
-        choices=("fork", "spawn", "forkserver"),
-        help="multiprocessing start method for campaign workers",
-    )
-    parser.add_argument(
-        "--storage",
-        choices=("memory", "columnar", "spill"),
-        help="dataset storage backend (spill = bounded-memory .npz "
-        "segments on disk; dataset is bit-identical across backends)",
-    )
-    parser.add_argument(
-        "--storage-dir",
-        metavar="DIR",
-        help="segment directory for --storage spill (default: a fresh "
-        "temporary directory)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("event", "batch"),
-        help="packet-path engine: 'event' is the heap-driven oracle, "
-        "'batch' the vectorised engine (statistically equivalent, "
-        ">=10x faster on packet-level experiments)",
-    )
-    parser.add_argument(
-        "--analytics",
-        choices=("exact", "streaming", "auto"),
-        help="analysis path: 'exact' recomputes from full columns "
-        "(bit-identical to the historical pipeline), 'streaming' folds "
-        "backend segments through mergeable sketches in O(segment) "
-        "memory (quantiles within 1%% rank error, counts exact), "
-        "'auto' picks streaming only for large spill-backed datasets",
-    )
+    knobs.add_flags(parser)
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument(
         "--json",
@@ -145,16 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         "n_workers, capped by the population size)",
     )
     parser.add_argument(
-        "--fabric-store",
-        choices=("fs", "object"),
-        metavar="KIND",
-        help="coordination store for 'coordinate'/'worker': 'fs' (POSIX "
-        "primitives on the shared directory, the default) or 'object' "
-        "(object-store semantics: conditional PUTs, prefix listing); "
-        "default: the directory's STORE sentinel, then "
-        "REPRO_FABRIC_STORE, then 'fs'",
-    )
-    parser.add_argument(
         "--lease-ttl",
         type=float,
         metavar="SECONDS",
@@ -182,8 +120,16 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="evaluate the paper's shape checks and exit non-zero on failure",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
-    apply_runtime_env(args)
+    try:
+        apply_runtime_env(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
     if args.list or args.experiment is None:
         if args.json:
@@ -319,36 +265,14 @@ def run_fabric_worker_cli(args) -> int:
 
 
 def apply_runtime_env(args) -> None:
-    """Thread supervision/checkpoint/storage flags to the runtime.
+    """Hand the parsed knob flags to the runtime.
 
     Experiments build their own ``CampaignConfig`` behind the uniform
-    ``run(seed, scale, n_workers)`` signature, so the CLI hands these
-    knobs over via the ``REPRO_*`` environment variables the runtime
-    falls back to (see ``SupervisorPolicy.from_config`` and
-    ``CheckpointStore.from_config``).
+    ``run(seed, scale, n_workers)`` signature, so every flag that was
+    given is exported to its knob's ``REPRO_*`` variable, where the
+    knob's resolver finds it (:func:`repro.knobs.export`).
     """
-    import os
-
-    if getattr(args, "checkpoint_dir", None):
-        os.environ["REPRO_CHECKPOINT_DIR"] = args.checkpoint_dir
-    if getattr(args, "resume", False):
-        os.environ["REPRO_RESUME"] = "1"
-    if getattr(args, "max_retries", None) is not None:
-        os.environ["REPRO_MAX_RETRIES"] = str(args.max_retries)
-    if getattr(args, "shard_timeout", None) is not None:
-        os.environ["REPRO_SHARD_TIMEOUT_S"] = str(args.shard_timeout)
-    if getattr(args, "mp_start", None):
-        os.environ["REPRO_MP_START"] = args.mp_start
-    if getattr(args, "storage", None):
-        os.environ["REPRO_STORAGE"] = args.storage
-    if getattr(args, "storage_dir", None):
-        os.environ["REPRO_STORAGE_DIR"] = args.storage_dir
-    if getattr(args, "engine", None):
-        os.environ["REPRO_ENGINE"] = args.engine
-    if getattr(args, "analytics", None):
-        os.environ["REPRO_ANALYTICS"] = args.analytics
-    if getattr(args, "fabric_store", None):
-        os.environ["REPRO_FABRIC_STORE"] = args.fabric_store
+    knobs.export({name: getattr(args, name, None) for name in knobs.KNOBS})
 
 
 def dump_series(result, directory: str) -> list[str]:

@@ -26,6 +26,7 @@ from typing import Callable
 
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
+from repro.knobs import scoped
 
 REQUIRED_RUN_PARAMS = ("seed", "scale", "n_workers")
 """Parameters every registered experiment runner must accept."""
@@ -140,52 +141,27 @@ def run_experiment(
 
     ``n_workers`` is forwarded to every runner (the registry enforces
     the uniform signature); experiments without campaign work ignore it.
-    ``engine`` selects the packet-path engine (``"event"`` or
-    ``"batch"``) for the duration of the run by scoping the
-    ``REPRO_ENGINE`` fallback — experiments build their own
-    ``AccessConfig`` behind the uniform signature, so the env var is
-    the hand-off point (like the CLI's other ``REPRO_*`` knobs).
-    ``analytics`` selects the analysis path the same way (``"exact"``,
-    ``"streaming"`` or ``"auto"``, scoping ``REPRO_ANALYTICS``): exact
-    is bit-identical to the historical pipeline, streaming folds
-    backend segments through mergeable sketches in O(segment) memory
-    (quantile cells within a 1% rank-error bound, counts exact).
+    ``engine`` (``"event"``/``"batch"``) and ``analytics``
+    (``"exact"``/``"streaming"``) set those knobs for the duration of
+    the run: experiments build their own configs behind the uniform
+    signature, so the values are handed over through the knobs'
+    ``REPRO_*`` variables (:func:`repro.knobs.scoped`), like the CLI's
+    flags.  Exact analytics is bit-identical to the historical
+    pipeline; streaming folds backend segments through mergeable
+    sketches in O(segment) memory (quantile cells within a 1%
+    rank-error bound, counts exact).
 
     Raises:
         ConfigurationError: for unknown ids, engines or analytics modes.
     """
-    import os
-
-    from repro.analysis.streaming import ANALYTICS_ENV, resolve_analytics
-    from repro.net.batch import ENGINE_ENV, resolve_engine
-
     try:
         runner = EXPERIMENTS[experiment_id]
     except KeyError:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    scoped: list[tuple[str, str, str | None]] = []
-    if engine is not None:
-        scoped.append((ENGINE_ENV, resolve_engine(engine), os.environ.get(ENGINE_ENV)))
-    if analytics is not None:
-        scoped.append(
-            (
-                ANALYTICS_ENV,
-                resolve_analytics(analytics),
-                os.environ.get(ANALYTICS_ENV),
-            )
-        )
-    for name, value, _ in scoped:
-        os.environ[name] = value
-    try:
+    with scoped({"engine": engine, "analytics": analytics}):
         return runner(seed=seed, scale=scale, n_workers=n_workers)
-    finally:
-        for name, _, previous in scoped:
-            if previous is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = previous
 
 
 def run_all(

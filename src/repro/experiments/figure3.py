@@ -15,12 +15,12 @@ import numpy as np
 from repro.analysis.aschange import detect_as_switch_time, split_around
 from repro.analysis.stats import ecdf, median
 from repro.analysis.streaming import (
-    analytics_mode_for,
     stream_as_switch_times,
     stream_city_class_era_ptt,
 )
 from repro.experiments.base import ExperimentResult, campaign_metrics, register
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
+from repro.knobs import resolve
 from repro.timeline import LONDON_AS_SWITCH_T, SYDNEY_AS_SWITCH_T
 
 CITIES = ("london", "sydney")
@@ -44,7 +44,7 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
     rows = []
     metrics: dict[str, float] = {}
     series: dict[str, tuple] = {}
-    mode = analytics_mode_for(dataset, config=config)
+    mode = resolve("analytics", config.analytics)
     expected_by_city = {
         "london": LONDON_AS_SWITCH_T,
         "sydney": SYDNEY_AS_SWITCH_T,

@@ -10,10 +10,11 @@ conditions (rain-fade physics: raindrop size matters).
 
 from __future__ import annotations
 
-from repro.analysis.streaming import analytics_mode_for, stream_ptt_by_condition
+from repro.analysis.streaming import stream_ptt_by_condition
 from repro.analysis.weatherjoin import ptt_by_condition
 from repro.experiments.base import ExperimentResult, campaign_metrics, register
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
+from repro.knobs import resolve
 from repro.web.tranco import GOOGLE_SERVICE_DOMAINS
 
 
@@ -29,7 +30,7 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
     )
     campaign = ExtensionCampaign(config)
     dataset = campaign.run()
-    mode = analytics_mode_for(dataset, config=config)
+    mode = resolve("analytics", config.analytics)
     if mode == "streaming":
         summaries = stream_ptt_by_condition(
             dataset,

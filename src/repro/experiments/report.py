@@ -3,13 +3,15 @@
 Run::
 
     python -m repro.experiments.report [--out EXPERIMENTS.md] [--seed 0]
-                                       [--workers N]
+                                       [--workers N] [knob flags]
 
 Executes every registered experiment at its benchmark scale and writes
 a markdown report pairing the measured metrics with the paper's
 reference values.  ``--workers`` shards the campaign-backed experiments
 over worker processes (datasets are bit-identical to ``--workers 1``;
-only the wall-clock changes).
+only the wall-clock changes).  The knob flags are the experiments
+CLI's (``--storage``, ``--engine``, ``--analytics``, ...; see
+:mod:`repro.knobs`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import argparse
 import sys
 import time
 
+from repro import knobs
+from repro.errors import ConfigurationError
 from repro.experiments import EXPERIMENTS, run_experiment
 
 #: Scale used per experiment (matched to the benchmark suite).
@@ -68,8 +72,11 @@ to compute the dataset-backed tables/figures from mergeable quantile
 sketches folded one storage segment at a time instead of materialised
 columns: counts and #domain cells stay exact, quantile cells carry a
 ≤1 % rank-error bound, and peak analysis memory drops to O(segment)
-(DESIGN.md §11).  The default (``auto``) keeps small runs exact and
-bit-identical.
+(DESIGN.md §11).  The default (``exact``) is bit-identical to the
+historical pipeline; sketch medians are used only when asked for.
+
+Each of these knob flags has a ``REPRO_*`` variable as well; the flag
+wins over the variable, which wins over the default (DESIGN.md §5).
 
 """
 
@@ -141,7 +148,8 @@ def generate(
         handle.write("\n".join(chunks))
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The report's parser: the experiments CLI's run knob flags."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument("--seed", type=int, default=0)
@@ -152,47 +160,19 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for campaign-backed experiments "
         "(same dataset, less wall-clock)",
     )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="spill completed campaign shards here (enables --resume)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="adopt surviving checkpointed shards instead of re-running them",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        metavar="N",
-        help="supervisor re-attempts per failed campaign shard (default 2)",
-    )
-    parser.add_argument(
-        "--shard-timeout",
-        type=float,
-        metavar="SECONDS",
-        help="kill and retry campaign shards exceeding this budget",
-    )
-    parser.add_argument(
-        "--mp-start",
-        choices=("fork", "spawn", "forkserver"),
-        help="multiprocessing start method for campaign workers",
-    )
-    parser.add_argument(
-        "--storage",
-        choices=("memory", "columnar", "spill"),
-        help="dataset storage backend for campaign experiments",
-    )
-    parser.add_argument(
-        "--analytics",
-        choices=("exact", "streaming", "auto"),
-        help="analysis path for dataset-backed experiments (see DESIGN.md §11)",
-    )
-    args = parser.parse_args(argv)
+    knobs.add_flags(parser, scope="run")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     from repro.experiments.__main__ import apply_runtime_env
 
-    apply_runtime_env(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        apply_runtime_env(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     generate(args.out, args.seed, n_workers=args.workers)
     return 0
 

@@ -16,9 +16,10 @@ Sydney's medians well above (roughly 2x) London's.
 
 from __future__ import annotations
 
-from repro.analysis.streaming import analytics_mode_for, stream_table1_stats
+from repro.analysis.streaming import stream_table1_stats
 from repro.experiments.base import ExperimentResult, campaign_metrics, register
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
+from repro.knobs import resolve
 
 CITIES = ("london", "seattle", "sydney")
 
@@ -61,7 +62,7 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
     ]
     rows = []
     metrics: dict[str, float] = {}
-    mode = analytics_mode_for(dataset, config=config)
+    mode = resolve("analytics", config.analytics)
     grouped = stream_table1_stats(dataset) if mode == "streaming" else None
     for city_name in CITIES:
         if grouped is None:

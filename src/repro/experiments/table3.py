@@ -18,10 +18,11 @@ London UL roughly twice Seattle/Toronto.
 
 from __future__ import annotations
 
-from repro.analysis.streaming import analytics_mode_for, stream_speedtest_medians
+from repro.analysis.streaming import stream_speedtest_medians
 from repro.errors import DatasetError
 from repro.experiments.base import ExperimentResult, campaign_metrics, register
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
+from repro.knobs import resolve
 
 CITIES = ("london", "seattle", "toronto", "warsaw")
 
@@ -50,7 +51,7 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
     headers = ["city", "n tests", "DL median (Mbps)", "UL median (Mbps)"]
     rows = []
     metrics: dict[str, float] = {}
-    mode = analytics_mode_for(dataset, config=config)
+    mode = resolve("analytics", config.analytics)
     streamed = stream_speedtest_medians(dataset) if mode == "streaming" else None
     for city_name in CITIES:
         if streamed is None:

@@ -37,12 +37,10 @@ import numpy as np
 from repro.errors import ConfigurationError, DatasetError
 from repro.extension import columnar
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
-
-#: Backend names a config / ``REPRO_STORAGE`` may request.
-VALID_STORAGE = ("memory", "columnar", "spill")
+from repro.knobs import KNOBS, resolve
 
 #: Default records per columnar chunk / on-disk spill segment.
-DEFAULT_SEGMENT_RECORDS = 4096
+DEFAULT_SEGMENT_RECORDS = KNOBS["storage_segment_records"].default
 
 _KINDS = ("page_loads", "speedtests")
 
@@ -126,57 +124,27 @@ def _finish_chunk(
     }
 
 
-def resolve_storage(config=None) -> str:
-    """The storage backend name a campaign will use.
-
-    Precedence: ``CampaignConfig.storage``, then the ``REPRO_STORAGE``
-    environment variable (the CLI's side channel through the uniform
-    experiment-runner signature), then ``memory``.
-
-    Raises:
-        ConfigurationError: for an unknown backend name.
-    """
-    requested = getattr(config, "storage", None) if config is not None else None
-    if not requested:
-        requested = os.environ.get("REPRO_STORAGE") or None
-    if not requested:
-        return "memory"
-    if requested not in VALID_STORAGE:
-        raise ConfigurationError(
-            f"unknown storage backend {requested!r}; valid: {VALID_STORAGE}"
-        )
-    return requested
-
-
 def make_backend(
     name: str,
     directory: str | None = None,
     segment_records: int = DEFAULT_SEGMENT_RECORDS,
 ) -> "DatasetBackend":
     """Instantiate a backend by name (``directory`` is spill-only)."""
+    name = KNOBS["storage"].check(name)
     if name == "memory":
         return InMemoryBackend()
     if name == "columnar":
         return ColumnarBackend(segment_records=segment_records)
-    if name == "spill":
-        return SpillBackend(directory=directory, segment_records=segment_records)
-    raise ConfigurationError(
-        f"unknown storage backend {name!r}; valid: {VALID_STORAGE}"
-    )
+    return SpillBackend(directory=directory, segment_records=segment_records)
 
 
 def backend_for_config(config) -> "DatasetBackend":
-    """The backend a campaign config (plus environment) asks for."""
-    directory = getattr(config, "storage_dir", None) or os.environ.get(
-        "REPRO_STORAGE_DIR"
-    )
-    segment_records = getattr(
-        config, "storage_segment_records", DEFAULT_SEGMENT_RECORDS
-    )
+    """The backend of a campaign config's ``storage``, ``storage_dir``
+    and ``storage_segment_records`` knobs (DESIGN.md §5)."""
     return make_backend(
-        resolve_storage(config),
-        directory=directory,
-        segment_records=segment_records,
+        resolve("storage", config.storage),
+        directory=resolve("storage_dir", config.storage_dir),
+        segment_records=config.storage_segment_records,
     )
 
 

@@ -31,6 +31,7 @@ from repro.extension.sessions import EventKind, SessionGenerator
 from repro.extension.storage import Dataset
 from repro.extension.users import User, UserPopulation
 from repro.geo.cities import city
+from repro.knobs import EXECUTION_ONLY_FIELDS, KNOBS
 from repro.orbits.constellation import WalkerShell, starlink_shell1
 from repro.rng import stream
 from repro.starlink.access import terrestrial_delay_s
@@ -45,16 +46,11 @@ from repro.web.page import PageProfileGenerator
 from repro.web.speedtest import run_browser_speedtest
 from repro.web.tranco import TrancoList
 
-#: Float fields coerced on construction, so ``7200`` and ``7200.0``
-#: are the same config (and fingerprint) on every path, including the
-#: float-only JSON round trip the fabric ships configs through.
-_FLOAT_FIELDS = (
-    "duration_s",
-    "request_fraction",
-    "speedtest_boost",
-    "shard_timeout_s",
-    "retry_backoff_s",
-)
+#: Float data fields coerced on construction, so ``7200`` and
+#: ``7200.0`` are the same config (and fingerprint) on every path,
+#: including the float-only JSON round trip the fabric ships configs
+#: through.  Float knobs are coerced by their row's check.
+_FLOAT_FIELDS = ("duration_s", "request_fraction", "speedtest_boost")
 
 
 @dataclass
@@ -84,54 +80,43 @@ class CampaignConfig:
             :data:`repro.runtime.pool.TIMELINE_AUTO_EPOCH_CAP`.  Timelines are
             bit-identical to the on-demand scan path, so this knob
             never changes the dataset — only how fast it is produced.
-        mp_start_method: Explicit multiprocessing start method
-            (``fork``/``spawn``/``forkserver``) for sharded runs; None
-            falls back to ``REPRO_MP_START`` then the platform's
-            cheapest (see :func:`repro.runtime.pool.resolve_start_method`).
+        mp_start_method: Multiprocessing start method
+            (``fork``/``spawn``/``forkserver``) for sharded runs.
         shard_timeout_s: Per-shard-attempt wall-clock budget for the
             supervisor; hung workers are killed and the shard retried.
-            None (default): no timeout unless ``REPRO_SHARD_TIMEOUT_S``
-            is set.
         max_shard_retries: Re-attempts per shard after its first
             failure before the supervisor degrades to an in-process
-            run; None falls back to ``REPRO_MAX_RETRIES`` then 2.
+            run.
         retry_backoff_s: Base delay of the supervisor's exponential
-            retry backoff; None means the default (0.05 s).
+            retry backoff.
         checkpoint_dir: Spill directory for completed shards (resume
-            support); None falls back to ``REPRO_CHECKPOINT_DIR``
-            (unset = no checkpointing).
+            support); unset means no checkpointing.
         resume: Adopt surviving checkpointed shards (validated against
             the config fingerprint and the planned partition) instead
-            of re-running them.  ``REPRO_RESUME=1`` is the CLI's side
-            channel.  None of the supervision/checkpoint knobs ever
-            change the dataset — recovery is bit-identical by the
-            determinism contract.
+            of re-running them.  ``False`` counts as unset, so
+            ``REPRO_RESUME=1`` still turns resuming on.  None of the
+            supervision/checkpoint knobs ever change the dataset —
+            recovery is bit-identical by the determinism contract.
         storage: Dataset storage backend — ``memory`` (default),
             ``columnar`` (numpy column chunks) or ``spill``
             (bounded-memory ``.npz`` segments on disk, see DESIGN.md
-            §9).  None falls back to ``REPRO_STORAGE`` then ``memory``.
-            Execution-only: the dataset's records are bit-identical
-            across backends.
+            §9).  The dataset's records are bit-identical across
+            backends.
         storage_dir: Directory for the ``spill`` backend's segments;
-            None falls back to ``REPRO_STORAGE_DIR`` then a fresh
-            temporary directory.
+            unset means a fresh temporary directory.
         storage_segment_records: Records per columnar chunk / spill
             segment (the bound on staged records in memory).
-        engine: Packet-path engine for any packet-level measurement the
-            campaign triggers (``"event"`` or ``"batch"``, see
-            :mod:`repro.net.batch`).  None falls back to
-            ``REPRO_ENGINE`` then ``event``.  Campaign page loads are
-            analytic, so this is execution-only for the dataset itself;
-            it is threaded into the :class:`AccessConfig` of paths the
-            campaign builds.
-        analytics: Analytics mode for the figure/table aggregations
-            over this campaign's dataset (``"exact"``, ``"streaming"``
-            or ``"auto"``, see :mod:`repro.analysis.streaming`).  None
-            falls back to ``REPRO_ANALYTICS`` then ``auto`` (exact for
-            small/in-memory datasets, streaming sketches for large
-            spill-backed ones).  Execution-only: exact mode is
-            bit-identical to the historical outputs, streaming mode is
-            within the sketches' 1 % rank-error bound.
+        analytics: Analysis path of the figure/table aggregations over
+            this campaign's dataset: ``"exact"`` (default,
+            bit-identical to the historical outputs) or
+            ``"streaming"`` (mergeable sketches, medians within the 1 %
+            rank-error bound, see :mod:`repro.analysis.streaming`).
+
+    Every field from ``n_workers`` on is an execution knob: a row of
+    :data:`repro.knobs.KNOBS`, checked against it here and resolved
+    where it is used (explicit field > ``REPRO_*`` variable > default,
+    DESIGN.md §5).  ``None`` means unset.  Knobs never change the
+    dataset, so the campaign fingerprint excludes them.
     """
 
     seed: int = 0
@@ -152,67 +137,15 @@ class CampaignConfig:
     storage: str | None = None
     storage_dir: str | None = None
     storage_segment_records: int = 4096
-    engine: str | None = None
     analytics: str | None = None
 
     def __post_init__(self) -> None:
         for name in _FLOAT_FIELDS:
+            setattr(self, name, float(getattr(self, name)))
+        for name in EXECUTION_ONLY_FIELDS:
             value = getattr(self, name)
             if value is not None:
-                setattr(self, name, float(value))
-        if self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1, got {self.n_workers}"
-            )
-        if self.mp_start_method is not None:
-            from repro.runtime.pool import VALID_START_METHODS
-
-            if self.mp_start_method not in VALID_START_METHODS:
-                raise ConfigurationError(
-                    f"unknown mp_start_method {self.mp_start_method!r}; "
-                    f"valid: {VALID_START_METHODS}"
-                )
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
-            raise ConfigurationError(
-                f"shard_timeout_s must be positive, got {self.shard_timeout_s}"
-            )
-        if self.max_shard_retries is not None and self.max_shard_retries < 0:
-            raise ConfigurationError(
-                f"max_shard_retries must be >= 0, got {self.max_shard_retries}"
-            )
-        if self.retry_backoff_s is not None and self.retry_backoff_s < 0:
-            raise ConfigurationError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
-        if self.storage is not None:
-            from repro.extension.backends import VALID_STORAGE
-
-            if self.storage not in VALID_STORAGE:
-                raise ConfigurationError(
-                    f"unknown storage backend {self.storage!r}; "
-                    f"valid: {VALID_STORAGE}"
-                )
-        if self.storage_segment_records < 1:
-            raise ConfigurationError(
-                f"storage_segment_records must be >= 1, "
-                f"got {self.storage_segment_records}"
-            )
-        if self.engine is not None:
-            from repro.net.batch import VALID_ENGINES
-
-            if self.engine not in VALID_ENGINES:
-                raise ConfigurationError(
-                    f"unknown packet engine {self.engine!r}; "
-                    f"valid: {VALID_ENGINES}"
-                )
-        if self.analytics is not None:
-            from repro.analysis.streaming import VALID_ANALYTICS
-
-            if self.analytics not in VALID_ANALYTICS:
-                raise ConfigurationError(
-                    f"unknown analytics mode {self.analytics!r}; "
-                    f"valid: {VALID_ANALYTICS}"
-                )
+                setattr(self, name, KNOBS[name].check(value))
 
     # -- canonical JSON codec ---------------------------------------------
 
@@ -221,11 +154,9 @@ class CampaignConfig:
         """Fields that steer execution, never the dataset's bits.
 
         Exactly the set :func:`repro.runtime.checkpoint.campaign_fingerprint`
-        excludes — the codec's single source of truth for which knobs
-        two interchangeable configs may differ in.
+        excludes — the knob table's config fields, which two
+        interchangeable configs may differ in.
         """
-        from repro.runtime.checkpoint import EXECUTION_ONLY_FIELDS
-
         return EXECUTION_ONLY_FIELDS
 
     def to_json_dict(self) -> dict:
@@ -334,9 +265,23 @@ def _decode_cities(name: str, value):
     return tuple(value)
 
 
+_KIND_DECODERS = {
+    int: _decode_int,
+    float: _decode_float,
+    bool: _decode_bool,
+    str: _decode_str,
+}
+
+
+def _knob_decoder(field):
+    decode = _KIND_DECODERS[KNOBS[field.name].kind]
+    return _optional(decode) if field.default is None else decode
+
+
 #: Field-by-field wire decoders; every dataclass field must appear here
 #: (enforced by the codec test) so a new field cannot silently skip
-#: validation.
+#: validation.  Knob fields decode by their row's kind, optional where
+#: the field defaults to ``None`` (unset).
 _CONFIG_FIELD_DECODERS = {
     "seed": _decode_int,
     "duration_s": _decode_float,
@@ -345,19 +290,11 @@ _CONFIG_FIELD_DECODERS = {
     "shell_sats_per_plane": _decode_int,
     "cities": _optional(_decode_cities),
     "speedtest_boost": _decode_float,
-    "n_workers": _decode_int,
-    "precompute_timelines": _optional(_decode_bool),
-    "mp_start_method": _optional(_decode_str),
-    "shard_timeout_s": _optional(_decode_float),
-    "max_shard_retries": _optional(_decode_int),
-    "retry_backoff_s": _optional(_decode_float),
-    "checkpoint_dir": _optional(_decode_str),
-    "resume": _decode_bool,
-    "storage": _optional(_decode_str),
-    "storage_dir": _optional(_decode_str),
-    "storage_segment_records": _decode_int,
-    "engine": _optional(_decode_str),
-    "analytics": _optional(_decode_str),
+    **{
+        field.name: _knob_decoder(field)
+        for field in fields(CampaignConfig)
+        if field.name in EXECUTION_ONLY_FIELDS
+    },
 }
 
 

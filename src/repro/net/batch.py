@@ -25,14 +25,14 @@ wall-clock.  This module advances whole flows in numpy chunks instead:
 The event engine remains the bit-exact oracle: single-link behaviour is
 identity-tested against it, end-to-end paths are pinned statistically
 (DESIGN.md §10 states the equivalence contract).  Select engines with
-``AccessConfig(engine=...)``, ``CampaignConfig(engine=...)``,
-``--engine {event,batch}`` on the CLI, or ``REPRO_ENGINE``.
+``AccessConfig(engine=...)``, ``run_experiment(..., engine=...)``,
+``--engine {event,batch}`` on the CLI, or ``REPRO_ENGINE`` — the
+``engine`` row of the knob table (:mod:`repro.knobs`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -43,31 +43,6 @@ from repro.net.loss import LossModel
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.starlink.access import AccessPath
-
-VALID_ENGINES = ("event", "batch")
-"""The two packet-path engines: the heap-driven oracle and the
-vectorised batch engine."""
-
-ENGINE_ENV = "REPRO_ENGINE"
-"""Environment fallback consulted when no explicit engine is given."""
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine selection to ``"event"`` or ``"batch"``.
-
-    Precedence: explicit argument, then the ``REPRO_ENGINE``
-    environment variable, then ``"event"`` (the oracle).
-
-    Raises:
-        ConfigurationError: on an unknown engine name.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "event"
-    if engine not in VALID_ENGINES:
-        raise ConfigurationError(
-            f"unknown packet engine {engine!r}; valid: {VALID_ENGINES}"
-        )
-    return engine
 
 
 # -- vectorised link primitives ---------------------------------------------

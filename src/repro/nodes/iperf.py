@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.knobs import resolve
 from repro.net.packet import Packet, Protocol
 from repro.starlink.access import AccessPath
 from repro.tcp.flow import TcpFlow
@@ -74,9 +75,7 @@ def run_iperf_tcp(
     heap-driven oracle, ``"batch"`` the vectorised engine of
     :mod:`repro.net.batch`).
     """
-    from repro.net.batch import resolve_engine
-
-    if resolve_engine(engine if engine is not None else path.engine) == "batch":
+    if resolve("engine", engine or path.engine) == "batch":
         from repro.net.batch import run_iperf_tcp_batch
 
         return run_iperf_tcp_batch(
@@ -113,9 +112,7 @@ def run_udp_burst(
     rate, normalising Figure 8's TCP results against it.  ``engine``
     overrides the path's resolved packet engine.
     """
-    from repro.net.batch import resolve_engine
-
-    if resolve_engine(engine if engine is not None else path.engine) == "batch":
+    if resolve("engine", engine or path.engine) == "batch":
         from repro.net.batch import run_udp_burst_batch
 
         return run_udp_burst_batch(

@@ -82,11 +82,7 @@ from repro.runtime.lease import (
     WorkerRegistry,
 )
 from repro.runtime.merge import merge_shard_results, merge_shard_sketches
-from repro.runtime.pool import (
-    plan_campaign,
-    resolve_start_method,
-    run_campaign,
-)
+from repro.runtime.pool import plan_campaign, run_campaign
 from repro.runtime.shard import (
     CampaignRunStats,
     ShardResult,
@@ -152,7 +148,6 @@ __all__ = [
     "merge_shard_sketches",
     "plan_campaign",
     "plan_shards",
-    "resolve_start_method",
     "resolve_store_kind",
     "run_campaign",
     "run_fabric_campaign",

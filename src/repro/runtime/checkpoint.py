@@ -47,31 +47,8 @@ import numpy as np
 
 from repro.errors import CheckpointError, DatasetError
 from repro.extension import columnar
+from repro.knobs import EXECUTION_ONLY_FIELDS, resolve
 from repro.runtime.shard import ShardResult, ShardStats
-
-#: ``CampaignConfig`` fields that steer execution, not data — two runs
-#: differing only here produce bit-identical datasets, so their
-#: checkpoints are interchangeable.
-EXECUTION_ONLY_FIELDS = frozenset(
-    {
-        "n_workers",
-        "precompute_timelines",
-        "mp_start_method",
-        "shard_timeout_s",
-        "max_shard_retries",
-        "retry_backoff_s",
-        "checkpoint_dir",
-        "resume",
-        "storage",
-        "storage_dir",
-        "storage_segment_records",
-        # Engine/analytics select *how* results are computed, never
-        # what the campaign dataset contains (campaign page loads are
-        # analytic; exact analytics is the bit-identical default).
-        "engine",
-        "analytics",
-    }
-)
 
 _META_FILENAME = "meta.json"
 
@@ -164,11 +141,12 @@ class CheckpointedShard:
 def campaign_fingerprint(config) -> str:
     """Hex digest identifying the dataset a config will produce.
 
-    Hashes every dataclass field except :data:`EXECUTION_ONLY_FIELDS`
-    (sorted by name, rendered with ``repr`` — stable for the numeric /
-    string / tuple field types a config holds).  New data-affecting
-    fields are therefore fingerprinted by default; anyone adding an
-    execution-only knob must opt it out explicitly.
+    Hashes every dataclass field except the execution knobs of
+    :data:`repro.knobs.EXECUTION_ONLY_FIELDS` (sorted by name, rendered
+    with ``repr`` — stable for the numeric / string / tuple field types
+    a config holds).  New data-affecting fields are therefore
+    fingerprinted by default; a new execution knob is opted out by
+    its row in the knob table.
     """
     if not is_dataclass(config):
         raise CheckpointError(
@@ -183,17 +161,6 @@ def campaign_fingerprint(config) -> str:
         hasher.update(repr(getattr(config, field.name)).encode("utf-8"))
         hasher.update(b"\x00")
     return hasher.hexdigest()
-
-
-def resume_requested(config=None) -> bool:
-    """Whether this run should adopt surviving checkpoints.
-
-    ``CampaignConfig.resume`` wins; the ``REPRO_RESUME`` environment
-    variable (``1``/``true``/``yes``) is the CLI's side channel.
-    """
-    if config is not None and getattr(config, "resume", False):
-        return True
-    return os.environ.get("REPRO_RESUME", "").lower() in ("1", "true", "yes")
 
 
 class CheckpointStore:
@@ -226,13 +193,9 @@ class CheckpointStore:
     def from_config(cls, config) -> "CheckpointStore | None":
         """The store a config asks for, or ``None`` when disabled.
 
-        ``CampaignConfig.checkpoint_dir`` wins; the
-        ``REPRO_CHECKPOINT_DIR`` environment variable is the CLI's
-        side channel through the uniform experiment-runner signature.
+        The root is the ``checkpoint_dir`` knob (DESIGN.md §5).
         """
-        root = getattr(config, "checkpoint_dir", None) or os.environ.get(
-            "REPRO_CHECKPOINT_DIR"
-        )
+        root = resolve("checkpoint_dir", getattr(config, "checkpoint_dir", None))
         if not root:
             return None
         return cls(root, config)

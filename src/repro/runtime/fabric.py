@@ -83,7 +83,7 @@ from repro.runtime.lease import (
     WorkerRegistry,
     default_worker_id,
 )
-from repro.runtime.pool import plan_campaign, resolve_start_method, sink_results
+from repro.runtime.pool import mp_context, plan_campaign, sink_results
 from repro.runtime.shard import CampaignRunStats, run_shard
 from repro.runtime.store import (
     CoordinationStore,
@@ -172,31 +172,8 @@ class FabricPaths:
         ):
             os.makedirs(directory, exist_ok=True)
 
-    def hold_path(self, shard_id: int) -> str:
-        return os.path.join(self.holds, f"shard-{shard_id:04d}.json")
-
-    def manifest_path(self, shard_id: int) -> str:
-        return os.path.join(self.manifests, f"shard-{shard_id:04d}.json")
-
-    def rejected_path(self, shard_id: int, attempt: int) -> str:
-        return os.path.join(
-            self.manifests, f"shard-{shard_id:04d}.rejected-{attempt}.json"
-        )
-
-    def discard_path(self, shard_id: int, token: str) -> str:
-        return os.path.join(
-            self.discards, f"shard-{shard_id:04d}-{token}.json"
-        )
-
     def marker_path(self, name: str) -> str:
         return os.path.join(self.root, name)
-
-    def terminal_marker(self) -> str | None:
-        """The terminal marker present at the root (FS view), if any."""
-        for name in _MARKERS:
-            if os.path.exists(self.marker_path(name)):
-                return name
-        return None
 
 
 @dataclass(frozen=True)
@@ -357,21 +334,6 @@ def _truncate_file(path: str) -> None:
         handle.truncate(max(1, size // 3))
 
 
-def _write_excl_json(path: str, doc: dict) -> bool:
-    """Create-exclusive JSON write; ``False`` when the file existed."""
-    data = json.dumps(doc, sort_keys=True).encode("utf-8")
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    except FileExistsError:
-        return False
-    try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    return True
-
-
 def run_fabric_worker(
     fabric_dir: str,
     worker_id: str | None = None,
@@ -387,7 +349,7 @@ def run_fabric_worker(
     Startable on any host that mounts ``fabric_dir`` (the
     ``repro worker`` CLI verb wraps this).  The worker resolves the
     coordination store (explicit ``store_kind`` > the directory's
-    ``STORE`` sentinel > ``REPRO_FABRIC_STORE`` > ``fs`` — re-checked
+    ``STORE`` sentinel > the ``fabric_store`` knob — re-checked
     while waiting, so a worker started before the coordinator adopts
     whatever the coordinator binds), waits for ``plan.json`` (up to
     ``plan_wait_s``), rebuilds the campaign config from it, then
@@ -1123,8 +1085,8 @@ def run_fabric_campaign(
     """Run one campaign on the fabric with local worker processes.
 
     The one-machine convenience wrapper: binds the coordination store
-    (``fabric_store``: ``fs``/``object``/``None`` = sentinel, then
-    ``REPRO_FABRIC_STORE``, then ``fs``), publishes the plan, spawns
+    (``fabric_store``: ``fs``/``object``/``None`` = the directory's
+    sentinel, then the ``fabric_store`` knob), publishes the plan, spawns
     ``n_workers`` local fabric workers (under the campaign's resolved
     multiprocessing start method), drives the coordinator loop, and
     tears the workers down once a terminal marker lands.  Additional
@@ -1158,9 +1120,7 @@ def run_fabric_campaign(
         store_kind=fabric_store,
         on_event=on_event,
     )
-    import multiprocessing
-
-    context = multiprocessing.get_context(resolve_start_method(config))
+    context = mp_context(config)
     workers = []
     for rank in range(n_workers):
         process = context.Process(

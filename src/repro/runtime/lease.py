@@ -79,26 +79,6 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def write_json_atomic(path: str, doc: dict) -> None:
-    data = json.dumps(doc, sort_keys=True).encode("utf-8")
-    tmp_path = f"{path}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-
-
-def read_json_doc(path: str) -> dict | None:
-    """A JSON document, or ``None`` when missing or (briefly) torn."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return doc if isinstance(doc, dict) else None
-
-
 @dataclass(frozen=True)
 class LeaseRecord:
     """One shard lease, as stored in its lease object.

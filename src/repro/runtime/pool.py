@@ -33,7 +33,6 @@ DESIGN.md).
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 
 from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
@@ -41,7 +40,8 @@ from repro.errors import CampaignCancelledError, ConfigurationError
 from repro.extension.backends import backend_for_config
 from repro.extension.campaign import ExtensionCampaign
 from repro.extension.storage import Dataset
-from repro.runtime.checkpoint import CheckpointStore, resume_requested
+from repro.knobs import resolve
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.merge import merge_shard_results, merge_shard_sketches
 from repro.runtime.shard import (
     TASKS,
@@ -54,9 +54,6 @@ from repro.runtime.shard import (
 )
 from repro.runtime.supervision import SupervisorPolicy, supervise_shards
 
-#: Start methods a config/environment may request explicitly.
-VALID_START_METHODS = ("fork", "spawn", "forkserver")
-
 TIMELINE_AUTO_EPOCH_CAP = 100_000
 """Auto-precompute serving timelines only up to this many scheduler
 epochs per city (~17 days at the 15 s epoch; ~2.8 MB of arrays).  Longer
@@ -65,42 +62,12 @@ cache would amortise anyway; force ``precompute_timelines=True`` to
 override."""
 
 
-def resolve_start_method(config=None) -> str:
-    """The multiprocessing start method this campaign will use.
-
-    Precedence: ``CampaignConfig.mp_start_method``, then the
-    ``REPRO_MP_START`` environment variable, then ``fork`` where the
-    platform offers it (cheapest: workers inherit the parent's pages
-    copy-on-write), else the interpreter default.  Explicit is better
-    than silent here — Python 3.14 flips the Linux default to
-    ``forkserver``, and ``fork`` is unsafe with threaded parents — so
-    the choice is made in exactly one place and is overridable without
-    touching code.
-
-    Raises:
-        ConfigurationError: for an unknown or unavailable method.
-    """
-    requested = None
-    if config is not None:
-        requested = getattr(config, "mp_start_method", None)
-    if not requested:
-        requested = os.environ.get("REPRO_MP_START") or None
-    available = multiprocessing.get_all_start_methods()
-    if requested:
-        if requested not in VALID_START_METHODS:
-            raise ConfigurationError(
-                f"unknown multiprocessing start method {requested!r}; "
-                f"valid: {VALID_START_METHODS}"
-            )
-        if requested not in available:
-            raise ConfigurationError(
-                f"start method {requested!r} unavailable on this platform "
-                f"(available: {available})"
-            )
-        return requested
-    if "fork" in available:
-        return "fork"
-    return multiprocessing.get_start_method()
+def mp_context(config):
+    """The multiprocessing context of a campaign's ``mp_start_method``
+    knob (DESIGN.md §5)."""
+    return multiprocessing.get_context(
+        resolve("mp_start_method", config.mp_start_method)
+    )
 
 
 def plan_campaign(config, n_shards: int | None = None):
@@ -191,12 +158,10 @@ def run_campaign(
         fault_plan: Deterministic fault injection for chaos tests
             (:mod:`repro.runtime.faults`); applied in workers only.
         checkpoint: Completed-shard spill store of a records run;
-            default derives from ``config.checkpoint_dir`` /
-            ``REPRO_CHECKPOINT_DIR`` (``None`` disables it).  Sketch
-            runs never spill and never resume.
+            default derives from the ``checkpoint_dir`` knob (unset
+            disables it).  Sketch runs never spill and never resume.
         resume: Adopt surviving checkpointed shards instead of
-            re-running them; default derives from ``config.resume`` /
-            ``REPRO_RESUME``.
+            re-running them; default derives from the ``resume`` knob.
         on_event: Progress-callback seam — one dict per lifecycle
             transition (``campaign_planned``, ``shard_resumed``,
             ``shard_dispatched``, ``shard_completed``, plus everything
@@ -236,7 +201,8 @@ def run_campaign(
         if checkpoint is None:
             checkpoint = CheckpointStore.from_config(config)
         if resume is None:
-            resume = resume_requested(config)
+            # resume is a plain bool field: False counts as unset.
+            resume = resolve("resume", config.resume or None)
     else:
         checkpoint, resume = None, False
     # Recovered shards are CheckpointedShard segments (lazy columnar
@@ -295,7 +261,7 @@ def run_campaign(
         results.append(result)
     elif remaining:
         timelines = shared_timelines(campaign)
-        context = multiprocessing.get_context(resolve_start_method(config))
+        context = mp_context(config)
         spill = None
         if timelines and context.get_start_method() != "fork":
             # Non-fork workers receive their arguments pickled through

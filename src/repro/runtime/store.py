@@ -64,19 +64,8 @@ import uuid
 from dataclasses import dataclass
 from hashlib import sha256
 
-from repro.errors import ConfigurationError, FabricError
-
-#: Store kinds a fabric directory may be driven by (``memory`` is the
-#: in-process fake: valid for tests, never for a multi-process fabric).
-STORE_KINDS = ("fs", "object")
-
-#: Environment fallback for the fabric store kind (CLI ``--fabric-store``
-#: and the service's ``fabric_store`` submission key take precedence).
-STORE_ENV = "REPRO_FABRIC_STORE"
-
-#: List-after-write lag (seconds) the directory-backed object store
-#: simulates; 0 disables the simulation (production emulation default).
-LIST_LAG_ENV = "REPRO_OBJECT_LIST_LAG_S"
+from repro.errors import FabricError
+from repro.knobs import resolve
 
 #: Name of the per-fabric sentinel file recording the store kind.
 STORE_SENTINEL = "STORE"
@@ -463,9 +452,9 @@ class DirObjectStore(ObjectStore):
     kind = "object"
 
     def __init__(self, root: str, list_lag_s: float | None = None):
-        if list_lag_s is None:
-            list_lag_s = float(os.environ.get(LIST_LAG_ENV, "0") or 0)
-        super().__init__(list_lag_s=list_lag_s)
+        # The simulated list-after-write lag is the object_list_lag_s
+        # knob (0, the default, disables the simulation).
+        super().__init__(list_lag_s=resolve("object_list_lag_s", list_lag_s))
         self.root = root
 
     def _object_path(self, key: str) -> str:
@@ -624,18 +613,15 @@ def read_store_sentinel(fabric_dir: str) -> str | None:
 def resolve_store_kind(fabric_dir: str, kind: str | None = None) -> str:
     """Resolve a fabric directory's store kind.
 
-    Precedence: explicit argument > the directory's ``STORE`` sentinel
-    > :data:`STORE_ENV` > ``"fs"``.  An explicit kind that contradicts
-    the sentinel is a :class:`FabricError` — one fabric directory is
-    one coordination namespace, never two.
+    The ``fabric_store`` knob (DESIGN.md §5) with the directory's
+    ``STORE`` sentinel as its explicit value when ``kind`` is unset:
+    explicit argument > sentinel > ``REPRO_FABRIC_STORE`` > ``"fs"``.
+    An explicit kind that contradicts the sentinel is a
+    :class:`FabricError` — one fabric directory is one coordination
+    namespace, never two.
     """
     sentinel = read_store_sentinel(fabric_dir)
-    if kind is None:
-        kind = sentinel or os.environ.get(STORE_ENV) or "fs"
-    if kind not in STORE_KINDS:
-        raise ConfigurationError(
-            f"fabric store must be one of {STORE_KINDS}, got {kind!r}"
-        )
+    kind = resolve("fabric_store", kind if kind is not None else sentinel)
     if sentinel is not None and kind != sentinel:
         raise FabricError(
             f"fabric directory {fabric_dir} is bound to the "

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import os
 import time
 from dataclasses import dataclass
 
@@ -42,11 +41,12 @@ from repro.errors import (
     ConfigurationError,
     ShardFailedError,
 )
+from repro.knobs import KNOBS, resolve
 from repro.runtime.faults import FaultPlan, apply_post_run, apply_pre_run
 from repro.runtime.shard import ShardResult, ShardSketch, covered_indices, run_shard
 
-DEFAULT_MAX_RETRIES = 2
-DEFAULT_BACKOFF_BASE_S = 0.05
+DEFAULT_MAX_RETRIES = KNOBS["max_shard_retries"].default
+DEFAULT_BACKOFF_BASE_S = KNOBS["retry_backoff_s"].default
 DEFAULT_BACKOFF_MAX_S = 2.0
 DEFAULT_POLL_INTERVAL_S = 0.02
 #: Grace period for a worker to exit after delivering its result.
@@ -95,33 +95,18 @@ class SupervisorPolicy:
 
     @classmethod
     def from_config(cls, config=None) -> "SupervisorPolicy":
-        """Build a policy from ``CampaignConfig`` fields + environment.
-
-        Config fields (``max_shard_retries``, ``shard_timeout_s``,
-        ``retry_backoff_s``) win when set; unset (``None``) fields fall
-        back to ``REPRO_MAX_RETRIES`` / ``REPRO_SHARD_TIMEOUT_S`` from
-        the environment (how the experiments CLI threads its flags
-        through the uniform runner signature), then to the defaults.
-        """
-
-        def from_cfg(name):
-            return getattr(config, name, None) if config is not None else None
-
-        max_retries = from_cfg("max_shard_retries")
-        if max_retries is None:
-            env = os.environ.get("REPRO_MAX_RETRIES")
-            max_retries = int(env) if env else DEFAULT_MAX_RETRIES
-        timeout_s = from_cfg("shard_timeout_s")
-        if timeout_s is None:
-            env = os.environ.get("REPRO_SHARD_TIMEOUT_S")
-            timeout_s = float(env) if env else None
-        backoff_s = from_cfg("retry_backoff_s")
-        if backoff_s is None:
-            backoff_s = DEFAULT_BACKOFF_BASE_S
+        """The policy of a ``CampaignConfig``'s ``max_shard_retries``,
+        ``shard_timeout_s`` and ``retry_backoff_s`` knobs (DESIGN.md §5)."""
         return cls(
-            max_retries=max_retries,
-            shard_timeout_s=timeout_s,
-            backoff_base_s=backoff_s,
+            max_retries=resolve(
+                "max_shard_retries", getattr(config, "max_shard_retries", None)
+            ),
+            shard_timeout_s=resolve(
+                "shard_timeout_s", getattr(config, "shard_timeout_s", None)
+            ),
+            backoff_base_s=resolve(
+                "retry_backoff_s", getattr(config, "retry_backoff_s", None)
+            ),
         )
 
 

@@ -48,10 +48,10 @@ from dataclasses import dataclass, field, replace
 from repro.errors import CampaignCancelledError, ConfigurationError
 from repro.analysis.streaming import new_table_accumulators
 from repro.extension.campaign import CampaignConfig
+from repro.knobs import check
 from repro.runtime.checkpoint import campaign_fingerprint
 from repro.runtime.faults import Fault, FaultKind, FaultPlan
 from repro.runtime.merge import fold_shard
-from repro.runtime.store import STORE_KINDS
 from repro.service.aggregates import aggregate_payload
 from repro.service.errors import (
     conflict,
@@ -245,11 +245,10 @@ class CampaignService:
                 raise invalid_request(
                     "'fabric_store' applies to fabric mode only"
                 )
-            if fabric_store not in STORE_KINDS:
-                raise invalid_request(
-                    f"fabric_store must be one of {STORE_KINDS}, "
-                    f"got {fabric_store!r}"
-                )
+            try:
+                check("fabric_store", fabric_store)
+            except ConfigurationError as exc:
+                raise invalid_request(str(exc)) from exc
         try:
             config = CampaignConfig.from_json_dict(body.get("config", {}))
         except ConfigurationError as exc:

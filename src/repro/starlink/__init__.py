@@ -23,10 +23,6 @@ from repro.starlink.access import (
     AccessPath,
     AccessTechnology,
     Scenario,
-    build_broadband_path,
-    build_cellular_path,
-    build_geo_path,
-    build_starlink_path,
 )
 from repro.starlink.asn import AS_GOOGLE, AS_SPACEX, AsPlan
 from repro.starlink.bentpipe import BentPipeModel
@@ -53,9 +49,5 @@ __all__ = [
     "PoP",
     "Scenario",
     "ServiceCapacityModel",
-    "build_broadband_path",
-    "build_cellular_path",
-    "build_geo_path",
-    "build_starlink_path",
     "pop_for_city",
 ]

@@ -8,13 +8,10 @@ exchange and a transit chain to a measurement server (e.g. the
 N. Virginia VM the paper traceroutes to, or the per-node nearest
 Google Cloud site).
 
-The public entry point is :class:`Scenario`: a small builder that owns
-the (bentpipe, timeline, config, locations) tuple and produces
+The entry point is :class:`Scenario`: a small builder that owns the
+(bentpipe, timeline, config, locations) tuple and produces
 :class:`AccessPath` objects.  All tunables live in the frozen
-:class:`AccessConfig` dataclass; the ``build_*_path`` functions accept
-one (``build_starlink_path(bentpipe, server, AccessConfig(...))``) and
-keep a backwards-compatible keyword shim for the legacy flat-kwarg call
-style, which now emits a :class:`DeprecationWarning`.
+:class:`AccessConfig` dataclass.
 
 Starlink scenarios can precompute a
 :class:`repro.starlink.timeline.ServingTimeline` for the simulated
@@ -32,7 +29,6 @@ technology actually queues.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -45,7 +41,7 @@ if TYPE_CHECKING:
 from repro.constants import SPEED_OF_LIGHT_M_S
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_distance_m
-from repro.net.batch import VALID_ENGINES, resolve_engine
+from repro.knobs import check, resolve
 from repro.net.link import Link
 from repro.net.loss import LossModel
 from repro.net.queues import DropTailQueue
@@ -100,7 +96,8 @@ class AccessConfig:
         ran_delay_s: Radio-access delay (cellular only).
         engine: Packet-path engine — ``"event"`` (heap-driven oracle),
             ``"batch"`` (vectorised, see :mod:`repro.net.batch`), or
-            ``None`` to defer to ``REPRO_ENGINE`` / the event default.
+            ``None`` (unset) to defer to ``REPRO_ENGINE`` / the event
+            default (the ``engine`` knob, DESIGN.md §5).
     """
 
     dl_rate_bps: float | None = None
@@ -117,10 +114,7 @@ class AccessConfig:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in VALID_ENGINES:
-            raise ConfigurationError(
-                f"unknown packet engine {self.engine!r}; valid: {VALID_ENGINES}"
-            )
+        check("engine", self.engine)
 
 
 @dataclass
@@ -265,24 +259,28 @@ class Scenario:
 
     def build(self) -> AccessPath:
         """Assemble the network for this scenario and return the path."""
+        engine = resolve("engine", self.config.engine)
         if self.technology is AccessTechnology.STARLINK:
             if self.bentpipe is None:
                 raise ConfigurationError("Starlink scenario needs a bentpipe")
             if self.timeline is not None:
                 self.bentpipe.attach_timeline(self.timeline)
-            return _build_starlink_path(
+            path = _build_starlink_path(
                 self.bentpipe, self.server_location, self.config
             )
-        if self.client_location is None:
-            raise ConfigurationError(
-                f"{self.technology.value} scenario needs a client_location"
-            )
-        builder = {
-            AccessTechnology.BROADBAND: _build_broadband_path,
-            AccessTechnology.CELLULAR: _build_cellular_path,
-            AccessTechnology.GEO_SATELLITE: _build_geo_path,
-        }[self.technology]
-        return builder(self.client_location, self.server_location, self.config)
+        else:
+            if self.client_location is None:
+                raise ConfigurationError(
+                    f"{self.technology.value} scenario needs a client_location"
+                )
+            builder = {
+                AccessTechnology.BROADBAND: _build_broadband_path,
+                AccessTechnology.CELLULAR: _build_cellular_path,
+                AccessTechnology.GEO_SATELLITE: _build_geo_path,
+            }[self.technology]
+            path = builder(self.client_location, self.server_location, self.config)
+        path.engine = engine
+        return path
 
 
 def _jitter_sampler(rng: np.random.Generator, mean_s: float):
@@ -345,130 +343,17 @@ def _add_transit_chain(
     return [ixp, transit_a, transit_b, server]
 
 
-# -- legacy flat-kwarg shim ------------------------------------------------
-
-_LEGACY_STARLINK_FIELDS = (
-    "dl_rate_bps",
-    "ul_rate_bps",
-    "loss_dl",
-    "loss_ul",
-    "time_offset_s",
-    "stochastic_wireless_queueing",
-    "queue_packets",
-    "seed",
-    "transit_queue_mean_s",
-)
-_LEGACY_BROADBAND_FIELDS = (
-    "dl_rate_bps",
-    "ul_rate_bps",
-    "wifi_delay_s",
-    "seed",
-    "transit_queue_mean_s",
-)
-_LEGACY_CELLULAR_FIELDS = (
-    "dl_rate_bps",
-    "ul_rate_bps",
-    "ran_delay_s",
-    "seed",
-)
-_LEGACY_GEO_FIELDS = ("dl_rate_bps", "ul_rate_bps", "seed")
-
-
-def _resolve_config(
-    builder: str,
-    fields: tuple[str, ...],
-    config,
-    legacy_args: tuple,
-    legacy_kwargs: dict,
-) -> AccessConfig:
-    """Fold a builder's legacy flat arguments into an AccessConfig.
-
-    ``fields`` is the builder's historical positional order, so old
-    positional calls keep their meaning.  Every legacy use emits one
-    :class:`DeprecationWarning` per call site (the standard warning
-    registry dedupes repeats); mixing a config with legacy arguments is
-    an error rather than a silent merge.
-    """
-    if config is not None and not isinstance(config, AccessConfig):
-        # Legacy positional call: the old first tunable (dl_rate_bps)
-        # landed in the config slot.
-        legacy_args = (config,) + legacy_args
-        config = None
-    if not legacy_args and not legacy_kwargs:
-        return config if config is not None else AccessConfig()
-    if config is not None:
-        raise ConfigurationError(
-            f"{builder}() takes an AccessConfig or legacy keyword "
-            "arguments, not both"
-        )
-    if len(legacy_args) > len(fields):
-        raise TypeError(
-            f"{builder}() takes at most {len(fields)} positional tunables "
-            f"({len(legacy_args)} given); pass an AccessConfig instead"
-        )
-    legacy = dict(zip(fields, legacy_args))
-    unknown = sorted(set(legacy_kwargs) - set(fields))
-    if unknown:
-        raise TypeError(
-            f"{builder}() got unexpected keyword argument(s) {unknown}"
-        )
-    duplicated = sorted(set(legacy) & set(legacy_kwargs))
-    if duplicated:
-        raise TypeError(
-            f"{builder}() got multiple values for argument(s) {duplicated}"
-        )
-    legacy.update(legacy_kwargs)
-    warnings.warn(
-        f"passing {sorted(legacy)} directly to {builder}() is deprecated; "
-        "build an AccessConfig with the same field names and pass that "
-        "(see repro.starlink.access.AccessConfig / Scenario)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return AccessConfig(**legacy)
-
-
 # -- Starlink ---------------------------------------------------------------
-
-
-def build_starlink_path(
-    bentpipe: BentPipeModel,
-    server_location: GeoPoint,
-    config: AccessConfig | None = None,
-    *legacy_args,
-    timeline=None,
-    **legacy_kwargs,
-) -> AccessPath:
-    """Build client -> dish -> (bent pipe) -> PoP -> ... -> server.
-
-    Args:
-        bentpipe: The terminal's bent-pipe model (defines geometry,
-            weather and capacity).
-        server_location: Where the measurement server lives.
-        config: The path's :class:`AccessConfig`.  Legacy flat keyword
-            arguments (``time_offset_s=...``, ``seed=...``, ...) are
-            still accepted, map 1:1 onto the config fields, and emit a
-            :class:`DeprecationWarning`.
-        timeline: Optional precomputed
-            :class:`repro.starlink.timeline.ServingTimeline`, attached
-            to the bent pipe before any geometry query so the build and
-            all per-packet lookups hit the O(1) fast path.
-    """
-    config = _resolve_config(
-        "build_starlink_path",
-        _LEGACY_STARLINK_FIELDS,
-        config,
-        legacy_args,
-        legacy_kwargs,
-    )
-    if timeline is not None:
-        bentpipe.attach_timeline(timeline)
-    return _build_starlink_path(bentpipe, server_location, config)
 
 
 def _build_starlink_path(
     bentpipe: BentPipeModel, server_location: GeoPoint, config: AccessConfig
 ) -> AccessPath:
+    """client -> dish -> (bent pipe) -> PoP -> ... -> server.
+
+    The bent-pipe model defines geometry, weather and capacity; rates
+    default to its capacity at ``config.time_offset_s``.
+    """
     network = Network()
     rng = stream(config.seed, "access", "starlink", bentpipe.city_name)
     client, dish, pop = "client", "dish", "starlink-pop"
@@ -537,7 +422,6 @@ def _build_starlink_path(
         bentpipe=bentpipe,
         access_forward=uplink,
         access_reverse=downlink,
-        engine=resolve_engine(config.engine),
     )
     network.compute_routes()
     return path
@@ -546,32 +430,10 @@ def _build_starlink_path(
 # -- broadband --------------------------------------------------------------
 
 
-def build_broadband_path(
-    client_location: GeoPoint,
-    server_location: GeoPoint,
-    config: AccessConfig | None = None,
-    *legacy_args,
-    **legacy_kwargs,
-) -> AccessPath:
-    """Fixed broadband over Wi-Fi (the paper's university connection).
-
-    Rates default to the 70/20 Mbps consumer plan; pass an
-    :class:`AccessConfig` to override (legacy flat keywords still work
-    and emit a :class:`DeprecationWarning`).
-    """
-    config = _resolve_config(
-        "build_broadband_path",
-        _LEGACY_BROADBAND_FIELDS,
-        config,
-        legacy_args,
-        legacy_kwargs,
-    )
-    return _build_broadband_path(client_location, server_location, config)
-
-
 def _build_broadband_path(
     client_location: GeoPoint, server_location: GeoPoint, config: AccessConfig
 ) -> AccessPath:
+    """Fixed broadband over Wi-Fi; rates default to a 70/20 Mbps plan."""
     dl_rate_bps = (
         config.dl_rate_bps if config.dl_rate_bps is not None else mbps_to_bps(70.0)
     )
@@ -623,7 +485,6 @@ def _build_broadband_path(
         client=client,
         server="server",
         hop_names=[wifi_router, isp_edge] + hops,
-        engine=resolve_engine(config.engine),
     )
     network.compute_routes()
     return path
@@ -632,12 +493,8 @@ def _build_broadband_path(
 # -- cellular ---------------------------------------------------------------
 
 
-def build_cellular_path(
-    client_location: GeoPoint,
-    server_location: GeoPoint,
-    config: AccessConfig | None = None,
-    *legacy_args,
-    **legacy_kwargs,
+def _build_cellular_path(
+    client_location: GeoPoint, server_location: GeoPoint, config: AccessConfig
 ) -> AccessPath:
     """Cellular access: RAN + packet core (CGNAT) before the exchange.
 
@@ -646,19 +503,6 @@ def build_cellular_path(
     cellular per-hop RTTs well above both Starlink and broadband from
     the very first hop.  Rates default to a 45/12 Mbps plan.
     """
-    config = _resolve_config(
-        "build_cellular_path",
-        _LEGACY_CELLULAR_FIELDS,
-        config,
-        legacy_args,
-        legacy_kwargs,
-    )
-    return _build_cellular_path(client_location, server_location, config)
-
-
-def _build_cellular_path(
-    client_location: GeoPoint, server_location: GeoPoint, config: AccessConfig
-) -> AccessPath:
     dl_rate_bps = (
         config.dl_rate_bps if config.dl_rate_bps is not None else mbps_to_bps(45.0)
     )
@@ -699,7 +543,6 @@ def _build_cellular_path(
         client=client,
         server="server",
         hop_names=[basestation, core] + hops,
-        engine=resolve_engine(config.engine),
     )
     network.compute_routes()
     return path
@@ -713,12 +556,8 @@ GEO_ALTITUDE_M = 35_786_000.0
 contrasts with Starlink's 550 km."""
 
 
-def build_geo_path(
-    client_location: GeoPoint,
-    server_location: GeoPoint,
-    config: AccessConfig | None = None,
-    *legacy_args,
-    **legacy_kwargs,
+def _build_geo_path(
+    client_location: GeoPoint, server_location: GeoPoint, config: AccessConfig
 ) -> AccessPath:
     """Legacy GEO satellite access (HughesNet/ViaSat class).
 
@@ -729,19 +568,6 @@ def build_geo_path(
     plans (25/3 Mbps).  Used by the ``extension_geo`` experiment to
     quantify the LEO-vs-GEO claim.
     """
-    config = _resolve_config(
-        "build_geo_path",
-        _LEGACY_GEO_FIELDS,
-        config,
-        legacy_args,
-        legacy_kwargs,
-    )
-    return _build_geo_path(client_location, server_location, config)
-
-
-def _build_geo_path(
-    client_location: GeoPoint, server_location: GeoPoint, config: AccessConfig
-) -> AccessPath:
     dl_rate_bps = (
         config.dl_rate_bps if config.dl_rate_bps is not None else mbps_to_bps(25.0)
     )
@@ -778,7 +604,6 @@ def _build_geo_path(
         client=client,
         server="server",
         hop_names=[terminal, teleport] + hops,
-        engine=resolve_engine(config.engine),
     )
     network.compute_routes()
     return path

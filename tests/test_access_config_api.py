@@ -1,18 +1,13 @@
 """AccessConfig / Scenario API tests.
 
-Covers the three contracts of the access-layer redesign:
+Covers the two contracts of the access-layer redesign:
 
-* the legacy flat-kwarg shim maps 1:1 onto :class:`AccessConfig`
-  fields (positionally and by keyword) and warns exactly once per
-  call site;
 * attaching a precomputed :class:`ServingTimeline` never changes a
   built path — link rates and sampled propagation delays stay bitwise
   identical, including for obstructed terminals;
 * :class:`Scenario` validates its inputs and dispatches per
   technology.
 """
-
-import warnings
 
 import pytest
 
@@ -23,8 +18,6 @@ from repro.starlink.access import (
     AccessConfig,
     AccessTechnology,
     Scenario,
-    build_broadband_path,
-    build_starlink_path,
 )
 from repro.starlink.bentpipe import BentPipeModel
 from repro.starlink.obstruction import ObstructionMask
@@ -111,68 +104,6 @@ def test_precompute_reuses_covering_timeline(shell):
     first = scenario.precompute(duration_s=600.0)
     assert scenario.precompute(duration_s=300.0) is first  # covered: no rebuild
     assert bentpipe.ensure_timeline(0.0, 450.0) is first
-
-
-# -- legacy flat-kwarg shim --------------------------------------------------
-
-
-def test_legacy_kwargs_map_onto_config_fields(shell):
-    server = city("n_virginia").location
-    config_path = build_starlink_path(
-        _bentpipe(shell), server,
-        AccessConfig(time_offset_s=3600.0, seed=5, stochastic_wireless_queueing=False),
-    )
-    with pytest.warns(DeprecationWarning, match="AccessConfig"):
-        legacy_path = build_starlink_path(
-            _bentpipe(shell), server,
-            time_offset_s=3600.0, seed=5, stochastic_wireless_queueing=False,
-        )
-    assert _fingerprint(legacy_path) == _fingerprint(config_path)
-
-
-def test_legacy_positional_rates_keep_historical_order(shell):
-    # Historically build_starlink_path(bp, server, dl_rate_bps, ul_rate_bps, ...).
-    with pytest.warns(DeprecationWarning):
-        path = build_starlink_path(
-            _bentpipe(shell), city("n_virginia").location, 5e6, 2e6
-        )
-    assert path.access_reverse.rate_bps == 5e6  # downlink
-    assert path.access_forward.rate_bps == 2e6  # uplink
-
-
-def test_legacy_warning_once_per_call_site(shell):
-    bentpipe = _bentpipe(shell)
-    server = city("n_virginia").location
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        for seed in range(3):  # one call site, three calls
-            build_starlink_path(bentpipe, server, seed=seed)
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1
-
-
-def test_legacy_mix_with_config_rejected(shell):
-    with pytest.raises(ConfigurationError, match="not both"):
-        build_starlink_path(
-            _bentpipe(shell), city("n_virginia").location,
-            AccessConfig(), seed=3,
-        )
-
-
-def test_legacy_unknown_keyword_rejected():
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        build_broadband_path(
-            city("london").location, city("n_virginia").location,
-            ran_delay_s=0.5,  # a cellular field: never a broadband kwarg
-        )
-
-
-def test_legacy_duplicate_argument_rejected(shell):
-    with pytest.raises(TypeError, match="multiple values"):
-        build_starlink_path(
-            _bentpipe(shell), city("n_virginia").location,
-            5e6, dl_rate_bps=5e6,
-        )
 
 
 # -- Scenario validation and dispatch ---------------------------------------

@@ -43,7 +43,6 @@ EXPLICIT = dict(
     storage="spill",
     storage_dir="/tmp/segments",
     storage_segment_records=512,
-    engine="batch",
     analytics="streaming",
 )
 
@@ -168,7 +167,6 @@ def test_fingerprint_invariant_under_execution_only_changes():
         storage_dir="/tmp/elsewhere",
         checkpoint_dir="/tmp/ckpt",
         resume=True,
-        engine="batch",
         analytics="streaming",
     )
     assert campaign_fingerprint(tweaked) == campaign_fingerprint(base)

@@ -296,9 +296,9 @@ def test_resolve_store_kind_precedence(tmp_path, monkeypatch):
     os.makedirs(fabric_dir)
     monkeypatch.delenv("REPRO_FABRIC_STORE", raising=False)
     assert resolve_store_kind(fabric_dir) == "fs"
-    monkeypatch.setenv("REPRO_FABRIC_STORE", "object")
-    assert resolve_store_kind(fabric_dir) == "object"
-    assert resolve_store_kind(fabric_dir, "fs") == "fs"  # explicit wins
+    assert resolve_store_kind(fabric_dir, "object") == "object"  # explicit
+    make_store(fabric_dir, "object", create_sentinel=True)
+    assert resolve_store_kind(fabric_dir) == "object"  # the sentinel
     with pytest.raises(ConfigurationError):
         resolve_store_kind(fabric_dir, "s3")
 

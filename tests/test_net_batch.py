@@ -20,12 +20,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.geo.cities import city
+from repro.knobs import KNOBS
 from repro.net.batch import (
-    ENGINE_ENV,
     BatchHop,
     BatchPath,
     fifo_horizon,
-    resolve_engine,
     run_udp_burst_batch,
     transmit_fifo,
 )
@@ -42,6 +41,10 @@ from repro.net.simulator import Simulator
 from repro.nodes.iperf import run_iperf_tcp, run_udp_burst
 from repro.rng import stream
 from repro.starlink.access import AccessConfig, Scenario
+
+#: The packet engine knob's variable (see ``tests/test_knobs.py``).
+ENGINE_ENV = KNOBS["engine"].env
+
 
 # -- helpers ----------------------------------------------------------------
 
@@ -413,21 +416,8 @@ def test_tcp_min_rtt_close_across_engines():
 # -- engine selection plumbing ----------------------------------------------
 
 
-def test_resolve_engine_precedence(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert resolve_engine() == "event"
-    monkeypatch.setenv(ENGINE_ENV, "batch")
-    assert resolve_engine() == "batch"
-    assert resolve_engine("event") == "event"  # explicit beats env
-    with pytest.raises(ConfigurationError, match="unknown packet engine"):
-        resolve_engine("warp")
-    monkeypatch.setenv(ENGINE_ENV, "warp")
-    with pytest.raises(ConfigurationError, match="unknown packet engine"):
-        resolve_engine()
-
-
 def test_access_config_validates_engine():
-    with pytest.raises(ConfigurationError, match="unknown packet engine"):
+    with pytest.raises(ConfigurationError, match="engine must be one of"):
         AccessConfig(engine="warp")
 
 
@@ -450,14 +440,6 @@ def test_run_iperf_explicit_engine_overrides_path():
     assert result == run_udp_burst_batch(
         _broadband(4, "event"), rate_bps=20e6, duration_s=1.0
     )
-
-
-def test_campaign_config_validates_engine():
-    from repro.extension.campaign import CampaignConfig
-
-    with pytest.raises(ConfigurationError, match="unknown packet engine"):
-        CampaignConfig(engine="warp")
-    assert CampaignConfig(engine="batch").engine == "batch"
 
 
 def test_run_experiment_scopes_engine_env(monkeypatch):

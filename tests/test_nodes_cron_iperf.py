@@ -7,7 +7,7 @@ from repro.geo.cities import city
 from repro.nodes.cron import CronJob, cron_times
 from repro.nodes.iperf import analytic_udp_loss_fraction, run_iperf_tcp, run_udp_burst
 from repro.rng import stream
-from repro.starlink.access import build_broadband_path
+from repro.starlink.access import AccessConfig, Scenario
 
 
 def test_cron_times_basic():
@@ -46,12 +46,11 @@ def test_cron_job_validates():
 
 
 def _wifi_path(dl=30e6):
-    return build_broadband_path(
+    return Scenario.broadband(
         city("london").location,
         city("gcp_london").location,
-        dl_rate_bps=dl,
-        ul_rate_bps=10e6,
-    )
+        AccessConfig(dl_rate_bps=dl, ul_rate_bps=10e6),
+    ).build()
 
 
 def test_iperf_tcp_reaches_capacity():

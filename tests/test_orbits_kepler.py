@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.constants import EARTH_RADIUS_M
@@ -90,6 +90,9 @@ def test_inclination_bounds_z_excursion():
     st.floats(min_value=0.0, max_value=2 * math.pi),
     st.floats(min_value=0.0, max_value=0.95),
 )
+# A negative reduced mean anomaly at high eccentricity: Newton started
+# at +pi fails to converge here.
+@example(3.929433572338561, 0.95)
 def test_kepler_residual_property(mean, ecc):
     big_e = solve_kepler(mean, ecc)
     assert abs(big_e - ecc * math.sin(big_e) - mean) < 1e-9

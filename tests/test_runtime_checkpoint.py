@@ -14,7 +14,6 @@ from repro.runtime import (
     run_campaign,
     run_shard,
 )
-from repro.runtime.checkpoint import resume_requested
 
 SMALL = dict(
     seed=11,
@@ -246,24 +245,6 @@ def test_stale_checkpoints_invisible_to_other_configs(tmp_path):
     store_b = CheckpointStore(str(tmp_path), config_b)
     assert store_b.directory != store_a.directory
     assert store_b.load(0, [0]) is None
-
-
-def test_from_config_and_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-    monkeypatch.delenv("REPRO_RESUME", raising=False)
-    assert CheckpointStore.from_config(CampaignConfig(**SMALL)) is None
-    explicit = CheckpointStore.from_config(
-        CampaignConfig(**SMALL, checkpoint_dir=str(tmp_path))
-    )
-    assert explicit is not None
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-    via_env = CheckpointStore.from_config(CampaignConfig(**SMALL))
-    assert via_env is not None
-    assert via_env.directory == explicit.directory
-    assert not resume_requested(CampaignConfig(**SMALL))
-    assert resume_requested(CampaignConfig(**SMALL, resume=True))
-    monkeypatch.setenv("REPRO_RESUME", "1")
-    assert resume_requested(CampaignConfig(**SMALL))
 
 
 # -- kill and resume ---------------------------------------------------

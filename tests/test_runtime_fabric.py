@@ -299,13 +299,11 @@ def test_fabric_object_store_worker_joins_before_plan(
     """Workers started before the coordinator — with no store flag at
     all — adopt the coordinator's store choice through the ``STORE``
     sentinel once it appears, then run the campaign normally."""
-    import multiprocessing
-
-    from repro.runtime.pool import resolve_start_method
+    from repro.runtime.pool import mp_context
 
     config = CampaignConfig(**SMALL)
     fabric_dir = str(tmp_path / "fabric")
-    context = multiprocessing.get_context(resolve_start_method(config))
+    context = mp_context(config)
     workers = [
         context.Process(
             target=_fabric_worker_entry,

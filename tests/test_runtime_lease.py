@@ -1,6 +1,5 @@
 """Lease protocol: claim races, heartbeats, fences, first-wins manifests."""
 
-import json
 import os
 import threading
 import time
@@ -13,8 +12,6 @@ from repro.runtime.lease import (
     LeaseHeartbeat,
     LeaseRecord,
     WorkerRegistry,
-    read_json_doc,
-    write_json_atomic,
 )
 
 
@@ -160,28 +157,27 @@ def test_expired_lease_redispatch_cycle(tmp_path):
 
 def test_double_completion_first_manifest_wins(tmp_path):
     """Two attempts finish the same shard: the first manifest is
-    accepted, the second loses the O_EXCL create, records a discard
-    marker, and the coordinator logs the discard event."""
-    from repro.runtime.fabric import FabricPaths, _write_excl_json
+    accepted, the second loses the create-exclusive put, records a
+    discard marker, and the coordinator logs the discard event."""
+    from repro.extension.campaign import CampaignConfig
+    from repro.runtime.fabric import FabricCoordinator, _discard_key, _manifest_key
+    from repro.runtime.store import FsStore
 
-    paths = FabricPaths(str(tmp_path))
-    paths.ensure()
+    # The store the coordinator below reads (the default ``fs`` store).
+    store = FsStore(str(tmp_path))
     first = {"shard_id": 0, "worker_id": "w1", "token": "aaa", "attempt": 0}
     second = {"shard_id": 0, "worker_id": "w2", "token": "bbb", "attempt": 1}
-    assert _write_excl_json(paths.manifest_path(0), first) is True
-    assert _write_excl_json(paths.manifest_path(0), second) is False
+    assert store.put_json_if_absent(_manifest_key(0), first) is not None
+    assert store.put_json_if_absent(_manifest_key(0), second) is None
     # The losing attempt writes its discard marker (what the worker
-    # loop does on the False branch) ...
-    write_json_atomic(
-        paths.discard_path(0, second["token"]),
+    # loop does when its put loses) ...
+    store.put_json(
+        _discard_key(0, second["token"]),
         {**second, "reason": "lost the first-valid-manifest race"},
     )
     # ... the surviving manifest is untouched ...
-    assert read_json_doc(paths.manifest_path(0))["token"] == "aaa"
+    assert store.get_json(_manifest_key(0))["token"] == "aaa"
     # ... and the coordinator turns the marker into a logged event.
-    from repro.extension.campaign import CampaignConfig
-    from repro.runtime.fabric import FabricCoordinator
-
     coordinator = FabricCoordinator(
         CampaignConfig(
             seed=11,
@@ -228,16 +224,3 @@ def test_worker_registry_states_and_counters(tmp_path):
     assert doc["shards_completed"] == 1
     assert doc["manifests_discarded"] == 1
     assert doc["pid"] == os.getpid()
-
-
-def test_json_helpers_tolerate_torn_docs(tmp_path):
-    path = str(tmp_path / "doc.json")
-    assert read_json_doc(path) is None  # missing
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write('{"half": ')
-    assert read_json_doc(path) is None  # torn
-    write_json_atomic(path, {"ok": 1})
-    assert read_json_doc(path) == {"ok": 1}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump([1, 2], handle)
-    assert read_json_doc(path) is None  # not an object

@@ -19,7 +19,6 @@ from repro.runtime import (
     hang_plan,
     merge_shard_results,
     plan_shards,
-    resolve_start_method,
     run_campaign,
     supervise_shards,
 )
@@ -149,16 +148,11 @@ def test_backoff_is_bounded_exponential():
     assert policy.backoff_s(10) == pytest.approx(0.5)
 
 
-def test_policy_from_config_and_env(monkeypatch):
+def test_policy_from_config():
     config = CampaignConfig(**SMALL, max_shard_retries=5, shard_timeout_s=9.0)
     policy = SupervisorPolicy.from_config(config)
     assert policy.max_retries == 5
     assert policy.shard_timeout_s == 9.0
-    monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-    monkeypatch.setenv("REPRO_SHARD_TIMEOUT_S", "3.5")
-    policy = SupervisorPolicy.from_config(CampaignConfig(**SMALL))
-    assert policy.max_retries == 7
-    assert policy.shard_timeout_s == 3.5
 
 
 def test_pool_sized_to_tasks_not_workers(campaign_users, serial_dataset):
@@ -181,20 +175,6 @@ def test_spawn_start_method_runs_and_matches(serial_dataset):
     assert dataset.page_loads == serial_dataset.page_loads
     assert dataset.speedtests == serial_dataset.speedtests
     assert stats.n_failures == 0
-
-
-def test_resolve_start_method_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_MP_START", raising=False)
-    default = resolve_start_method()
-    assert default in ("fork", "spawn", "forkserver")
-    monkeypatch.setenv("REPRO_MP_START", "spawn")
-    assert resolve_start_method() == "spawn"
-    # An explicit config field beats the environment.
-    config = CampaignConfig(**SMALL, mp_start_method="fork")
-    assert resolve_start_method(config) == "fork"
-    monkeypatch.setenv("REPRO_MP_START", "bogus")
-    with pytest.raises(ConfigurationError):
-        resolve_start_method()
 
 
 def test_config_rejects_bad_supervision_fields():

@@ -7,10 +7,9 @@ from repro.geo.cities import city
 from repro.net.trace import traceroute
 from repro.orbits.constellation import starlink_shell1
 from repro.starlink.access import (
+    AccessConfig,
     AccessTechnology,
-    build_broadband_path,
-    build_cellular_path,
-    build_starlink_path,
+    Scenario,
     terrestrial_delay_s,
 )
 from repro.starlink.bentpipe import BentPipeModel
@@ -63,9 +62,9 @@ def test_terrestrial_delay_transatlantic():
 
 
 def test_starlink_path_traceroute_shape(bentpipe):
-    path = build_starlink_path(
-        bentpipe, city("n_virginia").location, time_offset_s=3600.0
-    )
+    path = Scenario.starlink(
+        bentpipe, city("n_virginia").location, AccessConfig(time_offset_s=3600.0)
+    ).build()
     assert path.technology is AccessTechnology.STARLINK
     trace = traceroute(path.network, path.client, path.server, probes_per_hop=3)
     assert trace.destination_reached
@@ -79,17 +78,11 @@ def test_starlink_path_traceroute_shape(bentpipe):
 
 def test_access_orientation_download_bottleneck(bentpipe):
     """The reverse (server->client) direction must carry the DL rate."""
-    for builder in (
-        lambda: build_broadband_path(
-            city("london").location, city("gcp_london").location,
-            dl_rate_bps=50e6, ul_rate_bps=5e6,
-        ),
-        lambda: build_cellular_path(
-            city("london").location, city("gcp_london").location,
-            dl_rate_bps=50e6, ul_rate_bps=5e6,
-        ),
-    ):
-        path = builder()
+    rates = AccessConfig(dl_rate_bps=50e6, ul_rate_bps=5e6)
+    for scenario in (Scenario.broadband, Scenario.cellular):
+        path = scenario(
+            city("london").location, city("gcp_london").location, rates
+        ).build()
         from repro.nodes.iperf import run_udp_burst
 
         result = run_udp_burst(path, rate_bps=40e6, duration_s=2.0)
@@ -97,14 +90,18 @@ def test_access_orientation_download_bottleneck(bentpipe):
 
 
 def test_cellular_first_hop_slow():
-    path = build_cellular_path(city("london").location, city("n_virginia").location)
+    path = Scenario.cellular(
+        city("london").location, city("n_virginia").location
+    ).build()
     trace = traceroute(path.network, path.client, path.server, probes_per_hop=5)
     first_hop = trace.hops[0].median_rtt_s()
     assert first_hop > 0.030
 
 
 def test_broadband_first_hop_fast():
-    path = build_broadband_path(city("london").location, city("n_virginia").location)
+    path = Scenario.broadband(
+        city("london").location, city("n_virginia").location
+    ).build()
     trace = traceroute(path.network, path.client, path.server, probes_per_hop=5)
     assert trace.hops[0].median_rtt_s() < 0.015
 
@@ -115,9 +112,14 @@ def test_figure5_ordering(bentpipe):
     london = city("london").location
     finals = {}
     for name, path in (
-        ("broadband", build_broadband_path(london, virginia)),
-        ("starlink", build_starlink_path(bentpipe, virginia, time_offset_s=7200.0)),
-        ("cellular", build_cellular_path(london, virginia)),
+        ("broadband", Scenario.broadband(london, virginia).build()),
+        (
+            "starlink",
+            Scenario.starlink(
+                bentpipe, virginia, AccessConfig(time_offset_s=7200.0)
+            ).build(),
+        ),
+        ("cellular", Scenario.cellular(london, virginia).build()),
     ):
         trace = traceroute(path.network, path.client, path.server, probes_per_hop=7)
         finals[name] = trace.hops[-1].median_rtt_s()

@@ -20,7 +20,6 @@ from repro.extension.backends import (
     SpillBackend,
     backend_for_config,
     make_backend,
-    resolve_storage,
 )
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
@@ -307,18 +306,6 @@ def test_jsonl_round_trip_across_backends(tmp_path):
     )
     assert loaded.page_loads == source.page_loads
     assert loaded.speedtests == source.speedtests
-
-
-def test_resolve_storage_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
-    assert resolve_storage(CampaignConfig(**CFG)) == "memory"
-    assert resolve_storage(CampaignConfig(**CFG, storage="columnar")) == "columnar"
-    monkeypatch.setenv("REPRO_STORAGE", "spill")
-    assert resolve_storage(CampaignConfig(**CFG)) == "spill"
-    assert resolve_storage(CampaignConfig(**CFG, storage="memory")) == "memory"
-    monkeypatch.setenv("REPRO_STORAGE", "bogus")
-    with pytest.raises(ConfigurationError):
-        resolve_storage(CampaignConfig(**CFG))
 
 
 def test_backend_for_config_kinds(tmp_path, monkeypatch):

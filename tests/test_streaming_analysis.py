@@ -9,8 +9,9 @@ Covers the tentpole contracts of DESIGN.md §11:
   on every backend, including the derived ``ptt_ms``;
 * the ``stream_*`` builders agree with the exact pipeline;
 * the sharded sketch-reduce path matches a single-pass fold;
-* mode selection (``--analytics`` / ``REPRO_ANALYTICS`` / config)
-  resolves with the documented precedence.
+* ``run_experiment(..., analytics="streaming")`` selects the sketch
+  path for one run only (the knob's precedence is pinned in
+  ``tests/test_knobs.py``).
 """
 
 from dataclasses import replace
@@ -25,8 +26,6 @@ from repro.analysis.streaming import (
     GroupedAccumulator,
     MomentsAccumulator,
     QuantileSketch,
-    analytics_mode_for,
-    resolve_analytics,
     stream_as_switch_times,
     stream_ptt_by_condition,
     stream_speedtest_medians,
@@ -401,39 +400,6 @@ def test_sketch_reduce_matches_single_pass():
 
 
 # -- mode selection ------------------------------------------------------
-
-
-def test_resolve_analytics_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_ANALYTICS", raising=False)
-    assert resolve_analytics() == "auto"
-    monkeypatch.setenv("REPRO_ANALYTICS", "streaming")
-    assert resolve_analytics() == "streaming"
-    # config beats env; explicit request beats both
-    config = CampaignConfig(analytics="exact")
-    assert resolve_analytics(config=config) == "exact"
-    assert resolve_analytics("streaming", config=config) == "streaming"
-    with pytest.raises(ConfigurationError):
-        resolve_analytics("bogus")
-    with pytest.raises(ConfigurationError):
-        CampaignConfig(analytics="bogus")
-
-
-def test_analytics_mode_for_auto_heuristic(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_ANALYTICS", raising=False)
-    small = Dataset()
-    small.extend_page_loads([_page_load(i) for i in range(4)])
-    assert analytics_mode_for(small) == "exact"  # memory backend: exact
-    assert analytics_mode_for(small, requested="streaming") == "streaming"
-    spill = Dataset(
-        backend=make_backend("spill", directory=str(tmp_path), segment_records=8)
-    )
-    spill.extend_page_loads([_page_load(i) for i in range(4)])
-    spill.flush()
-    assert analytics_mode_for(spill) == "exact"  # spill but tiny: exact
-    monkeypatch.setattr(
-        "repro.analysis.streaming.STREAMING_AUTO_RECORDS", 4
-    )
-    assert analytics_mode_for(spill) == "streaming"  # spill and big enough
 
 
 def test_run_experiment_scopes_analytics_env(monkeypatch):
