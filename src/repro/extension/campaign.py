@@ -36,7 +36,7 @@ from repro.orbits.constellation import WalkerShell, starlink_shell1
 from repro.rng import stream
 from repro.starlink.access import terrestrial_delay_s
 from repro.starlink.asn import AsPlan
-from repro.starlink.bentpipe import BentPipeModel, ServingGeometryCache
+from repro.starlink.bentpipe import BentPipeModel
 from repro.starlink.pop import pop_for_city
 from repro.timeline import CAMPAIGN_DURATION_S
 from repro.weather.history import WeatherHistory
@@ -72,14 +72,6 @@ class CampaignConfig:
         n_workers: Worker processes for :meth:`ExtensionCampaign.run`.
             1 runs serially in-process; any value produces the same
             dataset (the per-user determinism contract).
-        precompute_timelines: Whether :meth:`ExtensionCampaign.run`
-            precomputes one per-city serving timeline up front (and,
-            when sharding, ships it to every worker).  None (default)
-            decides automatically: precompute for sharded runs whose
-            epoch count stays under
-            :data:`repro.runtime.pool.TIMELINE_AUTO_EPOCH_CAP`.  Timelines are
-            bit-identical to the on-demand scan path, so this knob
-            never changes the dataset — only how fast it is produced.
         mp_start_method: Multiprocessing start method
             (``fork``/``spawn``/``forkserver``) for sharded runs.
         shard_timeout_s: Per-shard-attempt wall-clock budget for the
@@ -127,7 +119,6 @@ class CampaignConfig:
     cities: tuple[str, ...] | None = None
     speedtest_boost: float = 1.0
     n_workers: int = 1
-    precompute_timelines: bool | None = None
     mp_start_method: str | None = None
     shard_timeout_s: float | None = None
     max_shard_retries: int | None = None
@@ -318,64 +309,12 @@ class ExtensionCampaign:
                 u for u in self.population.users if u.city_name in cfg.cities
             ]
         self._bentpipes: dict[str, BentPipeModel] = {}
-        self._geometry_caches: dict[str, ServingGeometryCache] = {}
-        self._timelines: dict = {}
+        #: Link-state epochs computed and table lookups answered, summed
+        #: over every per-user bent pipe :meth:`run_user` built.
+        self.geometry_scans = 0
+        self.geometry_hits = 0
         #: Timing/throughput counters of the most recent :meth:`run`.
         self.last_run_stats = None
-
-    def geometry_cache_for_city(self, city_name: str) -> ServingGeometryCache:
-        """The epoch-keyed serving-geometry cache shared by a city.
-
-        Every bent-pipe model of a city (the legacy shared one and all
-        per-user ones) has identical geometry inputs, so they share one
-        cache and each scheduler epoch is scanned at most once per
-        process.
-        """
-        if city_name not in self._geometry_caches:
-            self._geometry_caches[city_name] = ServingGeometryCache()
-        return self._geometry_caches[city_name]
-
-    def geometry_caches(self) -> list[ServingGeometryCache]:
-        """All per-city geometry caches created so far."""
-        return list(self._geometry_caches.values())
-
-    # -- serving timelines ------------------------------------------------
-
-    def timeline_for_city(self, city_name: str):
-        """The precomputed serving timeline of a city, building it on
-        first use (one vectorised pass over every scheduler epoch of
-        the campaign window — see :mod:`repro.starlink.timeline`)."""
-        if city_name not in self._timelines:
-            from repro.starlink.timeline import compute_serving_timeline
-
-            pop = pop_for_city(city_name)
-            self._timelines[city_name] = compute_serving_timeline(
-                self.shell,
-                city(city_name).location,
-                pop.gateway,
-                start_s=0.0,
-                end_s=self.config.duration_s,
-            )
-        return self._timelines[city_name]
-
-    def install_timelines(self, timelines: dict) -> None:
-        """Adopt precomputed per-city timelines (``{city: timeline}``).
-
-        The sharded engine calls this in each worker with the
-        timelines the parent computed, before any bent pipe is built.
-        Bent pipes built earlier (e.g. by a runner that touched
-        :meth:`bentpipe_for_city` before installing) adopt their
-        city's timeline too, so lookup order cannot change coverage.
-        """
-        self._timelines.update(timelines)
-        for city_name, bentpipe in self._bentpipes.items():
-            timeline = self._timelines.get(city_name)
-            if timeline is not None:
-                bentpipe.attach_timeline(timeline)
-
-    def timelines(self) -> list:
-        """All per-city serving timelines held by this campaign."""
-        return list(self._timelines.values())
 
     def bentpipe_for_city(self, city_name: str) -> BentPipeModel:
         """The (shared) bent-pipe model of a city's Starlink users."""
@@ -386,10 +325,10 @@ class ExtensionCampaign:
     def bentpipe_for_user(self, user: User) -> BentPipeModel:
         """A per-user bent-pipe model with user-keyed noise streams.
 
-        Geometry (and its cache) is shared with every other model of
-        the user's city; only the stochastic draws — wireless queueing
-        and capacity noise — are keyed to the user, so the user's
-        record stream does not depend on who else ran before them.
+        The stochastic draws — wireless queueing and capacity noise —
+        are keyed to the user, so the user's record stream does not
+        depend on who else ran before them.  Its link-state table is
+        the user's own too: only one user's epochs are alive at a time.
         """
         return self._build_bentpipe(user.city_name, user_key=user.user_id)
 
@@ -405,8 +344,6 @@ class ExtensionCampaign:
             weather=self.weather,
             seed=self.config.seed,
             user_key=user_key,
-            geometry_cache=self.geometry_cache_for_city(city_name),
-            timeline=self._timelines.get(city_name),
         )
 
     def run(self) -> Dataset:
@@ -456,6 +393,8 @@ class ExtensionCampaign:
             * max(cfg.request_fraction, 0.2)
             * cfg.speedtest_boost,
         ).events(0.0, cfg.duration_s)
+        if bentpipe is not None:
+            bentpipe.fill_link_states([event.t_s for event in events])
         iowa_extra_s = terrestrial_delay_s(user_city.location, iowa.location)
         for event in events:
             if event.kind is EventKind.SPEEDTEST:
@@ -476,6 +415,9 @@ class ExtensionCampaign:
                         user, connection, simulator, site, event.t_s, rng
                     )
                 )
+        if bentpipe is not None:
+            self.geometry_scans += bentpipe.link_states.computed
+            self.geometry_hits += bentpipe.link_states.hits
         return page_loads, speedtests
 
     def _page_load_record(

@@ -133,9 +133,6 @@ _METAVARS = {int: "N", float: "SECONDS", str: "DIR"}
 KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
     Knob("n_workers", int, 1, bound=">= 1",
          help="worker processes for a campaign (any value, same dataset)"),
-    Knob("precompute_timelines", bool, None,
-         help="precompute per-city serving timelines up front "
-         "(unset: sharded runs under the epoch cap)"),
     Knob("checkpoint_dir", str, None, env="REPRO_CHECKPOINT_DIR",
          flag="--checkpoint-dir",
          help="spill completed campaign shards here (enables --resume)"),

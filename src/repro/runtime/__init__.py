@@ -11,8 +11,7 @@ reproducibility — and keeps it running when workers don't:
   =====  =========================================  ======================
   task   records (``ShardResult``) or sketch        ``run_shard``,
          (``ShardSketch``) over one shard body      ``run_task``
-  plan   LPT shards, empty ones dropped; timeline   ``plan_campaign``,
-         precompute decided once                    ``shared_timelines``
+  plan   LPT shards, empty ones dropped             ``plan_campaign``
   place  in-process (one shard), supervised         ``run_campaign``,
          processes, or fabric leases                ``FabricCoordinator``
   sink   backend merge (records) or sketch reduce   ``sink_results``
@@ -88,7 +87,6 @@ from repro.runtime.shard import (
     ShardResult,
     ShardSketch,
     ShardStats,
-    TimelineSpill,
     plan_shards,
     run_shard,
 )
@@ -134,7 +132,6 @@ __all__ = [
     "ShardStats",
     "StoredObject",
     "SupervisorPolicy",
-    "TimelineSpill",
     "WorkerRegistry",
     "campaign_fingerprint",
     "corrupt_plan",

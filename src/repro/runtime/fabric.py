@@ -505,7 +505,7 @@ def _run_claimed_shard(
             # stays behind and its heartbeat simply stops.
             time.sleep(fault.delay_s)
             os._exit(fault.exitcode)
-        result = run_shard(config, shard_id, list(indices), None)
+        result = run_shard(config, shard_id, list(indices))
         if fault is not None and fault.kind is FaultKind.STRAGGLER:
             # Dawdle while the heartbeat thread keeps the lease fresh —
             # only the percentile deadline can recover this shard.

@@ -4,16 +4,14 @@ Every campaign run is the same three independent steps, which
 :func:`run_campaign` composes (the fabric reuses its plan and sink):
 
 * **plan** — :func:`plan_campaign` partitions the population into LPT
-  shards (empty shards dropped), and :func:`shared_timelines` decides
-  whether the parent precomputes per-city serving timelines.
+  shards (empty shards dropped).
 * **place** — a campaign with one shard runs it in-process on the
   planner's own campaign; more shards run under the supervising
   dispatcher (:mod:`repro.runtime.supervision`) with per-shard
   timeouts, crash detection, bounded retries and in-process
   degradation.  Workers receive ``(config, shard_id, user_indices,
-  timelines, task)`` — cheap to pickle — and rebuild the rest of their
-  campaign state; non-``fork`` workers get the timelines through a
-  :class:`~repro.runtime.shard.TimelineSpill` file.
+  task)`` — cheap to pickle — and rebuild the rest of their campaign
+  state; each user's bent pipe computes its own link states.
 * **sink** — a records run merges its shards into the config's storage
   backend (:func:`~repro.runtime.merge.merge_shard_results`), a sketch
   run reduces its shard states in ascending shard id
@@ -35,7 +33,6 @@ from __future__ import annotations
 import multiprocessing
 import time
 
-from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
 from repro.errors import CampaignCancelledError, ConfigurationError
 from repro.extension.backends import backend_for_config
 from repro.extension.campaign import ExtensionCampaign
@@ -47,19 +44,11 @@ from repro.runtime.shard import (
     TASKS,
     CampaignRunStats,
     ShardResult,
-    TimelineSpill,
     plan_shards,
     run_task,
     run_users,
 )
 from repro.runtime.supervision import SupervisorPolicy, supervise_shards
-
-TIMELINE_AUTO_EPOCH_CAP = 100_000
-"""Auto-precompute serving timelines only up to this many scheduler
-epochs per city (~17 days at the 15 s epoch; ~2.8 MB of arrays).  Longer
-campaigns spend a noticeable up-front wall-clock slice on epochs the LRU
-cache would amortise anyway; force ``precompute_timelines=True`` to
-override."""
 
 
 def mp_context(config):
@@ -88,30 +77,6 @@ def plan_campaign(config, n_shards: int | None = None):
     return campaign, [
         (shard_id, indices) for shard_id, indices in enumerate(shards) if indices
     ]
-
-
-def shared_timelines(campaign) -> dict | None:
-    """The per-city serving timelines the parent precomputes, or ``None``.
-
-    ``CampaignConfig.precompute_timelines`` decides when set; otherwise
-    sharded runs precompute while a city's campaign window stays under
-    :data:`TIMELINE_AUTO_EPOCH_CAP` scheduler epochs.  One vectorised
-    pass per Starlink city; the timelines stay on ``campaign`` (so an
-    in-process shard uses them) and are returned for the workers.
-    Timelines are bit-identical to the on-demand scans, so this decides
-    speed only, never the records.
-    """
-    cfg = campaign.config
-    wanted = cfg.precompute_timelines
-    if wanted is None:
-        n_epochs = cfg.duration_s / STARLINK_RESCHEDULE_INTERVAL_S
-        wanted = cfg.n_workers > 1 and n_epochs <= TIMELINE_AUTO_EPOCH_CAP
-    if not wanted:
-        return None
-    cities = sorted(
-        {user.city_name for user in campaign.population.users if user.isp.is_starlink}
-    )
-    return {name: campaign.timeline_for_city(name) for name in cities}
 
 
 def sink_results(config, task: str, results, expected_indices):
@@ -146,7 +111,7 @@ def run_campaign(
 
     Args:
         config: The :class:`~repro.extension.campaign.CampaignConfig`.
-            Users, worker count and timelines derive from it, and its
+            Users and worker count derive from it, and its
             supervision / checkpoint fields provide the defaults for
             the keyword arguments below.
         task: ``"records"`` (the product is the merged
@@ -242,7 +207,6 @@ def run_campaign(
                 n_shards=1,
             )
         shard_id, indices = remaining[0]
-        shared_timelines(campaign)
         emit("shard_dispatched", shard_id=shard_id, attempt=0)
         if task == "records":
             keep = checkpoint is not None or on_result is not None
@@ -260,38 +224,20 @@ def run_campaign(
         )
         results.append(result)
     elif remaining:
-        timelines = shared_timelines(campaign)
-        context = mp_context(config)
-        spill = None
-        if timelines and context.get_start_method() != "fork":
-            # Non-fork workers receive their arguments pickled through
-            # the startup pipe, whose parent-side write can wedge forever
-            # if a child dies mid-handshake with a payload bigger than
-            # the pipe buffer.  Ship the (large) timelines out-of-band so
-            # the handshake stays tiny (see TimelineSpill).
-            spill = TimelineSpill.write(timelines)
-            timelines = spill
-        tasks = [
-            (config, shard_id, indices, timelines, task)
-            for shard_id, indices in remaining
-        ]
+        tasks = [(config, shard_id, indices, task) for shard_id, indices in remaining]
         # Resumed shards need no process, so a mostly-complete resume
         # must not over-provision workers.
         n_worker_processes = min(config.n_workers, len(tasks))
-        try:
-            fresh, failures = supervise_shards(
-                tasks,
-                n_worker_processes,
-                policy=policy or SupervisorPolicy.from_config(config),
-                context=context,
-                fault_plan=fault_plan,
-                on_success=accept,
-                on_event=on_event,
-                should_stop=should_stop,
-            )
-        finally:
-            if spill is not None:
-                spill.cleanup()
+        fresh, failures = supervise_shards(
+            tasks,
+            n_worker_processes,
+            policy=policy or SupervisorPolicy.from_config(config),
+            context=mp_context(config),
+            fault_plan=fault_plan,
+            on_success=accept,
+            on_event=on_event,
+            should_stop=should_stop,
+        )
         results.extend(fresh)
     sink_started = time.perf_counter()
     if streamed is None:

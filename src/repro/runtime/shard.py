@@ -20,9 +20,6 @@ same per-user record lists, and the order-preserving merge
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
@@ -31,46 +28,6 @@ from repro.errors import ConfigurationError
 from repro.extension import columnar
 from repro.extension.campaign import ExtensionCampaign
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
-
-
-@dataclass(frozen=True)
-class TimelineSpill:
-    """Parent-precomputed timelines parked in a temp file, by path.
-
-    Under ``spawn``/``forkserver`` the worker's arguments are pickled
-    into the process-startup pipe, and CPython's parent keeps the
-    pipe's read end open while writing — so a child that dies during
-    its boot handshake leaves a payload larger than the pipe buffer
-    (which several cities' timelines are) wedged in ``Process.start()``
-    forever.  A supervisor that exists to survive dying workers cannot
-    carry that risk, so the engine ships big timeline payloads
-    out-of-band: spill once to disk in the parent, hand workers this
-    tiny path reference, and let :func:`run_shard` load it back.
-    (``fork`` workers keep the in-memory dict: nothing is pickled and
-    the pages are shared copy-on-write.)
-    """
-
-    path: str
-
-    @classmethod
-    def write(cls, timelines) -> "TimelineSpill":
-        """Spill a ``{city: ServingTimeline}`` dict; returns the ref."""
-        handle, path = tempfile.mkstemp(prefix="repro-timelines-", suffix=".pkl")
-        with os.fdopen(handle, "wb") as stream:
-            pickle.dump(timelines, stream)
-        return cls(path=path)
-
-    def load(self):
-        """Read the spilled timelines back (each worker, each attempt)."""
-        with open(self.path, "rb") as stream:
-            return pickle.load(stream)
-
-    def cleanup(self) -> None:
-        """Remove the spill file (parent-side, after the run)."""
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
 
 
 @dataclass
@@ -82,8 +39,12 @@ class ShardStats:
     n_page_loads: int = 0
     n_speedtests: int = 0
     wall_s: float = 0.0
+    #: Link-state epochs computed, batch-filled or lazy.
     geometry_scans: int = 0
+    #: Link-state lookups the bent pipes' tables answered.
     geometry_hits: int = 0
+    #: Lookups an attached ``ServingTimeline`` answered; campaign bent
+    #: pipes attach none, so this stays 0 on every campaign path.
     timeline_hits: int = 0
     #: Attempts the supervisor spent on this shard (1 = first try).
     attempts: int = 1
@@ -129,12 +90,17 @@ class CampaignRunStats:
 
     @property
     def geometry_scans(self) -> int:
-        """Per-epoch serving-geometry scans done across all shards."""
+        """Link-state epochs computed (batch-filled or lazy), all shards."""
         return sum(s.geometry_scans for s in self.shards)
 
     @property
+    def geometry_hits(self) -> int:
+        """Link-state lookups answered from the tables, all shards."""
+        return sum(s.geometry_hits for s in self.shards)
+
+    @property
     def timeline_hits(self) -> int:
-        """Serving-geometry lookups answered by precomputed timelines."""
+        """Lookups answered by attached serving timelines (0 in campaigns)."""
         return sum(s.timeline_hits for s in self.shards)
 
     @property
@@ -174,9 +140,10 @@ class CampaignRunStats:
         return (
             f"{self.n_workers} worker(s), {self.n_records} records in "
             f"{self.wall_s:.2f}s ({self.records_per_s:.0f} rec/s; "
-            f"merge {self.merge_s * 1000.0:.0f} ms; geometry: "
-            f"{self.timeline_hits} timeline hits, {self.geometry_scans} "
-            f"scans{fault_part}{resume_part}) [{shard_part}]"
+            f"merge {self.merge_s * 1000.0:.0f} ms; link states: "
+            f"{self.geometry_scans} epochs computed, {self.geometry_hits} "
+            f"table hits, {self.timeline_hits} timeline hits"
+            f"{fault_part}{resume_part}) [{shard_part}]"
         )
 
     @classmethod
@@ -282,11 +249,12 @@ def run_users(campaign, shard_id: int, user_indices, fold) -> ShardStats:
 
     Runs each user of ``user_indices`` on ``campaign`` and hands its
     records to ``fold(index, page_loads, speedtests)`` as soon as they
-    exist, then counts the shard's records, geometry scans/hits and
-    timeline hits.
+    exist, then counts the shard's records and its link-state epochs
+    computed and table hits.
     """
     users = campaign.population.users
     stats = ShardStats(shard_id=shard_id, n_users=len(user_indices))
+    scans, hits = campaign.geometry_scans, campaign.geometry_hits
     started = time.perf_counter()
     for index in user_indices:
         page_loads, speedtests = campaign.run_user(users[index])
@@ -294,11 +262,8 @@ def run_users(campaign, shard_id: int, user_indices, fold) -> ShardStats:
         stats.n_page_loads += len(page_loads)
         stats.n_speedtests += len(speedtests)
     stats.wall_s = time.perf_counter() - started
-    for cache in campaign.geometry_caches():
-        stats.geometry_scans += cache.misses
-        stats.geometry_hits += cache.hits
-    for timeline in campaign.timelines():
-        stats.timeline_hits += timeline.hits
+    stats.geometry_scans = campaign.geometry_scans - scans
+    stats.geometry_hits = campaign.geometry_hits - hits
     return stats
 
 
@@ -334,27 +299,12 @@ def run_task(campaign, shard_id: int, user_indices, task: str = "records"):
     )
 
 
-def run_shard(
-    config, shard_id: int, user_indices, timelines=None, task: str = "records"
-):
+def run_shard(config, shard_id: int, user_indices, task: str = "records"):
     """Execute one shard in a campaign rebuilt from ``config``.
 
     The worker-process entry point (and the supervisor's in-process
     fallback): the population derives deterministically from the
     config, so ``user_indices`` mean the same users in every process.
-    ``timelines`` optionally maps city name to a
-    :class:`repro.starlink.timeline.ServingTimeline` the parent
-    precomputed (or a :class:`TimelineSpill` of them); installing it
-    means this worker never redoes the serving-geometry scans every
-    sibling would otherwise repeat.  Timelines are bit-identical to the
-    scan path, so the shard's records are unchanged either way.
     """
-    if isinstance(timelines, TimelineSpill):
-        timelines = timelines.load()
-    # Forced serial, and the parent already decided about timelines.
-    campaign = ExtensionCampaign(
-        replace(config, n_workers=1, precompute_timelines=False)
-    )
-    if timelines:
-        campaign.install_timelines(timelines)
+    campaign = ExtensionCampaign(replace(config, n_workers=1))
     return run_task(campaign, shard_id, user_indices, task)

@@ -247,7 +247,7 @@ def supervise_shards(
 
     Args:
         tasks: :func:`run_shard` argument tuples — ``(config,
-            shard_id, user_indices[, timelines[, task]])``; the shard
+            shard_id, user_indices[, task])``; the shard
             id and its user indices are the supervisor's book-keeping
             keys.
         n_workers: Concurrency cap; the supervisor never has more than

@@ -56,6 +56,13 @@ SCHEDULER_DELAY_S = 0.006
 OUTAGE_RTT_PENALTY_S = 2.0
 """Analytic RTT charged when no satellite is visible (reconnect time)."""
 
+LINK_FILL_EPOCHS = 64
+"""Epochs per kernel call of :meth:`BentPipeModel.fill_link_states`.
+The kernel keeps about 25 float64 temporaries per candidate pair, about
+122 pairs per epoch at the campaign's shell, so this bounds a fill's
+working set at about 1.5 MB; one call for a whole campaign user's
+epochs raised the campaign's peak RSS by 8-12 MB."""
+
 
 @dataclass(frozen=True)
 class ServingGeometry:
@@ -73,47 +80,66 @@ class ServingGeometry:
 
 
 _CACHE_MISS = object()
-"""Sentinel distinguishing "not cached" from a cached outage (None)."""
+"""Sentinel distinguishing "not in a timeline" from a computed outage (None)."""
 
 
-class ServingGeometryCache:
-    """Epoch-keyed LRU cache of :class:`ServingGeometry` lookups.
+@dataclass(frozen=True, slots=True)
+class LinkState:
+    """The deterministic bent pipe of one 15 s scheduler epoch.
 
-    The serving satellite is a pure function of (shell, terminal,
-    gateway, elevation mask, obstruction, epoch), so every
-    :class:`BentPipeModel` with identical geometry inputs — e.g. the
-    per-user models of one city in a sharded campaign — can share one
-    cache and avoid redoing identical ``visible_satellites`` scans.
-    Entries may be ``None`` (a cached outage).  Hit/miss counters feed
-    the campaign's per-shard throughput report.
+    Everything a link query reads except the stochastic queueing and
+    capacity draws.  The serving geometry fixes the outage flag and the
+    propagation; the weather condition (constant within an epoch: an
+    hour is 240 epochs) and the serving elevation fix the impairment.
+
+    Attributes:
+        geometry: Serving geometry (None = outage).
+        impairment: Weather impairment of the link; during an outage,
+            at the nominal 55-degree elevation.
+        base_one_way_delay_s: Propagation + processing + weather-scaled
+            scheduler delay, seconds (NaN during an outage).
+    """
+
+    geometry: ServingGeometry | None
+    impairment: LinkImpairment
+    base_one_way_delay_s: float
+
+    @property
+    def outage(self) -> bool:
+        """Whether no satellite is usable in this epoch."""
+        return self.geometry is None
+
+
+class LinkStateTable:
+    """Epoch-keyed LRU table of one bent pipe's :class:`LinkState` entries.
+
+    ``hits`` counts lookups the table answered and ``computed`` the
+    epochs put into it, batch-filled or lazy; both feed the campaign's
+    shard stats.  The cap keeps long-lived packet-level models bounded.
     """
 
     def __init__(self, max_entries: int = 8192) -> None:
         self.max_entries = max_entries
         self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[int, ServingGeometry | None] = OrderedDict()
+        self.computed = 0
+        self._entries: OrderedDict[int, LinkState] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def __contains__(self, epoch: int) -> bool:
+        return epoch in self._entries
 
-    def get(self, epoch: int):
-        """Cached geometry for an epoch, or the miss sentinel."""
-        if epoch in self._entries:
+    def get(self, epoch: int) -> LinkState | None:
+        """The epoch's state, or None when it is not in the table."""
+        state = self._entries.get(epoch)
+        if state is not None:
             self._entries.move_to_end(epoch)
             self.hits += 1
-            return self._entries[epoch]
-        self.misses += 1
-        return _CACHE_MISS
+        return state
 
-    def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
-        self._entries.clear()
-
-    def put(self, epoch: int, geometry: ServingGeometry | None) -> None:
-        """Store an epoch's geometry, evicting the LRU entry if full."""
-        self._entries[epoch] = geometry
+    def put(self, epoch: int, state: LinkState) -> None:
+        """Store an epoch's state, evicting the LRU entry if full."""
+        self._entries[epoch] = state
         self._entries.move_to_end(epoch)
+        self.computed += 1
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
 
@@ -135,18 +161,19 @@ class BentPipeModel:
             model this way so record streams are independent of user
             processing order; None keeps the legacy city-shared
             streams.
-        geometry_cache: Optional shared :class:`ServingGeometryCache`.
-            Pass the same instance to every model with identical
-            (shell, terminal, gateway, mask, obstruction) inputs —
-            e.g. one per city — so they do not redo identical
-            ``visible_satellites`` scans.
         timeline: Optional precomputed
             :class:`repro.starlink.timeline.ServingTimeline` for the
-            same geometry inputs.  Epochs it covers are answered by
-            O(1) array lookup; everything else falls back to the LRU
-            cache and the on-demand scan.  (The timeline is computed
-            bit-identically to the scan, so attaching one never
-            changes results — see ``compute_serving_timeline``.)
+            same geometry inputs.  Epochs it covers get their serving
+            geometry by O(1) array lookup instead of the on-demand
+            scan.  (The timeline is computed bit-identically to the
+            scan, so attaching one never changes results — see
+            ``compute_serving_timeline``.)
+
+    Every analytic query reads the :class:`LinkState` of its scheduler
+    epoch from the model's :attr:`link_states` table, so geometry,
+    weather and impairment are derived once per epoch, not per call;
+    :meth:`fill_link_states` batch-computes the epochs a known set of
+    query times will touch.
     """
 
     def __init__(
@@ -161,7 +188,6 @@ class BentPipeModel:
         min_elevation_deg: float = STARLINK_MIN_ELEVATION_DEG,
         obstruction=None,
         user_key: str | None = None,
-        geometry_cache: ServingGeometryCache | None = None,
         timeline=None,
     ) -> None:
         """``obstruction`` is an optional
@@ -185,9 +211,7 @@ class BentPipeModel:
             (user_key,) if user_key is not None else ()
         )
         self._rng = stream(seed, *rng_labels)
-        self._geometry_cache = (
-            geometry_cache if geometry_cache is not None else ServingGeometryCache()
-        )
+        self.link_states = LinkStateTable()
         self.timeline = timeline
         self._wireless_queue = self.capacity.wireless_queueing_sampler()
 
@@ -234,20 +258,24 @@ class BentPipeModel:
         :class:`repro.orbits.tracking.SatelliteTracker` behaviour in a
         stateless, random-access form usable at arbitrary times.
 
-        Lookup order: precomputed timeline (O(1) array access), shared
-        LRU cache, then the on-demand single-epoch scan.
+        Lookup order: the link-state table, the attached timeline (O(1)
+        array access), then the on-demand single-epoch scan.  Unlike
+        :meth:`link_state` it needs no weather, so it answers at any
+        time and never adds to the table.
         """
         epoch = int(t_s // STARLINK_RESCHEDULE_INTERVAL_S)
+        state = self.link_states.get(epoch)
+        if state is not None:
+            return state.geometry
+        return self._geometry(epoch)
+
+    def _geometry(self, epoch: int) -> ServingGeometry | None:
+        """An epoch's geometry from the attached timeline, else the scan."""
         if self.timeline is not None:
             found = self.timeline.lookup(epoch)
             if found is not _CACHE_MISS:
                 return found
-        cached = self._geometry_cache.get(epoch)
-        if cached is not _CACHE_MISS:
-            return cached
-        geometry = self._scan_epoch(epoch)
-        self._geometry_cache.put(epoch, geometry)
-        return geometry
+        return self._scan_epoch(epoch)
 
     def _scan_epoch(self, epoch: int) -> ServingGeometry | None:
         """Scan one scheduler epoch for the serving satellite.
@@ -292,9 +320,75 @@ class BentPipeModel:
             elevation_deg=best_elev,
         )
 
+    # -- link state -------------------------------------------------------
+
+    def link_state(self, t_s: float) -> LinkState:
+        """The :class:`LinkState` of ``t_s``'s scheduler epoch, computed
+        on first use (geometry from the attached timeline or the scan).
+
+        Raises:
+            ConfigurationError: if ``t_s`` is outside the weather
+                history — checked on every call, so an epoch already in
+                the table cannot mask an out-of-window time.
+        """
+        if self.weather is not None:
+            self.weather.require_covered(t_s)
+        epoch = int(t_s // STARLINK_RESCHEDULE_INTERVAL_S)
+        state = self.link_states.get(epoch)
+        if state is None:
+            state = self._link_state_at(epoch, self._geometry(epoch))
+            self.link_states.put(epoch, state)
+        return state
+
+    def fill_link_states(self, times_s) -> None:
+        """Batch-compute the link states of the epochs ``times_s`` touch.
+
+        Epochs already in the table, times outside the weather history
+        and epochs beyond the table's cap are left to :meth:`link_state`.
+        The rest go through :func:`~repro.starlink.timeline.\
+compute_serving_timeline`, bit-identical to the scan, in calls of
+        :data:`LINK_FILL_EPOCHS` epochs.
+        """
+        weather = self.weather
+        epochs = {
+            int(t_s // STARLINK_RESCHEDULE_INTERVAL_S)
+            for t_s in times_s
+            if weather is None or 0.0 <= t_s <= weather.duration_s
+        }
+        missing = sorted(epoch for epoch in epochs if epoch not in self.link_states)
+        del missing[self.link_states.max_entries :]
+        from repro.starlink.timeline import compute_serving_timeline
+
+        for start in range(0, len(missing), LINK_FILL_EPOCHS):
+            batch = missing[start : start + LINK_FILL_EPOCHS]
+            timeline = compute_serving_timeline(
+                self.shell,
+                self.terminal,
+                self.gateway,
+                epochs=np.array(batch, dtype=np.int64),
+                min_elevation_deg=self.min_elevation_deg,
+                obstruction=self.obstruction,
+            )
+            for epoch, geometry in zip(batch, timeline.geometries()):
+                self.link_states.put(epoch, self._link_state_at(epoch, geometry))
+
+    def _link_state_at(self, epoch: int, geometry: ServingGeometry | None) -> LinkState:
+        # An hour is 240 epochs, so no epoch spans two weather hours and
+        # the condition at its start holds for every time inside it.
+        condition = self.condition_at(epoch * STARLINK_RESCHEDULE_INTERVAL_S)
+        if geometry is None:
+            return LinkState(None, impairment_for(condition, 55.0), math.nan)
+        impairment = impairment_for(condition, geometry.elevation_deg)
+        scheduler = SCHEDULER_DELAY_S * impairment.latency_multiplier
+        return LinkState(
+            geometry,
+            impairment,
+            geometry.propagation_delay_s + PROCESSING_DELAY_S + scheduler,
+        )
+
     def is_outage(self, t_s: float) -> bool:
         """Whether no satellite is usable at ``t_s``."""
-        return self.serving_geometry(t_s) is None
+        return self.link_state(t_s).outage
 
     # -- weather ----------------------------------------------------------
 
@@ -306,9 +400,7 @@ class BentPipeModel:
 
     def impairment_at(self, t_s: float) -> LinkImpairment:
         """Weather impairment of the link at ``t_s``."""
-        geometry = self.serving_geometry(t_s)
-        elevation = geometry.elevation_deg if geometry is not None else 55.0
-        return impairment_for(self.condition_at(t_s), elevation)
+        return self.link_state(t_s).impairment
 
     # -- analytic latency/loss/capacity ---------------------------------------
 
@@ -319,14 +411,12 @@ class BentPipeModel:
             VisibilityError: during an outage; analytic callers that
                 tolerate outages should check :meth:`is_outage`.
         """
-        geometry = self.serving_geometry(t_s)
-        if geometry is None:
+        state = self.link_state(t_s)
+        if state.outage:
             raise VisibilityError(
                 f"no satellite visible over {self.city_name} at t={t_s}"
             )
-        impairment = self.impairment_at(t_s)
-        scheduler = SCHEDULER_DELAY_S * impairment.latency_multiplier
-        return geometry.propagation_delay_s + PROCESSING_DELAY_S + scheduler
+        return state.base_one_way_delay_s
 
     def mean_rtt_to_pop_s(self, t_s: float) -> float:
         """Expected terminal<->PoP RTT at ``t_s`` (mean queueing folded in).
@@ -335,38 +425,39 @@ class BentPipeModel:
         a slower MCS, so the same offered load queues for longer — the
         dominant mechanism behind Figure 4's ~2x rainy-day PTT.
         """
-        if self.is_outage(t_s):
+        state = self.link_state(t_s)
+        if state.outage:
             return OUTAGE_RTT_PENALTY_S
         utilization = self.capacity.utilization(t_s)
-        weather_multiplier = self.impairment_at(t_s).latency_multiplier
         mean_queue = (
             (self.capacity.plan.wireless_queue_mean_ms / 1000.0)
             * (0.4 + 1.2 * utilization)
-            * weather_multiplier
+            * state.impairment.latency_multiplier
         )
-        return 2.0 * self.base_one_way_delay_s(t_s) + 2.0 * mean_queue
+        return 2.0 * state.base_one_way_delay_s + 2.0 * mean_queue
 
     def sample_rtt_to_pop_s(self, t_s: float) -> float:
         """One random terminal<->PoP RTT draw at ``t_s``."""
-        if self.is_outage(t_s):
+        state = self.link_state(t_s)
+        if state.outage:
             return OUTAGE_RTT_PENALTY_S
-        weather_multiplier = self.impairment_at(t_s).latency_multiplier
-        return 2.0 * self.base_one_way_delay_s(t_s) + weather_multiplier * (
-            self._wireless_queue(t_s) + self._wireless_queue(t_s)
-        )
+        multiplier = state.impairment.latency_multiplier
+        queueing = self._wireless_queue(t_s) + self._wireless_queue(t_s)
+        return 2.0 * state.base_one_way_delay_s + multiplier * queueing
 
     def loss_rate(self, t_s: float, residual: float = 0.002) -> float:
         """Steady-state (non-handover) packet-loss probability at ``t_s``."""
-        if self.is_outage(t_s):
+        state = self.link_state(t_s)
+        if state.outage:
             return 1.0
-        return min(1.0, residual + self.impairment_at(t_s).extra_loss_rate)
+        return min(1.0, residual + state.impairment.extra_loss_rate)
 
     def capacity_bps(
         self, t_s: float, downlink: bool = True, noisy: bool = True
     ) -> float:
         """Weather-adjusted achievable rate at ``t_s``, bits/s."""
         return self.capacity.capacity_bps(t_s, downlink, noisy) * (
-            self.impairment_at(t_s).capacity_multiplier
+            self.link_state(t_s).impairment.capacity_multiplier
         )
 
     # -- packet-level plumbing ---------------------------------------------
@@ -379,10 +470,10 @@ class BentPipeModel:
         """
 
         def delay(now_s: float) -> float:
-            t = now_s + time_offset_s
-            if self.is_outage(t):
+            state = self.link_state(now_s + time_offset_s)
+            if state.outage:
                 return OUTAGE_RTT_PENALTY_S / 2.0
-            return self.base_one_way_delay_s(t)
+            return state.base_one_way_delay_s
 
         def delay_batch(times_s) -> np.ndarray:
             # The serving satellite — and with it the bent-pipe delay —

@@ -143,10 +143,19 @@ class ServiceCapacityModel:
         self.plan = plan
         labels = ("capacity", city_name) + ((user_key,) if user_key is not None else ())
         self._rng = stream(seed, *labels)
+        self._last_t: float | None = None
+        self._last_utilization = 0.0
 
     def utilization(self, t_s: float) -> float:
-        """Cell utilisation at campaign time ``t_s`` (local diurnal)."""
-        return diurnal_utilization(self.city.local_hour(t_s))
+        """Cell utilisation at campaign time ``t_s`` (local diurnal).
+
+        Remembers the last time asked: one RTT sample draws two queue
+        samples at the same ``t``, and one page load several samples.
+        """
+        if t_s != self._last_t:
+            self._last_t = t_s
+            self._last_utilization = diurnal_utilization(self.city.local_hour(t_s))
+        return self._last_utilization
 
     def _base_capacity_mbps(self, t_s: float, downlink: bool) -> float:
         cell = self.plan.cell_dl_mbps if downlink else self.plan.cell_ul_mbps

@@ -74,8 +74,8 @@ class Dish:
 
     def status(self, t_s: float) -> DishyStatus:
         """Dishy-API snapshot at campaign time ``t_s``."""
-        geometry = self.bentpipe.serving_geometry(t_s)
-        impairment = self.bentpipe.impairment_at(t_s)
+        link = self.bentpipe.link_state(t_s)
+        geometry, impairment = link.geometry, link.impairment
         margin = CLEAR_SKY_MARGIN_DB - impairment.attenuation_db
         condition = self.bentpipe.condition_at(t_s)
         if geometry is None:

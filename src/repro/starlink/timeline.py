@@ -2,16 +2,15 @@
 
 The serving satellite, terminal range, gateway range and elevation of a
 bent pipe are a pure function of ``(shell, terminal, gateway, elevation
-mask, obstruction, scheduler epoch)``.  Campaigns query that function
-millions of times, and PR 1's :class:`~repro.starlink.bentpipe.\
-ServingGeometryCache` only amortises repeated queries *within* one
-process — every sharded worker still re-scans identical epochs.
+mask, obstruction, scheduler epoch)``.  The per-epoch scan
+(``BentPipeModel._scan_epoch``) evaluates it one epoch at a time.
 
-:func:`compute_serving_timeline` instead evaluates *every* epoch of a
-window in one vectorised pass and stores the result as compact numpy
-arrays (:class:`ServingTimeline`, ~28 bytes/epoch).  Timelines are
-plain picklable data, so the campaign parent computes one per city and
-ships it to workers; lookups are O(1) random access.
+:func:`compute_serving_timeline` instead evaluates a window or a
+sparse set of epochs in one vectorised pass and stores the result as
+compact numpy arrays (:class:`ServingTimeline`, ~28 bytes/epoch) with
+O(1) random-access lookups.  Packet-level scenarios attach one per
+simulated window; campaign bent pipes batch-fill their per-epoch link
+states from it (``BentPipeModel.fill_link_states``).
 
 Bit-identity contract (extends DESIGN.md §6): the batch kernel
 replicates the exact floating-point operation sequence of
@@ -19,8 +18,8 @@ replicates the exact floating-point operation sequence of
 formulas, same ENU expression order, same ``np.hypot``/``np.arctan2``
 elevation, same ``math.atan2`` azimuth for obstruction tests, and
 first-max tie-breaking identical to the scan's stable sort — so
-``on-demand == timeline == sharded-timeline`` holds exactly, not just
-approximately.  (Numpy ufuncs are elementwise and shape-independent,
+``on-demand == timeline == batch-filled link state`` holds exactly, not
+just approximately.  (Numpy ufuncs are elementwise and shape-independent,
 so computing the same expressions over gathered 1-D arrays yields
 bitwise-equal values; ``tests/test_serving_timeline.py`` asserts it.)
 
@@ -68,13 +67,12 @@ class ServingTimeline:
         terminal_range_m / gateway_range_m / elevation_deg: Serving
             geometry per epoch (zeros where ``sat_index`` is -1).
         satellite_names: Shell satellite names, indexed by ``sat_index``.
-        hits: Lookup counter (feeds campaign throughput stats).
+        hits: Lookup counter (a bent pipe's ``timeline_hits``).
 
-    Contiguous epoch ranges (the campaign case) get O(1) offset
-    lookups; sparse sets (volunteer-node sample grids) fall back to a
-    prebuilt position map.  Instances are plain picklable arrays, which
-    is how the sharded campaign parent hands one timeline per city to
-    its workers.
+    Contiguous epoch ranges (packet-level windows) get O(1) offset
+    lookups; sparse sets (volunteer-node sample grids, a campaign
+    user's event epochs) fall back to a prebuilt position map.
+    Instances are plain picklable arrays.
     """
 
     epochs: np.ndarray

@@ -51,16 +51,24 @@ class WeatherHistory:
             )
         return self._timelines[city_name]
 
+    def require_covered(self, t_s: float) -> None:
+        """Raise unless ``t_s`` is inside the covered period.
+
+        Raises:
+            ConfigurationError: if ``t_s`` is outside ``[0, duration_s]``.
+        """
+        if not 0.0 <= t_s <= self.duration_s:
+            raise ConfigurationError(
+                f"t={t_s} outside weather history [0, {self.duration_s}]"
+            )
+
     def condition_at(self, city_name: str, t_s: float) -> WeatherCondition:
         """Weather condition in a city at campaign time ``t_s``.
 
         Raises:
             ConfigurationError: if ``t_s`` is outside the covered period.
         """
-        if not 0.0 <= t_s <= self.duration_s:
-            raise ConfigurationError(
-                f"t={t_s} outside weather history [0, {self.duration_s}]"
-            )
+        self.require_covered(t_s)
         timeline = self._timeline(city_name)
         return timeline[min(int(t_s // _HOUR_S), len(timeline) - 1)]
 

@@ -33,7 +33,6 @@ EXPLICIT = dict(
     cities=("london", "seattle"),
     speedtest_boost=2.5,
     n_workers=3,
-    precompute_timelines=True,
     mp_start_method="spawn",
     shard_timeout_s=12.5,
     max_shard_retries=4,
@@ -125,7 +124,6 @@ def test_non_object_document_rejected():
         ("cities", [1, 2]),
         ("resume", "yes"),
         ("resume", 1),
-        ("precompute_timelines", "true"),
         ("mp_start_method", 3),
         ("shard_timeout_s", "fast"),
         ("storage_segment_records", 2.5),

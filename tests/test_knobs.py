@@ -25,7 +25,6 @@ RUN_FLAG_ROWS = [knob for knob in FLAG_ROWS if knob.scope == "run"]
 #: One allowed, non-default value per knob.
 SAMPLES = {
     "n_workers": 3,
-    "precompute_timelines": True,
     "checkpoint_dir": "ckpt-root",
     "resume": True,
     "max_shard_retries": 5,
@@ -139,7 +138,7 @@ def test_config_fields_are_the_table_rows():
     from repro.runtime.checkpoint import campaign_fingerprint
 
     fields = {f.name: f for f in dataclasses.fields(CampaignConfig)}
-    assert len(fields) == 19
+    assert len(fields) == 18
     assert "engine" not in fields
     rows = {knob.name for knob in ROWS if knob.config_field}
     assert knobs.EXECUTION_ONLY_FIELDS == rows

@@ -57,7 +57,6 @@ def test_fingerprint_ignores_execution_only_fields():
     base = campaign_fingerprint(CampaignConfig(**SMALL))
     variants = [
         CampaignConfig(**SMALL, n_workers=8),
-        CampaignConfig(**SMALL, precompute_timelines=True),
         CampaignConfig(**SMALL, mp_start_method="spawn"),
         CampaignConfig(**SMALL, shard_timeout_s=30.0),
         CampaignConfig(**SMALL, max_shard_retries=9),
@@ -69,6 +68,16 @@ def test_fingerprint_ignores_execution_only_fields():
         CampaignConfig(**SMALL, storage_segment_records=64),
     ]
     assert all(campaign_fingerprint(v) == base for v in variants)
+
+
+def test_fingerprint_survives_retired_execution_knobs():
+    """The fingerprint skips execution knobs, so retiring one (as
+    ``precompute_timelines`` was) keeps every fingerprint — and with it
+    every checkpoint written before — valid.  The literal digest pins
+    the canonical config across such changes."""
+    config = CampaignConfig(seed=0, duration_s=172_800.0, request_fraction=0.5)
+    pinned = "5cb3c39eb73d4ffd715d3d70f8648056a1e3690da69018d235bf54e829e80472"
+    assert campaign_fingerprint(config) == pinned
 
 
 def test_fingerprint_requires_dataclass():

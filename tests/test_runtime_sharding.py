@@ -112,17 +112,54 @@ def test_serial_run_records_stats(serial_dataset):
 
 
 def test_geometry_cache_shared_across_users():
-    """Per-user bent pipes of one city hit the shared epoch cache."""
+    """Per-user bent pipes of one city can share one serving timeline,
+    the packet-level geometry cache: the second user's lookups hit it,
+    while each user's link-state table stays its own."""
+    from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
+
     campaign = ExtensionCampaign(CampaignConfig(**SMALL))
     users = [u for u in campaign.population.users if u.isp.is_starlink]
     first, second = users[0], users[1]
     assert first.city_name == second.city_name  # London Starlink block
-    campaign.bentpipe_for_user(first).serving_geometry(100.0)
-    cache = campaign.geometry_cache_for_city(first.city_name)
-    misses_before = cache.misses
-    campaign.bentpipe_for_user(second).serving_geometry(100.0)
-    assert cache.misses == misses_before  # second user hit the cache
-    assert cache.hits >= 1
+    first_pipe = campaign.bentpipe_for_user(first)
+    second_pipe = campaign.bentpipe_for_user(second)
+    timeline = first_pipe.build_timeline(0.0, 3600.0)
+    second_pipe.attach_timeline(timeline)
+    hits_before = timeline.hits
+    state = second_pipe.link_state(100.0)
+    assert timeline.hits == hits_before + 1  # second user hit the cache
+    epoch = int(100.0 // STARLINK_RESCHEDULE_INTERVAL_S)
+    assert state.geometry == first_pipe._scan_epoch(epoch)
+    assert epoch in second_pipe.link_states
+    assert epoch not in first_pipe.link_states
+
+
+def test_campaign_link_states_are_batch_filled(monkeypatch):
+    """Every link state a campaign reads is batch-filled: the lazy scan
+    never runs, ``geometry_scans`` counts each (Starlink user, epoch)
+    pair touched once, and the repeat lookups are table hits."""
+    from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
+    from repro.starlink.bentpipe import BentPipeModel
+
+    def no_scan(self, epoch):
+        raise AssertionError(f"lazy scan of epoch {epoch}")
+
+    touched = set()
+    link_state = BentPipeModel.link_state
+
+    def recording_link_state(self, t_s):
+        touched.add((self.user_key, int(t_s // STARLINK_RESCHEDULE_INTERVAL_S)))
+        return link_state(self, t_s)
+
+    monkeypatch.setattr(BentPipeModel, "_scan_epoch", no_scan)
+    monkeypatch.setattr(BentPipeModel, "link_state", recording_link_state)
+    campaign = ExtensionCampaign(CampaignConfig(**SMALL))
+    campaign.run()
+    stats = campaign.last_run_stats
+    assert len({user for user, _ in touched}) > 1
+    assert stats.geometry_scans == len(touched)
+    assert stats.geometry_hits > 0
+    assert stats.timeline_hits == 0
 
 
 def test_sharded_experiment_metrics():

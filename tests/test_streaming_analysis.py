@@ -373,7 +373,6 @@ def test_sketch_reduce_matches_single_pass():
         request_fraction=0.08,
         shell_planes=24,
         shell_sats_per_plane=12,
-        precompute_timelines=False,
     )
     (serial, _), _ = run_campaign(config, "sketch")
     (sharded, _), stats = run_campaign(replace(config, n_workers=2), "sketch")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.web import hosting as hosting_module
 from repro.web.hosting import HostingModel, ServerKind, cdn_probability
 
 
@@ -18,10 +19,18 @@ def test_cdn_probability_declines_with_rank():
     assert probabilities[-1] < 0.45
 
 
-def test_resolution_deterministic_per_domain(hosting):
+def test_resolution_deterministic_per_domain(hosting, monkeypatch):
+    """A pure function of (domain, rank, region, seed): memoised,
+    fresh and evicted-then-recomputed answers agree."""
     first = hosting.resolve("example.com", 5000, "UK")
-    second = hosting.resolve("example.com", 5000, "UK")
-    assert first == second
+    assert hosting.resolve("example.com", 5000, "UK") == first
+    assert HostingModel(seed=0).resolve("example.com", 5000, "UK") == first
+    monkeypatch.setattr(hosting_module, "_RESOLVED_MAX", 1)
+    small = HostingModel(seed=0)
+    small.resolve("example.com", 5000, "UK")
+    small.resolve("other.example", 5000, "UK")  # evicts example.com
+    assert len(small._resolved) == 1
+    assert small.resolve("example.com", 5000, "UK") == first
 
 
 def test_resolution_varies_by_region(hosting):
