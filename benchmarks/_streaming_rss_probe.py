@@ -10,12 +10,13 @@ high-water mark of one phase cannot pollute another:
 
 ``python benchmarks/_streaming_rss_probe.py analyze <dir> <mode>``
     Reopens the spill dataset and computes the Table 1 aggregates per
-    (city, connection type) with the ``exact`` pipeline (materialised
-    record selections, as ``table1`` runs today) or the ``streaming``
-    one (sketches folded one segment at a time).  Prints a JSON line
-    with the peak-RSS growth over the post-open baseline plus the
-    computed cells, so the parent can assert both the memory bound and
-    the numeric agreement.
+    (city, connection type) with the ``exact`` pipeline (the
+    ``Dataset`` aggregates ``table1`` calls, which fold masked column
+    chunks) or the ``streaming`` one (sketches folded one segment at a
+    time).  Prints a JSON line with the peak-RSS growth over the
+    post-open baseline, the analysis wall time and the computed cells,
+    so the parent can assert both the memory bound and the numeric
+    agreement.
 
 Underscore-prefixed so pytest does not collect it.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import resource
 import sys
+import time
 
 import numpy as np
 
@@ -87,6 +89,7 @@ def analyze(directory: str, mode: str) -> dict:
 
     dataset = Dataset(backend=SpillBackend.open(directory))
     baseline_kib = _peak_rss_kib()
+    started = time.perf_counter()
     cells: dict[str, dict] = {}
     if mode == "exact":
         for city in CITIES:
@@ -119,6 +122,7 @@ def analyze(directory: str, mode: str) -> dict:
         "n_records": dataset.n_page_loads,
         "baseline_kib": baseline_kib,
         "peak_kib": _peak_rss_kib(),
+        "wall_s": time.perf_counter() - started,
         "cells": cells,
     }
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import DatasetError
-from repro.extension.storage import Dataset
+from repro.extension.storage import Dataset, _median
 from repro.extension.users import User
 
 
@@ -71,8 +71,8 @@ class DetailsTabView:
         own = [r for r in self.dataset.page_loads if r.user_id == user.user_id]
         if not own:
             raise DatasetError(f"user {user.user_id} has no shared records")
-        own_ptts = sorted(r.ptt_ms for r in own)
-        your_median = own_ptts[len(own_ptts) // 2]
+        # The same median as the city cells it is compared against.
+        your_median = _median([r.ptt_ms for r in own])
 
         def city_median(is_starlink: bool) -> float | None:
             try:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import DatasetError
 from repro.extension.backends import DatasetBackend, InMemoryBackend
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
@@ -62,14 +64,50 @@ def speedtest_to_dict(record: SpeedtestRecord) -> dict:
     }
 
 
-def _median(values: list[float]) -> float:
-    if not values:
+def _median(values) -> float:
+    """The middle value, or ``0.5*(a+b)`` of the two middle values, of
+    the sorted float64 ``values`` (a list or an array: same bits)."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    if not ordered.size:
         raise DatasetError("median of an empty selection")
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2 == 1:
-        return ordered[middle]
-    return 0.5 * (ordered[middle - 1] + ordered[middle])
+    middle = ordered.size // 2
+    if ordered.size % 2 == 1:
+        return float(ordered[middle])
+    return float(0.5 * (ordered[middle - 1] + ordered[middle]))
+
+
+#: The page-load column each :meth:`Dataset.select` filter reads.
+_FILTER_COLUMNS = {
+    "city": "city",
+    "is_starlink": "is_starlink",
+    "isp": "isp",
+    "popular": "is_popular",
+    "t_min": "t_s",
+    "t_max": "t_s",
+    "domain_in": "domain",
+}
+
+
+def _selection_mask(chunk: dict[str, np.ndarray], filters: dict) -> np.ndarray:
+    """The rows of one column chunk that :meth:`Dataset.select` keeps.
+
+    Each test is the negation of the record path's skip test, so NaNs
+    and boundaries fall the same way (``t_max`` stays exclusive), and
+    ``domain_in`` becomes a list first: ``np.isin`` takes a set as one
+    scalar and matches nothing.
+    """
+    keep = np.ones(len(next(iter(chunk.values()))), dtype=bool)
+    for name, value in filters.items():
+        column = chunk[_FILTER_COLUMNS[name]]
+        if name == "t_min":
+            keep &= ~(column < value)
+        elif name == "t_max":
+            keep &= ~(column >= value)
+        elif name == "domain_in":
+            keep &= np.isin(column, list(value))
+        else:
+            keep &= ~(column != value)
+    return keep
 
 
 class Dataset:
@@ -232,19 +270,45 @@ class Dataset:
 
     # -- aggregates (the paper's table cells) ---------------------------------
 
+    def _masked(self, column: str, filters: dict):
+        """One page-load column's values over a :meth:`select` selection,
+        one column chunk at a time, on backends that store columns.
+
+        Loads only the filter columns plus ``column`` and builds no
+        record object (DESIGN.md §9, "Exact aggregates").  The
+        ``memory`` backend's aggregates scan its resident records
+        instead: encoding them to columns costs more than it saves.
+        """
+        unknown = sorted(set(filters) - set(_FILTER_COLUMNS))
+        if unknown:
+            raise TypeError(f"unknown selection filter(s) {unknown}")
+        active = {name: value for name, value in filters.items() if value is not None}
+        load = dict.fromkeys([*(_FILTER_COLUMNS[name] for name in active), column])
+        for chunk in self._backend.iter_page_load_column_chunks(tuple(load)):
+            yield chunk[column][_selection_mask(chunk, active)]
+
     def median_ptt_ms(self, **filters) -> float:
         """Median PTT over a selection (Table 1 cells)."""
-        return _median([r.ptt_ms for r in self.select(**filters)])
+        if isinstance(self._backend, InMemoryBackend):
+            return _median([r.ptt_ms for r in self.select(**filters)])
+        return _median(np.concatenate([np.empty(0), *self._masked("ptt_ms", filters)]))
 
     def request_count(self, **filters) -> int:
         """Number of requests in a selection (#req column)."""
         if not filters:
             return self._backend.n_page_loads
-        return len(self.select(**filters))
+        if isinstance(self._backend, InMemoryBackend):
+            return len(self.select(**filters))
+        return sum(len(values) for values in self._masked("is_starlink", filters))
 
     def unique_domains(self, **filters) -> int:
         """Distinct domains in a selection (#domain column)."""
-        return len({r.domain for r in self.select(**filters)})
+        if isinstance(self._backend, InMemoryBackend):
+            return len({r.domain for r in self.select(**filters)})
+        domains: set[str] = set()
+        for values in self._masked("domain", filters):
+            domains.update(values)
+        return len(domains)
 
     def median_speedtest_mbps(
         self, city: str, is_starlink: bool = True

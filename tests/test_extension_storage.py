@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DatasetError
+from repro.extension.backends import make_backend
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
 from repro.extension.storage import Dataset
 from repro.web.timing import NavigationTiming
@@ -37,9 +38,7 @@ def _record(user="u-1", city="london", starlink=True, t=100.0, rank=50, scale=1.
     )
 
 
-@pytest.fixture()
-def dataset():
-    ds = Dataset()
+def _fill(ds):
     ds.add_page_load(_record(user="u-1", t=10.0, rank=50, scale=1.0))
     ds.add_page_load(_record(user="u-1", t=20.0, rank=5000, scale=2.0))
     ds.add_page_load(_record(user="u-2", city="seattle", t=30.0, scale=1.5))
@@ -57,6 +56,11 @@ def dataset():
         )
     )
     return ds
+
+
+@pytest.fixture()
+def dataset():
+    return _fill(Dataset())
 
 
 def test_select_by_city(dataset):
@@ -84,7 +88,7 @@ def test_select_by_domain(dataset):
 
 def test_median_ptt(dataset):
     values = sorted(r.ptt_ms for r in dataset.select(city="london"))
-    assert dataset.median_ptt_ms(city="london") == pytest.approx(values[1])
+    assert dataset.median_ptt_ms(city="london") == values[1]
 
 
 def test_median_of_empty_selection_raises(dataset):
@@ -140,3 +144,40 @@ def test_stored_records_contain_no_forbidden_fields(dataset, tmp_path):
     dataset.to_jsonl(path)
     for line in path.read_text().splitlines():
         assert not contains_forbidden_fields(json.loads(line))
+
+
+#: Records per chunk/segment: columnar holds one compacted chunk plus a
+#: staged page load, spill two flushed segments plus a staged speedtest.
+SEGMENT_RECORDS = {"columnar": 3, "spill": 2}
+
+
+class TestColumnStoredBackends:
+    """The tests above on the backends that store columns, where the
+    aggregates fold column chunks instead of scanning records (the
+    module-level runs are the ``memory`` backend's, ids unchanged)."""
+
+    @pytest.fixture(params=sorted(SEGMENT_RECORDS))
+    def dataset(self, request, tmp_path):
+        backend = make_backend(
+            request.param,
+            directory=str(tmp_path / "segments"),
+            segment_records=SEGMENT_RECORDS[request.param],
+        )
+        return _fill(Dataset(backend=backend))
+
+    test_select_by_city = staticmethod(test_select_by_city)
+    test_select_by_starlink = staticmethod(test_select_by_starlink)
+    test_select_by_popularity = staticmethod(test_select_by_popularity)
+    test_select_time_window = staticmethod(test_select_time_window)
+    test_select_by_domain = staticmethod(test_select_by_domain)
+    test_median_ptt = staticmethod(test_median_ptt)
+    test_median_of_empty_selection_raises = staticmethod(
+        test_median_of_empty_selection_raises
+    )
+    test_unique_domains = staticmethod(test_unique_domains)
+    test_speedtest_medians = staticmethod(test_speedtest_medians)
+    test_delete_user = staticmethod(test_delete_user)
+    test_jsonl_roundtrip = staticmethod(test_jsonl_roundtrip)
+    test_stored_records_contain_no_forbidden_fields = staticmethod(
+        test_stored_records_contain_no_forbidden_fields
+    )

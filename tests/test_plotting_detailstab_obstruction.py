@@ -154,6 +154,39 @@ def test_details_tab_unknown_user(campaign_and_dataset):
         DetailsTabView(dataset).comparison(ghost)
 
 
+def test_details_tab_median_of_two_loads_averages_them():
+    """An even count averages the two middle loads, like the city
+    medians the user is judged against (not the slower of the two)."""
+    from repro.extension.detailstab import DetailsTabView
+    from repro.extension.records import PageLoadRecord
+    from repro.extension.storage import Dataset
+    from repro.extension.users import IspKind, User
+    from repro.web.timing import NavigationTiming
+
+    user = User("u-twoloads0001", "london", IspKind.STARLINK, 1.0, 1.0)
+    dataset = Dataset()
+    for response_s in (0.1, 0.3):
+        dataset.add_page_load(
+            PageLoadRecord(
+                user_id=user.user_id,
+                city="london",
+                region="UK",
+                isp="starlink",
+                is_starlink=True,
+                exit_asn=14593,
+                t_s=0.0,
+                domain="site.example",
+                rank=1,
+                is_popular=True,
+                timing=NavigationTiming(0.0, 0.0, 0.0, 0.0, 0.0, response_s, 0.0, 0.0),
+            )
+        )
+    summary = DetailsTabView(dataset).comparison(user)
+    fast, slow = sorted(r.ptt_ms for r in dataset.page_loads)
+    assert summary.your_median_ptt_ms == 0.5 * (fast + slow)
+    assert summary.your_median_ptt_ms == summary.starlink_median_ptt_ms
+
+
 # --- obstruction ------------------------------------------------------------------
 
 

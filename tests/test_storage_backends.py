@@ -371,3 +371,127 @@ def test_slice_rejects_malformed_windows(backend, tmp_path):
             dataset.page_load_slice(offset, limit)
         with pytest.raises(DatasetError):
             dataset.speedtest_slice(offset, limit)
+
+
+# -- exact aggregates: column fold vs the record scan --------------------
+
+MATRIX_CITIES = ("london", "seattle", "sydney")
+MATRIX_ISPS = ("starlink", "broadband", "cellular")
+
+#: Every ``select`` filter alone, two combinations, no filter, and an
+#: empty selection.  ``t_max=120.0`` meets a record at exactly 120 s,
+#: which must stay out; ``domain_in`` comes as a set and a frozenset.
+MATRIX_FILTERS = (
+    {"city": "london"},
+    {"is_starlink": False},
+    {"isp": "cellular"},
+    {"popular": True},
+    {"t_min": 50.0},
+    {"t_max": 120.0},
+    {"domain_in": {"site-1.example", "site-4.example"}},
+    {"city": "seattle", "is_starlink": True, "popular": False},
+    {
+        "isp": "broadband",
+        "t_min": 30.0,
+        "t_max": 200.0,
+        "domain_in": frozenset({"site-1.example", "site-3.example"}),
+    },
+    {},
+    {"city": "warsaw"},
+)
+
+
+def _matrix_record(i: int) -> PageLoadRecord:
+    isp = MATRIX_ISPS[i % 3]
+    return PageLoadRecord(
+        user_id=f"u-{i % 4}",
+        city=MATRIX_CITIES[(i // 2) % 3],
+        region="region",
+        isp=isp,
+        is_starlink=isp == "starlink",
+        exit_asn=14593,
+        # A NaN timestamp falls on the keep side of both time bounds.
+        t_s=float("nan") if i == 7 else 10.0 * i,
+        domain=f"site-{i % 6}.example",
+        rank=i,
+        is_popular=i % 4 < 2,
+        # (7 i mod 23) permutes 0..22: every PTT differs, out of t order.
+        timing=NavigationTiming(
+            *(0.001 * ((7 * i) % 23 + 1) * (j + 1) for j in range(8))
+        ),
+    )
+
+
+def _record_scan(records, **filters) -> tuple:
+    """(#req, #domain, median PTT or None) by a plain scan of records."""
+    city = filters.get("city")
+    is_starlink = filters.get("is_starlink")
+    isp = filters.get("isp")
+    popular = filters.get("popular")
+    t_min = filters.get("t_min")
+    t_max = filters.get("t_max")
+    domain_in = filters.get("domain_in")
+    kept = [
+        r
+        for r in records
+        if (city is None or r.city == city)
+        and (is_starlink is None or r.is_starlink == is_starlink)
+        and (isp is None or r.isp == isp)
+        and (popular is None or r.is_popular == popular)
+        and (t_min is None or not r.t_s < t_min)
+        and (t_max is None or not r.t_s >= t_max)
+        and (domain_in is None or r.domain in domain_in)
+    ]
+    ptts = sorted(r.ptt_ms for r in kept)
+    middle = len(ptts) // 2
+    if not ptts:
+        median = None
+    elif len(ptts) % 2:
+        median = ptts[middle]
+    else:
+        median = 0.5 * (ptts[middle - 1] + ptts[middle])
+    return len(kept), len({r.domain for r in kept}), median
+
+
+def _matrix_dataset(kind: str, records, tmp_path) -> Dataset:
+    """``kind``'s dataset of ``records`` in segments of 4: columnar and
+    spill keep 3 staged records; ``spill-reopened`` is flushed and read
+    back through ``SpillBackend.open``."""
+    backend = make_backend(
+        kind.split("-")[0], directory=str(tmp_path / "segments"), segment_records=4
+    )
+    dataset = Dataset(backend=backend)
+    dataset.extend_page_loads(records)
+    if kind == "spill-reopened":
+        dataset.flush()
+        return Dataset(backend=SpillBackend.open(str(tmp_path / "segments")))
+    return dataset
+
+
+@pytest.mark.parametrize("kind", BACKENDS + ("spill-reopened",))
+def test_exact_aggregates_match_record_scan(kind, tmp_path):
+    """#req, #domain and median PTT equal a plain record scan, value and
+    Python type, for every filter on every backend (the column-stored
+    ones fold masked column chunks, including the staged tail)."""
+    records = [_matrix_record(i) for i in range(23)]
+    dataset = _matrix_dataset(kind, records, tmp_path)
+    staged = getattr(dataset.backend, "_staging", {}).get("page_loads", [])
+    assert len(staged) == (3 if kind in ("columnar", "spill") else 0)
+    sizes = []
+    for filters in MATRIX_FILTERS:
+        n, domains, median = _record_scan(records, **filters)
+        sizes.append(n)
+        count = dataset.request_count(**filters)
+        distinct = dataset.unique_domains(**filters)
+        assert (count, distinct) == (n, domains), filters
+        assert type(count) is int and type(distinct) is int, filters
+        if median is None:
+            with pytest.raises(DatasetError):
+                dataset.median_ptt_ms(**filters)
+            continue
+        value = dataset.median_ptt_ms(**filters)
+        assert value == median and type(value) is float, filters
+    # The matrix itself covers what it claims to.
+    assert sizes[-1] == 0 and all(sizes[:-1])
+    assert any(n % 2 == 0 for n in sizes[:-1])
+    assert any(r.t_s == MATRIX_FILTERS[5]["t_max"] for r in records)
