@@ -10,13 +10,13 @@ high-water mark of one phase cannot pollute another:
 
 ``python benchmarks/_streaming_rss_probe.py analyze <dir> <mode>``
     Reopens the spill dataset and computes the Table 1 aggregates per
-    (city, connection type) with the ``exact`` pipeline (the
-    ``Dataset`` aggregates ``table1`` calls, which fold masked column
-    chunks) or the ``streaming`` one (sketches folded one segment at a
-    time).  Prints a JSON line with the peak-RSS growth over the
-    post-open baseline, the analysis wall time and the computed cells,
-    so the parent can assert both the memory bound and the numeric
-    agreement.
+    (city, connection type) with the ``exact`` fold (``table1.fold``,
+    the one pass over column chunks that ``table1`` itself runs) or the
+    ``streaming`` one (sketches folded one segment at a time, as the
+    campaign's sketch task does).  Prints a JSON line with the peak-RSS
+    growth over the post-open baseline, the analysis wall time and the
+    computed cells, so the parent can assert the memory bound, the
+    wall-time ratio and the numeric agreement.
 
 Underscore-prefixed so pytest does not collect it.
 """
@@ -84,6 +84,8 @@ def build(directory: str, n_records: int) -> dict:
 
 
 def analyze(directory: str, mode: str) -> dict:
+    from repro.analysis.streaming import stream_table1_stats
+    from repro.experiments import table1
     from repro.extension.backends import SpillBackend
     from repro.extension.storage import Dataset
 
@@ -92,20 +94,14 @@ def analyze(directory: str, mode: str) -> dict:
     started = time.perf_counter()
     cells: dict[str, dict] = {}
     if mode == "exact":
-        for city in CITIES:
-            for starlink in (True, False):
-                cells[f"{city}_{starlink}"] = {
-                    "n": dataset.request_count(city=city, is_starlink=starlink),
-                    "domains": dataset.unique_domains(
-                        city=city, is_starlink=starlink
-                    ),
-                    "median": dataset.median_ptt_ms(
-                        city=city, is_starlink=starlink
-                    ),
-                }
+        for (city, starlink), cell in table1.fold(dataset, CITIES).items():
+            n, domains, median = cell
+            cells[f"{city}_{starlink}"] = {
+                "n": n,
+                "domains": domains,
+                "median": median,
+            }
     elif mode == "streaming":
-        from repro.analysis.streaming import stream_table1_stats
-
         grouped = stream_table1_stats(dataset)
         for city in CITIES:
             for starlink in (True, False):

@@ -1,23 +1,25 @@
-"""Table 1 analysis at 1M records: bounded memory, streaming accuracy.
+"""Table 1 analysis at 1M records: bounded memory, wall time, sketch accuracy.
 
 Three claims:
 
 * **Bounded analysis RSS** — computing the Table 1 aggregates over a
   million-record spill dataset grows peak RSS by at most
-  ``ANALYSIS_RSS_CEILING_MIB`` in either mode: ``exact`` folds masked
-  column chunks (loading only the filter columns plus the one value
-  column per segment), ``streaming`` folds mergeable sketches one
-  segment at a time.  A regression back to decoding record objects
-  (255 MiB at 1M records on a 2-core x86_64 container) trips the
-  ceiling 8 times over.  Each mode
-  runs in a fresh subprocess (``_streaming_rss_probe.py``) because
-  ``ru_maxrss`` is a process-wide high-water mark.
-* **Accuracy** — on that same dataset the streaming counts and
+  ``ANALYSIS_RSS_CEILING_MIB`` in either mode: ``exact`` is
+  ``table1.fold``, one grouped pass over column chunks (loading four
+  columns per segment and keeping each group's PTT column and distinct
+  domains), ``streaming`` folds mergeable sketches one segment at a
+  time.  A regression back to decoding record objects (255 MiB at 1M
+  records on a 2-core x86_64 container) trips the ceiling 8 times
+  over.  Each mode runs in a fresh subprocess
+  (``_streaming_rss_probe.py``) because ``ru_maxrss`` is a
+  process-wide high-water mark.
+* **Exact wall time** — the exact fold takes at most
+  ``EXACT_OVER_STREAMING_MAX`` times the sketch fold's wall time, so
+  the sketch path buys no speed for the paper's artefacts.
+* **Sketch accuracy** — on that same dataset the streaming counts and
   distinct-domain cells equal the exact ones, and every streaming
-  median lands within the 1 % rank-error bound of the exact column.
-* **Exact-mode identity** — ``--analytics exact`` produces exactly the
-  default pipeline's result (same rows, same metrics, bit for bit),
-  so the new mode plumbing cannot perturb the historical outputs.
+  median lands within 2 % of the exact one (the sketch task and the
+  service's live aggregates read these sketches).
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ RSS_PROBE_RECORDS = 1_000_000
 
 #: Ceiling on either mode's analysis peak-RSS growth at 1M records.
 ANALYSIS_RSS_CEILING_MIB = 32
+
+#: Most the exact fold's wall time may be, as a multiple of streaming's.
+EXACT_OVER_STREAMING_MAX = 2.0
 
 
 def _run_probe(args: list[str]) -> dict:
@@ -54,7 +59,8 @@ def _run_probe(args: list[str]) -> dict:
 
 def test_analysis_peak_rss_bounded(benchmark, tmp_path):
     """Both modes' analysis peak-RSS growth stays under the ceiling at
-    1M records, and their Table 1 cells agree."""
+    1M records, exact takes at most twice streaming's wall time, and
+    their Table 1 cells agree."""
     directory = str(tmp_path / "segments")
     built = _run_probe(["build", directory, str(RSS_PROBE_RECORDS)])
     assert built["built"] == RSS_PROBE_RECORDS
@@ -92,31 +98,8 @@ def test_analysis_peak_rss_bounded(benchmark, tmp_path):
             f"{report['growth_kib'] / 1024:.1f} MiB "
             f"(ceiling {ANALYSIS_RSS_CEILING_MIB} MiB)"
         )
-
-
-def test_exact_mode_identical_to_default(benchmark):
-    """--analytics exact is a no-op: bit-identical experiment results."""
-    from repro.experiments import run_experiment
-
-    def run_both():
-        default = run_experiment("table1", seed=2, scale=0.15)
-        exact = run_experiment("table1", seed=2, scale=0.15, analytics="exact")
-        return default, exact
-
-    default, exact = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    assert exact.rows == default.rows
-
-    def value_metrics(result):
-        # campaign_wall_s / campaign_records_per_s are wall-clock
-        # measurements and legitimately differ between identical runs.
-        return {
-            key: value
-            for key, value in result.metrics.items()
-            if not key.startswith("campaign_")
-        }
-
-    assert value_metrics(exact) == value_metrics(default)
-    print(
-        f"\nexact-mode identity: {len(default.rows)} rows, "
-        f"{len(default.metrics)} metrics bit-identical to the default path"
+    assert exact["wall_s"] <= EXACT_OVER_STREAMING_MAX * streaming["wall_s"], (
+        f"exact fold took {exact['wall_s']:.2f} s, more than "
+        f"{EXACT_OVER_STREAMING_MAX}x streaming's {streaming['wall_s']:.2f} s"
     )
+

@@ -7,9 +7,10 @@
   with weather history (Figure 4).
 * :mod:`repro.analysis.aschange` — detecting the exit-AS migration in
   the dataset and splitting distributions around it (Figure 3).
-* :mod:`repro.analysis.streaming` — mergeable quantile sketches and
-  O(segment)-memory streaming builders for the same figures/tables
-  (``--analytics streaming``).
+* :mod:`repro.analysis.streaming` — column folds over segment streams:
+  the exact grouped pass behind Tables 1/3 and Figures 3/4, and the
+  mergeable quantile sketches of the campaign's sketch task and the
+  service's live aggregates.
 * :mod:`repro.analysis.tables` — plain-text table rendering for the
   experiment harness output.
 """

@@ -1,40 +1,42 @@
-"""Streaming analytics: mergeable sketches folded over segment streams.
+"""Column folds over segment streams: exact groups and mergeable sketches.
 
-The paper's headline artifacts (the PTT CDFs of Figure 3, the weather
-medians of Figure 4, the per-city cells of Tables 1 and 3) are all
-order statistics over page-load and speedtest records.  The exact
-pipeline materialises full columns (or record lists) and sorts them —
-O(dataset) memory, which re-inflates everything the spill backend
-(DESIGN.md §9) keeps off the heap.  This module provides the
-O(segment) alternative:
+The paper's dataset artefacts (the per-city cells of Tables 1 and 3,
+the PTT CDFs of Figure 3, the weather medians of Figure 4) are exact
+counts and order statistics over page-load and speedtest records.
+Each is computed in one pass over ``Dataset.iter_*_column_chunks``,
+which on the spill backend (DESIGN.md §9) holds one segment of the
+requested columns at a time and builds no record object:
+
+* :func:`group_columns` — the exact fold every artefact uses.  It
+  groups each chunk's rows by key columns and returns each group's
+  value columns in append order (plus exact distinct-label sets), so
+  medians, percentiles, ECDFs and means come out bit for bit as a
+  record scan would give them.
+
+Callers that must merge partial results without holding the rows use
+mergeable sketches instead: the campaign executor's sketch task (see
+:mod:`repro.runtime.pool`) and the service's live aggregates
+(:mod:`repro.service.aggregates`), both through
+:func:`fold_table_columns`.
 
 * :class:`QuantileSketch` — a mergeable t-digest (pure numpy, k1 scale
   function) with ``update(array)`` / ``merge(other)`` / ``quantile(q)``
   / ``cdf(xs)``.  Rank error is bounded by the compression parameter:
   with the default :data:`DEFAULT_COMPRESSION` the mid-distribution
-  error stays well under the 1 % the streaming builders assert.
+  error stays well under the 1 % the tests assert.
 * :class:`MomentsAccumulator` — exact mergeable count/sum/min/max (so
   ``n``, ``mean``, ``min`` and ``max`` never carry sketch error).
 * :class:`DistinctAccumulator` — exact mergeable distinct counting for
   small domains (the Tranco list bounds ``#domain`` cells).
 * :class:`GroupedAccumulator` — per-key sketches, fed column chunks
   one backend segment at a time (keys are tuples such as
-  ``(city, weather condition, connection type)``).
-* ``stream_*`` builders — incremental versions of the Figure 3/4 and
-  Table 1/3 aggregations that fold
-  ``Dataset.iter_page_load_column_chunks`` streams and never hold more
-  than one segment of columns.
+  ``(city, connection type)``).
 
 Sketch states are plain dicts of numpy arrays/scalars: picklable
-across the supervision pipe (the campaign executor's sketch task, see
-:mod:`repro.runtime.pool`) and mergeable in any order — merge is
+across the supervision pipe and mergeable in any order — merge is
 associative and commutative up to the rank-error bound, which is what
-makes the sketch the natural reduce step for sharded campaigns.
-
-The dataset-backed experiments use these builders only when asked to:
-the ``analytics`` knob (``--analytics streaming``, ``REPRO_ANALYTICS``
-or ``CampaignConfig.analytics``; see :mod:`repro.knobs`) defaults to
-``exact``, so sketch medians never replace exact ones silently.
+makes the sketch the natural reduce step for sharded campaigns.  No
+paper artefact reads a sketch: their cells are always exact.
 """
 
 from __future__ import annotations
@@ -42,14 +44,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.stats import Summary
-from repro.constants import AS_GOOGLE, AS_SPACEX
 from repro.errors import ConfigurationError, DatasetError
-from repro.weather.conditions import WEATHER_CONDITIONS
 
 #: t-digest compression (number of k-units across the distribution).
 #: Mid-distribution rank error of a compressed digest is ~pi/delta
 #: (~0.4 % at 800); doubled-span clusters after deep merges stay under
-#: the 1 % bound the builders and benchmarks assert.
+#: the 1 % bound the tests and benchmarks assert.
 DEFAULT_COMPRESSION = 800
 
 #: Buffered points a sketch accumulates before recompressing.
@@ -365,12 +365,46 @@ def _group_slices(key_columns: list[np.ndarray]):
         yield key, order[start:end]
 
 
+def group_columns(chunks, keys, values, distinct=()) -> dict[tuple, dict]:
+    """Group column chunks by key in one pass, exactly.
+
+    ``chunks`` is a column-chunk stream (``Dataset.iter_*_column_chunks``
+    or a generator over one).  Each chunk's rows are grouped by the
+    ``keys`` columns through :func:`_group_slices`, whose stable sort
+    keeps a group's rows in chunk order.  Returns ``{key: {column:
+    ...}}`` in sorted key order: each ``values`` column as one array in
+    the dataset's append order, and each ``distinct`` column as the set
+    of its distinct values, which holds labels rather than rows.
+    """
+    groups: dict[tuple, dict] = {}
+    for chunk in chunks:
+        if not len(chunk[keys[0]]):
+            continue
+        for key, rows in _group_slices([chunk[name] for name in keys]):
+            if key not in groups:
+                groups[key] = {name: [] for name in values}
+                groups[key].update({name: set() for name in distinct})
+            group = groups[key]
+            for name in values:
+                group[name].append(chunk[name][rows])
+            for name in distinct:
+                group[name].update(np.unique(chunk[name][rows]).tolist())
+    folded = {}
+    for key in sorted(groups):
+        # Pop as we go: peak memory is the pieces plus one group's copy.
+        group = groups.pop(key)
+        for name in values:
+            group[name] = np.concatenate(group[name])
+        folded[key] = group
+    return folded
+
+
 class GroupedAccumulator:
     """Per-key quantile sketches fed one column chunk at a time.
 
     Keys are tuples of the grouping columns' values — e.g.
-    ``(city, weather condition, connection type)`` — and each key owns
-    one :class:`QuantileSketch` (plus, optionally, one exact
+    ``(city, connection type)`` — and each key owns one
+    :class:`QuantileSketch` (plus, optionally, one exact
     :class:`DistinctAccumulator` for a label column).  One ``update``
     call folds one backend segment; peak memory is the segment's
     columns plus the (tiny) per-key sketch states.
@@ -500,9 +534,9 @@ def fold_table_columns(page, speed, page_load_arrays, speedtest_arrays) -> None:
             grouped.update(keys, speedtest_arrays[value])
 
 
-# -- streaming figure/table builders ------------------------------------
+# -- the Table 1 sketch fold ----------------------------------------------
 
-#: Page-load columns the grouped table builders fold.
+#: Page-load columns :func:`stream_table1_stats` folds.
 _TABLE1_COLUMNS = ("city", "is_starlink", "domain", "ptt_ms")
 
 
@@ -521,151 +555,3 @@ def stream_table1_stats(dataset) -> GroupedAccumulator:
             distinct=chunk["domain"],
         )
     return grouped
-
-
-def stream_as_switch_times(dataset, cities) -> dict[str, float | None]:
-    """Mergeable re-statement of :func:`detect_as_switch_time` per city.
-
-    The exact detector needs only two mergeable minima per city: the
-    first Starlink timestamp on the SpaceX AS and the first on the
-    Google AS.  A switch exists iff some Google-AS record precedes the
-    first SpaceX-AS record — i.e. ``min_google < min_spacex`` — and the
-    switch time is then ``min_spacex`` exactly (no sketch error).
-
-    Raises:
-        DatasetError: if a requested city has no Starlink records
-            (mirrors the exact detector's contract).
-    """
-    cities = tuple(cities)
-    first = {
-        city: {"google": np.inf, "spacex": np.inf, "any": False}
-        for city in cities
-    }
-    columns = ("city", "is_starlink", "exit_asn", "t_s")
-    for chunk in dataset.iter_page_load_column_chunks(columns):
-        starlink = chunk["is_starlink"]
-        for city in cities:
-            mask = starlink & (chunk["city"] == city)
-            if not mask.any():
-                continue
-            first[city]["any"] = True
-            asn = chunk["exit_asn"][mask]
-            t_s = chunk["t_s"][mask]
-            for label, target_asn in (("google", AS_GOOGLE), ("spacex", AS_SPACEX)):
-                hits = asn == target_asn
-                if hits.any():
-                    first[city][label] = min(
-                        first[city][label], float(t_s[hits].min())
-                    )
-    switches: dict[str, float | None] = {}
-    for city in cities:
-        if not first[city]["any"]:
-            raise DatasetError("no Starlink records to detect an AS switch in")
-        spacex_t = first[city]["spacex"]
-        if np.isinf(spacex_t) or not first[city]["google"] < spacex_t:
-            switches[city] = None
-        else:
-            switches[city] = spacex_t
-    return switches
-
-
-def stream_city_class_era_ptt(
-    dataset, split_times: dict[str, float]
-) -> GroupedAccumulator:
-    """Fold the Figure 3 buckets: sketches keyed ``(city, class, era)``.
-
-    ``split_times`` maps city to its AS-switch timestamp (from
-    :func:`stream_as_switch_times` or the expected timeline value);
-    each Starlink record lands in the ``google`` era when
-    ``t_s < split`` else ``spacex``, and in class ``popular``/
-    ``unpopular`` by its Tranco flag — the same partition the exact
-    path builds from materialised record lists.
-    """
-    grouped = GroupedAccumulator()
-    columns = ("city", "is_starlink", "is_popular", "t_s", "ptt_ms")
-    for chunk in dataset.iter_page_load_column_chunks(columns):
-        starlink = chunk["is_starlink"]
-        for city, split_t in split_times.items():
-            mask = starlink & (chunk["city"] == city)
-            if not mask.any():
-                continue
-            era = np.where(chunk["t_s"][mask] < split_t, "google", "spacex")
-            klass = np.where(chunk["is_popular"][mask], "popular", "unpopular")
-            city_keys = np.full(int(mask.sum()), city)
-            grouped.update((city_keys, klass, era), chunk["ptt_ms"][mask])
-    return grouped
-
-
-def stream_ptt_by_condition(
-    dataset,
-    weather,
-    city_name: str,
-    domains=None,
-    min_samples: int = 3,
-) -> dict:
-    """Streaming sibling of :func:`~repro.analysis.weatherjoin.ptt_by_condition`.
-
-    Joins each page-load chunk against the city's hourly weather
-    timeline vectorised (hour index lookup, identical bucketing to the
-    scalar ``condition_at``) and folds per-condition PTT sketches.
-    ``domains`` optionally restricts to a domain set (Figure 4 uses the
-    Google service domains).  Returns ``{condition: Summary}`` in
-    severity order, omitting conditions with fewer than ``min_samples``
-    records; ``n``/``min``/``max``/``mean`` are exact, quartiles carry
-    the sketch's bounded rank error.
-    """
-    timeline = weather.hourly_timeline(city_name)
-    condition_index = {
-        condition: index for index, condition in enumerate(WEATHER_CONDITIONS)
-    }
-    timeline_codes = np.fromiter(
-        (condition_index[condition] for condition in timeline),
-        dtype=np.int64,
-        count=len(timeline),
-    )
-    domain_list = None if domains is None else np.asarray(sorted(domains))
-    grouped = GroupedAccumulator()
-    columns = ("city", "is_starlink", "t_s", "ptt_ms", "domain")
-    for chunk in dataset.iter_page_load_column_chunks(columns):
-        mask = chunk["is_starlink"] & (chunk["city"] == city_name)
-        if domain_list is not None:
-            mask &= np.isin(chunk["domain"], domain_list)
-        if not mask.any():
-            continue
-        t_s = chunk["t_s"][mask]
-        hours = np.minimum(
-            (t_s // 3600.0).astype(np.int64), len(timeline_codes) - 1
-        )
-        grouped.update((timeline_codes[hours],), chunk["ptt_ms"][mask])
-    summaries = {}
-    for code, condition in enumerate(WEATHER_CONDITIONS):
-        if (code,) in grouped and grouped.sketch((code,)).n >= min_samples:
-            summaries[condition] = grouped.sketch((code,)).summary()
-    return summaries
-
-
-def stream_speedtest_medians(dataset) -> dict[str, dict]:
-    """Fold the Table 3 aggregation one speedtest segment at a time.
-
-    Returns ``{city: {"n": exact count, "dl": sketch, "ul": sketch}}``
-    for Starlink users; medians come off the sketches with bounded
-    rank error, counts are exact.
-    """
-    downloads = GroupedAccumulator()
-    uploads = GroupedAccumulator()
-    columns = ("city", "is_starlink", "download_mbps", "upload_mbps")
-    for chunk in dataset.iter_speedtest_column_chunks(columns):
-        mask = chunk["is_starlink"]
-        if not mask.any():
-            continue
-        city = chunk["city"][mask]
-        downloads.update((city,), chunk["download_mbps"][mask])
-        uploads.update((city,), chunk["upload_mbps"][mask])
-    return {
-        key[0]: {
-            "n": sketch.n,
-            "dl": sketch,
-            "ul": uploads.sketch(key),
-        }
-        for key, sketch in downloads.items()
-    }

@@ -135,24 +135,19 @@ def run_experiment(
     scale: float = 1.0,
     n_workers: int = 1,
     engine: str | None = None,
-    analytics: str | None = None,
 ) -> "ExperimentResult":
     """Run one experiment by id.
 
     ``n_workers`` is forwarded to every runner (the registry enforces
     the uniform signature); experiments without campaign work ignore it.
-    ``engine`` (``"event"``/``"batch"``) and ``analytics``
-    (``"exact"``/``"streaming"``) set those knobs for the duration of
-    the run: experiments build their own configs behind the uniform
-    signature, so the values are handed over through the knobs'
-    ``REPRO_*`` variables (:func:`repro.knobs.scoped`), like the CLI's
-    flags.  Exact analytics is bit-identical to the historical
-    pipeline; streaming folds backend segments through mergeable
-    sketches in O(segment) memory (quantile cells within a 1%
-    rank-error bound, counts exact).
+    ``engine`` (``"event"``/``"batch"``) sets the packet engine for the
+    duration of the run: experiments build their own configs behind the
+    uniform signature, so the value is handed over through the knob's
+    ``REPRO_ENGINE`` variable (:func:`repro.knobs.scoped`), like the
+    CLI's flag.
 
     Raises:
-        ConfigurationError: for unknown ids, engines or analytics modes.
+        ConfigurationError: for unknown ids or engines.
     """
     try:
         runner = EXPERIMENTS[experiment_id]
@@ -160,7 +155,7 @@ def run_experiment(
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    with scoped({"engine": engine, "analytics": analytics}):
+    with scoped({"engine": engine}):
         return runner(seed=seed, scale=scale, n_workers=n_workers)
 
 
@@ -169,7 +164,6 @@ def run_all(
     scale: float = 1.0,
     n_workers: int = 1,
     engine: str | None = None,
-    analytics: str | None = None,
 ) -> dict[str, "ExperimentResult"]:
     """Run every experiment; returns id -> result."""
     return {
@@ -179,7 +173,6 @@ def run_all(
             scale=scale,
             n_workers=n_workers,
             engine=engine,
-            analytics=analytics,
         )
         for experiment_id in EXPERIMENTS
     }

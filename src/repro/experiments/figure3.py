@@ -12,18 +12,74 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.aschange import detect_as_switch_time, split_around
 from repro.analysis.stats import ecdf, median
-from repro.analysis.streaming import (
-    stream_as_switch_times,
-    stream_city_class_era_ptt,
-)
+from repro.analysis.streaming import group_columns
+from repro.constants import AS_GOOGLE, AS_SPACEX
+from repro.errors import DatasetError
 from repro.experiments.base import ExperimentResult, campaign_metrics, register
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.knobs import resolve
 from repro.timeline import LONDON_AS_SWITCH_T, SYDNEY_AS_SWITCH_T
 
 CITIES = ("london", "sydney")
+
+#: Where each city's split falls when the data shows no AS switch.
+EXPECTED_SWITCH_T = {"london": LONDON_AS_SWITCH_T, "sydney": SYDNEY_AS_SWITCH_T}
+
+#: Page-load columns the Figure 3 fold reads.
+COLUMNS = ("city", "is_starlink", "exit_asn", "t_s", "is_popular", "ptt_ms")
+
+#: Fewest PTT samples a (class, era) curve needs to be drawn.
+MIN_SAMPLES = 5
+
+
+def _switch_time(exit_asn: np.ndarray, t_s: np.ndarray) -> float | None:
+    """:func:`~repro.analysis.aschange.detect_as_switch_time` over one
+    city's Starlink columns: the first SpaceX-AS timestamp, if a
+    Google-AS record precedes it."""
+    spacex = t_s[exit_asn == AS_SPACEX]
+    if not spacex.size:
+        return None
+    first = float(spacex.min())
+    google_before = np.any((exit_asn == AS_GOOGLE) & (t_s < first))
+    return first if google_before else None
+
+
+def fold(dataset, cities=CITIES) -> dict[str, tuple]:
+    """Each city's AS switch and Figure 3 PTT curves, from one column pass.
+
+    Returns ``{city: (switch time or None, {(class, era): ptt_ms})}``.
+    Each chunk keeps the Starlink page loads of ``cities``, grouped by
+    city; a city's columns give its switch time, and the split at it
+    (or at :data:`EXPECTED_SWITCH_T` without one) gives the eras.  Each
+    curve holds its PTTs in append order; curves under
+    :data:`MIN_SAMPLES` are dropped.
+
+    Raises:
+        DatasetError: for a city without Starlink page loads.
+    """
+
+    def chunks():
+        for chunk in dataset.iter_page_load_column_chunks(COLUMNS):
+            keep = chunk["is_starlink"] & np.isin(chunk["city"], list(cities))
+            yield {name: chunk[name][keep] for name in COLUMNS}
+
+    groups = group_columns(chunks(), keys=("city",), values=COLUMNS[2:])
+    folded = {}
+    for city in cities:
+        if (city,) not in groups:
+            raise DatasetError("no Starlink records to detect an AS switch in")
+        columns = groups[(city,)]
+        t_s, popular = columns["t_s"], columns["is_popular"]
+        switch_t = _switch_time(columns["exit_asn"], t_s)
+        split_t = switch_t if switch_t else EXPECTED_SWITCH_T[city]
+        curves = {}
+        for era, in_era in (("google", t_s < split_t), ("spacex", t_s >= split_t)):
+            for klass, in_class in (("popular", popular), ("unpopular", ~popular)):
+                ptts = columns["ptt_ms"][in_era & in_class]
+                if len(ptts) >= MIN_SAMPLES:
+                    curves[(klass, era)] = ptts
+        folded[city] = (switch_t, curves)
+    return folded
 
 
 @register("figure3")
@@ -44,61 +100,19 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
     rows = []
     metrics: dict[str, float] = {}
     series: dict[str, tuple] = {}
-    mode = resolve("analytics", config.analytics)
-    expected_by_city = {
-        "london": LONDON_AS_SWITCH_T,
-        "sydney": SYDNEY_AS_SWITCH_T,
-    }
-    if mode == "streaming":
-        switch_times = stream_as_switch_times(dataset, CITIES)
-        split_times = {
-            city: switch_times[city]
-            if switch_times[city]
-            else expected_by_city[city]
-            for city in CITIES
-        }
-        grouped = stream_city_class_era_ptt(dataset, split_times)
-        for city_name in CITIES:
-            switch_t = switch_times[city_name]
-            metrics[f"{city_name}_detected_switch_day"] = (
-                switch_t / 86_400.0 if switch_t is not None else float("nan")
-            )
-            metrics[f"{city_name}_expected_switch_day"] = (
-                expected_by_city[city_name] / 86_400.0
-            )
-            for label in ("google", "spacex"):
-                for klass in ("popular", "unpopular"):
-                    key = (city_name, klass, label)
-                    if key not in grouped:
-                        continue
-                    sketch = grouped.sketch(key)
-                    if sketch.n < 5:
-                        continue
-                    med, p90 = (float(x) for x in sketch.quantiles([0.5, 0.9]))
-                    rows.append([city_name, klass, label, sketch.n, med, p90])
-                    metrics[f"{city_name}_{klass}_{label}_median_ptt_ms"] = med
-                    series[f"{city_name}_{klass}_{label}"] = sketch.cdf_series()
-    else:
-        for city_name in CITIES:
-            records = dataset.select(city=city_name, is_starlink=True)
-            switch_t = detect_as_switch_time(records)
-            expected = expected_by_city[city_name]
-            metrics[f"{city_name}_detected_switch_day"] = (
-                switch_t / 86_400.0 if switch_t is not None else float("nan")
-            )
-            metrics[f"{city_name}_expected_switch_day"] = expected / 86_400.0
-            before, after = split_around(records, switch_t if switch_t else expected)
-            for label, subset in (("google", before), ("spacex", after)):
-                for popular in (True, False):
-                    ptts = [r.ptt_ms for r in subset if r.is_popular == popular]
-                    if len(ptts) < 5:
-                        continue
-                    klass = "popular" if popular else "unpopular"
-                    med = median(ptts)
-                    p90 = float(np.percentile(ptts, 90))
-                    rows.append([city_name, klass, label, len(ptts), med, p90])
-                    metrics[f"{city_name}_{klass}_{label}_median_ptt_ms"] = med
-                    series[f"{city_name}_{klass}_{label}"] = ecdf(ptts)
+    for city_name, (switch_t, curves) in fold(dataset).items():
+        metrics[f"{city_name}_detected_switch_day"] = (
+            switch_t / 86_400.0 if switch_t is not None else float("nan")
+        )
+        metrics[f"{city_name}_expected_switch_day"] = (
+            EXPECTED_SWITCH_T[city_name] / 86_400.0
+        )
+        for (klass, label), ptts in curves.items():
+            med = median(ptts)
+            p90 = float(np.percentile(ptts, 90))
+            rows.append([city_name, klass, label, len(ptts), med, p90])
+            metrics[f"{city_name}_{klass}_{label}_median_ptt_ms"] = med
+            series[f"{city_name}_{klass}_{label}"] = ecdf(ptts)
 
     for city_name in CITIES:
         for klass in ("popular", "unpopular"):
@@ -120,7 +134,7 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
             "london_switch_window": "2022-02-16 .. 2022-02-24",
             "sydney_switch_window": "2022-04-01 .. 2022-04-02",
         },
-        notes=f"CDF series available via run_with_series(). Analytics: {mode}.",
+        notes="CDF series available via run_with_series().",
     )
     result.series = series  # full ECDFs for plotting
     return result

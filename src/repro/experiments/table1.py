@@ -16,18 +16,52 @@ Sydney's medians well above (roughly 2x) London's.
 
 from __future__ import annotations
 
-from repro.analysis.streaming import stream_table1_stats
+import numpy as np
+
+from repro.analysis.streaming import group_columns
 from repro.experiments.base import ExperimentResult, campaign_metrics, register
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.knobs import resolve
+from repro.extension.storage import _median
 
 CITIES = ("london", "seattle", "sydney")
+
+#: Page-load columns the Table 1 fold reads.
+COLUMNS = ("city", "is_starlink", "domain", "ptt_ms")
 
 PAPER = {
     "london": {"starlink": (12_933, 1_302, 327.0), "non": (4_006, 730, 443.0)},
     "seattle": {"starlink": (3_597, 579, 395.0), "non": (765, 222, 566.0)},
     "sydney": {"starlink": (3_482, 390, 622.0), "non": (843, 260, 675.0)},
 }
+
+
+def fold(dataset, cities=CITIES) -> dict[tuple[str, bool], tuple[int, int, float]]:
+    """Table 1's cells, ``(city, is_starlink) -> (#req, #domain, median PTT)``.
+
+    One pass over the page-load column chunks, grouped by city and
+    connection class: each group keeps its PTT column and its set of
+    distinct domains.
+
+    Raises:
+        DatasetError: if a cell is empty (its median is undefined).
+    """
+    groups = group_columns(
+        dataset.iter_page_load_column_chunks(COLUMNS),
+        keys=("city", "is_starlink"),
+        values=("ptt_ms",),
+        distinct=("domain",),
+    )
+    empty = {"ptt_ms": np.empty(0), "domain": set()}
+    cells = {}
+    for city in cities:
+        for starlink in (True, False):
+            group = groups.get((city, starlink), empty)
+            cells[(city, starlink)] = (
+                len(group["ptt_ms"]),
+                len(group["domain"]),
+                _median(group["ptt_ms"]),
+            )
+    return cells
 
 
 @register("table1")
@@ -62,25 +96,10 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
     ]
     rows = []
     metrics: dict[str, float] = {}
-    mode = resolve("analytics", config.analytics)
-    grouped = stream_table1_stats(dataset) if mode == "streaming" else None
+    cells = fold(dataset)
     for city_name in CITIES:
-        if grouped is None:
-            sl_n = dataset.request_count(city=city_name, is_starlink=True)
-            sl_dom = dataset.unique_domains(city=city_name, is_starlink=True)
-            sl_med = dataset.median_ptt_ms(city=city_name, is_starlink=True)
-            non_n = dataset.request_count(city=city_name, is_starlink=False)
-            non_dom = dataset.unique_domains(city=city_name, is_starlink=False)
-            non_med = dataset.median_ptt_ms(city=city_name, is_starlink=False)
-        else:
-            # Counts and #domain are exact even in streaming mode; only
-            # the medians carry the sketch's bounded rank error.
-            sl_n = grouped.sketch((city_name, True)).n
-            sl_dom = grouped.distinct((city_name, True)).n
-            sl_med = grouped.sketch((city_name, True)).quantile(0.5)
-            non_n = grouped.sketch((city_name, False)).n
-            non_dom = grouped.distinct((city_name, False)).n
-            non_med = grouped.sketch((city_name, False)).quantile(0.5)
+        sl_n, sl_dom, sl_med = cells[(city_name, True)]
+        non_n, non_dom, non_med = cells[(city_name, False)]
         rows.append([city_name, sl_n, sl_dom, sl_med, non_n, non_dom, non_med])
         metrics[f"{city_name}_starlink_median_ptt_ms"] = sl_med
         metrics[f"{city_name}_non_starlink_median_ptt_ms"] = non_med
@@ -105,6 +124,6 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
         notes=(
             "Synthetic campaign (see DESIGN.md); request counts scale with "
             "the scale parameter, medians are the calibrated quantities. "
-            f"Analytics: {mode}. Run: {campaign.last_run_stats.summary()}"
+            f"Run: {campaign.last_run_stats.summary()}"
         ),
     )

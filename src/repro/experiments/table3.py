@@ -18,13 +18,16 @@ London UL roughly twice Seattle/Toronto.
 
 from __future__ import annotations
 
-from repro.analysis.streaming import stream_speedtest_medians
+from repro.analysis.streaming import group_columns
 from repro.errors import DatasetError
 from repro.experiments.base import ExperimentResult, campaign_metrics, register
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.knobs import resolve
+from repro.extension.storage import _median
 
 CITIES = ("london", "seattle", "toronto", "warsaw")
+
+#: Speedtest columns the Table 3 fold reads.
+COLUMNS = ("city", "is_starlink", "download_mbps", "upload_mbps")
 
 PAPER = {
     "london": (123.2, 11.3),
@@ -32,6 +35,33 @@ PAPER = {
     "toronto": (65.8, 6.9),
     "warsaw": (44.9, 7.7),
 }
+
+
+def fold(dataset, cities=CITIES) -> dict[str, tuple[int, float, float]]:
+    """Table 3's cells, ``city -> (n tests, DL median, UL median)``.
+
+    One pass over the speedtest column chunks, grouped by city and
+    connection class; the cells read the Starlink groups.
+
+    Raises:
+        DatasetError: for a city without Starlink speedtests.
+    """
+    groups = group_columns(
+        dataset.iter_speedtest_column_chunks(COLUMNS),
+        keys=("city", "is_starlink"),
+        values=("download_mbps", "upload_mbps"),
+    )
+    cells = {}
+    for city in cities:
+        tests = groups.get((city, True))
+        if tests is None:
+            raise DatasetError(f"campaign produced no speedtests for {city}")
+        cells[city] = (
+            len(tests["download_mbps"]),
+            _median(tests["download_mbps"]),
+            _median(tests["upload_mbps"]),
+        )
+    return cells
 
 
 @register("table3")
@@ -51,26 +81,9 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
     headers = ["city", "n tests", "DL median (Mbps)", "UL median (Mbps)"]
     rows = []
     metrics: dict[str, float] = {}
-    mode = resolve("analytics", config.analytics)
-    streamed = stream_speedtest_medians(dataset) if mode == "streaming" else None
+    cells = fold(dataset)
     for city_name in CITIES:
-        if streamed is None:
-            tests = dataset.select_speedtests(city=city_name, is_starlink=True)
-            if not tests:
-                raise DatasetError(
-                    f"campaign produced no speedtests for {city_name}"
-                )
-            n_tests = len(tests)
-            dl, ul = dataset.median_speedtest_mbps(city_name, is_starlink=True)
-        else:
-            if city_name not in streamed:
-                raise DatasetError(
-                    f"campaign produced no speedtests for {city_name}"
-                )
-            cell = streamed[city_name]
-            n_tests = cell["n"]
-            dl = cell["dl"].quantile(0.5)
-            ul = cell["ul"].quantile(0.5)
+        n_tests, dl, ul = cells[city_name]
         rows.append([city_name, n_tests, dl, ul])
         metrics[f"{city_name}_dl_mbps"] = dl
         metrics[f"{city_name}_ul_mbps"] = ul
@@ -92,5 +105,4 @@ def run(seed: int = 0, scale: float = 1.0, n_workers: int = 1) -> ExperimentResu
             f"{c}": f"DL={v[0]} UL={v[1]} Mbps" for c, v in PAPER.items()
         }
         | {"ratios": "London/Seattle ~1.4x DL, London/Toronto ~1.9x DL"},
-        notes=f"Analytics: {mode}.",
     )

@@ -132,7 +132,7 @@ def make_backend(
     """Instantiate a backend by name (``directory`` is spill-only)."""
     name = KNOBS["storage"].check(name)
     if name == "memory":
-        return InMemoryBackend()
+        return InMemoryBackend(segment_records=segment_records)
     if name == "columnar":
         return ColumnarBackend(segment_records=segment_records)
     return SpillBackend(directory=directory, segment_records=segment_records)
@@ -199,11 +199,20 @@ class DatasetBackend(Protocol):
 
 
 class InMemoryBackend:
-    """The classic backend: two Python lists, records stay resident."""
+    """The classic backend: two Python lists, records stay resident.
+
+    Column-chunk reads encode ``segment_records`` records at a time,
+    like a columnar chunk or spill segment, and keep nothing.
+    """
 
     name = "memory"
 
-    def __init__(self) -> None:
+    def __init__(self, segment_records: int = DEFAULT_SEGMENT_RECORDS) -> None:
+        if segment_records < 1:
+            raise ConfigurationError(
+                f"segment_records must be >= 1, got {segment_records}"
+            )
+        self.segment_records = segment_records
         self.page_loads: list[PageLoadRecord] = []
         self.speedtests: list[SpeedtestRecord] = []
         self._column_cache: dict[tuple[str, str], np.ndarray] = {}
@@ -277,19 +286,21 @@ class InMemoryBackend:
     def _iter_column_chunks(self, kind: str, columns):
         load, derived, requested = _split_chunk_columns(kind, columns)
         records = self.page_loads if kind == "page_loads" else self.speedtests
-        if not records:
-            return
-        # Everything is resident anyway; one chunk reuses the column cache.
-        arrays = {name: self._stored_column(kind, name) for name in load}
-        yield _finish_chunk(arrays, requested, derived)
+        # Encode only the loaded columns of one segment's records at a
+        # time and cache nothing: a fold holds one chunk of its own
+        # columns, never the whole record schema.
+        for start in range(0, len(records), self.segment_records):
+            arrays = columnar.encode_columns(
+                records[start : start + self.segment_records], load
+            )
+            yield _finish_chunk(arrays, requested, derived)
 
     def iter_page_load_column_chunks(self, columns):
-        """Stream page-load columns chunk-wise (one chunk: records are
-        already resident, so splitting buys nothing here)."""
+        """Stream page-load columns, ``segment_records`` records a chunk."""
         return self._iter_column_chunks("page_loads", columns)
 
     def iter_speedtest_column_chunks(self, columns):
-        """Stream speedtest columns chunk-wise (one chunk)."""
+        """Stream speedtest columns, ``segment_records`` records a chunk."""
         return self._iter_column_chunks("speedtests", columns)
 
     @property
@@ -462,15 +473,12 @@ class ColumnarBackend:
 
     def _iter_column_chunks(self, kind: str, columns):
         load, derived, requested = _split_chunk_columns(kind, columns)
-        _, encode, _, _ = _CODECS[kind]
         for chunk in self._chunks[kind]:
             arrays = {name: chunk[name] for name in load}
             yield _finish_chunk(arrays, requested, derived)
         if self._staging[kind]:
-            staged = encode(self._staging[kind])
-            yield _finish_chunk(
-                {name: staged[name] for name in load}, requested, derived
-            )
+            staged = columnar.encode_columns(self._staging[kind], load)
+            yield _finish_chunk(staged, requested, derived)
 
     def iter_page_load_column_chunks(self, columns):
         """Stream page-load columns one stored chunk at a time."""
@@ -880,7 +888,6 @@ class SpillBackend:
 
     def _iter_column_chunks(self, kind: str, columns):
         load, derived, requested = _split_chunk_columns(kind, columns)
-        _, encode, _, _ = _CODECS[kind]
         # One segment resident at a time, and only the needed members
         # of each .npz — the O(segment) primitive streaming analytics
         # folds over.
@@ -888,10 +895,8 @@ class SpillBackend:
             arrays = self._load_segment(kind, entry, columns=load)
             yield _finish_chunk(arrays, requested, derived)
         if self._staging[kind]:
-            staged = encode(self._staging[kind])
-            yield _finish_chunk(
-                {name: staged[name] for name in load}, requested, derived
-            )
+            staged = columnar.encode_columns(self._staging[kind], load)
+            yield _finish_chunk(staged, requested, derived)
 
     def iter_page_load_column_chunks(self, columns):
         """Stream page-load columns one on-disk segment at a time."""

@@ -98,11 +98,6 @@ class CampaignConfig:
             unset means a fresh temporary directory.
         storage_segment_records: Records per columnar chunk / spill
             segment (the bound on staged records in memory).
-        analytics: Analysis path of the figure/table aggregations over
-            this campaign's dataset: ``"exact"`` (default,
-            bit-identical to the historical outputs) or
-            ``"streaming"`` (mergeable sketches, medians within the 1 %
-            rank-error bound, see :mod:`repro.analysis.streaming`).
 
     Every field from ``n_workers`` on is an execution knob: a row of
     :data:`repro.knobs.KNOBS`, checked against it here and resolved
@@ -128,7 +123,6 @@ class CampaignConfig:
     storage: str | None = None
     storage_dir: str | None = None
     storage_segment_records: int = 4096
-    analytics: str | None = None
 
     def __post_init__(self) -> None:
         for name in _FLOAT_FIELDS:

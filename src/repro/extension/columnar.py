@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import operator
 import os
 
 import numpy as np
@@ -99,26 +100,33 @@ def _column(kind: str, values: list) -> np.ndarray:
     return np.array(values, dtype=_EMPTY_DTYPES[kind])
 
 
+#: Each stored column's kind; the columns both schemas share agree.
+_COLUMN_KINDS = dict(SPEEDTEST_SCHEMA) | dict(PAGE_LOAD_SCHEMA)
+
+#: The record attribute a stored column reads, where the names differ.
+_COLUMN_ATTRIBUTES = {f"timing_{name}": f"timing.{name}" for name in TIMING_FIELDS}
+
+
+def encode_columns(records: list, columns) -> dict[str, np.ndarray]:
+    """Encode ``columns`` of a list of page-load or speedtest records.
+
+    Each array depends only on its own column's values (strings are
+    sized to the longest), so a subset of columns equals the same
+    columns of a full encode and the other columns are never built.
+    """
+    getters = {
+        name: operator.attrgetter(_COLUMN_ATTRIBUTES.get(name, name))
+        for name in columns
+    }
+    return {
+        name: _column(_COLUMN_KINDS[name], list(map(getter, records)))
+        for name, getter in getters.items()
+    }
+
+
 def encode_page_loads(records) -> dict[str, np.ndarray]:
     """Encode page-load records into per-field columns."""
-    staged: dict[str, list] = {name: [] for name in PAGE_LOAD_COLUMNS}
-    for record in records:
-        staged["user_id"].append(record.user_id)
-        staged["city"].append(record.city)
-        staged["region"].append(record.region)
-        staged["isp"].append(record.isp)
-        staged["is_starlink"].append(record.is_starlink)
-        staged["exit_asn"].append(record.exit_asn)
-        staged["t_s"].append(record.t_s)
-        staged["domain"].append(record.domain)
-        staged["rank"].append(record.rank)
-        staged["is_popular"].append(record.is_popular)
-        timing = record.timing
-        for name in TIMING_FIELDS:
-            staged[f"timing_{name}"].append(getattr(timing, name))
-    return {
-        name: _column(kind, staged[name]) for name, kind in PAGE_LOAD_SCHEMA
-    }
+    return encode_columns(list(records), PAGE_LOAD_COLUMNS)
 
 
 def decode_page_loads(arrays: dict[str, np.ndarray]) -> list[PageLoadRecord]:
@@ -147,13 +155,7 @@ def decode_page_loads(arrays: dict[str, np.ndarray]) -> list[PageLoadRecord]:
 
 def encode_speedtests(records) -> dict[str, np.ndarray]:
     """Encode speedtest records into per-field columns."""
-    staged: dict[str, list] = {name: [] for name in SPEEDTEST_COLUMNS}
-    for record in records:
-        for name in SPEEDTEST_COLUMNS:
-            staged[name].append(getattr(record, name))
-    return {
-        name: _column(kind, staged[name]) for name, kind in SPEEDTEST_SCHEMA
-    }
+    return encode_columns(list(records), SPEEDTEST_COLUMNS)
 
 
 def decode_speedtests(arrays: dict[str, np.ndarray]) -> list[SpeedtestRecord]:
@@ -167,18 +169,12 @@ def decode_speedtests(arrays: dict[str, np.ndarray]) -> list[SpeedtestRecord]:
 
 def empty_page_load_arrays() -> dict[str, np.ndarray]:
     """A zero-record page-load column set (correct dtypes)."""
-    return {
-        name: np.empty(0, dtype=_EMPTY_DTYPES[kind])
-        for name, kind in PAGE_LOAD_SCHEMA
-    }
+    return encode_columns([], PAGE_LOAD_COLUMNS)
 
 
 def empty_speedtest_arrays() -> dict[str, np.ndarray]:
     """A zero-record speedtest column set (correct dtypes)."""
-    return {
-        name: np.empty(0, dtype=_EMPTY_DTYPES[kind])
-        for name, kind in SPEEDTEST_SCHEMA
-    }
+    return encode_columns([], SPEEDTEST_COLUMNS)
 
 
 def concat_columns(

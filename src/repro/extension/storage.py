@@ -184,8 +184,8 @@ class Dataset:
         columns of one chunk; derived columns (``ptt_ms``/``plt_ms``)
         are computed per chunk, bitwise equal to a full-column read.
         On the spill backend this is the O(segment)-memory read path
-        the streaming analytics of :mod:`repro.analysis.streaming`
-        fold over.
+        the artefact folds and sketches of
+        :mod:`repro.analysis.streaming` read.
         """
         return self._backend.iter_page_load_column_chunks(columns)
 
@@ -309,18 +309,6 @@ class Dataset:
         for values in self._masked("domain", filters):
             domains.update(values)
         return len(domains)
-
-    def median_speedtest_mbps(
-        self, city: str, is_starlink: bool = True
-    ) -> tuple[float, float]:
-        """(download, upload) medians for Table 3."""
-        tests = self.select_speedtests(city=city, is_starlink=is_starlink)
-        if not tests:
-            raise DatasetError(f"no speedtests for {city}")
-        return (
-            _median([t.download_mbps for t in tests]),
-            _median([t.upload_mbps for t in tests]),
-        )
 
     # -- privacy -----------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Execution knobs: one table, one precedence rule.
 
 An *execution knob* changes how a campaign or experiment runs — start
-method, retries, checkpoints, storage, packet engine, analytics path,
-fabric store — never the records it produces (DESIGN.md §5).  Every
+method, retries, checkpoints, storage, packet engine, fabric store —
+never the records it produces or the artefacts computed from them
+(DESIGN.md §5).  Every
 knob is one row of :data:`KNOBS`, and every consumer reads its knob
 through :func:`resolve`, at the one place it is used::
 
@@ -168,12 +169,6 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
          help="packet-path engine: 'event' is the heap-driven oracle, "
          "'batch' the vectorised engine (statistically equivalent, "
          ">=10x faster on packet-level experiments)"),
-    Knob("analytics", str, "exact", env="REPRO_ANALYTICS",
-         allowed=("exact", "streaming"), flag="--analytics",
-         help="analysis path of the dataset-backed tables and figures: "
-         "'exact' recomputes from full columns, 'streaming' folds storage "
-         "segments through mergeable sketches in O(segment) memory "
-         "(counts exact, medians within the sketch's rank-error bound)"),
     Knob("fabric_store", str, "fs", env="REPRO_FABRIC_STORE",
          allowed=("fs", "object"), flag="--fabric-store", scope="fabric",
          config_field=False,

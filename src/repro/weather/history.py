@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.timeline import CAMPAIGN_DURATION_S
 from repro.weather.conditions import WeatherCondition
@@ -33,6 +35,7 @@ class WeatherHistory:
     _timelines: dict[str, list[WeatherCondition]] = field(
         default_factory=dict, init=False
     )
+    _severities: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -62,6 +65,12 @@ class WeatherHistory:
                 f"t={t_s} outside weather history [0, {self.duration_s}]"
             )
 
+    def _hour_slot(self, t_s):
+        """The timeline slot of a covered time, or of an array of them:
+        its hour.  A covered time is at most ``duration_s``, whose hour
+        is the last of the :attr:`n_hours` slots, so none overflows."""
+        return t_s // _HOUR_S
+
     def condition_at(self, city_name: str, t_s: float) -> WeatherCondition:
         """Weather condition in a city at campaign time ``t_s``.
 
@@ -69,8 +78,26 @@ class WeatherHistory:
             ConfigurationError: if ``t_s`` is outside the covered period.
         """
         self.require_covered(t_s)
-        timeline = self._timeline(city_name)
-        return timeline[min(int(t_s // _HOUR_S), len(timeline) - 1)]
+        return self._timeline(city_name)[int(self._hour_slot(t_s))]
+
+    def condition_codes(self, city_name: str, t_s) -> np.ndarray:
+        """:meth:`condition_at` over an array of times, each condition
+        given as its :attr:`~WeatherCondition.severity` (its index in
+        ``WEATHER_CONDITIONS``).
+
+        Raises:
+            ConfigurationError: if a time is outside the covered period;
+                the message names the earliest or the latest time.
+        """
+        t_s = np.asarray(t_s, dtype=np.float64)
+        if t_s.size:
+            self.require_covered(float(t_s.min()))
+            self.require_covered(float(t_s.max()))
+        if city_name not in self._severities:
+            self._severities[city_name] = np.array(
+                [condition.severity for condition in self._timeline(city_name)]
+            )
+        return self._severities[city_name][self._hour_slot(t_s).astype(np.int64)]
 
     def hourly_timeline(self, city_name: str) -> list[WeatherCondition]:
         """The full hourly timeline for a city (generated on first use)."""

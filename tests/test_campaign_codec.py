@@ -42,7 +42,6 @@ EXPLICIT = dict(
     storage="spill",
     storage_dir="/tmp/segments",
     storage_segment_records=512,
-    analytics="streaming",
 )
 
 
@@ -102,6 +101,15 @@ def test_unknown_keys_rejected_by_name():
     # every offending key is named, not just the first
     with pytest.raises(ConfigurationError, match=r"\['citys', 'sed'\]"):
         CampaignConfig.from_json_dict({"sed": 1, "citys": ["london"]})
+
+
+def test_retired_analytics_key_rejected_as_unknown():
+    """Every artefact is computed exactly now, so a submission or an
+    older fabric plan that still carries ``analytics`` is refused with
+    the unknown-key error rather than silently ignored."""
+    for value in ("exact", "streaming", None):
+        with pytest.raises(ConfigurationError, match=r"unknown .*\['analytics'\]"):
+            CampaignConfig.from_json_dict({"seed": 1, "analytics": value})
 
 
 def test_non_object_document_rejected():
@@ -165,7 +173,6 @@ def test_fingerprint_invariant_under_execution_only_changes():
         storage_dir="/tmp/elsewhere",
         checkpoint_dir="/tmp/ckpt",
         resume=True,
-        analytics="streaming",
     )
     assert campaign_fingerprint(tweaked) == campaign_fingerprint(base)
 

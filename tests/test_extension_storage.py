@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DatasetError
+from repro.experiments import table3
 from repro.extension.backends import make_backend
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
 from repro.extension.storage import Dataset
@@ -101,11 +102,9 @@ def test_unique_domains(dataset):
 
 
 def test_speedtest_medians(dataset):
-    dl, ul = dataset.median_speedtest_mbps("london")
-    assert dl == 120.0
-    assert ul == 11.0
+    assert table3.fold(dataset, ("london",)) == {"london": (1, 120.0, 11.0)}
     with pytest.raises(DatasetError):
-        dataset.median_speedtest_mbps("seattle")
+        table3.fold(dataset, ("seattle",))
 
 
 def test_delete_user(dataset):

@@ -35,7 +35,6 @@ SAMPLES = {
     "storage_dir": "segments",
     "storage_segment_records": 512,
     "engine": "batch",
-    "analytics": "streaming",
     "fabric_store": "object",
     "object_list_lag_s": 0.25,
 }
@@ -51,7 +50,6 @@ BAD = {
     "storage": "cloud",
     "storage_segment_records": 0,
     "engine": "warp",
-    "analytics": "auto",
     "fabric_store": "s3",
     "object_list_lag_s": -1.0,
 }
@@ -138,7 +136,7 @@ def test_config_fields_are_the_table_rows():
     from repro.runtime.checkpoint import campaign_fingerprint
 
     fields = {f.name: f for f in dataclasses.fields(CampaignConfig)}
-    assert len(fields) == 18
+    assert len(fields) == 17
     assert "engine" not in fields
     rows = {knob.name for knob in ROWS if knob.config_field}
     assert knobs.EXECUTION_ONLY_FIELDS == rows
@@ -193,9 +191,9 @@ def test_cli_refuses_an_out_of_bound_flag(clean_env, capsys):
 
 def test_scoped_restores_the_environment(clean_env, monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "event")
-    with knobs.scoped({"engine": "batch", "analytics": None}):
+    with knobs.scoped({"engine": "batch", "storage": None}):
         assert knobs.resolve("engine") == "batch"
-        assert "REPRO_ANALYTICS" not in os.environ
+        assert "REPRO_STORAGE" not in os.environ
     assert os.environ["REPRO_ENGINE"] == "event"
     with pytest.raises(ConfigurationError, match="engine"):
         with knobs.scoped({"engine": "warp"}):

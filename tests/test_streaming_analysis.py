@@ -1,17 +1,17 @@
 """Streaming analytics tests: sketches, segment folds, sketch-reduce.
 
-Covers the tentpole contracts of DESIGN.md §11:
+Covers the sketch contracts of DESIGN.md §11:
 
 * t-digest rank error stays under 1 % across seeds and distributions;
 * merge is associative/commutative within the error bound (property
   tests), so per-shard sketches reduce safely in any order;
 * chunked column iteration is bitwise identical to full-column reads
   on every backend, including the derived ``ptt_ms``;
-* the ``stream_*`` builders agree with the exact pipeline;
-* the sharded sketch-reduce path matches a single-pass fold;
-* ``run_experiment(..., analytics="streaming")`` selects the sketch
-  path for one run only (the knob's precedence is pinned in
-  ``tests/test_knobs.py``).
+* the Table 1 sketch fold agrees with the exact cells;
+* the sharded sketch-reduce path matches a single-pass fold.
+
+The exact artefact folds are pinned against the record path in
+``tests/test_artefact_folds.py``.
 """
 
 from dataclasses import replace
@@ -26,9 +26,6 @@ from repro.analysis.streaming import (
     GroupedAccumulator,
     MomentsAccumulator,
     QuantileSketch,
-    stream_as_switch_times,
-    stream_ptt_by_condition,
-    stream_speedtest_medians,
     stream_table1_stats,
 )
 from repro.errors import ConfigurationError, DatasetError
@@ -274,7 +271,7 @@ def test_chunk_iteration_empty_dataset_yields_nothing():
     assert list(dataset.iter_speedtest_column_chunks(("t_s",))) == []
 
 
-# -- streaming builders vs the exact pipeline ---------------------------
+# -- the Table 1 sketch fold vs the exact cells --------------------------
 
 
 @pytest.fixture(scope="module")
@@ -288,12 +285,11 @@ def campaign_dataset(tmp_path_factory):
         storage_dir=str(directory),
         storage_segment_records=256,
     )
-    campaign = ExtensionCampaign(config)
-    return campaign, campaign.run()
+    return ExtensionCampaign(config).run()
 
 
 def test_stream_table1_matches_exact(campaign_dataset):
-    _, dataset = campaign_dataset
+    dataset = campaign_dataset
     grouped = stream_table1_stats(dataset)
     for city in ("london", "seattle"):
         for starlink in (True, False):
@@ -309,51 +305,6 @@ def test_stream_table1_matches_exact(campaign_dataset):
             estimate = sketch.quantile(0.5)
             rank = np.searchsorted(exact, estimate, side="right") / exact.size
             assert abs(rank - 0.5) <= RANK_TOLERANCE
-
-
-def test_stream_as_switch_times_matches_exact(campaign_dataset):
-    from repro.analysis.aschange import detect_as_switch_time
-
-    _, dataset = campaign_dataset
-    cities = sorted(
-        {r.city for r in dataset.iter_page_loads() if r.is_starlink}
-    )
-    switches = stream_as_switch_times(dataset, cities)
-    for city in cities:
-        records = dataset.select(city=city, is_starlink=True)
-        assert switches[city] == detect_as_switch_time(records)
-    with pytest.raises(DatasetError):
-        stream_as_switch_times(dataset, ["no-such-city"])
-
-
-def test_stream_ptt_by_condition_matches_exact(campaign_dataset):
-    from repro.analysis.weatherjoin import ptt_by_condition
-
-    campaign, dataset = campaign_dataset
-    records = dataset.select(city="london", is_starlink=True)
-    exact = ptt_by_condition(records, campaign.weather, "london")
-    streamed = stream_ptt_by_condition(dataset, campaign.weather, "london")
-    assert list(streamed) == list(exact)  # same conditions, severity order
-    for condition, summary in streamed.items():
-        assert summary.n == exact[condition].n
-        assert summary.min == exact[condition].min
-        assert summary.max == exact[condition].max
-        assert summary.mean == pytest.approx(exact[condition].mean, rel=1e-12)
-        if summary.n >= 20:
-            assert summary.median == pytest.approx(
-                exact[condition].median, rel=0.05
-            )
-
-
-def test_stream_speedtest_medians_matches_exact(campaign_dataset):
-    _, dataset = campaign_dataset
-    streamed = stream_speedtest_medians(dataset)
-    for city, cell in streamed.items():
-        tests = dataset.select_speedtests(city=city, is_starlink=True)
-        assert cell["n"] == len(tests)
-        dl, ul = dataset.median_speedtest_mbps(city, is_starlink=True)
-        assert cell["dl"].quantile(0.5) == pytest.approx(dl, rel=0.02)
-        assert cell["ul"].quantile(0.5) == pytest.approx(ul, rel=0.02)
 
 
 # -- sharded sketch-reduce ----------------------------------------------
@@ -396,19 +347,3 @@ def test_sketch_reduce_matches_single_pass():
     assert validate_shard_result("junk", 0, [0, 1]) is not None
     with pytest.raises(DatasetError):
         merge_shard_sketches([result], expected_indices={0, 1, 2})
-
-
-# -- mode selection ------------------------------------------------------
-
-
-def test_run_experiment_scopes_analytics_env(monkeypatch):
-    import os
-
-    from repro.experiments import run_experiment
-
-    monkeypatch.delenv("REPRO_ANALYTICS", raising=False)
-    result = run_experiment(
-        "table1", scale=0.05, analytics="streaming"
-    )
-    assert "Analytics: streaming" in result.notes
-    assert "REPRO_ANALYTICS" not in os.environ  # restored after the run

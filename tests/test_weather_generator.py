@@ -1,5 +1,6 @@
 """Markov weather generator and history tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -72,6 +73,24 @@ def test_history_rejects_out_of_range():
         history.condition_at("london", -1.0)
     with pytest.raises(ConfigurationError):
         history.condition_at("london", 2 * 86400.0)
+
+
+def test_history_condition_codes_match_condition_at():
+    history = WeatherHistory(seed=2, duration_s=86400.0 + 1800.0)
+    t_s = np.array([0.0, 3599.9, 3600.0, 86400.0, 87000.0, 86400.0 + 1800.0])
+    codes = history.condition_codes("london", t_s)
+    timeline = history.hourly_timeline("london")
+    assert codes.tolist() == [timeline[k].severity for k in (0, 0, 1, 24, 24, 24)]
+    assert codes.tolist() == [
+        history.condition_at("london", t).severity for t in t_s.tolist()
+    ]
+    assert history.condition_codes("london", np.empty(0)).size == 0
+    for outside in (-1.0, 86400.0 + 1801.0, float("nan")):
+        with pytest.raises(ConfigurationError) as expected:
+            history.condition_at("london", outside)
+        with pytest.raises(ConfigurationError) as raised:
+            history.condition_codes("london", np.array([5.0, outside]))
+        assert str(raised.value) == str(expected.value)
 
 
 def test_history_rejects_bad_duration():
