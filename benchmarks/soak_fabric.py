@@ -28,8 +28,8 @@ exit status is non-zero on any violated bound.
 
 Usage::
 
-    python benchmarks/soak_fabric.py --preset ci --store object \
-        --mp-start spawn --out soak_report.json
+    python benchmarks/soak_fabric.py --preset ci --mp-start spawn \
+        --out soak_report.json
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ def parse_args(argv: list[str]):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", choices=sorted(PRESETS), default="ci")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--store",
-        choices=("fs", "object"),
-        default="fs",
-        help="coordination store the fabric runs over",
-    )
     parser.add_argument(
         "--mp-start",
         choices=("fork", "spawn"),
@@ -183,7 +177,6 @@ def main(argv: list[str]) -> int:
         n_shards=preset["n_shards"],
         lease_ttl_s=args.lease_ttl,
         straggler_floor_s=max(10.0, 4 * args.lease_ttl),
-        store_kind=args.store,
     )
     context = multiprocessing.get_context(args.mp_start)
     next_rank = 0
@@ -279,7 +272,6 @@ def main(argv: list[str]) -> int:
 
     report = {
         "preset": args.preset,
-        "store": stats.store_kind,
         "mp_start": args.mp_start,
         "n_shards": stats.n_shards,
         "n_records": dataset.n_page_loads + dataset.n_speedtests,

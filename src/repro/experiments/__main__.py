@@ -224,7 +224,6 @@ def run_coordinate(args) -> int:
                 else DEFAULT_LEASE_TTL_S
             ),
             heartbeat_interval_s=args.heartbeat_interval,
-            fabric_store=args.fabric_store,
             on_event=on_event,
         )
     except ReproError as exc:
@@ -251,7 +250,6 @@ def run_fabric_worker_cli(args) -> int:
             args.fabric_dir,
             worker_id=args.worker_id,
             heartbeat_interval_s=args.heartbeat_interval,
-            store_kind=args.fabric_store,
         )
     except ReproError as exc:
         print(f"worker failed: {exc}", file=sys.stderr)

@@ -1,21 +1,20 @@
 """Execution knobs: one table, one precedence rule.
 
 An *execution knob* changes how a campaign or experiment runs — start
-method, retries, checkpoints, storage, packet engine, fabric store —
-never the records it produces or the artefacts computed from them
-(DESIGN.md §5).  Every
-knob is one row of :data:`KNOBS`, and every consumer reads its knob
-through :func:`resolve`, at the one place it is used::
+method, retries, checkpoints, storage, packet engine — never the
+records it produces or the artefacts computed from them (DESIGN.md
+§5).  Every knob is one row of :data:`KNOBS`, and every consumer reads
+its knob through :func:`resolve`, at the one place it is used::
 
     explicit value  >  REPRO_* environment variable  >  default
 
 "Explicit" is whatever the consumer holds (a ``CampaignConfig`` or
-``AccessConfig`` field, a keyword argument, the fabric directory's
-``STORE`` sentinel); ``None`` means unset.  The variables set a knob
-for a whole process, and carry the CLIs' flags to experiments that
-build their own configs behind the uniform runner signature
-(:func:`export`).  The CLI flags, the ``CampaignConfig`` field checks
-and :data:`EXECUTION_ONLY_FIELDS` all derive from the table.
+``AccessConfig`` field, a keyword argument); ``None`` means unset.
+The variables set a knob for a whole process, and carry the CLIs'
+flags to experiments that build their own configs behind the uniform
+runner signature (:func:`export`).  The CLI flags, the
+``CampaignConfig`` field checks and :data:`EXECUTION_ONLY_FIELDS` all
+derive from the table.
 
 A leaf module (standard library and :mod:`repro.errors` only), so any
 layer may import it at no cost.
@@ -58,10 +57,9 @@ class Knob:
     resolve time.  ``allowed`` lists a ``str`` knob's values (empty:
     any), ``bound`` is ``">= N"`` / ``"> N"`` for a number, and
     ``available`` returns the values this platform offers.  ``flag``
-    is the CLI flag (``None``: no flag); ``scope`` is ``"run"`` (both
-    CLIs take the flag) or ``"fabric"`` (the ``coordinate``/``worker``
-    verbs only).  ``config_field`` says whether ``CampaignConfig``
-    carries the knob, so the fingerprint excludes it.
+    is the CLI flag both CLIs take (``None``: no flag).
+    ``config_field`` says whether ``CampaignConfig`` carries the knob,
+    so the fingerprint excludes it.
     """
 
     name: str
@@ -73,7 +71,6 @@ class Knob:
     bound: str | None = None
     available: Callable[[], list[str]] | None = None
     flag: str | None = None
-    scope: str = "run"
     config_field: bool = True
 
     def check(self, value, source: str | None = None):
@@ -169,17 +166,6 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
          help="packet-path engine: 'event' is the heap-driven oracle, "
          "'batch' the vectorised engine (statistically equivalent, "
          ">=10x faster on packet-level experiments)"),
-    Knob("fabric_store", str, "fs", env="REPRO_FABRIC_STORE",
-         allowed=("fs", "object"), flag="--fabric-store", scope="fabric",
-         config_field=False,
-         help="coordination store for 'coordinate'/'worker': 'fs' (POSIX "
-         "primitives on the shared directory) or 'object' (object-store "
-         "semantics: conditional PUTs, prefix listing); the directory's "
-         "STORE sentinel wins over the variable and must match a flag"),
-    Knob("object_list_lag_s", float, 0.0, env="REPRO_OBJECT_LIST_LAG_S",
-         bound=">= 0", scope="fabric", config_field=False,
-         help="list-after-write lag the directory-backed object store "
-         "simulates (0 disables it)"),
 )}
 # fmt: on
 
@@ -244,15 +230,15 @@ def scoped(values: Mapping[str, object]):
                 os.environ[env] = value
 
 
-def add_flags(parser, scope: str | None = None) -> None:
-    """Add the flag of every knob (of ``scope``, if given) to ``parser``.
+def add_flags(parser) -> None:
+    """Add the flag of every knob to ``parser``.
 
     Each flag stores under the knob's name with a ``None`` default, so
     the parsed namespace feeds :func:`export`; its help ends with the
     knob's variable and plain default.
     """
     for knob in KNOBS.values():
-        if knob.flag is None or scope not in (None, knob.scope):
+        if knob.flag is None:
             continue
         notes = knob.env
         if knob.kind is not bool and isinstance(knob.default, (str, int, float)):

@@ -30,11 +30,10 @@ reproducibility — and keeps it running when workers don't:
 * :mod:`repro.runtime.merge` — the sinks: order-preserving
   recombination of per-shard datasets and the sketch reduce, both
   validated against the planned partition.
-* :mod:`repro.runtime.store` — the coordination-store seam: one
+* :mod:`repro.runtime.store` — the coordination store: one
   five-primitive protocol (create-exclusive, conditional replace,
-  point read, delete, prefix listing) over POSIX files (``FsStore``)
-  or object-store semantics (``ObjectStore`` backends, tolerating
-  list-after-write lag), selected per fabric directory.
+  point read, delete, prefix listing) over POSIX files on the fabric
+  directory (``FsStore``).
 * :mod:`repro.runtime.lease` — shard leases over the store (atomic
   claim, heartbeats, fences, worker registry): the multi-host
   coordination primitive.
@@ -90,16 +89,7 @@ from repro.runtime.shard import (
     plan_shards,
     run_shard,
 )
-from repro.runtime.store import (
-    CoordinationStore,
-    DirObjectStore,
-    FsStore,
-    MemoryObjectStore,
-    ObjectStore,
-    StoredObject,
-    make_store,
-    resolve_store_kind,
-)
+from repro.runtime.store import CoordinationStore, FsStore, StoredObject
 from repro.runtime.supervision import (
     ShardFailure,
     SupervisorPolicy,
@@ -113,7 +103,6 @@ __all__ = [
     "CheckpointedShard",
     "CheckpointStore",
     "CoordinationStore",
-    "DirObjectStore",
     "FabricCoordinator",
     "FabricRunStats",
     "Fault",
@@ -124,8 +113,6 @@ __all__ = [
     "LeaseDir",
     "LeaseHeartbeat",
     "LeaseRecord",
-    "MemoryObjectStore",
-    "ObjectStore",
     "ShardFailure",
     "ShardResult",
     "ShardSketch",
@@ -140,12 +127,10 @@ __all__ = [
     "fabric_status",
     "hang_plan",
     "host_chaos_plan",
-    "make_store",
     "merge_shard_results",
     "merge_shard_sketches",
     "plan_campaign",
     "plan_shards",
-    "resolve_store_kind",
     "run_campaign",
     "run_fabric_campaign",
     "run_fabric_worker",

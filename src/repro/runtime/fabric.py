@@ -5,13 +5,8 @@ points; the single-host supervisor (:mod:`repro.runtime.supervision`)
 already treats *process* death as routine, and this module extends the
 same posture to *hosts*.  A campaign runs as one coordinator plus any
 number of worker processes — on one machine or many — that share
-nothing but a coordination namespace: a
-:class:`~repro.runtime.store.CoordinationStore` rooted at the fabric
-directory, driven by POSIX primitives (``--fabric-store fs``, the
-default) or object-store semantics (``--fabric-store object``) when
-the fleet shares a bucket rather than a filesystem.  The directory
-records its store kind in a ``STORE`` sentinel, so late-joining
-workers adopt the coordinator's choice automatically.
+nothing but the fabric directory, through which they coordinate with
+POSIX primitives (:class:`~repro.runtime.store.FsStore`).
 
 * The **coordinator** derives the shard plan deterministically from
   the :class:`~repro.extension.campaign.CampaignConfig` (fingerprinted
@@ -50,15 +45,14 @@ double claim after a fence) at worst cost a redundant recompute; the
 create-exclusive manifest put is the single arbiter of which attempt's
 segment merges, so no timing skew between hosts can double-count or
 mix attempts.  Because arbitration is conditional puts and point reads
-only — never listings — the protocol also tolerates list-after-write
-lag on object-store backends.  The final merge reuses the
-campaign-wide partition validation of :mod:`repro.runtime.merge` end
-to end.
+only — never listings — a listing that lags behind writes costs at
+most a poll.  The final merge reuses the campaign-wide partition
+validation of :mod:`repro.runtime.merge` end to end.
 
-The data plane (spilled shard segments, quarantined files) stays on
-the shared filesystem in both modes: segments are bulk checksummed
-columnar blobs whose integrity the checkpoint format already owns, and
-only the *coordination* metadata needs the store's arbitration.
+The data plane (spilled shard segments, quarantined files) sits beside
+the coordination keys: segments are bulk checksummed columnar blobs
+whose integrity the checkpoint format already owns, and only the
+*coordination* metadata needs the store's arbitration.
 """
 
 from __future__ import annotations
@@ -85,15 +79,12 @@ from repro.runtime.lease import (
 )
 from repro.runtime.pool import mp_context, plan_campaign, sink_results
 from repro.runtime.shard import CampaignRunStats, run_shard
-from repro.runtime.store import (
-    CoordinationStore,
-    FsStore,
-    make_store,
-)
+from repro.runtime.store import CoordinationStore, FsStore
 from repro.runtime.supervision import straggler_deadline_s
 
-#: ``plan.json`` schema version (2 adds the advisory ``store`` field).
-PLAN_VERSION = 2
+#: ``plan.json`` schema version (3 drops version 2's advisory ``store``
+#: field, which named the coordination store).
+PLAN_VERSION = 3
 
 #: Terminal marker keys the coordinator puts at the fabric root;
 #: their presence is the workers' exit signal.
@@ -105,8 +96,8 @@ _MARKERS = (DONE_MARKER, CANCELLED_MARKER, FAILED_MARKER)
 #: Default cap on re-dispatches of one shard before the campaign fails.
 DEFAULT_MAX_REDISPATCHES = 8
 
-#: Coordination-namespace key layout (identical across store kinds;
-#: under ``FsStore`` each key is the same file PR 9's fabric wrote).
+#: Coordination key layout: each key is the file at that path under
+#: the fabric directory.
 PLAN_KEY = "plan.json"
 LOG_KEY = "log.jsonl"
 LEASES_PREFIX = "leases/"
@@ -139,41 +130,18 @@ def terminal_marker(store: CoordinationStore) -> str | None:
 
 
 class FabricPaths:
-    """The filesystem layout of one fabric directory.
-
-    The data plane (``segments/``, ``quarantine/``) always lives here;
-    under the default ``fs`` store the coordination keys map onto the
-    same paths too, which is what keeps PR 9 fabric directories (and
-    on-disk debugging) layout-identical.
-    """
+    """The data plane of one fabric directory: ``segments/`` and
+    ``quarantine/``.  The coordination keys beside them belong to the
+    directory's :class:`~repro.runtime.store.FsStore`."""
 
     def __init__(self, root: str):
         self.root = root
-        self.plan = os.path.join(root, "plan.json")
-        self.leases = os.path.join(root, "leases")
-        self.holds = os.path.join(root, "holds")
-        self.manifests = os.path.join(root, "manifests")
-        self.discards = os.path.join(root, "discards")
         self.segments = os.path.join(root, "segments")
         self.quarantine = os.path.join(root, "quarantine")
-        self.workers = os.path.join(root, "workers")
-        self.log = os.path.join(root, "log.jsonl")
 
     def ensure(self) -> None:
-        for directory in (
-            self.root,
-            self.leases,
-            self.holds,
-            self.manifests,
-            self.discards,
-            self.segments,
-            self.quarantine,
-            self.workers,
-        ):
+        for directory in (self.root, self.segments, self.quarantine):
             os.makedirs(directory, exist_ok=True)
-
-    def marker_path(self, name: str) -> str:
-        return os.path.join(self.root, name)
 
 
 @dataclass(frozen=True)
@@ -197,10 +165,9 @@ class FabricPlan:
 
 def write_or_adopt_plan(
     config,
-    paths: FabricPaths,
+    store: FsStore,
     n_shards: int | None = None,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    store: CoordinationStore | None = None,
 ) -> FabricPlan:
     """Publish ``plan.json`` — or adopt an existing one.
 
@@ -214,8 +181,6 @@ def write_or_adopt_plan(
     a restarted coordinator with a different ``n_shards`` still merges
     the original partition.
     """
-    if store is None:
-        store = FsStore(paths.root)
     fingerprint = campaign_fingerprint(config)
     existing = store.get_json(PLAN_KEY)
     if existing is None and not store.exists(PLAN_KEY):
@@ -227,7 +192,6 @@ def write_or_adopt_plan(
             "fingerprint": fingerprint,
             "lease_ttl_s": float(lease_ttl_s),
             "created_at": time.time(),
-            "store": store.kind,
             "shards": [
                 {"shard_id": shard_id, "user_indices": list(indices)}
                 for shard_id, indices in planned
@@ -243,10 +207,10 @@ def write_or_adopt_plan(
             )
         existing = store.get_json(PLAN_KEY)  # a racing coordinator won
     if existing is None:
-        raise FabricError(f"unreadable fabric plan at {paths.plan}")
+        raise FabricError(f"unreadable fabric plan at {store.path_for(PLAN_KEY)}")
     if existing.get("fingerprint") != fingerprint:
         raise FabricError(
-            f"fabric directory {paths.root} belongs to campaign "
+            f"fabric directory {store.root} belongs to campaign "
             f"fingerprint {existing.get('fingerprint')!r}, not "
             f"{fingerprint!r}"
         )
@@ -257,7 +221,9 @@ def write_or_adopt_plan(
         )
         ttl_s = float(existing["lease_ttl_s"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise FabricError(f"malformed fabric plan at {paths.plan}: {exc}") from exc
+        raise FabricError(
+            f"malformed fabric plan at {store.path_for(PLAN_KEY)}: {exc}"
+        ) from exc
     return FabricPlan(
         fingerprint=fingerprint,
         lease_ttl_s=ttl_s,
@@ -266,12 +232,8 @@ def write_or_adopt_plan(
     )
 
 
-def load_plan(
-    paths: FabricPaths, store: CoordinationStore | None = None
-) -> FabricPlan | None:
+def load_plan(store: FsStore) -> FabricPlan | None:
     """Read an already-published plan (worker side); ``None`` if absent."""
-    if store is None:
-        store = FsStore(paths.root)
     doc = store.get_json(PLAN_KEY)
     if doc is None:
         return None
@@ -303,10 +265,8 @@ class FabricRunStats(CampaignRunStats):
     discarded_manifests: int = 0
     #: Torn segments moved aside before their shard was re-dispatched.
     quarantined_segments: int = 0
-    #: The coordination store kind the campaign ran over.
-    store_kind: str = "fs"
     #: The coordinator's structured lease-transition log (also in the
-    #: coordination namespace as ``log.jsonl``).
+    #: fabric directory as ``log.jsonl``).
     lease_log: list = field(default_factory=list)
 
     def transitions(self, event_type: str) -> list[dict]:
@@ -316,7 +276,7 @@ class FabricRunStats(CampaignRunStats):
     def summary(self) -> str:
         base = super().summary()
         return (
-            f"{base} [fabric/{self.store_kind}: {self.n_shards} shards, "
+            f"{base} [fabric: {self.n_shards} shards, "
             f"{self.redispatched_shards} re-dispatched, "
             f"{self.stolen_shards} stolen, "
             f"{self.discarded_manifests} discarded, "
@@ -342,16 +302,12 @@ def run_fabric_worker(
     poll_interval_s: float = 0.05,
     plan_wait_s: float = 60.0,
     idle_exit_s: float | None = None,
-    store_kind: str | None = None,
 ) -> dict:
     """One fabric worker: claim → run → spill → manifest, until done.
 
     Startable on any host that mounts ``fabric_dir`` (the
-    ``repro worker`` CLI verb wraps this).  The worker resolves the
-    coordination store (explicit ``store_kind`` > the directory's
-    ``STORE`` sentinel > the ``fabric_store`` knob — re-checked
-    while waiting, so a worker started before the coordinator adopts
-    whatever the coordinator binds), waits for ``plan.json`` (up to
+    ``repro worker`` CLI verb wraps this), before or after the
+    coordinator.  The worker waits for ``plan.json`` (up to
     ``plan_wait_s``), rebuilds the campaign config from it, then
     loops: claim any unmanifested, unheld shard; run it with a lease
     heartbeat thread refreshing ownership; spill the result as a
@@ -364,38 +320,34 @@ def run_fabric_worker(
     :data:`~repro.runtime.faults.HOST_FAULT_KINDS`.
 
     Returns a summary dict (``worker_id``, ``shards_completed``,
-    ``manifests_discarded``, ``store``).
+    ``manifests_discarded``).
     """
     from repro.extension.campaign import CampaignConfig
 
     paths = FabricPaths(fabric_dir)
     paths.ensure()
+    store = FsStore(fabric_dir)
     worker_id = worker_id or default_worker_id()
     deadline = time.time() + plan_wait_s
-    store = make_store(fabric_dir, store_kind)
-    plan = load_plan(paths, store=store)
+    plan = load_plan(store)
     while plan is None:
         if terminal_marker(store) is not None:
             return {
                 "worker_id": worker_id,
                 "shards_completed": 0,
                 "manifests_discarded": 0,
-                "store": store.kind,
             }
         if time.time() > deadline:
             raise FabricError(
-                f"no fabric plan appeared at {paths.plan} within "
-                f"{plan_wait_s:.0f}s"
+                f"no fabric plan appeared at {store.path_for(PLAN_KEY)} "
+                f"within {plan_wait_s:.0f}s"
             )
         time.sleep(poll_interval_s)
-        # Re-resolve: the coordinator may have bound the directory to a
-        # store kind (the sentinel) after this worker started waiting.
-        store = make_store(fabric_dir, store_kind)
-        plan = load_plan(paths, store=store)
+        plan = load_plan(store)
     if plan.config_json is None:
         raise FabricError(
-            f"fabric plan at {paths.plan} carries no config; workers "
-            "cannot rebuild the campaign"
+            f"fabric plan at {store.path_for(PLAN_KEY)} carries no config; "
+            "workers cannot rebuild the campaign"
         )
     config = CampaignConfig.from_json_dict(plan.config_json)
     ckpt = CheckpointStore(paths.segments, config)
@@ -404,15 +356,9 @@ def run_fabric_worker(
             f"plan fingerprint {plan.fingerprint!r} does not match the "
             f"config it carries ({ckpt.fingerprint!r})"
         )
-    leases = LeaseDir(
-        paths.leases, ttl_s=plan.lease_ttl_s, store=store, prefix=LEASES_PREFIX
-    )
+    leases = LeaseDir(store, ttl_s=plan.lease_ttl_s, prefix=LEASES_PREFIX)
     registry = WorkerRegistry(
-        paths.workers,
-        worker_id,
-        ttl_s=plan.lease_ttl_s,
-        store=store,
-        prefix=WORKERS_PREFIX,
+        store, worker_id, ttl_s=plan.lease_ttl_s, prefix=WORKERS_PREFIX
     )
     registry.write("idle")
     beat_s = (
@@ -471,7 +417,6 @@ def run_fabric_worker(
         "worker_id": worker_id,
         "shards_completed": completed,
         "manifests_discarded": discarded,
-        "store": store.kind,
     }
 
 
@@ -560,7 +505,7 @@ def _run_claimed_shard(
 
 
 def _fabric_worker_entry(
-    fabric_dir, worker_id, heartbeat_interval_s, fault_plan, store_kind=None
+    fabric_dir, worker_id, heartbeat_interval_s, fault_plan
 ) -> None:
     """Local worker-process entry point (top-level: spawn-picklable)."""
     run_fabric_worker(
@@ -568,7 +513,6 @@ def _fabric_worker_entry(
         worker_id=worker_id,
         heartbeat_interval_s=heartbeat_interval_s,
         fault_plan=fault_plan,
-        store_kind=store_kind,
     )
 
 
@@ -593,25 +537,17 @@ class FabricCoordinator:
         redispatch_backoff_base_s: float = 0.05,
         redispatch_backoff_max_s: float = 2.0,
         max_redispatches: int = DEFAULT_MAX_REDISPATCHES,
-        store_kind: str | None = None,
         on_event=None,
     ):
         self.config = config
         self.paths = FabricPaths(fabric_dir)
         self.paths.ensure()
-        self.store = make_store(fabric_dir, store_kind, create_sentinel=True)
+        self.store = FsStore(fabric_dir)
         self.plan = write_or_adopt_plan(
-            config,
-            self.paths,
-            n_shards=n_shards,
-            lease_ttl_s=lease_ttl_s,
-            store=self.store,
+            config, self.store, n_shards=n_shards, lease_ttl_s=lease_ttl_s
         )
         self.leases = LeaseDir(
-            self.paths.leases,
-            ttl_s=self.plan.lease_ttl_s,
-            store=self.store,
-            prefix=LEASES_PREFIX,
+            self.store, ttl_s=self.plan.lease_ttl_s, prefix=LEASES_PREFIX
         )
         self.ckpt = CheckpointStore(self.paths.segments, config)
         self.poll_interval_s = poll_interval_s
@@ -684,7 +620,6 @@ class FabricCoordinator:
             n_users=len(self.plan.expected_indices),
             n_workers=len(local_workers) or None,
             fingerprint=self.plan.fingerprint,
-            store=self.store.kind,
         )
         try:
             while len(accepted) < self.plan.n_shards:
@@ -738,7 +673,6 @@ class FabricCoordinator:
             stolen_shards=self._counters["stolen"],
             discarded_manifests=self._counters["discarded"],
             quarantined_segments=self._counters["quarantined"],
-            store_kind=self.store.kind,
             lease_log=list(self.lease_log),
         )
         return dataset, stats
@@ -1084,19 +1018,23 @@ def run_fabric_campaign(
 ):
     """Run one campaign on the fabric with local worker processes.
 
-    The one-machine convenience wrapper: binds the coordination store
-    (``fabric_store``: ``fs``/``object``/``None`` = the directory's
-    sentinel, then the ``fabric_store`` knob), publishes the plan, spawns
+    The one-machine convenience wrapper: publishes the plan, spawns
     ``n_workers`` local fabric workers (under the campaign's resolved
     multiprocessing start method), drives the coordinator loop, and
     tears the workers down once a terminal marker lands.  Additional
     workers on other hosts may join the same ``fabric_dir`` at any
     time — the coordinator does not distinguish them from local ones.
+    ``fabric_store`` accepts only ``None`` or ``"fs"``, the one
+    coordination store.
 
     Returns ``(dataset, FabricRunStats)`` — the dataset bit-identical
-    to the serial run regardless of the fault schedule survived and
-    the store kind coordinated through.
+    to the serial run regardless of the fault schedule survived.
     """
+    if fabric_store not in (None, "fs"):
+        raise ConfigurationError(
+            "fabric_store must be 'fs' (the only coordination store), "
+            f"got {fabric_store!r}"
+        )
     if n_workers is None:
         n_workers = max(1, getattr(config, "n_workers", 1))
     if n_workers < 0:
@@ -1117,7 +1055,6 @@ def run_fabric_campaign(
         straggler_floor_s=straggler_floor_s,
         straggler_min_samples=straggler_min_samples,
         max_redispatches=max_redispatches,
-        store_kind=fabric_store,
         on_event=on_event,
     )
     context = mp_context(config)
@@ -1130,7 +1067,6 @@ def run_fabric_campaign(
                 f"{default_worker_id()}-w{rank}",
                 heartbeat_interval_s,
                 fault_plan,
-                coordinator.store.kind,
             ),
             daemon=True,
         )
@@ -1161,24 +1097,20 @@ def run_fabric_campaign(
     return dataset, stats
 
 
-def fabric_status(fabric_dir: str, store_kind: str | None = None) -> dict:
+def fabric_status(fabric_dir: str) -> dict:
     """Live lease/heartbeat/worker view of one fabric directory.
 
     The JSON document behind ``GET /v1/campaigns/{id}/workers`` and the
     CLI's progress display: the registered workers (with heartbeat
     ages), every held lease (with expiry state), and shard completion
-    counts.  Read-only — safe to call from any process at any time;
-    the store kind is auto-detected from the directory's sentinel.
+    counts.  Read-only — safe to call from any process at any time.
     """
-    paths = FabricPaths(fabric_dir)
-    store = make_store(fabric_dir, store_kind)
+    store = FsStore(fabric_dir)
     now = time.time()
-    plan = load_plan(paths, store=store)
+    plan = load_plan(store)
     ttl_s = plan.lease_ttl_s if plan is not None else DEFAULT_LEASE_TTL_S
     lease_docs = []
-    leases = LeaseDir(
-        paths.leases, ttl_s=ttl_s, store=store, prefix=LEASES_PREFIX
-    )
+    leases = LeaseDir(store, ttl_s=ttl_s, prefix=LEASES_PREFIX)
     for record in leases.read_all():
         doc = record.to_json_dict()
         doc["heartbeat_age_s"] = max(0.0, now - record.heartbeat_at)
@@ -1202,7 +1134,6 @@ def fabric_status(fabric_dir: str, store_kind: str | None = None) -> dict:
         )
     return {
         "fabric_dir": fabric_dir,
-        "store": store.kind,
         "planned": plan is not None,
         "n_shards": n_shards,
         "completed_shards": completed,

@@ -1,16 +1,12 @@
 """Shard leases: the coordination primitive of the fabric.
 
 The multi-host fabric (:mod:`repro.runtime.fabric`) coordinates
-through a :class:`~repro.runtime.store.CoordinationStore` — a shared
-directory driven by POSIX primitives (:class:`~repro.runtime.store.FsStore`,
-the default) or an object-store-semantics backend
-(:class:`~repro.runtime.store.ObjectStore`) when the fleet shares a
-bucket rather than a filesystem.  This module owns the lease protocol
-over that store:
+through :class:`~repro.runtime.store.FsStore` on the shared fabric
+directory.  This module owns the lease protocol over any
+:class:`~repro.runtime.store.CoordinationStore`:
 
 * **Leases** — ``leases/shard-0003.lease`` is claimed with the store's
-  create-exclusive primitive (``O_CREAT | O_EXCL`` on POSIX,
-  PUT-if-absent on an object store: exactly one claimer wins the race,
+  create-exclusive primitive (exactly one claimer wins the race,
   atomically) and holds a JSON :class:`LeaseRecord` naming the worker,
   a random ownership token, the attempt number and the last heartbeat
   time.  Workers refresh ``heartbeat_at`` with a *conditional replace*
@@ -40,11 +36,11 @@ over that store:
   service's ``GET /v1/campaigns/{id}/workers`` view.
 
 Correctness never rests on the store's *listing* primitive, which may
-lag behind writes on object stores: every arbitration above is a
-conditional put or a point read (both read-after-write consistent),
-and :meth:`LeaseDir.read_all` / :meth:`WorkerRegistry.read_all` feed
-only scheduling decisions, where a lagged listing at worst delays a
-revocation by one poll.
+lag behind writes on a store other than a local filesystem: every
+arbitration above is a conditional put or a point read (both
+read-after-write consistent), and :meth:`LeaseDir.read_all` /
+:meth:`WorkerRegistry.read_all` feed only scheduling decisions, where
+a lagged listing at worst delays a revocation by one poll.
 
 Timestamps are wall-clock (``time.time()``): leases must be comparable
 *across hosts*, which monotonic clocks are not.  The protocol
@@ -62,7 +58,7 @@ import uuid
 from dataclasses import dataclass, replace
 
 from repro.errors import LeaseLostError
-from repro.runtime.store import CoordinationStore, FsStore
+from repro.runtime.store import CoordinationStore
 
 #: Default lease TTL; production shards run minutes, tests override.
 DEFAULT_LEASE_TTL_S = 10.0
@@ -144,44 +140,28 @@ class LeaseDir:
 
     All mutating operations are single-key atomic (create-exclusive,
     conditional replace, delete); no operation ever needs a lock
-    spanning two keys, which is what makes the protocol safe on any
-    backend with those primitives — a shared POSIX filesystem
-    (:class:`~repro.runtime.store.FsStore`, the default when
-    constructed with a directory path) or an object store.
+    spanning two keys, so the protocol is safe on any store with those
+    primitives.
     """
 
     def __init__(
         self,
-        directory: str | None = None,
+        store: CoordinationStore,
         ttl_s: float = DEFAULT_LEASE_TTL_S,
         *,
-        store: CoordinationStore | None = None,
         prefix: str = "",
     ):
-        if store is None:
-            if directory is None:
-                raise ValueError("LeaseDir needs a directory or a store")
-            store = FsStore(directory)
         self.store = store
         self.prefix = prefix
-        self.directory = directory
         self.ttl_s = float(ttl_s)
 
-    # -- keys / paths ---------------------------------------------------
+    # -- keys ----------------------------------------------------------
 
     def lease_key(self, shard_id: int) -> str:
         return f"{self.prefix}shard-{shard_id:04d}.lease"
 
     def fence_key(self, shard_id: int) -> str:
         return f"{self.prefix}shard-{shard_id:04d}.fence"
-
-    def lease_path(self, shard_id: int) -> str:
-        """Filesystem path of a lease (FS-backed stores only)."""
-        return self.store.path_for(self.lease_key(shard_id))
-
-    def fence_path(self, shard_id: int) -> str:
-        """Filesystem path of a fence (FS-backed stores only)."""
-        return self.store.path_for(self.fence_key(shard_id))
 
     # -- claim / read --------------------------------------------------
 
@@ -191,9 +171,7 @@ class LeaseDir:
         """Atomically claim a shard; ``None`` when someone else holds it.
 
         Exactly one concurrent claimer wins: the lease is created with
-        the store's create-exclusive primitive (``O_CREAT | O_EXCL`` on
-        POSIX, PUT-if-absent on an object store), which the backend
-        arbitrates.
+        the store's create-exclusive primitive, which arbitrates the race.
         """
         now = time.time()
         record = LeaseRecord(
@@ -218,9 +196,10 @@ class LeaseDir:
     def read_all(self) -> list[LeaseRecord]:
         """Every currently-listed lease, ordered by shard id.
 
-        Listing may lag on an object store, so a just-claimed lease can
-        be briefly absent here while :meth:`read` already sees it —
-        callers use this for scheduling only, never for arbitration.
+        Listing may lag on a store other than a local filesystem, so a
+        just-claimed lease can be briefly absent here while :meth:`read`
+        already sees it — callers use this for scheduling only, never
+        for arbitration.
         """
         records = []
         for key in self.store.list_prefix(self.prefix):
@@ -378,20 +357,14 @@ class WorkerRegistry:
 
     def __init__(
         self,
-        directory: str | None,
+        store: CoordinationStore,
         worker_id: str,
         ttl_s: float,
         *,
-        store: CoordinationStore | None = None,
         prefix: str = "",
     ):
-        if store is None:
-            if directory is None:
-                raise ValueError("WorkerRegistry needs a directory or a store")
-            store = FsStore(directory)
         self.store = store
         self.prefix = prefix
-        self.directory = directory
         self.worker_id = worker_id
         self.ttl_s = float(ttl_s)
         self._state = "idle"
@@ -402,11 +375,6 @@ class WorkerRegistry:
     @property
     def key(self) -> str:
         return f"{self.prefix}{self.worker_id}.json"
-
-    @property
-    def path(self) -> str:
-        """Filesystem path of this worker's document (FS stores only)."""
-        return self.store.path_for(self.key)
 
     def write(self, state: str | None = None) -> None:
         if state is not None:
@@ -442,18 +410,9 @@ class WorkerRegistry:
         self.write("exited")
 
     @staticmethod
-    def read_all(
-        directory: str | CoordinationStore, prefix: str = ""
-    ) -> list[dict]:
-        """Every readable worker document, ordered by worker id.
-
-        Accepts a directory path (read as an :class:`FsStore`, the
-        historical calling convention) or any coordination store plus
-        a key prefix.
-        """
-        store = (
-            FsStore(directory) if isinstance(directory, str) else directory
-        )
+    def read_all(store: CoordinationStore, prefix: str = "") -> list[dict]:
+        """Every readable worker document under ``prefix``, ordered by
+        worker id."""
         docs = []
         for key in sorted(store.list_prefix(prefix)):
             if not key.endswith(".json"):

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field, replace
 from repro.errors import CampaignCancelledError, ConfigurationError
 from repro.analysis.streaming import new_table_accumulators
 from repro.extension.campaign import CampaignConfig
-from repro.knobs import check
 from repro.runtime.checkpoint import campaign_fingerprint
 from repro.runtime.faults import Fault, FaultKind, FaultPlan
 from repro.runtime.merge import fold_shard
@@ -97,9 +96,6 @@ class Campaign:
     n_shards: int = 0
     #: The fabric coordination directory (fabric mode only).
     fabric_dir: str | None = None
-    #: The coordination store kind (fabric mode only; ``None`` = the
-    #: environment default, resolved by the fabric itself).
-    fabric_store: str | None = None
 
     def status(self) -> dict:
         """The JSON status document of this campaign."""
@@ -127,7 +123,6 @@ class Campaign:
             "error": self.error,
             "result": result,
             "fabric_dir": self.fabric_dir,
-            "fabric_store": self.fabric_store,
         }
 
 
@@ -216,39 +211,26 @@ class CampaignService:
 
         The body is ``{"config": {...}, "mode":
         "records"|"sketch"|"fabric", "resume_from": "<campaign id>",
-        "faults": [...], "fabric_store": "fs"|"object"}`` — all keys
-        optional except that ``resume_from`` requires records mode and
-        a fingerprint-identical config.
+        "faults": [...]}`` — all keys optional except that
+        ``resume_from`` requires records mode and a fingerprint-identical
+        config.
         """
         if not isinstance(body, dict):
             raise invalid_request(
                 f"the submission body must be a JSON object, "
                 f"got {type(body).__name__}"
             )
-        unknown = sorted(
-            set(body)
-            - {"config", "mode", "resume_from", "faults", "fabric_store"}
-        )
+        unknown = sorted(set(body) - {"config", "mode", "resume_from", "faults"})
         if unknown:
             raise invalid_request(
                 f"unknown submission key(s) {unknown}; known keys: "
-                "['config', 'fabric_store', 'faults', 'mode', 'resume_from']"
+                "['config', 'faults', 'mode', 'resume_from']"
             )
         mode = body.get("mode", "records")
         if mode not in VALID_MODES:
             raise invalid_request(
                 f"mode must be one of {VALID_MODES}, got {mode!r}"
             )
-        fabric_store = body.get("fabric_store")
-        if fabric_store is not None:
-            if mode != "fabric":
-                raise invalid_request(
-                    "'fabric_store' applies to fabric mode only"
-                )
-            try:
-                check("fabric_store", fabric_store)
-            except ConfigurationError as exc:
-                raise invalid_request(str(exc)) from exc
         try:
             config = CampaignConfig.from_json_dict(body.get("config", {}))
         except ConfigurationError as exc:
@@ -277,7 +259,6 @@ class CampaignService:
             campaign.fabric_dir = os.path.join(
                 self.service_dir, "campaigns", campaign_id, "fabric"
             )
-            campaign.fabric_store = fabric_store
         with self._lock:
             self._campaigns[campaign_id] = campaign
         campaign.events.append(
@@ -458,7 +439,6 @@ class CampaignService:
                 config,
                 config.n_workers,
                 campaign.fabric_dir,
-                fabric_store=campaign.fabric_store,
                 **hooks,
             )
         else:

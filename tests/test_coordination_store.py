@@ -1,41 +1,117 @@
 """Conformance suite for the ``CoordinationStore`` protocol.
 
-One parametrized contract run against every backend — the POSIX
-``FsStore``, the cross-process ``DirObjectStore`` bucket emulation and
-the in-process ``MemoryObjectStore`` fake — so the fabric's
-correctness claims (exactly one create-exclusive winner, conditional
-replace refuses stale etags, fence-after-revoke, first manifest wins,
-listings may lag but point reads never do) are enforced uniformly
-rather than assumed per backend.
+One parametrized contract run against ``FsStore``, the fabric's store,
+and ``MemoryObjectStore``, an in-process fake with object-store
+semantics, so the fabric's correctness claims (exactly one
+create-exclusive winner, conditional replace refuses stale etags,
+fence-after-revoke, first manifest wins, listings may lag but point
+reads never do) are enforced on more than one substrate rather than
+assumed of one.  The arbitration tests also run on a fake whose
+listings lag 30 s: correctness must never rest on a listing.
 """
 
+import errno
 import os
 import threading
 import time
+import uuid
 
 import pytest
 
-from repro.errors import ConfigurationError, FabricError, LeaseLostError
-from repro.runtime.lease import LeaseDir
-from repro.runtime.store import (
-    DirObjectStore,
-    FsStore,
-    MemoryObjectStore,
-    make_store,
-    read_store_sentinel,
-    resolve_store_kind,
-)
+from repro.errors import LeaseLostError
+from repro.runtime.lease import LeaseDir, LeaseRecord
+from repro.runtime.store import CoordinationStore, FsStore, StoredObject
 
-BACKENDS = ("fs", "object", "memory")
-#: Backends that simulate list-after-write lag (FsStore never lags).
-LAGGY_BACKENDS = ("object", "memory")
+
+class MemoryObjectStore(CoordinationStore):
+    """Object-store semantics over a locked dict.
+
+    Conditional PUT-if-absent / PUT-if-match with a fresh etag per
+    object version, and simulated **list-after-write lag**: a key is
+    left out of :meth:`list_prefix` until ``list_lag_s`` has passed
+    since its first creation (an overwrite never hides an
+    already-listed key), while point reads see every write at once.
+    One lock arbitrates every race, so each semantic claim holds
+    exactly; :meth:`settle` lists every key at once.  The log is
+    sequence-numbered child objects, each claimed with PUT-if-absent.
+    """
+
+    def __init__(self, list_lag_s: float = 0.0):
+        self.list_lag_s = float(list_lag_s)
+        self._lock = threading.Lock()
+        #: key -> (data, etag, monotonic time of first creation)
+        self._objects: dict[str, tuple[bytes, str, float]] = {}
+
+    def _put(self, key, data, *, mode, etag=None):
+        with self._lock:
+            current = self._objects.get(key)
+            if mode == "absent" and current is not None:
+                return None
+            if mode == "match" and (current is None or current[1] != etag):
+                return None
+            new_etag = uuid.uuid4().hex[:16]
+            birth = current[2] if current is not None else time.monotonic()
+            self._objects[key] = (data, new_etag, birth)
+            return new_etag
+
+    def put_if_absent(self, key, data):
+        return self._put(key, data, mode="absent")
+
+    def put_if_match(self, key, data, etag):
+        return self._put(key, data, mode="match", etag=etag)
+
+    def put(self, key, data):
+        return self._put(key, data, mode="always")
+
+    def get(self, key):
+        with self._lock:
+            current = self._objects.get(key)
+        if current is None:
+            return None
+        return StoredObject(data=current[0], etag=current[1])
+
+    def delete(self, key):
+        with self._lock:
+            return self._objects.pop(key, None) is not None
+
+    def list_prefix(self, prefix):
+        horizon = time.monotonic() - self.list_lag_s
+        with self._lock:
+            return sorted(
+                key
+                for key, (_, _, birth) in self._objects.items()
+                if key.startswith(prefix) and birth <= horizon
+            )
+
+    def append_line(self, key, text):
+        seq = 0
+        while self.put_if_absent(f"{key}/{seq:08d}", text.encode()) is None:
+            seq += 1
+
+    def read_lines(self, key):
+        objects = (self.get(child) for child in self.list_prefix(f"{key}/"))
+        return [obj.data.decode() for obj in objects if obj is not None]
+
+    def settle(self):
+        with self._lock:
+            self._objects = {
+                key: (data, etag, float("-inf"))
+                for key, (data, etag, _) in self._objects.items()
+            }
+
+
+BACKENDS = ("fs", "memory")
+#: Stores that can simulate list-after-write lag (FsStore never lags).
+LAGGY_BACKENDS = ("memory",)
+#: The arbitration tests' stores: ``lagged`` lists nothing for 30 s.
+ARBITERS = (*BACKENDS, "lagged")
 
 
 def _make(kind: str, tmp_path, list_lag_s: float = 0.0):
     if kind == "fs":
         return FsStore(str(tmp_path / "fs"))
-    if kind == "object":
-        return DirObjectStore(str(tmp_path / "bucket"), list_lag_s=list_lag_s)
+    if kind == "lagged":
+        list_lag_s = 30.0
     return MemoryObjectStore(list_lag_s=list_lag_s)
 
 
@@ -124,7 +200,6 @@ def test_list_prefix_is_sorted_and_scoped(store):
     for name in ("shard-0002.lease", "shard-0000.lease", "shard-0001.fence"):
         store.put(f"leases/{name}", b"{}")
     store.put("workers/w1.json", b"{}")
-    store.settle()
     assert store.list_prefix("leases/") == [
         "leases/shard-0000.lease",
         "leases/shard-0001.fence",
@@ -156,7 +231,6 @@ def test_list_after_write_lag_hides_only_listings(kind, tmp_path):
 def test_append_line_preserves_order_and_survives_concurrency(store):
     for index in range(5):
         store.append_line("log.jsonl", f"event-{index}")
-    store.settle()
     assert store.read_lines("log.jsonl") == [
         f"event-{index}" for index in range(5)
     ]
@@ -170,7 +244,6 @@ def test_append_line_preserves_order_and_survives_concurrency(store):
         thread.start()
     for thread in threads:
         thread.join()
-    store.settle()
     lines = store.read_lines("log.jsonl")
     assert len(lines) == 13
     assert set(lines[5:]) == {f"race-{rank}" for rank in range(8)}
@@ -186,7 +259,7 @@ def test_json_sugar_returns_none_for_torn_documents(store):
 # -- lease protocol over every backend -----------------------------------
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("kind", ARBITERS)
 def test_claim_race_exactly_one_wins(kind, tmp_path):
     store = _make(kind, tmp_path)
     leases = LeaseDir(ttl_s=30.0, store=store, prefix="leases/")
@@ -208,8 +281,11 @@ def test_claim_race_exactly_one_wins(kind, tmp_path):
     won = [record for record in results if record is not None]
     assert len(won) == 1
     assert leases.read(0).token == won[0].token
+    if kind == "lagged":
+        assert leases.read_all() == []  # decided with nothing listed
 
 
+@pytest.mark.parametrize("store", ARBITERS, indirect=True)
 def test_fence_after_revoke_blocks_old_owner_only(store):
     leases = LeaseDir(ttl_s=30.0, store=store, prefix="leases/")
     old = leases.claim(3, "w-old")
@@ -227,6 +303,7 @@ def test_fence_after_revoke_blocks_old_owner_only(store):
     assert not store.exists(leases.fence_key(3))
 
 
+@pytest.mark.parametrize("store", ARBITERS, indirect=True)
 def test_heartbeat_loses_conditional_replace_cleanly(store):
     """A beat racing any concurrent lease mutation must fail with
     ``LeaseLostError`` rather than resurrect or clobber the lease."""
@@ -249,6 +326,7 @@ def test_heartbeat_loses_conditional_replace_cleanly(store):
     )
 
 
+@pytest.mark.parametrize("store", ARBITERS, indirect=True)
 def test_first_manifest_wins_across_threads(store):
     n_racers = 8
     barrier = threading.Barrier(n_racers)
@@ -276,41 +354,49 @@ def test_first_manifest_wins_across_threads(store):
     )
 
 
-# -- store selection / sentinel ------------------------------------------
+# -- FsStore's create-exclusive put ----------------------------------------
 
 
-def test_make_store_binds_directory_with_sentinel(tmp_path):
-    fabric_dir = str(tmp_path / "fabric")
-    store = make_store(fabric_dir, "object", create_sentinel=True)
-    assert store.kind == "object"
-    assert read_store_sentinel(fabric_dir) == "object"
-    # A participant with no explicit choice adopts the sentinel...
-    assert make_store(fabric_dir).kind == "object"
-    # ...and a contradictory explicit choice fails loudly.
-    with pytest.raises(FabricError):
-        make_store(fabric_dir, "fs")
+def test_torn_claim_leaves_the_key_absent_or_whole(tmp_path, monkeypatch):
+    """A claimer that fails at any step of its create-exclusive put —
+    the write, the fsync or the link that publishes it — leaves the
+    lease absent, so the next claim wins, or whole; never an empty
+    lease that listings skip and no claim can replace."""
+    for step in ("write", "fsync", "link"):
+        store = FsStore(str(tmp_path / step))
+        leases = LeaseDir(store=store, ttl_s=30.0, prefix="leases/")
+        reached = []
+
+        def fail(*args, step=step):
+            reached.append(step)
+            raise OSError(errno.EIO, f"injected {step} failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, step, fail)
+            with pytest.raises(OSError, match="injected"):
+                leases.claim(0, "w-dying")
+        assert reached == [step]
+        obj = store.get(leases.lease_key(0))
+        if obj is not None:
+            record = LeaseRecord.from_json_dict(obj.json() or {})
+            assert record is not None and record.worker_id == "w-dying", step
+            continue
+        # Nothing left behind, not even the temp file.
+        assert os.listdir(store.path_for("leases")) == [], step
+        retry = leases.claim(0, "w-live")
+        assert retry is not None, step
+        assert [r.token for r in leases.read_all()] == [retry.token], step
 
 
-def test_resolve_store_kind_precedence(tmp_path, monkeypatch):
-    fabric_dir = str(tmp_path / "fabric")
-    os.makedirs(fabric_dir)
-    monkeypatch.delenv("REPRO_FABRIC_STORE", raising=False)
-    assert resolve_store_kind(fabric_dir) == "fs"
-    assert resolve_store_kind(fabric_dir, "object") == "object"  # explicit
-    make_store(fabric_dir, "object", create_sentinel=True)
-    assert resolve_store_kind(fabric_dir) == "object"  # the sentinel
-    with pytest.raises(ConfigurationError):
-        resolve_store_kind(fabric_dir, "s3")
-
-
-def test_dir_object_store_breaks_stale_locks(tmp_path):
-    """A lock abandoned by a SIGKILLed holder must not wedge the key."""
-    store = DirObjectStore(str(tmp_path / "bucket"))
-    lock_path = store._lock_path("plan.json")
-    os.makedirs(os.path.dirname(lock_path), exist_ok=True)
-    with open(lock_path, "w", encoding="utf-8"):
-        pass
-    stale = time.time() - 60.0
-    os.utime(lock_path, (stale, stale))
-    assert store.put_if_absent("plan.json", b"{}") is not None
-    assert store.get("plan.json").data == b"{}"
+def test_losing_claim_writes_nothing(tmp_path, monkeypatch):
+    store = FsStore(str(tmp_path))
+    assert store.put_if_absent("leases/shard-0000.lease", b"first") is not None
+    calls = []
+    real_write, real_fsync = os.write, os.fsync
+    monkeypatch.setattr(os, "write", lambda *a: calls.append("write") or real_write(*a))
+    monkeypatch.setattr(os, "fsync", lambda *a: calls.append("fsync") or real_fsync(*a))
+    assert store.put_if_absent("leases/shard-0000.lease", b"second") is None
+    monkeypatch.undo()
+    assert calls == []
+    assert store.get("leases/shard-0000.lease").data == b"first"
+    assert os.listdir(store.path_for("leases")) == ["shard-0000.lease"]

@@ -20,7 +20,6 @@ from repro.extension.campaign import CampaignConfig
 ROWS = list(knobs.KNOBS.values())
 ENV_ROWS = [knob for knob in ROWS if knob.env]
 FLAG_ROWS = [knob for knob in ROWS if knob.flag]
-RUN_FLAG_ROWS = [knob for knob in FLAG_ROWS if knob.scope == "run"]
 
 #: One allowed, non-default value per knob.
 SAMPLES = {
@@ -35,8 +34,6 @@ SAMPLES = {
     "storage_dir": "segments",
     "storage_segment_records": 512,
     "engine": "batch",
-    "fabric_store": "object",
-    "object_list_lag_s": 0.25,
 }
 
 #: A value each knob's row refuses (directory knobs take any string).
@@ -50,8 +47,6 @@ BAD = {
     "storage": "cloud",
     "storage_segment_records": 0,
     "engine": "warp",
-    "fabric_store": "s3",
-    "object_list_lag_s": -1.0,
 }
 BAD_ENV_ROWS = [knob for knob in ENV_ROWS if knob.name in BAD]
 BAD_EXPLICIT_ROWS = [k for k in ROWS if k.name in BAD and k.kind is not bool]
@@ -165,7 +160,7 @@ def test_cli_flag_reaches_the_resolver(knob, clean_env, capsys):
     assert knobs.resolve(knob.name) == SAMPLES[knob.name]
 
 
-@pytest.mark.parametrize("knob", RUN_FLAG_ROWS, ids=_ids(RUN_FLAG_ROWS))
+@pytest.mark.parametrize("knob", FLAG_ROWS, ids=_ids(FLAG_ROWS))
 def test_report_flag_reaches_the_resolver(knob, clean_env, monkeypatch, tmp_path):
     from repro.experiments import report
 
@@ -257,18 +252,6 @@ def _engine(value):
     return scenario.build().engine
 
 
-def _fabric_store(value):
-    from repro.runtime.store import resolve_store_kind
-
-    return resolve_store_kind("fabric", value)
-
-
-def _list_lag(value):
-    from repro.runtime.store import DirObjectStore
-
-    return DirObjectStore("bucket", value).list_lag_s
-
-
 #: Knob → its consumer, called with the explicit value (``None``:
 #: unset) and returning the value the consumer ends up with.
 CONSUMERS = {
@@ -279,8 +262,6 @@ CONSUMERS = {
     "storage": _storage,
     "storage_dir": _storage_dir,
     "engine": _engine,
-    "fabric_store": _fabric_store,
-    "object_list_lag_s": _list_lag,
 }
 
 
@@ -293,15 +274,6 @@ def test_consumer_reads_knob(name, clean_env, monkeypatch, tmp_path):
     monkeypatch.setenv(knob.env, knob.render(SAMPLES[name]))
     assert CONSUMERS[name](None) == SAMPLES[name]
     assert CONSUMERS[name](_other(knob)) == _other(knob)
-
-
-def test_fabric_sentinel_wins_over_the_variable(clean_env, monkeypatch, tmp_path):
-    from repro.runtime.store import make_store, resolve_store_kind
-
-    fabric_dir = str(tmp_path / "fabric")
-    make_store(fabric_dir, "fs", create_sentinel=True)
-    monkeypatch.setenv("REPRO_FABRIC_STORE", "object")
-    assert resolve_store_kind(fabric_dir) == "fs"
 
 
 def test_resume_false_field_defers_to_the_variable(clean_env, monkeypatch, tmp_path):

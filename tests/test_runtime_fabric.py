@@ -9,13 +9,15 @@ coordinator's structured log records every lease transition.
 
 import json
 import os
+import time
 
 import pytest
 
-from repro.errors import FabricError
+from repro.errors import ConfigurationError, FabricError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 from repro.runtime import campaign_fingerprint, host_chaos_plan, run_fabric_campaign
 from repro.runtime.fabric import (
+    CANCELLED_MARKER,
     FabricCoordinator,
     FabricPaths,
     _fabric_worker_entry,
@@ -24,7 +26,7 @@ from repro.runtime.fabric import (
     run_fabric_worker,
     write_or_adopt_plan,
 )
-from repro.runtime.store import make_store, read_store_sentinel
+from repro.runtime.store import FsStore
 
 SMALL = dict(
     seed=11,
@@ -110,7 +112,7 @@ def test_fabric_chaos_identity(serial_dataset, tmp_path):
     assert by_shard[1]["attempts"] >= 2
     # The structured log is also on disk, one JSON object per line,
     # and records the same transitions.
-    log_path = FabricPaths(fabric_dir).log
+    log_path = os.path.join(fabric_dir, "log.jsonl")
     with open(log_path, "r", encoding="utf-8") as handle:
         on_disk = [json.loads(line) for line in handle if line.strip()]
     assert [e["type"] for e in on_disk] == [
@@ -139,7 +141,8 @@ def test_fabric_torn_segment_quarantined(serial_dataset, tmp_path):
     assert os.listdir(paths.quarantine)  # the torn file was kept
     # The rejected manifest was moved aside, not deleted.
     assert any(
-        ".rejected-" in name for name in os.listdir(paths.manifests)
+        ".rejected-" in name
+        for name in os.listdir(os.path.join(fabric_dir, "manifests"))
     )
 
 
@@ -174,23 +177,21 @@ def test_int_duration_config_runs_on_the_fabric():
 
 def test_plan_write_then_adopt(tmp_path):
     config = CampaignConfig(**SMALL)
-    paths = FabricPaths(str(tmp_path))
-    paths.ensure()
-    plan = write_or_adopt_plan(config, paths, n_shards=3)
-    adopted = write_or_adopt_plan(config, paths, n_shards=7)
+    store = FsStore(str(tmp_path))
+    plan = write_or_adopt_plan(config, store, n_shards=3)
+    adopted = write_or_adopt_plan(config, store, n_shards=7)
     # The published partition wins over a restarted coordinator's args.
     assert adopted.shards == plan.shards
     assert adopted.fingerprint == plan.fingerprint
-    assert load_plan(paths).shards == plan.shards
+    assert load_plan(store).shards == plan.shards
 
 
 def test_plan_rejects_foreign_fingerprint(tmp_path):
-    paths = FabricPaths(str(tmp_path))
-    paths.ensure()
-    write_or_adopt_plan(CampaignConfig(**SMALL), paths, n_shards=2)
+    store = FsStore(str(tmp_path))
+    write_or_adopt_plan(CampaignConfig(**SMALL), store, n_shards=2)
     other = CampaignConfig(**{**SMALL, "seed": 12})
     with pytest.raises(FabricError):
-        write_or_adopt_plan(other, paths, n_shards=2)
+        write_or_adopt_plan(other, store, n_shards=2)
 
 
 def test_coordinator_restart_adopts_completed_shards(
@@ -220,12 +221,16 @@ def test_worker_times_out_without_plan(tmp_path):
 
 
 def test_worker_exits_on_terminal_marker(tmp_path):
-    paths = FabricPaths(str(tmp_path))
-    paths.ensure()
-    with open(paths.marker_path("CANCELLED"), "w", encoding="utf-8") as fh:
-        fh.write("{}")
+    FsStore(str(tmp_path)).put_json(CANCELLED_MARKER, {})
     summary = run_fabric_worker(str(tmp_path), plan_wait_s=30.0)
     assert summary["shards_completed"] == 0
+
+
+def test_fabric_store_keyword_accepts_only_fs():
+    """``fs`` is the one coordination store: any other value is refused
+    before a directory is created or a worker started."""
+    with pytest.raises(ConfigurationError, match="fabric_store"):
+        run_fabric_campaign(CampaignConfig(**SMALL), 1, fabric_store="object")
 
 
 def test_redispatch_cap_gives_up(tmp_path):
@@ -244,61 +249,9 @@ def test_redispatch_cap_gives_up(tmp_path):
         )
 
 
-# -- the object-store substrate ------------------------------------------
-
-
-def test_fabric_object_store_chaos_identity(
-    serial_dataset, tmp_path, monkeypatch
-):
-    """The PR's acceptance criterion: a 4-worker campaign over the
-    object-store substrate — one worker killed mid-shard (churning the
-    fleet down), one straggling — with list-after-write lag simulated,
-    merges bit-identical to serial.  Correctness provably never rests
-    on the store's listings."""
-    monkeypatch.setenv("REPRO_OBJECT_LIST_LAG_S", "0.25")
-    fault_plan = host_chaos_plan(
-        dead_shards=(0,), straggler_shards=(1,), straggle_s=8.0
-    )
-    fabric_dir = str(tmp_path / "fabric")
-    dataset, stats = run_fabric_campaign(
-        CampaignConfig(**SMALL),
-        n_workers=4,
-        fabric_dir=fabric_dir,
-        n_shards=6,
-        fault_plan=fault_plan,
-        fabric_store="object",
-        **FAST,
-    )
-    _assert_identical(dataset, serial_dataset)
-    assert stats.store_kind == "object"
-    # Both recovery paths ran, same as on the POSIX substrate.
-    assert any(
-        e["shard_id"] == 0 for e in stats.transitions("lease_expired")
-    )
-    assert any(
-        e["shard_id"] == 1 for e in stats.transitions("lease_straggler")
-    )
-    assert stats.redispatched_shards >= 2
-    completed = stats.transitions("shard_completed")
-    assert sorted(e["shard_id"] for e in completed) == list(range(6))
-    # The directory is durably bound to the object store...
-    assert read_store_sentinel(fabric_dir) == "object"
-    # ...and the structured log lives in it as sequence-numbered
-    # objects, replayable in order.
-    store = make_store(fabric_dir)
-    store.settle()
-    on_store = [json.loads(line) for line in store.read_lines("log.jsonl")]
-    assert [e["type"] for e in on_store] == [
-        e["type"] for e in stats.lease_log
-    ]
-
-
-def test_fabric_object_store_worker_joins_before_plan(
-    serial_dataset, tmp_path
-):
-    """Workers started before the coordinator — with no store flag at
-    all — adopt the coordinator's store choice through the ``STORE``
-    sentinel once it appears, then run the campaign normally."""
+def test_fabric_worker_joins_before_plan(serial_dataset, tmp_path):
+    """Workers started before the coordinator wait for its plan, then
+    do all the work."""
     from repro.runtime.pool import mp_context
 
     config = CampaignConfig(**SMALL)
@@ -307,7 +260,7 @@ def test_fabric_object_store_worker_joins_before_plan(
     workers = [
         context.Process(
             target=_fabric_worker_entry,
-            args=(fabric_dir, f"early-w{rank}", 0.1, None, None),
+            args=(fabric_dir, f"early-w{rank}", 0.1, None),
             daemon=True,
         )
         for rank in range(2)
@@ -315,13 +268,12 @@ def test_fabric_object_store_worker_joins_before_plan(
     for process in workers:
         process.start()
     try:
+        time.sleep(0.5)
+        # Still waiting: no plan yet, and nobody gave up.
+        assert not os.path.exists(os.path.join(fabric_dir, "plan.json"))
+        assert all(process.is_alive() for process in workers)
         dataset, stats = run_fabric_campaign(
-            config,
-            n_workers=0,
-            fabric_dir=fabric_dir,
-            n_shards=4,
-            fabric_store="object",
-            **FAST,
+            config, n_workers=0, fabric_dir=fabric_dir, n_shards=4, **FAST
         )
     finally:
         for process in workers:
@@ -329,13 +281,9 @@ def test_fabric_object_store_worker_joins_before_plan(
             if process.is_alive():
                 process.terminate()
     _assert_identical(dataset, serial_dataset)
-    assert stats.store_kind == "object"
-    assert len(stats.transitions("shard_completed")) == 4
-    claimed_by = {
-        e["worker_id"] for e in stats.transitions("lease_claimed")
-    }
-    assert claimed_by <= {"early-w0", "early-w1"}
-    assert claimed_by  # the early joiners did the work
+    completed = stats.transitions("shard_completed")
+    assert sorted(e["shard_id"] for e in completed) == list(range(4))
+    assert {e["worker_id"] for e in completed} <= {"early-w0", "early-w1"}
 
 
 def test_fabric_status_view(tmp_path):

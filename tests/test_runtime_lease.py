@@ -13,6 +13,7 @@ from repro.runtime.lease import (
     LeaseRecord,
     WorkerRegistry,
 )
+from repro.runtime.store import FsStore
 
 
 # -- claim arbitration -------------------------------------------------
@@ -22,9 +23,10 @@ def test_concurrent_claims_exactly_one_wins(tmp_path):
     """The acceptance criterion: N racing claimers, one winner.
 
     Every thread lines up on a barrier and claims the same shard at
-    once; O_CREAT|O_EXCL must hand the lease to exactly one of them.
+    once; the store's create-exclusive put must hand the lease to
+    exactly one of them.
     """
-    leases = LeaseDir(str(tmp_path), ttl_s=30.0)
+    leases = LeaseDir(FsStore(str(tmp_path)), ttl_s=30.0)
     n_threads = 16
     barrier = threading.Barrier(n_threads)
     wins: list[LeaseRecord] = []
@@ -52,14 +54,14 @@ def test_concurrent_claims_exactly_one_wins(tmp_path):
 
 
 def test_claim_different_shards_all_win(tmp_path):
-    leases = LeaseDir(str(tmp_path), ttl_s=30.0)
+    leases = LeaseDir(FsStore(str(tmp_path)), ttl_s=30.0)
     records = [leases.claim(shard_id, "w") for shard_id in range(5)]
     assert all(record is not None for record in records)
     assert [r.shard_id for r in leases.read_all()] == list(range(5))
 
 
 def test_reclaim_after_release(tmp_path):
-    leases = LeaseDir(str(tmp_path), ttl_s=30.0)
+    leases = LeaseDir(FsStore(str(tmp_path)), ttl_s=30.0)
     first = leases.claim(3, "w1")
     assert leases.claim(3, "w2") is None  # held
     assert leases.release(first) is True
@@ -73,7 +75,7 @@ def test_reclaim_after_release(tmp_path):
 
 
 def test_heartbeat_refreshes_and_expiry(tmp_path):
-    leases = LeaseDir(str(tmp_path), ttl_s=0.2)
+    leases = LeaseDir(FsStore(str(tmp_path)), ttl_s=0.2)
     record = leases.claim(0, "w")
     assert not record.expired()
     time.sleep(0.3)
@@ -88,11 +90,11 @@ def test_revoke_fences_old_owner(tmp_path):
     """Revocation must beat a racing heartbeat: the fence names the
     revoked token, so the old owner's next beat raises even if its
     refresh resurrected the lease file."""
-    leases = LeaseDir(str(tmp_path), ttl_s=30.0)
+    leases = LeaseDir(FsStore(str(tmp_path)), ttl_s=30.0)
     record = leases.claim(0, "w1")
     revoked = leases.revoke(0, "expired: test")
     assert revoked.token == record.token
-    assert os.path.exists(leases.fence_path(0))
+    assert leases.store.exists(leases.fence_key(0))
     with pytest.raises(LeaseLostError):
         leases.heartbeat(record)
     # The shard is re-claimable by a new owner, whose beats are fine.
@@ -103,11 +105,11 @@ def test_revoke_fences_old_owner(tmp_path):
     with pytest.raises(LeaseLostError):
         leases.heartbeat(record)
     leases.clear_fence(0)
-    assert not os.path.exists(leases.fence_path(0))
+    assert not leases.store.exists(leases.fence_key(0))
 
 
 def test_heartbeat_thread_detects_loss(tmp_path):
-    leases = LeaseDir(str(tmp_path), ttl_s=30.0)
+    leases = LeaseDir(FsStore(str(tmp_path)), ttl_s=30.0)
     record = leases.claim(0, "w")
     heartbeat = LeaseHeartbeat(leases, record, interval_s=0.05).start()
     try:
@@ -119,7 +121,7 @@ def test_heartbeat_thread_detects_loss(tmp_path):
 
 
 def test_heartbeat_thread_keeps_lease_alive(tmp_path):
-    leases = LeaseDir(str(tmp_path), ttl_s=0.3)
+    leases = LeaseDir(FsStore(str(tmp_path)), ttl_s=0.3)
     record = leases.claim(0, "w")
     heartbeat = LeaseHeartbeat(leases, record, interval_s=0.05).start()
     try:
@@ -137,7 +139,7 @@ def test_expired_lease_redispatch_cycle(tmp_path):
     """The coordinator-side recovery loop, distilled: a worker claims
     and goes silent; once the TTL runs out the lease is revoked and the
     shard is claimed again on the next attempt."""
-    leases = LeaseDir(str(tmp_path), ttl_s=0.15)
+    leases = LeaseDir(FsStore(str(tmp_path)), ttl_s=0.15)
     dead = leases.claim(0, "dead-worker")
     time.sleep(0.25)
     current = leases.read(0)
@@ -161,9 +163,8 @@ def test_double_completion_first_manifest_wins(tmp_path):
     discard marker, and the coordinator logs the discard event."""
     from repro.extension.campaign import CampaignConfig
     from repro.runtime.fabric import FabricCoordinator, _discard_key, _manifest_key
-    from repro.runtime.store import FsStore
 
-    # The store the coordinator below reads (the default ``fs`` store).
+    # The store the coordinator below reads.
     store = FsStore(str(tmp_path))
     first = {"shard_id": 0, "worker_id": "w1", "token": "aaa", "attempt": 0}
     second = {"shard_id": 0, "worker_id": "w2", "token": "bbb", "attempt": 1}
@@ -209,17 +210,18 @@ def test_double_completion_first_manifest_wins(tmp_path):
 
 
 def test_worker_registry_states_and_counters(tmp_path):
-    registry = WorkerRegistry(str(tmp_path), "w1", ttl_s=5.0)
+    store = FsStore(str(tmp_path))
+    registry = WorkerRegistry(store, "w1", ttl_s=5.0)
     registry.write("idle")
     registry.set_running(3)
-    doc = WorkerRegistry.read_all(str(tmp_path))[0]
+    doc = WorkerRegistry.read_all(store)[0]
     assert doc["state"] == "running"
     assert doc["shard_id"] == 3
     registry.set_idle(completed=True)
     registry.set_running(4)
     registry.set_idle(discarded=True)
     registry.set_exited()
-    doc = WorkerRegistry.read_all(str(tmp_path))[0]
+    doc = WorkerRegistry.read_all(store)[0]
     assert doc["state"] == "exited"
     assert doc["shards_completed"] == 1
     assert doc["manifests_discarded"] == 1

@@ -502,59 +502,18 @@ def test_fabric_workers_view(port, fabric_campaign):
         assert {"worker_id", "state", "heartbeat_age_s"} <= set(worker)
 
 
-def test_fabric_store_submission_validation(port):
-    status, payload = api(
-        port,
-        "POST",
-        "/v1/campaigns",
-        {"config": dict(DATA), "mode": "records", "fabric_store": "object"},
-    )
-    assert status == 400
-    assert payload["error"]["code"] == "invalid_request"
-    status, payload = api(
-        port,
-        "POST",
-        "/v1/campaigns",
-        {
-            "config": {**DATA, "n_workers": 2},
-            "mode": "fabric",
-            "fabric_store": "s3",
-        },
-    )
-    assert status == 400
-    assert "fabric_store" in payload["error"]["message"]
-
-
-def test_fabric_object_store_campaign_over_http(port, serial_dataset):
-    """A fabric campaign submitted with ``fabric_store: object`` runs
-    the whole lease/manifest protocol over the object-store substrate
-    (under the service's forced spawn) and serves identical rows."""
-    _, submitted = api(
-        port,
-        "POST",
-        "/v1/campaigns",
-        {
-            "config": {**DATA, "n_workers": 2},
-            "mode": "fabric",
-            "fabric_store": "object",
-        },
-    )
-    final = wait_terminal(port, submitted["id"])
-    assert final["state"] == "completed", final
-    assert final["fabric_store"] == "object"
-    _, workers = api(port, "GET", f"/v1/campaigns/{submitted['id']}/workers")
-    assert workers["store"] == "object"
-    assert workers["terminal"] == "DONE"
-    _, page = api(
-        port,
-        "GET",
-        f"/v1/campaigns/{submitted['id']}/results"
-        "?kind=page_loads&limit=10000",
-    )
-    expected = json.loads(
-        json.dumps([page_load_to_dict(r) for r in serial_dataset.page_loads])
-    )
-    assert page["rows"] == expected
+def test_retired_fabric_store_key_rejected_as_unknown(port):
+    """The fabric coordinates through its own directory only, so a
+    submission that still names a ``fabric_store`` is refused with the
+    unknown-key error rather than silently ignored."""
+    for mode, value in (("fabric", "fs"), ("fabric", "object"), ("records", "fs")):
+        body = {"config": dict(DATA), "mode": mode, "fabric_store": value}
+        status, payload = api(port, "POST", "/v1/campaigns", body)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert "unknown submission key(s) ['fabric_store']" in (
+            payload["error"]["message"]
+        )
 
 
 def test_workers_view_conflicts_for_records_campaigns(
