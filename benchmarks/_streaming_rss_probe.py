@@ -12,8 +12,8 @@ high-water mark of one phase cannot pollute another:
     Reopens the spill dataset and computes the Table 1 aggregates per
     (city, connection type) with the ``exact`` fold (``table1.fold``,
     the one pass over column chunks that ``table1`` itself runs) or the
-    ``streaming`` one (sketches folded one segment at a time, as the
-    campaign's sketch task does).  Prints a JSON line with the peak-RSS
+    ``streaming`` one (``stream_table1_stats``: sketches folded one
+    segment at a time).  Prints a JSON line with the peak-RSS
     growth over the post-open baseline, the analysis wall time and the
     computed cells, so the parent can assert the memory bound, the
     wall-time ratio and the numeric agreement.

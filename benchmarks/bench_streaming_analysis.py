@@ -7,19 +7,19 @@ Three claims:
   ``ANALYSIS_RSS_CEILING_MIB`` in either mode: ``exact`` is
   ``table1.fold``, one grouped pass over column chunks (loading four
   columns per segment and keeping each group's PTT column and distinct
-  domains), ``streaming`` folds mergeable sketches one segment at a
-  time.  A regression back to decoding record objects (255 MiB at 1M
-  records on a 2-core x86_64 container) trips the ceiling 8 times
-  over.  Each mode runs in a fresh subprocess
-  (``_streaming_rss_probe.py``) because ``ru_maxrss`` is a
-  process-wide high-water mark.
+  domains), ``streaming`` is ``stream_table1_stats``, which folds
+  quantile sketches one segment at a time.  A regression back to
+  decoding record objects (255 MiB at 1M records on a 2-core x86_64
+  container) trips the ceiling 8 times over.  Each mode runs in a
+  fresh subprocess (``_streaming_rss_probe.py``) because ``ru_maxrss``
+  is a process-wide high-water mark.
 * **Exact wall time** — the exact fold takes at most
   ``EXACT_OVER_STREAMING_MAX`` times the sketch fold's wall time, so
   the sketch path buys no speed for the paper's artefacts.
 * **Sketch accuracy** — on that same dataset the streaming counts and
   distinct-domain cells equal the exact ones, and every streaming
-  median lands within 2 % of the exact one (the sketch task and the
-  service's live aggregates read these sketches).
+  median lands within 2 % of the exact one (the e2e benchmark's
+  ``fabric-2w`` workload reads these sketches).
 """
 
 from __future__ import annotations

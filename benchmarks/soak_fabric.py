@@ -4,9 +4,9 @@ The scheduled soak behind ``.github/workflows/soak.yml`` — the thing
 that keeps "bit-identical to serial" true under sustained load rather
 than just at test scale.  One coordinator (this process) plus N
 external worker processes that know nothing but the fabric directory;
-a churn loop SIGKILLs workers mid-shard on a rolling schedule and
-replaces them with fresh ones, exercising lease expiry, re-dispatch
-and work stealing continuously.  Three things are asserted:
+a churn loop waits until a live worker holds a shard lease, SIGKILLs
+it mid-shard and replaces it with a fresh one, exercising lease
+expiry, re-dispatch and work stealing.  Four things are asserted:
 
 * **Identity** — the merged dataset's fingerprint equals a serial
   run's, no matter how many workers died (skippable with
@@ -19,6 +19,8 @@ and work stealing continuously.  Three things are asserted:
 * **Liveness** — the campaign completes despite the churn (the
   coordinator's re-dispatch cap turns a wedged fabric into a loud
   failure).
+* **Bite** — the churn killed at least one worker before the campaign
+  finished, and the coordinator re-dispatched at least one shard.
 
 Scales via ``--preset``: ``ci`` finishes in about a minute on two
 cores; ``overnight`` multiplies the simulated duration for a
@@ -43,6 +45,9 @@ import signal
 import sys
 import tempfile
 import time
+
+#: How often the churn loop looks for a worker that holds a lease.
+CHURN_POLL_S = 0.02
 
 #: Simulated-campaign shapes.  ``duration_days`` is the scale axis:
 #: records grow linearly with it (the user panel is the paper's fixed
@@ -112,13 +117,7 @@ def parse_args(argv: list[str]):
         "--churn-kills",
         type=int,
         default=2,
-        help="workers SIGKILLed (and replaced) across the run",
-    )
-    parser.add_argument(
-        "--churn-interval-s",
-        type=float,
-        default=2.0,
-        help="delay before each kill+replace cycle",
+        help="lease-holding workers SIGKILLed (and replaced) across the run",
     )
     parser.add_argument(
         "--rss-limit-mb",
@@ -180,9 +179,10 @@ def main(argv: list[str]) -> int:
     )
     context = multiprocessing.get_context(args.mp_start)
     next_rank = 0
-    workers: list = []
+    #: worker id -> process, every worker ever started.
+    workers: dict = {}
 
-    def spawn_worker():
+    def spawn_worker() -> None:
         nonlocal next_rank
         worker_id = f"soak-w{next_rank}"
         next_rank += 1
@@ -197,11 +197,11 @@ def main(argv: list[str]) -> int:
             daemon=True,
         )
         process.start()
+        workers[worker_id] = process
         print(f"[soak] worker {worker_id} started (pid {process.pid})")
-        return process
 
     for _ in range(args.workers):
-        workers.append(spawn_worker())
+        spawn_worker()
 
     import threading
 
@@ -209,20 +209,34 @@ def main(argv: list[str]) -> int:
     churn_stop = threading.Event()
 
     def churn_loop():
-        """Rolling churn: SIGKILL a live worker, replace it, repeat."""
-        victim_rank = 0
+        """Churn: SIGKILL a live worker that holds a lease, replace it,
+        repeat.  A kill of an idle worker would cost the fabric nothing,
+        so the loop waits for a lease holder however fast shards run."""
         for _ in range(args.churn_kills):
-            if churn_stop.wait(args.churn_interval_s):
-                return
-            live = [p for p in workers if p.is_alive()]
-            if not live:
-                return
-            victim = live[victim_rank % len(live)]
-            victim_rank += 1
-            os.kill(victim.pid, signal.SIGKILL)
-            churn_log.append({"pid": victim.pid, "t": time.time()})
-            print(f"[soak] churn: SIGKILL pid {victim.pid}, replacing")
-            workers.append(spawn_worker())
+            victim = None
+            while victim is None:
+                if churn_stop.wait(CHURN_POLL_S):
+                    return
+                for lease in coordinator.leases.read_all():
+                    process = workers.get(lease.worker_id)
+                    if process is not None and process.is_alive():
+                        victim = (lease, process)
+                        break
+            lease, process = victim
+            os.kill(process.pid, signal.SIGKILL)
+            churn_log.append(
+                {
+                    "worker_id": lease.worker_id,
+                    "pid": process.pid,
+                    "shard_id": lease.shard_id,
+                    "t": time.time(),
+                }
+            )
+            print(
+                f"[soak] churn: SIGKILL {lease.worker_id} (pid "
+                f"{process.pid}) holding shard {lease.shard_id}, replacing"
+            )
+            spawn_worker()
 
     last_echo = [0.0]
 
@@ -245,7 +259,7 @@ def main(argv: list[str]) -> int:
     wall_s = time.time() - started
     assert terminal_marker(coordinator.store) == "DONE"
 
-    for process in workers:
+    for process in workers.values():
         process.join(timeout=30.0)
         if process.is_alive():
             process.terminate()
@@ -326,7 +340,14 @@ def main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         failed = True
-    if args.churn_kills and not stats.redispatched_shards:
+    if args.churn_kills and not churn_log:
+        print(
+            "[soak] FAIL: the campaign finished before the churn killed "
+            "a worker — no worker was seen holding a lease",
+            file=sys.stderr,
+        )
+        failed = True
+    elif args.churn_kills and not stats.redispatched_shards:
         print(
             "[soak] FAIL: churn killed workers but nothing was "
             "re-dispatched — the chaos did not bite",

@@ -8,9 +8,9 @@
 * :mod:`repro.analysis.aschange` — detecting the exit-AS migration in
   the dataset and splitting distributions around it (Figure 3).
 * :mod:`repro.analysis.streaming` — column folds over segment streams:
-  the exact grouped pass behind Tables 1/3 and Figures 3/4, and the
-  mergeable quantile sketches of the campaign's sketch task and the
-  service's live aggregates.
+  the exact grouped pass behind Tables 1/3, Figures 3/4 and the
+  service's live aggregates, and the quantile sketches of
+  ``stream_table1_stats``.
 * :mod:`repro.analysis.tables` — plain-text table rendering for the
   experiment harness output.
 """

@@ -38,17 +38,11 @@ def ascii_cdf(
     """Render one or more (x, P) curves as an ASCII plot.
 
     ``series`` maps a curve name to ``(xs, ps)`` arrays (as produced by
-    :func:`repro.analysis.stats.ecdf`/``ccdf``) or to any object with a
-    ``cdf_series()`` method (e.g. a streaming
-    :class:`~repro.analysis.streaming.QuantileSketch`).  Each curve
-    gets a distinct glyph; axes are annotated with the data range.
+    :func:`repro.analysis.stats.ecdf`/``ccdf``).  Each curve gets a
+    distinct glyph; axes are annotated with the data range.
     """
     if not series:
         raise DatasetError("no series to plot")
-    series = {
-        name: curve.cdf_series() if hasattr(curve, "cdf_series") else curve
-        for name, curve in series.items()
-    }
     glyphs = "*o+x#@%&"
     x_min = min(float(np.min(xs)) for xs, _ in series.values())
     x_max = max(float(np.max(xs)) for xs, _ in series.values())

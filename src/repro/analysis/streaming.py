@@ -1,4 +1,4 @@
-"""Column folds over segment streams: exact groups and mergeable sketches.
+"""Column folds over segment streams: exact groups and quantile sketches.
 
 The paper's dataset artefacts (the per-city cells of Tables 1 and 3,
 the PTT CDFs of Figure 3, the weather medians of Figure 4) are exact
@@ -7,63 +7,56 @@ Each is computed in one pass over ``Dataset.iter_*_column_chunks``,
 which on the spill backend (DESIGN.md §9) holds one segment of the
 requested columns at a time and builds no record object:
 
-* :func:`group_columns` — the exact fold every artefact uses.  It
+* :func:`group_columns` — the exact fold every artefact uses, and the
+  service's live aggregates (:mod:`repro.service.aggregates`) too.  It
   groups each chunk's rows by key columns and returns each group's
   value columns in append order (plus exact distinct-label sets), so
   medians, percentiles, ECDFs and means come out bit for bit as a
   record scan would give them.
 
-Callers that must merge partial results without holding the rows use
-mergeable sketches instead: the campaign executor's sketch task (see
-:mod:`repro.runtime.pool`) and the service's live aggregates
-(:mod:`repro.service.aggregates`), both through
-:func:`fold_table_columns`.
+:func:`stream_table1_stats` folds Table 1 into bounded-memory sketches
+instead; the e2e benchmark's ``fabric-2w`` workload and
+``benchmarks/bench_streaming_analysis.py`` read it.  No paper artefact
+reads a sketch: their cells are always exact.
 
-* :class:`QuantileSketch` — a mergeable t-digest (pure numpy, k1 scale
-  function) with ``update(array)`` / ``merge(other)`` / ``quantile(q)``
-  / ``cdf(xs)``.  Rank error is bounded by the compression parameter:
-  with the default :data:`DEFAULT_COMPRESSION` the mid-distribution
-  error stays well under the 1 % the tests assert.
-* :class:`MomentsAccumulator` — exact mergeable count/sum/min/max (so
-  ``n``, ``mean``, ``min`` and ``max`` never carry sketch error).
-* :class:`DistinctAccumulator` — exact mergeable distinct counting for
-  small domains (the Tranco list bounds ``#domain`` cells).
+* :class:`QuantileSketch` — a t-digest (pure numpy, k1 scale function)
+  with ``update(array)`` / ``quantile(q)``.  Rank error is bounded by
+  the compression parameter: with the default
+  :data:`DEFAULT_COMPRESSION` the mid-distribution error stays well
+  under the 1 % the tests assert.
+* :class:`MomentsAccumulator` — exact count/sum/min/max (so ``n``,
+  ``mean``, ``min`` and ``max`` never carry sketch error).
+* :class:`DistinctAccumulator` — exact distinct counting for small
+  domains (the Tranco list bounds ``#domain`` cells).
 * :class:`GroupedAccumulator` — per-key sketches, fed column chunks
   one backend segment at a time (keys are tuples such as
   ``(city, connection type)``).
-
-Sketch states are plain dicts of numpy arrays/scalars: picklable
-across the supervision pipe and mergeable in any order — merge is
-associative and commutative up to the rank-error bound, which is what
-makes the sketch the natural reduce step for sharded campaigns.  No
-paper artefact reads a sketch: their cells are always exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.stats import Summary
 from repro.errors import ConfigurationError, DatasetError
 
 #: t-digest compression (number of k-units across the distribution).
 #: Mid-distribution rank error of a compressed digest is ~pi/delta
-#: (~0.4 % at 800); doubled-span clusters after deep merges stay under
-#: the 1 % bound the tests and benchmarks assert.
+#: (~0.4 % at 800), under the 1 % bound the tests and benchmarks
+#: assert.
 DEFAULT_COMPRESSION = 800
 
 #: Buffered points a sketch accumulates before recompressing.
 _BUFFER_FACTOR = 16
 
-# -- exact mergeable accumulators ---------------------------------------
+# -- exact accumulators -------------------------------------------------
 
 
 class MomentsAccumulator:
-    """Exact mergeable count/sum/min/max (mean derived).
+    """Exact count/sum/min/max (mean derived).
 
     These moments are closed under concatenation, so folding segment
-    streams and merging per-shard states are both exact — only the
-    quantiles of a :class:`QuantileSketch` carry approximation error.
+    streams is exact — only the quantiles of a :class:`QuantileSketch`
+    carry approximation error.
     """
 
     __slots__ = ("n", "sum", "min", "max")
@@ -83,34 +76,14 @@ class MomentsAccumulator:
             self.max = max(self.max, float(array.max()))
         return self
 
-    def merge(self, other: "MomentsAccumulator") -> "MomentsAccumulator":
-        self.n += other.n
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
-
     @property
     def mean(self) -> float:
         if self.n == 0:
             raise DatasetError("mean of an empty accumulator")
         return self.sum / self.n
 
-    def to_state(self) -> dict:
-        return {"n": self.n, "sum": self.sum, "min": self.min, "max": self.max}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "MomentsAccumulator":
-        acc = cls()
-        acc.n = int(state["n"])
-        acc.sum = float(state["sum"])
-        acc.min = float(state["min"])
-        acc.max = float(state["max"])
-        return acc
-
-
 class DistinctAccumulator:
-    """Exact mergeable distinct-value counting (small label domains).
+    """Exact distinct-value counting (small label domains).
 
     The campaign's label columns (domains, cities, conditions) come
     from fixed generators — the Tranco list bounds the domain universe
@@ -129,48 +102,29 @@ class DistinctAccumulator:
             self._values.update(np.unique(array).tolist())
         return self
 
-    def merge(self, other: "DistinctAccumulator") -> "DistinctAccumulator":
-        self._values |= other._values
-        return self
-
     @property
     def n(self) -> int:
         return len(self._values)
 
-    def to_state(self) -> dict:
-        return {"values": sorted(self._values)}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "DistinctAccumulator":
-        acc = cls()
-        acc._values = set(state["values"])
-        return acc
-
-
-# -- the mergeable quantile sketch --------------------------------------
+# -- the quantile sketch -------------------------------------------------
 
 
 class QuantileSketch:
-    """A mergeable t-digest over float samples (pure numpy).
+    """A t-digest over float samples (pure numpy).
 
     Centroids live as parallel ``(mean, weight)`` arrays; incoming
-    samples (and merged-in centroids) buffer until
-    ``_BUFFER_FACTOR * compression`` points accumulate, then one
-    vectorised compression pass sorts everything, assigns clusters by
-    the quantised k1 scale function ``k(q) = d/(2*pi) * asin(2q - 1)``
-    and reduces each cluster to its weighted mean with
-    ``np.add.reduceat``.  The k1 function concentrates resolution at
+    samples buffer until ``_BUFFER_FACTOR * compression`` points
+    accumulate, then one vectorised compression pass sorts everything,
+    assigns clusters by the quantised k1 scale function
+    ``k(q) = d/(2*pi) * asin(2q - 1)`` and reduces each cluster to its
+    weighted mean with ``np.add.reduceat``.  The k1 function concentrates resolution at
     the tails, which is what keeps *rank* error (the quantity the
     paper's medians/p90s care about) bounded by ~pi/compression.
 
     Exact moments ride along in :attr:`moments`, so ``n``/``min``/
     ``max``/``mean`` are never approximate and quantiles clamp into
     the true value range.
-
-    Merging feeds the other sketch's centroids in as weighted points:
-    associative and commutative up to the rank-error bound (the
-    property tests pin this), which makes per-shard sketches safe to
-    reduce in completion order.
     """
 
     def __init__(self, compression: int = DEFAULT_COMPRESSION) -> None:
@@ -191,12 +145,6 @@ class QuantileSketch:
         """Exact number of samples folded in."""
         return self.moments.n
 
-    @property
-    def n_centroids(self) -> int:
-        """Current compressed size (the memory bound)."""
-        self._compress()
-        return int(self._means.size)
-
     # -- ingest --------------------------------------------------------
 
     def update(self, values) -> "QuantileSketch":
@@ -208,19 +156,6 @@ class QuantileSketch:
         self._buf_values.append(array)
         self._buf_weights.append(np.ones(array.size, dtype=float))
         self._buffered += int(array.size)
-        if self._buffered >= _BUFFER_FACTOR * self.compression:
-            self._compress()
-        return self
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold another sketch in (``other`` is left unchanged)."""
-        if other.moments.n == 0:
-            return self
-        other._compress()
-        self.moments.merge(other.moments)
-        self._buf_values.append(other._means.copy())
-        self._buf_weights.append(other._weights.copy())
-        self._buffered += int(other._means.size)
         if self._buffered >= _BUFFER_FACTOR * self.compression:
             self._compress()
         return self
@@ -279,60 +214,6 @@ class QuantileSketch:
             raise ConfigurationError(f"quantiles must be in [0, 1], got {qs}")
         ranks, anchors, total = self._interp_axes()
         return np.interp(qs * total, ranks, anchors)
-
-    def cdf(self, xs) -> np.ndarray:
-        """Approximate P[X <= x] for an array of thresholds."""
-        ranks, anchors, total = self._interp_axes()
-        return np.interp(np.asarray(xs, dtype=float), anchors, ranks / total)
-
-    def cdf_series(self, n_points: int = 256) -> tuple[np.ndarray, np.ndarray]:
-        """An ecdf-shaped ``(values, P[X <= x])`` series for plotting.
-
-        Same shape contract as :func:`repro.analysis.stats.ecdf`, so
-        sketch-backed figures feed ``ascii_cdf``/CSV dumps unchanged.
-        """
-        ps = np.linspace(0.0, 1.0, n_points + 1)[1:]
-        return self.quantiles(ps), ps
-
-    def summary(self) -> Summary:
-        """A :class:`~repro.analysis.stats.Summary` of the sketch.
-
-        ``n``/``min``/``max``/``mean`` are exact (from
-        :attr:`moments`); the quartiles carry the sketch's bounded
-        rank error.
-        """
-        if self.moments.n == 0:
-            raise DatasetError("summary of an empty sketch")
-        p25, p50, p75 = self.quantiles(np.asarray([0.25, 0.5, 0.75]))
-        return Summary(
-            n=self.moments.n,
-            min=self.moments.min,
-            p25=float(p25),
-            median=float(p50),
-            p75=float(p75),
-            max=self.moments.max,
-            mean=self.moments.mean,
-        )
-
-    # -- transport -----------------------------------------------------
-
-    def to_state(self) -> dict:
-        """A picklable/npz-able snapshot (compressed centroids only)."""
-        self._compress()
-        return {
-            "compression": self.compression,
-            "means": self._means.copy(),
-            "weights": self._weights.copy(),
-            "moments": self.moments.to_state(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "QuantileSketch":
-        sketch = cls(compression=int(state["compression"]))
-        sketch._means = np.asarray(state["means"], dtype=float).copy()
-        sketch._weights = np.asarray(state["weights"], dtype=float).copy()
-        sketch.moments = MomentsAccumulator.from_state(state["moments"])
-        return sketch
 
 
 # -- grouped folding ----------------------------------------------------
@@ -448,90 +329,6 @@ class GroupedAccumulator:
         if key not in self._distinct:
             self._distinct[key] = DistinctAccumulator()
         return self._distinct[key]
-
-    def __contains__(self, key) -> bool:
-        return tuple(key) in self._sketches
-
-    def keys(self) -> list[tuple]:
-        """All keys seen so far, in sorted order (deterministic)."""
-        return sorted(self._sketches)
-
-    def items(self):
-        """``(key, sketch)`` pairs in sorted key order."""
-        return [(key, self._sketches[key]) for key in self.keys()]
-
-    def merge(self, other: "GroupedAccumulator") -> "GroupedAccumulator":
-        """Fold another grouped accumulator in, key by key."""
-        for key, sketch in other._sketches.items():
-            self.sketch(key).merge(sketch)
-        for key, distinct in other._distinct.items():
-            self.distinct(key).merge(distinct)
-        return self
-
-    def to_state(self) -> dict:
-        """Picklable snapshot: sorted ``(key, state)`` pairs."""
-        return {
-            "compression": self.compression,
-            "sketches": [
-                (key, self._sketches[key].to_state()) for key in self.keys()
-            ],
-            "distinct": [
-                (key, self._distinct[key].to_state())
-                for key in sorted(self._distinct)
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "GroupedAccumulator":
-        grouped = cls(compression=int(state["compression"]))
-        for key, sketch_state in state["sketches"]:
-            grouped._sketches[tuple(key)] = QuantileSketch.from_state(
-                sketch_state
-            )
-        for key, distinct_state in state["distinct"]:
-            grouped._distinct[tuple(key)] = DistinctAccumulator.from_state(
-                distinct_state
-            )
-        return grouped
-
-
-# -- the Table 1/3 fold --------------------------------------------------
-
-#: Speedtest value columns the Table 3 fold sketches per key.
-SPEEDTEST_VALUES = ("download_mbps", "upload_mbps")
-
-
-def new_table_accumulators() -> tuple[
-    GroupedAccumulator, dict[str, GroupedAccumulator]
-]:
-    """Empty ``(page loads, {speedtest value: accumulator})`` of the fold."""
-    return (
-        GroupedAccumulator(),
-        {value: GroupedAccumulator() for value in SPEEDTEST_VALUES},
-    )
-
-
-def fold_table_columns(page, speed, page_load_arrays, speedtest_arrays) -> None:
-    """Fold record columns into the Table 1/3 accumulators.
-
-    Every cell is keyed ``(city, is_starlink)``: page loads feed a PTT
-    sketch plus an exact distinct-domain count, speedtests feed one
-    sketch per :data:`SPEEDTEST_VALUES` column.  The campaign's sketch
-    task folds each user's columns through here, and the service folds
-    each accepted shard's columns, so both produce the same cells.
-    """
-    from repro.extension.columnar import derived_page_load_column
-
-    if page_load_arrays["city"].size:
-        page.update(
-            (page_load_arrays["city"], page_load_arrays["is_starlink"]),
-            derived_page_load_column("ptt_ms", page_load_arrays.__getitem__),
-            distinct=page_load_arrays["domain"],
-        )
-    if speedtest_arrays["city"].size:
-        keys = (speedtest_arrays["city"], speedtest_arrays["is_starlink"])
-        for value, grouped in speed.items():
-            grouped.update(keys, speedtest_arrays[value])
 
 
 # -- the Table 1 sketch fold ----------------------------------------------

@@ -6,19 +6,21 @@ reproducibility — and keeps it running when workers don't:
 * :mod:`repro.runtime.pool` — the campaign executor, one
   plan → place → sink path for every run:
 
-  =====  =========================================  ======================
+  =====  =========================================  ========================
   step   choices                                    code
-  =====  =========================================  ======================
-  task   records (``ShardResult``) or sketch        ``run_shard``,
-         (``ShardSketch``) over one shard body      ``run_task``
+  =====  =========================================  ========================
   plan   LPT shards, empty ones dropped             ``plan_campaign``
   place  in-process (one shard), supervised         ``run_campaign``,
          processes, or fabric leases                ``FabricCoordinator``
-  sink   backend merge (records) or sketch reduce   ``sink_results``
-  =====  =========================================  ======================
+  sink   every shard's records merged into the      ``merge_shard_results``
+         config's storage backend
+  =====  =========================================  ========================
+
+  Every shard runs one body (``run_shard``) and returns its users'
+  records (``ShardResult``).
 
 * :mod:`repro.runtime.shard` — shard planning (balanced, deterministic),
-  the shard body and its two tasks, with timing/throughput counters.
+  the shard body, with timing/throughput counters.
 * :mod:`repro.runtime.supervision` — the supervising dispatcher:
   per-shard timeouts, crash detection, bounded-backoff retries,
   in-process graceful degradation, and a structured failure log.
@@ -27,9 +29,9 @@ reproducibility — and keeps it running when workers don't:
   testable without flaky real crashes.
 * :mod:`repro.runtime.checkpoint` — completed-shard spill keyed by a
   config fingerprint, so killed campaigns resume instead of restart.
-* :mod:`repro.runtime.merge` — the sinks: order-preserving
-  recombination of per-shard datasets and the sketch reduce, both
-  validated against the planned partition.
+* :mod:`repro.runtime.merge` — the sink: order-preserving
+  recombination of per-shard datasets, validated against the planned
+  partition.
 * :mod:`repro.runtime.store` — the coordination store: one
   five-primitive protocol (create-exclusive, conditional replace,
   point read, delete, prefix listing) over POSIX files on the fabric
@@ -79,12 +81,11 @@ from repro.runtime.lease import (
     LeaseRecord,
     WorkerRegistry,
 )
-from repro.runtime.merge import merge_shard_results, merge_shard_sketches
+from repro.runtime.merge import merge_shard_results
 from repro.runtime.pool import plan_campaign, run_campaign
 from repro.runtime.shard import (
     CampaignRunStats,
     ShardResult,
-    ShardSketch,
     ShardStats,
     plan_shards,
     run_shard,
@@ -115,7 +116,6 @@ __all__ = [
     "LeaseRecord",
     "ShardFailure",
     "ShardResult",
-    "ShardSketch",
     "ShardStats",
     "StoredObject",
     "SupervisorPolicy",
@@ -128,7 +128,6 @@ __all__ = [
     "hang_plan",
     "host_chaos_plan",
     "merge_shard_results",
-    "merge_shard_sketches",
     "plan_campaign",
     "plan_shards",
     "run_campaign",

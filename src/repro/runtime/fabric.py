@@ -68,6 +68,7 @@ from repro.errors import (
     ConfigurationError,
     FabricError,
 )
+from repro.extension.backends import backend_for_config
 from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
 from repro.runtime.faults import FaultKind, FaultPlan
 from repro.runtime.lease import (
@@ -77,7 +78,8 @@ from repro.runtime.lease import (
     WorkerRegistry,
     default_worker_id,
 )
-from repro.runtime.pool import mp_context, plan_campaign, sink_results
+from repro.runtime.merge import merge_shard_results
+from repro.runtime.pool import mp_context, plan_campaign
 from repro.runtime.shard import CampaignRunStats, run_shard
 from repro.runtime.store import CoordinationStore, FsStore
 from repro.runtime.supervision import straggler_deadline_s
@@ -650,8 +652,10 @@ class FabricCoordinator:
                 self._log("campaign_failed", reason=str(exc))
             raise
         sink_started = time.perf_counter()
-        dataset = sink_results(
-            self.config, "records", accepted.values(), self.plan.expected_indices
+        dataset = merge_shard_results(
+            accepted.values(),
+            expected_indices=self.plan.expected_indices,
+            backend=backend_for_config(self.config),
         )
         self._marker(DONE_MARKER, n_shards=self.plan.n_shards)
         self._log(

@@ -26,22 +26,21 @@ Two merge paths produce bit-identical datasets:
   (each user lives in exactly one shard, per-user order is preserved
   by stability), and the sorted arrays are adopted by the backend
   wholesale.  No record objects are materialised.
+
+:func:`shard_arrays` is the one place a shard becomes columns; the
+service's live aggregates (:mod:`repro.service.aggregates`) fold each
+accepted shard through it too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.streaming import (
-    GroupedAccumulator,
-    fold_table_columns,
-    new_table_accumulators,
-)
 from repro.errors import DatasetError
 from repro.extension import columnar
 from repro.extension.backends import DatasetBackend, InMemoryBackend
 from repro.extension.storage import Dataset
-from repro.runtime.shard import ShardResult, ShardSketch, covered_indices
+from repro.runtime.shard import ShardResult, covered_indices
 
 
 def _validate_partition(covered_per_shard, expected_indices) -> None:
@@ -69,9 +68,10 @@ def _validate_partition(covered_per_shard, expected_indices) -> None:
             )
 
 
-def _shard_arrays(result):
+def shard_arrays(result):
     """A shard's ``(page_load_arrays, speedtest_arrays)`` with the
-    ``user_index`` column, encoding live results on demand."""
+    ``user_index`` column: a fresh result encoded on demand, a
+    checkpointed one as stored."""
     pl = getattr(result, "page_load_arrays", None)
     st = getattr(result, "speedtest_arrays", None)
     if pl is not None and st is not None:
@@ -87,7 +87,7 @@ def _merge_vectorised(results, backend: DatasetBackend) -> Dataset:
     pl_chunks = []
     st_chunks = []
     for result in results:
-        pl, st = _shard_arrays(result)
+        pl, st = shard_arrays(result)
         pl_chunks.append(pl)
         st_chunks.append(st)
     pl_columns = columnar.PAGE_LOAD_COLUMNS + (USER_INDEX_COLUMN,)
@@ -150,37 +150,3 @@ def merge_shard_results(
         dataset.extend_page_loads(page_loads)
         dataset.extend_speedtests(speedtests)
     return dataset
-
-
-def fold_shard(page, speed, result) -> None:
-    """Fold one accepted shard into Table 1/3 accumulators.
-
-    Sketch-task shards merge their states.  Record shards fold their
-    columns through :func:`~repro.analysis.streaming.fold_table_columns`
-    — encoded once for a fresh shard, reused as stored for one
-    recovered from a checkpoint.
-    """
-    if isinstance(result, ShardSketch):
-        page.merge(GroupedAccumulator.from_state(result.page_load_state))
-        for value, state in result.speedtest_states.items():
-            speed[value].merge(GroupedAccumulator.from_state(state))
-    else:
-        fold_table_columns(page, speed, *_shard_arrays(result))
-
-
-def merge_shard_sketches(results, expected_indices=None):
-    """Reduce sketch-task shards to ``(page loads, {value: speedtests})``.
-
-    The sketch twin of :func:`merge_shard_results`: the same
-    exactly-once partition checks, then a merge in ascending shard id
-    (merges commute within the sketches' rank-error bound, so the order
-    only pins the result down bit for bit).
-    """
-    results = sorted(results, key=lambda result: result.shard_id)
-    _validate_partition(
-        (covered_indices(result) for result in results), expected_indices
-    )
-    page, speed = new_table_accumulators()
-    for result in results:
-        fold_shard(page, speed, result)
-    return page, speed

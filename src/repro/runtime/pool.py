@@ -9,23 +9,20 @@ Every campaign run is the same three independent steps, which
   planner's own campaign; more shards run under the supervising
   dispatcher (:mod:`repro.runtime.supervision`) with per-shard
   timeouts, crash detection, bounded retries and in-process
-  degradation.  Workers receive ``(config, shard_id, user_indices,
-  task)`` — cheap to pickle — and rebuild the rest of their campaign
-  state; each user's bent pipe computes its own link states.
-* **sink** — a records run merges its shards into the config's storage
-  backend (:func:`~repro.runtime.merge.merge_shard_results`), a sketch
-  run reduces its shard states in ascending shard id
-  (:func:`~repro.runtime.merge.merge_shard_sketches`).
+  degradation.  Workers receive ``(config, shard_id, user_indices)``
+  — cheap to pickle — and rebuild the rest of their campaign state;
+  each user's bent pipe computes its own link states.
+* **sink** — the shards' records merge into the config's storage
+  backend (:func:`~repro.runtime.merge.merge_shard_results`).
 
-Records runs spill every accepted shard to the config's checkpoint
-store and, with ``resume``, adopt surviving shards instead of
-re-running them — in-process runs included.  The fabric
+A run with a checkpoint store spills each accepted shard to it and,
+with ``resume``, adopts surviving shards instead of re-running them —
+in-process runs included.  The fabric
 (:mod:`repro.runtime.fabric`) places shards on leases instead but
 takes its partition from :func:`plan_campaign` and hands its accepted
-shards to the same records sink and stats assembly.  Every placement
-and sink produces a dataset bit-for-bit identical to the serial run
-(see the determinism contract in :mod:`repro.runtime.shard` and
-DESIGN.md).
+shards to the same merge and stats assembly.  Every placement produces
+a dataset bit-for-bit identical to the serial run (see the
+determinism contract in :mod:`repro.runtime.shard` and DESIGN.md).
 """
 
 from __future__ import annotations
@@ -33,19 +30,17 @@ from __future__ import annotations
 import multiprocessing
 import time
 
-from repro.errors import CampaignCancelledError, ConfigurationError
+from repro.errors import CampaignCancelledError
 from repro.extension.backends import backend_for_config
 from repro.extension.campaign import ExtensionCampaign
 from repro.extension.storage import Dataset
 from repro.knobs import resolve
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.merge import merge_shard_results, merge_shard_sketches
+from repro.runtime.merge import merge_shard_results
 from repro.runtime.shard import (
-    TASKS,
     CampaignRunStats,
     ShardResult,
     plan_shards,
-    run_task,
     run_users,
 )
 from repro.runtime.supervision import SupervisorPolicy, supervise_shards
@@ -79,25 +74,8 @@ def plan_campaign(config, n_shards: int | None = None):
     ]
 
 
-def sink_results(config, task: str, results, expected_indices):
-    """The executor's sink over every accepted shard of a run.
-
-    Records merge into the config's storage backend; sketches reduce to
-    ``(page loads, {speedtest value: accumulator})``.  Both enforce the
-    exactly-once partition against ``expected_indices``.
-    """
-    if task == "records":
-        return merge_shard_results(
-            results,
-            expected_indices=expected_indices,
-            backend=backend_for_config(config),
-        )
-    return merge_shard_sketches(results, expected_indices=expected_indices)
-
-
 def run_campaign(
     config,
-    task: str = "records",
     *,
     policy: SupervisorPolicy | None = None,
     fault_plan=None,
@@ -107,24 +85,19 @@ def run_campaign(
     on_result=None,
     should_stop=None,
 ):
-    """Run a campaign from its config; returns ``(product, stats)``.
+    """Run a campaign from its config; returns ``(dataset, stats)``.
 
     Args:
         config: The :class:`~repro.extension.campaign.CampaignConfig`.
             Users and worker count derive from it, and its
             supervision / checkpoint fields provide the defaults for
             the keyword arguments below.
-        task: ``"records"`` (the product is the merged
-            :class:`~repro.extension.storage.Dataset`) or ``"sketch"``
-            (the product is the Table 1/3 ``(page loads, {speedtest
-            value: accumulator})`` reduce; no records are centralised).
         policy: Supervisor retry/timeout policy; default derives from
             the config (:meth:`SupervisorPolicy.from_config`).
         fault_plan: Deterministic fault injection for chaos tests
             (:mod:`repro.runtime.faults`); applied in workers only.
-        checkpoint: Completed-shard spill store of a records run;
-            default derives from the ``checkpoint_dir`` knob (unset
-            disables it).  Sketch runs never spill and never resume.
+        checkpoint: Completed-shard spill store; default derives from
+            the ``checkpoint_dir`` knob (unset disables it).
         resume: Adopt surviving checkpointed shards instead of
             re-running them; default derives from the ``resume`` knob.
         on_event: Progress-callback seam — one dict per lifecycle
@@ -147,8 +120,6 @@ def run_campaign(
             completed (and checkpointed) first, so a later ``resume``
             run re-runs only the lost shard.
     """
-    if task not in TASKS:
-        raise ConfigurationError(f"unknown campaign task {task!r}; valid: {TASKS}")
     started = time.perf_counter()
     campaign, planned = plan_campaign(config)
 
@@ -162,14 +133,11 @@ def run_campaign(
         n_users=len(campaign.population.users),
         n_workers=config.n_workers,
     )
-    if task == "records":
-        if checkpoint is None:
-            checkpoint = CheckpointStore.from_config(config)
-        if resume is None:
-            # resume is a plain bool field: False counts as unset.
-            resume = resolve("resume", config.resume or None)
-    else:
-        checkpoint, resume = None, False
+    if checkpoint is None:
+        checkpoint = CheckpointStore.from_config(config)
+    if resume is None:
+        # resume is a plain bool field: False counts as unset.
+        resume = resolve("resume", config.resume or None)
     # Recovered shards are CheckpointedShard segments (lazy columnar
     # payloads) that duck-type ShardResult for the merge.
     recovered = {}
@@ -208,11 +176,8 @@ def run_campaign(
             )
         shard_id, indices = remaining[0]
         emit("shard_dispatched", shard_id=shard_id, attempt=0)
-        if task == "records":
-            keep = checkpoint is not None or on_result is not None
-            streamed, result = _stream_records(campaign, shard_id, indices, keep)
-        else:
-            result = run_task(campaign, shard_id, indices, task)
+        keep = checkpoint is not None or on_result is not None
+        streamed, result = _stream_records(campaign, shard_id, indices, keep)
         accept(result)
         emit(
             "shard_completed",
@@ -224,7 +189,7 @@ def run_campaign(
         )
         results.append(result)
     elif remaining:
-        tasks = [(config, shard_id, indices, task) for shard_id, indices in remaining]
+        tasks = [(config, shard_id, indices) for shard_id, indices in remaining]
         # Resumed shards need no process, so a mostly-complete resume
         # must not over-provision workers.
         n_worker_processes = min(config.n_workers, len(tasks))
@@ -241,10 +206,13 @@ def run_campaign(
         results.extend(fresh)
     sink_started = time.perf_counter()
     if streamed is None:
-        expected = {index for _, indices in planned for index in indices}
-        product = sink_results(config, task, results, expected)
+        dataset = merge_shard_results(
+            results,
+            expected_indices={index for _, indices in planned for index in indices},
+            backend=backend_for_config(config),
+        )
     else:
-        product = streamed
+        dataset = streamed
     stats = CampaignRunStats.assemble(
         [result.stats for result in results],
         n_workers=config.n_workers,
@@ -254,11 +222,11 @@ def run_campaign(
         resumed_shards=len(recovered),
         n_worker_processes=n_worker_processes,
     )
-    return product, stats
+    return dataset, stats
 
 
 def _stream_records(campaign, shard_id: int, indices, keep: bool):
-    """The in-process records shard, appended to the sink user by user.
+    """The in-process shard, appended to the sink user by user.
 
     Each user's records reach the config's backend as soon as they
     exist, so a ``spill`` run never holds more than one segment plus

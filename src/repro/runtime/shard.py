@@ -3,9 +3,7 @@
 A *shard* is a subset of the campaign's user population, identified by
 indices into ``ExtensionCampaign.population.users``.  :func:`run_users`
 is the shard loop: run each user, hand the records to a fold, count.
-A *task* picks the fold — ``records`` keeps every user's records
-(:class:`ShardResult`), ``sketch`` folds them into the Table 1/3
-accumulators (:class:`ShardSketch`).  :func:`run_shard` runs a task in
+:func:`run_shard` keeps every user's records (:class:`ShardResult`) in
 a campaign rebuilt from its config, so shards are self-contained and
 cross-process safe.
 
@@ -23,9 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.streaming import fold_table_columns, new_table_accumulators
 from repro.errors import ConfigurationError
-from repro.extension import columnar
 from repro.extension.campaign import ExtensionCampaign
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
 
@@ -176,35 +172,12 @@ class CampaignRunStats:
 
 @dataclass
 class ShardResult:
-    """A records task's shard: every user's records, for the merge."""
+    """One shard's product: every user's records, for the merge."""
 
     shard_id: int
     #: user index -> (page loads, speedtests), both in event-time order.
     user_records: dict[int, tuple[list[PageLoadRecord], list[SpeedtestRecord]]]
     stats: ShardStats
-
-
-@dataclass
-class ShardSketch:
-    """A sketch task's shard: mergeable Table 1/3 states, no records.
-
-    ``user_indices`` carries the covered partition slice so the reduce
-    enforces the same exactly-once invariant as the record merge; the
-    states are :meth:`GroupedAccumulator.to_state
-    <repro.analysis.streaming.GroupedAccumulator.to_state>` snapshots of
-    the :func:`~repro.analysis.streaming.fold_table_columns` fold.
-    """
-
-    shard_id: int
-    user_indices: list[int]
-    page_load_state: dict
-    speedtest_states: dict[str, dict]
-    stats: ShardStats
-
-
-#: The per-shard work a campaign can run: ``records`` returns
-#: :class:`ShardResult`, ``sketch`` returns :class:`ShardSketch`.
-TASKS = ("records", "sketch")
 
 
 def covered_indices(result) -> list[int]:
@@ -245,7 +218,7 @@ def plan_shards(costs: list[float], n_shards: int) -> list[list[int]]:
 
 
 def run_users(campaign, shard_id: int, user_indices, fold) -> ShardStats:
-    """The shard body every task and placement shares.
+    """The shard body every placement shares.
 
     Runs each user of ``user_indices`` on ``campaign`` and hands its
     records to ``fold(index, page_loads, speedtests)`` as soon as they
@@ -267,39 +240,7 @@ def run_users(campaign, shard_id: int, user_indices, fold) -> ShardStats:
     return stats
 
 
-def run_task(campaign, shard_id: int, user_indices, task: str = "records"):
-    """Run one shard of ``task`` on an already-built campaign."""
-    if task == "records":
-        user_records: dict = {}
-
-        def keep(index, page_loads, speedtests) -> None:
-            user_records[index] = (page_loads, speedtests)
-
-        stats = run_users(campaign, shard_id, user_indices, keep)
-        return ShardResult(shard_id=shard_id, user_records=user_records, stats=stats)
-    page, speed = new_table_accumulators()
-
-    def fold(index, page_loads, speedtests) -> None:
-        fold_table_columns(
-            page,
-            speed,
-            columnar.encode_page_loads(page_loads),
-            columnar.encode_speedtests(speedtests),
-        )
-
-    stats = run_users(campaign, shard_id, user_indices, fold)
-    return ShardSketch(
-        shard_id=shard_id,
-        user_indices=list(user_indices),
-        page_load_state=page.to_state(),
-        speedtest_states={
-            value: grouped.to_state() for value, grouped in speed.items()
-        },
-        stats=stats,
-    )
-
-
-def run_shard(config, shard_id: int, user_indices, task: str = "records"):
+def run_shard(config, shard_id: int, user_indices) -> ShardResult:
     """Execute one shard in a campaign rebuilt from ``config``.
 
     The worker-process entry point (and the supervisor's in-process
@@ -307,4 +248,10 @@ def run_shard(config, shard_id: int, user_indices, task: str = "records"):
     config, so ``user_indices`` mean the same users in every process.
     """
     campaign = ExtensionCampaign(replace(config, n_workers=1))
-    return run_task(campaign, shard_id, user_indices, task)
+    user_records: dict = {}
+
+    def keep(index, page_loads, speedtests) -> None:
+        user_records[index] = (page_loads, speedtests)
+
+    stats = run_users(campaign, shard_id, user_indices, keep)
+    return ShardResult(shard_id=shard_id, user_records=user_records, stats=stats)

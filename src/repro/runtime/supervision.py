@@ -43,7 +43,7 @@ from repro.errors import (
 )
 from repro.knobs import KNOBS, resolve
 from repro.runtime.faults import FaultPlan, apply_post_run, apply_pre_run
-from repro.runtime.shard import ShardResult, ShardSketch, covered_indices, run_shard
+from repro.runtime.shard import ShardResult, covered_indices, run_shard
 
 DEFAULT_MAX_RETRIES = KNOBS["max_shard_retries"].default
 DEFAULT_BACKOFF_BASE_S = KNOBS["retry_backoff_s"].default
@@ -145,12 +145,12 @@ class ShardFailure:
 def validate_shard_result(result, shard_id: int, user_indices) -> str | None:
     """Why a worker's returned result is unusable, or ``None`` if fine.
 
-    A valid result is a :class:`ShardResult` or :class:`ShardSketch`
-    carrying the shard id it was assigned and covering *exactly* the
-    assigned user indices — the per-attempt half of the partition
-    invariant the sink enforces campaign-wide.
+    A valid result is a :class:`ShardResult` carrying the shard id it
+    was assigned and covering *exactly* the assigned user indices — the
+    per-attempt half of the partition invariant the sink enforces
+    campaign-wide.
     """
-    if not isinstance(result, (ShardResult, ShardSketch)):
+    if not isinstance(result, ShardResult):
         return f"expected a shard result, got {type(result).__name__}"
     if result.shard_id != shard_id:
         return f"shard id mismatch: assigned {shard_id}, got {result.shard_id}"
@@ -247,9 +247,8 @@ def supervise_shards(
 
     Args:
         tasks: :func:`run_shard` argument tuples — ``(config,
-            shard_id, user_indices[, task])``; the shard
-            id and its user indices are the supervisor's book-keeping
-            keys.
+            shard_id, user_indices)``; the shard id and its user
+            indices are the supervisor's book-keeping keys.
         n_workers: Concurrency cap; the supervisor never has more than
             ``min(n_workers, len(tasks))`` worker processes alive.
         policy: Retry/timeout policy (default: ``SupervisorPolicy()``).

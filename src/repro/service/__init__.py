@@ -6,12 +6,12 @@ months, with operators watching progress and recovering from partial
 failure.  This package is the repo's analogue: a dependency-light
 stdlib HTTP service that accepts campaign submissions (the canonical
 ``CampaignConfig`` JSON codec), drives the supervised sharded runtime
-in the background, streams shard lifecycle events *and* incremental
-partial-merge sketch aggregates (the converging Table 1/3 cells) over
-Server-Sent Events, pages results straight off the pluggable
-``DatasetBackend``, and supports cooperative cancel plus
-fingerprint-validated resume over the checkpoint store — bit-identical
-to an uninterrupted run.  See DESIGN.md §12.
+in the background, streams shard lifecycle events *and* the exact
+Table 1/3 cells of the shards completed so far over Server-Sent
+Events, pages results straight off the pluggable ``DatasetBackend``,
+and supports cooperative cancel plus fingerprint-validated resume over
+the checkpoint store — bit-identical to an uninterrupted run.  See
+DESIGN.md §12.
 
 Quickstart::
 

@@ -1,66 +1,98 @@
-"""Incremental campaign aggregates: partial sketch merges as JSON.
+"""Incremental campaign aggregates: the exact Table 1/3 cells as JSON.
 
-Every execution mode of the service keeps a running partial merge of
-the Table 1 / Table 3 shapes while shards complete: the runner folds
-each accepted shard into the accumulators with
-:func:`~repro.runtime.merge.fold_shard` — sketch-task shards merge
-their states, record shards fold their columns through the same
-:func:`~repro.analysis.streaming.fold_table_columns` the sketch task
-uses.
+Both execution modes of the service keep running Table 1 / Table 3
+cells while shards complete: the runner folds each accepted shard into
+a :class:`CampaignAggregates` — a fresh shard's records encoded once, a
+checkpointed shard's columns as stored
+(:func:`~repro.runtime.merge.shard_arrays`) — through
+:func:`~repro.analysis.streaming.group_columns`, the fold Tables 1/3
+use.  Per ``(city, is_starlink)`` cell it keeps only the PTT, download
+and upload values and the set of distinct domains.
 
-:func:`aggregate_payload` renders the accumulators as the JSON cells
-the SSE stream and the results endpoint serve: request/test counts and
-distinct-domain counts are exact, medians carry the sketches' bounded
-rank error (exact below the compression threshold).  Because sketch
-merges are commutative, every partial is the true aggregate of the
-users covered so far — the cells *converge* to the final values as
-shards land, they never oscillate from fold order.
+:meth:`CampaignAggregates.payload` renders the cells the SSE stream
+and the results endpoint serve.  Counts and medians are exact (medians
+through :func:`~repro.extension.storage._median`, as Tables 1/3 take
+them), and a median depends only on the values folded, not their
+order: every partial is the exact aggregate of the users covered so
+far, and the final cells equal the merged dataset's for any worker
+count and shard completion order.
 """
 
 from __future__ import annotations
 
-from repro.analysis.streaming import GroupedAccumulator
+import numpy as np
+
+from repro.analysis.streaming import group_columns
+from repro.extension.columnar import derived_page_load_column
+from repro.extension.storage import _median
+from repro.runtime.merge import shard_arrays
+
+#: Every cell is one city and connection class.
+KEYS = ("city", "is_starlink")
+
+#: The speedtest columns a cell keeps.
+SPEEDTEST_VALUES = ("download_mbps", "upload_mbps")
 
 
-def aggregate_payload(
-    page: GroupedAccumulator | None,
-    speed: dict[str, GroupedAccumulator] | None,
-) -> dict:
-    """The JSON cells of the current partial merge.
+class CampaignAggregates:
+    """The exact Table 1/3 cells of the shards folded so far."""
 
-    Returns ``{"page_loads": [...], "speedtests": [...]}`` with one
-    cell per ``(city, is_starlink)`` key in sorted key order
-    (deterministic across replays of the same fold sequence).
-    """
-    page_cells = []
-    if page is not None:
-        for key, sketch in page.items():
-            city, is_starlink = key
+    def __init__(self) -> None:
+        #: ``(city, is_starlink) -> {"ptt_ms": [arrays], "domain": set}``
+        self.page_loads: dict[tuple, dict] = {}
+        #: ``(city, is_starlink) -> {speedtest value: [arrays]}``
+        self.speedtests: dict[tuple, dict] = {}
+
+    def fold(self, result) -> None:
+        """Fold one accepted shard result into the cells."""
+        page_load_arrays, speedtest_arrays = shard_arrays(result)
+        page_loads = {
+            **page_load_arrays,
+            "ptt_ms": derived_page_load_column("ptt_ms", page_load_arrays.__getitem__),
+        }
+        groups = group_columns(
+            [page_loads], KEYS, values=("ptt_ms",), distinct=("domain",)
+        )
+        for key, group in groups.items():
+            cell = self.page_loads.setdefault(key, {"ptt_ms": [], "domain": set()})
+            cell["ptt_ms"].append(group["ptt_ms"])
+            cell["domain"] |= group["domain"]
+        groups = group_columns([speedtest_arrays], KEYS, values=SPEEDTEST_VALUES)
+        for key, group in groups.items():
+            cell = self.speedtests.setdefault(
+                key, {name: [] for name in SPEEDTEST_VALUES}
+            )
+            for name in SPEEDTEST_VALUES:
+                cell[name].append(group[name])
+
+    def payload(self) -> dict:
+        """The JSON cells of every shard folded so far.
+
+        Returns ``{"page_loads": [...], "speedtests": [...]}`` with one
+        cell per ``(city, is_starlink)`` key in sorted key order.
+        """
+        page_cells = []
+        for (city, is_starlink), cell in sorted(self.page_loads.items()):
+            ptt_ms = np.concatenate(cell["ptt_ms"])
             page_cells.append(
                 {
                     "city": city,
-                    "is_starlink": bool(is_starlink),
-                    "n_requests": sketch.n,
-                    "n_domains": page.distinct(key).n,
-                    "median_ptt_ms": sketch.quantile(0.5),
+                    "is_starlink": is_starlink,
+                    "n_requests": len(ptt_ms),
+                    "n_domains": len(cell["domain"]),
+                    "median_ptt_ms": _median(ptt_ms),
                 }
             )
-    speed_cells = []
-    if speed:
-        downloads = speed.get("download_mbps")
-        uploads = speed.get("upload_mbps")
-        if downloads is not None:
-            for key, sketch in downloads.items():
-                city, is_starlink = key
-                cell = {
+        speed_cells = []
+        for (city, is_starlink), cell in sorted(self.speedtests.items()):
+            downloads = np.concatenate(cell["download_mbps"])
+            speed_cells.append(
+                {
                     "city": city,
-                    "is_starlink": bool(is_starlink),
-                    "n_tests": sketch.n,
-                    "median_download_mbps": sketch.quantile(0.5),
+                    "is_starlink": is_starlink,
+                    "n_tests": len(downloads),
+                    "median_download_mbps": _median(downloads),
+                    "median_upload_mbps": _median(np.concatenate(cell["upload_mbps"])),
                 }
-                if uploads is not None and key in uploads:
-                    cell["median_upload_mbps"] = uploads.sketch(key).quantile(
-                        0.5
-                    )
-                speed_cells.append(cell)
-    return {"page_loads": page_cells, "speedtests": speed_cells}
+            )
+        return {"page_loads": page_cells, "speedtests": speed_cells}

@@ -263,11 +263,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 "kind must be one of ('page_loads', 'speedtests', "
                 f"'aggregates'), got {kind!r}"
             )
-        if campaign.mode not in ("records", "fabric"):
-            raise invalid_request(
-                f"campaign {campaign.id} ran in {campaign.mode} mode; only "
-                "kind=aggregates is available (no records were retained)"
-            )
         offset = self._query_int(query, "offset", 0)
         limit = self._query_int(query, "limit", DEFAULT_PAGE_LIMIT)
         if limit > MAX_PAGE_LIMIT:

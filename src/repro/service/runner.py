@@ -10,17 +10,16 @@ driving the supervised runtime:
   (:func:`repro.runtime.pool.run_campaign`) — the full dataset is
   retained for the results endpoint, and completed shards spill to the
   service's shared checkpoint root (enabling cancel → resume);
-* ``sketch`` mode runs the executor's sketch task — no records are
-  centralised, only the Table 1/3 aggregates;
 * ``fabric`` mode runs :func:`repro.runtime.fabric.run_fabric_campaign`
   — shard leases, heartbeats, straggler re-dispatch and work stealing
   over a per-campaign fabric directory; records are retained like
   ``records`` mode, every lease transition streams over SSE, and
   ``GET /v1/campaigns/{id}/workers`` serves the live fleet view.
 
-One runner drives all three with one ``on_result`` callback: every
-accepted shard folds into the incremental aggregate partials streamed
-over SSE.
+One runner drives both with one ``on_result`` callback: every
+accepted shard folds into the exact aggregate cells
+(:class:`~repro.service.aggregates.CampaignAggregates`) streamed over
+SSE.
 
 The state machine is ``pending → running → completed | failed |
 cancelled``.  Cancellation is cooperative: the HTTP layer sets the
@@ -46,12 +45,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.errors import CampaignCancelledError, ConfigurationError
-from repro.analysis.streaming import new_table_accumulators
 from repro.extension.campaign import CampaignConfig
 from repro.runtime.checkpoint import campaign_fingerprint
 from repro.runtime.faults import Fault, FaultKind, FaultPlan
-from repro.runtime.merge import fold_shard
-from repro.service.aggregates import aggregate_payload
+from repro.service.aggregates import CampaignAggregates
 from repro.service.errors import (
     conflict,
     invalid_config,
@@ -65,7 +62,7 @@ from repro.service.events import EventLog
 #: leases, heartbeats, straggler re-dispatch — records are retained
 #: like ``records`` mode, and ``GET /v1/campaigns/{id}/workers`` serves
 #: the live lease/worker view.
-VALID_MODES = ("records", "sketch", "fabric")
+VALID_MODES = ("records", "fabric")
 
 #: States in which a campaign accepts no further lifecycle operations.
 TERMINAL_STATES = frozenset({"completed", "failed", "cancelled"})
@@ -88,7 +85,7 @@ class Campaign:
     cancel_event: threading.Event = field(default_factory=threading.Event)
     #: Latest partial (then final) aggregate payload.
     aggregates: dict | None = None
-    #: The merged dataset (records mode, completed runs only).
+    #: The merged dataset (completed runs only).
     dataset: object = None
     #: The run's CampaignRunStats (completed runs only).
     run_stats: object = None
@@ -209,11 +206,10 @@ class CampaignService:
     def submit(self, body) -> Campaign:
         """Validate one submission document and launch its runner.
 
-        The body is ``{"config": {...}, "mode":
-        "records"|"sketch"|"fabric", "resume_from": "<campaign id>",
-        "faults": [...]}`` — all keys optional except that
-        ``resume_from`` requires records mode and a fingerprint-identical
-        config.
+        The body is ``{"config": {...}, "mode": "records"|"fabric",
+        "resume_from": "<campaign id>", "faults": [...]}`` — all keys
+        optional except that ``resume_from`` requires records mode and a
+        fingerprint-identical config.
         """
         if not isinstance(body, dict):
             raise invalid_request(
@@ -308,10 +304,7 @@ class CampaignService:
             updates["mp_start_method"] = "spawn"
         if resume_from is not None:
             if mode != "records":
-                raise invalid_request(
-                    "resume_from requires records mode (sketch runs "
-                    "restart, they never resume half-reduced state)"
-                )
+                raise invalid_request("resume_from requires records mode")
             source = self.get(resume_from)
             new_fp = campaign_fingerprint(config)
             if source.fingerprint != new_fp:
@@ -411,14 +404,14 @@ class CampaignService:
         from repro.runtime.pool import run_campaign
 
         config = campaign.config
-        page, speed = new_table_accumulators()
+        aggregates = CampaignAggregates()
         folded = 0
 
         def on_result(result) -> None:
             nonlocal folded
-            fold_shard(page, speed, result)
+            aggregates.fold(result)
             folded += 1
-            campaign.aggregates = aggregate_payload(page, speed)
+            campaign.aggregates = aggregates.payload()
             campaign.events.append(
                 {
                     "type": "aggregate_partial",
@@ -435,23 +428,17 @@ class CampaignService:
             should_stop=campaign.cancel_event.is_set,
         )
         if campaign.mode == "fabric":
-            product, stats = run_fabric_campaign(
+            dataset, stats = run_fabric_campaign(
                 config,
                 config.n_workers,
                 campaign.fabric_dir,
                 **hooks,
             )
         else:
-            task = "sketch" if campaign.mode == "sketch" else "records"
-            product, stats = run_campaign(config, task, **hooks)
-        if campaign.mode == "sketch":
-            # The final cells come off the executor's reduce, which
-            # merges in shard order rather than completion order.
-            page, speed = product
-        else:
-            campaign.dataset = product
+            dataset, stats = run_campaign(config, **hooks)
+        campaign.dataset = dataset
         campaign.run_stats = stats
-        campaign.aggregates = aggregate_payload(page, speed)
+        campaign.aggregates = aggregates.payload()
         campaign.events.append(
             {
                 "type": "aggregate_final",

@@ -2,8 +2,6 @@
 
 Every cell runs one campaign through one combination of
 
-* task — ``records`` (a merged dataset) or ``sketch`` (Table 1/3
-  accumulators, no records);
 * placement — ``in-process`` (one shard), ``processes`` (supervised
   workers) or ``fabric`` (lease-coordinated workers);
 * storage — the ``memory``, ``columnar`` or ``spill`` backend the
@@ -11,24 +9,19 @@ Every cell runs one campaign through one combination of
 * run — ``clean``, ``faulted`` (injected faults the runtime survives)
   or ``resumed`` (a run that adopts an earlier run's shards);
 
-and checks it against the serial oracle: every user's records straight
-from :meth:`ExtensionCampaign.run_user`, in population order, with no
-executor involved.  Record cells must match bit for bit.  Sketch cells
-must match every count exactly and put each median within 1 % rank of
-the exact one.
+and checks its merged dataset against the serial oracle, bit for bit:
+every user's records straight from :meth:`ExtensionCampaign.run_user`,
+in population order, with no executor involved.  Cell ids read
+``records-<placement>-<storage>-<run>``.
 
-Cells that do not exist are left out by construction: a sketch has no
-storage backend, is never checkpointed (so never resumed) and is not
-placed on the fabric; faults are injected into worker processes, so an
-in-process run has none.
+Faults are injected into worker processes, so an in-process run has
+no faulted cell.
 """
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.analysis.streaming import SPEEDTEST_VALUES
 from repro.errors import ShardFailedError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 from repro.runtime import (
@@ -67,21 +60,12 @@ STORAGES = ("memory", "columnar", "spill")
 RUNS = ("clean", "faulted", "resumed")
 
 CELLS = [
-    ("records", placement, storage, run)
+    (placement, storage, run)
     for placement in ("in-process", "processes", "fabric")
     for storage in STORAGES
     for run in RUNS
     if not (placement == "in-process" and run == "faulted")
-] + [
-    ("sketch", placement, None, run)
-    for placement in ("in-process", "processes")
-    for run in ("clean", "faulted")
-    if not (placement == "in-process" and run == "faulted")
 ]
-
-
-def _cell_id(cell) -> str:
-    return "-".join(part for part in cell if part is not None)
 
 
 @pytest.fixture(scope="module")
@@ -176,52 +160,15 @@ def _check_run(placement, run, stats):
         assert stats.n_failures == 0 and stats.resumed_shards == 0
 
 
-def _check_sketch(product, oracle):
-    page, speed = product
-    page_loads, speedtests = oracle
-    keys = sorted({(r.city, r.is_starlink) for r in page_loads})
-    assert page.keys() == keys
-    for key in keys:
-        cell = [r for r in page_loads if (r.city, r.is_starlink) == key]
-        assert page.sketch(key).n == len(cell)
-        assert page.distinct(key).n == len({r.domain for r in cell})
-        _assert_median_rank(page.sketch(key), [r.timing.ptt_ms for r in cell])
-    keys = sorted({(r.city, r.is_starlink) for r in speedtests})
-    for value in SPEEDTEST_VALUES:
-        assert speed[value].keys() == keys
-        for key in keys:
-            cell = [
-                getattr(r, value)
-                for r in speedtests
-                if (r.city, r.is_starlink) == key
-            ]
-            assert speed[value].sketch(key).n == len(cell)
-            _assert_median_rank(speed[value].sketch(key), cell)
-
-
-def _assert_median_rank(sketch, values):
-    exact = np.sort(np.asarray(values, dtype=float))
-    median = sketch.quantile(0.5)
-    low = np.searchsorted(exact, median, side="left") / exact.size
-    high = np.searchsorted(exact, median, side="right") / exact.size
-    slack = 0.01 + 1.0 / exact.size
-    assert low - slack <= 0.5 <= high + slack
-
-
 @pytest.mark.parametrize(
-    "task,placement,storage,run", CELLS, ids=[_cell_id(cell) for cell in CELLS]
+    "placement,storage,run",
+    CELLS,
+    ids=["-".join(("records",) + cell) for cell in CELLS],
 )
-def test_cell_matches_serial_oracle(oracle, tmp_path, task, placement, storage, run):
+def test_cell_matches_serial_oracle(oracle, tmp_path, placement, storage, run):
     config = _config(placement, storage, tmp_path)
-    if task == "sketch":
-        fault_plan = crash_plan([0, 1]) if run == "faulted" else None
-        product, stats = run_campaign(
-            config, "sketch", policy=POLICY, fault_plan=fault_plan
-        )
-        _check_sketch(product, oracle)
-    else:
-        dataset, stats = _run_records(placement, run, config, tmp_path)
-        assert dataset.storage == storage
-        assert dataset.page_loads == oracle[0]
-        assert dataset.speedtests == oracle[1]
+    dataset, stats = _run_records(placement, run, config, tmp_path)
+    assert dataset.storage == storage
+    assert dataset.page_loads == oracle[0]
+    assert dataset.speedtests == oracle[1]
     _check_run(placement, run, stats)

@@ -4,12 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, DatasetError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.runtime import (
-    merge_shard_results,
-    plan_shards,
-    run_campaign,
-    run_shard,
-)
+from repro.runtime import merge_shard_results, plan_shards, run_shard
 from repro.runtime.shard import ShardResult, ShardStats
 
 
@@ -72,11 +67,6 @@ def test_config_rejects_zero_workers():
     """--workers 0 must fail loudly, not silently run serially."""
     with pytest.raises(ConfigurationError):
         CampaignConfig(**SMALL, n_workers=0)
-
-
-def test_run_campaign_rejects_unknown_task():
-    with pytest.raises(ConfigurationError, match="task"):
-        run_campaign(CampaignConfig(**SMALL), "histogram")
 
 
 def test_merge_rejects_overlapping_shards():

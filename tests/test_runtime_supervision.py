@@ -121,7 +121,7 @@ def test_worker_exception_logged_as_error():
     text in the ShardFailedError log."""
     # User index 10_000 is out of range for the SMALL population, so
     # every attempt raises IndexError inside the worker.
-    tasks = [(CampaignConfig(**SMALL), 0, [0, 10_000], None)]
+    tasks = [(CampaignConfig(**SMALL), 0, [0, 10_000])]
     policy = SupervisorPolicy(
         max_retries=1, backoff_base_s=0.01, in_process_fallback=False
     )

@@ -9,7 +9,8 @@ A real ``CampaignHTTPServer`` on an ephemeral port, driven through
   incremental aggregates converging to the exact dataset values,
   results pagination/column projection bit-identical to a serial
   in-process run;
-* a sketch campaign whose aggregate cells match the records run;
+* the service's aggregate fold, exact for any shard count and any
+  order the shards land in;
 * the full cancel/resume lifecycle of ISSUE.md: a scripted slow fault
   pins one worker, the other shard checkpoints, cancel lands mid-run,
   and a ``resume_from`` resubmission adopts the surviving shard and
@@ -24,10 +25,13 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.analysis.streaming import group_columns
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.extension.storage import page_load_to_dict, speedtest_to_dict
+from repro.extension.storage import _median, page_load_to_dict, speedtest_to_dict
+from repro.runtime import CheckpointStore, plan_campaign, run_shard
 from repro.runtime.checkpoint import campaign_fingerprint
 from repro.service import TERMINAL_STATES, make_server
+from repro.service.aggregates import CampaignAggregates
 from repro.service.events import EventLog, format_sse
 
 #: Small-but-real campaign: ~1.7k page loads across two cities.
@@ -188,7 +192,7 @@ def test_experiments_metadata(port):
         (
             "POST",
             "/v1/campaigns",
-            {"config": {}, "mode": "sketch", "resume_from": "c-9999"},
+            {"config": {}, "mode": "fabric", "resume_from": "c-9999"},
             400,
             "invalid_request",
         ),
@@ -385,9 +389,7 @@ def test_aggregates_match_exact_dataset_cells(
     for key, cell in cells.items():
         assert cell["n_requests"] == expected[key]["n_requests"]
         assert cell["n_domains"] == expected[key]["n_domains"]
-        assert cell["median_ptt_ms"] == pytest.approx(
-            expected[key]["median_ptt_ms"], rel=0.02
-        )
+        assert cell["median_ptt_ms"] == expected[key]["median_ptt_ms"]
     assert sum(c["n_requests"] for c in cells.values()) == len(
         serial_dataset.page_loads
     )
@@ -404,37 +406,87 @@ def test_cancel_after_completion_conflicts(port, records_campaign):
     assert payload["error"]["code"] == "conflict"
 
 
-# -- sketch mode -----------------------------------------------------------
+# -- the aggregate fold ----------------------------------------------------
+
+#: ``DATA`` with speedtests in every cell.
+SPEEDTEST_DATA = dict(DATA, speedtest_boost=500.0)
 
 
-def test_sketch_campaign_serves_only_aggregates(port, records_campaign):
-    _, submitted = api(
-        port,
-        "POST",
-        "/v1/campaigns",
-        {"config": dict(DATA), "mode": "sketch"},
+def exact_cells(dataset):
+    """The aggregate payload of a dataset by Tables 1/3's own fold
+    (``group_columns``) and median (``_median``)."""
+    keys = ("city", "is_starlink")
+    page_loads = group_columns(
+        dataset.iter_page_load_column_chunks(keys + ("domain", "ptt_ms")),
+        keys,
+        values=("ptt_ms",),
+        distinct=("domain",),
     )
-    final = wait_terminal(port, submitted["id"])
-    assert final["state"] == "completed", final
-    campaign_id = submitted["id"]
-    # record rows were never centralised
+    speedtests = group_columns(
+        dataset.iter_speedtest_column_chunks(keys + ("download_mbps", "upload_mbps")),
+        keys,
+        values=("download_mbps", "upload_mbps"),
+    )
+    return {
+        "page_loads": [
+            {
+                "city": city,
+                "is_starlink": is_starlink,
+                "n_requests": len(group["ptt_ms"]),
+                "n_domains": len(group["domain"]),
+                "median_ptt_ms": _median(group["ptt_ms"]),
+            }
+            for (city, is_starlink), group in page_loads.items()
+        ],
+        "speedtests": [
+            {
+                "city": city,
+                "is_starlink": is_starlink,
+                "n_tests": len(group["download_mbps"]),
+                "median_download_mbps": _median(group["download_mbps"]),
+                "median_upload_mbps": _median(group["upload_mbps"]),
+            }
+            for (city, is_starlink), group in speedtests.items()
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def speedtest_cells():
+    return exact_cells(ExtensionCampaign(CampaignConfig(**SPEEDTEST_DATA)).run())
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+def test_aggregate_fold_exact_for_any_shards_and_order(
+    speedtest_cells, tmp_path, n_shards
+):
+    """Fresh shards folded in plan order and their checkpointed copies
+    folded in reverse both give the serial dataset's cells, float for
+    float."""
+    assert speedtest_cells["speedtests"]
+    config = CampaignConfig(**SPEEDTEST_DATA)
+    _, planned = plan_campaign(config, n_shards)
+    assert len(planned) == n_shards
+    fresh = [run_shard(config, shard_id, indices) for shard_id, indices in planned]
+    store = CheckpointStore(str(tmp_path), config)
+    for result in fresh:
+        store.save(result)
+    recovered = store.load_matching(planned)
+    stored = [recovered[shard_id] for shard_id, _ in reversed(planned)]
+    for results in (fresh, stored):
+        aggregates = CampaignAggregates()
+        for result in results:
+            aggregates.fold(result)
+        assert aggregates.payload() == speedtest_cells
+
+
+def test_sketch_mode_is_rejected(port):
     status, payload = api(
-        port, "GET", f"/v1/campaigns/{campaign_id}/results?kind=page_loads"
+        port, "POST", "/v1/campaigns", {"config": dict(DATA), "mode": "sketch"}
     )
     assert status == 400
     assert payload["error"]["code"] == "invalid_request"
-    # but the aggregate cells equal the records campaign's: same fold
-    # sequence over the same shard columns, sketch merges commute
-    _, sketch_aggregates = api(
-        port, "GET", f"/v1/campaigns/{campaign_id}/results?kind=aggregates"
-    )
-    _, record_aggregates = api(
-        port,
-        "GET",
-        f"/v1/campaigns/{records_campaign['id']}/results?kind=aggregates",
-    )
-    assert sketch_aggregates["page_loads"] == record_aggregates["page_loads"]
-    assert sketch_aggregates["speedtests"] == record_aggregates["speedtests"]
+    assert "('records', 'fabric')" in payload["error"]["message"]
 
 
 # -- fabric mode -----------------------------------------------------------

@@ -1,30 +1,21 @@
-"""Streaming analytics tests: sketches, segment folds, sketch-reduce.
+"""Streaming analytics tests: sketches and segment folds.
 
 Covers the sketch contracts of DESIGN.md §11:
 
 * t-digest rank error stays under 1 % across seeds and distributions;
-* merge is associative/commutative within the error bound (property
-  tests), so per-shard sketches reduce safely in any order;
 * chunked column iteration is bitwise identical to full-column reads
   on every backend, including the derived ``ptt_ms``;
-* the Table 1 sketch fold agrees with the exact cells;
-* the sharded sketch-reduce path matches a single-pass fold.
+* the Table 1 sketch fold agrees with the exact cells.
 
 The exact artefact folds are pinned against the record path in
 ``tests/test_artefact_folds.py``.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.streaming import (
-    DistinctAccumulator,
     GroupedAccumulator,
-    MomentsAccumulator,
     QuantileSketch,
     stream_table1_stats,
 )
@@ -91,119 +82,32 @@ def test_sketch_quantiles_clamped_to_range_and_validated():
         QuantileSketch(compression=5)
 
 
-def test_sketch_cdf_inverts_quantiles():
-    rng = np.random.default_rng(3)
-    sample = rng.normal(0.0, 1.0, 50_000)
-    sketch = QuantileSketch().update(sample)
-    xs, ps = sketch.cdf_series(n_points=64)
-    assert np.all(np.diff(xs) >= 0) and ps[-1] == 1.0
-    # cdf(quantile(q)) ~ q
-    for q in (0.1, 0.5, 0.9):
-        assert float(sketch.cdf([sketch.quantile(q)])[0]) == pytest.approx(
-            q, abs=0.01
-        )
-
-
 def test_sketch_memory_stays_bounded():
     sketch = QuantileSketch(compression=200)
     rng = np.random.default_rng(1)
     for _ in range(50):
         sketch.update(rng.normal(0, 1, 10_000))
     assert sketch.n == 500_000
-    assert sketch.n_centroids <= 2 * 200  # O(compression), not O(n)
-
-
-def test_sketch_state_roundtrip_preserves_queries():
-    sketch = QuantileSketch().update(np.random.default_rng(2).normal(0, 1, 20_000))
-    clone = QuantileSketch.from_state(sketch.to_state())
-    for q in (0.05, 0.5, 0.95):
-        assert clone.quantile(q) == sketch.quantile(q)
-    assert clone.n == sketch.n
-
-
-# -- merge properties (S4) ----------------------------------------------
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(finite_floats, min_size=1, max_size=500),
-    st.lists(finite_floats, min_size=1, max_size=500),
-)
-def test_sketch_merge_commutative_within_bound(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    combined = np.concatenate([a, b])
-    # The 1 % bound is asymptotic; at tiny n the interpolation between
-    # adjacent points dominates, adding at most ~one data gap (1/n).
-    tolerance = max(RANK_TOLERANCE, 2.0 / combined.size)
-    ab = QuantileSketch().update(a).merge(QuantileSketch().update(b))
-    ba = QuantileSketch().update(b).merge(QuantileSketch().update(a))
-    for q in (0.25, 0.5, 0.75):
-        assert rank_error(ab, combined, q) <= tolerance
-        assert rank_error(ba, combined, q) <= tolerance
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(finite_floats, min_size=1, max_size=300),
-    st.lists(finite_floats, min_size=1, max_size=300),
-    st.lists(finite_floats, min_size=1, max_size=300),
-)
-def test_sketch_merge_associative_within_bound(a, b, c):
-    arrays = [np.asarray(x) for x in (a, b, c)]
-    combined = np.concatenate(arrays)
-
-    def sketch_of(x):
-        return QuantileSketch().update(x)
-
-    left = sketch_of(arrays[0]).merge(sketch_of(arrays[1])).merge(sketch_of(arrays[2]))
-    right = sketch_of(arrays[0]).merge(
-        sketch_of(arrays[1]).merge(sketch_of(arrays[2]))
-    )
-    assert left.n == right.n == combined.size
-    tolerance = max(RANK_TOLERANCE, 2.0 / combined.size)
-    for q in (0.25, 0.5, 0.75):
-        assert rank_error(left, combined, q) <= tolerance
-        assert rank_error(right, combined, q) <= tolerance
-
-
-def test_moments_and_distinct_merge_exact():
-    a = MomentsAccumulator().update([1.0, 2.0])
-    b = MomentsAccumulator().update([3.0, -1.0])
-    merged = a.merge(b)
-    assert (merged.n, merged.sum, merged.min, merged.max) == (4, 5.0, -1.0, 3.0)
-    with pytest.raises(DatasetError):
-        MomentsAccumulator().mean
-    d = DistinctAccumulator().update(["x", "y"])
-    d.merge(DistinctAccumulator().update(["y", "z"]))
-    assert d.n == 3
-    assert DistinctAccumulator.from_state(d.to_state()).n == 3
+    sketch.quantile(0.5)  # compresses the buffered samples
+    assert sketch._means.size <= 2 * 200  # O(compression), not O(n)
 
 
 def test_grouped_accumulator_update_merge_state():
+    """Update groups a chunk's rows by key; each key's sketch and
+    distinct counter see only its own rows."""
     grouped = GroupedAccumulator()
     cities = np.array(["london", "sydney", "london", "sydney"])
     starlink = np.array([True, True, False, True])
     values = np.array([1.0, 2.0, 3.0, 4.0])
     domains = np.array(["a.com", "b.com", "a.com", "b.com"])
     grouped.update((cities, starlink), values, distinct=domains)
-    assert grouped.keys() == [
-        ("london", False),
-        ("london", True),
-        ("sydney", True),
-    ]
-    assert grouped.sketch(("sydney", True)).n == 2
-    assert grouped.distinct(("sydney", True)).n == 1
-    other = GroupedAccumulator()
-    other.update((cities[:1], starlink[:1]), values[:1], distinct=domains[:1])
-    grouped.merge(other)
+    grouped.update((cities[:1], starlink[:1]), values[:1], distinct=domains[:1])
     assert grouped.sketch(("london", True)).n == 2
-    restored = GroupedAccumulator.from_state(grouped.to_state())
-    assert restored.keys() == grouped.keys()
-    assert restored.sketch(("sydney", True)).quantile(0.5) == grouped.sketch(
-        ("sydney", True)
-    ).quantile(0.5)
+    assert grouped.sketch(("london", False)).quantile(0.5) == 3.0
+    assert grouped.sketch(("sydney", True)).n == 2
+    assert grouped.sketch(("sydney", True)).quantile(0.5) == 3.0
+    assert grouped.distinct(("sydney", True)).n == 1
+    assert grouped.distinct(("london", False)).n == 1
 
 
 # -- chunked column iteration (the O(segment) read path) ----------------
@@ -305,45 +209,3 @@ def test_stream_table1_matches_exact(campaign_dataset):
             estimate = sketch.quantile(0.5)
             rank = np.searchsorted(exact, estimate, side="right") / exact.size
             assert abs(rank - 0.5) <= RANK_TOLERANCE
-
-
-# -- sharded sketch-reduce ----------------------------------------------
-
-
-def test_sketch_reduce_matches_single_pass():
-    from repro.runtime import (
-        merge_shard_sketches,
-        run_campaign,
-        run_shard,
-        validate_shard_result,
-    )
-
-    config = CampaignConfig(
-        seed=5,
-        duration_s=4 * 86_400.0,
-        request_fraction=0.08,
-        shell_planes=24,
-        shell_sats_per_plane=12,
-    )
-    (serial, _), _ = run_campaign(config, "sketch")
-    (sharded, _), stats = run_campaign(replace(config, n_workers=2), "sketch")
-    assert serial.keys() == sharded.keys()
-    for key, sketch in serial.items():
-        other = sharded.sketch(key)
-        assert other.n == sketch.n  # counts exact across sharding
-        if sketch.n >= 20:
-            assert other.quantile(0.5) == pytest.approx(
-                sketch.quantile(0.5), rel=0.02
-            )
-        assert sharded.distinct(key).n == serial.distinct(key).n
-    assert len(stats.shards) == 2
-
-    # The supervisor's validator rejects wrong shapes; the reduce
-    # enforces the exactly-once partition.
-    result = run_shard(config, 0, [0, 1], task="sketch")
-    assert validate_shard_result(result, 0, [0, 1]) is None
-    assert validate_shard_result(result, 1, [0, 1]) is not None
-    assert validate_shard_result(result, 0, [0, 2]) is not None
-    assert validate_shard_result("junk", 0, [0, 1]) is not None
-    with pytest.raises(DatasetError):
-        merge_shard_sketches([result], expected_indices={0, 1, 2})
