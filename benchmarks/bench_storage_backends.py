@@ -1,17 +1,19 @@
 """Storage backends: identity always; bounded memory and faster merge.
 
-Three claims, matching the tentpole's acceptance criteria:
+Three claims:
 
-* **Identity** — a campaign produces bit-identical datasets on every
-  backend, serial and sharded (asserted on every machine).
+* **Identity** — a campaign produces bit-identical datasets on both
+  backends (``memory`` and ``spill``), with 1 and with 4 workers
+  (asserted on every machine).
 * **Peak RSS** — at benchmark scale (>= 1.0: several hundred thousand
   records) the spill backend's peak-RSS growth is >= 5x lower than the
-  in-memory backend's.  Each backend is probed in a fresh subprocess
-  (``_storage_rss_probe.py``) because ``ru_maxrss`` is a process-wide
-  high-water mark.
-* **Merge speed** — reloading and merging checkpointed shards via the
-  columnar spill (checksummed ``.ckpt`` segments + vectorised argsort
-  merge) beats the legacy pickled-object-list path it replaced.
+  memory backend's, which keeps the same columns in RAM.  Each backend
+  is probed in a fresh subprocess (``_storage_rss_probe.py``) because
+  ``ru_maxrss`` is a process-wide high-water mark.
+* **Merge speed** — reloading and merging checkpointed shards (their
+  checksummed ``.ckpt`` columns and one argsort merge) beats the legacy
+  path it replaced: shards pickled as record-object lists, merged by
+  appending each user's records.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import subprocess
 import sys
 import time
 
-from repro.extension.backends import make_backend
+from repro.extension import columnar
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
+from repro.extension.storage import Dataset
 from repro.runtime import (
     CheckpointStore,
     merge_shard_results,
@@ -60,12 +63,12 @@ MERGE_SHARDS = 6
 
 
 def test_storage_identity_across_backends(benchmark, tmp_path):
-    """Serial memory == serial/sharded columnar == serial/sharded spill."""
+    """Serial memory == serial/sharded memory == serial/sharded spill."""
     reference = ExtensionCampaign(CampaignConfig(**SMALL)).run()
 
     def all_backends():
         datasets = {}
-        for backend in ("columnar", "spill"):
+        for backend in ("memory", "spill"):
             for n_workers in (1, 4):
                 config = CampaignConfig(
                     **SMALL,
@@ -110,7 +113,7 @@ def _probe_peak_growth_kib(backend: str, directory: str | None) -> dict:
 
 
 def test_spill_backend_peak_rss_reduction(benchmark, tmp_path):
-    """>= 5x lower peak-RSS growth than in-memory lists at scale."""
+    """>= 5x lower peak-RSS growth than the memory backend at scale."""
 
     def probe_both():
         memory = _probe_peak_growth_kib("memory", None)
@@ -131,6 +134,20 @@ def test_spill_backend_peak_rss_reduction(benchmark, tmp_path):
     )
 
 
+def _object_lists(result) -> dict:
+    """The legacy shard payload, decoded from a shard's columns:
+    ``{user index: (page loads, speedtests)}`` in event order."""
+    by_user = {index: ([], []) for index in result.user_indices}
+    kinds = (
+        (result.page_load_arrays, columnar.decode_page_loads),
+        (result.speedtest_arrays, columnar.decode_speedtests),
+    )
+    for position, (arrays, decode) in enumerate(kinds):
+        for index, record in zip(arrays["user_index"].tolist(), decode(arrays)):
+            by_user[index][position].append(record)
+    return by_user
+
+
 def test_columnar_checkpoint_merge_faster_than_pickle(benchmark, tmp_path):
     """Load-and-merge from columnar .ckpt segments vs the legacy
     pickled-object spill format, same shards, identical output."""
@@ -138,17 +155,13 @@ def test_columnar_checkpoint_merge_faster_than_pickle(benchmark, tmp_path):
     _, planned = plan_campaign(config, MERGE_SHARDS)
     expected = {i for _, idx in planned for i in idx}
     results = [run_shard(config, shard_id, idx) for shard_id, idx in planned]
-    n_records = sum(
-        len(pl) + len(st)
-        for result in results
-        for pl, st in result.user_records.values()
-    )
+    n_records = sum(result.stats.n_records for result in results)
 
     # Legacy format: whole shards as pickled object lists.
     legacy_paths = []
     for result in results:
         path = tmp_path / f"legacy-{result.shard_id:04d}.pkl"
-        path.write_bytes(pickle.dumps(result))
+        path.write_bytes(pickle.dumps(_object_lists(result)))
         legacy_paths.append(path)
 
     # Current format: checksummed columnar segments.
@@ -157,16 +170,21 @@ def test_columnar_checkpoint_merge_faster_than_pickle(benchmark, tmp_path):
         store.save(result)
 
     def legacy_load_and_merge():
-        loaded = [pickle.loads(path.read_bytes()) for path in legacy_paths]
-        return merge_shard_results(loaded, expected_indices=expected)
+        by_user = {}
+        for path in legacy_paths:
+            by_user.update(pickle.loads(path.read_bytes()))
+        assert set(by_user) == expected
+        dataset = Dataset()
+        for index in sorted(by_user):
+            page_loads, speedtests = by_user[index]
+            dataset.extend_page_loads(page_loads)
+            dataset.extend_speedtests(speedtests)
+        dataset.flush()
+        return dataset
 
     def columnar_load_and_merge():
         recovered = store.load_matching(planned)
-        return merge_shard_results(
-            list(recovered.values()),
-            expected_indices=expected,
-            backend=make_backend("columnar"),
-        )
+        return merge_shard_results(list(recovered.values()), expected_indices=expected)
 
     started = time.perf_counter()
     legacy_dataset = legacy_load_and_merge()

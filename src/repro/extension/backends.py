@@ -1,26 +1,29 @@
-"""Pluggable dataset storage backends.
+"""Dataset storage backends: one column store, in RAM or on disk.
 
-The campaign dataset can be held three ways, all bit-identical through
-the :class:`~repro.extension.storage.Dataset` facade:
+A finished record has one layout, the typed columns of
+:mod:`repro.extension.columnar`, and both backends hold records that
+way, bit-identical through the :class:`~repro.extension.storage.Dataset`
+facade:
 
-* ``memory`` — the classic two Python lists.  Zero overhead for small
-  campaigns; every record stays resident.
-* ``columnar`` — numpy column chunks with the typed schemas of
-  :mod:`repro.extension.columnar`.  Records are staged in a small
-  buffer and compacted into immutable array chunks; column reads are
-  O(1) amortised (cached concatenation), record reads decode on demand.
-* ``spill`` — bounded-memory columnar segments on disk (``.npz`` files
-  plus a small JSON manifest).  Appends stage up to ``segment_records``
-  records and then spill one segment; iteration streams one segment at
-  a time, so peak memory is independent of dataset size.
+* ``memory`` (:class:`ColumnStore`) — segments of numpy columns in RAM.
+* ``spill`` (:class:`SpillBackend`) — the same segments as ``.npz``
+  files plus a small JSON manifest, so only the staged records and the
+  segment being read are ever resident.
 
-Every backend implements the same :class:`DatasetBackend` protocol:
-append/extend for ingest (including array-level ``extend_*_arrays``
-used by the vectorised shard merge), streaming iteration, column
-access, per-user deletion and counts.  The backend choice is an
-execution detail — it never changes the dataset's bits — so it is
-excluded from the campaign checkpoint fingerprint, and
-``serial ≡ sharded ≡ resumed`` holds for any backend.
+Both share one implementation.  Record appends stage up to
+``segment_records`` records and compact them into one segment; array
+extends (the shard merge) adopt their columns in segment-sized pieces
+without building a record.  Record iteration and slices decode one
+segment at a time; full-column reads concatenate one column, and
+chunk reads yield one segment's requested columns.  Counts come from
+the segments' record counts, and ``delete_user`` rewrites only the
+segments that hold the user.  ``SpillBackend`` changes only where a
+segment lives, and adds the manifest, :meth:`SpillBackend.open` and
+:meth:`SpillBackend.quarantine`.
+
+The backend choice is an execution detail — it never changes the
+dataset's bits — so it is excluded from the campaign checkpoint
+fingerprint, and ``serial ≡ sharded ≡ resumed`` holds for both.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.extension import columnar
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
 from repro.knobs import KNOBS, resolve
 
-#: Default records per columnar chunk / on-disk spill segment.
+#: Default records per segment, in RAM or on disk.
 DEFAULT_SEGMENT_RECORDS = KNOBS["storage_segment_records"].default
 
 _KINDS = ("page_loads", "speedtests")
@@ -49,13 +52,11 @@ _CODECS = {
         columnar.PAGE_LOAD_COLUMNS,
         columnar.encode_page_loads,
         columnar.decode_page_loads,
-        columnar.empty_page_load_arrays,
     ),
     "speedtests": (
         columnar.SPEEDTEST_COLUMNS,
         columnar.encode_speedtests,
         columnar.decode_speedtests,
-        columnar.empty_speedtest_arrays,
     ),
 }
 
@@ -84,7 +85,7 @@ def _split_chunk_columns(kind: str, columns) -> tuple[tuple, tuple, tuple]:
     requested = tuple(columns)
     if not requested:
         raise DatasetError("column chunk request needs at least one column")
-    all_columns, _, _, _ = _CODECS[kind]
+    all_columns, _, _ = _CODECS[kind]
     derived_names = columnar.PAGE_LOAD_DERIVED if kind == "page_loads" else ()
     derived = tuple(name for name in requested if name in derived_names)
     unknown = [
@@ -131,11 +132,9 @@ def make_backend(
 ) -> "DatasetBackend":
     """Instantiate a backend by name (``directory`` is spill-only)."""
     name = KNOBS["storage"].check(name)
-    if name == "memory":
-        return InMemoryBackend(segment_records=segment_records)
-    if name == "columnar":
-        return ColumnarBackend(segment_records=segment_records)
-    return SpillBackend(directory=directory, segment_records=segment_records)
+    if name == "spill":
+        return SpillBackend(directory=directory, segment_records=segment_records)
+    return ColumnStore(segment_records=segment_records)
 
 
 def backend_for_config(config) -> "DatasetBackend":
@@ -152,7 +151,7 @@ def backend_for_config(config) -> "DatasetBackend":
 class DatasetBackend(Protocol):
     """What a dataset storage backend must provide."""
 
-    #: Registry name (``memory``/``columnar``/``spill``).
+    #: Registry name (``memory``/``spill``).
     name: str
 
     def append_page_load(self, record: PageLoadRecord) -> None: ...
@@ -198,11 +197,13 @@ class DatasetBackend(Protocol):
     def flush(self) -> None: ...
 
 
-class InMemoryBackend:
-    """The classic backend: two Python lists, records stay resident.
+class ColumnStore:
+    """The ``memory`` backend: segments of typed columns in RAM.
 
-    Column-chunk reads encode ``segment_records`` records at a time,
-    like a columnar chunk or spill segment, and keep nothing.
+    Each segment is ``{"n": records, ...}``; here the rest of the entry
+    is the segment's ``arrays``.  :class:`SpillBackend` keeps the same
+    entries with a file name instead, and overrides only the four
+    methods that store, load, discard and commit segments.
     """
 
     name = "memory"
@@ -213,173 +214,67 @@ class InMemoryBackend:
                 f"segment_records must be >= 1, got {segment_records}"
             )
         self.segment_records = segment_records
-        self.page_loads: list[PageLoadRecord] = []
-        self.speedtests: list[SpeedtestRecord] = []
-        self._column_cache: dict[tuple[str, str], np.ndarray] = {}
-
-    # -- ingest --------------------------------------------------------
-
-    def append_page_load(self, record: PageLoadRecord) -> None:
-        self.page_loads.append(record)
-        self._column_cache.clear()
-
-    def append_speedtest(self, record: SpeedtestRecord) -> None:
-        self.speedtests.append(record)
-        self._column_cache.clear()
-
-    def extend_page_loads(self, records) -> None:
-        self.page_loads.extend(records)
-        self._column_cache.clear()
-
-    def extend_speedtests(self, records) -> None:
-        self.speedtests.extend(records)
-        self._column_cache.clear()
-
-    def extend_page_load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.extend_page_loads(columnar.decode_page_loads(arrays))
-
-    def extend_speedtest_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.extend_speedtests(columnar.decode_speedtests(arrays))
-
-    # -- reads ---------------------------------------------------------
-
-    def iter_page_loads(self) -> Iterator[PageLoadRecord]:
-        return iter(self.page_loads)
-
-    def iter_speedtests(self) -> Iterator[SpeedtestRecord]:
-        return iter(self.speedtests)
-
-    def page_load_slice(self, offset: int, limit: int) -> list[PageLoadRecord]:
-        """Records ``[offset, offset + limit)`` in append order (the
-        result-pagination primitive; O(limit) here)."""
-        _check_slice(offset, limit)
-        return self.page_loads[offset : offset + limit]
-
-    def speedtest_slice(self, offset: int, limit: int) -> list[SpeedtestRecord]:
-        _check_slice(offset, limit)
-        return self.speedtests[offset : offset + limit]
-
-    def _stored_column(self, kind: str, name: str) -> np.ndarray:
-        key = (kind, name)
-        if key not in self._column_cache:
-            records = self.page_loads if kind == "page_loads" else self.speedtests
-            _, encode, _, empty = _CODECS[kind]
-            arrays = encode(records) if records else empty()
-            for column, values in arrays.items():
-                self._column_cache[(kind, column)] = values
-        return self._column_cache[key]
-
-    def page_load_column(self, name: str) -> np.ndarray:
-        if name in columnar.PAGE_LOAD_DERIVED:
-            return columnar.derived_page_load_column(
-                name, lambda c: self._stored_column("page_loads", c)
-            )
-        if name not in columnar.PAGE_LOAD_COLUMNS:
-            raise DatasetError(f"unknown page-load column {name!r}")
-        return self._stored_column("page_loads", name)
-
-    def speedtest_column(self, name: str) -> np.ndarray:
-        if name not in columnar.SPEEDTEST_COLUMNS:
-            raise DatasetError(f"unknown speedtest column {name!r}")
-        return self._stored_column("speedtests", name)
-
-    def _iter_column_chunks(self, kind: str, columns):
-        load, derived, requested = _split_chunk_columns(kind, columns)
-        records = self.page_loads if kind == "page_loads" else self.speedtests
-        # Encode only the loaded columns of one segment's records at a
-        # time and cache nothing: a fold holds one chunk of its own
-        # columns, never the whole record schema.
-        for start in range(0, len(records), self.segment_records):
-            arrays = columnar.encode_columns(
-                records[start : start + self.segment_records], load
-            )
-            yield _finish_chunk(arrays, requested, derived)
-
-    def iter_page_load_column_chunks(self, columns):
-        """Stream page-load columns, ``segment_records`` records a chunk."""
-        return self._iter_column_chunks("page_loads", columns)
-
-    def iter_speedtest_column_chunks(self, columns):
-        """Stream speedtest columns, ``segment_records`` records a chunk."""
-        return self._iter_column_chunks("speedtests", columns)
-
-    @property
-    def n_page_loads(self) -> int:
-        return len(self.page_loads)
-
-    @property
-    def n_speedtests(self) -> int:
-        return len(self.speedtests)
-
-    # -- mutation ------------------------------------------------------
-
-    def delete_user(self, user_id: str) -> int:
-        before = len(self.page_loads) + len(self.speedtests)
-        self.page_loads = [r for r in self.page_loads if r.user_id != user_id]
-        self.speedtests = [r for r in self.speedtests if r.user_id != user_id]
-        self._column_cache.clear()
-        return before - len(self.page_loads) - len(self.speedtests)
-
-    def flush(self) -> None:
-        """Nothing staged; present for protocol symmetry."""
-
-
-class ColumnarBackend:
-    """Typed numpy column chunks with a small staging buffer.
-
-    Appends stage record objects; once ``segment_records`` accumulate
-    they are encoded into one immutable column chunk and the staging
-    buffer is dropped.  Array-level extends adopt the caller's chunk
-    wholesale (no per-record object work) — the fast path the shard
-    merge uses.
-    """
-
-    name = "columnar"
-
-    def __init__(self, segment_records: int = DEFAULT_SEGMENT_RECORDS) -> None:
-        if segment_records < 1:
-            raise ConfigurationError(
-                f"segment_records must be >= 1, got {segment_records}"
-            )
-        self.segment_records = segment_records
-        self._chunks: dict[str, list[dict[str, np.ndarray]]] = {
-            kind: [] for kind in _KINDS
-        }
+        #: Per kind: the segment entries, in append order.
+        self._segments: dict[str, list[dict]] = {kind: [] for kind in _KINDS}
+        #: Per kind: appended records not yet compacted into a segment.
         self._staging: dict[str, list] = {kind: [] for kind in _KINDS}
         self._column_cache: dict[tuple[str, str], np.ndarray] = {}
 
+    # -- where a segment lives -------------------------------------------
+
+    def _store(self, kind: str, arrays: dict[str, np.ndarray]) -> dict:
+        """Keep one segment's columns; returns its entry."""
+        columns, _, _ = _CODECS[kind]
+        return {"n": int(len(arrays[columns[0]])), "arrays": arrays}
+
+    def _load(self, kind: str, entry: dict, columns) -> dict[str, np.ndarray]:
+        """The ``columns`` of one segment."""
+        return {name: entry["arrays"][name] for name in columns}
+
+    def _discard(self, kind: str, entry: dict) -> None:
+        """Forget a segment that a rewrite replaced."""
+
+    def _commit(self) -> None:
+        """Make the segment lists durable (nothing to do in RAM)."""
+
     # -- ingest --------------------------------------------------------
 
-    def _append(self, kind: str, record) -> None:
-        self._staging[kind].append(record)
-        self._column_cache.clear()
-        if len(self._staging[kind]) >= self.segment_records:
-            self._compact(kind)
-
-    def _compact(self, kind: str) -> None:
+    def _stage(self, kind: str, records) -> None:
         staged = self._staging[kind]
-        if not staged:
+        staged.extend(records)
+        self._column_cache.clear()
+        if len(staged) >= self.segment_records:
+            self._compact(kind, partial=False)
+
+    def _compact(self, kind: str, partial: bool = True) -> None:
+        """Encode staged records into segments of ``segment_records``;
+        a short last segment only when ``partial``."""
+        staged = self._staging[kind]
+        size = self.segment_records
+        stop = len(staged) if partial else len(staged) - len(staged) % size
+        if not stop:
             return
-        _, encode, _, _ = _CODECS[kind]
-        self._chunks[kind].append(encode(staged))
-        self._staging[kind] = []
+        _, encode, _ = _CODECS[kind]
+        for start in range(0, stop, size):
+            piece = encode(staged[start : min(start + size, stop)])
+            self._segments[kind].append(self._store(kind, piece))
+        self._staging[kind] = staged[stop:]
+        self._commit()
 
     def append_page_load(self, record: PageLoadRecord) -> None:
-        self._append("page_loads", record)
+        self._stage("page_loads", (record,))
 
     def append_speedtest(self, record: SpeedtestRecord) -> None:
-        self._append("speedtests", record)
+        self._stage("speedtests", (record,))
 
     def extend_page_loads(self, records) -> None:
-        for record in records:
-            self._append("page_loads", record)
+        self._stage("page_loads", records)
 
     def extend_speedtests(self, records) -> None:
-        for record in records:
-            self._append("speedtests", record)
+        self._stage("speedtests", records)
 
     def _extend_arrays(self, kind: str, arrays: dict[str, np.ndarray]) -> None:
-        columns, _, _, _ = _CODECS[kind]
+        columns, _, _ = _CODECS[kind]
         missing = [name for name in columns if name not in arrays]
         if missing:
             raise DatasetError(f"{kind} array chunk missing columns {missing}")
@@ -389,22 +284,30 @@ class ColumnarBackend:
         # Preserve global append order: anything staged before this
         # chunk must be compacted first.
         self._compact(kind)
-        self._chunks[kind].append({name: arrays[name] for name in columns})
+        for start in range(0, n, self.segment_records):
+            piece = {
+                name: arrays[name][start : start + self.segment_records]
+                for name in columns
+            }
+            self._segments[kind].append(self._store(kind, piece))
         self._column_cache.clear()
+        self._commit()
 
     def extend_page_load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Adopt page-load columns (extra columns are ignored)."""
         self._extend_arrays("page_loads", arrays)
 
     def extend_speedtest_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Adopt speedtest columns (extra columns are ignored)."""
         self._extend_arrays("speedtests", arrays)
 
     # -- reads ---------------------------------------------------------
 
     def _iter(self, kind: str) -> Iterator:
-        _, _, decode, _ = _CODECS[kind]
-        for chunk in self._chunks[kind]:
-            yield from decode(chunk)
-        yield from self._staging[kind]
+        columns, _, decode = _CODECS[kind]
+        for entry in list(self._segments[kind]):
+            yield from decode(self._load(kind, entry, columns))
+        yield from list(self._staging[kind])
 
     def iter_page_loads(self) -> Iterator[PageLoadRecord]:
         return self._iter("page_loads")
@@ -413,21 +316,21 @@ class ColumnarBackend:
         return self._iter("speedtests")
 
     def _slice(self, kind: str, offset: int, limit: int) -> list:
-        """Decode only the chunks overlapping ``[offset, offset+limit)``."""
+        """Decode only the segments overlapping ``[offset, offset+limit)``
+        — the entries' record counts make the seek free."""
         _check_slice(offset, limit)
-        columns, _, decode, _ = _CODECS[kind]
+        columns, _, decode = _CODECS[kind]
         start, stop = offset, offset + limit
         out: list = []
         pos = 0
-        for chunk in self._chunks[kind]:
+        for entry in list(self._segments[kind]):
             if pos >= stop:
                 break
-            n = len(chunk[columns[0]])
+            n = entry["n"]
             lo, hi = max(start - pos, 0), min(stop - pos, n)
             if lo < hi:
-                out.extend(
-                    decode({name: chunk[name][lo:hi] for name in columns})
-                )
+                arrays = self._load(kind, entry, columns)
+                out.extend(decode({name: arrays[name][lo:hi] for name in columns}))
             pos += n
         staged = self._staging[kind]
         lo, hi = max(start - pos, 0), min(stop - pos, len(staged))
@@ -436,8 +339,8 @@ class ColumnarBackend:
         return out
 
     def page_load_slice(self, offset: int, limit: int) -> list[PageLoadRecord]:
-        """Records ``[offset, offset + limit)``; only overlapping
-        chunks are decoded, so a page read is O(limit + chunk)."""
+        """Records ``[offset, offset + limit)``; a page read decodes only
+        the overlapping segments, so it is O(limit + segment)."""
         return self._slice("page_loads", offset, limit)
 
     def speedtest_slice(self, offset: int, limit: int) -> list[SpeedtestRecord]:
@@ -446,15 +349,12 @@ class ColumnarBackend:
     def _stored_column(self, kind: str, name: str) -> np.ndarray:
         key = (kind, name)
         if key not in self._column_cache:
-            columns, encode, _, empty = _CODECS[kind]
-            chunks = list(self._chunks[kind])
-            if self._staging[kind]:
-                chunks.append(encode(self._staging[kind]))
-            if not chunks:
-                chunks = [empty()]
-            merged = columnar.concat_columns(chunks, columns)
-            for column in columns:
-                self._column_cache[(kind, column)] = merged[column]
+            chunks = [
+                self._load(kind, entry, (name,)) for entry in self._segments[kind]
+            ]
+            if self._staging[kind] or not chunks:
+                chunks.append(columnar.encode_columns(self._staging[kind], (name,)))
+            self._column_cache[key] = columnar.concat_columns(chunks, (name,))[name]
         return self._column_cache[key]
 
     def page_load_column(self, name: str) -> np.ndarray:
@@ -473,24 +373,24 @@ class ColumnarBackend:
 
     def _iter_column_chunks(self, kind: str, columns):
         load, derived, requested = _split_chunk_columns(kind, columns)
-        for chunk in self._chunks[kind]:
-            arrays = {name: chunk[name] for name in load}
-            yield _finish_chunk(arrays, requested, derived)
+        # One segment's requested columns at a time: a fold holds one
+        # chunk of its own columns, never the whole record schema.
+        for entry in list(self._segments[kind]):
+            yield _finish_chunk(self._load(kind, entry, load), requested, derived)
         if self._staging[kind]:
             staged = columnar.encode_columns(self._staging[kind], load)
             yield _finish_chunk(staged, requested, derived)
 
     def iter_page_load_column_chunks(self, columns):
-        """Stream page-load columns one stored chunk at a time."""
+        """Stream page-load columns one segment at a time."""
         return self._iter_column_chunks("page_loads", columns)
 
     def iter_speedtest_column_chunks(self, columns):
-        """Stream speedtest columns one stored chunk at a time."""
+        """Stream speedtest columns one segment at a time."""
         return self._iter_column_chunks("speedtests", columns)
 
     def _count(self, kind: str) -> int:
-        columns, _, _, _ = _CODECS[kind]
-        stored = sum(len(chunk[columns[0]]) for chunk in self._chunks[kind])
+        stored = sum(entry["n"] for entry in self._segments[kind])
         return stored + len(self._staging[kind])
 
     @property
@@ -506,34 +406,38 @@ class ColumnarBackend:
     def delete_user(self, user_id: str) -> int:
         removed = 0
         for kind in _KINDS:
-            columns, _, _, _ = _CODECS[kind]
-            kept_chunks = []
-            for chunk in self._chunks[kind]:
-                keep = chunk["user_id"] != user_id
+            columns, _, _ = _CODECS[kind]
+            kept_entries = []
+            for entry in self._segments[kind]:
+                arrays = self._load(kind, entry, columns)
+                keep = arrays["user_id"] != user_id
                 dropped = int(keep.size - np.count_nonzero(keep))
-                if dropped:
-                    removed += dropped
-                    if np.count_nonzero(keep):
-                        kept_chunks.append(
-                            {name: chunk[name][keep] for name in columns}
-                        )
-                else:
-                    kept_chunks.append(chunk)
-            self._chunks[kind] = kept_chunks
+                if not dropped:
+                    kept_entries.append(entry)
+                    continue
+                removed += dropped
+                self._discard(kind, entry)
+                if np.count_nonzero(keep):
+                    kept = {name: arrays[name][keep] for name in columns}
+                    kept_entries.append(self._store(kind, kept))
+            self._segments[kind] = kept_entries
             staged = [r for r in self._staging[kind] if r.user_id != user_id]
             removed += len(self._staging[kind]) - len(staged)
             self._staging[kind] = staged
         self._column_cache.clear()
+        self._commit()
         return removed
 
     def flush(self) -> None:
-        """Compact any staged records into chunks."""
+        """Compact staged records (possibly a short final segment) and
+        commit the segment lists."""
         for kind in _KINDS:
             self._compact(kind)
+        self._commit()
 
 
-class SpillBackend:
-    """Bounded-memory columnar segments on disk plus a JSON manifest.
+class SpillBackend(ColumnStore):
+    """The ``spill`` backend: segments on disk plus a JSON manifest.
 
     Layout (see DESIGN.md §9)::
 
@@ -544,10 +448,8 @@ class SpillBackend:
     Segments are plain ``np.savez`` archives (one member per schema
     column), written atomically; the manifest records every segment's
     file name, record count and sha256, and is itself rewritten
-    atomically after each spill.  Only up to ``segment_records``
-    staged records are ever resident; iteration streams one segment at
-    a time and column reads load only the requested member from each
-    archive.
+    atomically after each change.  Reads load only the requested
+    members of one segment at a time.
     """
 
     name = "spill"
@@ -556,26 +458,18 @@ class SpillBackend:
     MANIFEST_VERSION = 1
     _PREFIX = {"page_loads": "pl", "speedtests": "st"}
 
+    #: Subdirectory bad segments are moved into by :meth:`quarantine`.
+    QUARANTINE_DIR = "quarantine"
+
     def __init__(
         self,
         directory: str | None = None,
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
     ) -> None:
-        if segment_records < 1:
-            raise ConfigurationError(
-                f"segment_records must be >= 1, got {segment_records}"
-            )
+        super().__init__(segment_records)
         self.directory = directory or tempfile.mkdtemp(prefix="repro-dataset-")
         os.makedirs(self.directory, exist_ok=True)
-        self.segment_records = segment_records
-        #: Per kind: list of ``{"file", "n", "sha256"}`` manifest entries.
-        self._segments: dict[str, list[dict]] = {kind: [] for kind in _KINDS}
-        self._staging: dict[str, list] = {kind: [] for kind in _KINDS}
         self._next_segment: dict[str, int] = {kind: 0 for kind in _KINDS}
-        self._column_cache: dict[tuple[str, str], np.ndarray] = {}
-
-    #: Subdirectory bad segments are moved into by :meth:`quarantine`.
-    QUARANTINE_DIR = "quarantine"
 
     @classmethod
     def open(cls, directory: str, verify: bool = False) -> "SpillBackend":
@@ -616,56 +510,45 @@ class SpillBackend:
             backend._next_segment[kind] = len(entries)
         if verify:
             for kind in _KINDS:
+                columns, _, _ = _CODECS[kind]
                 for entry in backend._segments[kind]:
-                    backend._load_segment(kind, entry)
+                    backend._load(kind, entry, columns)
         return backend
 
-    # -- persistence helpers -------------------------------------------
+    # -- segment files and the manifest ------------------------------------
 
     def _segment_path(self, entry: dict) -> str:
         return os.path.join(self.directory, entry["file"])
 
-    def _write_atomic(self, path: str, data: bytes) -> None:
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as handle:
-            handle.write(data)
-            # fsync before the rename: os.replace is atomic in the
-            # namespace only, so without it a crash can promote an
-            # empty temp file to the segment's final name.
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-
-    def _write_manifest(self) -> None:
+    def _commit(self) -> None:
+        """Rewrite the manifest atomically."""
         manifest = {
             "version": self.MANIFEST_VERSION,
             "segment_records": self.segment_records,
             "kinds": {kind: self._segments[kind] for kind in _KINDS},
         }
-        self._write_atomic(
+        columnar.write_atomic(
             os.path.join(self.directory, self.MANIFEST),
             json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8"),
         )
 
-    def _save_segment(self, kind: str, arrays: dict[str, np.ndarray]) -> dict:
+    def _store(self, kind: str, arrays: dict[str, np.ndarray]) -> dict:
         index = self._next_segment[kind]
         self._next_segment[kind] += 1
         file_name = f"{self._PREFIX[kind]}-{index:05d}.npz"
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
         data = buffer.getvalue()
-        self._write_atomic(os.path.join(self.directory, file_name), data)
-        columns, _, _, _ = _CODECS[kind]
+        columnar.write_atomic(os.path.join(self.directory, file_name), data)
+        columns, _, _ = _CODECS[kind]
         return {
             "file": file_name,
             "n": int(len(arrays[columns[0]])),
             "sha256": hashlib.sha256(data).hexdigest(),
         }
 
-    def _load_segment(
-        self, kind: str, entry: dict, columns=None
-    ) -> dict[str, np.ndarray]:
-        """One segment's (requested) columns, checksum-verified.
+    def _load(self, kind: str, entry: dict, columns) -> dict[str, np.ndarray]:
+        """One segment's ``columns``, checksum-verified.
 
         The whole file is read and hashed against the manifest's
         sha256 *before* npz decoding, so truncation and bit flips both
@@ -673,8 +556,6 @@ class SpillBackend:
         cryptic zipfile traceback from deep inside numpy.
         """
         path = self._segment_path(entry)
-        all_columns, _, _, _ = _CODECS[kind]
-        wanted = tuple(columns) if columns is not None else all_columns
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
@@ -695,18 +576,21 @@ class SpillBackend:
                 )
         try:
             with np.load(io.BytesIO(data)) as npz:
-                arrays = {name: npz[name] for name in wanted}
+                arrays = {name: npz[name] for name in columns}
         except (OSError, ValueError, KeyError) as exc:
             raise DatasetError(
                 f"torn spill segment {entry['file']} (manifest says "
                 f"{entry['n']} records): {exc}"
             ) from exc
-        if any(len(arrays[name]) != entry["n"] for name in wanted):
+        if any(len(arrays[name]) != entry["n"] for name in columns):
             raise DatasetError(
                 f"spill segment {entry['file']} length disagrees with "
                 f"its manifest (expected {entry['n']} records)"
             )
         return arrays
+
+    def _discard(self, kind: str, entry: dict) -> None:
+        os.unlink(self._segment_path(entry))
 
     def quarantine(self, kind: str, file_name: str, reason: str) -> dict:
         """Move a bad segment aside and drop it from the manifest.
@@ -745,212 +629,7 @@ class SpillBackend:
             report["quarantined"] = True
             report["path"] = target
         self._segments[kind] = [e for e in entries if e is not match]
-        self._write_manifest()
+        self._commit()
         self._column_cache.clear()
         report["n_records_lost"] = int(match["n"])
         return report
-
-    # -- ingest --------------------------------------------------------
-
-    def _append(self, kind: str, record) -> None:
-        self._staging[kind].append(record)
-        self._column_cache.clear()
-        if len(self._staging[kind]) >= self.segment_records:
-            self._spill(kind)
-
-    def _spill(self, kind: str) -> None:
-        staged = self._staging[kind]
-        if not staged:
-            return
-        _, encode, _, _ = _CODECS[kind]
-        self._segments[kind].append(self._save_segment(kind, encode(staged)))
-        self._staging[kind] = []
-        self._write_manifest()
-
-    def append_page_load(self, record: PageLoadRecord) -> None:
-        self._append("page_loads", record)
-
-    def append_speedtest(self, record: SpeedtestRecord) -> None:
-        self._append("speedtests", record)
-
-    def extend_page_loads(self, records) -> None:
-        for record in records:
-            self._append("page_loads", record)
-
-    def extend_speedtests(self, records) -> None:
-        for record in records:
-            self._append("speedtests", record)
-
-    def _extend_arrays(self, kind: str, arrays: dict[str, np.ndarray]) -> None:
-        columns, _, _, _ = _CODECS[kind]
-        missing = [name for name in columns if name not in arrays]
-        if missing:
-            raise DatasetError(f"{kind} array chunk missing columns {missing}")
-        n = len(arrays[columns[0]])
-        if n == 0:
-            return
-        self._spill(kind)  # keep global append order
-        # Bounded memory even for bulk adoption: slice the incoming
-        # chunk into segment-sized pieces.
-        for start in range(0, n, self.segment_records):
-            piece = {
-                name: arrays[name][start : start + self.segment_records]
-                for name in columns
-            }
-            self._segments[kind].append(self._save_segment(kind, piece))
-        self._write_manifest()
-        self._column_cache.clear()
-
-    def extend_page_load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self._extend_arrays("page_loads", arrays)
-
-    def extend_speedtest_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self._extend_arrays("speedtests", arrays)
-
-    # -- reads ---------------------------------------------------------
-
-    def _iter(self, kind: str) -> Iterator:
-        _, _, decode, _ = _CODECS[kind]
-        for entry in list(self._segments[kind]):
-            yield from decode(self._load_segment(kind, entry))
-        yield from list(self._staging[kind])
-
-    def iter_page_loads(self) -> Iterator[PageLoadRecord]:
-        return self._iter("page_loads")
-
-    def iter_speedtests(self) -> Iterator[SpeedtestRecord]:
-        return self._iter("speedtests")
-
-    def _slice(self, kind: str, offset: int, limit: int) -> list:
-        """Load (and decode) only the on-disk segments overlapping
-        ``[offset, offset + limit)`` — the manifest's per-segment
-        record counts make the seek free."""
-        _check_slice(offset, limit)
-        columns, _, decode, _ = _CODECS[kind]
-        start, stop = offset, offset + limit
-        out: list = []
-        pos = 0
-        for entry in list(self._segments[kind]):
-            if pos >= stop:
-                break
-            n = entry["n"]
-            lo, hi = max(start - pos, 0), min(stop - pos, n)
-            if lo < hi:
-                arrays = self._load_segment(kind, entry)
-                out.extend(
-                    decode({name: arrays[name][lo:hi] for name in columns})
-                )
-            pos += n
-        staged = self._staging[kind]
-        lo, hi = max(start - pos, 0), min(stop - pos, len(staged))
-        if lo < hi:
-            out.extend(staged[lo:hi])
-        return out
-
-    def page_load_slice(self, offset: int, limit: int) -> list[PageLoadRecord]:
-        """Records ``[offset, offset + limit)``; a page read touches
-        only the overlapping segments, never the whole dataset."""
-        return self._slice("page_loads", offset, limit)
-
-    def speedtest_slice(self, offset: int, limit: int) -> list[SpeedtestRecord]:
-        return self._slice("speedtests", offset, limit)
-
-    def _stored_column(self, kind: str, name: str) -> np.ndarray:
-        key = (kind, name)
-        if key not in self._column_cache:
-            columns, encode, _, empty = _CODECS[kind]
-            chunks = [
-                self._load_segment(kind, entry, columns=(name,))
-                for entry in self._segments[kind]
-            ]
-            if self._staging[kind]:
-                chunks.append(encode(self._staging[kind]))
-            if not chunks:
-                chunks = [empty()]
-            self._column_cache[key] = columnar.concat_columns(chunks, (name,))[
-                name
-            ]
-        return self._column_cache[key]
-
-    def page_load_column(self, name: str) -> np.ndarray:
-        if name in columnar.PAGE_LOAD_DERIVED:
-            return columnar.derived_page_load_column(
-                name, lambda c: self._stored_column("page_loads", c)
-            )
-        if name not in columnar.PAGE_LOAD_COLUMNS:
-            raise DatasetError(f"unknown page-load column {name!r}")
-        return self._stored_column("page_loads", name)
-
-    def speedtest_column(self, name: str) -> np.ndarray:
-        if name not in columnar.SPEEDTEST_COLUMNS:
-            raise DatasetError(f"unknown speedtest column {name!r}")
-        return self._stored_column("speedtests", name)
-
-    def _iter_column_chunks(self, kind: str, columns):
-        load, derived, requested = _split_chunk_columns(kind, columns)
-        # One segment resident at a time, and only the needed members
-        # of each .npz — the O(segment) primitive streaming analytics
-        # folds over.
-        for entry in list(self._segments[kind]):
-            arrays = self._load_segment(kind, entry, columns=load)
-            yield _finish_chunk(arrays, requested, derived)
-        if self._staging[kind]:
-            staged = columnar.encode_columns(self._staging[kind], load)
-            yield _finish_chunk(staged, requested, derived)
-
-    def iter_page_load_column_chunks(self, columns):
-        """Stream page-load columns one on-disk segment at a time."""
-        return self._iter_column_chunks("page_loads", columns)
-
-    def iter_speedtest_column_chunks(self, columns):
-        """Stream speedtest columns one on-disk segment at a time."""
-        return self._iter_column_chunks("speedtests", columns)
-
-    def _count(self, kind: str) -> int:
-        stored = sum(entry["n"] for entry in self._segments[kind])
-        return stored + len(self._staging[kind])
-
-    @property
-    def n_page_loads(self) -> int:
-        return self._count("page_loads")
-
-    @property
-    def n_speedtests(self) -> int:
-        return self._count("speedtests")
-
-    # -- mutation ------------------------------------------------------
-
-    def delete_user(self, user_id: str) -> int:
-        removed = 0
-        for kind in _KINDS:
-            columns, _, _, _ = _CODECS[kind]
-            kept_entries = []
-            for entry in self._segments[kind]:
-                arrays = self._load_segment(kind, entry)
-                keep = arrays["user_id"] != user_id
-                dropped = int(keep.size - np.count_nonzero(keep))
-                if not dropped:
-                    kept_entries.append(entry)
-                    continue
-                removed += dropped
-                os.unlink(self._segment_path(entry))
-                if np.count_nonzero(keep):
-                    kept_entries.append(
-                        self._save_segment(
-                            kind, {name: arrays[name][keep] for name in columns}
-                        )
-                    )
-            self._segments[kind] = kept_entries
-            staged = [r for r in self._staging[kind] if r.user_id != user_id]
-            removed += len(self._staging[kind]) - len(staged)
-            self._staging[kind] = staged
-        self._write_manifest()
-        self._column_cache.clear()
-        return removed
-
-    def flush(self) -> None:
-        """Spill staged records (possibly a short final segment) and
-        write the manifest, making the directory self-describing."""
-        for kind in _KINDS:
-            self._spill(kind)
-        self._write_manifest()

@@ -89,15 +89,15 @@ class CampaignConfig:
             ``REPRO_RESUME=1`` still turns resuming on.  None of the
             supervision/checkpoint knobs ever change the dataset —
             recovery is bit-identical by the determinism contract.
-        storage: Dataset storage backend — ``memory`` (default),
-            ``columnar`` (numpy column chunks) or ``spill``
-            (bounded-memory ``.npz`` segments on disk, see DESIGN.md
+        storage: Dataset storage backend — ``memory`` (default,
+            typed numpy columns in RAM) or ``spill`` (the same columns
+            as bounded-memory ``.npz`` segments on disk, see DESIGN.md
             §9).  The dataset's records are bit-identical across
             backends.
         storage_dir: Directory for the ``spill`` backend's segments;
             unset means a fresh temporary directory.
-        storage_segment_records: Records per columnar chunk / spill
-            segment (the bound on staged records in memory).
+        storage_segment_records: Records per storage segment, in RAM
+            or on disk (the bound on staged records in memory).
 
     Every field from ``n_workers`` on is an execution knob: a row of
     :data:`repro.knobs.KNOBS`, checked against it here and resolved

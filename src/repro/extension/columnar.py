@@ -11,14 +11,24 @@ tables.  This module is the single source of truth for that columnar view:
 * **Exact encode/decode** — floats are stored as float64 (a Python float
   round-trips bit-for-bit), ints as int64, bools as bool, strings as numpy
   unicode arrays sized to the batch.  ``decode(encode(records)) ==
-  records`` holds exactly, which is what lets every storage backend and
-  the checkpoint spill keep the repo's bit-identity contract.
+  records`` holds exactly for records whose fields have their schema
+  kind: a ``str`` without NUL characters (numpy drops trailing NULs), a
+  ``bool``, an ``int`` within int64, a ``float``.  Anything else is
+  coerced, not rejected (``None`` becomes ``'None'``, ``1.5`` in an int
+  column ``1``, ``'no'`` in a bool column ``True``), so records from
+  outside the campaign are checked against the schema first
+  (:meth:`~repro.extension.storage.Dataset.from_jsonl`).  This is what
+  lets both storage backends and the checkpoint spill keep the repo's
+  bit-identity contract.
 * **Derived columns** — ``ptt_ms``/``plt_ms`` computed vectorised in the
   same operation order as the scalar properties, so column reads match
   per-record arithmetic bit-for-bit.
 * **A checksummed container** — a small framed file format (magic +
   sha256 + npz payload) used by the checkpoint store, so truncated or
   bit-flipped spill files are detected instead of half-loaded.
+* **One atomic write** — :func:`write_atomic` (temp file, fsync,
+  ``os.replace``) for every file the backends and the checkpoint store
+  write; a failed write leaves the old file and no temp behind.
 
 Backends (:mod:`repro.extension.backends`) and the shard checkpoint store
 (:mod:`repro.runtime.checkpoint`) both build on these primitives.
@@ -26,6 +36,7 @@ Backends (:mod:`repro.extension.backends`) and the shard checkpoint store
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -167,16 +178,6 @@ def decode_speedtests(arrays: dict[str, np.ndarray]) -> list[SpeedtestRecord]:
     ]
 
 
-def empty_page_load_arrays() -> dict[str, np.ndarray]:
-    """A zero-record page-load column set (correct dtypes)."""
-    return encode_columns([], PAGE_LOAD_COLUMNS)
-
-
-def empty_speedtest_arrays() -> dict[str, np.ndarray]:
-    """A zero-record speedtest column set (correct dtypes)."""
-    return encode_columns([], SPEEDTEST_COLUMNS)
-
-
 def concat_columns(
     chunks: list[dict[str, np.ndarray]], columns
 ) -> dict[str, np.ndarray]:
@@ -231,6 +232,34 @@ def _npz_bytes(arrays: dict[str, np.ndarray], meta: dict) -> bytes:
     return buffer.getvalue()
 
 
+def write_atomic(path: str, *parts: bytes) -> None:
+    """Replace ``path`` with the concatenated ``parts``, or leave it be.
+
+    Writes ``<path>.tmp.<pid>``, fsyncs it and moves it over ``path``
+    with ``os.replace``.  If the write, the fsync or the replace
+    raises, the temp file is removed and the error propagates, so
+    ``path`` holds its old bytes or the new ones and nothing else is
+    left behind.
+    """
+    tmp_path = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp_path, "wb") as handle:
+            for part in parts:
+                handle.write(part)
+            # Flush to stable storage *before* the rename: os.replace
+            # is atomic in the namespace but says nothing about data
+            # blocks — a power-loss-style kill between write and
+            # rename can otherwise expose an empty file under the
+            # final name.
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
+
+
 def write_checksummed_npz(
     path: str, arrays: dict[str, np.ndarray], meta: dict
 ) -> str:
@@ -241,19 +270,7 @@ def write_checksummed_npz(
     trusted.  Returns ``path``.
     """
     payload = _npz_bytes(arrays, meta)
-    digest = hashlib.sha256(payload).digest()
-    tmp_path = f"{path}.tmp.{os.getpid()}"
-    with open(tmp_path, "wb") as handle:
-        handle.write(CONTAINER_MAGIC)
-        handle.write(digest)
-        handle.write(payload)
-        # Flush to stable storage *before* the rename: os.replace is
-        # atomic in the namespace but says nothing about data blocks —
-        # a power-loss-style kill between write and rename can
-        # otherwise expose a zero-length file under the final name.
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    write_atomic(path, CONTAINER_MAGIC, hashlib.sha256(payload).digest(), payload)
     return path
 
 

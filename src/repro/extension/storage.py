@@ -6,12 +6,11 @@ class, time window, popularity), computes the aggregates that appear in
 the paper's tables, honours user data-deletion requests, and
 round-trips to JSON Lines.
 
-Since PR 5 the actual record storage is pluggable: :class:`Dataset` is
-a facade over a :class:`~repro.extension.backends.DatasetBackend`
-(in-memory lists by default; numpy-columnar and spill-to-disk backends
-for bounded-memory campaigns — see DESIGN.md §9).  The query API is
-backend-agnostic and the dataset's contents are bit-identical across
-backends.
+The records themselves live in a column store
+(:mod:`repro.extension.backends`, DESIGN.md §9): typed numpy columns
+in RAM by default, or the same segments spilled to disk for
+bounded-memory campaigns.  :class:`Dataset` is the facade over it; the
+query API and the dataset's contents are the same on both backends.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.extension.backends import DatasetBackend, InMemoryBackend
+from repro.extension import columnar
+from repro.extension.backends import ColumnStore, DatasetBackend
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
 from repro.web.timing import NavigationTiming
 
@@ -113,13 +113,13 @@ def _selection_mask(chunk: dict[str, np.ndarray], filters: dict) -> np.ndarray:
 class Dataset:
     """All records collected by a campaign.
 
-    ``Dataset()`` keeps today's behaviour exactly (everything in two
-    Python lists); pass any other backend to change where the records
-    live without changing what they are.
+    ``Dataset()`` keeps its records as columns in RAM (the ``memory``
+    backend); pass a :class:`~repro.extension.backends.SpillBackend` to
+    keep them on disk instead without changing what they are.
     """
 
     def __init__(self, backend: DatasetBackend | None = None) -> None:
-        self._backend = backend if backend is not None else InMemoryBackend()
+        self._backend = backend if backend is not None else ColumnStore()
 
     @property
     def backend(self) -> DatasetBackend:
@@ -128,28 +128,20 @@ class Dataset:
 
     @property
     def storage(self) -> str:
-        """The backend's registry name (``memory``/``columnar``/``spill``)."""
+        """The backend's registry name (``memory``/``spill``)."""
         return self._backend.name
 
     # -- record views ------------------------------------------------------
 
     @property
     def page_loads(self) -> list[PageLoadRecord]:
-        """All page-load records, in append order.
-
-        For the in-memory backend this is the live list (mutating it
-        mutates the dataset, as before); other backends materialise a
-        fresh equal list — prefer :meth:`iter_page_loads` to stream.
-        """
-        if isinstance(self._backend, InMemoryBackend):
-            return self._backend.page_loads
+        """All page-load records, in append order: a fresh list decoded
+        from the columns — prefer :meth:`iter_page_loads` to stream."""
         return list(self._backend.iter_page_loads())
 
     @property
     def speedtests(self) -> list[SpeedtestRecord]:
         """All speedtest records, in append order (see :attr:`page_loads`)."""
-        if isinstance(self._backend, InMemoryBackend):
-            return self._backend.speedtests
         return list(self._backend.iter_speedtests())
 
     def iter_page_loads(self):
@@ -169,8 +161,8 @@ class Dataset:
         return self._backend.n_speedtests
 
     def page_load_column(self, name: str):
-        """One page-load column as a numpy array (O(1) amortised on
-        columnar backends); ``ptt_ms``/``plt_ms`` are derived exactly."""
+        """One page-load column as a numpy array (cached until the next
+        write); ``ptt_ms``/``plt_ms`` are derived exactly."""
         return self._backend.page_load_column(name)
 
     def speedtest_column(self, name: str):
@@ -183,9 +175,8 @@ class Dataset:
         Yields ``{name: array}`` dicts holding only the requested
         columns of one chunk; derived columns (``ptt_ms``/``plt_ms``)
         are computed per chunk, bitwise equal to a full-column read.
-        On the spill backend this is the O(segment)-memory read path
-        the artefact folds and sketches of
-        :mod:`repro.analysis.streaming` read.
+        This is the O(segment)-memory read path the artefact folds and
+        sketches of :mod:`repro.analysis.streaming` read.
         """
         return self._backend.iter_page_load_column_chunks(columns)
 
@@ -272,12 +263,10 @@ class Dataset:
 
     def _masked(self, column: str, filters: dict):
         """One page-load column's values over a :meth:`select` selection,
-        one column chunk at a time, on backends that store columns.
+        one column chunk at a time.
 
         Loads only the filter columns plus ``column`` and builds no
-        record object (DESIGN.md §9, "Exact aggregates").  The
-        ``memory`` backend's aggregates scan its resident records
-        instead: encoding them to columns costs more than it saves.
+        record object (DESIGN.md §9, "Exact aggregates").
         """
         unknown = sorted(set(filters) - set(_FILTER_COLUMNS))
         if unknown:
@@ -289,22 +278,16 @@ class Dataset:
 
     def median_ptt_ms(self, **filters) -> float:
         """Median PTT over a selection (Table 1 cells)."""
-        if isinstance(self._backend, InMemoryBackend):
-            return _median([r.ptt_ms for r in self.select(**filters)])
         return _median(np.concatenate([np.empty(0), *self._masked("ptt_ms", filters)]))
 
     def request_count(self, **filters) -> int:
         """Number of requests in a selection (#req column)."""
         if not filters:
             return self._backend.n_page_loads
-        if isinstance(self._backend, InMemoryBackend):
-            return len(self.select(**filters))
         return sum(len(values) for values in self._masked("is_starlink", filters))
 
     def unique_domains(self, **filters) -> int:
         """Distinct domains in a selection (#domain column)."""
-        if isinstance(self._backend, InMemoryBackend):
-            return len({r.domain for r in self.select(**filters)})
         domains: set[str] = set()
         for values in self._masked("domain", filters):
             domains.update(values)
@@ -330,19 +313,81 @@ class Dataset:
     def from_jsonl(
         cls, path: str | Path, backend: DatasetBackend | None = None
     ) -> "Dataset":
-        """Load a dataset written by :meth:`to_jsonl`."""
+        """Load a dataset written by :meth:`to_jsonl`.
+
+        Every field must have its column's kind, or the column codec
+        would store a different value (:mod:`repro.extension.columnar`):
+        a string without NUL, ``true``/``false`` for a flag, an integer
+        (not a flag) within int64, and any number for a float.  A line
+        that breaks this, misses a field or has an extra one raises
+        :class:`DatasetError` naming the line number and the field.
+        """
         dataset = cls(backend=backend)
         with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                payload = json.loads(line)
-                kind = payload.pop("type", None)
+                try:
+                    payload = json.loads(line)
+                except ValueError as exc:
+                    raise DatasetError(f"line {number}: not JSON: {exc}") from exc
+                kind = payload.pop("type", None) if isinstance(payload, dict) else None
                 if kind == "page_load":
-                    timing = NavigationTiming(**payload.pop("timing"))
-                    dataset.add_page_load(PageLoadRecord(timing=timing, **payload))
+                    fields = _checked_fields(payload, columnar.PAGE_LOAD_SCHEMA, number)
+                    timing = [fields.pop(f"timing_{n}") for n in columnar.TIMING_FIELDS]
+                    dataset.add_page_load(
+                        PageLoadRecord(timing=NavigationTiming(*timing), **fields)
+                    )
                 elif kind == "speedtest":
-                    dataset.add_speedtest(SpeedtestRecord(**payload))
+                    fields = _checked_fields(payload, columnar.SPEEDTEST_SCHEMA, number)
+                    dataset.add_speedtest(SpeedtestRecord(**fields))
                 else:
-                    raise DatasetError(f"unknown record type {kind!r}")
+                    raise DatasetError(f"line {number}: unknown record type {kind!r}")
         return dataset
+
+
+#: The JSON values a column of each kind stores exactly; a flag
+#: (``true``/``false``) is no number.
+_KIND_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
+
+
+def _kind_problem(kind: str, value) -> str | None:
+    """Why a column of ``kind`` would not store ``value`` exactly."""
+    is_flag = isinstance(value, bool)
+    if not isinstance(value, _KIND_TYPES[kind]) or (is_flag and kind != "bool"):
+        return f"expected {kind}, got {value!r}"
+    if kind == "str" and "\x00" in value:
+        return f"string contains NUL: {value!r}"
+    if kind == "int" and not -(2**63) <= value < 2**63:
+        return f"integer outside int64: {value!r}"
+    return None
+
+
+def _checked_fields(payload: dict, schema, number: int) -> dict:
+    """A JSONL record's fields by column name, each of its schema kind.
+
+    ``timing_*`` columns read the nested ``timing`` object; a JSON
+    integer in a float column becomes a float.
+    """
+    fields = {name: value for name, value in payload.items() if name != "timing"}
+    timing = payload.get("timing", {})
+    if not isinstance(timing, dict):
+        raise DatasetError(f"line {number}: field 'timing' is not an object")
+    fields.update({f"timing_{name}": value for name, value in timing.items()})
+
+    def label(name: str) -> str:
+        return name.replace("timing_", "timing.", 1)
+
+    kinds = dict(schema)
+    for name in fields:
+        if name not in kinds:
+            raise DatasetError(f"line {number}: unknown field {label(name)!r}")
+    for name, kind in schema:
+        if name not in fields:
+            raise DatasetError(f"line {number}: missing field {label(name)!r}")
+        problem = _kind_problem(kind, fields[name])
+        if problem is not None:
+            raise DatasetError(f"line {number}: field {label(name)!r}: {problem}")
+        if kind == "float":
+            fields[name] = float(fields[name])
+    return fields

@@ -152,15 +152,16 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
          help="multiprocessing start method for campaign workers "
          "(default: fork where available)"),
     Knob("storage", str, "memory", env="REPRO_STORAGE",
-         allowed=("memory", "columnar", "spill"), flag="--storage",
-         help="dataset storage backend (spill = bounded-memory .npz "
-         "segments on disk; dataset is bit-identical across backends)"),
+         allowed=("memory", "spill"), flag="--storage",
+         help="dataset storage backend (memory = typed columns in RAM; "
+         "spill = the same columns as bounded-memory .npz segments on "
+         "disk; dataset is bit-identical across backends)"),
     Knob("storage_dir", str, None, env="REPRO_STORAGE_DIR",
          flag="--storage-dir",
          help="segment directory for --storage spill (default: a fresh "
          "temporary directory)"),
     Knob("storage_segment_records", int, 4096, bound=">= 1",
-         help="records per columnar chunk / spill segment"),
+         help="records per storage segment (in RAM or on disk)"),
     Knob("engine", str, "event", env="REPRO_ENGINE",
          allowed=("event", "batch"), flag="--engine", config_field=False,
          help="packet-path engine: 'event' is the heap-driven oracle, "

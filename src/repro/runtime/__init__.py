@@ -17,7 +17,9 @@ reproducibility — and keeps it running when workers don't:
   =====  =========================================  ========================
 
   Every shard runs one body (``run_shard``) and returns its users'
-  records (``ShardResult``).
+  records encoded once, in the worker, as typed columns
+  (``ShardResult``) — the one type a worker pickles, a checkpoint
+  stores and the merge adopts.
 
 * :mod:`repro.runtime.shard` — shard planning (balanced, deterministic),
   the shard body, with timing/throughput counters.
@@ -28,10 +30,11 @@ reproducibility — and keeps it running when workers don't:
   (crash/hang/slow/corrupt per shard attempt) so all of the above is
   testable without flaky real crashes.
 * :mod:`repro.runtime.checkpoint` — completed-shard spill keyed by a
-  config fingerprint, so killed campaigns resume instead of restart.
-* :mod:`repro.runtime.merge` — the sink: order-preserving
-  recombination of per-shard datasets, validated against the planned
-  partition.
+  config fingerprint, so killed campaigns resume instead of restart;
+  a checkpoint file is a shard result's columns.
+* :mod:`repro.runtime.merge` — the sink: one stable sort of the
+  shards' columns by user index, validated against the planned
+  partition and adopted by the storage backend.
 * :mod:`repro.runtime.store` — the coordination store: one
   five-primitive protocol (create-exclusive, conditional replace,
   point read, delete, prefix listing) over POSIX files on the fabric
@@ -52,12 +55,7 @@ every checkpoint resumed as well; see DESIGN.md for the RNG-keying
 contract and the failure-handling design.
 """
 
-from repro.runtime.checkpoint import (
-    CheckpointedShard,
-    CheckpointStore,
-    campaign_fingerprint,
-    encode_user_records,
-)
+from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
 from repro.runtime.fabric import (
     FabricCoordinator,
     FabricRunStats,
@@ -101,7 +99,6 @@ from repro.runtime.supervision import (
 
 __all__ = [
     "CampaignRunStats",
-    "CheckpointedShard",
     "CheckpointStore",
     "CoordinationStore",
     "FabricCoordinator",
@@ -123,7 +120,6 @@ __all__ = [
     "campaign_fingerprint",
     "corrupt_plan",
     "crash_plan",
-    "encode_user_records",
     "fabric_status",
     "hang_plan",
     "host_chaos_plan",

@@ -9,15 +9,15 @@ missing ones.  The determinism contract (DESIGN.md §6) is what makes
 this sound: a re-run shard is bit-identical to the one that was lost,
 so resumed and fresh campaigns produce the same dataset.
 
-**Spill format.** Shards spill as *columnar segments*, not pickled
-object lists: each shard's records are flattened in canonical order
-(ascending user index, per-user event order) into the typed column
-arrays of :mod:`repro.extension.columnar` plus an ``int64``
-``user_index`` column, and written through the checksummed container
-(magic + sha256 + npz).  That makes loads self-validating — truncated
-or bit-flipped files are detected, not half-trusted — and lets the
-merge adopt a recovered shard's arrays wholesale without materialising
-record objects (see :mod:`repro.runtime.merge`).
+**Spill format.** A checkpoint file is a shard result as it is: the
+:class:`~repro.runtime.shard.ShardResult`'s typed column arrays (the
+schema of :mod:`repro.extension.columnar` plus the ``int64``
+``user_index`` column, in canonical order), written through the
+checksummed container (magic + sha256 + npz) with the shard id, user
+indices and stats as metadata.  :meth:`CheckpointStore.load` returns
+the same type, so a recovered shard and a fresh one are one thing to
+the merge.  Loads are self-validating: truncated or bit-flipped files
+are detected, not half-trusted.
 
 **Fingerprinting.** Checkpoints are only valid for the campaign that
 wrote them.  :func:`campaign_fingerprint` hashes every
@@ -41,14 +41,12 @@ import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, is_dataclass
-
-import numpy as np
+from dataclasses import fields, is_dataclass
 
 from repro.errors import CheckpointError, DatasetError
 from repro.extension import columnar
 from repro.knobs import EXECUTION_ONLY_FIELDS, resolve
-from repro.runtime.shard import ShardResult, ShardStats
+from repro.runtime.shard import USER_INDEX_COLUMN, ShardResult, ShardStats
 
 _META_FILENAME = "meta.json"
 
@@ -56,86 +54,6 @@ _META_FILENAME = "meta.json"
 #: spilled shard file.
 _PL_PREFIX = "pl_"
 _ST_PREFIX = "st_"
-
-#: Extra per-record column carried alongside the schema columns.
-USER_INDEX_COLUMN = "user_index"
-
-
-def encode_user_records(
-    user_records: dict[int, tuple[list, list]],
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Flatten a shard's ``{user_index: (page_loads, speedtests)}`` into
-    columnar arrays in canonical order (ascending user index, per-user
-    event order), each with an ``int64`` ``user_index`` column.
-
-    Returns ``(page_load_arrays, speedtest_arrays)``.
-    """
-    pl_records: list = []
-    pl_index: list[int] = []
-    st_records: list = []
-    st_index: list[int] = []
-    for index in sorted(user_records):
-        page_loads, speedtests = user_records[index]
-        pl_records.extend(page_loads)
-        pl_index.extend([index] * len(page_loads))
-        st_records.extend(speedtests)
-        st_index.extend([index] * len(speedtests))
-    pl_arrays = columnar.encode_page_loads(pl_records)
-    pl_arrays[USER_INDEX_COLUMN] = np.asarray(pl_index, dtype=np.int64)
-    st_arrays = columnar.encode_speedtests(st_records)
-    st_arrays[USER_INDEX_COLUMN] = np.asarray(st_index, dtype=np.int64)
-    return pl_arrays, st_arrays
-
-
-def _records_by_user(
-    user_indices, pl_arrays, st_arrays
-) -> dict[int, tuple[list, list]]:
-    """Invert :func:`encode_user_records` for a known planned index set."""
-    page_loads = columnar.decode_page_loads(pl_arrays)
-    speedtests = columnar.decode_speedtests(st_arrays)
-    indices = np.asarray(sorted(user_indices), dtype=np.int64)
-    pl_index = pl_arrays[USER_INDEX_COLUMN]
-    st_index = st_arrays[USER_INDEX_COLUMN]
-    pl_starts = np.searchsorted(pl_index, indices, side="left")
-    pl_stops = np.searchsorted(pl_index, indices, side="right")
-    st_starts = np.searchsorted(st_index, indices, side="left")
-    st_stops = np.searchsorted(st_index, indices, side="right")
-    return {
-        int(index): (
-            page_loads[pl_starts[i] : pl_stops[i]],
-            speedtests[st_starts[i] : st_stops[i]],
-        )
-        for i, index in enumerate(indices)
-    }
-
-
-@dataclass
-class CheckpointedShard:
-    """A shard recovered from its columnar spill file.
-
-    Duck-types :class:`~repro.runtime.shard.ShardResult` (``shard_id``,
-    ``stats``, lazy ``user_records``) for the object-merge path, while
-    exposing the raw column arrays so the vectorised merge can adopt
-    them without materialising any record objects.
-    """
-
-    shard_id: int
-    user_indices: list[int]
-    page_load_arrays: dict[str, np.ndarray]
-    speedtest_arrays: dict[str, np.ndarray]
-    stats: ShardStats
-
-    def __post_init__(self) -> None:
-        self._user_records: dict[int, tuple[list, list]] | None = None
-
-    @property
-    def user_records(self) -> dict[int, tuple[list, list]]:
-        """Record objects per planned user index (decoded on demand)."""
-        if self._user_records is None:
-            self._user_records = _records_by_user(
-                self.user_indices, self.page_load_arrays, self.speedtest_arrays
-            )
-        return self._user_records
 
 
 def campaign_fingerprint(config) -> str:
@@ -173,8 +91,9 @@ class CheckpointStore:
 
     Each ``.ckpt`` is a checksummed columnar segment (see
     :func:`repro.extension.columnar.write_checksummed_npz`).  Writes
-    are atomic (temp file + ``os.replace``), so a kill mid-spill leaves
-    either the previous file or nothing — never a torn segment.  Loads
+    are atomic (:func:`repro.extension.columnar.write_atomic`), so a
+    kill or a failed write mid-spill leaves either the previous file or
+    nothing — never a torn segment or a stray temp file.  Loads
     are paranoid: wrong fingerprint, wrong index set, wrong magic, a
     failed checksum (truncation, bit flips) or malformed metadata all
     mean "recompute this shard", never an exception into the campaign.
@@ -228,7 +147,7 @@ class CheckpointStore:
             meta = {"fingerprint": self.fingerprint}
             if self._config_json is not None:
                 meta["config"] = self._config_json
-            self._write_atomic(
+            columnar.write_atomic(
                 meta_path, json.dumps(meta, sort_keys=True).encode("utf-8")
             )
         self._ensured = True
@@ -248,35 +167,25 @@ class CheckpointStore:
     def _shard_path(self, shard_id: int) -> str:
         return os.path.join(self.directory, f"shard-{shard_id:04d}.ckpt")
 
-    def _write_atomic(self, path: str, data: bytes) -> None:
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as handle:
-            handle.write(data)
-            # fsync before the rename so a crash can never promote an
-            # empty/partial temp file to the final name (the rename is
-            # only atomic in the namespace, not for data blocks).
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-
     def save(self, result: ShardResult) -> str:
         """Spill one completed shard as a columnar segment; returns the
         file path."""
         self._ensure()
-        pl_arrays, st_arrays = encode_user_records(result.user_records)
-        arrays = {f"{_PL_PREFIX}{k}": v for k, v in pl_arrays.items()}
-        arrays.update({f"{_ST_PREFIX}{k}": v for k, v in st_arrays.items()})
+        arrays = {f"{_PL_PREFIX}{k}": v for k, v in result.page_load_arrays.items()}
+        arrays.update(
+            {f"{_ST_PREFIX}{k}": v for k, v in result.speedtest_arrays.items()}
+        )
         meta = {
             "fingerprint": self.fingerprint,
             "shard_id": result.shard_id,
-            "user_indices": sorted(result.user_records),
+            "user_indices": sorted(result.user_indices),
             "stats": dataclasses.asdict(result.stats),
         }
         path = self._shard_path(result.shard_id)
         columnar.write_checksummed_npz(path, arrays, meta)
         return path
 
-    def load(self, shard_id: int, user_indices) -> CheckpointedShard | None:
+    def load(self, shard_id: int, user_indices) -> ShardResult | None:
         """A stored shard matching the planned assignment, or ``None``.
 
         ``None`` (recompute) on: no file, wrong magic (e.g. a legacy
@@ -318,7 +227,7 @@ class CheckpointStore:
             return None
         if stats.shard_id != shard_id:
             return None
-        return CheckpointedShard(
+        return ShardResult(
             shard_id=shard_id,
             user_indices=sorted(int(i) for i in meta["user_indices"]),
             page_load_arrays=pl_arrays,
@@ -326,10 +235,10 @@ class CheckpointStore:
             stats=stats,
         )
 
-    def load_matching(self, planned) -> dict[int, CheckpointedShard]:
+    def load_matching(self, planned) -> dict[int, ShardResult]:
         """Stored shards matching a planned ``{shard_id: indices}``-style
         list of ``(shard_id, user_indices)`` pairs."""
-        recovered: dict[int, CheckpointedShard] = {}
+        recovered: dict[int, ShardResult] = {}
         for shard_id, user_indices in planned:
             result = self.load(shard_id, user_indices)
             if result is not None:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.rng import stream
+from repro.runtime.shard import USER_INDEX_COLUMN
 
 #: Exit code used by injected crashes; distinctive enough to grep for.
 CRASH_EXITCODE = 17
@@ -249,15 +250,23 @@ def apply_pre_run(fault: Fault | None) -> None:
 def apply_post_run(fault: Fault | None, result):
     """Tamper with a finished :class:`ShardResult` for ``CORRUPT``.
 
-    Drops the highest-indexed user's records (the truncated-upload
-    case); an empty shard gets its ``shard_id`` skewed instead so the
-    corruption is always observable.  Returns the (possibly mutated)
-    result.
+    Drops the highest-indexed user's rows and index (the
+    truncated-upload case); an empty shard gets its ``shard_id`` skewed
+    instead so the corruption is always observable.  Returns the
+    (possibly mutated) result.
     """
     if fault is None or fault.kind is not FaultKind.CORRUPT:
         return result
-    if result.user_records:
-        result.user_records.pop(max(result.user_records))
-    else:
+    if not result.user_indices:
         result.shard_id += 1000
+        return result
+    last = max(result.user_indices)
+
+    def without_last(arrays):
+        keep = arrays[USER_INDEX_COLUMN] != last
+        return {name: values[keep] for name, values in arrays.items()}
+
+    result.user_indices = [index for index in result.user_indices if index != last]
+    result.page_load_arrays = without_last(result.page_load_arrays)
+    result.speedtest_arrays = without_last(result.speedtest_arrays)
     return result

@@ -2,7 +2,7 @@
 
 The serial campaign appends each user's records in population order,
 page loads and speedtests in per-user event-time order.  The merge
-reproduces exactly that: concatenate every user's record lists by
+reproduces exactly that: concatenate every user's records by
 ascending user index, regardless of which shard produced them or when
 the shard finished.
 
@@ -14,22 +14,13 @@ unplanned users (stale checkpoints), and missing users (a shard lost
 without anyone noticing) all raise instead of silently producing a
 dataset that is *almost* the serial one.
 
-Two merge paths produce bit-identical datasets:
-
-* **Object path** (memory backend): walk ``user_records`` dicts and
-  extend the dataset's lists in sorted-user order, exactly as before.
-* **Vectorised path** (columnar/spill backends): every shard —
-  a live :class:`~repro.runtime.shard.ShardResult` or a recovered
-  :class:`~repro.runtime.checkpoint.CheckpointedShard` — contributes
-  column arrays carrying a per-record ``user_index``; one stable
-  argsort on the concatenated index column reproduces canonical order
-  (each user lives in exactly one shard, per-user order is preserved
-  by stability), and the sorted arrays are adopted by the backend
-  wholesale.  No record objects are materialised.
-
-:func:`shard_arrays` is the one place a shard becomes columns; the
-service's live aggregates (:mod:`repro.service.aggregates`) fold each
-accepted shard through it too.
+Every shard — fresh from a worker or recovered from a checkpoint — is
+a :class:`~repro.runtime.shard.ShardResult`: column arrays carrying a
+per-record ``user_index``.  One stable argsort on the concatenated
+index column reproduces canonical order (each user lives in exactly
+one shard, and stability keeps each user's event order), and the
+sorted arrays are adopted by the backend wholesale.  No record object
+is built.
 """
 
 from __future__ import annotations
@@ -38,9 +29,9 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.extension import columnar
-from repro.extension.backends import DatasetBackend, InMemoryBackend
+from repro.extension.backends import DatasetBackend
 from repro.extension.storage import Dataset
-from repro.runtime.shard import ShardResult, covered_indices
+from repro.runtime.shard import USER_INDEX_COLUMN, ShardResult
 
 
 def _validate_partition(covered_per_shard, expected_indices) -> None:
@@ -68,47 +59,6 @@ def _validate_partition(covered_per_shard, expected_indices) -> None:
             )
 
 
-def shard_arrays(result):
-    """A shard's ``(page_load_arrays, speedtest_arrays)`` with the
-    ``user_index`` column: a fresh result encoded on demand, a
-    checkpointed one as stored."""
-    pl = getattr(result, "page_load_arrays", None)
-    st = getattr(result, "speedtest_arrays", None)
-    if pl is not None and st is not None:
-        return pl, st
-    from repro.runtime.checkpoint import encode_user_records
-
-    return encode_user_records(result.user_records)
-
-
-def _merge_vectorised(results, backend: DatasetBackend) -> Dataset:
-    from repro.runtime.checkpoint import USER_INDEX_COLUMN
-
-    pl_chunks = []
-    st_chunks = []
-    for result in results:
-        pl, st = shard_arrays(result)
-        pl_chunks.append(pl)
-        st_chunks.append(st)
-    pl_columns = columnar.PAGE_LOAD_COLUMNS + (USER_INDEX_COLUMN,)
-    st_columns = columnar.SPEEDTEST_COLUMNS + (USER_INDEX_COLUMN,)
-    for chunks, columns, extend in (
-        (pl_chunks, pl_columns, backend.extend_page_load_arrays),
-        (st_chunks, st_columns, backend.extend_speedtest_arrays),
-    ):
-        if not chunks:
-            continue
-        merged = columnar.concat_columns(chunks, columns)
-        # Stable sort on user index reproduces canonical serial order:
-        # each user lives in exactly one shard, and within a shard the
-        # records are already in per-user event order.
-        order = np.argsort(merged[USER_INDEX_COLUMN], kind="stable")
-        extend({name: merged[name][order] for name in columns[:-1]})
-    dataset = Dataset(backend=backend)
-    dataset.flush()
-    return dataset
-
-
 def merge_shard_results(
     results: list[ShardResult],
     expected_indices=None,
@@ -117,15 +67,12 @@ def merge_shard_results(
     """Merge shard results into one :class:`Dataset` in user order.
 
     Args:
-        results: The per-shard results, in any order — live
-            ``ShardResult`` objects and/or recovered
-            ``CheckpointedShard`` segments.
+        results: The per-shard results, fresh or recovered from a
+            checkpoint, in any order.
         expected_indices: The planned partition's full user-index set.
             When given, the merged results must cover it *exactly*.
         backend: Destination storage backend (default: a fresh
-            in-memory backend).  Columnar/spill backends take the
-            vectorised merge path; the dataset is bit-identical either
-            way.
+            ``memory`` store).
 
     Raises:
         DatasetError: if two shards report records for the same user
@@ -134,19 +81,28 @@ def merge_shard_results(
             missing from the merged results or an unplanned user
             appears in them.
     """
-    _validate_partition(
-        (covered_indices(result) for result in results), expected_indices
-    )
-    if backend is None:
-        backend = InMemoryBackend()
-    if not isinstance(backend, InMemoryBackend):
-        return _merge_vectorised(results, backend)
-    by_user: dict[int, tuple[list, list]] = {}
-    for result in results:
-        by_user.update(result.user_records)
+    results = list(results)
+    _validate_partition((result.user_indices for result in results), expected_indices)
     dataset = Dataset(backend=backend)
-    for index in sorted(by_user):
-        page_loads, speedtests = by_user[index]
-        dataset.extend_page_loads(page_loads)
-        dataset.extend_speedtests(speedtests)
+    for columns, arrays, extend in (
+        (
+            columnar.PAGE_LOAD_COLUMNS,
+            [result.page_load_arrays for result in results],
+            dataset.backend.extend_page_load_arrays,
+        ),
+        (
+            columnar.SPEEDTEST_COLUMNS,
+            [result.speedtest_arrays for result in results],
+            dataset.backend.extend_speedtest_arrays,
+        ),
+    ):
+        if not arrays:
+            continue
+        merged = columnar.concat_columns(arrays, columns + (USER_INDEX_COLUMN,))
+        # Stable sort on user index reproduces canonical serial order:
+        # each user lives in exactly one shard, and within a shard the
+        # records are already in per-user event order.
+        order = np.argsort(merged[USER_INDEX_COLUMN], kind="stable")
+        extend({name: merged[name][order] for name in columns})
+    dataset.flush()
     return dataset

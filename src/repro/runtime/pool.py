@@ -39,7 +39,7 @@ from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.shard import (
     CampaignRunStats,
-    ShardResult,
+    ShardColumns,
     plan_shards,
     run_users,
 )
@@ -138,8 +138,6 @@ def run_campaign(
     if resume is None:
         # resume is a plain bool field: False counts as unset.
         resume = resolve("resume", config.resume or None)
-    # Recovered shards are CheckpointedShard segments (lazy columnar
-    # payloads) that duck-type ShardResult for the merge.
     recovered = {}
     if checkpoint is not None and resume:
         recovered = checkpoint.load_matching(planned)
@@ -167,6 +165,7 @@ def run_campaign(
     failures: list = []
     n_worker_processes = 0
     streamed = None
+    streamed_stats = []
     if remaining and len(planned) == 1:
         if should_stop is not None and should_stop():
             raise CampaignCancelledError(
@@ -177,17 +176,20 @@ def run_campaign(
         shard_id, indices = remaining[0]
         emit("shard_dispatched", shard_id=shard_id, attempt=0)
         keep = checkpoint is not None or on_result is not None
-        streamed, result = _stream_records(campaign, shard_id, indices, keep)
-        accept(result)
+        streamed, shard_stats, result = _stream_records(
+            campaign, shard_id, indices, keep
+        )
+        if result is not None:
+            accept(result)
         emit(
             "shard_completed",
             shard_id=shard_id,
             attempts=1,
-            n_page_loads=result.stats.n_page_loads,
-            n_speedtests=result.stats.n_speedtests,
-            wall_s=result.stats.wall_s,
+            n_page_loads=shard_stats.n_page_loads,
+            n_speedtests=shard_stats.n_speedtests,
+            wall_s=shard_stats.wall_s,
         )
-        results.append(result)
+        streamed_stats.append(shard_stats)
     elif remaining:
         tasks = [(config, shard_id, indices) for shard_id, indices in remaining]
         # Resumed shards need no process, so a mostly-complete resume
@@ -214,7 +216,7 @@ def run_campaign(
     else:
         dataset = streamed
     stats = CampaignRunStats.assemble(
-        [result.stats for result in results],
+        [result.stats for result in results] + streamed_stats,
         n_workers=config.n_workers,
         started=started,
         sink_started=sink_started,
@@ -231,19 +233,19 @@ def _stream_records(campaign, shard_id: int, indices, keep: bool):
     Each user's records reach the config's backend as soon as they
     exist, so a ``spill`` run never holds more than one segment plus
     one user's records.  Only with ``keep`` (a checkpoint spill or an
-    ``on_result`` callback needs the shard whole) does the returned
-    :class:`ShardResult` hold the records too.  Returns ``(dataset,
-    result)``.
+    ``on_result`` callback needs the shard whole) are the records also
+    encoded into a :class:`ShardResult`.  Returns ``(dataset, stats,
+    result or None)``.
     """
     dataset = Dataset(backend=backend_for_config(campaign.config))
-    user_records: dict = {}
+    shard = ShardColumns() if keep else None
 
     def fold(index, page_loads, speedtests) -> None:
         dataset.extend_page_loads(page_loads)
         dataset.extend_speedtests(speedtests)
-        if keep:
-            user_records[index] = (page_loads, speedtests)
+        if shard is not None:
+            shard.add(index, page_loads, speedtests)
 
     stats = run_users(campaign, shard_id, indices, fold)
     dataset.flush()
-    return dataset, ShardResult(shard_id, user_records, stats)
+    return dataset, stats, None if shard is None else shard.result(shard_id, stats)

@@ -3,15 +3,18 @@
 A *shard* is a subset of the campaign's user population, identified by
 indices into ``ExtensionCampaign.population.users``.  :func:`run_users`
 is the shard loop: run each user, hand the records to a fold, count.
-:func:`run_shard` keeps every user's records (:class:`ShardResult`) in
-a campaign rebuilt from its config, so shards are self-contained and
-cross-process safe.
+:func:`run_shard` runs a shard in a campaign rebuilt from its config,
+so shards are self-contained and cross-process safe, and encodes its
+users' records once, in the worker, into the columns of
+:mod:`repro.extension.columnar` (:class:`ShardResult`).  A shard result
+holds no record object: that is what a worker pickles, what the
+checkpoint spills and what the merge adopts.
 
 Determinism contract (see DESIGN.md): every record a user contributes
 is a pure function of ``(CampaignConfig, user)`` — all stochastic
 draws come from streams keyed by the root seed plus user-scoped labels
 — so any partition of users over any number of workers produces the
-same per-user record lists, and the order-preserving merge
+same per-user records, and the order-preserving merge
 (:mod:`repro.runtime.merge`) reassembles the exact serial dataset.
 """
 
@@ -21,9 +24,15 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.extension import columnar
 from repro.extension.campaign import ExtensionCampaign
-from repro.extension.records import PageLoadRecord, SpeedtestRecord
+
+#: The per-record column a shard result carries beside the schema
+#: columns: the population index of the record's user.
+USER_INDEX_COLUMN = "user_index"
 
 
 @dataclass
@@ -172,20 +181,64 @@ class CampaignRunStats:
 
 @dataclass
 class ShardResult:
-    """One shard's product: every user's records, for the merge."""
+    """One shard's product: its users' records as columns, for the merge.
+
+    Both array dicts hold the schema columns plus an ``int64``
+    :data:`USER_INDEX_COLUMN`, in canonical order: ascending user
+    index, each user's records in event-time order.
+    """
 
     shard_id: int
-    #: user index -> (page loads, speedtests), both in event-time order.
-    user_records: dict[int, tuple[list[PageLoadRecord], list[SpeedtestRecord]]]
+    #: The shard's user indices, ascending (users without records too).
+    user_indices: list[int]
+    page_load_arrays: dict[str, np.ndarray]
+    speedtest_arrays: dict[str, np.ndarray]
     stats: ShardStats
 
 
-def covered_indices(result) -> list[int]:
-    """The user indices a shard result covers, without decoding records."""
-    indices = getattr(result, "user_indices", None)
-    if indices is not None:
-        return list(indices)
-    return list(result.user_records)
+def _user_columns(index: int, records: list, columns) -> dict[str, np.ndarray]:
+    """One user's records as ``columns`` plus the user-index column."""
+    arrays = columnar.encode_columns(records, columns)
+    arrays[USER_INDEX_COLUMN] = np.full(len(records), index, dtype=np.int64)
+    return arrays
+
+
+class ShardColumns:
+    """A shard's records, encoded user by user as they arrive.
+
+    :meth:`add` is a :func:`run_users` fold; :meth:`result` concatenates
+    the users' columns in ascending user order.  A column's values do
+    not depend on how its records were batched (strings widen to the
+    longest), so the arrays equal one encode of all the records.
+    """
+
+    def __init__(self) -> None:
+        self._users: dict[int, tuple[dict, dict]] = {}
+
+    def add(self, index: int, page_loads, speedtests) -> None:
+        """Encode one user's records."""
+        self._users[index] = (
+            _user_columns(index, page_loads, columnar.PAGE_LOAD_COLUMNS),
+            _user_columns(index, speedtests, columnar.SPEEDTEST_COLUMNS),
+        )
+
+    def result(self, shard_id: int, stats: ShardStats) -> ShardResult:
+        """The shard's :class:`ShardResult`."""
+        indices = sorted(self._users)
+        return ShardResult(
+            shard_id,
+            indices,
+            _concat([self._users[i][0] for i in indices], columnar.PAGE_LOAD_COLUMNS),
+            _concat([self._users[i][1] for i in indices], columnar.SPEEDTEST_COLUMNS),
+            stats,
+        )
+
+
+def _concat(chunks: list, columns) -> dict[str, np.ndarray]:
+    """Users' column chunks as one, in order; empty columns when none."""
+    return columnar.concat_columns(
+        chunks or [_user_columns(0, [], columns)], columns + (USER_INDEX_COLUMN,)
+    )
 
 
 def plan_shards(costs: list[float], n_shards: int) -> list[list[int]]:
@@ -248,10 +301,6 @@ def run_shard(config, shard_id: int, user_indices) -> ShardResult:
     config, so ``user_indices`` mean the same users in every process.
     """
     campaign = ExtensionCampaign(replace(config, n_workers=1))
-    user_records: dict = {}
-
-    def keep(index, page_loads, speedtests) -> None:
-        user_records[index] = (page_loads, speedtests)
-
-    stats = run_users(campaign, shard_id, user_indices, keep)
-    return ShardResult(shard_id=shard_id, user_records=user_records, stats=stats)
+    shard = ShardColumns()
+    stats = run_users(campaign, shard_id, user_indices, shard.add)
+    return shard.result(shard_id, stats)

@@ -43,7 +43,7 @@ from repro.errors import (
 )
 from repro.knobs import KNOBS, resolve
 from repro.runtime.faults import FaultPlan, apply_post_run, apply_pre_run
-from repro.runtime.shard import ShardResult, covered_indices, run_shard
+from repro.runtime.shard import ShardResult, run_shard
 
 DEFAULT_MAX_RETRIES = KNOBS["max_shard_retries"].default
 DEFAULT_BACKOFF_BASE_S = KNOBS["retry_backoff_s"].default
@@ -155,7 +155,7 @@ def validate_shard_result(result, shard_id: int, user_indices) -> str | None:
     if result.shard_id != shard_id:
         return f"shard id mismatch: assigned {shard_id}, got {result.shard_id}"
     expected = set(user_indices)
-    got = set(covered_indices(result))
+    got = set(result.user_indices)
     if got != expected:
         missing = sorted(expected - got)
         surplus = sorted(got - expected)

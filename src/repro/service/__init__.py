@@ -8,7 +8,7 @@ stdlib HTTP service that accepts campaign submissions (the canonical
 ``CampaignConfig`` JSON codec), drives the supervised sharded runtime
 in the background, streams shard lifecycle events *and* the exact
 Table 1/3 cells of the shards completed so far over Server-Sent
-Events, pages results straight off the pluggable ``DatasetBackend``,
+Events, pages results straight off the ``DatasetBackend``,
 and supports cooperative cancel plus fingerprint-validated resume over
 the checkpoint store — bit-identical to an uninterrupted run.  See
 DESIGN.md §12.

@@ -1,13 +1,12 @@
 """Incremental campaign aggregates: the exact Table 1/3 cells as JSON.
 
 Both execution modes of the service keep running Table 1 / Table 3
-cells while shards complete: the runner folds each accepted shard into
-a :class:`CampaignAggregates` — a fresh shard's records encoded once, a
-checkpointed shard's columns as stored
-(:func:`~repro.runtime.merge.shard_arrays`) — through
-:func:`~repro.analysis.streaming.group_columns`, the fold Tables 1/3
-use.  Per ``(city, is_starlink)`` cell it keeps only the PTT, download
-and upload values and the set of distinct domains.
+cells while shards complete: the runner folds each accepted shard's
+columns (a :class:`~repro.runtime.shard.ShardResult`, fresh or
+recovered from a checkpoint) into a :class:`CampaignAggregates`
+through :func:`~repro.analysis.streaming.group_columns`, the fold
+Tables 1/3 use.  Per ``(city, is_starlink)`` cell it keeps only the
+PTT, download and upload values and the set of distinct domains.
 
 :meth:`CampaignAggregates.payload` renders the cells the SSE stream
 and the results endpoint serve.  Counts and medians are exact (medians
@@ -25,7 +24,6 @@ import numpy as np
 from repro.analysis.streaming import group_columns
 from repro.extension.columnar import derived_page_load_column
 from repro.extension.storage import _median
-from repro.runtime.merge import shard_arrays
 
 #: Every cell is one city and connection class.
 KEYS = ("city", "is_starlink")
@@ -45,7 +43,8 @@ class CampaignAggregates:
 
     def fold(self, result) -> None:
         """Fold one accepted shard result into the cells."""
-        page_load_arrays, speedtest_arrays = shard_arrays(result)
+        page_load_arrays = result.page_load_arrays
+        speedtest_arrays = result.speedtest_arrays
         page_loads = {
             **page_load_arrays,
             "ptt_ms": derived_page_load_column("ptt_ms", page_load_arrays.__getitem__),

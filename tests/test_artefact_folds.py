@@ -40,7 +40,7 @@ HISTORY_S = 140 * DAY
 DOMAINS = (*sorted(GOOGLE_SERVICE_DOMAINS), "bbc.co.uk", "example.org")
 TERRESTRIAL_ASN = 2856
 SEGMENT_RECORDS = 16
-KINDS = ("memory", "columnar", "spill", "spill-reopened")
+KINDS = ("memory", "spill", "spill-reopened")
 
 
 def _spread(start: float, end: float, n: int) -> list[float]:
@@ -128,7 +128,7 @@ SPEEDTESTS = _speedtests()
 
 
 def _dataset(kind: str, tmp_path) -> Dataset:
-    """``kind``'s dataset in column chunks of 16 records: columnar and
+    """``kind``'s dataset in column chunks of 16 records: memory and
     spill keep a staged tail of each record kind; ``spill-reopened`` is
     flushed and read back through ``SpillBackend.open``."""
     backend = make_backend(
@@ -170,7 +170,7 @@ def _figure3_oracle(records, city: str) -> tuple:
 def test_artefact_folds_match_record_path(kind, tmp_path):
     dataset = _dataset(kind, tmp_path)
     assert len(list(dataset.iter_page_load_column_chunks(("t_s",)))) > 1
-    if kind in ("columnar", "spill"):
+    if kind in ("memory", "spill"):
         staged = dataset.backend._staging
         assert staged["page_loads"] and staged["speedtests"]
 

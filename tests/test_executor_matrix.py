@@ -4,8 +4,7 @@ Every cell runs one campaign through one combination of
 
 * placement — ``in-process`` (one shard), ``processes`` (supervised
   workers) or ``fabric`` (lease-coordinated workers);
-* storage — the ``memory``, ``columnar`` or ``spill`` backend the
-  records land in;
+* storage — the ``memory`` or ``spill`` backend the records land in;
 * run — ``clean``, ``faulted`` (injected faults the runtime survives)
   or ``resumed`` (a run that adopts an earlier run's shards);
 
@@ -56,7 +55,7 @@ KILL_POLICY = replace(POLICY, in_process_fallback=False)
 #: Fabric timings tight enough for test time.
 FABRIC = dict(lease_ttl_s=1.5, heartbeat_interval_s=0.1, straggler_floor_s=2.5)
 
-STORAGES = ("memory", "columnar", "spill")
+STORAGES = ("memory", "spill")
 RUNS = ("clean", "faulted", "resumed")
 
 CELLS = [

@@ -1,12 +1,15 @@
 """Dataset storage, querying and persistence tests."""
 
+import json
+import re
+
 import pytest
 
 from repro.errors import DatasetError
 from repro.experiments import table3
 from repro.extension.backends import make_backend
 from repro.extension.records import PageLoadRecord, SpeedtestRecord
-from repro.extension.storage import Dataset
+from repro.extension.storage import Dataset, page_load_to_dict
 from repro.web.timing import NavigationTiming
 
 
@@ -145,15 +148,70 @@ def test_stored_records_contain_no_forbidden_fields(dataset, tmp_path):
         assert not contains_forbidden_fields(json.loads(line))
 
 
-#: Records per chunk/segment: columnar holds one compacted chunk plus a
+#: Values the column codec would coerce instead of storing: ``None`` in
+#: a string field (``'None'``), a float in an int field (``1``), a
+#: string in a bool field (``True``), a trailing NUL (dropped), and JSON
+#: booleans or strings in number fields.
+UNSTORABLE = (
+    ("user_id", None),
+    ("rank", 1.5),
+    ("is_popular", "no"),
+    ("user_id", "u\x00"),
+    ("rank", True),
+    ("t_s", False),
+    ("timing.dns_s", "0.01"),
+)
+
+
+@pytest.mark.parametrize("backend", ("memory", "spill"))
+@pytest.mark.parametrize("field, value", UNSTORABLE)
+def test_jsonl_rejects_values_the_columns_would_coerce(backend, field, value, tmp_path):
+    row = page_load_to_dict(_record(user="u-2"))
+    if field.startswith("timing."):
+        row["timing"][field.removeprefix("timing.")] = value
+    else:
+        row[field] = value
+    path = tmp_path / "records.jsonl"
+    lines = [json.dumps(page_load_to_dict(_record())), json.dumps(row)]
+    path.write_text("\n".join(lines) + "\n")
+    backend = make_backend(backend, directory=str(tmp_path / "segments"))
+    with pytest.raises(DatasetError, match=rf"line 2: field '{re.escape(field)}'"):
+        Dataset.from_jsonl(path, backend=backend)
+
+
+def test_jsonl_accepts_an_integer_for_a_float_field(tmp_path):
+    row = page_load_to_dict(_record(t=100.0))
+    row["t_s"] = 100
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    (loaded,) = Dataset.from_jsonl(path).page_loads
+    assert loaded == _record(t=100.0) and type(loaded.t_s) is float
+
+
+def test_jsonl_names_missing_and_unknown_fields(tmp_path):
+    path = tmp_path / "records.jsonl"
+    row = page_load_to_dict(_record())
+    del row["timing"]["tls_s"]
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(DatasetError, match="line 1: missing field 'timing.tls_s'"):
+        Dataset.from_jsonl(path)
+    row = page_load_to_dict(_record())
+    row["ip"] = "192.0.2.1"
+    path.write_text("\n" + json.dumps(row) + "\n")
+    with pytest.raises(DatasetError, match="line 2: unknown field 'ip'"):
+        Dataset.from_jsonl(path)
+
+
+#: Records per segment: memory holds one compacted segment plus a
 #: staged page load, spill two flushed segments plus a staged speedtest.
-SEGMENT_RECORDS = {"columnar": 3, "spill": 2}
+SEGMENT_RECORDS = {"memory": 3, "spill": 2}
 
 
 class TestColumnStoredBackends:
-    """The tests above on the backends that store columns, where the
-    aggregates fold column chunks instead of scanning records (the
-    module-level runs are the ``memory`` backend's, ids unchanged)."""
+    """The tests above with segments smaller than the dataset, so the
+    aggregates fold compacted segments and a staged tail (the
+    module-level runs hold every record staged in one ``memory``
+    segment)."""
 
     @pytest.fixture(params=sorted(SEGMENT_RECORDS))
     def dataset(self, request, tmp_path):

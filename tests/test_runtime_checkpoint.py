@@ -4,12 +4,14 @@ import os
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 from repro.runtime import (
     CheckpointStore,
+    ShardResult,
     campaign_fingerprint,
     run_campaign,
     run_shard,
@@ -96,7 +98,9 @@ def test_store_round_trip(tmp_path, campaign_users):
     assert os.path.exists(path)
     loaded = store.load(0, [0, 1])
     assert loaded is not None
-    assert loaded.user_records == result.user_records
+    assert loaded.user_indices == [0, 1]
+    for name, values in result.page_load_arrays.items():
+        np.testing.assert_array_equal(loaded.page_load_arrays[name], values)
     assert loaded.stats.n_users == 2
 
 
@@ -217,19 +221,24 @@ def test_store_ignores_legacy_pickle_spills(tmp_path):
 
 
 def test_store_round_trips_stats_and_arrays(tmp_path):
-    """The columnar spill preserves per-shard stats and exposes raw
-    column arrays for the vectorised merge."""
+    """A checkpoint file is a shard result as it is: loading a saved
+    result gives back a ``ShardResult`` with equal arrays (values and
+    dtypes, ``user_index`` included), user indices and stats."""
     config = CampaignConfig(**SMALL)
     store = CheckpointStore(str(tmp_path), config)
     result = run_shard(config, 0, [0, 1, 2])
     store.save(result)
     loaded = store.load(0, [0, 1, 2])
-    assert loaded is not None
-    assert loaded.stats.n_page_loads == result.stats.n_page_loads
-    assert loaded.stats.n_speedtests == result.stats.n_speedtests
-    n_pl = sum(len(pl) for pl, _ in result.user_records.values())
-    assert len(loaded.page_load_arrays["user_index"]) == n_pl
-    assert len(loaded.page_load_arrays["t_s"]) == n_pl
+    assert type(loaded) is ShardResult
+    assert (loaded.shard_id, loaded.user_indices) == (0, [0, 1, 2])
+    assert loaded.stats == result.stats
+    for name in ("page_load_arrays", "speedtest_arrays"):
+        saved, restored = getattr(result, name), getattr(loaded, name)
+        assert list(restored) == list(saved), name
+        for column, values in saved.items():
+            assert restored[column].dtype == values.dtype, column
+            np.testing.assert_array_equal(restored[column], values)
+    assert len(loaded.page_load_arrays["user_index"]) == result.stats.n_page_loads
 
 
 def test_store_rejects_foreign_fingerprint_dir(tmp_path):

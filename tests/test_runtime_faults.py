@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.extension.records import SpeedtestRecord
 from repro.runtime import (
     Fault,
     FaultKind,
@@ -17,14 +18,19 @@ from repro.runtime import (
     validate_shard_result,
 )
 from repro.runtime.faults import apply_post_run
+from repro.runtime.shard import ShardColumns
 
 
-def _result(shard_id=0, indices=(0, 1)):
-    return ShardResult(
-        shard_id=shard_id,
-        user_records={index: ([], []) for index in indices},
-        stats=ShardStats(shard_id=shard_id, n_users=len(indices)),
-    )
+def _speedtest(user: int) -> SpeedtestRecord:
+    return SpeedtestRecord(f"u-{user}", "london", "starlink", True, 0.0, 1.0, 1.0, 1.0)
+
+
+def _result(shard_id=0, indices=(0, 1)) -> ShardResult:
+    """A shard result whose users each have one speedtest per index."""
+    shard = ShardColumns()
+    for index in indices:
+        shard.add(index, [], [_speedtest(index)] * (index + 1))
+    return shard.result(shard_id, ShardStats(shard_id=shard_id, n_users=len(indices)))
 
 
 def test_plan_lookup_and_truthiness():
@@ -78,7 +84,10 @@ def test_plan_pickles_for_spawn_workers():
 def test_corrupt_drops_a_user():
     result = _result(indices=(4, 7, 9))
     tampered = apply_post_run(Fault(FaultKind.CORRUPT), result)
-    assert set(tampered.user_records) == {4, 7}
+    assert tampered.user_indices == [4, 7]
+    assert tampered.speedtest_arrays["user_index"].tolist() == [4] * 5 + [7] * 8
+    assert tampered.speedtest_arrays["user_id"].tolist() == ["u-4"] * 5 + ["u-7"] * 8
+    assert len(tampered.page_load_arrays["t_s"]) == 0
     assert validate_shard_result(tampered, 0, [4, 7, 9]) is not None
 
 

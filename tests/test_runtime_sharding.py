@@ -1,11 +1,13 @@
 """Sharded campaign engine: determinism, planning, merge, stats."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError, DatasetError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 from repro.runtime import merge_shard_results, plan_shards, run_shard
-from repro.runtime.shard import ShardResult, ShardStats
+from repro.runtime.shard import ShardColumns, ShardStats
 
 
 SMALL = dict(
@@ -70,11 +72,12 @@ def test_config_rejects_zero_workers():
 
 
 def test_merge_rejects_overlapping_shards():
+    shards = [ShardColumns(), ShardColumns()]
+    for shard in shards:
+        shard.add(0, [], [])
     stats = ShardStats(shard_id=0, n_users=1)
-    a = ShardResult(shard_id=0, user_records={0: ([], [])}, stats=stats)
-    b = ShardResult(shard_id=1, user_records={0: ([], [])}, stats=stats)
     with pytest.raises(DatasetError):
-        merge_shard_results([a, b])
+        merge_shard_results([shard.result(i, stats) for i, shard in enumerate(shards)])
 
 
 def test_run_shard_reports_stats():
@@ -86,7 +89,19 @@ def test_run_shard_reports_stats():
     assert (
         result.stats.n_records == result.stats.n_page_loads + result.stats.n_speedtests
     )
-    assert set(result.user_records) == {0, 1}
+    assert result.user_indices == [0, 1]
+
+
+def test_shard_result_pickles_without_record_objects():
+    """A worker ships its shard as columns, encoded once in the worker:
+    the pickled result references neither record class."""
+    result = run_shard(CampaignConfig(**SMALL, speedtest_boost=50.0), 0, [0, 1])
+    assert result.stats.n_page_loads and result.stats.n_speedtests
+    payload = pickle.dumps(result)
+    assert b"PageLoadRecord" not in payload
+    assert b"SpeedtestRecord" not in payload
+    assert len(result.page_load_arrays["user_index"]) == result.stats.n_page_loads
+    assert len(result.speedtest_arrays["user_index"]) == result.stats.n_speedtests
 
 
 def test_serial_run_records_stats(serial_dataset):

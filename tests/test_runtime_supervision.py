@@ -23,7 +23,16 @@ from repro.runtime import (
     supervise_shards,
 )
 from repro.runtime.faults import FaultKind
-from repro.runtime.shard import ShardResult, ShardStats
+from repro.runtime.shard import ShardColumns, ShardStats
+
+
+def _empty_result(shard_id, indices):
+    """A shard result covering ``indices``, none of which has records."""
+    shard = ShardColumns()
+    for index in indices:
+        shard.add(index, [], [])
+    return shard.result(shard_id, ShardStats(shard_id=shard_id, n_users=len(indices)))
+
 
 SMALL = dict(
     seed=11,
@@ -227,24 +236,19 @@ def test_plan_shards_zero_and_nan_costs():
 
 def test_merge_rejects_missing_planned_user():
     """The retry-world merge check: a lost user index must raise."""
-    stats = ShardStats(shard_id=0, n_users=1)
-    result = ShardResult(shard_id=0, user_records={0: ([], [])}, stats=stats)
+    result = _empty_result(0, [0])
     with pytest.raises(DatasetError, match="missing"):
         merge_shard_results([result], expected_indices={0, 1})
 
 
 def test_merge_rejects_unplanned_user():
-    stats = ShardStats(shard_id=0, n_users=2)
-    result = ShardResult(
-        shard_id=0, user_records={0: ([], []), 5: ([], [])}, stats=stats
-    )
+    result = _empty_result(0, [0, 5])
     with pytest.raises(DatasetError, match="outside"):
         merge_shard_results([result], expected_indices={0})
 
 
 def test_merge_without_expectations_still_catches_duplicates():
-    stats = ShardStats(shard_id=0, n_users=1)
-    a = ShardResult(shard_id=0, user_records={0: ([], [])}, stats=stats)
-    b = ShardResult(shard_id=1, user_records={0: ([], [])}, stats=stats)
+    a = _empty_result(0, [0])
+    b = _empty_result(1, [0])
     with pytest.raises(DatasetError, match="more than one shard"):
         merge_shard_results([a, b], expected_indices={0})

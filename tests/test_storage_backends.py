@@ -1,22 +1,25 @@
 """Storage backends: bit-identity across backends × execution modes.
 
 The tentpole contract: the dataset is a pure function of the campaign
-config — serial ≡ sharded ≡ kill-and-resume, on every storage backend
-(in-memory lists, numpy-columnar chunks, spill-to-disk segments),
+config — serial ≡ sharded ≡ kill-and-resume, on both storage backends
+(column segments in RAM, the same segments spilled to disk),
 bit-for-bit after canonical ordering.  Plus unit coverage of the
 backend mechanics: segment rollover, streaming iteration, manifest
 reopen, column access exactness, deletion.
 """
 
+import errno
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DatasetError, ShardFailedError
+from repro.extension import columnar
 from repro.extension.backends import (
-    ColumnarBackend,
-    InMemoryBackend,
+    ColumnStore,
     SpillBackend,
     backend_for_config,
     make_backend,
@@ -26,13 +29,15 @@ from repro.extension.records import PageLoadRecord, SpeedtestRecord
 from repro.extension.storage import Dataset
 from repro.runtime import (
     CheckpointStore,
+    ShardStats,
     SupervisorPolicy,
     crash_plan,
     run_campaign,
 )
+from repro.runtime.shard import ShardColumns
 from repro.web.timing import NavigationTiming
 
-BACKENDS = ("memory", "columnar", "spill")
+BACKENDS = ("memory", "spill")
 SEEDS = (11, 23)
 
 CFG = dict(
@@ -302,7 +307,7 @@ def test_jsonl_round_trip_across_backends(tmp_path):
     path = tmp_path / "dataset.jsonl"
     source.to_jsonl(path)
     loaded = Dataset.from_jsonl(
-        path, backend=make_backend("columnar", segment_records=4)
+        path, backend=make_backend("memory", segment_records=4)
     )
     assert loaded.page_loads == source.page_loads
     assert loaded.speedtests == source.speedtests
@@ -311,11 +316,8 @@ def test_jsonl_round_trip_across_backends(tmp_path):
 def test_backend_for_config_kinds(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_STORAGE", raising=False)
     monkeypatch.delenv("REPRO_STORAGE_DIR", raising=False)
-    assert isinstance(backend_for_config(CampaignConfig(**CFG)), InMemoryBackend)
-    assert isinstance(
-        backend_for_config(CampaignConfig(**CFG, storage="columnar")),
-        ColumnarBackend,
-    )
+    memory = backend_for_config(CampaignConfig(**CFG))
+    assert type(memory) is ColumnStore and memory.name == "memory"
     spill = backend_for_config(
         CampaignConfig(**CFG, storage="spill", storage_dir=str(tmp_path))
     )
@@ -324,12 +326,104 @@ def test_backend_for_config_kinds(tmp_path, monkeypatch):
 
 
 def test_config_rejects_bad_storage():
-    with pytest.raises(ConfigurationError):
-        CampaignConfig(**CFG, storage="bogus")
+    for name in ("bogus", "columnar"):
+        with pytest.raises(ConfigurationError):
+            CampaignConfig(**CFG, storage=name)
     with pytest.raises(ConfigurationError):
         CampaignConfig(**CFG, storage_segment_records=0)
     with pytest.raises(ConfigurationError):
         make_backend("bogus")
+
+
+# -- atomic writes ------------------------------------------------------
+
+
+class _TornWriter:
+    """A file handle whose first write stores half its bytes and fails."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._handle.__exit__(*exc_info)
+
+    def write(self, data: bytes) -> int:
+        self._handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+
+def _fail_atomic_write(monkeypatch, step: str, target: str) -> None:
+    """Make the ``write``, ``fsync`` or ``replace`` step of the atomic
+    write of ``target`` raise; every other file is written normally."""
+    real_open, real_fsync, real_replace = open, os.fsync, os.replace
+    temp_fds: set[int] = set()
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        if str(path).startswith(f"{target}.tmp."):
+            temp_fds.add(handle.fileno())
+            if step == "write":
+                return _TornWriter(handle)
+        return handle
+
+    def fake_fsync(fd):
+        if step == "fsync" and fd in temp_fds:
+            raise OSError(errno.EIO, "injected: fsync failed")
+        return real_fsync(fd)
+
+    def fake_replace(src, dst):
+        if step == "replace" and dst == target:
+            raise OSError(errno.EXDEV, "injected: replace failed")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(columnar, "open", fake_open, raising=False)
+    monkeypatch.setattr(os, "fsync", fake_fsync)
+    monkeypatch.setattr(os, "replace", fake_replace)
+
+
+def _rewrite(writer: str, tmp_path):
+    """``(target, rewrite)``: a file ``writer`` already wrote, and a call
+    that rewrites it with different bytes."""
+    if writer == "container":
+        path = str(tmp_path / "segment.ckpt")
+        columnar.write_checksummed_npz(path, {"x": np.arange(3)}, {"v": 1})
+        arrays = {"x": np.arange(5)}
+        return path, lambda: columnar.write_checksummed_npz(path, arrays, {"v": 2})
+    if writer == "checkpoint":
+        shard = ShardColumns()
+        shard.add(0, [_page_load(0)], [_speedtest(0)])
+        result = shard.result(0, ShardStats(shard_id=0, n_users=1))
+        store = CheckpointStore(str(tmp_path), CampaignConfig(**CFG, seed=11))
+        path = store.save(result)
+        retried = replace(result, stats=replace(result.stats, attempts=2))
+        return path, lambda: store.save(retried)
+    backend = SpillBackend(directory=str(tmp_path), segment_records=4)
+    backend.extend_page_loads([_page_load(i) for i in range(6)])
+    backend.flush()
+    backend.extend_page_loads([_page_load(i) for i in range(6, 9)])
+    return os.path.join(str(tmp_path), SpillBackend.MANIFEST), backend.flush
+
+
+@pytest.mark.parametrize("step", ("write", "fsync", "replace"))
+@pytest.mark.parametrize("writer", ("container", "checkpoint", "spill"))
+def test_failed_atomic_write_leaves_old_file_and_no_temp(
+    writer, step, tmp_path, monkeypatch
+):
+    """The checksummed container, the checkpoint store and the spill
+    manifest share one atomic write: when its write, fsync or replace
+    raises, the error propagates, the file already at the path keeps
+    its bytes and no ``.tmp.`` file remains."""
+    target, rewrite = _rewrite(writer, tmp_path)
+    before = Path(target).read_bytes()
+    _fail_atomic_write(monkeypatch, step, target)
+    with pytest.raises(OSError, match="injected"):
+        rewrite()
+    monkeypatch.undo()
+    assert Path(target).read_bytes() == before
+    assert [p.name for p in tmp_path.rglob("*.tmp.*")] == []
 
 
 # -- pagination slices (the service's results endpoint) ----------------
@@ -454,7 +548,7 @@ def _record_scan(records, **filters) -> tuple:
 
 
 def _matrix_dataset(kind: str, records, tmp_path) -> Dataset:
-    """``kind``'s dataset of ``records`` in segments of 4: columnar and
+    """``kind``'s dataset of ``records`` in segments of 4: memory and
     spill keep 3 staged records; ``spill-reopened`` is flushed and read
     back through ``SpillBackend.open``."""
     backend = make_backend(
@@ -471,12 +565,12 @@ def _matrix_dataset(kind: str, records, tmp_path) -> Dataset:
 @pytest.mark.parametrize("kind", BACKENDS + ("spill-reopened",))
 def test_exact_aggregates_match_record_scan(kind, tmp_path):
     """#req, #domain and median PTT equal a plain record scan, value and
-    Python type, for every filter on every backend (the column-stored
-    ones fold masked column chunks, including the staged tail)."""
+    Python type, for every filter on every backend (each folds masked
+    column chunks, including the staged tail)."""
     records = [_matrix_record(i) for i in range(23)]
     dataset = _matrix_dataset(kind, records, tmp_path)
-    staged = getattr(dataset.backend, "_staging", {}).get("page_loads", [])
-    assert len(staged) == (3 if kind in ("columnar", "spill") else 0)
+    staged = dataset.backend._staging["page_loads"]
+    assert len(staged) == (3 if kind in ("memory", "spill") else 0)
     sizes = []
     for filters in MATRIX_FILTERS:
         n, domains, median = _record_scan(records, **filters)

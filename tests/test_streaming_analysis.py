@@ -28,7 +28,7 @@ from repro.web.timing import NavigationTiming
 
 RANK_TOLERANCE = 0.01  # the 1 % bound the issue and DESIGN.md assert
 
-BACKENDS = ("memory", "columnar", "spill")
+BACKENDS = ("memory", "spill")
 
 
 def rank_error(sketch: QuantileSketch, exact: np.ndarray, q: float) -> float:
@@ -151,8 +151,7 @@ def test_chunk_iteration_bitwise_identical_to_columns(backend, tmp_path):
     dataset.extend_speedtests([_speedtest(i) for i in range(11)])
     columns = ("city", "t_s", "ptt_ms", "plt_ms")
     chunks = list(dataset.iter_page_load_column_chunks(columns))
-    if backend == "spill":
-        assert len(chunks) > 1  # actually segmented
+    assert len(chunks) > 1  # actually segmented
     for name in columns:
         np.testing.assert_array_equal(
             np.concatenate([chunk[name] for chunk in chunks]),
