@@ -1,12 +1,12 @@
-"""Timeline-backed packet-level paths: identity with on-demand scans.
+"""Precomputed packet-level paths: identity with on-demand scans.
 
 Builds the Figure 5-style Starlink access path for three cities two
 ways — on demand (the link state behind the link delay provider scans
-each epoch on first use) and timeline-backed
-(``Scenario.precompute`` runs the batched kernel once, queries become
-O(1) lookups) — then samples link rates and propagation delays across
-a 12-hour window.  The samples must be bit-identical (attaching a
-timeline never changes a built path); on machines with at least 2
+each epoch on first use) and precomputed (``Scenario.precompute``
+batch-fills the bent pipe's link-state table with the kernel, so
+queries are table hits) — then samples link rates and propagation
+delays across a 12-hour window.  The samples must be bit-identical (a
+precompute never changes a built path); on machines with at least 2
 cores the precomputed arm must also be >= 3x faster.  On constrained
 runners the speedup is reported but not asserted; identity always is.
 """
@@ -84,22 +84,22 @@ def test_access_path_timeline_identity_and_speedup(benchmark):
         return _sample_paths(precomputed, n_epochs)
 
     started = time.perf_counter()
-    timeline_samples = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    timeline_s = time.perf_counter() - started
+    filled_samples = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    filled_s = time.perf_counter() - started
 
     # Identity: the acceptance criterion that holds on any machine —
     # rates and delay floats compare exactly, no tolerance.
     for name in CITIES:
-        assert timeline_samples[name] == scan_samples[name]
+        assert filled_samples[name] == scan_samples[name]
 
-    speedup = scan_s / timeline_s if timeline_s > 0 else float("inf")
+    speedup = scan_s / filled_s if filled_s > 0 else float("inf")
     print(
         f"\n{len(CITIES)} paths x {n_epochs} epochs (12 h): "
-        f"on-demand {scan_s:.2f}s, timeline-backed {timeline_s:.2f}s, "
+        f"on-demand {scan_s:.2f}s, precomputed {filled_s:.2f}s, "
         f"speedup {speedup:.2f}x on {os.cpu_count()} core(s)"
     )
     if (os.cpu_count() or 1) >= MIN_CORES_FOR_TARGET:
         assert speedup >= SPEEDUP_TARGET, (
-            f"timeline-backed speedup {speedup:.2f}x below the "
+            f"precomputed speedup {speedup:.2f}x below the "
             f"{SPEEDUP_TARGET}x target on a {os.cpu_count()}-core machine"
         )

@@ -1,8 +1,8 @@
-"""Serving-timeline precompute: identity with the scan path plus speedup.
+"""Batch geometry kernel: identity with the scan path plus speedup.
 
 Sweeps 24 hours of scheduler epochs for four cities two ways — the
-per-epoch on-demand scan (``BentPipeModel._scan_epoch``, PR 1's hot
-path on a cache miss) and the batched timeline kernel
+per-epoch scan (``BentPipeModel._scan_epoch``, what a link-state table
+miss runs) and the batched kernel
 (:func:`repro.starlink.timeline.compute_serving_timeline`) — asserts
 the :class:`ServingGeometry` sequences are bit-identical (the
 determinism contract), and on machines with at least 2 cores asserts
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 import time
+
+import numpy as np
 
 from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
 from repro.geo.cities import city
@@ -48,16 +50,14 @@ def _scan_sweep(models, n_epochs):
 def _timeline_sweep(models, n_epochs):
     sequences = {}
     for name, model in models.items():
-        timeline = compute_serving_timeline(
+        sequences[name] = compute_serving_timeline(
             model.shell,
             model.terminal,
             model.gateway,
-            start_s=0.0,
-            end_s=n_epochs * STARLINK_RESCHEDULE_INTERVAL_S,
+            np.arange(n_epochs),
             min_elevation_deg=model.min_elevation_deg,
             obstruction=model.obstruction,
         )
-        sequences[name] = timeline.geometries()
     return sequences
 
 

@@ -66,12 +66,6 @@ def _greater(a: str, b: str) -> Check:
     return Check(f"{a} > {b}", lambda m: m[a] > m[b])
 
 
-def _ratio_between(a: str, b: str, low: float, high: float) -> Check:
-    return Check(
-        f"{low} <= {a}/{b} <= {high}", lambda m: low <= m[a] / m[b] <= high
-    )
-
-
 def _between(key: str, low: float, high: float) -> Check:
     return Check(f"{low} <= {key} <= {high}", lambda m: low <= m[key] <= high)
 

@@ -34,12 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for campaign experiments (same output as serial)",
-    )
     knobs.add_flags(parser)
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument(
@@ -161,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     for experiment_id in ids:
         started = time.time()
         result = run_experiment(
-            experiment_id, seed=args.seed, scale=args.scale, n_workers=args.workers
+            experiment_id, seed=args.seed, scale=args.scale, n_workers=args.n_workers
         )
         print(result.render())
         if args.validate:
@@ -265,12 +259,17 @@ def run_fabric_worker_cli(args) -> int:
 def apply_runtime_env(args) -> None:
     """Hand the parsed knob flags to the runtime.
 
-    Experiments build their own ``CampaignConfig`` behind the uniform
-    ``run(seed, scale, n_workers)`` signature, so every flag that was
-    given is exported to its knob's ``REPRO_*`` variable, where the
-    knob's resolver finds it (:func:`repro.knobs.export`).
+    ``--workers`` reaches the runners as their ``n_workers`` argument,
+    so it is resolved in place (unset: the knob's default).  The runners
+    build their own ``CampaignConfig`` behind the uniform ``run(seed,
+    scale, n_workers)`` signature, so every other flag that was given
+    is exported to its knob's ``REPRO_*`` variable, where the knob's
+    resolver finds it (:func:`repro.knobs.export`).  Every value is
+    checked before any variable is written.
     """
+    n_workers = knobs.resolve("n_workers", getattr(args, "n_workers", None))
     knobs.export({name: getattr(args, name, None) for name in knobs.KNOBS})
+    args.n_workers = n_workers
 
 
 def dump_series(result, directory: str) -> list[str]:

@@ -179,8 +179,8 @@ def run_transport_extension(
     weather = WeatherHistory(seed=seed, duration_s=2 * 86_400.0)
     node = MeasurementNode("wiltshire", shell=shell, weather=weather, seed=seed)
     t_start = 4 * 3600.0
-    # Same schedule as figure8: one precompute (shared via the node
-    # timeline cache when both run in-process) covers every CCA run.
+    # Same schedule as figure8: one fill of the node's link states
+    # covers every CCA run.
     node.precompute_geometry([t_start], horizon_s=duration_s + 30.0)
 
     udp = run_udp_burst(

@@ -44,8 +44,9 @@ def run(
 
     config = AccessConfig(time_offset_s=t_offset, seed=seed)
     starlink = Scenario.starlink(bentpipe, virginia.location, config)
-    # Traceroute probes land in the first simulated minutes; precompute
-    # that window once so per-probe geometry queries are O(1) lookups.
+    # Traceroute probes land in the first simulated minutes; fill that
+    # window's link states in one batch pass so per-probe delay queries
+    # hit the bent pipe's table.
     starlink.precompute(duration_s=600.0)
     paths = {
         "starlink": starlink.build(),

@@ -98,7 +98,7 @@ def run(
     node = MeasurementNode("wiltshire", shell=shell, weather=weather, seed=seed)
     t_start = 4 * 3600.0
     # Every CCA run replays the same [t_start, t_start + duration) window;
-    # precompute its serving timeline once instead of re-scanning per run.
+    # fill its link states in one batch pass instead of scanning per epoch.
     node.precompute_geometry([t_start], horizon_s=duration_s + 30.0)
 
     # Normalisation: UDP-burst achievable rate per environment.  The

@@ -57,9 +57,10 @@ report — is bit-identical to the default, which keeps the same
 typed numpy columns in RAM.
 
 Packet-level experiments build their paths through
-``repro.starlink.access.Scenario`` (tunables in ``AccessConfig``,
-serving geometry precomputed per simulated window); timelines are
-bit-identical to on-demand scans, so they change wall-clock only.
+``repro.starlink.access.Scenario`` (tunables in ``AccessConfig``).
+Each bent pipe keeps one link state per 15 s scheduler epoch, batch-filled
+for the simulated window; the fill is bit-identical to scanning each
+epoch on first use, so it changes wall-clock only.
 
 Pass ``--engine batch`` (or set ``REPRO_ENGINE=batch``) to run the
 packet-level paths on the vectorised batch engine instead of the
@@ -151,13 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for campaign-backed experiments "
-        "(same dataset, less wall-clock)",
-    )
     knobs.add_flags(parser)
     return parser
 
@@ -171,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         apply_runtime_env(args)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    generate(args.out, args.seed, n_workers=args.workers)
+    generate(args.out, args.seed, n_workers=args.n_workers)
     return 0
 
 

@@ -129,7 +129,7 @@ _METAVARS = {int: "N", float: "SECONDS", str: "DIR"}
 # fmt: off
 #: The execution knobs, in CLI order.
 KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
-    Knob("n_workers", int, 1, bound=">= 1",
+    Knob("n_workers", int, 1, bound=">= 1", flag="--workers",
          help="worker processes for a campaign (any value, same dataset)"),
     Knob("checkpoint_dir", str, None, env="REPRO_CHECKPOINT_DIR",
          flag="--checkpoint-dir",
@@ -236,14 +236,14 @@ def add_flags(parser) -> None:
 
     Each flag stores under the knob's name with a ``None`` default, so
     the parsed namespace feeds :func:`export`; its help ends with the
-    knob's variable and plain default.
+    knob's variable, if it has one, and plain default.
     """
     for knob in KNOBS.values():
         if knob.flag is None:
             continue
-        notes = knob.env
+        notes = [knob.env] if knob.env else []
         if knob.kind is not bool and isinstance(knob.default, (str, int, float)):
-            notes += f"; default {knob.default}"
+            notes.append(f"default {knob.default}")
         kwargs = {"dest": knob.name, "default": None}
         if knob.kind is bool:
             kwargs["action"] = "store_true"
@@ -251,4 +251,6 @@ def add_flags(parser) -> None:
             kwargs["type"] = knob.kind
             kwargs["choices"] = knob.allowed or None
             kwargs["metavar"] = None if knob.allowed else _METAVARS[knob.kind]
-        parser.add_argument(knob.flag, help=f"{knob.help} [{notes}]", **kwargs)
+        parser.add_argument(
+            knob.flag, help=f"{knob.help} [{'; '.join(notes)}]", **kwargs
+        )

@@ -9,16 +9,17 @@ paper) and measures against a VM in the nearest Google Cloud location:
 * UDP loss tests (Figures 6(c) and 7),
 * mtr/traceroute for the queueing-delay analysis (Table 2, Figure 5),
 * dishy-API status snapshots.
+
+A node's geometry lives in its bent pipe's link-state table:
+:meth:`MeasurementNode.precompute_geometry` batch-fills it for a planned
+sample schedule, and an epoch outside the schedule is scanned on first
+use.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
 from repro.errors import ConfigurationError
 from repro.geo.cities import NEAREST_GCP, city
 from repro.nodes.iperf import IperfResult, analytic_udp_loss_fraction, run_iperf_tcp
@@ -26,7 +27,7 @@ from repro.nodes.mtr import MtrReport, run_mtr
 from repro.orbits.constellation import WalkerShell, starlink_shell1
 from repro.rng import stream
 from repro.starlink.access import AccessConfig, AccessPath, Scenario
-from repro.starlink.bentpipe import BentPipeModel
+from repro.starlink.bentpipe import BentPipeModel, epoch_starts
 from repro.starlink.dish import Dish, DishyStatus
 from repro.starlink.pop import pop_for_city
 from repro.units import bps_to_mbps
@@ -38,17 +39,6 @@ NODE_CITIES = ("north_carolina", "wiltshire", "barcelona")
 IPERF_EFFICIENCY = 0.94
 """Goodput fraction a well-tuned single TCP flow attains on a clean
 link (validated against the packet-level stack in the test suite)."""
-
-_TIMELINE_CACHE_MAX = 32
-_timeline_cache: OrderedDict[tuple, tuple] = OrderedDict()
-"""Process-wide ``(city, mask, horizon, epoch grid) -> (shell,
-timeline)`` cache for :meth:`MeasurementNode.precompute_geometry`.
-Nodes of the same city running the same cron schedule (e.g. figure6
-and figure7 runners in one benchmark process, or re-instantiated
-nodes across experiments) share one precompute instead of redoing
-identical batch passes.  Only unobstructed terminals are cached —
-obstruction masks are per-node state the key cannot see."""
-
 
 @dataclass(frozen=True)
 class NodeSpeedtest:
@@ -97,68 +87,19 @@ class MeasurementNode:
         self.dish = Dish(self.bentpipe)
         self._rng = stream(seed, "node", city_name)
 
-    def precompute_geometry(self, times, horizon_s: float = 0.0, timeline=None):
-        """Precompute serving geometry for a planned sample schedule.
+    def precompute_geometry(self, times, horizon_s: float = 0.0) -> None:
+        """Batch-fill the bent pipe's link states for a planned sample
+        schedule.
 
-        Builds a sparse :class:`~repro.starlink.timeline.ServingTimeline`
-        covering exactly the scheduler epochs the samples will touch —
+        Covers exactly the scheduler epochs the samples will touch —
         each ``t`` in ``times`` plus ``horizon_s`` of look-ahead (UDP
-        loss tests query ``[t, t + duration)``) — and attaches it to the
-        node's bent pipe, so per-sample ``serving_geometry`` calls
-        become O(1) array lookups instead of per-epoch scans.  Results
-        are bit-identical to the on-demand path; epochs outside the
-        schedule still fall back to the scan.
-
-        A campaign-supplied ``timeline`` covering every scheduled epoch
-        is adopted as-is (no recompute); otherwise the process-wide
-        cache keyed on ``(city, mask, horizon, epoch grid)`` is
-        consulted before running the batch kernel, so nodes that repeat
-        a schedule reuse the finished arrays.
+        loss tests query ``[t, t + duration)``) — in the kernel's
+        batched calls, so per-sample queries hit the table instead of
+        scanning each epoch.  Results are bit-identical to the
+        on-demand path; epochs outside the schedule, or outside the
+        weather history, are still scanned on first use.
         """
-        interval = STARLINK_RESCHEDULE_INTERVAL_S
-        times = np.asarray(times, dtype=np.float64)
-        first = np.floor(times / interval).astype(np.int64)
-        if horizon_s > 0.0:
-            last = np.floor((times + horizon_s) / interval).astype(np.int64)
-            spans = [np.arange(lo, hi + 1) for lo, hi in zip(first, last)]
-            epochs = np.unique(np.concatenate(spans)) if spans else first
-        else:
-            epochs = np.unique(first)
-        if timeline is not None and all(
-            timeline.covers(int(epoch)) for epoch in epochs
-        ):
-            self.bentpipe.attach_timeline(timeline)
-            return timeline
-        cacheable = self.bentpipe.obstruction is None
-        key = (
-            self.city.name,
-            float(self.bentpipe.min_elevation_deg),
-            float(horizon_s),
-            epochs.tobytes(),
-        )
-        if cacheable:
-            cached = _timeline_cache.get(key)
-            if cached is not None and cached[0] is self.bentpipe.shell:
-                _timeline_cache.move_to_end(key)
-                self.bentpipe.attach_timeline(cached[1])
-                return cached[1]
-        from repro.starlink.timeline import compute_serving_timeline
-
-        timeline = compute_serving_timeline(
-            self.bentpipe.shell,
-            self.bentpipe.terminal,
-            self.bentpipe.gateway,
-            epochs=epochs,
-            min_elevation_deg=self.bentpipe.min_elevation_deg,
-            obstruction=self.bentpipe.obstruction,
-        )
-        if cacheable:
-            _timeline_cache[key] = (self.bentpipe.shell, timeline)
-            _timeline_cache.move_to_end(key)
-            while len(_timeline_cache) > _TIMELINE_CACHE_MAX:
-                _timeline_cache.popitem(last=False)
-        self.bentpipe.attach_timeline(timeline)
-        return timeline
+        self.bentpipe.fill_link_states(epoch_starts(times, horizon_s))
 
     # -- analytic cron measurements -------------------------------------------
 

@@ -35,13 +35,6 @@ class HandoverReason(Enum):
     OUTAGE = "outage"  # no satellite visible at all
 
 
-class SelectionPolicy(Enum):
-    """How the scheduler picks among visible satellites."""
-
-    MAX_ELEVATION = "max_elevation"
-    MIN_RANGE = "min_range"
-
-
 @dataclass(frozen=True)
 class HandoverEvent:
     """A change of serving satellite."""
@@ -77,14 +70,15 @@ class SatelliteTracker:
         min_elevation_deg: Usability mask, degrees.
         reschedule_interval_s: Scheduler epoch; reassignments happen on
             multiples of this interval (15 s for Starlink).
-        policy: Selection policy at each scheduling decision.
+
+    At each scheduling decision the highest visible satellite wins,
+    ties to the lowest index: the rule the bent pipe's scan uses.
     """
 
     shell: WalkerShell
     observer: GeoPoint
     min_elevation_deg: float = STARLINK_MIN_ELEVATION_DEG
     reschedule_interval_s: float = STARLINK_RESCHEDULE_INTERVAL_S
-    policy: SelectionPolicy = SelectionPolicy.MAX_ELEVATION
     _serving: str | None = field(default=None, init=False)
     _serving_index: int = field(default=-1, init=False)
     _last_epoch: int = field(default=-1, init=False)
@@ -95,25 +89,9 @@ class SatelliteTracker:
                 f"reschedule interval must be positive: {self.reschedule_interval_s}"
             )
 
-    def _select_from_row(
-        self, east: np.ndarray, north: np.ndarray, up: np.ndarray, elevation: np.ndarray
-    ) -> int:
+    def _select_from_row(self, elevation: np.ndarray) -> int:
         """Index of the satellite the scheduler picks, or -1 (outage)."""
         visible_idx = np.nonzero(elevation >= self.min_elevation_deg)[0]
-        if len(visible_idx) == 0:
-            return -1
-        if self.policy is SelectionPolicy.MIN_RANGE:
-            e, n, u = east[visible_idx], north[visible_idx], up[visible_idx]
-            slant = np.sqrt(e * e + n * n + u * u)
-            # Ties (never observed in practice) go to the higher
-            # elevation, then the lower index — the order the legacy
-            # elevation-sorted candidate list presented to min().
-            order = sorted(
-                range(len(visible_idx)), key=lambda k: float(elevation[visible_idx[k]]),
-                reverse=True,
-            )
-            best = min(order, key=lambda k: float(slant[k]))
-            return int(visible_idx[best])
         best_i = -1
         best_elev = -math.inf
         for i in visible_idx:
@@ -121,16 +99,6 @@ class SatelliteTracker:
                 best_i = int(i)
                 best_elev = float(elevation[i])
         return best_i
-
-    def _geometry_of(self, name: str, t_s: float) -> tuple[float, float]:
-        """(elevation_deg, slant_range_m) of a named satellite at t."""
-        i = self.shell.satellite_index(name)
-        positions = self.shell.positions_ecef(t_s)
-        east, north, up = _enu_components(self.observer, positions)
-        horizontal = np.hypot(east[i], north[i])
-        elevation = np.degrees(np.arctan2(up[i], horizontal))
-        slant = math.sqrt(east[i] * east[i] + north[i] * north[i] + up[i] * up[i])
-        return float(elevation), float(slant)
 
     def _step_from_row(
         self,
@@ -159,7 +127,7 @@ class SatelliteTracker:
         if epoch != self._last_epoch:
             # Scheduler epoch boundary: free reassignment.
             self._last_epoch = epoch
-            chosen_idx = self._select_from_row(east, north, up, elevation)
+            chosen_idx = self._select_from_row(elevation)
             chosen = (
                 self.shell.satellites[chosen_idx].name if chosen_idx >= 0 else None
             )

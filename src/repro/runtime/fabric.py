@@ -184,8 +184,8 @@ def write_or_adopt_plan(
     the original partition.
     """
     fingerprint = campaign_fingerprint(config)
-    existing = store.get_json(PLAN_KEY)
-    if existing is None and not store.exists(PLAN_KEY):
+    plan = load_plan(store)
+    if plan is None and not store.exists(PLAN_KEY):
         _, shards = plan_campaign(config, n_shards)
         planned = [(shard_id, tuple(indices)) for shard_id, indices in shards]
         to_json = getattr(config, "to_json_dict", None)
@@ -207,37 +207,34 @@ def write_or_adopt_plan(
                 shards=tuple(planned),
                 config_json=doc["config"],
             )
-        existing = store.get_json(PLAN_KEY)  # a racing coordinator won
-    if existing is None:
+        plan = load_plan(store)  # a racing coordinator won
+    if plan is None:
         raise FabricError(f"unreadable fabric plan at {store.path_for(PLAN_KEY)}")
-    if existing.get("fingerprint") != fingerprint:
+    if plan.fingerprint != fingerprint:
         raise FabricError(
             f"fabric directory {store.root} belongs to campaign "
-            f"fingerprint {existing.get('fingerprint')!r}, not "
-            f"{fingerprint!r}"
+            f"fingerprint {plan.fingerprint!r}, not {fingerprint!r}"
         )
-    try:
-        shards = tuple(
-            (int(entry["shard_id"]), tuple(int(i) for i in entry["user_indices"]))
-            for entry in existing["shards"]
-        )
-        ttl_s = float(existing["lease_ttl_s"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FabricError(
-            f"malformed fabric plan at {store.path_for(PLAN_KEY)}: {exc}"
-        ) from exc
-    return FabricPlan(
-        fingerprint=fingerprint,
-        lease_ttl_s=ttl_s,
-        shards=shards,
-        config_json=existing.get("config"),
-    )
+    return plan
 
 
 def load_plan(store: FsStore) -> FabricPlan | None:
-    """Read an already-published plan (worker side); ``None`` if absent."""
-    doc = store.get_json(PLAN_KEY)
-    if doc is None:
+    """The published plan; ``None`` while it is absent or not yet JSON.
+
+    The one ``plan.json`` parser: the coordinator's adopt path, the
+    workers and :func:`fabric_status` all read the plan through it.
+
+    Raises:
+        FabricError: ``malformed fabric plan at <path>: <reason>`` when
+            the plan is JSON but not a plan, so a worker fails at once
+            instead of waiting for a plan that is already there.
+    """
+    found = store.get(PLAN_KEY)
+    if found is None:
+        return None
+    try:
+        doc = json.loads(found.data.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
         return None
     try:
         return FabricPlan(
@@ -249,8 +246,11 @@ def load_plan(store: FsStore) -> FabricPlan | None:
             ),
             config_json=doc.get("config"),
         )
-    except (KeyError, TypeError, ValueError):
-        return None
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise FabricError(
+            f"malformed fabric plan at {store.path_for(PLAN_KEY)}: {reason}"
+        ) from exc
 
 
 @dataclass
@@ -1108,6 +1108,9 @@ def fabric_status(fabric_dir: str) -> dict:
     CLI's progress display: the registered workers (with heartbeat
     ages), every held lease (with expiry state), and shard completion
     counts.  Read-only — safe to call from any process at any time.
+
+    Raises:
+        FabricError: for a malformed plan (see :func:`load_plan`).
     """
     store = FsStore(fabric_dir)
     now = time.time()

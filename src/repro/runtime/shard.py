@@ -48,8 +48,9 @@ class ShardStats:
     geometry_scans: int = 0
     #: Link-state lookups the bent pipes' tables answered.
     geometry_hits: int = 0
-    #: Lookups an attached ``ServingTimeline`` answered; campaign bent
-    #: pipes attach none, so this stays 0 on every campaign path.
+    #: Always 0: a bent pipe's link-state table is its only geometry
+    #: cache.  Kept because the end-to-end benchmark's workload reads
+    #: it and checkpoint metadata stores it.
     timeline_hits: int = 0
     #: Attempts the supervisor spent on this shard (1 = first try).
     attempts: int = 1
@@ -105,7 +106,7 @@ class CampaignRunStats:
 
     @property
     def timeline_hits(self) -> int:
-        """Lookups answered by attached serving timelines (0 in campaigns)."""
+        """Always 0 (see :attr:`ShardStats.timeline_hits`)."""
         return sum(s.timeline_hits for s in self.shards)
 
     @property

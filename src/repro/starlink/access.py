@@ -9,16 +9,16 @@ N. Virginia VM the paper traceroutes to, or the per-node nearest
 Google Cloud site).
 
 The entry point is :class:`Scenario`: a small builder that owns the
-(bentpipe, timeline, config, locations) tuple and produces
-:class:`AccessPath` objects.  All tunables live in the frozen
-:class:`AccessConfig` dataclass.
+(bentpipe, config, locations) tuple and produces :class:`AccessPath`
+objects.  All tunables live in the frozen :class:`AccessConfig`
+dataclass.
 
-Starlink scenarios can precompute a
-:class:`repro.starlink.timeline.ServingTimeline` for the simulated
-window (``Scenario.precompute``), so every per-packet
-``serving_geometry`` query becomes an O(1) array lookup instead of an
-on-demand epoch scan.  Timelines are computed bit-identically to the
-scan (DESIGN.md §7), so attaching one never changes results.
+Starlink scenarios can precompute the simulated window
+(``Scenario.precompute``): the batch kernel fills the bent pipe's
+link-state table for every scheduler epoch of the window, so
+per-packet delay queries hit the table instead of scanning each epoch
+on first use.  The kernel matches the scan bit for bit
+(DESIGN.md §7), so a precompute never changes results.
 
 Terrestrial segments use great-circle distance with a 1.3 route-
 inflation factor at 2/3 c (standard fibre-path modelling); hop-level
@@ -31,12 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.starlink.timeline import ServingTimeline
 
 from repro.constants import SPEED_OF_LIGHT_M_S
 from repro.errors import ConfigurationError
@@ -47,7 +43,7 @@ from repro.net.loss import LossModel
 from repro.net.queues import DropTailQueue
 from repro.net.topology import Network
 from repro.rng import stream
-from repro.starlink.bentpipe import BentPipeModel
+from repro.starlink.bentpipe import BentPipeModel, epoch_starts
 from repro.units import mbps_to_bps
 
 FIBRE_SPEED_M_S = SPEED_OF_LIGHT_M_S * 2.0 / 3.0
@@ -152,13 +148,12 @@ class Scenario:
     """One client-to-server measurement scenario, ready to build.
 
     The object experiments hand to the runtime: it owns the bent pipe
-    (for Starlink), the client/server locations, the
-    :class:`AccessConfig`, and an optional precomputed serving
-    timeline, and produces :class:`AccessPath` instances on demand.
-    Construct via the classmethods::
+    (for Starlink), the client/server locations and the
+    :class:`AccessConfig`, and produces :class:`AccessPath` instances
+    on demand.  Construct via the classmethods::
 
         scenario = Scenario.starlink(bentpipe, server.location, config)
-        scenario.precompute(duration_s=600.0)   # O(1) geometry lookups
+        scenario.precompute(duration_s=600.0)   # batch-fills the window
         path = scenario.build()
 
     ``build`` may be called repeatedly (e.g. one path per traceroute
@@ -170,7 +165,6 @@ class Scenario:
     config: AccessConfig = field(default_factory=AccessConfig)
     bentpipe: BentPipeModel | None = None
     client_location: GeoPoint | None = None
-    timeline: ServingTimeline | None = None
 
     @classmethod
     def starlink(
@@ -178,20 +172,14 @@ class Scenario:
         bentpipe: BentPipeModel,
         server_location: GeoPoint,
         config: AccessConfig | None = None,
-        timeline=None,
     ) -> Scenario:
-        """Starlink bent-pipe scenario.  ``timeline`` optionally attaches
-        a precomputed serving timeline to the bent pipe up front."""
-        scenario = cls(
+        """Starlink bent-pipe scenario."""
+        return cls(
             technology=AccessTechnology.STARLINK,
             server_location=server_location,
             config=config if config is not None else AccessConfig(),
             bentpipe=bentpipe,
         )
-        if timeline is not None:
-            bentpipe.attach_timeline(timeline)
-            scenario.timeline = timeline
-        return scenario
 
     @classmethod
     def broadband(
@@ -238,24 +226,21 @@ class Scenario:
             client_location=client_location,
         )
 
-    def precompute(self, duration_s: float, start_s: float | None = None):
-        """Precompute (or reuse) a serving timeline for the simulated
-        window ``[start_s, start_s + duration_s)``.
+    def precompute(self, duration_s: float, start_s: float | None = None) -> None:
+        """Batch-fill the bent pipe's link states for every scheduler
+        epoch of the simulated window ``[start_s, start_s + duration_s]``.
 
         ``start_s`` defaults to the config's ``time_offset_s`` — the
         campaign time at simulation t=0, which is where the built
-        path's per-packet geometry queries land.  Reuses the bent
-        pipe's attached timeline when it already covers the window.
-        Only meaningful for Starlink scenarios (no-op otherwise).
+        path's per-packet delay queries land.  Epochs already in the
+        table are not recomputed.  Only meaningful for Starlink
+        scenarios (no-op otherwise).
         """
         if self.technology is not AccessTechnology.STARLINK:
-            return None
+            return
         if start_s is None:
             start_s = self.config.time_offset_s
-        self.timeline = self.bentpipe.ensure_timeline(
-            start_s, start_s + duration_s
-        )
-        return self.timeline
+        self.bentpipe.fill_link_states(epoch_starts([start_s], duration_s))
 
     def build(self) -> AccessPath:
         """Assemble the network for this scenario and return the path."""
@@ -263,8 +248,6 @@ class Scenario:
         if self.technology is AccessTechnology.STARLINK:
             if self.bentpipe is None:
                 raise ConfigurationError("Starlink scenario needs a bentpipe")
-            if self.timeline is not None:
-                self.bentpipe.attach_timeline(self.timeline)
             path = _build_starlink_path(
                 self.bentpipe, self.server_location, self.config
             )

@@ -21,6 +21,12 @@ capacity at an arbitrary campaign time — used by the six-month browser
 campaign, where packet-level simulation of 50k page loads would be
 wasteful) and *packet-level* (delay providers and loss models to plug
 into :class:`repro.net.link.Link` for traceroute/iperf/TCP experiments).
+
+Both read one cache: the bent pipe's per-epoch :class:`LinkStateTable`.
+An epoch's geometry comes from the table, or else from the single-epoch
+scan (``BentPipeModel._scan_epoch``); precomputes batch-fill the table
+through the kernel of :mod:`repro.starlink.timeline`, which matches the
+scan bit for bit.
 """
 
 from __future__ import annotations
@@ -79,10 +85,6 @@ class ServingGeometry:
         return (self.terminal_range_m + self.gateway_range_m) / SPEED_OF_LIGHT_M_S
 
 
-_CACHE_MISS = object()
-"""Sentinel distinguishing "not in a timeline" from a computed outage (None)."""
-
-
 @dataclass(frozen=True, slots=True)
 class LinkState:
     """The deterministic bent pipe of one 15 s scheduler epoch.
@@ -111,7 +113,8 @@ class LinkState:
 
 
 class LinkStateTable:
-    """Epoch-keyed LRU table of one bent pipe's :class:`LinkState` entries.
+    """Epoch-keyed LRU table of one bent pipe's :class:`LinkState` entries,
+    the bent pipe's only geometry cache.
 
     ``hits`` counts lookups the table answered and ``computed`` the
     epochs put into it, batch-filled or lazy; both feed the campaign's
@@ -144,6 +147,23 @@ class LinkStateTable:
             self._entries.popitem(last=False)
 
 
+def epoch_starts(times_s, horizon_s: float = 0.0) -> list[float]:
+    """Start times of the scheduler epochs that ``[t, t + horizon_s]``
+    touches for some ``t`` in ``times_s``, ascending.
+
+    The precomputes hand these to :meth:`BentPipeModel.fill_link_states`:
+    a window is one start with its length as horizon, a sample schedule
+    its sample times with each sample's look-ahead.
+    """
+    interval = STARLINK_RESCHEDULE_INTERVAL_S
+    times = np.asarray(times_s, dtype=np.float64)
+    first = np.floor_divide(times, interval).astype(np.int64)
+    last = np.floor_divide(times + horizon_s, interval).astype(np.int64)
+    spans = [np.arange(lo, hi + 1) for lo, hi in zip(first, last)]
+    epochs = np.unique(np.concatenate(spans)) if spans else first
+    return (epochs * interval).tolist()
+
+
 class BentPipeModel:
     """The bent-pipe link for one terminal.
 
@@ -161,19 +181,13 @@ class BentPipeModel:
             model this way so record streams are independent of user
             processing order; None keeps the legacy city-shared
             streams.
-        timeline: Optional precomputed
-            :class:`repro.starlink.timeline.ServingTimeline` for the
-            same geometry inputs.  Epochs it covers get their serving
-            geometry by O(1) array lookup instead of the on-demand
-            scan.  (The timeline is computed bit-identically to the
-            scan, so attaching one never changes results — see
-            ``compute_serving_timeline``.)
 
-    Every analytic query reads the :class:`LinkState` of its scheduler
-    epoch from the model's :attr:`link_states` table, so geometry,
-    weather and impairment are derived once per epoch, not per call;
-    :meth:`fill_link_states` batch-computes the epochs a known set of
-    query times will touch.
+    Every analytic and packet-level query reads the :class:`LinkState`
+    of its scheduler epoch from the model's :attr:`link_states` table,
+    so geometry, weather and impairment are derived once per epoch, not
+    per call.  An epoch missing from the table is computed by the
+    single-epoch scan on first use; :meth:`fill_link_states`
+    batch-computes the epochs a known set of query times will touch.
     """
 
     def __init__(
@@ -188,7 +202,6 @@ class BentPipeModel:
         min_elevation_deg: float = STARLINK_MIN_ELEVATION_DEG,
         obstruction=None,
         user_key: str | None = None,
-        timeline=None,
     ) -> None:
         """``obstruction`` is an optional
         :class:`repro.starlink.obstruction.ObstructionMask`: satellites
@@ -212,43 +225,9 @@ class BentPipeModel:
         )
         self._rng = stream(seed, *rng_labels)
         self.link_states = LinkStateTable()
-        self.timeline = timeline
         self._wireless_queue = self.capacity.wireless_queueing_sampler()
 
     # -- geometry ----------------------------------------------------------
-
-    def attach_timeline(self, timeline) -> None:
-        """Adopt a precomputed serving timeline (see ``timeline`` arg)."""
-        self.timeline = timeline
-
-    def build_timeline(self, start_s: float, end_s: float):
-        """Precompute, attach and return this model's serving timeline
-        for every scheduler epoch touching ``[start_s, end_s)``."""
-        from repro.starlink.timeline import compute_serving_timeline
-
-        timeline = compute_serving_timeline(
-            self.shell,
-            self.terminal,
-            self.gateway,
-            start_s=start_s,
-            end_s=end_s,
-            min_elevation_deg=self.min_elevation_deg,
-            obstruction=self.obstruction,
-        )
-        self.timeline = timeline
-        return timeline
-
-    def ensure_timeline(self, start_s: float, end_s: float):
-        """Timeline covering ``[start_s, end_s)``, reusing the attached
-        one when it already spans every scheduler epoch of the window
-        (the packet-level builders call this so repeated scenarios over
-        the same window share one precompute)."""
-        interval = STARLINK_RESCHEDULE_INTERVAL_S
-        first = int(math.floor(start_s / interval))
-        last = max(int(math.ceil(end_s / interval)), first + 1) - 1
-        if self.timeline is not None and self.timeline.covers_range(first, last):
-            return self.timeline
-        return self.build_timeline(start_s, end_s)
 
     def serving_geometry(self, t_s: float) -> ServingGeometry | None:
         """Geometry via the serving satellite at ``t_s`` (None = outage).
@@ -258,23 +237,14 @@ class BentPipeModel:
         :class:`repro.orbits.tracking.SatelliteTracker` behaviour in a
         stateless, random-access form usable at arbitrary times.
 
-        Lookup order: the link-state table, the attached timeline (O(1)
-        array access), then the on-demand single-epoch scan.  Unlike
-        :meth:`link_state` it needs no weather, so it answers at any
-        time and never adds to the table.
+        Lookup order: the link-state table, then the single-epoch scan.
+        Unlike :meth:`link_state` it needs no weather, so it answers at
+        any time and never adds to the table.
         """
         epoch = int(t_s // STARLINK_RESCHEDULE_INTERVAL_S)
         state = self.link_states.get(epoch)
         if state is not None:
             return state.geometry
-        return self._geometry(epoch)
-
-    def _geometry(self, epoch: int) -> ServingGeometry | None:
-        """An epoch's geometry from the attached timeline, else the scan."""
-        if self.timeline is not None:
-            found = self.timeline.lookup(epoch)
-            if found is not _CACHE_MISS:
-                return found
         return self._scan_epoch(epoch)
 
     def _scan_epoch(self, epoch: int) -> ServingGeometry | None:
@@ -324,7 +294,7 @@ class BentPipeModel:
 
     def link_state(self, t_s: float) -> LinkState:
         """The :class:`LinkState` of ``t_s``'s scheduler epoch, computed
-        on first use (geometry from the attached timeline or the scan).
+        on first use (geometry from the scan).
 
         Raises:
             ConfigurationError: if ``t_s`` is outside the weather
@@ -336,7 +306,7 @@ class BentPipeModel:
         epoch = int(t_s // STARLINK_RESCHEDULE_INTERVAL_S)
         state = self.link_states.get(epoch)
         if state is None:
-            state = self._link_state_at(epoch, self._geometry(epoch))
+            state = self._link_state_at(epoch, self._scan_epoch(epoch))
             self.link_states.put(epoch, state)
         return state
 
@@ -361,15 +331,15 @@ compute_serving_timeline`, bit-identical to the scan, in calls of
 
         for start in range(0, len(missing), LINK_FILL_EPOCHS):
             batch = missing[start : start + LINK_FILL_EPOCHS]
-            timeline = compute_serving_timeline(
+            geometries = compute_serving_timeline(
                 self.shell,
                 self.terminal,
                 self.gateway,
-                epochs=np.array(batch, dtype=np.int64),
+                np.array(batch, dtype=np.int64),
                 min_elevation_deg=self.min_elevation_deg,
                 obstruction=self.obstruction,
             )
-            for epoch, geometry in zip(batch, timeline.geometries()):
+            for epoch, geometry in zip(batch, geometries):
                 self.link_states.put(epoch, self._link_state_at(epoch, geometry))
 
     def _link_state_at(self, epoch: int, geometry: ServingGeometry | None) -> LinkState:

@@ -1,24 +1,20 @@
-"""Precomputed serving-satellite timelines (the geometry hot path).
+"""The batch serving-geometry kernel (the geometry hot path).
 
 The serving satellite, terminal range, gateway range and elevation of a
 bent pipe are a pure function of ``(shell, terminal, gateway, elevation
 mask, obstruction, scheduler epoch)``.  The per-epoch scan
-(``BentPipeModel._scan_epoch``) evaluates it one epoch at a time.
-
-:func:`compute_serving_timeline` instead evaluates a window or a
-sparse set of epochs in one vectorised pass and stores the result as
-compact numpy arrays (:class:`ServingTimeline`, ~28 bytes/epoch) with
-O(1) random-access lookups.  Packet-level scenarios attach one per
-simulated window; campaign bent pipes batch-fill their per-epoch link
-states from it (``BentPipeModel.fill_link_states``).
+(``BentPipeModel._scan_epoch``) evaluates it one epoch at a time;
+:func:`compute_serving_timeline` evaluates a sorted set of epochs,
+contiguous or sparse, in one vectorised pass.  Its one consumer is
+``BentPipeModel.fill_link_states``, which puts the geometries into the
+bent pipe's link-state table, the bent pipe's only geometry cache.
 
 Bit-identity contract (extends DESIGN.md §6): the batch kernel
-replicates the exact floating-point operation sequence of
-``BentPipeModel.serving_geometry``'s scan path — same propagation
-formulas, same ENU expression order, same ``np.hypot``/``np.arctan2``
-elevation, same ``math.atan2`` azimuth for obstruction tests, and
-first-max tie-breaking identical to the scan's stable sort — so
-``on-demand == timeline == batch-filled link state`` holds exactly, not
+replicates the exact floating-point operation sequence of the scan —
+same propagation formulas, same ENU expression order, same
+``np.hypot``/``np.arctan2`` elevation, same ``math.atan2`` azimuth for
+obstruction tests, and first-max tie-breaking identical to the scan's
+stable sort — so ``scan == batch-filled link state`` holds exactly, not
 just approximately.  (Numpy ufuncs are elementwise and shape-independent,
 so computing the same expressions over gathered 1-D arrays yields
 bitwise-equal values; ``tests/test_serving_timeline.py`` asserts it.)
@@ -35,7 +31,6 @@ analytically.  Only ~20% of grid points are ever touched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,108 +44,12 @@ from repro.geo.coordinates import GeoPoint
 from repro.orbits.constellation import WalkerShell
 from repro.orbits.propagator import gmst_rad
 from repro.orbits.visibility import max_visible_central_angle_rad
-from repro.starlink.bentpipe import _CACHE_MISS, ServingGeometry
+from repro.starlink.bentpipe import ServingGeometry
 
 DEFAULT_CHUNK_EPOCHS = 256
 """Epochs per kernel chunk; keeps working arrays cache-resident."""
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class ServingTimeline:
-    """Per-epoch serving geometry of one (shell, terminal, gateway) tuple.
-
-    Attributes:
-        epochs: Sorted, unique scheduler-epoch indices covered.
-        sat_index: Serving-satellite index per epoch (-1 = outage).
-        terminal_range_m / gateway_range_m / elevation_deg: Serving
-            geometry per epoch (zeros where ``sat_index`` is -1).
-        satellite_names: Shell satellite names, indexed by ``sat_index``.
-        hits: Lookup counter (a bent pipe's ``timeline_hits``).
-
-    Contiguous epoch ranges (packet-level windows) get O(1) offset
-    lookups; sparse sets (volunteer-node sample grids, a campaign
-    user's event epochs) fall back to a prebuilt position map.
-    Instances are plain picklable arrays.
-    """
-
-    epochs: np.ndarray
-    sat_index: np.ndarray
-    terminal_range_m: np.ndarray
-    gateway_range_m: np.ndarray
-    elevation_deg: np.ndarray
-    satellite_names: tuple[str, ...]
-    hits: int = field(default=0, compare=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.epochs)
-        self._contiguous = bool(
-            n > 0 and int(self.epochs[-1]) - int(self.epochs[0]) == n - 1
-        )
-        self._first = int(self.epochs[0]) if n else 0
-        self._positions = (
-            None
-            if self._contiguous
-            else {int(e): i for i, e in enumerate(self.epochs)}
-        )
-
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the per-epoch arrays."""
-        return (
-            self.epochs.nbytes
-            + self.sat_index.nbytes
-            + self.terminal_range_m.nbytes
-            + self.gateway_range_m.nbytes
-            + self.elevation_deg.nbytes
-        )
-
-    def covers(self, epoch: int) -> bool:
-        """Whether the timeline has an entry for ``epoch``."""
-        if self._contiguous:
-            return 0 <= epoch - self._first < len(self.epochs)
-        return self._positions is not None and epoch in self._positions
-
-    def covers_range(self, first: int, last: int) -> bool:
-        """Whether every epoch of ``[first, last]`` (inclusive) has an
-        entry — the check ``BentPipeModel.ensure_timeline`` uses to
-        decide whether an attached timeline can serve a new window."""
-        if last < first:
-            return False
-        if self._contiguous:
-            return self.covers(first) and self.covers(last)
-        return all(self.covers(epoch) for epoch in range(first, last + 1))
-
-    def lookup(self, epoch: int):
-        """Geometry at ``epoch``: a :class:`ServingGeometry`, ``None``
-        (a computed outage), or the cache-miss sentinel when the epoch
-        is outside this timeline."""
-        if self._contiguous:
-            i = epoch - self._first
-            if not 0 <= i < len(self.epochs):
-                return _CACHE_MISS
-        else:
-            i = self._positions.get(epoch) if self._positions else None
-            if i is None:
-                return _CACHE_MISS
-        self.hits += 1
-        sat = int(self.sat_index[i])
-        if sat < 0:
-            return None
-        return ServingGeometry(
-            satellite=self.satellite_names[sat],
-            terminal_range_m=float(self.terminal_range_m[i]),
-            gateway_range_m=float(self.gateway_range_m[i]),
-            elevation_deg=float(self.elevation_deg[i]),
-        )
-
-    def geometries(self) -> list[ServingGeometry | None]:
-        """Materialise every epoch's geometry, in epoch order."""
-        return [self.lookup(int(e)) for e in self.epochs]
 
 
 def _candidate_arcs(
@@ -288,37 +187,23 @@ def compute_serving_timeline(
     shell: WalkerShell,
     terminal: GeoPoint,
     gateway: GeoPoint,
+    epochs,
     *,
-    start_s: float | None = None,
-    end_s: float | None = None,
-    epochs: np.ndarray | None = None,
     min_elevation_deg: float = STARLINK_MIN_ELEVATION_DEG,
     obstruction=None,
     chunk_epochs: int = DEFAULT_CHUNK_EPOCHS,
-) -> ServingTimeline:
-    """Serving geometry for every epoch of a window, in one batch pass.
+) -> list[ServingGeometry | None]:
+    """Serving geometry of each scheduler epoch in ``epochs``, in one
+    batch pass (``None`` = outage).
 
-    Pass either ``start_s``/``end_s`` (covers every scheduler epoch
-    touching ``[start_s, end_s)``) or an explicit sorted array of
-    ``epochs`` (sparse sets are fine — volunteer nodes precompute just
-    the epochs their sample times will touch).  ``obstruction`` is an
-    optional :class:`repro.starlink.obstruction.ObstructionMask`.
-
-    Results are bit-identical to evaluating
-    ``BentPipeModel.serving_geometry`` epoch by epoch.
+    ``epochs`` is a sorted array of unique epoch indices; sparse sets
+    are fine.  ``obstruction`` is an optional
+    :class:`repro.starlink.obstruction.ObstructionMask`.  Results are
+    bit-identical to ``BentPipeModel._scan_epoch`` epoch by epoch.
     """
-    if epochs is None:
-        if start_s is None or end_s is None or end_s <= start_s:
-            raise ConfigurationError(
-                "compute_serving_timeline needs epochs or start_s < end_s"
-            )
-        first = int(math.floor(start_s / STARLINK_RESCHEDULE_INTERVAL_S))
-        last = int(math.ceil(end_s / STARLINK_RESCHEDULE_INTERVAL_S))
-        epochs = np.arange(first, max(last, first + 1), dtype=np.int64)
-    else:
-        epochs = np.asarray(epochs, dtype=np.int64)
-        if len(epochs) > 1 and np.any(np.diff(epochs) <= 0):
-            raise ConfigurationError("timeline epochs must be sorted and unique")
+    epochs = np.asarray(epochs, dtype=np.int64)
+    if len(epochs) > 1 and np.any(np.diff(epochs) <= 0):
+        raise ConfigurationError("epochs must be sorted and unique")
     if chunk_epochs < 1:
         raise ConfigurationError(f"chunk_epochs must be >= 1: {chunk_epochs}")
 
@@ -329,7 +214,6 @@ def compute_serving_timeline(
     elevation_out = np.zeros(n)
 
     rows, cols = _candidate_pairs(shell, terminal, epochs, min_elevation_deg)
-    names = tuple(s.name for s in shell.satellites)
     if len(rows):
         _fill_serving_arrays(
             shell,
@@ -346,14 +230,23 @@ def compute_serving_timeline(
             gateway_range,
             elevation_out,
         )
-    return ServingTimeline(
-        epochs=epochs,
-        sat_index=sat_index,
-        terminal_range_m=terminal_range,
-        gateway_range_m=gateway_range,
-        elevation_deg=elevation_out,
-        satellite_names=names,
-    )
+    satellites = shell.satellites
+    return [
+        None
+        if sat < 0
+        else ServingGeometry(
+            satellite=satellites[sat].name,
+            terminal_range_m=terminal_m,
+            gateway_range_m=gateway_m,
+            elevation_deg=elevation,
+        )
+        for sat, terminal_m, gateway_m, elevation in zip(
+            sat_index.tolist(),
+            terminal_range.tolist(),
+            gateway_range.tolist(),
+            elevation_out.tolist(),
+        )
+    ]
 
 
 def _enu_constants(point: GeoPoint):

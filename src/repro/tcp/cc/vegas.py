@@ -61,12 +61,6 @@ class Vegas(CongestionControl):
         elif diff > self.beta:
             self._cwnd = max(2.0, self._cwnd - 1.0)
 
-    def backlog_estimate(self, avg_rtt_s: float) -> float:
-        """Vegas queue-occupancy estimate for a given average RTT."""
-        if self.base_rtt_s == float("inf") or avg_rtt_s <= 0:
-            return 0.0
-        return self._cwnd * (avg_rtt_s - self.base_rtt_s) / avg_rtt_s
-
     def on_loss(self, now_s: float, in_flight: int) -> None:
         self.ssthresh = max(2.0, self._cwnd / 2.0)
         self._cwnd = max(2.0, self._cwnd * 0.75)

@@ -2,15 +2,17 @@
 
 Covers the two contracts of the access-layer redesign:
 
-* attaching a precomputed :class:`ServingTimeline` never changes a
-  built path — link rates and sampled propagation delays stay bitwise
-  identical, including for obstructed terminals;
+* ``Scenario.precompute`` batch-fills the bent pipe's link-state table,
+  its only geometry cache, and never changes a built path — link rates
+  and sampled propagation delays stay bitwise identical, including for
+  obstructed terminals;
 * :class:`Scenario` validates its inputs and dispatches per
   technology.
 """
 
 import pytest
 
+from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
 from repro.errors import ConfigurationError
 from repro.geo.cities import city
 from repro.orbits.constellation import starlink_shell1
@@ -52,7 +54,7 @@ def _fingerprint(path):
     )
 
 
-# -- timeline-backed bit-identity -------------------------------------------
+# -- precomputed bit-identity ---------------------------------------------
 
 
 @pytest.mark.parametrize("city_name", ["london", "seattle", "sydney"])
@@ -65,11 +67,13 @@ def test_timeline_backed_path_bit_identical(shell, city_name, seed):
     baseline = _fingerprint(on_demand.build())
 
     precomputed = Scenario.starlink(_bentpipe(shell, city_name, seed), server, config)
-    timeline = precomputed.precompute(duration_s=180.0)
-    assert timeline is not None
-    assert precomputed.bentpipe.timeline is timeline
+    precomputed.precompute(duration_s=180.0)
+    table = precomputed.bentpipe.link_states
+    computed = table.computed
+    assert computed > 0
     assert _fingerprint(precomputed.build()) == baseline
-    assert timeline.hits > 0  # the lookups actually took the fast path
+    assert table.computed == computed  # every lookup was a table hit
+    assert table.hits > 0
 
 
 def test_timeline_backed_path_bit_identical_obstructed(shell):
@@ -86,24 +90,37 @@ def test_timeline_backed_path_bit_identical_obstructed(shell):
         Scenario.starlink(obstructed(), server, config).build()
     )
     scenario = Scenario.starlink(obstructed(), server, config)
-    assert scenario.precompute(duration_s=180.0) is not None
+    scenario.precompute(duration_s=180.0)
+    assert scenario.bentpipe.link_states.computed > 0
     assert _fingerprint(scenario.build()) == baseline
 
 
-def test_explicit_timeline_is_attached(shell):
+def test_precompute_fills_every_epoch_the_path_reads(shell):
+    """After a precompute, building the path and reading its delay at
+    every epoch of the window computes no further epoch."""
     bentpipe = _bentpipe(shell)
-    timeline = bentpipe.build_timeline(0.0, 300.0)
-    fresh = _bentpipe(shell)
-    Scenario.starlink(fresh, city("n_virginia").location, timeline=timeline)
-    assert fresh.timeline is timeline
+    config = AccessConfig(time_offset_s=6 * 3600.0)
+    scenario = Scenario.starlink(bentpipe, city("n_virginia").location, config)
+    scenario.precompute(duration_s=600.0)
+    computed = bentpipe.link_states.computed
+    assert computed >= 600.0 / STARLINK_RESCHEDULE_INTERVAL_S
+    path = scenario.build()
+    for epoch in range(int(600.0 // STARLINK_RESCHEDULE_INTERVAL_S)):
+        t_s = epoch * STARLINK_RESCHEDULE_INTERVAL_S
+        path.access_forward.propagation_delay_s(t_s)
+        path.access_reverse.propagation_delay_s(t_s + 7.5)
+    assert bentpipe.link_states.computed == computed
 
 
 def test_precompute_reuses_covering_timeline(shell):
+    """A second precompute over a covered window computes no epoch."""
     bentpipe = _bentpipe(shell)
     scenario = Scenario.starlink(bentpipe, city("n_virginia").location)
-    first = scenario.precompute(duration_s=600.0)
-    assert scenario.precompute(duration_s=300.0) is first  # covered: no rebuild
-    assert bentpipe.ensure_timeline(0.0, 450.0) is first
+    scenario.precompute(duration_s=600.0)
+    computed = bentpipe.link_states.computed
+    scenario.precompute(duration_s=300.0)
+    scenario.precompute(duration_s=450.0, start_s=150.0)
+    assert bentpipe.link_states.computed == computed
 
 
 # -- Scenario validation and dispatch ---------------------------------------
@@ -132,7 +149,6 @@ def test_scenario_precompute_noop_for_terrestrial():
         city("london").location, city("n_virginia").location
     )
     assert scenario.precompute(duration_s=60.0) is None
-    assert scenario.timeline is None
 
 
 def test_scenario_builds_every_technology(shell):

@@ -4,8 +4,9 @@ Every execution knob is a row of :data:`repro.knobs.KNOBS` and resolves
 explicit value > ``REPRO_*`` variable > default.  Parametrized over
 the rows, these tests pin that rule, the row checks (a bad variable
 is named in the error), that every flag both CLIs build from the table
-reaches the resolver, and that each consumer reads its knob through
-it.
+reaches the runner (through the resolver, or as the runner's
+``n_workers`` when the knob has no variable), and that each consumer
+reads its knob through it.
 """
 
 import dataclasses
@@ -152,12 +153,33 @@ def _argv(knob):
     return [knob.flag, knob.render(SAMPLES[knob.name])]
 
 
-@pytest.mark.parametrize("knob", FLAG_ROWS, ids=_ids(FLAG_ROWS))
-def test_cli_flag_reaches_the_resolver(knob, clean_env, capsys):
-    from repro.experiments.__main__ import main
+def _reached(knob, n_workers):
+    """The knob's value as the runner sees it: its ``n_workers``
+    argument for a knob without a variable, else the resolver's."""
+    return knobs.resolve(knob.name) if knob.env else n_workers
 
-    assert main([*_argv(knob), "--list"]) == 0
-    assert knobs.resolve(knob.name) == SAMPLES[knob.name]
+
+class _Rendered:
+    def render(self):
+        return ""
+
+
+def _fake_runner(knob, seen):
+    def run_experiment(experiment_id, seed=0, scale=1.0, n_workers=1):
+        seen["value"] = _reached(knob, n_workers)
+        return _Rendered()
+
+    return run_experiment
+
+
+@pytest.mark.parametrize("knob", FLAG_ROWS, ids=_ids(FLAG_ROWS))
+def test_cli_flag_reaches_the_resolver(knob, clean_env, monkeypatch, capsys):
+    from repro.experiments import __main__ as cli
+
+    seen = {}
+    monkeypatch.setattr(cli, "run_experiment", _fake_runner(knob, seen))
+    assert cli.main([*_argv(knob), "table1"]) == 0
+    assert seen["value"] == SAMPLES[knob.name]
 
 
 @pytest.mark.parametrize("knob", FLAG_ROWS, ids=_ids(FLAG_ROWS))
@@ -167,11 +189,48 @@ def test_report_flag_reaches_the_resolver(knob, clean_env, monkeypatch, tmp_path
     seen = {}
 
     def fake_generate(path, seed=0, n_workers=1):
-        seen["value"] = knobs.resolve(knob.name)
+        seen["value"] = _reached(knob, n_workers)
 
     monkeypatch.setattr(report, "generate", fake_generate)
     assert report.main([*_argv(knob), "--out", str(tmp_path / "E.md")]) == 0
     assert seen["value"] == SAMPLES[knob.name]
+
+
+def test_unset_workers_flag_runs_the_default(clean_env, monkeypatch, capsys):
+    from repro.experiments import __main__ as cli
+
+    seen = {}
+    runner = _fake_runner(knobs.KNOBS["n_workers"], seen)
+    monkeypatch.setattr(cli, "run_experiment", runner)
+    assert cli.main(["table1"]) == 0
+    assert seen["value"] == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("cli_name", ["experiments", "report"])
+def test_cli_refuses_a_bad_worker_count(
+    cli_name, value, clean_env, monkeypatch, capsys, tmp_path
+):
+    """``--workers`` is checked with the other knob flags: exit 2 and
+    the row's message on both CLIs, before anything runs."""
+    from repro.experiments import __main__ as cli
+    from repro.experiments import report
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran with a bad worker count")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    monkeypatch.setattr(report, "generate", must_not_run)
+    argv = ["--workers", value, "--storage", "spill"]
+    if cli_name == "experiments":
+        main, argv = cli.main, [*argv, "table1"]
+    else:
+        main, argv = report.main, [*argv, "--out", str(tmp_path / "E.md")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "n_workers must be >= 1" in capsys.readouterr().err
+    assert "REPRO_STORAGE" not in os.environ
 
 
 def test_cli_refuses_an_out_of_bound_flag(clean_env, capsys):

@@ -88,30 +88,25 @@ def test_dishy_status_from_node(node):
     assert status.serving_satellite is not None
 
 
-def test_precompute_geometry_shared_across_nodes(shell):
-    from repro.nodes.rpi import _timeline_cache
+def test_precompute_geometry_fills_the_schedule_epochs(shell):
+    """The precompute puts exactly the epochs the schedule touches into
+    the bent pipe's link-state table, and the samples then hit it."""
+    from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
 
-    _timeline_cache.clear()
-    times = np.arange(0.0, 1800.0, 300.0)
-    first = MeasurementNode("wiltshire", shell=shell, seed=1)
-    second = MeasurementNode("wiltshire", shell=shell, seed=1)
-    timeline = first.precompute_geometry(times, horizon_s=30.0)
-    assert second.precompute_geometry(times, horizon_s=30.0) is timeline
-    assert second.bentpipe.timeline is timeline
-    # A different schedule is a different cache entry, not a false hit.
-    other = first.precompute_geometry(times + 3600.0, horizon_s=30.0)
-    assert other is not timeline
-
-
-def test_precompute_geometry_adopts_covering_campaign_timeline(shell):
-    node = MeasurementNode("wiltshire", shell=shell, seed=2)
-    supplied = node.bentpipe.build_timeline(0.0, 3600.0)
-    adopted = node.precompute_geometry([600.0, 1200.0], timeline=supplied)
-    assert adopted is supplied
-    assert node.bentpipe.timeline is supplied
-    # A timeline that misses scheduled epochs is ignored, not adopted.
-    recomputed = node.precompute_geometry([7200.0], timeline=supplied)
-    assert recomputed is not supplied
+    node = MeasurementNode("wiltshire", shell=shell, seed=1)
+    times = np.arange(0.0, 1800.0, 300.0) + 7.0
+    node.precompute_geometry(times, horizon_s=30.0)
+    touched = {
+        int(t // STARLINK_RESCHEDULE_INTERVAL_S)
+        for start in times
+        for t in (start, start + 15.0, start + 30.0)
+    }
+    assert len(touched) == 3 * len(times)
+    assert node.bentpipe.link_states.computed == len(touched)
+    for t in times:
+        node.speedtest(float(t))
+        node.bentpipe.loss_rate(float(t) + 30.0)
+    assert node.bentpipe.link_states.computed == len(touched)
 
 
 def test_precompute_geometry_matches_on_demand_scan(shell):

@@ -5,11 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.geo.cities import city
 from repro.orbits.constellation import starlink_shell1
-from repro.orbits.tracking import (
-    HandoverReason,
-    SatelliteTracker,
-    SelectionPolicy,
-)
+from repro.orbits.tracking import HandoverReason, SatelliteTracker
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +56,6 @@ def test_serving_elevation_above_mask(tracker):
         if sample.connected:
             # Mid-epoch dips are cut at the mask by LOS_LOST handling.
             assert sample.elevation_deg >= tracker.min_elevation_deg - 1e-6
-
-
-def test_min_range_policy_tracks_nearest(shell):
-    tracker = SatelliteTracker(
-        shell, city("london").location, policy=SelectionPolicy.MIN_RANGE
-    )
-    samples, _ = tracker.track(0.0, 60.0, 15.0)
-    assert all(s.connected for s in samples)
 
 
 def test_invalid_reschedule_interval():

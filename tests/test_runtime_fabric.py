@@ -220,6 +220,32 @@ def test_worker_times_out_without_plan(tmp_path):
         run_fabric_worker(str(tmp_path), plan_wait_s=0.2)
 
 
+def test_worker_fails_at_once_on_a_malformed_plan(tmp_path):
+    """A plan that is there but is not a plan fails the worker with the
+    parser's error at once, instead of being waited for."""
+    store = FsStore(str(tmp_path))
+    store.put_json("plan.json", {"version": 3, "fingerprint": "abc"})
+    started = time.monotonic()
+    with pytest.raises(FabricError, match="malformed fabric plan") as error:
+        run_fabric_worker(str(tmp_path), plan_wait_s=5.0)
+    assert time.monotonic() - started < 1.0
+    assert store.path_for("plan.json") in str(error.value)
+    assert "lease_ttl_s" in str(error.value)
+    # The coordinator's adopt path and the status view share the parser.
+    with pytest.raises(FabricError, match="malformed fabric plan"):
+        write_or_adopt_plan(CampaignConfig(**SMALL), store)
+    with pytest.raises(FabricError, match="malformed fabric plan"):
+        fabric_status(str(tmp_path))
+
+
+def test_worker_waits_for_a_plan_that_is_not_json_yet(tmp_path):
+    store = FsStore(str(tmp_path))
+    store.put("plan.json", b'{"version": 3, "fingerpr')
+    assert load_plan(store) is None
+    with pytest.raises(FabricError, match="no fabric plan"):
+        run_fabric_worker(str(tmp_path), plan_wait_s=0.2)
+
+
 def test_worker_exits_on_terminal_marker(tmp_path):
     FsStore(str(tmp_path)).put_json(CANCELLED_MARKER, {})
     summary = run_fabric_worker(str(tmp_path), plan_wait_s=30.0)

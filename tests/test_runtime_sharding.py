@@ -116,29 +116,6 @@ def test_serial_run_records_stats(serial_dataset):
     assert "worker" in stats.summary()
 
 
-def test_geometry_cache_shared_across_users():
-    """Per-user bent pipes of one city can share one serving timeline,
-    the packet-level geometry cache: the second user's lookups hit it,
-    while each user's link-state table stays its own."""
-    from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
-
-    campaign = ExtensionCampaign(CampaignConfig(**SMALL))
-    users = [u for u in campaign.population.users if u.isp.is_starlink]
-    first, second = users[0], users[1]
-    assert first.city_name == second.city_name  # London Starlink block
-    first_pipe = campaign.bentpipe_for_user(first)
-    second_pipe = campaign.bentpipe_for_user(second)
-    timeline = first_pipe.build_timeline(0.0, 3600.0)
-    second_pipe.attach_timeline(timeline)
-    hits_before = timeline.hits
-    state = second_pipe.link_state(100.0)
-    assert timeline.hits == hits_before + 1  # second user hit the cache
-    epoch = int(100.0 // STARLINK_RESCHEDULE_INTERVAL_S)
-    assert state.geometry == first_pipe._scan_epoch(epoch)
-    assert epoch in second_pipe.link_states
-    assert epoch not in first_pipe.link_states
-
-
 def test_campaign_link_states_are_batch_filled(monkeypatch):
     """Every link state a campaign reads is batch-filled: the lazy scan
     never runs, ``geometry_scans`` counts each (Starlink user, epoch)

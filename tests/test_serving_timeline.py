@@ -1,13 +1,12 @@
-"""ServingTimeline and link states: bit-identity with on-demand scans.
+"""The batch geometry kernel and link states: bit-identity with scans.
 
-The timeline precompute (``repro.starlink.timeline``) must reproduce
-``BentPipeModel.serving_geometry`` *exactly* — same serving satellite,
-same float ranges and elevations — across outages, obstruction masks
-and sparse epoch sets, because the campaign's link states are
-batch-filled from it and its determinism contract rides on them.
+The batch kernel (``repro.starlink.timeline``) must reproduce the
+single-epoch scan (``BentPipeModel._scan_epoch``) *exactly* — same
+serving satellite, same float ranges and elevations — across outages,
+obstruction masks and sparse epoch sets, because every precompute
+batch-fills a bent pipe's link-state table from it and the determinism
+contract rides on them.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.geo.cities import city
 from repro.orbits.constellation import starlink_shell1
 from repro.starlink.bentpipe import (
-    _CACHE_MISS,
     OUTAGE_RTT_PENALTY_S,
     PROCESSING_DELAY_S,
     SCHEDULER_DELAY_S,
@@ -25,7 +23,7 @@ from repro.starlink.bentpipe import (
 )
 from repro.starlink.obstruction import ObstructionMask
 from repro.starlink.pop import pop_for_city
-from repro.starlink.timeline import ServingTimeline, compute_serving_timeline
+from repro.starlink.timeline import compute_serving_timeline
 from repro.weather.history import WeatherHistory
 from repro.weather.impairment import impairment_for
 
@@ -45,23 +43,29 @@ def _model(city_name="london", shell=None, obstruction=None, **kwargs):
     )
 
 
-def _timeline_for(model, **kwargs):
+def _hours(n):
+    """The scheduler epochs of the first ``n`` hours."""
+    return np.arange(int(n * 3600 // STARLINK_RESCHEDULE_INTERVAL_S))
+
+
+def _kernel(model, epochs, **kwargs):
     return compute_serving_timeline(
         model.shell,
         model.terminal,
         model.gateway,
+        epochs,
         min_elevation_deg=model.min_elevation_deg,
         obstruction=model.obstruction,
         **kwargs,
     )
 
 
-def _assert_matches_scan(model, timeline):
-    """Every timeline epoch equals the on-demand scan, field for field."""
+def _assert_matches_scan(model, epochs, geometries):
+    """Every kernel geometry equals the scan's, field for field."""
+    assert len(geometries) == len(epochs)
     mismatches = 0
-    for epoch in timeline.epochs:
+    for epoch, got in zip(epochs, geometries):
         expected = model._scan_epoch(int(epoch))
-        got = timeline.lookup(int(epoch))
         if expected is None:
             mismatches += got is not None
             continue
@@ -80,101 +84,57 @@ def _assert_matches_scan(model, timeline):
 
 def test_timeline_matches_scan_over_multi_hour_window():
     model = _model()
-    timeline = _timeline_for(model, start_s=0.0, end_s=6 * 3600.0)
-    assert len(timeline) == 6 * 3600 // 15
-    _assert_matches_scan(model, timeline)
+    epochs = _hours(6)
+    assert len(epochs) == 6 * 3600 // 15
+    _assert_matches_scan(model, epochs, _kernel(model, epochs))
 
 
 def test_timeline_matches_scan_with_obstruction_and_outages():
     mask = ObstructionMask.generate(seed=3, severity="bad")
     model = _model("seattle", obstruction=mask)
-    timeline = _timeline_for(model, start_s=0.0, end_s=4 * 3600.0)
-    _assert_matches_scan(model, timeline)
+    geometries = _kernel(model, _hours(4))
+    _assert_matches_scan(model, _hours(4), geometries)
     # A bad mask must actually produce outage epochs, or the test
     # exercises nothing.
-    assert np.count_nonzero(timeline.sat_index < 0) > 0
+    assert geometries.count(None) > 0
 
 
 def test_sparse_shell_has_outages_and_matches():
     model = _model(shell=starlink_shell1(n_planes=8, sats_per_plane=4))
-    timeline = _timeline_for(model, start_s=0.0, end_s=3 * 3600.0)
-    assert np.count_nonzero(timeline.sat_index < 0) > 0
-    _assert_matches_scan(model, timeline)
+    geometries = _kernel(model, _hours(3))
+    assert geometries.count(None) > 0
+    _assert_matches_scan(model, _hours(3), geometries)
 
 
 def test_sparse_epoch_set_matches_scan():
     model = _model("barcelona")
     rng = np.random.default_rng(7)
     epochs = np.unique(rng.integers(0, 20_000, size=300))
-    timeline = _timeline_for(model, epochs=epochs)
-    assert len(timeline) == len(epochs)
-    _assert_matches_scan(model, timeline)
+    _assert_matches_scan(model, epochs, _kernel(model, epochs))
 
 
 def test_chunking_invariant():
     model = _model()
-    reference = _timeline_for(model, start_s=0.0, end_s=3600.0)
+    reference = _kernel(model, _hours(1))
     for chunk in (1, 17, 10_000):
-        other = _timeline_for(model, start_s=0.0, end_s=3600.0, chunk_epochs=chunk)
-        assert np.array_equal(other.sat_index, reference.sat_index)
-        assert np.array_equal(other.terminal_range_m, reference.terminal_range_m)
-        assert np.array_equal(other.gateway_range_m, reference.gateway_range_m)
-        assert np.array_equal(other.elevation_deg, reference.elevation_deg)
-
-
-def test_serving_geometry_uses_attached_timeline():
-    model = _model()
-    timeline = _timeline_for(model, start_s=0.0, end_s=3600.0)
-    expected = [model.serving_geometry(t) for t in np.arange(0.0, 3600.0, 7.5)]
-    model.attach_timeline(timeline)
-    got = [model.serving_geometry(t) for t in np.arange(0.0, 3600.0, 7.5)]
-    assert got == expected
-    assert timeline.hits == len(got)
-
-
-def test_lookup_outside_window_is_cache_miss_and_scan_fallback():
-    model = _model()
-    timeline = model.build_timeline(0.0, 600.0)
-    assert timeline.lookup(10**6) is _CACHE_MISS
-    # serving_geometry falls back to the scan outside the window.
-    far = 10**6 * STARLINK_RESCHEDULE_INTERVAL_S
-    assert model.serving_geometry(far) == model._scan_epoch(10**6)
-
-
-def test_timeline_pickle_roundtrip():
-    model = _model()
-    timeline = _timeline_for(model, start_s=0.0, end_s=1800.0)
-    clone = pickle.loads(pickle.dumps(timeline))
-    assert isinstance(clone, ServingTimeline)
-    assert np.array_equal(clone.epochs, timeline.epochs)
-    assert clone.geometries() == timeline.geometries()
-    assert clone.covers(int(timeline.epochs[0]))
+        assert _kernel(model, _hours(1), chunk_epochs=chunk) == reference
 
 
 def test_timeline_validates_inputs():
     model = _model()
     with pytest.raises(ConfigurationError):
-        _timeline_for(model)  # neither epochs nor a window
+        _kernel(model, np.array([3, 2, 1]))
     with pytest.raises(ConfigurationError):
-        _timeline_for(model, start_s=100.0, end_s=100.0)
+        _kernel(model, np.array([2, 2]))
     with pytest.raises(ConfigurationError):
-        _timeline_for(model, epochs=np.array([3, 2, 1]))
-    with pytest.raises(ConfigurationError):
-        _timeline_for(model, start_s=0.0, end_s=600.0, chunk_epochs=0)
-
-
-def test_nbytes_is_compact():
-    model = _model()
-    timeline = _timeline_for(model, start_s=0.0, end_s=86_400.0)
-    per_epoch = timeline.nbytes / len(timeline)
-    assert per_epoch <= 36.0  # ~28 bytes of payload + the epoch index
+        _kernel(model, _hours(1), chunk_epochs=0)
+    assert _kernel(model, np.array([], dtype=np.int64)) == []
 
 
 def test_campaign_precompute_counts_timeline_hits():
     """The campaign's precompute is the per-user link-state batch fill:
-    the stats count it as epochs computed and table hits, and since no
-    campaign bent pipe attaches a ``ServingTimeline`` they count no
-    timeline hits."""
+    the stats count it as epochs computed and table hits, and since the
+    table is a bent pipe's only geometry cache, timeline hits stay 0."""
     from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 
     config = CampaignConfig(
@@ -344,8 +304,7 @@ def test_negative_mask_timeline_matches_scan():
     mask = ObstructionMask.generate(seed=2, severity="bad")
     model = _model(obstruction=mask)
     model.min_elevation_deg = -5.0
-    timeline = _timeline_for(model, start_s=0.0, end_s=3600.0)
-    _assert_matches_scan(model, timeline)
+    _assert_matches_scan(model, _hours(1), _kernel(model, _hours(1)))
 
 
 def test_hemispheric_mask_degenerates_to_full_circle():
@@ -354,23 +313,3 @@ def test_hemispheric_mask_degenerates_to_full_circle():
     shell = starlink_shell1(n_planes=24, sats_per_plane=12)
     arcs = _candidate_arcs(city("london").location, shell, -90.0)
     assert arcs == [(0.0, _TWO_PI)]
-
-
-def test_covers_range_contiguous_and_sparse():
-    model = _model()
-    contiguous = _timeline_for(model, start_s=0.0, end_s=600.0)  # epochs 0..39
-    assert contiguous.covers_range(0, 39)
-    assert not contiguous.covers_range(0, 40)
-    assert not contiguous.covers_range(5, 2)
-    sparse = _timeline_for(model, epochs=np.array([2, 4, 8], dtype=np.int64))
-    assert sparse.covers_range(4, 4)
-    assert not sparse.covers_range(2, 4)  # 3 missing
-
-
-def test_ensure_timeline_reuses_covering_window():
-    model = _model()
-    first = model.ensure_timeline(0.0, 900.0)
-    assert model.ensure_timeline(0.0, 450.0) is first
-    wider = model.ensure_timeline(0.0, 1800.0)
-    assert wider is not first
-    assert model.ensure_timeline(0.0, 1800.0) is wider
