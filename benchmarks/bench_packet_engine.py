@@ -15,32 +15,39 @@ from __future__ import annotations
 import time
 
 from repro.geo.cities import city
+from repro.net.batch import run_iperf_tcp_batch, run_udp_burst_batch
 from repro.nodes.iperf import run_iperf_tcp, run_udp_burst
 from repro.starlink.access import AccessConfig, Scenario
 
 SPEEDUP_TARGET = 10.0
 SEEDS = (1, 2)
+#: Each engine's UDP-burst and TCP runners, called directly.
+ENGINES = {
+    "event": (run_udp_burst, run_iperf_tcp),
+    "batch": (run_udp_burst_batch, run_iperf_tcp_batch),
+}
 
 
-def _path(seed: int, engine: str):
+def _path(seed: int):
     return Scenario.broadband(
         city("london").location,
         city("n_virginia").location,
-        AccessConfig(seed=seed, engine=engine),
+        AccessConfig(seed=seed),
     ).build()
 
 
 def _workload(engine: str) -> dict:
     """One campaign-shaped packet pass; returns summary statistics."""
+    udp, tcp = ENGINES[engine]
     udp_received = 0
     udp_sent = 0
     tcp_goodput = 0.0
     for seed in SEEDS:
-        burst = run_udp_burst(_path(seed, engine), rate_bps=90e6, duration_s=8.0)
+        burst = udp(_path(seed), rate_bps=90e6, duration_s=8.0)
         udp_received += burst.packets_received
         udp_sent += burst.packets_sent
         for cc in ("cubic", "reno"):
-            flow = run_iperf_tcp(_path(seed, engine), cc=cc, duration_s=5.0)
+            flow = tcp(_path(seed), cc=cc, duration_s=5.0)
             tcp_goodput += flow.goodput_mbps
     return {
         "udp_sent": udp_sent,

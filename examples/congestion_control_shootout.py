@@ -1,11 +1,12 @@
 """Congestion control on Starlink vs clean Wi-Fi (Figure 8 scenario).
 
 Runs the five CCAs the paper tested (BBR, CUBIC, Reno, Veno, Vegas) as
-packet-level TCP flows: once over a bent pipe with handover burst loss
-and 15 s reconfiguration gaps, once over a clean fixed-broadband path,
-each normalised by the UDP-burst achievable rate.
+packet-level TCP flows on the batch packet engine: once over a bent pipe
+with handover burst loss and 15 s reconfiguration gaps, once over a
+clean fixed-broadband path, each normalised by the UDP-burst achievable
+rate.
 
-Run (takes ~1 minute):
+Run (takes under 10 seconds):
     python examples/congestion_control_shootout.py
 """
 

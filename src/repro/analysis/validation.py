@@ -262,9 +262,3 @@ def validate_or_raise(result: ExperimentResult) -> None:
             f"{result.experiment_id}: {len(failures)} shape check(s) failed: {details}"
         )
 
-
-def summary_line(result: ExperimentResult) -> str:
-    """`experiment: k/n shape checks pass` one-liner."""
-    outcomes = validate(result)
-    passed = sum(1 for o in outcomes if o.passed)
-    return f"{result.experiment_id}: {passed}/{len(outcomes)} shape checks pass"

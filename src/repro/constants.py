@@ -87,20 +87,3 @@ def orbital_period_s(altitude_m: float) -> float:
     semi_major = EARTH_RADIUS_M + altitude_m
     return 2.0 * math.pi * math.sqrt(semi_major**3 / EARTH_MU_M3_S2)
 
-
-def max_slant_range_m(altitude_m: float, min_elevation_deg: float) -> float:
-    """Maximum slant range to a satellite above the elevation mask.
-
-    Solves the ground-station/satellite triangle: with Earth radius ``Re``,
-    orbit radius ``Rs = Re + h`` and elevation ``e``, the law of cosines
-    gives ``d = -Re sin(e) + sqrt(Rs^2 - Re^2 cos^2(e))``.
-
-    For Starlink shell 1 (550 km, 25 degrees) this is ~1089 km, matching
-    the figure the paper quotes from SpaceX's FCC filings.
-    """
-    elevation_rad = math.radians(min_elevation_deg)
-    orbit_radius = EARTH_RADIUS_M + altitude_m
-    return (
-        -EARTH_RADIUS_M * math.sin(elevation_rad)
-        + math.sqrt(orbit_radius**2 - (EARTH_RADIUS_M * math.cos(elevation_rad)) ** 2)
-    )

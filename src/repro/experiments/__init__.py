@@ -23,7 +23,6 @@ from repro.experiments.base import (
     describe,
     describe_all,
     register,
-    run_all,
     run_experiment,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "describe",
     "describe_all",
     "register",
-    "run_all",
     "run_experiment",
 ]

@@ -12,8 +12,8 @@ so the harness prints them side by side, and a ``metrics`` dict that
 tests and EXPERIMENTS.md key on.
 
 :data:`EXPERIMENTS` is the central registry — ``python -m
-repro.experiments <id>``, :func:`run_experiment`, :func:`run_all` and
-the report generator all resolve through it.  (Importing
+repro.experiments <id>``, :func:`run_experiment` and the report
+generator all resolve through it.  (Importing
 ``repro.experiments`` populates it: the package ``__init__`` imports
 every experiment module in canonical artefact order.)
 """
@@ -26,7 +26,6 @@ from typing import Callable
 
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
-from repro.knobs import scoped
 
 REQUIRED_RUN_PARAMS = ("seed", "scale", "n_workers")
 """Parameters every registered experiment runner must accept."""
@@ -140,42 +139,26 @@ def run_experiment(
 
     ``n_workers`` is forwarded to every runner (the registry enforces
     the uniform signature); experiments without campaign work ignore it.
-    ``engine`` (``"event"``/``"batch"``) sets the packet engine for the
-    duration of the run: experiments build their own configs behind the
-    uniform signature, so the value is handed over through the knob's
-    ``REPRO_ENGINE`` variable (:func:`repro.knobs.scoped`), like the
-    CLI's flag.
+    Each packet-level experiment fixes its packet engine in its own
+    code and names it in its ``notes``.  ``engine`` is transitional: it
+    accepts only ``None`` or ``"batch"`` and changes nothing.
 
     Raises:
-        ConfigurationError: for unknown ids or engines.
+        ConfigurationError: for an unknown id, or an ``engine`` other
+            than ``None``/``"batch"``.
     """
+    if engine not in (None, "batch"):
+        raise ConfigurationError(
+            f"engine must be None or 'batch' (each experiment fixes its "
+            f"own packet engine), got {engine!r}"
+        )
     try:
         runner = EXPERIMENTS[experiment_id]
     except KeyError:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    with scoped({"engine": engine}):
-        return runner(seed=seed, scale=scale, n_workers=n_workers)
-
-
-def run_all(
-    seed: int = 0,
-    scale: float = 1.0,
-    n_workers: int = 1,
-    engine: str | None = None,
-) -> dict[str, "ExperimentResult"]:
-    """Run every experiment; returns id -> result."""
-    return {
-        experiment_id: run_experiment(
-            experiment_id,
-            seed=seed,
-            scale=scale,
-            n_workers=n_workers,
-            engine=engine,
-        )
-        for experiment_id in EXPERIMENTS
-    }
+    return runner(seed=seed, scale=scale, n_workers=n_workers)
 
 
 @dataclass

@@ -167,7 +167,12 @@ def run_geo_extension(
 def run_transport_extension(
     seed: int = 0, scale: float = 1.0, n_workers: int = 1
 ) -> ExperimentResult:
-    """BBR vs BBR-LEO on the Figure 8 blackout-heavy Starlink link."""
+    """BBR vs BBR-LEO on the Figure 8 blackout-heavy Starlink link.
+
+    Runs on the event engine (:mod:`repro.nodes.iperf`), unlike Figure
+    8 itself: per-packet RTO and recovery timing is what BBR-LEO
+    changes, and the batch engine's one-step-per-round model loses it.
+    """
     from repro.experiments.figure8 import LINK_RATE_BPS, _starlink_path
     from repro.nodes.iperf import run_iperf_tcp, run_udp_burst
     from repro.nodes.rpi import MeasurementNode
@@ -214,7 +219,11 @@ def run_transport_extension(
                 "capacity despite regular periods of high packet loss"
             ),
         },
-        notes="BBR-LEO keeps its bandwidth model across blackout RTOs.",
+        notes=(
+            "BBR-LEO keeps its bandwidth model across blackout RTOs.  Every "
+            "flow runs on the event packet engine: the batch engine's "
+            "round model does not reproduce BBR-LEO's gain (DESIGN.md §10)."
+        ),
     )
 
 

@@ -6,13 +6,16 @@ the maximum achievable rate measured with UDP bursts.  Paper findings:
 BBR clearly ahead on Starlink but still only ~half the UDP-achievable
 rate; on campus Wi-Fi (a low/no-loss regime) BBR exceeds 90% — i.e.
 Starlink's handover loss is heavy even for loss-tolerant designs.
+
+Every flow runs on the batch packet engine (:mod:`repro.net.batch`),
+within its DESIGN.md §10 fidelity limits; the result's ``notes`` say
+so.
 """
 
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, register
 from repro.geo.cities import city
-from repro.nodes.iperf import run_iperf_tcp, run_udp_burst
 from repro.nodes.rpi import MeasurementNode
 from repro.orbits.constellation import starlink_shell1
 from repro.starlink.access import AccessConfig, Scenario
@@ -92,6 +95,8 @@ def run(
     seed: int = 0, scale: float = 1.0, n_workers: int = 1
 ) -> ExperimentResult:
     """Run the CCA matrix on both environments."""
+    from repro.net.batch import run_iperf_tcp_batch, run_udp_burst_batch
+
     duration_s = max(20.0, 60.0 * scale)
     shell = starlink_shell1(n_planes=36, sats_per_plane=18)
     weather = WeatherHistory(seed=seed, duration_s=2 * 86_400.0)
@@ -105,12 +110,12 @@ def run(
     # paper's UDP burst measures the *maximum achievable* rate, i.e. a
     # best-case window — so the Starlink normaliser excludes the
     # reconfiguration gaps (handover residual loss only).
-    udp_starlink = run_udp_burst(
+    udp_starlink = run_udp_burst_batch(
         _starlink_path(node, t_start, duration_s, seed, with_epoch_gaps=False),
         rate_bps=LINK_RATE_BPS,
         duration_s=min(20.0, duration_s),
     )
-    udp_wifi = run_udp_burst(
+    udp_wifi = run_udp_burst_batch(
         _wifi_path(seed), rate_bps=LINK_RATE_BPS, duration_s=min(20.0, duration_s)
     )
 
@@ -121,12 +126,14 @@ def run(
         "udp_achievable_wifi_mbps": udp_wifi.achieved_mbps,
     }
     for cc in CCAS:
-        starlink_result = run_iperf_tcp(
+        starlink_result = run_iperf_tcp_batch(
             _starlink_path(node, t_start, duration_s, seed),
             cc=cc,
             duration_s=duration_s,
         )
-        wifi_result = run_iperf_tcp(_wifi_path(seed), cc=cc, duration_s=duration_s)
+        wifi_result = run_iperf_tcp_batch(
+            _wifi_path(seed), cc=cc, duration_s=duration_s
+        )
         norm_starlink = starlink_result.goodput_mbps / udp_starlink.achieved_mbps
         norm_wifi = wifi_result.goodput_mbps / udp_wifi.achieved_mbps
         rows.append(
@@ -157,6 +164,9 @@ def run(
         },
         notes=(
             "Link rate scaled to 30 Mbps for simulation tractability; the "
-            "normalised comparison is rate-invariant."
+            "normalised comparison is rate-invariant.  Every flow runs on "
+            "the batch packet engine, whose round model has two known "
+            "limits (DESIGN.md §10): Vegas biases high, and the no-SACK "
+            "Reno/Veno slow-start overshoot is not reproduced."
         ),
     )

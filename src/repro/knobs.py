@@ -1,15 +1,15 @@
 """Execution knobs: one table, one precedence rule.
 
 An *execution knob* changes how a campaign or experiment runs — start
-method, retries, checkpoints, storage, packet engine — never the
-records it produces or the artefacts computed from them (DESIGN.md
-§5).  Every knob is one row of :data:`KNOBS`, and every consumer reads
-its knob through :func:`resolve`, at the one place it is used::
+method, retries, checkpoints, storage — never the records it produces
+or the artefacts computed from them (DESIGN.md §5).  Every knob is one
+row of :data:`KNOBS`, and every consumer reads its knob through
+:func:`resolve`, at the one place it is used::
 
     explicit value  >  REPRO_* environment variable  >  default
 
-"Explicit" is whatever the consumer holds (a ``CampaignConfig`` or
-``AccessConfig`` field, a keyword argument); ``None`` means unset.
+"Explicit" is whatever the consumer holds (a ``CampaignConfig``
+field, a keyword argument); ``None`` means unset.
 The variables set a knob for a whole process, and carry the CLIs'
 flags to experiments that build their own configs behind the uniform
 runner signature (:func:`export`).  The CLI flags, the
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import operator
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -58,8 +57,6 @@ class Knob:
     any), ``bound`` is ``">= N"`` / ``"> N"`` for a number, and
     ``available`` returns the values this platform offers.  ``flag``
     is the CLI flag both CLIs take (``None``: no flag).
-    ``config_field`` says whether ``CampaignConfig`` carries the knob,
-    so the fingerprint excludes it.
     """
 
     name: str
@@ -71,7 +68,6 @@ class Knob:
     bound: str | None = None
     available: Callable[[], list[str]] | None = None
     flag: str | None = None
-    config_field: bool = True
 
     def check(self, value, source: str | None = None):
         """``value`` if the row allows it (ints widen to floats).
@@ -162,18 +158,14 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
          "temporary directory)"),
     Knob("storage_segment_records", int, 4096, bound=">= 1",
          help="records per storage segment (in RAM or on disk)"),
-    Knob("engine", str, "event", env="REPRO_ENGINE",
-         allowed=("event", "batch"), flag="--engine", config_field=False,
-         help="packet-path engine: 'event' is the heap-driven oracle, "
-         "'batch' the vectorised engine (statistically equivalent, "
-         ">=10x faster on packet-level experiments)"),
 )}
 # fmt: on
 
-#: ``CampaignConfig`` fields that steer execution, not data: two runs
-#: differing only here produce bit-identical datasets, so the campaign
-#: fingerprint excludes them and their checkpoints are interchangeable.
-EXECUTION_ONLY_FIELDS = frozenset(k.name for k in KNOBS.values() if k.config_field)
+#: ``CampaignConfig`` fields that steer execution, not data (every
+#: knob is one): two runs differing only here produce bit-identical
+#: datasets, so the campaign fingerprint excludes them and their
+#: checkpoints are interchangeable.
+EXECUTION_ONLY_FIELDS = frozenset(KNOBS)
 
 
 def resolve(name: str, explicit=None):
@@ -193,42 +185,19 @@ def resolve(name: str, explicit=None):
     return knob.default() if callable(knob.default) else knob.default
 
 
-def check(name: str, value):
-    """``value`` checked against knob ``name``'s row (``None`` passes)."""
-    return value if value is None else KNOBS[name].check(value)
-
-
-def export(values: Mapping[str, object]) -> dict[str, str | None]:
+def export(values: Mapping[str, object]) -> None:
     """Hand explicit knob values to later :func:`resolve` calls.
 
     Checks every non-``None`` entry of ``values`` (knob name → value)
     whose knob has a variable, then writes them all to the environment.
-    Returns each written variable's previous value (``None``: unset).
     """
     checked = [
         (knob, knob.check(values[knob.name]))
         for knob in KNOBS.values()
         if knob.env is not None and values.get(knob.name) is not None
     ]
-    previous = {}
     for knob, value in checked:
-        previous[knob.env] = os.environ.get(knob.env)
         os.environ[knob.env] = knob.render(value)
-    return previous
-
-
-@contextmanager
-def scoped(values: Mapping[str, object]):
-    """:func:`export` ``values`` for the duration of a ``with`` block."""
-    previous = export(values)
-    try:
-        yield
-    finally:
-        for env, value in previous.items():
-            if value is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = value
 
 
 def add_flags(parser) -> None:

@@ -24,10 +24,10 @@ wall-clock.  This module advances whole flows in numpy chunks instead:
 
 The event engine remains the bit-exact oracle: single-link behaviour is
 identity-tested against it, end-to-end paths are pinned statistically
-(DESIGN.md §10 states the equivalence contract).  Select engines with
-``AccessConfig(engine=...)``, ``run_experiment(..., engine=...)``,
-``--engine {event,batch}`` on the CLI, or ``REPRO_ENGINE`` — the
-``engine`` row of the knob table (:mod:`repro.knobs`).
+(DESIGN.md §10 states the equivalence contract).  There is no engine
+switch: a caller picks an engine by calling it — Figure 8 calls
+:func:`run_udp_burst_batch` and :func:`run_iperf_tcp_batch`, while
+:mod:`repro.nodes.iperf` runs the event engine.
 """
 
 from __future__ import annotations

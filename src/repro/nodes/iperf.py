@@ -4,8 +4,10 @@ Two fidelities, mirroring how the experiments use them:
 
 * **Packet-level** (:func:`run_iperf_tcp`, :func:`run_udp_burst`): real
   TCP flows / UDP packet trains over an :class:`AccessPath`'s simulated
-  network.  Used where transport dynamics are the object of study
-  (Figure 8's congestion-control comparison, validation tests).
+  network, on the event engine.  Used where transport dynamics are the
+  object of study (the BBR-LEO extension, validation tests).  Figure 8
+  calls the batch engine's equivalents in :mod:`repro.net.batch`
+  instead (DESIGN.md §10).
 * **Analytic** (:func:`analytic_udp_loss_fraction`): expected loss over
   a test window from the handover-burst loss process, with binomial
   sampling at the probe rate.  Used for the hundreds of cron-driven
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.knobs import resolve
 from repro.net.packet import Packet, Protocol
 from repro.starlink.access import AccessPath
 from repro.tcp.flow import TcpFlow
@@ -65,22 +66,12 @@ def run_iperf_tcp(
     duration_s: float = 10.0,
     download: bool = True,
     drain_s: float = 3.0,
-    engine: str | None = None,
 ) -> IperfResult:
     """Run a TCP throughput test over a built access path.
 
     ``download=True`` sends server->client (the usual iperf3 -R
-    direction for the paper's downlink measurements).  ``engine``
-    overrides the path's resolved packet engine (``"event"`` runs the
-    heap-driven oracle, ``"batch"`` the vectorised engine of
-    :mod:`repro.net.batch`).
+    direction for the paper's downlink measurements).
     """
-    if resolve("engine", engine or path.engine) == "batch":
-        from repro.net.batch import run_iperf_tcp_batch
-
-        return run_iperf_tcp_batch(
-            path, cc=cc, duration_s=duration_s, download=download, drain_s=drain_s
-        )
     src, dst = (path.server, path.client) if download else (path.client, path.server)
     flow = TcpFlow(path.network, src, dst, cc=cc, duration_s=duration_s,
                    start_s=path.network.sim.now)
@@ -104,25 +95,12 @@ def run_udp_burst(
     packet_bytes: int = 1472,
     download: bool = True,
     drain_s: float = 3.0,
-    engine: str | None = None,
 ) -> UdpBurstResult:
     """Blast UDP at a fixed rate and measure delivery (iperf3 -u).
 
     The paper uses UDP bursts to estimate the maximum achievable link
-    rate, normalising Figure 8's TCP results against it.  ``engine``
-    overrides the path's resolved packet engine.
+    rate, normalising Figure 8's TCP results against it.
     """
-    if resolve("engine", engine or path.engine) == "batch":
-        from repro.net.batch import run_udp_burst_batch
-
-        return run_udp_burst_batch(
-            path,
-            rate_bps,
-            duration_s=duration_s,
-            packet_bytes=packet_bytes,
-            download=download,
-            drain_s=drain_s,
-        )
     if rate_bps <= 0:
         raise ConfigurationError(f"rate must be positive: {rate_bps}")
     network = path.network

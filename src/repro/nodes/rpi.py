@@ -137,7 +137,6 @@ class MeasurementNode:
         stochastic_wireless_queueing: bool = True,
         duration_hint_s: float = 30.0,
         seed: int = 0,
-        engine: str | None = None,
     ) -> AccessPath:
         """Access path to the node's GCP server at campaign time ``t_s``."""
         loss_dl = None
@@ -150,7 +149,6 @@ class MeasurementNode:
             time_offset_s=t_s,
             stochastic_wireless_queueing=stochastic_wireless_queueing,
             seed=seed,
-            engine=engine,
         )
         return Scenario.starlink(
             self.bentpipe, self.server_city.location, config
@@ -161,15 +159,14 @@ class MeasurementNode:
         t_s: float,
         cc: str = "cubic",
         duration_s: float = 10.0,
-        engine: str | None = None,
     ) -> IperfResult:
-        """Packet-level TCP download test at campaign time ``t_s``."""
+        """Packet-level TCP download test at campaign time ``t_s``, on
+        the event engine."""
         path = self.build_path(
             t_s,
             with_handover_loss=True,
             stochastic_wireless_queueing=False,
             duration_hint_s=duration_s,
-            engine=engine,
         )
         return run_iperf_tcp(path, cc=cc, duration_s=duration_s)
 

@@ -37,7 +37,6 @@ import numpy as np
 from repro.constants import SPEED_OF_LIGHT_M_S
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_distance_m
-from repro.knobs import check, resolve
 from repro.net.link import Link
 from repro.net.loss import LossModel
 from repro.net.queues import DropTailQueue
@@ -90,10 +89,6 @@ class AccessConfig:
         transit_queue_mean_s: Mean queueing delay per transit hop.
         wifi_delay_s: Client-to-router Wi-Fi delay (broadband only).
         ran_delay_s: Radio-access delay (cellular only).
-        engine: Packet-path engine — ``"event"`` (heap-driven oracle),
-            ``"batch"`` (vectorised, see :mod:`repro.net.batch`), or
-            ``None`` (unset) to defer to ``REPRO_ENGINE`` / the event
-            default (the ``engine`` knob, DESIGN.md §5).
     """
 
     dl_rate_bps: float | None = None
@@ -107,10 +102,6 @@ class AccessConfig:
     transit_queue_mean_s: float | None = None
     wifi_delay_s: float = 0.002
     ran_delay_s: float = 0.023
-    engine: str | None = None
-
-    def __post_init__(self) -> None:
-        check("engine", self.engine)
 
 
 @dataclass
@@ -127,9 +118,6 @@ class AccessPath:
         access_forward: Client->core direction of the access link.
         access_reverse: Core->client direction of the access link
             (the downlink bottleneck for download tests).
-        engine: Resolved packet-path engine for flows over this path
-            (``"event"`` or ``"batch"``; packet-level consumers such as
-            :mod:`repro.nodes.iperf` dispatch on it).
     """
 
     network: Network
@@ -140,7 +128,6 @@ class AccessPath:
     bentpipe: BentPipeModel | None = None
     access_forward: Link | None = None
     access_reverse: Link | None = None
-    engine: str = "event"
 
 
 @dataclass
@@ -244,26 +231,22 @@ class Scenario:
 
     def build(self) -> AccessPath:
         """Assemble the network for this scenario and return the path."""
-        engine = resolve("engine", self.config.engine)
         if self.technology is AccessTechnology.STARLINK:
             if self.bentpipe is None:
                 raise ConfigurationError("Starlink scenario needs a bentpipe")
-            path = _build_starlink_path(
+            return _build_starlink_path(
                 self.bentpipe, self.server_location, self.config
             )
-        else:
-            if self.client_location is None:
-                raise ConfigurationError(
-                    f"{self.technology.value} scenario needs a client_location"
-                )
-            builder = {
-                AccessTechnology.BROADBAND: _build_broadband_path,
-                AccessTechnology.CELLULAR: _build_cellular_path,
-                AccessTechnology.GEO_SATELLITE: _build_geo_path,
-            }[self.technology]
-            path = builder(self.client_location, self.server_location, self.config)
-        path.engine = engine
-        return path
+        if self.client_location is None:
+            raise ConfigurationError(
+                f"{self.technology.value} scenario needs a client_location"
+            )
+        builder = {
+            AccessTechnology.BROADBAND: _build_broadband_path,
+            AccessTechnology.CELLULAR: _build_cellular_path,
+            AccessTechnology.GEO_SATELLITE: _build_geo_path,
+        }[self.technology]
+        return builder(self.client_location, self.server_location, self.config)
 
 
 def _jitter_sampler(rng: np.random.Generator, mean_s: float):

@@ -153,45 +153,3 @@ class ObstructionMask:
             )
         return cls(wedges=wedges)
 
-
-def obstruction_outage_fraction(
-    mask: ObstructionMask,
-    shell,
-    observer,
-    duration_s: float = 1800.0,
-    step_s: float = 15.0,
-    min_elevation_deg: float = 25.0,
-) -> float:
-    """Fraction of scheduler epochs with no *unobstructed* satellite.
-
-    This is the obstruction-induced outage the dishy app reports after
-    its sky scan: instants where satellites exist above the mask but
-    every one of them sits behind a blocked wedge.
-
-    The whole sweep rides the chunked batch-geometry kernel — one
-    vectorised propagation per chunk instead of one
-    ``visible_satellites`` scan per epoch; the per-epoch outage
-    decision (and hence the returned fraction) is unchanged.
-    """
-    import math
-
-    from repro.orbits.visibility import geometry_grid_chunks
-
-    times = np.arange(0.0, duration_s, step_s)
-    outages = 0
-    for _, east, north, up, elevation in geometry_grid_chunks(
-        shell, observer, times
-    ):
-        visible = elevation >= min_elevation_deg
-        for r in range(elevation.shape[0]):
-            visible_idx = np.flatnonzero(visible[r])
-            if len(visible_idx) == 0:
-                outages += 1
-                continue
-            for i in visible_idx:
-                azimuth = math.degrees(math.atan2(east[r, i], north[r, i])) % 360.0
-                if not mask.blocks(azimuth, float(elevation[r, i])):
-                    break
-            else:
-                outages += 1
-    return outages / len(times)

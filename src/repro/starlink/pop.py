@@ -77,7 +77,3 @@ def pop_for_city(user_city: City | str) -> PoP:
         known = ", ".join(sorted(_CITY_TO_POP))
         raise KeyError(f"no PoP assignment for city {name!r}; known: {known}") from None
 
-
-def all_pops() -> dict[str, PoP]:
-    """All defined PoPs, keyed by short name."""
-    return dict(_POPS)

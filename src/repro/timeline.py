@@ -18,9 +18,6 @@ CAMPAIGN_START = datetime(2021, 12, 1, tzinfo=timezone.utc)
 CAMPAIGN_DURATION_S = 183 * 86_400.0
 """Nominal six-month campaign length (Dec 2021 - May 2022), seconds."""
 
-SECONDS_PER_DAY = 86_400.0
-
-
 def date_to_t(year: int, month: int, day: int, hour: int = 0, minute: int = 0) -> float:
     """Campaign seconds for a UTC calendar instant.
 
@@ -41,11 +38,6 @@ def t_to_datetime(t_s: float) -> datetime:
 def t_to_isoformat(t_s: float) -> str:
     """ISO-8601 string (minute resolution) for a campaign timestamp."""
     return t_to_datetime(t_s).strftime("%Y-%m-%d %H:%M")
-
-
-def day_of_campaign(t_s: float) -> int:
-    """Zero-based campaign day index for a timestamp."""
-    return int(t_s // SECONDS_PER_DAY)
 
 
 # Calendar-anchored events from the paper, in campaign seconds.

@@ -10,27 +10,15 @@ keep the conversions explicit and typo-proof.
 from __future__ import annotations
 
 MS_PER_S = 1_000.0
-US_PER_S = 1_000_000.0
 BITS_PER_BYTE = 8
 MBPS = 1_000_000.0
 KBPS = 1_000.0
 GBPS = 1_000_000_000.0
-KM = 1_000.0
 
 
 def s_to_ms(seconds: float) -> float:
     """Convert seconds to milliseconds."""
     return seconds * MS_PER_S
-
-
-def ms_to_s(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds / MS_PER_S
-
-
-def s_to_us(seconds: float) -> float:
-    """Convert seconds to microseconds."""
-    return seconds * US_PER_S
 
 
 def bps_to_mbps(bits_per_second: float) -> float:
@@ -46,21 +34,6 @@ def mbps_to_bps(megabits_per_second: float) -> float:
 def bytes_to_bits(n_bytes: float) -> float:
     """Convert a byte count to bits."""
     return n_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(n_bits: float) -> float:
-    """Convert a bit count to bytes."""
-    return n_bits / BITS_PER_BYTE
-
-
-def m_to_km(metres: float) -> float:
-    """Convert metres to kilometres."""
-    return metres / KM
-
-
-def km_to_m(kilometres: float) -> float:
-    """Convert kilometres to metres."""
-    return kilometres * KM
 
 
 def transmission_delay_s(size_bytes: float, rate_bps: float) -> float:

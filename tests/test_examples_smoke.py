@@ -1,8 +1,8 @@
 """Smoke tests: the runnable examples must stay runnable.
 
 Each fast example is executed in a subprocess exactly as a user would
-run it; slow ones (packet-level TCP, full ASCII figures) are covered by
-the benchmark suite instead.
+run it; slow ones (campaign-scale studies, full ASCII figures) are
+covered by the benchmark suite instead.
 """
 
 import subprocess
@@ -18,6 +18,7 @@ FAST_EXAMPLES = [
     "isl_routing.py",
     "measurement_node_day.py",
     "handover_loss_timeline.py",
+    "congestion_control_shootout.py",
 ]
 
 

@@ -34,7 +34,6 @@ SAMPLES = {
     "storage": "spill",
     "storage_dir": "segments",
     "storage_segment_records": 512,
-    "engine": "batch",
 }
 
 #: A value each knob's row refuses (directory knobs take any string).
@@ -47,7 +46,6 @@ BAD = {
     "mp_start_method": "threads",
     "storage": "cloud",
     "storage_segment_records": 0,
-    "engine": "warp",
 }
 BAD_ENV_ROWS = [knob for knob in ENV_ROWS if knob.name in BAD]
 BAD_EXPLICIT_ROWS = [k for k in ROWS if k.name in BAD and k.kind is not bool]
@@ -119,22 +117,21 @@ def test_bad_explicit_value_names_the_knob(knob, clean_env):
     bad = BAD[knob.name]
     with pytest.raises(ConfigurationError, match=knob.name):
         knobs.resolve(knob.name, bad)
-    if knob.config_field:
-        with pytest.raises(ConfigurationError, match=knob.name):
-            CampaignConfig(**{knob.name: bad})
-        with pytest.raises(ConfigurationError, match=knob.name):
-            CampaignConfig.from_json_dict({knob.name: bad})
+    with pytest.raises(ConfigurationError, match=knob.name):
+        CampaignConfig(**{knob.name: bad})
+    with pytest.raises(ConfigurationError, match=knob.name):
+        CampaignConfig.from_json_dict({knob.name: bad})
 
 
 def test_config_fields_are_the_table_rows():
-    """The config carries exactly the table's config-field knobs, with
-    the same plain defaults, and the fingerprint excludes them."""
+    """The config carries every knob of the table as a field, with the
+    same plain defaults, and the fingerprint excludes them."""
     from repro.runtime.checkpoint import campaign_fingerprint
 
     fields = {f.name: f for f in dataclasses.fields(CampaignConfig)}
     assert len(fields) == 17
-    assert "engine" not in fields
-    rows = {knob.name for knob in ROWS if knob.config_field}
+    rows = set(knobs.KNOBS)
+    assert rows <= set(fields)
     assert knobs.EXECUTION_ONLY_FIELDS == rows
     assert CampaignConfig.execution_only_fields() == rows
     for name in rows:
@@ -243,18 +240,6 @@ def test_cli_refuses_an_out_of_bound_flag(clean_env, capsys):
     assert "REPRO_MAX_RETRIES" not in os.environ
 
 
-def test_scoped_restores_the_environment(clean_env, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "event")
-    with knobs.scoped({"engine": "batch", "storage": None}):
-        assert knobs.resolve("engine") == "batch"
-        assert "REPRO_STORAGE" not in os.environ
-    assert os.environ["REPRO_ENGINE"] == "event"
-    with pytest.raises(ConfigurationError, match="engine"):
-        with knobs.scoped({"engine": "warp"}):
-            pass
-    assert os.environ["REPRO_ENGINE"] == "event"
-
-
 # -- each consumer reads its knob through the resolver ----------------------
 
 
@@ -302,15 +287,6 @@ def _storage_dir(value):
     return backend_for_config(config).directory
 
 
-def _engine(value):
-    from repro.geo.cities import city
-    from repro.starlink.access import AccessConfig, Scenario
-
-    london, virginia = city("london").location, city("n_virginia").location
-    scenario = Scenario.broadband(london, virginia, AccessConfig(engine=value))
-    return scenario.build().engine
-
-
 #: Knob → its consumer, called with the explicit value (``None``:
 #: unset) and returning the value the consumer ends up with.
 CONSUMERS = {
@@ -320,7 +296,6 @@ CONSUMERS = {
     "checkpoint_dir": _checkpoint_root,
     "storage": _storage,
     "storage_dir": _storage_dir,
-    "engine": _engine,
 }
 
 

@@ -1,7 +1,9 @@
-"""Batch packet-path engine: oracle identity, equivalence, selection.
+"""Batch packet-path engine: oracle identity and equivalence.
 
-Three layers of contract against the heap-driven event engine
-(DESIGN.md §10):
+Two layers of contract against the heap-driven event engine
+(DESIGN.md §10), each engine called directly (``run_udp_burst`` /
+``run_iperf_tcp`` are the event engine, ``run_*_batch`` the batch
+engine):
 
 * **Single link: bit-identical.**  FIFO serialisation, tail-drop
   admission, loss-model draws, and the monotone-delivery clamp must
@@ -9,8 +11,9 @@ Three layers of contract against the heap-driven event engine
 * **End-to-end paths: statistically pinned.**  Multi-link RNG streams
   are consumed in chunk order rather than global event order, so
   engines are compared via pooled-over-seeds goodput/loss ratios.
-* **Selection plumbing.**  ``AccessConfig(engine=...)``, the
-  ``REPRO_ENGINE`` fallback, and CLI/experiment scoping.
+
+No switch picks an engine: each experiment calls one, so the
+transitional ``run_experiment(engine=)`` changes nothing.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.geo.cities import city
-from repro.knobs import KNOBS
 from repro.net.batch import (
     BatchHop,
     BatchPath,
     fifo_horizon,
+    run_iperf_tcp_batch,
     run_udp_burst_batch,
     transmit_fifo,
 )
@@ -42,8 +45,9 @@ from repro.nodes.iperf import run_iperf_tcp, run_udp_burst
 from repro.rng import stream
 from repro.starlink.access import AccessConfig, Scenario
 
-#: The packet engine knob's variable (see ``tests/test_knobs.py``).
-ENGINE_ENV = KNOBS["engine"].env
+#: Each engine's UDP-burst and TCP runners, called directly.
+UDP = {"event": run_udp_burst, "batch": run_udp_burst_batch}
+TCP = {"event": run_iperf_tcp, "batch": run_iperf_tcp_batch}
 
 
 # -- helpers ----------------------------------------------------------------
@@ -104,16 +108,15 @@ def _batch_hop(rate_bps, capacity_bytes, loss, extra_delay):
     )
 
 
-def _broadband(seed, engine, loss_factory=None):
+def _broadband(seed, loss_factory=None):
     path = Scenario.broadband(
         city("london").location,
         city("n_virginia").location,
-        AccessConfig(seed=seed, engine=engine),
+        AccessConfig(seed=seed),
     ).build()
     if loss_factory is not None:
         # The download bottleneck link; both engines read ``link.loss``.
         path.network.node("isp-edge").links["wifi-router"].loss = loss_factory(seed)
-        path.engine = engine
     return path
 
 
@@ -312,10 +315,10 @@ def test_overflow_and_loss_interact_identically(loss_rate):
 
 
 def test_udp_burst_engines_identical_below_capacity():
-    results = {}
-    for engine in ("event", "batch"):
-        path = _broadband(1, engine)
-        results[engine] = run_udp_burst(path, rate_bps=30e6, duration_s=2.0)
+    results = {
+        engine: run(_broadband(1), rate_bps=30e6, duration_s=2.0)
+        for engine, run in UDP.items()
+    }
     assert results["event"].packets_sent == results["batch"].packets_sent
     assert results["event"].packets_received == results["batch"].packets_received
     assert results["event"].loss_fraction == 0.0
@@ -325,10 +328,10 @@ def test_udp_burst_engines_identical_below_capacity():
 def test_udp_burst_engines_close_in_overload():
     """Overload drops depend on FP rounding at queue-full boundaries;
     engines may differ by a handful of packets, not more."""
-    results = {}
-    for engine in ("event", "batch"):
-        path = _broadband(1, engine)
-        results[engine] = run_udp_burst(path, rate_bps=100e6, duration_s=2.0)
+    results = {
+        engine: run(_broadband(1), rate_bps=100e6, duration_s=2.0)
+        for engine, run in UDP.items()
+    }
     event, batch = results["event"], results["batch"]
     assert event.packets_sent == batch.packets_sent
     assert batch.packets_received == pytest.approx(event.packets_received, rel=0.01)
@@ -380,10 +383,9 @@ TCP_EQUIVALENCE_CASES = [
 def test_tcp_engines_statistically_equivalent(cc, loss_factory, band):
     seeds = (1, 2)
     goodput = {"event": 0.0, "batch": 0.0}
-    for engine in goodput:
+    for engine, run in TCP.items():
         for seed in seeds:
-            path = _broadband(seed, engine, loss_factory)
-            result = run_iperf_tcp(path, cc=cc, duration_s=4.0)
+            result = run(_broadband(seed, loss_factory), cc=cc, duration_s=4.0)
             assert result.goodput_mbps > 0.0
             goodput[engine] += result.goodput_mbps
     ratio = goodput["batch"] / goodput["event"]
@@ -398,80 +400,39 @@ def test_delay_based_cca_ordering_preserved():
     """Vegas backs off on queueing delay long before loss-based CCAs;
     both engines must preserve that qualitative ordering even though
     the batch engine's per-round RTT sampling biases Vegas high."""
-    for engine in ("event", "batch"):
-        vegas = run_iperf_tcp(_broadband(1, engine), cc="vegas", duration_s=4.0)
-        cubic = run_iperf_tcp(_broadband(1, engine), cc="cubic", duration_s=4.0)
+    for engine, run in TCP.items():
+        vegas = run(_broadband(1), cc="vegas", duration_s=4.0)
+        cubic = run(_broadband(1), cc="cubic", duration_s=4.0)
         assert vegas.goodput_mbps < 0.5 * cubic.goodput_mbps, engine
 
 
 def test_tcp_min_rtt_close_across_engines():
-    rtts = {}
-    for engine in ("event", "batch"):
-        rtts[engine] = run_iperf_tcp(
-            _broadband(1, engine), cc="cubic", duration_s=4.0
-        ).min_rtt_ms
+    rtts = {
+        engine: run(_broadband(1), cc="cubic", duration_s=4.0).min_rtt_ms
+        for engine, run in TCP.items()
+    }
     assert rtts["batch"] == pytest.approx(rtts["event"], rel=0.05)
 
 
-# -- engine selection plumbing ----------------------------------------------
+# -- one engine per experiment ----------------------------------------------
 
 
-def test_access_config_validates_engine():
-    with pytest.raises(ConfigurationError, match="engine must be one of"):
-        AccessConfig(engine="warp")
-
-
-def test_built_path_resolves_engine_from_env(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV, "batch")
-    assert _broadband(0, None).engine == "batch"
-    monkeypatch.delenv(ENGINE_ENV)
-    assert _broadband(0, None).engine == "event"
-
-
-def test_run_udp_burst_dispatches_on_path_engine():
-    direct = run_udp_burst_batch(_broadband(4, "event"), rate_bps=20e6, duration_s=1.0)
-    routed = run_udp_burst(_broadband(4, "batch"), rate_bps=20e6, duration_s=1.0)
-    assert routed == direct
-
-
-def test_run_iperf_explicit_engine_overrides_path():
-    event_path = _broadband(4, "event")
-    result = run_udp_burst(event_path, rate_bps=20e6, duration_s=1.0, engine="batch")
-    assert result == run_udp_burst_batch(
-        _broadband(4, "event"), rate_bps=20e6, duration_s=1.0
-    )
-
-
-def test_run_experiment_scopes_engine_env(monkeypatch):
-    import os
-
+def test_run_experiment_engine_accepts_only_batch(monkeypatch):
+    """The transitional ``engine=`` changes nothing; any value but
+    ``None``/``"batch"`` is refused, naming the argument."""
     from repro.experiments import run_experiment
     from repro.experiments.base import EXPERIMENTS, ExperimentResult
 
-    seen = {}
+    calls = []
 
     def fake_runner(seed=0, scale=1.0, n_workers=1):
-        seen["engine"] = os.environ.get(ENGINE_ENV)
+        calls.append((seed, scale, n_workers))
         return ExperimentResult(experiment_id="_engine_probe", title="probe")
 
     monkeypatch.setitem(EXPERIMENTS, "_engine_probe", fake_runner)
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    run_experiment("_engine_probe", engine="batch")
-    assert seen["engine"] == "batch"
-    assert ENGINE_ENV not in os.environ  # restored afterwards
-
-
-def test_cli_engine_flag_sets_env(monkeypatch):
-    import os
-
-    from repro.experiments.__main__ import apply_runtime_env
-
-    # setenv first so monkeypatch records the original (unset) state and
-    # teardown removes whatever apply_runtime_env writes.
-    monkeypatch.setenv(ENGINE_ENV, "event")
-
-    class Args:
-        engine = "batch"
-
-    apply_runtime_env(Args())
-    assert os.environ.get(ENGINE_ENV) == "batch"
+    run_experiment("_engine_probe", seed=3)
+    run_experiment("_engine_probe", seed=3, engine="batch")
+    assert calls == [(3, 1.0, 1), (3, 1.0, 1)]
+    with pytest.raises(ConfigurationError, match="engine"):
+        run_experiment("_engine_probe", engine="event")
+    assert len(calls) == 2

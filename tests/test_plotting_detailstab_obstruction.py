@@ -238,25 +238,6 @@ def test_generate_rejects_unknown_severity():
         ObstructionMask.generate(seed=0, severity="apocalyptic")
 
 
-def test_obstruction_creates_outages():
-    from repro.geo.cities import city
-    from repro.orbits.constellation import starlink_shell1
-    from repro.starlink.obstruction import (
-        ObstructionMask,
-        ObstructionWedge,
-        obstruction_outage_fraction,
-    )
-
-    shell = starlink_shell1(n_planes=12, sats_per_plane=8)
-    london = city("london").location
-    clear = ObstructionMask([])
-    # A brutal 300-degree 70-degree-horizon wall.
-    walled = ObstructionMask([ObstructionWedge(0.0, 300.0, 70.0)])
-    clear_outage = obstruction_outage_fraction(clear, shell, london, 900.0)
-    walled_outage = obstruction_outage_fraction(walled, shell, london, 900.0)
-    assert walled_outage > clear_outage
-
-
 def test_filter_visible_drops_blocked():
     from repro.geo.cities import city
     from repro.orbits.constellation import starlink_shell1

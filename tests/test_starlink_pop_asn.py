@@ -6,7 +6,7 @@ from repro.constants import AS_GOOGLE, AS_SPACEX
 from repro.geo.coordinates import great_circle_distance_m
 from repro.geo.cities import city
 from repro.starlink.asn import AsPlan
-from repro.starlink.pop import all_pops, pop_for_city
+from repro.starlink.pop import pop_for_city
 from repro.timeline import LONDON_AS_SWITCH_T, SYDNEY_AS_SWITCH_T
 
 
@@ -39,7 +39,9 @@ def test_pop_reasonably_close_to_city():
 
 
 def test_gateway_near_pop():
-    for pop in all_pops().values():
+    from repro.starlink.pop import _POPS
+
+    for pop in _POPS.values():
         assert great_circle_distance_m(pop.location, pop.gateway) < 200e3
 
 

@@ -21,11 +21,6 @@ def test_isoformat():
     assert timeline.t_to_isoformat(0.0) == "2021-12-01 00:00"
 
 
-def test_day_of_campaign():
-    assert timeline.day_of_campaign(0.0) == 0
-    assert timeline.day_of_campaign(86_400.0 * 3 + 100) == 3
-
-
 def test_as_switch_ordering():
     # London switched (Feb) before Sydney (Apr).
     assert timeline.LONDON_AS_SWITCH_T < timeline.SYDNEY_AS_SWITCH_T

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.validation import (
     Check,
     SHAPE_EXPECTATIONS,
-    summary_line,
     validate,
     validate_or_raise,
 )
@@ -56,6 +55,3 @@ def test_validation_against_live_experiments():
                                  ("ablation_ptt", 0.3), ("extension_geo", 0.5)):
         result = run_experiment(experiment_id, seed=0, scale=scale)
         validate_or_raise(result)
-        line = summary_line(result)
-        assert line.endswith("shape checks pass")
-        assert experiment_id in line
