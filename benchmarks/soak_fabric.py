@@ -149,6 +149,7 @@ def main(argv: list[str]) -> int:
 
     from repro.extension.campaign import CampaignConfig, ExtensionCampaign
     from repro.runtime.fabric import FabricCoordinator, terminal_marker
+    from repro.runtime.shard import plan_campaign
 
     preset = PRESETS[args.preset]
     config = CampaignConfig(
@@ -173,7 +174,7 @@ def main(argv: list[str]) -> int:
     coordinator = FabricCoordinator(
         config,
         fabric_dir,
-        n_shards=preset["n_shards"],
+        shards=plan_campaign(config, preset["n_shards"])[1],
         lease_ttl_s=args.lease_ttl,
         straggler_floor_s=max(10.0, 4 * args.lease_ttl),
     )
@@ -252,7 +253,7 @@ def main(argv: list[str]) -> int:
     churn_thread.start()
     started = time.time()
     try:
-        dataset, stats = coordinator.run(local_workers=())
+        dataset, stats = coordinator.run()
     finally:
         churn_stop.set()
         churn_thread.join(timeout=10.0)

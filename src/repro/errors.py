@@ -42,16 +42,19 @@ class DatasetError(ReproError):
 
 
 class SupervisionError(ReproError):
-    """The supervised campaign runtime reached an unrecoverable state."""
+    """The multi-process campaign runtime reached an unrecoverable state."""
 
 
 class ShardFailedError(SupervisionError):
-    """A shard exhausted its retry budget (and no fallback was allowed).
+    """A shard used up its re-dispatch budget (``max_shard_retries``).
+
+    Raised once every other shard was accepted and stored, so a resumed
+    run re-runs only the lost shard(s).
 
     Attributes:
-        failures: The :class:`repro.runtime.supervision.ShardFailure`
-            log of every attempt the supervisor made, across all
-            shards, up to the point the campaign was abandoned.
+        failures: The :class:`repro.runtime.shard.ShardFailure` log of
+            every failed attempt, across all shards, up to the point
+            the campaign was abandoned.
     """
 
     def __init__(self, message: str, failures=()):
@@ -62,10 +65,10 @@ class ShardFailedError(SupervisionError):
 class CampaignCancelledError(SupervisionError):
     """A campaign run was cancelled before every shard completed.
 
-    Raised by the supervised dispatcher when its ``should_stop`` seam
+    Raised by the campaign executor when its ``should_stop`` seam
     fires.  Shards that completed before the cancel were already
-    checkpointed (when a checkpoint store is configured), so a later
-    resume re-runs only what the cancel lost.
+    stored (in the checkpoint directory, when one is configured), so a
+    later resume re-runs only what the cancel lost.
 
     Attributes:
         completed_shards: Shards accepted before the cancel took effect.
@@ -81,12 +84,12 @@ class CampaignCancelledError(SupervisionError):
 
 
 class FabricError(SupervisionError):
-    """The multi-host campaign fabric reached an unrecoverable state.
+    """The campaign fabric reached an unrecoverable state.
 
-    Raised by the fabric coordinator when a shard exhausts its
-    re-dispatch budget, when every local worker dies with work still
-    unclaimed, or when a fabric directory belongs to a different
-    campaign fingerprint.
+    Raised by the fabric coordinator when every local worker exits with
+    work still unclaimed, when a fabric directory belongs to a
+    different campaign fingerprint, or by a worker that finds no
+    usable plan.
     """
 
 

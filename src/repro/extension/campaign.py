@@ -70,24 +70,30 @@ class CampaignConfig:
             by speedtest-focused experiments to gather enough samples
             without inflating page-load volume.
         n_workers: Worker processes for :meth:`ExtensionCampaign.run`.
-            1 runs serially in-process; any value produces the same
-            dataset (the per-user determinism contract).
+            1 runs serially in-process; more shards run on local fabric
+            worker processes (the one multi-process placement, see
+            :func:`repro.runtime.supervision.supervise_shards`); any
+            value produces the same dataset (the per-user determinism
+            contract).
         mp_start_method: Multiprocessing start method
-            (``fork``/``spawn``/``forkserver``) for sharded runs.
-        shard_timeout_s: Per-shard-attempt wall-clock budget for the
-            supervisor; hung workers are killed and the shard retried.
-        max_shard_retries: Re-attempts per shard after its first
-            failure before the supervisor degrades to an in-process
-            run.
-        retry_backoff_s: Base delay of the supervisor's exponential
-            retry backoff.
-        checkpoint_dir: Spill directory for completed shards (resume
-            support); unset means no checkpointing.
+            (``fork``/``spawn``/``forkserver``) for the workers.
+        shard_timeout_s: Longest a worker may hold a shard's lease; a
+            longer hold is revoked (a local worker is terminated) and
+            the shard re-dispatched.  Caps the coordinator's straggler
+            deadline, and applies before that rule has samples.
+        max_shard_retries: Re-dispatches per shard after its first
+            failure before the run fails with ``ShardFailedError``.
+        retry_backoff_s: Base delay of the exponential re-dispatch
+            backoff.
+        checkpoint_dir: Directory for completed shards (resume
+            support): the campaign fingerprint's directory under it
+            holds an in-process run's shard, or a multi-shard run's
+            fabric directory; unset means no checkpointing.
         resume: Adopt surviving checkpointed shards (validated against
             the config fingerprint and the planned partition) instead
             of re-running them.  ``False`` counts as unset, so
             ``REPRO_RESUME=1`` still turns resuming on.  None of the
-            supervision/checkpoint knobs ever change the dataset —
+            recovery/checkpoint knobs ever change the dataset —
             recovery is bit-identical by the determinism contract.
         storage: Dataset storage backend — ``memory`` (default,
             typed numpy columns in RAM) or ``spill`` (the same columns

@@ -133,15 +133,16 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
     Knob("resume", bool, False, env="REPRO_RESUME", flag="--resume",
          help="adopt surviving checkpointed shards from --checkpoint-dir "
          "instead of re-running them (bit-identical dataset)"),
-    Knob("max_shard_retries", int, 2, env="REPRO_MAX_RETRIES", bound=">= 0",
+    Knob("max_shard_retries", int, 8, env="REPRO_MAX_RETRIES", bound=">= 0",
          flag="--max-retries",
-         help="supervisor re-attempts per failed campaign shard"),
+         help="re-dispatches per failed campaign shard before the run "
+         "fails"),
     Knob("shard_timeout_s", float, None, env="REPRO_SHARD_TIMEOUT_S",
          bound="> 0", flag="--shard-timeout",
-         help="kill and retry campaign shards exceeding this wall-clock "
-         "budget (unset: no timeout)"),
+         help="revoke and re-dispatch a shard lease held longer than this "
+         "(caps the straggler deadline; unset: straggler rule only)"),
     Knob("retry_backoff_s", float, 0.05, bound=">= 0",
-         help="base delay of the supervisor's exponential retry backoff"),
+         help="base delay of the exponential re-dispatch backoff"),
     Knob("mp_start_method", str, _default_start_method, env="REPRO_MP_START",
          allowed=("fork", "spawn", "forkserver"), available=_start_methods,
          flag="--mp-start",

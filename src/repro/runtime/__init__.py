@@ -10,28 +10,28 @@ reproducibility — and keeps it running when workers don't:
   step   choices                                    code
   =====  =========================================  ========================
   plan   LPT shards, empty ones dropped             ``plan_campaign``
-  place  in-process (one shard), supervised         ``run_campaign``,
-         processes, or fabric leases                ``FabricCoordinator``
+  place  in-process (one shard), or local fabric    ``run_campaign``,
+         worker processes (more shards)             ``supervise_shards``
   sink   every shard's records merged into the      ``merge_shard_results``
          config's storage backend
   =====  =========================================  ========================
 
   Every shard runs one body (``run_shard``) and returns its users'
   records encoded once, in the worker, as typed columns
-  (``ShardResult``) — the one type a worker pickles, a checkpoint
+  (``ShardResult``) — the one type a worker spills, a checkpoint
   stores and the merge adopts.
 
 * :mod:`repro.runtime.shard` — shard planning (balanced, deterministic),
-  the shard body, with timing/throughput counters.
-* :mod:`repro.runtime.supervision` — the supervising dispatcher:
-  per-shard timeouts, crash detection, bounded-backoff retries,
-  in-process graceful degradation, and a structured failure log.
+  the shard body, with timing/throughput counters and failure records.
+* :mod:`repro.runtime.supervision` — the one multi-process placement:
+  local fabric workers for a planned campaign, kept alive and replaced
+  while shards remain, driven by the fabric coordinator.
 * :mod:`repro.runtime.faults` — deterministic seeded fault injection
-  (crash/hang/slow/corrupt per shard attempt) so all of the above is
-  testable without flaky real crashes.
+  (crash/hang/slow/corrupt/lease loss/torn segment per shard attempt)
+  so all of the above is testable without flaky real crashes.
 * :mod:`repro.runtime.checkpoint` — completed-shard spill keyed by a
   config fingerprint, so killed campaigns resume instead of restart;
-  a checkpoint file is a shard result's columns.
+  a checkpoint file (a fabric segment) is a shard result's columns.
 * :mod:`repro.runtime.merge` — the sink: one stable sort of the
   shards' columns by user index, validated against the planned
   partition and adopted by the storage backend.
@@ -42,10 +42,10 @@ reproducibility — and keeps it running when workers don't:
 * :mod:`repro.runtime.lease` — shard leases over the store (atomic
   claim, heartbeats, fences, worker registry): the multi-host
   coordination primitive.
-* :mod:`repro.runtime.fabric` — the fault-tolerant multi-host campaign
-  fabric: coordinator + independent workers over a shared coordination
-  namespace, with straggler re-dispatch, work stealing and
-  chaos-tested recovery.
+* :mod:`repro.runtime.fabric` — the fault-tolerant campaign fabric:
+  coordinator + independent workers over a shared coordination
+  namespace, with crash and deadline recovery, one re-dispatch budget,
+  work stealing, adopt-on-restart and chaos-tested recovery.
 
 The engine's invariant: a campaign run with ``n_workers=N`` produces a
 ``Dataset`` bit-for-bit identical to the serial run for every N — and,
@@ -62,9 +62,9 @@ from repro.runtime.fabric import (
     fabric_status,
     run_fabric_campaign,
     run_fabric_worker,
+    straggler_deadline_s,
 )
 from repro.runtime.faults import (
-    HOST_FAULT_KINDS,
     Fault,
     FaultKind,
     FaultPlan,
@@ -80,22 +80,18 @@ from repro.runtime.lease import (
     WorkerRegistry,
 )
 from repro.runtime.merge import merge_shard_results
-from repro.runtime.pool import plan_campaign, run_campaign
+from repro.runtime.pool import run_campaign
 from repro.runtime.shard import (
     CampaignRunStats,
+    ShardFailure,
     ShardResult,
     ShardStats,
+    plan_campaign,
     plan_shards,
     run_shard,
 )
 from repro.runtime.store import CoordinationStore, FsStore, StoredObject
-from repro.runtime.supervision import (
-    ShardFailure,
-    SupervisorPolicy,
-    straggler_deadline_s,
-    supervise_shards,
-    validate_shard_result,
-)
+from repro.runtime.supervision import supervise_shards
 
 __all__ = [
     "CampaignRunStats",
@@ -107,7 +103,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FsStore",
-    "HOST_FAULT_KINDS",
     "LeaseDir",
     "LeaseHeartbeat",
     "LeaseRecord",
@@ -115,7 +110,6 @@ __all__ = [
     "ShardResult",
     "ShardStats",
     "StoredObject",
-    "SupervisorPolicy",
     "WorkerRegistry",
     "campaign_fingerprint",
     "corrupt_plan",
@@ -132,5 +126,4 @@ __all__ = [
     "run_shard",
     "straggler_deadline_s",
     "supervise_shards",
-    "validate_shard_result",
 ]

@@ -1,13 +1,14 @@
 """Shard-level campaign checkpointing: spill, fingerprint, resume.
 
-A killed campaign (power loss, OOM, ctrl-C, a supervisor giving up on
-a poisoned shard) should not forfeit the shards that already finished.
-The supervisor spills every accepted :class:`ShardResult` into a
-checkpoint directory as soon as it completes; a later run with
-``resume`` enabled reloads the surviving shards and re-runs only the
-missing ones.  The determinism contract (DESIGN.md §6) is what makes
-this sound: a re-run shard is bit-identical to the one that was lost,
-so resumed and fresh campaigns produce the same dataset.
+A killed campaign (power loss, OOM, ctrl-C, a shard that used up its
+re-dispatch budget) should not forfeit the shards that already
+finished.  Every finished shard is spilled as soon as it completes —
+by an in-process run into its checkpoint directory, by a fabric worker
+as its segment — and a later run with ``resume`` enabled reloads the
+surviving shards and re-runs only the missing ones.  The determinism
+contract (DESIGN.md §6) is what makes this sound: a re-run shard is
+bit-identical to the one that was lost, so resumed and fresh campaigns
+produce the same dataset.
 
 **Spill format.** A checkpoint file is a shard result as it is: the
 :class:`~repro.runtime.shard.ShardResult`'s typed column arrays (the

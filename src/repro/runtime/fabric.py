@@ -1,40 +1,49 @@
-"""The fault-tolerant multi-host campaign fabric.
+"""The fault-tolerant campaign fabric: every multi-process placement.
 
 The paper's campaign ran for months on a fleet of flaky vantage
-points; the single-host supervisor (:mod:`repro.runtime.supervision`)
-already treats *process* death as routine, and this module extends the
-same posture to *hosts*.  A campaign runs as one coordinator plus any
-number of worker processes — on one machine or many — that share
-nothing but the fabric directory, through which they coordinate with
-POSIX primitives (:class:`~repro.runtime.store.FsStore`).
+points, and the fabric treats worker death — of a process or of a host
+— as routine.  A campaign with more than one shard runs as one
+coordinator plus any number of worker processes — on one machine or
+many — that share nothing but the fabric directory, through which they
+coordinate with POSIX primitives (:class:`~repro.runtime.store.FsStore`).
+:func:`repro.runtime.supervision.supervise_shards` is the one function
+that starts local workers for a coordinator; workers on other hosts
+join the same directory with ``repro.experiments worker``.
 
-* The **coordinator** derives the shard plan deterministically from
-  the :class:`~repro.extension.campaign.CampaignConfig` (fingerprinted
-  — see :func:`~repro.runtime.checkpoint.campaign_fingerprint`) and
-  publishes it as ``plan.json`` with a create-exclusive put;
-  restarting a coordinator over an existing fabric directory *adopts*
-  the plan and every already-valid manifest, so coordinator death
-  loses nothing either.
-* **Workers** (``repro.experiments worker`` on any host) claim shard
-  leases atomically, heartbeat while computing, spill each finished
-  shard as a checksummed columnar segment through the established
-  :class:`~repro.runtime.checkpoint.CheckpointStore` format, and offer
-  a completion manifest created exclusively — first valid manifest
-  wins, always (see :mod:`repro.runtime.lease`).
-* The **coordinator loop** revokes leases whose heartbeats expired
-  (worker death), whose holder's registry entry says ``exited``
-  (fast-path before TTL), or that are held past a percentile-based
-  straggler deadline (:func:`~repro.runtime.supervision.straggler_deadline_s`);
-  revoked shards re-dispatch with bounded exponential backoff and are
-  picked up by whichever worker is idle first — work stealing falls
-  out of the claim protocol, since every worker polls every
-  unmanifested shard.  Arriving manifests are validated by *loading*
-  the segment (internal sha256, fingerprint, exact user-index set);
-  torn segments are quarantined and the shard re-dispatched.
-* Every lease transition (claimed / expired / lost / straggler /
-  re-dispatched / stolen / completed / discarded / quarantined) is
-  appended to the coordinator's structured log (``log.jsonl`` through
-  the store) and kept on the returned :class:`FabricRunStats`.
+* The **coordinator** publishes the campaign's shard partition
+  (fingerprinted — see
+  :func:`~repro.runtime.checkpoint.campaign_fingerprint`) as
+  ``plan.json`` with a create-exclusive put; restarting a coordinator
+  over an existing fabric directory *adopts* the plan and every
+  already-valid manifest, so coordinator death loses nothing either.
+* **Workers** claim shard leases atomically, heartbeat while computing,
+  spill each finished shard as a checksummed columnar segment through
+  the established :class:`~repro.runtime.checkpoint.CheckpointStore`
+  format, and offer a completion manifest created exclusively — first
+  valid manifest wins, always (see :mod:`repro.runtime.lease`).  A
+  shard that raises leaves an error document naming the exception.
+* The **coordinator loop** revokes a lease whose holder died (a local
+  worker's process handle, or a heartbeat silent past the TTL), whose
+  shard raised, or that is held past the deadline — the
+  percentile-based straggler rule (:func:`straggler_deadline_s`),
+  capped by the ``shard_timeout_s`` knob; a local worker past the
+  deadline is terminated.  Dead or terminated local workers are
+  replaced while shards remain.  Revoked shards re-dispatch with
+  bounded exponential backoff (the ``retry_backoff_s`` and
+  ``max_shard_retries`` knobs) and are picked up by whichever worker is
+  idle first — work stealing falls out of the claim protocol.
+  Arriving manifests are validated by *loading* the segment (internal
+  sha256, fingerprint, exact user-index set); torn or corrupt segments
+  are quarantined and the shard re-dispatched.  A shard that uses up
+  its budget fails the run with
+  :class:`~repro.errors.ShardFailedError` once every other shard is
+  stored.
+* Every lease transition (claimed / expired / revoked / lost /
+  straggler / re-dispatched / exhausted / stolen / completed / resumed /
+  discarded / quarantined) and worker replacement is appended to the
+  coordinator's structured log (``log.jsonl`` through the store) and
+  kept on the returned :class:`FabricRunStats`; the run's failure
+  records are read off it.
 
 Correctness rests on two pillars.  (1) *Determinism*: every record is
 a pure function of ``(config, user)``, so any re-dispatch recomputes
@@ -59,18 +68,22 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import shutil
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import (
     CampaignCancelledError,
     ConfigurationError,
     FabricError,
+    ShardFailedError,
 )
 from repro.extension.backends import backend_for_config
+from repro.knobs import resolve
 from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
-from repro.runtime.faults import FaultKind, FaultPlan
+from repro.runtime.faults import FaultKind, FaultPlan, apply_post_run, apply_pre_run
 from repro.runtime.lease import (
     DEFAULT_LEASE_TTL_S,
     LeaseDir,
@@ -79,10 +92,13 @@ from repro.runtime.lease import (
     default_worker_id,
 )
 from repro.runtime.merge import merge_shard_results
-from repro.runtime.pool import mp_context, plan_campaign
-from repro.runtime.shard import CampaignRunStats, run_shard
+from repro.runtime.shard import (
+    CampaignRunStats,
+    ShardFailure,
+    plan_campaign,
+    run_shard,
+)
 from repro.runtime.store import CoordinationStore, FsStore
-from repro.runtime.supervision import straggler_deadline_s
 
 #: ``plan.json`` schema version (3 drops version 2's advisory ``store``
 #: field, which named the coordination store).
@@ -95,20 +111,25 @@ CANCELLED_MARKER = "CANCELLED"
 FAILED_MARKER = "FAILED"
 _MARKERS = (DONE_MARKER, CANCELLED_MARKER, FAILED_MARKER)
 
-#: Default cap on re-dispatches of one shard before the campaign fails.
-DEFAULT_MAX_REDISPATCHES = 8
+#: Upper bound on any one re-dispatch backoff delay.
+BACKOFF_MAX_S = 2.0
 
 #: Coordination key layout: each key is the file at that path under
 #: the fabric directory.
 PLAN_KEY = "plan.json"
 LOG_KEY = "log.jsonl"
 LEASES_PREFIX = "leases/"
+HOLDS_PREFIX = "holds/"
 WORKERS_PREFIX = "workers/"
 DISCARDS_PREFIX = "discards/"
+ERRORS_PREFIX = "errors/"
+
+#: Lease-log event types that each record one failed shard attempt.
+_FAILURE_EVENTS = ("shard_redispatched", "shard_exhausted")
 
 
 def _hold_key(shard_id: int) -> str:
-    return f"holds/shard-{shard_id:04d}.json"
+    return f"{HOLDS_PREFIX}shard-{shard_id:04d}.json"
 
 
 def _manifest_key(shard_id: int) -> str:
@@ -120,7 +141,11 @@ def _rejected_key(shard_id: int, attempt: int) -> str:
 
 
 def _discard_key(shard_id: int, token: str) -> str:
-    return f"discards/shard-{shard_id:04d}-{token}.json"
+    return f"{DISCARDS_PREFIX}shard-{shard_id:04d}-{token}.json"
+
+
+def _error_key(shard_id: int, token: str) -> str:
+    return f"{ERRORS_PREFIX}shard-{shard_id:04d}-{token}.json"
 
 
 def terminal_marker(store: CoordinationStore) -> str | None:
@@ -146,6 +171,26 @@ class FabricPaths:
             os.makedirs(directory, exist_ok=True)
 
 
+def reset_fabric_dir(fabric_dir: str) -> None:
+    """Drop a fabric directory's plan, coordination keys and segments,
+    so the next coordinator over it starts afresh; other files stay."""
+    for name in (PLAN_KEY, LOG_KEY, *_MARKERS):
+        path = os.path.join(fabric_dir, name)
+        if os.path.exists(path):
+            os.remove(path)
+    for name in (
+        "manifests",
+        "leases",
+        "holds",
+        "workers",
+        "discards",
+        "errors",
+        "segments",
+        "quarantine",
+    ):
+        shutil.rmtree(os.path.join(fabric_dir, name), ignore_errors=True)
+
+
 @dataclass(frozen=True)
 class FabricPlan:
     """The published shard plan every participant agrees on."""
@@ -168,25 +213,26 @@ class FabricPlan:
 def write_or_adopt_plan(
     config,
     store: FsStore,
-    n_shards: int | None = None,
+    shards=None,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
 ) -> FabricPlan:
     """Publish ``plan.json`` — or adopt an existing one.
 
-    The partition is the campaign executor's
-    (:func:`~repro.runtime.pool.plan_campaign`, ``n_shards`` defaulting
-    to one per worker).  The plan is created with the store's
-    create-exclusive put so two racing coordinators agree on one
-    partition.  An existing plan is adopted only when its campaign
-    fingerprint matches this config (a fabric directory never mixes
-    campaigns); its shard partition and TTL win over the arguments, so
-    a restarted coordinator with a different ``n_shards`` still merges
-    the original partition.
+    ``shards`` is the campaign executor's partition, ``(shard_id,
+    user_indices)`` pairs (:func:`~repro.runtime.shard.plan_campaign`;
+    ``None`` plans one shard per worker here).  The plan is created
+    with the store's create-exclusive put so two racing coordinators
+    agree on one partition.  An existing plan is adopted only when its
+    campaign fingerprint matches this config (a fabric directory never
+    mixes campaigns); its shard partition and TTL win over the
+    arguments, so a restarted coordinator with another partition still
+    merges the original one.
     """
     fingerprint = campaign_fingerprint(config)
     plan = load_plan(store)
     if plan is None and not store.exists(PLAN_KEY):
-        _, shards = plan_campaign(config, n_shards)
+        if shards is None:
+            _, shards = plan_campaign(config)
         planned = [(shard_id, tuple(indices)) for shard_id, indices in shards]
         to_json = getattr(config, "to_json_dict", None)
         doc = {
@@ -286,6 +332,39 @@ class FabricRunStats(CampaignRunStats):
         )
 
 
+def straggler_deadline_s(
+    durations_s,
+    percentile: float = 95.0,
+    multiplier: float = 3.0,
+    floor_s: float = 1.0,
+    min_samples: int = 3,
+) -> float | None:
+    """Percentile-based per-shard deadline from observed durations.
+
+    The coordinator calls this with the wall-clock durations of shards
+    that already completed: a shard still held past ``multiplier``
+    times the ``percentile``-th duration is a straggler worth
+    re-dispatching.  Returns ``None`` until ``min_samples`` durations
+    exist — with too few samples any deadline is noise, and a premature
+    revocation would churn a healthy fleet.  ``floor_s`` bounds the
+    deadline from below so uniformly tiny shards don't produce a
+    hair-trigger.
+    """
+    if multiplier <= 0:
+        raise ConfigurationError(
+            f"straggler multiplier must be positive, got {multiplier}"
+        )
+    if not 0.0 < percentile <= 100.0:
+        raise ConfigurationError(
+            f"straggler percentile must be in (0, 100], got {percentile}"
+        )
+    samples = [float(d) for d in durations_s]
+    if len(samples) < max(1, min_samples):
+        return None
+    reference = float(np.percentile(np.asarray(samples), percentile))
+    return max(float(floor_s), multiplier * reference)
+
+
 # -- worker --------------------------------------------------------------
 
 
@@ -317,9 +396,9 @@ def run_fabric_worker(
     create-exclusive put (a lost race writes a discard marker
     instead).  Exits when the coordinator drops a terminal marker, or
     after ``idle_exit_s`` without claimable work (``None`` waits
-    indefinitely).  Host-level faults from ``fault_plan`` (keyed
-    ``(shard_id, attempt)``) are injected here — see
-    :data:`~repro.runtime.faults.HOST_FAULT_KINDS`.
+    indefinitely).  Faults from ``fault_plan`` (keyed ``(shard_id,
+    attempt)``, see :mod:`repro.runtime.faults`) are injected after
+    the claim.
 
     Returns a summary dict (``worker_id``, ``shards_completed``,
     ``manifests_discarded``).
@@ -382,7 +461,9 @@ def run_fabric_worker(
                 attempt = 0
                 hold = store.get_json(_hold_key(shard_id))
                 if hold is not None:
-                    if float(hold.get("not_before", 0.0)) > time.time():
+                    if hold.get("exhausted") or (
+                        float(hold.get("not_before", 0.0)) > time.time()
+                    ):
                         continue
                     attempt = int(hold.get("attempt", 0))
                 record = leases.claim(shard_id, worker_id, attempt)
@@ -438,7 +519,9 @@ def _run_claimed_shard(
 
     ``"completed"`` (our manifest won), ``"discarded"`` (a sibling's
     attempt won first — discard marker written), or ``"failed"`` (the
-    shard raised; the lease is released so the coordinator re-dispatches).
+    shard raised: an error document names the exception, and the lease
+    stays for the coordinator to revoke, so the shard is re-claimed
+    only at the next attempt).
     """
     shard_id = record.shard_id
     attempt = record.attempt
@@ -447,16 +530,8 @@ def _run_claimed_shard(
     heartbeat = LeaseHeartbeat(leases, record, heartbeat_interval_s).start()
     outcome = "failed"
     try:
-        if fault is not None and fault.kind is FaultKind.DEAD_HEARTBEAT:
-            # Die like a host does: no cleanup, no release — the lease
-            # stays behind and its heartbeat simply stops.
-            time.sleep(fault.delay_s)
-            os._exit(fault.exitcode)
-        result = run_shard(config, shard_id, list(indices))
-        if fault is not None and fault.kind is FaultKind.STRAGGLER:
-            # Dawdle while the heartbeat thread keeps the lease fresh —
-            # only the percentile deadline can recover this shard.
-            time.sleep(fault.delay_s)
+        apply_pre_run(fault)
+        result = apply_post_run(fault, run_shard(config, shard_id, list(indices)))
         if fault is not None and fault.kind is FaultKind.LEASE_LOSS:
             # Fence our own token (as a coordinator revocation or a
             # shared-FS hiccup would); the background beat trips the
@@ -493,12 +568,22 @@ def _run_claimed_shard(
             )
     except FabricError:
         raise
-    except Exception:  # noqa: BLE001 - release the lease, let the
-        # coordinator re-dispatch; a worker must survive one bad shard.
-        outcome = "failed"
+    except Exception as exc:  # noqa: BLE001 - a worker must survive one
+        # bad shard: report it and let the coordinator re-dispatch.
+        store.put_json(
+            _error_key(shard_id, record.token),
+            {
+                "shard_id": shard_id,
+                "worker_id": record.worker_id,
+                "token": record.token,
+                "attempt": attempt,
+                "error": f"{type(exc).__name__}: {exc}",
+            },
+        )
     finally:
         heartbeat.stop()
-        leases.release(heartbeat.record)
+        if outcome != "failed":
+            leases.release(heartbeat.record)
         registry.set_idle(
             completed=outcome == "completed",
             discarded=outcome == "discarded",
@@ -522,32 +607,37 @@ def _fabric_worker_entry(
 
 
 class FabricCoordinator:
-    """Plans, watches, recovers and merges one fabric campaign."""
+    """Plans, watches, recovers and merges one fabric campaign.
+
+    The re-dispatch budget, backoff base and deadline cap are the
+    config's ``max_shard_retries``, ``retry_backoff_s`` and
+    ``shard_timeout_s`` knobs (DESIGN.md §5).
+    """
 
     def __init__(
         self,
         config,
         fabric_dir: str,
         *,
-        n_shards: int | None = None,
+        shards=None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         poll_interval_s: float = 0.05,
         straggler_percentile: float = 95.0,
         straggler_multiplier: float = 3.0,
         straggler_floor_s: float = 5.0,
         straggler_min_samples: int = 3,
-        redispatch_backoff_base_s: float = 0.05,
-        redispatch_backoff_max_s: float = 2.0,
-        max_redispatches: int = DEFAULT_MAX_REDISPATCHES,
         on_event=None,
     ):
         self.config = config
         self.paths = FabricPaths(fabric_dir)
         self.paths.ensure()
         self.store = FsStore(fabric_dir)
-        self.plan = write_or_adopt_plan(
-            config, self.store, n_shards=n_shards, lease_ttl_s=lease_ttl_s
-        )
+        self.plan = write_or_adopt_plan(config, self.store, shards, lease_ttl_s)
+        if terminal_marker(self.store) is not None:
+            # The run that wrote the marker is over and its workers have
+            # exited or been torn down: its leases, holds and error
+            # reports are stale, and the marker would stop our workers.
+            self._clear_finished_run()
         self.leases = LeaseDir(
             self.store, ttl_s=self.plan.lease_ttl_s, prefix=LEASES_PREFIX
         )
@@ -557,27 +647,39 @@ class FabricCoordinator:
         self.straggler_multiplier = straggler_multiplier
         self.straggler_floor_s = straggler_floor_s
         self.straggler_min_samples = straggler_min_samples
-        self.redispatch_backoff_base_s = redispatch_backoff_base_s
-        self.redispatch_backoff_max_s = redispatch_backoff_max_s
-        self.max_redispatches = max_redispatches
+        self.max_retries = resolve("max_shard_retries", config.max_shard_retries)
+        self.backoff_base_s = resolve("retry_backoff_s", config.retry_backoff_s)
+        self.shard_timeout_s = resolve("shard_timeout_s", config.shard_timeout_s)
         self.on_event = on_event
         self.lease_log: list[dict] = []
         # per-shard recovery book-keeping
         self._seen_token: dict[int, str] = {}
+        #: Lease tokens whose attempt's outcome is recorded (accepted,
+        #: rejected or revoked): never revoked or reported lost again.
+        self._settled: set[str] = set()
         self._holder: dict[int, str] = {}
-        self._last_attempt: dict[int, int] = {}
         self._claimed_at: dict[str, float] = {}
         self._redispatches: dict[int, int] = {}
         self._pending: dict[int, dict] = {}  # sid -> revocation context
+        self._exhausted: set[int] = set()
         self._manifest_first_seen: dict[int, float] = {}
         self._seen_discards: set[str] = set()
+        self._seen_errors: set[str] = set()
         self._durations: list[float] = []
         self._counters = {
             "redispatched": 0,
             "stolen": 0,
             "discarded": 0,
             "quarantined": 0,
+            "resumed": 0,
         }
+
+    def _clear_finished_run(self) -> None:
+        for name in _MARKERS:
+            self.store.delete(name)
+        for prefix in (LEASES_PREFIX, HOLDS_PREFIX, ERRORS_PREFIX):
+            for key in self.store.list_prefix(prefix):
+                self.store.delete(key)
 
     # -- logging -------------------------------------------------------
 
@@ -597,41 +699,53 @@ class FabricCoordinator:
     def _marker(self, name: str, **data) -> None:
         self.store.put_json(name, {"at": time.time(), **data})
 
+    def failures(self) -> list[ShardFailure]:
+        """One record per failed shard attempt, read off the log."""
+        return [
+            ShardFailure(e["shard_id"], e["failed_attempt"], e["kind"], e["detail"])
+            for e in self.lease_log
+            if e["type"] in _FAILURE_EVENTS
+        ]
+
     # -- run -----------------------------------------------------------
 
-    def run(
-        self,
-        on_result=None,
-        should_stop=None,
-        local_workers=(),
-    ):
+    def run(self, on_result=None, should_stop=None, local_workers=None):
         """Drive the campaign to its merged dataset.
 
-        ``local_workers`` are process handles spawned by
-        :func:`run_fabric_campaign`; if all of them die with work still
-        outstanding and no external worker holds a lease, the
-        coordinator fails fast instead of polling forever.
+        Shards whose manifests are already valid are adopted first (a
+        restart, or ``resume``): they count as resumed and need no
+        worker.  ``local_workers`` (a
+        :class:`~repro.runtime.supervision.LocalWorkers`) then starts
+        up to ``min(n_workers, unfinished shards)`` processes; the
+        loop replaces one that dies holding a lease or that the
+        deadline terminated, and fails fast if all of them exit with
+        work outstanding and no external worker holding a lease.
 
         Returns ``(dataset, FabricRunStats)``.
+
+        Raises:
+            ShardFailedError: a shard used up its re-dispatch budget;
+                every other shard was accepted and stored first.
+            CampaignCancelledError: ``should_stop`` returned true.
         """
         started = time.perf_counter()
         accepted: dict[int, object] = {}
+        n_workers = local_workers.n_workers if local_workers is not None else 0
         self._log(
             "campaign_planned",
             n_shards=self.plan.n_shards,
             n_users=len(self.plan.expected_indices),
-            n_workers=len(local_workers) or None,
+            n_workers=n_workers or None,
             fingerprint=self.plan.fingerprint,
         )
         try:
-            while len(accepted) < self.plan.n_shards:
+            self._scan_manifests(accepted, on_result, resumed=True)
+            if local_workers is not None:
+                local_workers.start(
+                    min(n_workers, self.plan.n_shards - len(accepted))
+                )
+            while len(accepted) + len(self._exhausted) < self.plan.n_shards:
                 if should_stop is not None and should_stop():
-                    self._marker(CANCELLED_MARKER, reason="should_stop")
-                    self._log(
-                        "campaign_cancelled",
-                        completed_shards=len(accepted),
-                        n_shards=self.plan.n_shards,
-                    )
                     raise CampaignCancelledError(
                         f"fabric campaign cancelled with {len(accepted)}"
                         f"/{self.plan.n_shards} shards complete",
@@ -639,25 +753,49 @@ class FabricCoordinator:
                         n_shards=self.plan.n_shards,
                     )
                 self._scan_manifests(accepted, on_result)
-                if len(accepted) >= self.plan.n_shards:
+                if len(accepted) + len(self._exhausted) >= self.plan.n_shards:
                     break
                 self._scan_discards()
-                self._scan_leases(accepted)
-                self._check_local_workers(local_workers, accepted)
+                self._scan_errors(accepted)
+                self._scan_leases(accepted, local_workers)
+                self._check_local_workers(accepted, local_workers)
                 time.sleep(self.poll_interval_s)
+            if self._exhausted:
+                failures = self.failures()
+                raise ShardFailedError(
+                    f"shard(s) {sorted(self._exhausted)} exhausted "
+                    f"{self.max_retries} re-dispatches; failure log: "
+                    + "; ".join(f.describe() for f in failures),
+                    failures=failures,
+                )
         except Exception as exc:
-            if not isinstance(exc, CampaignCancelledError):
-                if terminal_marker(self.store) is None:
-                    self._marker(FAILED_MARKER, reason=str(exc))
+            cancelled = isinstance(exc, CampaignCancelledError)
+            if terminal_marker(self.store) is None:
+                self._marker(
+                    CANCELLED_MARKER if cancelled else FAILED_MARKER,
+                    reason="should_stop" if cancelled else str(exc),
+                )
+            # No worker of this run may outlive its terminal event: a
+            # client that resumes on seeing it gets the directory alone.
+            if local_workers is not None:
+                local_workers.stop()
+            if cancelled:
+                self._log(
+                    "campaign_cancelled",
+                    completed_shards=len(accepted),
+                    n_shards=self.plan.n_shards,
+                )
+            else:
                 self._log("campaign_failed", reason=str(exc))
             raise
+        # Every shard is in: release the workers before merging.
+        self._marker(DONE_MARKER, n_shards=self.plan.n_shards)
         sink_started = time.perf_counter()
         dataset = merge_shard_results(
             accepted.values(),
             expected_indices=self.plan.expected_indices,
             backend=backend_for_config(self.config),
         )
-        self._marker(DONE_MARKER, n_shards=self.plan.n_shards)
         self._log(
             "campaign_completed",
             n_shards=self.plan.n_shards,
@@ -668,10 +806,14 @@ class FabricCoordinator:
         )
         stats = FabricRunStats.assemble(
             (result.stats for result in accepted.values()),
-            n_workers=len(local_workers) or 1,
+            n_workers=n_workers or 1,
             started=started,
             sink_started=sink_started,
-            n_worker_processes=len(local_workers),
+            failures=self.failures(),
+            resumed_shards=self._counters["resumed"],
+            n_worker_processes=(
+                local_workers.n_initial if local_workers is not None else 0
+            ),
             n_shards=self.plan.n_shards,
             redispatched_shards=self._counters["redispatched"],
             stolen_shards=self._counters["stolen"],
@@ -683,7 +825,7 @@ class FabricCoordinator:
 
     # -- manifest intake -----------------------------------------------
 
-    def _scan_manifests(self, accepted: dict, on_result) -> None:
+    def _scan_manifests(self, accepted: dict, on_result, resumed=False) -> None:
         now = time.time()
         for shard_id, indices in self.plan.shards:
             if shard_id in accepted:
@@ -715,8 +857,11 @@ class FabricCoordinator:
                 continue
             attempt = int(doc.get("attempt", 0))
             segment.stats.attempts = attempt + 1
+            segment.stats.resumed = resumed
             accepted[shard_id] = segment
+            self._exhausted.discard(shard_id)
             token = doc.get("token", "")
+            self._settled.add(token)
             claimed_at = self._claimed_at.get(token)
             if claimed_at is not None:
                 self._durations.append(
@@ -739,8 +884,13 @@ class FabricCoordinator:
                     reason=context.get("reason"),
                     attempt=attempt,
                 )
+            self.leases.clear_fence(shard_id)
+            self.store.delete(_hold_key(shard_id))
+            if on_result is not None:
+                on_result(segment)
+            self._counters["resumed"] += resumed
             self._log(
-                "shard_completed",
+                "shard_resumed" if resumed else "shard_completed",
                 shard_id=shard_id,
                 worker_id=doc.get("worker_id"),
                 token=token,
@@ -751,24 +901,18 @@ class FabricCoordinator:
                 wall_s=segment.stats.wall_s,
                 stolen=stolen,
             )
-            self.leases.clear_fence(shard_id)
-            self.store.delete(_hold_key(shard_id))
-            if on_result is not None:
-                on_result(segment)
 
     def _reject_manifest(
         self, shard_id: int, indices, doc: dict, reason: str
     ) -> None:
         """Quarantine a torn completion and re-queue the shard."""
-        attempt = int(doc.get("attempt", self._last_attempt.get(shard_id, 0)))
+        self._settled.add(doc.get("token", ""))
+        attempt = int(doc.get("attempt", self._attempt_of(shard_id)))
         report = self.quarantine_segment(shard_id, attempt, doc, reason)
         self._counters["quarantined"] += bool(report.get("quarantined"))
         self._log("segment_quarantined", shard_id=shard_id, **report)
         self._schedule_redispatch(
-            shard_id,
-            reason=f"torn segment: {reason}",
-            next_attempt=attempt + 1,
-            worker_id=doc.get("worker_id"),
+            shard_id, "corrupt", reason, attempt, doc.get("worker_id")
         )
         # The hold (with the bumped attempt) is in place; only now make
         # the shard claimable again by moving the manifest aside.
@@ -777,6 +921,11 @@ class FabricCoordinator:
             self.store.put(_rejected_key(shard_id, attempt), obj.data)
         self.store.delete(_manifest_key(shard_id))
         self._manifest_first_seen.pop(shard_id, None)
+
+    def _attempt_of(self, shard_id: int) -> int:
+        """The attempt a shard was last dispatched at."""
+        hold = self.store.get_json(_hold_key(shard_id)) or {}
+        return int(hold.get("attempt", 0))
 
     def quarantine_segment(
         self, shard_id: int, attempt: int, doc: dict, reason: str
@@ -815,7 +964,7 @@ class FabricCoordinator:
             report["segment"] = os.path.relpath(target, self.paths.root)
         return report
 
-    # -- discard intake ------------------------------------------------
+    # -- discard and error intake --------------------------------------
 
     def _scan_discards(self) -> None:
         for key in self.store.list_prefix(DISCARDS_PREFIX):
@@ -834,38 +983,89 @@ class FabricCoordinator:
                 reason=doc.get("reason", "lost the first-valid-manifest race"),
             )
 
+    def _scan_errors(self, accepted: dict) -> None:
+        """Revoke the lease of every attempt whose worker reported an
+        exception; the error names it in the failure record."""
+        for key in self.store.list_prefix(ERRORS_PREFIX):
+            name = key.rsplit("/", 1)[-1]
+            if not name.endswith(".json") or name in self._seen_errors:
+                continue
+            doc = self.store.get_json(key)
+            if doc is None:
+                continue
+            self._seen_errors.add(name)
+            shard_id = doc.get("shard_id")
+            if shard_id in accepted:
+                continue
+            record = self.leases.read(shard_id)
+            if (
+                record is not None
+                and record.token == doc.get("token")
+                and record.token not in self._settled
+            ):
+                self._observe(record)
+                self._revoke(
+                    shard_id, record, "lease_revoked", "error", str(doc.get("error"))
+                )
+
     # -- lease watching ------------------------------------------------
 
-    def _straggler_deadline(self) -> float | None:
-        return straggler_deadline_s(
+    def _deadline(self) -> float | None:
+        """How long a lease may be held: the straggler deadline, capped
+        by ``shard_timeout_s`` (which applies before enough samples)."""
+        deadline = straggler_deadline_s(
             self._durations,
             percentile=self.straggler_percentile,
             multiplier=self.straggler_multiplier,
             floor_s=self.straggler_floor_s,
             min_samples=self.straggler_min_samples,
         )
+        if self.shard_timeout_s is None:
+            return deadline
+        if deadline is None:
+            return self.shard_timeout_s
+        return min(deadline, self.shard_timeout_s)
 
-    def _scan_leases(self, accepted: dict) -> None:
+    def _observe(self, record) -> None:
+        """Log a lease attempt the first time the coordinator sees it."""
+        if self._seen_token.get(record.shard_id) == record.token:
+            return
+        if record.token in self._settled:
+            return
+        self._seen_token[record.shard_id] = record.token
+        self._holder[record.shard_id] = record.worker_id
+        self._claimed_at[record.token] = record.claimed_at
+        self._log(
+            "lease_claimed",
+            shard_id=record.shard_id,
+            worker_id=record.worker_id,
+            token=record.token,
+            attempt=record.attempt,
+            redispatched=record.shard_id in self._pending,
+        )
+
+    def _scan_leases(self, accepted: dict, local_workers) -> None:
         now = time.time()
         held = {r.shard_id: r for r in self.leases.read_all()}
         workers = {
             doc.get("worker_id"): doc
             for doc in WorkerRegistry.read_all(self.store, WORKERS_PREFIX)
         }
-        deadline = self._straggler_deadline()
+        deadline = self._deadline()
         for shard_id, _indices in self.plan.shards:
             if shard_id in accepted:
                 continue
             record = held.get(shard_id)
             if record is None:
                 # Lease vanished without a manifest: lost (fenced by a
-                # chaos injection, or released by a failing worker).
+                # chaos injection, or deleted under the worker).
+                token = self._seen_token.get(shard_id)
                 if (
-                    shard_id in self._seen_token
-                    and shard_id not in self._pending
+                    token is not None
+                    and token not in self._settled
                     and not self.store.exists(_manifest_key(shard_id))
                 ):
-                    token = self._seen_token.pop(shard_id)
+                    self._settled.add(token)
                     worker = self._holder.get(shard_id)
                     self._log(
                         "lease_lost",
@@ -875,27 +1075,28 @@ class FabricCoordinator:
                     )
                     self._schedule_redispatch(
                         shard_id,
-                        reason="lease lost without a manifest",
-                        next_attempt=self._last_attempt.get(shard_id, 0) + 1,
-                        worker_id=worker,
+                        "lost",
+                        "lease lost without a manifest",
+                        self._attempt_of(shard_id),
+                        worker,
                     )
                 continue
-            if self._seen_token.get(shard_id) != record.token:
-                self._seen_token[shard_id] = record.token
-                self._holder[shard_id] = record.worker_id
-                self._last_attempt[shard_id] = record.attempt
-                self._claimed_at[record.token] = record.claimed_at
-                self._log(
-                    "lease_claimed",
-                    shard_id=shard_id,
-                    worker_id=record.worker_id,
-                    token=record.token,
-                    attempt=record.attempt,
-                    redispatched=shard_id in self._pending,
+            if record.token in self._settled:
+                continue  # its outcome is in; the holder is finishing up
+            self._observe(record)
+            local = local_workers is not None and local_workers.owns(record.worker_id)
+            exitcode = local_workers.exitcode(record.worker_id) if local else None
+            if exitcode is not None:
+                self._revoke(
+                    shard_id, record, "lease_revoked", "crash",
+                    f"local worker {record.worker_id} exited with code "
+                    f"{exitcode}",
                 )
+                self._replace_worker(local_workers, record.worker_id, accepted)
+                continue
             if record.expired(now):
                 self._revoke(
-                    shard_id, record, "expired",
+                    shard_id, record, "lease_expired", "lost",
                     f"heartbeat silent for more than {record.ttl_s:.2f}s",
                 )
                 continue
@@ -904,24 +1105,27 @@ class FabricCoordinator:
                 # Dead-worker fast path: its registry entry says it is
                 # gone, no need to wait for the TTL to run out.
                 self._revoke(
-                    shard_id, record, "worker_dead",
+                    shard_id, record, "lease_revoked", "crash",
                     "holding worker registry entry is 'exited'",
                 )
                 continue
             if deadline is not None and record.held_s(now) > deadline:
                 self._revoke(
-                    shard_id, record, "straggler",
+                    shard_id, record, "lease_straggler", "timeout",
                     f"held {record.held_s(now):.2f}s > deadline "
-                    f"{deadline:.2f}s "
-                    f"(p{self.straggler_percentile:.0f} x "
-                    f"{self.straggler_multiplier:g})",
+                    f"{deadline:.2f}s (p{self.straggler_percentile:.0f} x "
+                    f"{self.straggler_multiplier:g}, capped by "
+                    f"shard_timeout_s={self.shard_timeout_s})",
                 )
+                if local:
+                    local_workers.terminate(record.worker_id)
+                    self._replace_worker(local_workers, record.worker_id, accepted)
 
-    def _revoke(self, shard_id: int, record, kind: str, detail: str) -> None:
-        self.leases.revoke(shard_id, f"{kind}: {detail}")
-        self._seen_token.pop(shard_id, None)
+    def _revoke(
+        self, shard_id: int, record, event: str, kind: str, detail: str
+    ) -> None:
         self._log(
-            f"lease_{kind}" if kind in ("expired", "straggler") else "lease_revoked",
+            event,
             shard_id=shard_id,
             worker_id=record.worker_id,
             token=record.token,
@@ -930,68 +1134,86 @@ class FabricCoordinator:
             detail=detail,
             held_s=record.held_s(),
         )
+        self._settled.add(record.token)
+        # The hold (next attempt, backoff) lands before the lease goes,
+        # so no worker re-claims the shard at the failed attempt.
         self._schedule_redispatch(
-            shard_id,
-            reason=f"{kind}: {detail}",
-            next_attempt=record.attempt + 1,
-            worker_id=record.worker_id,
+            shard_id, kind, detail, record.attempt, record.worker_id
         )
+        self.leases.revoke(shard_id, f"{kind}: {detail}")
 
     def _schedule_redispatch(
         self,
         shard_id: int,
-        reason: str,
-        next_attempt: int,
+        kind: str,
+        detail: str,
+        attempt: int,
         worker_id: str | None,
     ) -> None:
+        """Record the failed ``attempt`` and hold the shard for the next
+        one — or, past the budget, hold it for good."""
         count = self._redispatches.get(shard_id, 0) + 1
         self._redispatches[shard_id] = count
-        if count > self.max_redispatches:
-            raise FabricError(
-                f"shard {shard_id} exceeded {self.max_redispatches} "
-                f"re-dispatches (last reason: {reason}); giving up"
-            )
-        backoff = min(
-            self.redispatch_backoff_base_s * (2.0 ** (count - 1)),
-            self.redispatch_backoff_max_s,
+        failure = dict(
+            shard_id=shard_id, failed_attempt=attempt, kind=kind, detail=detail
         )
+        if count > self.max_retries:
+            self._exhausted.add(shard_id)
+            self.store.put_json(
+                _hold_key(shard_id),
+                {"shard_id": shard_id, "attempt": attempt + 1, "exhausted": True},
+            )
+            self._log("shard_exhausted", **failure, redispatches=count - 1)
+            return
+        backoff = min(self.backoff_base_s * (2.0 ** (count - 1)), BACKOFF_MAX_S)
         self.store.put_json(
             _hold_key(shard_id),
             {
                 "shard_id": shard_id,
-                "attempt": next_attempt,
+                "attempt": attempt + 1,
                 "not_before": time.time() + backoff,
-                "reason": reason,
+                "reason": f"{kind}: {detail}",
                 "redispatches": count,
             },
         )
-        self._pending[shard_id] = {"worker_id": worker_id, "reason": reason}
+        self._pending[shard_id] = {
+            "worker_id": worker_id,
+            "reason": f"{kind}: {detail}",
+        }
         self._counters["redispatched"] += 1
         self._log(
             "shard_redispatched",
-            shard_id=shard_id,
-            attempt=next_attempt,
+            **failure,
+            attempt=attempt + 1,
             backoff_s=backoff,
             redispatches=count,
-            reason=reason,
+            reason=f"{kind}: {detail}",
         )
 
     # -- liveness ------------------------------------------------------
 
-    def _check_local_workers(self, local_workers, accepted: dict) -> None:
-        if not local_workers:
+    def _replace_worker(self, local_workers, worker_id: str, accepted: dict) -> None:
+        """Start a process for a lost local worker while more shards
+        remain than local workers are alive."""
+        unfinished = self.plan.n_shards - len(accepted) - len(self._exhausted)
+        if local_workers.n_alive() < min(local_workers.n_workers, unfinished):
+            (started,) = local_workers.start(1)
+            self._log("worker_replaced", worker_id=worker_id, by=started)
+
+    def _check_local_workers(self, accepted: dict, local_workers) -> None:
+        if local_workers is None or not local_workers.n_started:
             return
-        if any(process.is_alive() for process in local_workers):
+        if local_workers.n_alive():
             return
         # All local workers are gone.  External workers may still hold
         # leases (multi-host deployment); only fail when nothing is
         # making progress and work remains.
-        if len(accepted) >= self.plan.n_shards:
+        if len(accepted) + len(self._exhausted) >= self.plan.n_shards:
             return
         if self.leases.read_all():
             return
         raise FabricError(
-            f"all {len(local_workers)} local fabric workers exited with "
+            f"all {local_workers.n_started} local fabric workers exited with "
             f"{self.plan.n_shards - len(accepted)} shard(s) outstanding "
             "and no external leases held"
         )
@@ -1014,7 +1236,6 @@ def run_fabric_campaign(
     straggler_multiplier: float = 3.0,
     straggler_floor_s: float = 5.0,
     straggler_min_samples: int = 3,
-    max_redispatches: int = DEFAULT_MAX_REDISPATCHES,
     fabric_store: str | None = None,
     on_event=None,
     on_result=None,
@@ -1022,18 +1243,21 @@ def run_fabric_campaign(
 ):
     """Run one campaign on the fabric with local worker processes.
 
-    The one-machine convenience wrapper: publishes the plan, spawns
-    ``n_workers`` local fabric workers (under the campaign's resolved
-    multiprocessing start method), drives the coordinator loop, and
-    tears the workers down once a terminal marker lands.  Additional
-    workers on other hosts may join the same ``fabric_dir`` at any
-    time — the coordinator does not distinguish them from local ones.
-    ``fabric_store`` accepts only ``None`` or ``"fs"``, the one
-    coordination store.
+    Plans ``n_shards`` shards (default: one per worker) and hands them
+    to :func:`~repro.runtime.supervision.supervise_shards`, the one
+    placement, with ``n_workers`` local workers (0: coordinator only)
+    over ``fabric_dir`` — adopting the plan and manifests a previous
+    coordinator left there — or over a temporary directory removed
+    afterwards.  Additional workers on other hosts may join the same
+    ``fabric_dir`` at any time — the coordinator does not distinguish
+    them from local ones.  ``fabric_store`` accepts only ``None`` or
+    ``"fs"``, the one coordination store.
 
     Returns ``(dataset, FabricRunStats)`` — the dataset bit-identical
     to the serial run regardless of the fault schedule survived.
     """
+    from repro.runtime.supervision import supervise_shards
+
     if fabric_store not in (None, "fs"):
         raise ConfigurationError(
             "fabric_store must be 'fs' (the only coordination store), "
@@ -1045,60 +1269,24 @@ def run_fabric_campaign(
         # 0 is allowed: coordinator-only, workers join from elsewhere
         # (the ``repro coordinate`` + ``repro worker`` deployment).
         raise ConfigurationError(f"n_workers must be >= 0, got {n_workers}")
-    created_dir = fabric_dir is None
-    if fabric_dir is None:
-        fabric_dir = tempfile.mkdtemp(prefix="repro-fabric-")
-    coordinator = FabricCoordinator(
+    _, shards = plan_campaign(config, n_shards)
+    return supervise_shards(
         config,
+        shards,
+        n_workers,
         fabric_dir,
-        n_shards=n_shards,
+        fault_plan=fault_plan,
+        heartbeat_interval_s=heartbeat_interval_s,
+        on_event=on_event,
+        on_result=on_result,
+        should_stop=should_stop,
         lease_ttl_s=lease_ttl_s,
         poll_interval_s=poll_interval_s,
         straggler_percentile=straggler_percentile,
         straggler_multiplier=straggler_multiplier,
         straggler_floor_s=straggler_floor_s,
         straggler_min_samples=straggler_min_samples,
-        max_redispatches=max_redispatches,
-        on_event=on_event,
     )
-    context = mp_context(config)
-    workers = []
-    for rank in range(n_workers):
-        process = context.Process(
-            target=_fabric_worker_entry,
-            args=(
-                fabric_dir,
-                f"{default_worker_id()}-w{rank}",
-                heartbeat_interval_s,
-                fault_plan,
-            ),
-            daemon=True,
-        )
-        process.start()
-        workers.append(process)
-    try:
-        dataset, stats = coordinator.run(
-            on_result=on_result,
-            should_stop=should_stop,
-            local_workers=workers,
-        )
-    finally:
-        # Workers poll the terminal marker every poll interval, so a
-        # short grace suffices; anything still alive after that is
-        # wedged mid-fault (an injected straggler asleep past the end)
-        # and gets terminated.
-        deadline = time.time() + max(2.0, poll_interval_s * 10)
-        for process in workers:
-            process.join(timeout=max(0.1, deadline - time.time()))
-        for process in workers:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-    if created_dir:
-        import shutil
-
-        shutil.rmtree(fabric_dir, ignore_errors=True)
-    return dataset, stats
 
 
 def fabric_status(fabric_dir: str) -> dict:

@@ -1,20 +1,22 @@
-"""Deterministic fault injection for the supervised campaign runtime.
+"""Deterministic fault injection for the campaign's worker processes.
 
 The paper's real campaign survived constant partial failure (extensions
 going silent, Raspberry Pis dropping off cron, truncated uploads); the
-supervised runtime (:mod:`repro.runtime.supervision`) is the synthetic
-pipeline's answer, and this module is what makes it *testable*.  A
+lease fabric (:mod:`repro.runtime.fabric`) is the synthetic pipeline's
+answer, and this module is what makes it *testable*.  A
 :class:`FaultPlan` maps ``(shard_id, attempt)`` to a :class:`Fault`, so
 a chaos test can script, exactly and reproducibly, which worker dies,
-hangs, dawdles or returns garbage on which attempt — no flaky
-real-world crashes required.
+hangs, dawdles, returns garbage or tears its upload on which attempt —
+no flaky real-world crashes required.
 
-Faults are applied inside the worker process only (the supervisor's
-in-process fallback deliberately bypasses them: graceful degradation
-must never take the parent down).  The determinism contract of
-:mod:`repro.runtime.shard` is what makes recovery provably correct:
-a retried shard recomputes bit-identical records, so any fault
-schedule the supervisor survives yields the fault-free dataset.
+Faults are applied inside fabric worker processes only, after the
+worker claimed the shard's lease: :func:`apply_pre_run` before the
+shard runs, :func:`apply_post_run` on its result, and the two
+lease/segment kinds in the worker loop itself.  An in-process
+(one-shard) run never sees them.  The determinism contract of
+:mod:`repro.runtime.shard` is what makes recovery provably correct: a
+re-dispatched shard recomputes bit-identical records, so any fault
+schedule the coordinator survives yields the fault-free dataset.
 """
 
 from __future__ import annotations
@@ -35,49 +37,31 @@ CRASH_EXITCODE = 17
 class FaultKind(enum.Enum):
     """The failure modes the paper's campaign saw, distilled."""
 
-    #: Worker dies abruptly (``os._exit``) before producing a result —
-    #: the extension-went-silent / OOM-killed case.
+    #: Worker dies abruptly (``os._exit``) after claiming the shard —
+    #: the extension-went-silent / OOM-killed / host-died case.  Its
+    #: heartbeats stop with it; a local worker's death is seen from its
+    #: process handle, a remote one's when the lease TTL lapses.
     CRASH = "crash"
-    #: Worker blocks forever (bounded by the injected delay) — the
-    #: wedged-upload case; only a supervisor timeout recovers it.
+    #: Worker blocks (for the injected delay) while its heartbeat keeps
+    #: the lease fresh — the wedged-upload / straggling-host case; only
+    #: the coordinator's deadline recovers it.
     HANG = "hang"
     #: Worker sleeps, then completes normally — a straggler, not a
-    #: failure; must NOT trip retries when under the timeout.
+    #: failure; must NOT trip a re-dispatch when under the deadline.
     SLOW = "slow"
     #: Worker returns a tampered result (records dropped) — the
-    #: partial-upload case; caught by result validation, then retried.
+    #: partial-upload case; the segment fails the coordinator's
+    #: user-index check, is quarantined and re-dispatched.
     CORRUPT = "corrupt"
-    # -- host-level kinds (fabric only; see repro.runtime.fabric) ------
     #: Worker's lease is fenced mid-shard (simulated coordinator
     #: revocation / shared-FS hiccup); the worker detects the loss on
     #: its next heartbeat but still offers its manifest speculatively —
     #: first valid manifest wins.
     LEASE_LOSS = "lease_loss"
-    #: Worker truncates its spilled segment after writing the manifest —
-    #: the torn-upload case; caught by the coordinator's segment
-    #: validation, quarantined, and re-dispatched.
+    #: Worker truncates its spilled segment after writing it — the
+    #: torn-upload case; the segment fails the coordinator's checksum,
+    #: is quarantined and re-dispatched.
     TORN_SEGMENT = "torn_segment"
-    #: Worker dies abruptly (``os._exit``) mid-shard *after* claiming —
-    #: heartbeats stop, the lease TTL expires, and the coordinator
-    #: re-dispatches.
-    DEAD_HEARTBEAT = "dead_heartbeat"
-    #: Worker keeps heartbeating but dawdles far past the fleet's
-    #: percentile deadline; the coordinator revokes and re-dispatches,
-    #: and the straggler's late manifest loses the first-wins race.
-    STRAGGLER = "straggler"
-
-
-#: Fault kinds applied by the fabric worker loop, not the supervised
-#: in-process worker — :func:`apply_pre_run` treats them as no-ops so a
-#: host-level plan is harmless under the single-host supervisor.
-HOST_FAULT_KINDS = frozenset(
-    {
-        FaultKind.LEASE_LOSS,
-        FaultKind.TORN_SEGMENT,
-        FaultKind.DEAD_HEARTBEAT,
-        FaultKind.STRAGGLER,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -87,7 +71,8 @@ class Fault:
     Attributes:
         kind: What goes wrong.
         delay_s: Sleep length for ``HANG``/``SLOW`` (a hang should be
-            set far above the supervisor timeout; a slow shard below).
+            set far above the coordinator's deadline; a slow shard
+            below).
         exitcode: Process exit status for ``CRASH``.
     """
 
@@ -135,9 +120,9 @@ class FaultPlan:
 
         Each shard independently suffers a fault with probability
         ``rate`` on each of its first ``max_faulty_attempts`` attempts
-        (so a retried attempt can fail again, but a bounded number of
-        times — the schedule never exceeds the supervisor's retry
-        budget when ``max_faulty_attempts <= max_retries``).  The
+        (so a re-dispatched attempt can fail again, but a bounded
+        number of times — the schedule never exceeds the re-dispatch
+        budget when ``max_faulty_attempts <= max_shard_retries``).  The
         draw is keyed ``(seed, "faults")``: the same seed always
         injects the same schedule.
         """
@@ -171,7 +156,7 @@ def crash_plan(shard_ids, attempts=(0,), exitcode: int = CRASH_EXITCODE) -> Faul
 
 
 def hang_plan(shard_ids, attempts=(0,), hang_s: float = 3600.0) -> FaultPlan:
-    """A plan hanging the given shards (recovered only by timeout)."""
+    """A plan hanging the given shards (recovered only by the deadline)."""
     return FaultPlan(
         {
             (shard_id, attempt): Fault(FaultKind.HANG, delay_s=hang_s)
@@ -199,29 +184,23 @@ def host_chaos_plan(
     lease_loss_shards=(),
     attempts=(0,),
     straggle_s: float = 30.0,
-    dead_delay_s: float = 0.0,
     exitcode: int = CRASH_EXITCODE,
 ) -> FaultPlan:
-    """A host-level plan for the fabric chaos tests.
+    """A mixed plan for the fabric chaos tests.
 
-    Kills workers mid-shard (``dead_shards`` → heartbeat expiry),
-    delays others into straggler territory (``straggler_shards`` →
-    deadline re-dispatch, late manifest discarded), tears spilled
-    segments (``torn_shards`` → quarantine + re-dispatch) and fences
-    live leases (``lease_loss_shards`` → speculative completion race).
+    Kills workers mid-shard (``dead_shards`` → ``CRASH``: the process
+    dies holding its lease), delays others into straggler territory
+    (``straggler_shards`` → ``HANG`` that keeps heartbeating: deadline
+    re-dispatch), tears spilled segments (``torn_shards`` → quarantine
+    + re-dispatch) and fences live leases (``lease_loss_shards`` →
+    speculative completion race).
     """
     faults: dict[tuple[int, int], Fault] = {}
     for attempt in attempts:
         for shard_id in dead_shards:
-            faults[(shard_id, attempt)] = Fault(
-                FaultKind.DEAD_HEARTBEAT,
-                delay_s=dead_delay_s,
-                exitcode=exitcode,
-            )
+            faults[(shard_id, attempt)] = Fault(FaultKind.CRASH, exitcode=exitcode)
         for shard_id in straggler_shards:
-            faults[(shard_id, attempt)] = Fault(
-                FaultKind.STRAGGLER, delay_s=straggle_s
-            )
+            faults[(shard_id, attempt)] = Fault(FaultKind.HANG, delay_s=straggle_s)
         for shard_id in torn_shards:
             faults[(shard_id, attempt)] = Fault(FaultKind.TORN_SEGMENT)
         for shard_id in lease_loss_shards:
@@ -232,14 +211,13 @@ def host_chaos_plan(
 def apply_pre_run(fault: Fault | None) -> None:
     """Execute a fault's pre-run effect inside the worker process.
 
-    ``CRASH`` never returns; ``HANG``/``SLOW`` sleep (a hang relies on
-    the supervisor timeout killing the process before the sleep ends);
-    ``CORRUPT`` is a no-op here — it tampers with the finished result
-    via :func:`apply_post_run` instead.  Host-level kinds
-    (:data:`HOST_FAULT_KINDS`) are no-ops too: they only mean something
-    to the fabric worker loop, which injects them itself.
+    ``CRASH`` never returns; ``HANG``/``SLOW`` sleep while the lease
+    heartbeat keeps beating (a hang relies on the coordinator's deadline
+    terminating the process before the sleep ends).  The other kinds act
+    later: ``CORRUPT`` on the finished result (:func:`apply_post_run`),
+    ``LEASE_LOSS`` and ``TORN_SEGMENT`` in the fabric worker loop.
     """
-    if fault is None or fault.kind in HOST_FAULT_KINDS:
+    if fault is None:
         return
     if fault.kind is FaultKind.CRASH:
         os._exit(fault.exitcode)

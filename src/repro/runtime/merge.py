@@ -6,9 +6,9 @@ reproduces exactly that: concatenate every user's records by
 ascending user index, regardless of which shard produced them or when
 the shard finished.
 
-In the supervised/retry world the merge is also the campaign's last
-integrity gate: shards may have been retried, recovered in-process, or
-adopted from checkpoints, so the merge verifies the recovered user set
+In the re-dispatch world the merge is also the campaign's last
+integrity gate: shards may have been re-dispatched or adopted from
+checkpoints, so the merge verifies the recovered user set
 against the planned partition — duplicates (overlapping shards),
 unplanned users (stale checkpoints), and missing users (a shard lost
 without anyone noticing) all raise instead of silently producing a

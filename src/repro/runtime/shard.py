@@ -1,7 +1,8 @@
 """Shard planning and the one shard body every campaign run shares.
 
 A *shard* is a subset of the campaign's user population, identified by
-indices into ``ExtensionCampaign.population.users``.  :func:`run_users`
+indices into ``ExtensionCampaign.population.users``;
+:func:`plan_campaign` partitions a campaign into them.  :func:`run_users`
 is the shard loop: run each user, hand the records to a fold, count.
 :func:`run_shard` runs a shard in a campaign rebuilt from its config,
 so shards are self-contained and cross-process safe, and encodes its
@@ -52,7 +53,7 @@ class ShardStats:
     #: cache.  Kept because the end-to-end benchmark's workload reads
     #: it and checkpoint metadata stores it.
     timeline_hits: int = 0
-    #: Attempts the supervisor spent on this shard (1 = first try).
+    #: Attempts the shard took (1 = first try; a re-dispatch adds one).
     attempts: int = 1
     #: True when the result was adopted from a checkpoint, not re-run.
     resumed: bool = False
@@ -68,6 +69,34 @@ class ShardStats:
         return self.n_records / self.wall_s if self.wall_s > 0 else 0.0
 
 
+@dataclass(frozen=True)
+class ShardFailure:
+    """One failed shard attempt, as the fabric coordinator observed it.
+
+    Attributes:
+        shard_id: The shard that failed.
+        attempt: 0-based attempt number that failed.
+        kind: ``"crash"`` (the worker process died holding the lease),
+            ``"timeout"`` (held past the deadline; the worker was
+            terminated when local), ``"corrupt"`` (the segment failed
+            validation), ``"error"`` (the worker raised) or ``"lost"``
+            (the lease's heartbeat lapsed, or it vanished without a
+            manifest).
+        detail: Human-readable diagnosis (an ``"error"`` names the
+            exception as ``"<type>: <message>"``).
+    """
+
+    shard_id: int
+    attempt: int
+    kind: str
+    detail: str = ""
+
+    def describe(self) -> str:
+        """Compact one-line rendering for logs and summaries."""
+        detail = f": {self.detail}" if self.detail else ""
+        return f"shard {self.shard_id} attempt {self.attempt} {self.kind}{detail}"
+
+
 @dataclass
 class CampaignRunStats:
     """Aggregate counters of one campaign run (serial or sharded)."""
@@ -76,8 +105,8 @@ class CampaignRunStats:
     wall_s: float = 0.0
     merge_s: float = 0.0
     shards: list[ShardStats] = field(default_factory=list)
-    #: Every failed shard attempt the supervisor recovered from
-    #: (:class:`repro.runtime.supervision.ShardFailure` entries).
+    #: Every failed shard attempt the run recovered from
+    #: (:class:`ShardFailure` entries, in the order they were seen).
     failures: list = field(default_factory=list)
     #: Shards adopted from a checkpoint instead of being re-run.
     resumed_shards: int = 0
@@ -111,7 +140,7 @@ class CampaignRunStats:
 
     @property
     def n_failures(self) -> int:
-        """Failed shard attempts the supervisor observed (and survived)."""
+        """Failed shard attempts the run observed (and survived)."""
         return len(self.failures)
 
     @property
@@ -271,6 +300,25 @@ def plan_shards(costs: list[float], n_shards: int) -> list[list[int]]:
     return shards
 
 
+def plan_campaign(config, n_shards: int | None = None):
+    """Plan a campaign: ``(campaign, [(shard_id, user_indices), ...])``.
+
+    Longest-processing-time shards over each user's expected daily
+    page volume (:func:`plan_shards`); by default one shard per worker
+    and never more shards than users.  Empty shards are dropped, so
+    shard ids may have gaps.  The returned campaign is built once from
+    ``config``; an in-process run executes its shard on it.
+    """
+    campaign = ExtensionCampaign(config)
+    users = campaign.population.users
+    if n_shards is None:
+        n_shards = max(1, min(config.n_workers, len(users)))
+    shards = plan_shards([max(user.pages_per_day, 0.01) for user in users], n_shards)
+    return campaign, [
+        (shard_id, indices) for shard_id, indices in enumerate(shards) if indices
+    ]
+
+
 def run_users(campaign, shard_id: int, user_indices, fold) -> ShardStats:
     """The shard body every placement shares.
 
@@ -297,9 +345,9 @@ def run_users(campaign, shard_id: int, user_indices, fold) -> ShardStats:
 def run_shard(config, shard_id: int, user_indices) -> ShardResult:
     """Execute one shard in a campaign rebuilt from ``config``.
 
-    The worker-process entry point (and the supervisor's in-process
-    fallback): the population derives deterministically from the
-    config, so ``user_indices`` mean the same users in every process.
+    What a fabric worker process runs for each claimed shard: the
+    population derives deterministically from the config, so
+    ``user_indices`` mean the same users in every process.
     """
     campaign = ExtensionCampaign(replace(config, n_workers=1))
     shard = ShardColumns()

@@ -5,13 +5,13 @@ extension population submitting readings to a collection server over
 months, with operators watching progress and recovering from partial
 failure.  This package is the repo's analogue: a dependency-light
 stdlib HTTP service that accepts campaign submissions (the canonical
-``CampaignConfig`` JSON codec), drives the supervised sharded runtime
-in the background, streams shard lifecycle events *and* the exact
-Table 1/3 cells of the shards completed so far over Server-Sent
-Events, pages results straight off the ``DatasetBackend``,
-and supports cooperative cancel plus fingerprint-validated resume over
-the checkpoint store — bit-identical to an uninterrupted run.  See
-DESIGN.md §12.
+``CampaignConfig`` JSON codec), drives the campaign executor (local
+fabric workers for a multi-shard campaign) in the background, streams
+shard lifecycle events *and* the exact Table 1/3 cells of the shards
+completed so far over Server-Sent Events, pages results straight off
+the ``DatasetBackend``, and supports cooperative cancel plus
+fingerprint-validated resume over the campaign's checkpoint directory
+— bit-identical to an uninterrupted run.  See DESIGN.md §12.
 
 Quickstart::
 
@@ -30,7 +30,6 @@ from repro.service.errors import ApiError
 from repro.service.events import TERMINAL_EVENT_TYPES, EventLog, format_sse
 from repro.service.runner import (
     TERMINAL_STATES,
-    VALID_MODES,
     Campaign,
     CampaignService,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "EventLog",
     "TERMINAL_EVENT_TYPES",
     "TERMINAL_STATES",
-    "VALID_MODES",
     "format_sse",
     "make_server",
     "serve",

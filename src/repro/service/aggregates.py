@@ -1,7 +1,7 @@
 """Incremental campaign aggregates: the exact Table 1/3 cells as JSON.
 
-Both execution modes of the service keep running Table 1 / Table 3
-cells while shards complete: the runner folds each accepted shard's
+The service keeps running Table 1 / Table 3 cells while shards
+complete: the runner folds each accepted shard's
 columns (a :class:`~repro.runtime.shard.ShardResult`, fresh or
 recovered from a checkpoint) into a :class:`CampaignAggregates`
 through :func:`~repro.analysis.streaming.group_columns`, the fold

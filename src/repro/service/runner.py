@@ -3,23 +3,20 @@
 :class:`CampaignService` is the HTTP-agnostic core of the service —
 the app layer (:mod:`repro.service.app`) only parses requests and
 renders responses.  Each submitted campaign gets a sequential id, an
-:class:`~repro.service.events.EventLog`, and one daemon runner thread
-driving the supervised runtime:
+:class:`~repro.service.events.EventLog`, its own directory under the
+service directory (its ``checkpoint_dir``) and one daemon runner
+thread driving the campaign executor
+(:func:`repro.runtime.pool.run_campaign`).  The worker count picks the
+placement: one shard runs in-process, more run on local fabric worker
+processes — shard leases, heartbeats, crash and deadline re-dispatch —
+over the campaign directory, every lease transition streams over SSE,
+and ``GET /v1/campaigns/{id}/workers`` serves the live fleet view.
+The full dataset is retained for the results endpoint, and completed
+shards stay in the campaign directory (enabling cancel → resume).
 
-* ``records`` mode runs the campaign executor
-  (:func:`repro.runtime.pool.run_campaign`) — the full dataset is
-  retained for the results endpoint, and completed shards spill to the
-  service's shared checkpoint root (enabling cancel → resume);
-* ``fabric`` mode runs :func:`repro.runtime.fabric.run_fabric_campaign`
-  — shard leases, heartbeats, straggler re-dispatch and work stealing
-  over a per-campaign fabric directory; records are retained like
-  ``records`` mode, every lease transition streams over SSE, and
-  ``GET /v1/campaigns/{id}/workers`` serves the live fleet view.
-
-One runner drives both with one ``on_result`` callback: every
-accepted shard folds into the exact aggregate cells
-(:class:`~repro.service.aggregates.CampaignAggregates`) streamed over
-SSE.
+The ``on_result`` callback folds every accepted shard into the exact
+aggregate cells (:class:`~repro.service.aggregates.CampaignAggregates`)
+streamed over SSE.
 
 The state machine is ``pending → running → completed | failed |
 cancelled``.  Cancellation is cooperative: the HTTP layer sets the
@@ -30,10 +27,9 @@ before the cancel survive; a new submission with ``resume_from`` (same
 fingerprint — validated) adopts them and re-runs only what's missing,
 bit-identical to an uninterrupted run by the determinism contract.
 
-All campaigns of one service share one checkpoint root;
-:class:`~repro.runtime.checkpoint.CheckpointStore` already keys its
-directories by campaign fingerprint, so equal-fingerprint campaigns
-share spilled shards and different campaigns can never mix.
+A resumed campaign runs in its source campaign's directory, where
+:class:`~repro.runtime.checkpoint.CheckpointStore` keys the shards by
+campaign fingerprint, so different campaigns can never mix.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import CampaignCancelledError, ConfigurationError
 from repro.extension.campaign import CampaignConfig
-from repro.runtime.checkpoint import campaign_fingerprint
+from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
 from repro.runtime.faults import Fault, FaultKind, FaultPlan
 from repro.service.aggregates import CampaignAggregates
 from repro.service.errors import (
@@ -57,12 +53,8 @@ from repro.service.errors import (
 )
 from repro.service.events import EventLog
 
-#: Campaign execution modes a submission may request.  ``fabric`` runs
-#: the multi-host campaign fabric (:mod:`repro.runtime.fabric`): shard
-#: leases, heartbeats, straggler re-dispatch — records are retained
-#: like ``records`` mode, and ``GET /v1/campaigns/{id}/workers`` serves
-#: the live lease/worker view.
-VALID_MODES = ("records", "fabric")
+#: The keys a submission body may carry.
+SUBMISSION_KEYS = ("config", "faults", "resume_from")
 
 #: States in which a campaign accepts no further lifecycle operations.
 TERMINAL_STATES = frozenset({"completed", "failed", "cancelled"})
@@ -74,7 +66,6 @@ class Campaign:
 
     id: str
     config: CampaignConfig
-    mode: str
     fingerprint: str
     created_s: float
     resume_from: str | None = None
@@ -91,8 +82,14 @@ class Campaign:
     run_stats: object = None
     #: Shard count from the campaign_planned event.
     n_shards: int = 0
-    #: The fabric coordination directory (fabric mode only).
-    fabric_dir: str | None = None
+
+    @property
+    def fabric_dir(self) -> str | None:
+        """The fabric directory of a campaign that runs on worker
+        processes; ``None`` for an in-process one."""
+        if self.config.n_workers <= 1 or self.n_shards == 1:
+            return None
+        return CheckpointStore(self.config.checkpoint_dir, self.config).directory
 
     def status(self) -> dict:
         """The JSON status document of this campaign."""
@@ -110,7 +107,6 @@ class Campaign:
         return {
             "id": self.id,
             "state": self.state,
-            "mode": self.mode,
             "fingerprint": self.fingerprint,
             "created_s": self.created_s,
             "resume_from": self.resume_from,
@@ -182,10 +178,9 @@ class CampaignService:
         self._lock = threading.Lock()
         self._counter = 0
 
-    @property
-    def checkpoint_root(self) -> str:
-        """The shared checkpoint root every records campaign spills to."""
-        return os.path.join(self.service_dir, "checkpoints")
+    def campaign_dir(self, campaign_id: str) -> str:
+        """The directory a campaign's shards and spill segments live in."""
+        return os.path.join(self.service_dir, "campaigns", campaign_id)
 
     # -- registry ----------------------------------------------------------
 
@@ -206,26 +201,20 @@ class CampaignService:
     def submit(self, body) -> Campaign:
         """Validate one submission document and launch its runner.
 
-        The body is ``{"config": {...}, "mode": "records"|"fabric",
-        "resume_from": "<campaign id>", "faults": [...]}`` — all keys
-        optional except that ``resume_from`` requires records mode and a
-        fingerprint-identical config.
+        The body is ``{"config": {...}, "resume_from": "<campaign
+        id>", "faults": [...]}`` — all keys optional; ``resume_from``
+        requires a fingerprint-identical config.
         """
         if not isinstance(body, dict):
             raise invalid_request(
                 f"the submission body must be a JSON object, "
                 f"got {type(body).__name__}"
             )
-        unknown = sorted(set(body) - {"config", "mode", "resume_from", "faults"})
+        unknown = sorted(set(body) - set(SUBMISSION_KEYS))
         if unknown:
             raise invalid_request(
                 f"unknown submission key(s) {unknown}; known keys: "
-                "['config', 'faults', 'mode', 'resume_from']"
-            )
-        mode = body.get("mode", "records")
-        if mode not in VALID_MODES:
-            raise invalid_request(
-                f"mode must be one of {VALID_MODES}, got {mode!r}"
+                f"{list(SUBMISSION_KEYS)}"
             )
         try:
             config = CampaignConfig.from_json_dict(body.get("config", {}))
@@ -241,27 +230,21 @@ class CampaignService:
         with self._lock:
             self._counter += 1
             campaign_id = f"c-{self._counter:04d}"
-        config = self._prepare_config(config, mode, campaign_id, resume_from)
+        config = self._prepare_config(config, campaign_id, resume_from)
         campaign = Campaign(
             id=campaign_id,
             config=config,
-            mode=mode,
             fingerprint=campaign_fingerprint(config),
             created_s=time.time(),
             resume_from=resume_from,
             fault_plan=fault_plan,
         )
-        if mode == "fabric":
-            campaign.fabric_dir = os.path.join(
-                self.service_dir, "campaigns", campaign_id, "fabric"
-            )
         with self._lock:
             self._campaigns[campaign_id] = campaign
         campaign.events.append(
             {
                 "type": "campaign_accepted",
                 "id": campaign.id,
-                "mode": campaign.mode,
                 "fingerprint": campaign.fingerprint,
                 "resume_from": campaign.resume_from,
             }
@@ -276,35 +259,31 @@ class CampaignService:
     def _prepare_config(
         self,
         config: CampaignConfig,
-        mode: str,
         campaign_id: str,
         resume_from: str | None,
     ) -> CampaignConfig:
         """Apply the service's execution-only defaults to a submission.
 
         Every adjustment here is an execution-only field (fingerprint
-        unchanged, dataset bits unchanged): the shared checkpoint root,
-        a per-campaign spill directory, a thread-safe multiprocessing
-        start method, and resume adoption.
+        unchanged, dataset bits unchanged): the campaign's own
+        checkpoint and spill directories, a thread-safe
+        multiprocessing start method, and resume adoption.
         """
         updates: dict = {}
-        if mode == "records" and config.checkpoint_dir is None:
-            updates["checkpoint_dir"] = self.checkpoint_root
+        if config.checkpoint_dir is None:
+            updates["checkpoint_dir"] = os.path.join(
+                self.campaign_dir(campaign_id), "checkpoint"
+            )
         if config.storage == "spill" and config.storage_dir is None:
             updates["storage_dir"] = os.path.join(
-                self.service_dir, "campaigns", campaign_id, "storage"
+                self.campaign_dir(campaign_id), "storage"
             )
-        if config.mp_start_method is None and (
-            config.n_workers > 1 or mode == "fabric"
-        ):
+        if config.mp_start_method is None and config.n_workers > 1:
             # The service parent is threaded (HTTP handlers, runner
             # threads); fork from a threaded process can inherit locks
             # mid-acquisition, so workers spawn fresh interpreters.
-            # Fabric mode always spawns worker processes, even for one.
             updates["mp_start_method"] = "spawn"
         if resume_from is not None:
-            if mode != "records":
-                raise invalid_request("resume_from requires records mode")
             source = self.get(resume_from)
             new_fp = campaign_fingerprint(config)
             if source.fingerprint != new_fp:
@@ -318,9 +297,7 @@ class CampaignService:
                     },
                 )
             updates["resume"] = True
-            source_root = source.config.checkpoint_dir
-            if source_root:
-                updates["checkpoint_dir"] = source_root
+            updates["checkpoint_dir"] = source.config.checkpoint_dir
         return replace(config, **updates) if updates else config
 
     # -- lifecycle ---------------------------------------------------------
@@ -393,14 +370,14 @@ class CampaignService:
         return on_event
 
     def _execute(self, campaign: Campaign) -> None:
-        """Run the campaign in its mode, folding shards as they land.
+        """Run the campaign, folding shards as they land.
 
-        Fabric mode runs the coordinator (and its local worker
-        processes) inside the service; the fabric directory lives under
-        the campaign's service subdirectory, so external ``repro
-        worker`` processes on the same filesystem may join mid-run.
+        A multi-shard campaign runs the fabric coordinator (and its
+        local worker processes) inside the service; the fabric
+        directory lives under the campaign's directory, so external
+        ``repro worker`` processes on the same filesystem may join
+        mid-run.
         """
-        from repro.runtime.fabric import run_fabric_campaign
         from repro.runtime.pool import run_campaign
 
         config = campaign.config
@@ -421,21 +398,13 @@ class CampaignService:
                 }
             )
 
-        hooks = dict(
+        dataset, stats = run_campaign(
+            config,
             fault_plan=campaign.fault_plan,
             on_event=self._on_event(campaign),
             on_result=on_result,
             should_stop=campaign.cancel_event.is_set,
         )
-        if campaign.mode == "fabric":
-            dataset, stats = run_fabric_campaign(
-                config,
-                config.n_workers,
-                campaign.fabric_dir,
-                **hooks,
-            )
-        else:
-            dataset, stats = run_campaign(config, **hooks)
         campaign.dataset = dataset
         campaign.run_stats = stats
         campaign.aggregates = aggregates.payload()
@@ -449,22 +418,24 @@ class CampaignService:
         )
 
     def workers(self, campaign_id: str) -> dict:
-        """The live lease/heartbeat/worker view of a fabric campaign.
+        """The live lease/heartbeat/worker view of a campaign that runs
+        on worker processes.
 
         Backs ``GET /v1/campaigns/{id}/workers``; valid at any point in
         the campaign's life (before planning it reports an unplanned
-        fabric).  Non-fabric campaigns have no worker fleet → 409.
+        fabric).  An in-process campaign has no worker fleet → 409.
         """
         campaign = self.get(campaign_id)
-        if campaign.mode != "fabric" or campaign.fabric_dir is None:
+        fabric_dir = campaign.fabric_dir
+        if fabric_dir is None:
             raise conflict(
-                f"campaign {campaign_id} runs in {campaign.mode!r} mode; "
-                "the workers view exists for fabric campaigns only"
+                f"campaign {campaign_id} runs in-process; the workers view "
+                "exists for campaigns on fabric worker processes only"
             )
         from repro.runtime.fabric import fabric_status
 
         return {
             "id": campaign.id,
             "state": campaign.state,
-            **fabric_status(campaign.fabric_dir),
+            **fabric_status(fabric_dir),
         }

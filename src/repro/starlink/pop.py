@@ -39,11 +39,9 @@ _POPS: dict[str, PoP] = {
     "seattle": PoP("pop-seattle", GeoPoint(47.61, -122.33), GeoPoint(47.30, -122.20)),
     "dallas": PoP("pop-dallas", GeoPoint(32.78, -96.80), GeoPoint(32.60, -96.50)),
     "atlanta": PoP("pop-atlanta", GeoPoint(33.75, -84.39), GeoPoint(33.90, -84.10)),
-    "new_york": PoP("pop-new-york", GeoPoint(40.71, -74.01), GeoPoint(41.00, -74.40)),
     "denver": PoP("pop-denver", GeoPoint(39.74, -104.99), GeoPoint(39.90, -104.70)),
     "sydney": PoP("pop-sydney", GeoPoint(-33.87, 151.21), GeoPoint(-34.05, 150.80)),
     "toronto": PoP("pop-toronto", GeoPoint(43.65, -79.38), GeoPoint(43.85, -79.10)),
-    "warsaw": PoP("pop-warsaw", GeoPoint(52.23, 21.01), GeoPoint(52.40, 20.70)),
 }
 
 #: User city -> serving PoP, approximating Starlink's 2022 homing.

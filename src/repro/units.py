@@ -12,8 +12,6 @@ from __future__ import annotations
 MS_PER_S = 1_000.0
 BITS_PER_BYTE = 8
 MBPS = 1_000_000.0
-KBPS = 1_000.0
-GBPS = 1_000_000_000.0
 
 
 def s_to_ms(seconds: float) -> float:

@@ -99,3 +99,15 @@ def test_report_renderer_marks_checks():
     assert "Shape checks: 3/3 pass" in text
     assert "- [x]" in text
     assert "| city |" in text or "| city " in text
+
+
+def test_experiments_md_header_is_the_generators():
+    """EXPERIMENTS.md is generated, header included: the file starts
+    with the report's header at seed 0, so regenerating it drops no
+    paragraph (no experiment runs here)."""
+    from pathlib import Path
+
+    from repro.experiments.report import _HEADER
+
+    path = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+    assert path.read_text(encoding="utf-8").startswith(_HEADER.format(seed=0))

@@ -2,8 +2,8 @@
 
 Every cell runs one campaign through one combination of
 
-* placement — ``in-process`` (one shard), ``processes`` (supervised
-  workers) or ``fabric`` (lease-coordinated workers);
+* placement — ``in-process`` (one shard) or ``processes`` (local
+  fabric workers, the one multi-process placement);
 * storage — the ``memory`` or ``spill`` backend the records land in;
 * run — ``clean``, ``faulted`` (injected faults the runtime survives)
   or ``resumed`` (a run that adopts an earlier run's shards);
@@ -23,15 +23,7 @@ import pytest
 
 from repro.errors import ShardFailedError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.runtime import (
-    CheckpointStore,
-    SupervisorPolicy,
-    crash_plan,
-    host_chaos_plan,
-    run_campaign,
-    run_fabric_campaign,
-)
-from repro.runtime.fabric import FabricCoordinator
+from repro.runtime import crash_plan, run_campaign
 
 TINY = dict(
     seed=11,
@@ -47,20 +39,16 @@ TINY = dict(
 #: Worker processes (and shards) of the multi-shard placements.
 N_WORKERS = 2
 
-#: Retries back off in milliseconds; the lost-shard run gives up after
-#: one retry instead of degrading in-process.
-POLICY = SupervisorPolicy(max_retries=1, backoff_base_s=0.01)
-KILL_POLICY = replace(POLICY, in_process_fallback=False)
-
-#: Fabric timings tight enough for test time.
-FABRIC = dict(lease_ttl_s=1.5, heartbeat_interval_s=0.1, straggler_floor_s=2.5)
+#: Re-dispatches back off in milliseconds; the lost-shard run gives up
+#: after one re-dispatch.
+RECOVERY = dict(max_shard_retries=1, retry_backoff_s=0.01)
 
 STORAGES = ("memory", "spill")
 RUNS = ("clean", "faulted", "resumed")
 
 CELLS = [
     (placement, storage, run)
-    for placement in ("in-process", "processes", "fabric")
+    for placement in ("in-process", "processes")
     for storage in STORAGES
     for run in RUNS
     if not (placement == "in-process" and run == "faulted")
@@ -87,49 +75,23 @@ def _config(placement, storage, tmp_path):
         storage=storage,
         storage_dir=str(tmp_path / "segments") if storage == "spill" else None,
         storage_segment_records=64,
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        **RECOVERY,
     )
 
 
 def _run_records(placement, run, config, tmp_path):
-    if placement == "fabric":
-        return _run_fabric(run, config, tmp_path)
-    checkpoint = CheckpointStore(str(tmp_path / "ckpt"), config)
     if run == "faulted":
-        return run_campaign(
-            config, policy=POLICY, fault_plan=crash_plan([0, 1]), checkpoint=checkpoint
-        )
+        return run_campaign(config, fault_plan=crash_plan([0, 1]))
     if run == "resumed":
         if placement == "processes":
             # Killed after k of n shards: shard 1 crashes on every try.
             with pytest.raises(ShardFailedError):
-                run_campaign(
-                    config,
-                    policy=KILL_POLICY,
-                    fault_plan=crash_plan([1], attempts=(0, 1)),
-                    checkpoint=checkpoint,
-                )
+                run_campaign(config, fault_plan=crash_plan([1], attempts=(0, 1)))
         else:
-            run_campaign(_elsewhere(config, tmp_path), checkpoint=checkpoint)
-        return run_campaign(config, checkpoint=checkpoint, resume=True)
-    return run_campaign(config, checkpoint=checkpoint)
-
-
-def _run_fabric(run, config, tmp_path):
-    fabric_dir = str(tmp_path / "fabric")
-    fault_plan = host_chaos_plan(torn_shards=(1,)) if run == "faulted" else None
-    first_config = _elsewhere(config, tmp_path) if run == "resumed" else config
-    dataset, stats = run_fabric_campaign(
-        first_config,
-        N_WORKERS,
-        fabric_dir,
-        n_shards=N_WORKERS,
-        fault_plan=fault_plan,
-        **FABRIC,
-    )
-    if run != "resumed":
-        return dataset, stats
-    # A restarted coordinator adopts every manifest; no worker runs.
-    return FabricCoordinator(config, fabric_dir).run()
+            run_campaign(_elsewhere(config, tmp_path))
+        return run_campaign(config, resume=True)
+    return run_campaign(config)
 
 
 def _elsewhere(config, tmp_path):
@@ -143,18 +105,16 @@ def _check_run(placement, run, stats):
     n_shards = 1 if placement == "in-process" else N_WORKERS
     assert len(stats.shards) == n_shards
     if run == "faulted":
-        if placement == "fabric":
-            assert stats.quarantined_segments >= 1
-        else:
-            assert [f.kind for f in stats.failures] == ["crash", "crash"]
-            assert stats.n_retried_shards == 2
+        assert [f.kind for f in stats.failures] == ["crash", "crash"]
+        assert stats.n_retried_shards == 2
     elif run == "resumed":
-        if placement == "fabric":
-            assert not stats.transitions("lease_claimed")
-        else:
-            rerun = [s.shard_id for s in stats.shards if not s.resumed]
-            assert rerun == ([1] if placement == "processes" else [])
-            assert stats.resumed_shards == n_shards - len(rerun)
+        rerun = [s.shard_id for s in stats.shards if not s.resumed]
+        assert rerun == ([1] if placement == "processes" else [])
+        assert stats.resumed_shards == n_shards - len(rerun)
+        if placement == "processes":
+            # Adopted shards need no worker: only the lost one is claimed.
+            claimed = {e["shard_id"] for e in stats.transitions("lease_claimed")}
+            assert claimed <= {1}
     else:
         assert stats.n_failures == 0 and stats.resumed_shards == 0
 

@@ -248,23 +248,23 @@ def _config(**knob_fields):
 
 
 def _start_method(value):
-    from repro.runtime.pool import mp_context
+    from repro.runtime.supervision import mp_context
 
     return mp_context(_config(mp_start_method=value)).get_start_method()
 
 
-def _max_retries(value):
-    from repro.runtime.supervision import SupervisorPolicy
+def _coordinator(**knob_fields):
+    from repro.runtime.fabric import FabricCoordinator
 
-    policy = SupervisorPolicy.from_config(_config(max_shard_retries=value))
-    return policy.max_retries
+    return FabricCoordinator(_config(**knob_fields), "fabric", shards=[(0, [0])])
+
+
+def _max_retries(value):
+    return _coordinator(max_shard_retries=value).max_retries
 
 
 def _shard_timeout(value):
-    from repro.runtime.supervision import SupervisorPolicy
-
-    policy = SupervisorPolicy.from_config(_config(shard_timeout_s=value))
-    return policy.shard_timeout_s
+    return _coordinator(shard_timeout_s=value).shard_timeout_s
 
 
 def _checkpoint_root(value):

@@ -271,10 +271,9 @@ def test_stale_checkpoints_invisible_to_other_configs(tmp_path):
 def test_resume_with_complete_checkpoints_runs_nothing(
     tmp_path, serial_dataset
 ):
-    config = CampaignConfig(**SMALL, n_workers=4)
-    store = CheckpointStore(str(tmp_path), config)
-    run_campaign(config, checkpoint=store)
-    dataset, stats = run_campaign(config, checkpoint=store, resume=True)
+    config = CampaignConfig(**SMALL, n_workers=4, checkpoint_dir=str(tmp_path))
+    run_campaign(config)
+    dataset, stats = run_campaign(config, resume=True)
     assert stats.resumed_shards == len(stats.shards)
     assert stats.n_worker_processes == 0
     assert dataset.page_loads == serial_dataset.page_loads
@@ -284,11 +283,11 @@ def test_checkpoints_ignored_without_resume(
     tmp_path, serial_dataset
 ):
     """Without ``resume`` the run recomputes (and re-spills) everything."""
-    config = CampaignConfig(**SMALL, n_workers=4)
-    store = CheckpointStore(str(tmp_path), config)
-    run_campaign(config, checkpoint=store)
-    dataset, stats = run_campaign(config, checkpoint=store, resume=False)
+    config = CampaignConfig(**SMALL, n_workers=4, checkpoint_dir=str(tmp_path))
+    run_campaign(config)
+    dataset, stats = run_campaign(config, resume=False)
     assert stats.resumed_shards == 0
+    assert all(s.attempts == 1 and not s.resumed for s in stats.shards)
     assert dataset.page_loads == serial_dataset.page_loads
 
 
@@ -298,12 +297,9 @@ def test_resume_across_worker_counts_recomputes_safely(
     """Checkpoints from a different partition (other n_workers) are
     rejected per shard, so the resumed run recomputes instead of
     mixing partitions — and still matches the serial dataset."""
-    config = CampaignConfig(**SMALL, n_workers=4)
-    store = CheckpointStore(str(tmp_path), config)
-    run_campaign(config, checkpoint=store)
-    dataset, stats = run_campaign(
-        replace(config, n_workers=3), checkpoint=store, resume=True
-    )
+    config = CampaignConfig(**SMALL, n_workers=4, checkpoint_dir=str(tmp_path))
+    run_campaign(config)
+    dataset, stats = run_campaign(replace(config, n_workers=3), resume=True)
     assert dataset.page_loads == serial_dataset.page_loads
     assert dataset.speedtests == serial_dataset.speedtests
 

@@ -1,21 +1,35 @@
-"""The multi-host fabric: chaos identity, re-dispatch, plan adoption.
+"""The campaign fabric: chaos identity, re-dispatch, plan adoption.
 
-The tentpole acceptance criterion lives here: a fabric campaign with at
-least two workers — one killed mid-shard (recovered via heartbeat
-expiry), one straggling (recovered via deadline-based re-dispatch) —
-produces a dataset bit-identical to the serial run, and the
-coordinator's structured log records every lease transition.
+The fabric's acceptance criterion lives here: a fabric campaign with at
+least two workers — one killed mid-shard (recovered from its process
+handle, or from heartbeat expiry when the worker is on another host),
+one straggling (recovered via deadline-based re-dispatch) — produces a
+dataset bit-identical to the serial run, and the coordinator's
+structured log records every lease transition.
 """
 
 import json
 import os
+import tempfile
 import time
 
 import pytest
 
-from repro.errors import ConfigurationError, FabricError
+from repro.errors import (
+    CampaignCancelledError,
+    ConfigurationError,
+    FabricError,
+    ShardFailedError,
+)
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.runtime import campaign_fingerprint, host_chaos_plan, run_fabric_campaign
+from repro.runtime import (
+    FaultKind,
+    campaign_fingerprint,
+    crash_plan,
+    host_chaos_plan,
+    plan_campaign,
+    run_fabric_campaign,
+)
 from repro.runtime.fabric import (
     CANCELLED_MARKER,
     FabricCoordinator,
@@ -26,7 +40,9 @@ from repro.runtime.fabric import (
     run_fabric_worker,
     write_or_adopt_plan,
 )
+from repro.runtime.faults import Fault, FaultPlan
 from repro.runtime.store import FsStore
+from repro.runtime.supervision import mp_context, supervise_shards
 
 SMALL = dict(
     seed=11,
@@ -91,14 +107,22 @@ def test_fabric_chaos_identity(serial_dataset, tmp_path):
         **FAST,
     )
     _assert_identical(dataset, serial_dataset)
-    # The killed worker: its heartbeats stopped, so shard 0's lease
-    # expired and the shard was re-dispatched to a surviving worker.
-    expired = stats.transitions("lease_expired")
-    assert any(e["shard_id"] == 0 for e in expired)
+    # The killed worker: the coordinator saw its process exit, revoked
+    # shard 0's lease at once and re-dispatched it.
+    revoked = stats.transitions("lease_revoked")
+    assert any(e["shard_id"] == 0 and e["kind"] == "crash" for e in revoked)
     # The straggler: shard 1 was held heartbeating past the percentile
-    # deadline, revoked, and completed by someone else.
+    # deadline, revoked (its worker terminated), and completed by
+    # someone else.
     stragglers = stats.transitions("lease_straggler")
     assert any(e["shard_id"] == 1 for e in stragglers)
+    assert sorted((f.shard_id, f.attempt, f.kind) for f in stats.failures) == [
+        (0, 0, "crash"),
+        (1, 0, "timeout"),
+    ]
+    # The crashed worker was replaced while most shards remained.
+    replaced = stats.transitions("worker_replaced")
+    assert replaced and len(replaced) <= 2
     redispatched = stats.transitions("shard_redispatched")
     assert {e["shard_id"] for e in redispatched} >= {0, 1}
     assert stats.redispatched_shards >= 2
@@ -117,6 +141,39 @@ def test_fabric_chaos_identity(serial_dataset, tmp_path):
         on_disk = [json.loads(line) for line in handle if line.strip()]
     assert [e["type"] for e in on_disk] == [
         e["type"] for e in stats.lease_log
+    ]
+
+
+def test_external_worker_death_expires_its_lease(serial_dataset, tmp_path):
+    """A worker on another host that dies mid-shard has no process
+    handle here: its lease expires at the TTL, and the shard is
+    re-dispatched to a surviving worker."""
+    config = CampaignConfig(**SMALL)
+    fabric_dir = str(tmp_path / "fabric")
+    workers = [
+        mp_context(config).Process(
+            target=_fabric_worker_entry,
+            args=(fabric_dir, f"remote-w{rank}", 0.1, crash_plan([0])),
+            daemon=True,
+        )
+        for rank in range(2)
+    ]
+    for process in workers:
+        process.start()
+    try:
+        dataset, stats = run_fabric_campaign(
+            config, n_workers=0, fabric_dir=fabric_dir, n_shards=4, **FAST
+        )
+    finally:
+        for process in workers:
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.terminate()
+    _assert_identical(dataset, serial_dataset)
+    expired = stats.transitions("lease_expired")
+    assert [e["shard_id"] for e in expired] == [0]
+    assert [(f.shard_id, f.attempt, f.kind) for f in stats.failures] == [
+        (0, 0, "lost")
     ]
 
 
@@ -178,8 +235,8 @@ def test_int_duration_config_runs_on_the_fabric():
 def test_plan_write_then_adopt(tmp_path):
     config = CampaignConfig(**SMALL)
     store = FsStore(str(tmp_path))
-    plan = write_or_adopt_plan(config, store, n_shards=3)
-    adopted = write_or_adopt_plan(config, store, n_shards=7)
+    plan = write_or_adopt_plan(config, store, plan_campaign(config, 3)[1])
+    adopted = write_or_adopt_plan(config, store, plan_campaign(config, 7)[1])
     # The published partition wins over a restarted coordinator's args.
     assert adopted.shards == plan.shards
     assert adopted.fingerprint == plan.fingerprint
@@ -188,10 +245,10 @@ def test_plan_write_then_adopt(tmp_path):
 
 def test_plan_rejects_foreign_fingerprint(tmp_path):
     store = FsStore(str(tmp_path))
-    write_or_adopt_plan(CampaignConfig(**SMALL), store, n_shards=2)
+    write_or_adopt_plan(CampaignConfig(**SMALL), store, [(0, [0]), (1, [1])])
     other = CampaignConfig(**{**SMALL, "seed": 12})
     with pytest.raises(FabricError):
-        write_or_adopt_plan(other, store, n_shards=2)
+        write_or_adopt_plan(other, store, [(0, [0]), (1, [1])])
 
 
 def test_coordinator_restart_adopts_completed_shards(
@@ -205,14 +262,89 @@ def test_coordinator_restart_adopts_completed_shards(
         CampaignConfig(**SMALL), n_workers=2, fabric_dir=fabric_dir,
         n_shards=4, **FAST,
     )
-    coordinator = FabricCoordinator(
-        CampaignConfig(**SMALL), fabric_dir, n_shards=4
-    )
-    dataset, stats = coordinator.run(local_workers=())
+    coordinator = FabricCoordinator(CampaignConfig(**SMALL), fabric_dir)
+    dataset, stats = coordinator.run()
     _assert_identical(dataset, serial_dataset)
-    assert len(stats.transitions("shard_completed")) == 4
+    assert len(stats.transitions("shard_resumed")) == 4
+    assert stats.resumed_shards == 4
+    assert all(s.resumed for s in stats.shards)
     # No worker ran: the completions came from adopted manifests.
     assert not stats.transitions("lease_claimed")
+
+
+def _cancel_after_first_shard(accepted):
+    """``on_result``/``should_stop`` hooks cancelling once a shard lands."""
+
+    def on_result(result):
+        accepted.append(result.shard_id)
+
+    return on_result, lambda: bool(accepted)
+
+
+#: Shards 1-7 of 8 sleep through their first attempt, so a run
+#: cancelled after its first shard has work left however fast shard 0
+#: runs.
+SLOW_TAIL = FaultPlan(
+    {(shard_id, 0): Fault(FaultKind.SLOW, delay_s=30.0) for shard_id in range(1, 8)}
+)
+
+
+def test_coordinator_restart_after_cancel_finishes_the_run(
+    serial_dataset, tmp_path
+):
+    """A run cancelled after its first shard leaves a CANCELLED marker
+    and stale leases behind; a coordinator restarted over the same
+    directory clears them, adopts the finished shard without re-running
+    it, and finishes the run."""
+    fabric_dir = str(tmp_path / "fabric")
+    accepted = []
+    on_result, should_stop = _cancel_after_first_shard(accepted)
+    with pytest.raises(CampaignCancelledError):
+        run_fabric_campaign(
+            CampaignConfig(**SMALL), n_workers=2, fabric_dir=fabric_dir,
+            n_shards=8, fault_plan=SLOW_TAIL, on_result=on_result,
+            should_stop=should_stop, **FAST,
+        )
+    assert FsStore(fabric_dir).exists(CANCELLED_MARKER)
+    dataset, stats = run_fabric_campaign(
+        CampaignConfig(**SMALL), n_workers=2, fabric_dir=fabric_dir,
+        n_shards=8, **FAST,
+    )
+    _assert_identical(dataset, serial_dataset)
+    resumed = {e["shard_id"] for e in stats.transitions("shard_resumed")}
+    assert resumed >= set(accepted) and accepted
+    assert stats.resumed_shards == len(resumed) < 8
+    claimed = {e["shard_id"] for e in stats.transitions("lease_claimed")}
+    assert not claimed & resumed
+    assert stats.n_failures == 0
+
+
+def test_temporary_fabric_dir_removed_when_cancelled(monkeypatch, tmp_path):
+    """A run without a fabric directory uses a temporary one, and
+    leaves the temporary directory as it found it however it ends."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    accepted = []
+    on_result, should_stop = _cancel_after_first_shard(accepted)
+    with pytest.raises(CampaignCancelledError):
+        run_fabric_campaign(
+            CampaignConfig(**SMALL), n_workers=2, n_shards=8,
+            fault_plan=SLOW_TAIL, on_result=on_result, should_stop=should_stop,
+            **FAST,
+        )
+    assert accepted
+    assert os.listdir(scratch) == []
+    # The same holds when a run fails, or its coordinator cannot start.
+    with pytest.raises(ShardFailedError):
+        run_fabric_campaign(
+            CampaignConfig(**SMALL, max_shard_retries=0), n_workers=1,
+            n_shards=2, fault_plan=crash_plan([1]), **FAST,
+        )
+    assert os.listdir(scratch) == []
+    with pytest.raises(TypeError):
+        supervise_shards(CampaignConfig(**SMALL), [(0, [0])], 1, bogus_option=1)
+    assert os.listdir(scratch) == []
 
 
 def test_worker_times_out_without_plan(tmp_path):
@@ -260,26 +392,27 @@ def test_fabric_store_keyword_accepts_only_fs():
 
 
 def test_redispatch_cap_gives_up(tmp_path):
-    coordinator = FabricCoordinator(
-        CampaignConfig(**SMALL),
-        str(tmp_path),
-        n_shards=2,
-        max_redispatches=1,
-    )
-    coordinator._schedule_redispatch(
-        0, reason="test", next_attempt=1, worker_id="w"
-    )
-    with pytest.raises(FabricError, match="exceeded 1 re-dispatch"):
-        coordinator._schedule_redispatch(
-            0, reason="test again", next_attempt=2, worker_id="w"
+    """A shard past ``max_shard_retries`` re-dispatches fails the run
+    with ShardFailedError — after the other shard is stored."""
+    fabric_dir = str(tmp_path / "fabric")
+    config = CampaignConfig(**SMALL, max_shard_retries=1, retry_backoff_s=0.01)
+    with pytest.raises(ShardFailedError, match="exhausted 1 re-dispatch") as error:
+        run_fabric_campaign(
+            config, n_workers=2, fabric_dir=fabric_dir, n_shards=2,
+            fault_plan=crash_plan([0], attempts=(0, 1)), **FAST,
         )
+    assert [(f.shard_id, f.kind) for f in error.value.failures] == [
+        (0, "crash"),
+        (0, "crash"),
+    ]
+    status = fabric_status(fabric_dir)
+    assert status["terminal"] == "FAILED"
+    assert status["completed_shards"] == 1
 
 
 def test_fabric_worker_joins_before_plan(serial_dataset, tmp_path):
     """Workers started before the coordinator wait for its plan, then
     do all the work."""
-    from repro.runtime.pool import mp_context
-
     config = CampaignConfig(**SMALL)
     fabric_dir = str(tmp_path / "fabric")
     context = mp_context(config)

@@ -1,12 +1,14 @@
-"""Fault-injection layer: plans, determinism, result validation."""
+"""Fault-injection layer: plans, determinism, what a corrupt result trips."""
 
 import pickle
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.extension.campaign import CampaignConfig
 from repro.extension.records import SpeedtestRecord
 from repro.runtime import (
+    CheckpointStore,
     Fault,
     FaultKind,
     FaultPlan,
@@ -15,7 +17,7 @@ from repro.runtime import (
     corrupt_plan,
     crash_plan,
     hang_plan,
-    validate_shard_result,
+    host_chaos_plan,
 )
 from repro.runtime.faults import apply_post_run
 from repro.runtime.shard import ShardColumns
@@ -52,6 +54,20 @@ def test_plan_helpers_cover_all_kinds():
         f.kind is FaultKind.CORRUPT
         for f in corrupt_plan([3]).faults.values()
     )
+    # A dead host is a crash after the claim, a straggler a hang that
+    # keeps heartbeating: the mixed plan uses the same six kinds.
+    mixed = host_chaos_plan(
+        dead_shards=(0,), straggler_shards=(1,), torn_shards=(2,),
+        lease_loss_shards=(3,), straggle_s=8.0,
+    )
+    assert [mixed.fault_for(s, 0).kind for s in range(4)] == [
+        FaultKind.CRASH,
+        FaultKind.HANG,
+        FaultKind.TORN_SEGMENT,
+        FaultKind.LEASE_LOSS,
+    ]
+    assert mixed.fault_for(1, 0).delay_s == 8.0
+    assert len(FaultKind) == 6
 
 
 def test_seeded_plan_is_deterministic():
@@ -81,30 +97,29 @@ def test_plan_pickles_for_spawn_workers():
     assert pickle.loads(pickle.dumps(plan)) == plan
 
 
-def test_corrupt_drops_a_user():
+def _segment_store(tmp_path) -> CheckpointStore:
+    return CheckpointStore(str(tmp_path), CampaignConfig(seed=3, duration_s=3600.0))
+
+
+def test_corrupt_drops_a_user(tmp_path):
     result = _result(indices=(4, 7, 9))
     tampered = apply_post_run(Fault(FaultKind.CORRUPT), result)
     assert tampered.user_indices == [4, 7]
     assert tampered.speedtest_arrays["user_index"].tolist() == [4] * 5 + [7] * 8
     assert tampered.speedtest_arrays["user_id"].tolist() == ["u-4"] * 5 + ["u-7"] * 8
     assert len(tampered.page_load_arrays["t_s"]) == 0
-    assert validate_shard_result(tampered, 0, [4, 7, 9]) is not None
+    # The spilled segment fails the coordinator's user-index check.
+    store = _segment_store(tmp_path)
+    store.save(tampered)
+    assert store.load(0, [4, 7, 9]) is None
+    assert store.load(0, [4, 7]) is not None
 
 
-def test_corrupt_empty_shard_still_observable():
+def test_corrupt_empty_shard_still_observable(tmp_path):
     result = _result(indices=())
     tampered = apply_post_run(Fault(FaultKind.CORRUPT), result)
-    assert validate_shard_result(tampered, 0, []) is not None
-
-
-def test_validate_shard_result_accepts_good_results():
-    assert validate_shard_result(_result(3, (1, 5)), 3, [1, 5]) is None
-
-
-def test_validate_shard_result_rejects_mismatches():
-    assert validate_shard_result("nonsense", 0, []) is not None
-    assert validate_shard_result(_result(1), 2, [0, 1]) is not None
-    missing = validate_shard_result(_result(0, (0,)), 0, [0, 1])
-    assert "missing" in missing
-    surplus = validate_shard_result(_result(0, (0, 1, 2)), 0, [0, 1])
-    assert "surplus" in surplus
+    # The skewed shard id spills elsewhere: the planned shard's segment
+    # is missing, so its load fails.
+    store = _segment_store(tmp_path)
+    store.save(tampered)
+    assert store.load(0, []) is None

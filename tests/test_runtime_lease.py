@@ -189,7 +189,6 @@ def test_double_completion_first_manifest_wins(tmp_path):
             shell_sats_per_plane=12,
         ),
         str(tmp_path),
-        n_shards=1,
     )
     coordinator._scan_discards()
     discarded = [

@@ -1,11 +1,13 @@
-"""Supervised campaign runtime: chaos identity, retries, degradation.
+"""The one multi-process placement: chaos identity, re-dispatch, budget.
 
 The headline acceptance test: for seeded fault plans covering worker
-crashes, hangs (recovered by timeout) and corrupted results, a
-supervised ``n_workers=4`` campaign completes and its merged dataset
-is bit-identical to the fault-free serial run — with every survived
-failure visible in ``CampaignRunStats``.
+crashes, hangs (recovered by the deadline) and corrupted results, an
+``n_workers=4`` campaign on local fabric workers completes and its
+merged dataset is bit-identical to the fault-free serial run — with
+every survived failure visible in ``CampaignRunStats``.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +15,6 @@ from repro.errors import ConfigurationError, DatasetError, ShardFailedError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 from repro.runtime import (
     FaultPlan,
-    SupervisorPolicy,
     corrupt_plan,
     crash_plan,
     hang_plan,
@@ -22,6 +23,7 @@ from repro.runtime import (
     run_campaign,
     supervise_shards,
 )
+from repro.runtime.fabric import BACKOFF_MAX_S, FabricCoordinator
 from repro.runtime.faults import FaultKind
 from repro.runtime.shard import ShardColumns, ShardStats
 
@@ -43,12 +45,18 @@ SMALL = dict(
     shell_sats_per_plane=12,
 )
 
-#: Fast-failing policy for chaos tests: hung shards are killed after
-#: 5 s (a healthy shard of the SMALL campaign finishes well under 1 s),
-#: retries back off in milliseconds.
-CHAOS_POLICY = SupervisorPolicy(
-    max_retries=2, shard_timeout_s=5.0, backoff_base_s=0.01
-)
+#: Fast-failing recovery knobs for chaos tests: hung shards are
+#: revoked (and their workers terminated) after 5 s — a healthy shard
+#: of the SMALL campaign finishes well under 1 s — and re-dispatches
+#: back off in milliseconds.
+CHAOS = dict(max_shard_retries=2, shard_timeout_s=5.0, retry_backoff_s=0.01)
+
+#: The failure kind each injected fault is recorded as.
+RECORDED_KIND = {
+    FaultKind.CRASH: "crash",
+    FaultKind.HANG: "timeout",
+    FaultKind.CORRUPT: "corrupt",
+}
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +69,9 @@ def campaign_users():
     return ExtensionCampaign(CampaignConfig(**SMALL)).population.users
 
 
-def _run_chaos(plan, policy=CHAOS_POLICY, n_workers=4):
-    config = CampaignConfig(**SMALL, n_workers=n_workers)
-    return run_campaign(config, policy=policy, fault_plan=plan)
+def _run_chaos(plan, n_workers=4, **knobs):
+    config = CampaignConfig(**SMALL, n_workers=n_workers, **CHAOS | knobs)
+    return run_campaign(config, fault_plan=plan)
 
 
 @pytest.mark.parametrize(
@@ -97,77 +105,94 @@ def test_chaos_identity_seeded_mixed_schedule(serial_dataset):
     assert dataset.page_loads == serial_dataset.page_loads
     assert dataset.speedtests == serial_dataset.speedtests
     # SLOW is a straggler, not a failure: it must finish within the
-    # timeout and never show up in the failure log.
-    injected_failures = sum(
-        1 for f in plan.faults.values() if f.kind is not FaultKind.SLOW
+    # deadline and never show up in the failure log.  Every other
+    # injected fault is recorded exactly once, with its kind.
+    injected = sorted(
+        (shard_id, attempt, RECORDED_KIND[f.kind])
+        for (shard_id, attempt), f in plan.faults.items()
+        if f.kind is not FaultKind.SLOW
     )
-    assert stats.n_failures == injected_failures
+    recorded = sorted((f.shard_id, f.attempt, f.kind) for f in stats.failures)
+    assert recorded == injected
 
 
-def test_repeated_crashes_degrade_to_in_process(serial_dataset):
-    """A shard crashing on every worker attempt falls back in-process."""
+def test_repeated_crashes_exhaust_then_resume(serial_dataset, tmp_path):
+    """A shard crashing on every attempt uses up the re-dispatch budget:
+    the run fails only after every other shard is stored, and a resumed
+    run re-runs just that shard, bit-identically."""
     plan = crash_plan([1], attempts=(0, 1, 2))
-    dataset, stats = _run_chaos(plan)
+    with pytest.raises(ShardFailedError) as excinfo:
+        _run_chaos(plan, checkpoint_dir=str(tmp_path))
+    assert [f.kind for f in excinfo.value.failures] == ["crash"] * 3
+    assert "shard(s) [1] exhausted 2 re-dispatches" in str(excinfo.value)
+    config = CampaignConfig(
+        **SMALL, n_workers=4, checkpoint_dir=str(tmp_path), resume=True
+    )
+    dataset, stats = run_campaign(config)
     assert dataset.page_loads == serial_dataset.page_loads
-    assert [f.kind for f in stats.failures] == ["crash"] * 3
-    fallback = [s for s in stats.shards if s.shard_id == 1]
-    assert fallback[0].attempts == CHAOS_POLICY.max_retries + 2
+    assert dataset.speedtests == serial_dataset.speedtests
+    assert [s.shard_id for s in stats.shards if not s.resumed] == [1]
+    assert stats.resumed_shards == 3
 
 
 def test_exhausted_retries_raise_without_fallback():
-    policy = SupervisorPolicy(
-        max_retries=1, backoff_base_s=0.01, in_process_fallback=False
-    )
+    """Past the budget the run raises; nothing runs the shard in-process."""
     plan = crash_plan([1], attempts=(0, 1))
     with pytest.raises(ShardFailedError) as excinfo:
-        _run_chaos(plan, policy=policy)
+        _run_chaos(plan, max_shard_retries=1)
     assert [f.kind for f in excinfo.value.failures] == ["crash", "crash"]
 
 
 def test_worker_exception_logged_as_error():
     """A worker that raises (rather than dies) is logged as 'error' and
-    retried; a shard poisoned on every attempt surfaces the exception
-    text in the ShardFailedError log."""
+    re-dispatched; a shard poisoned on every attempt surfaces the
+    exception text in the failure log and the ShardFailedError."""
     # User index 10_000 is out of range for the SMALL population, so
     # every attempt raises IndexError inside the worker.
-    tasks = [(CampaignConfig(**SMALL), 0, [0, 10_000])]
-    policy = SupervisorPolicy(
-        max_retries=1, backoff_base_s=0.01, in_process_fallback=False
-    )
+    config = CampaignConfig(**SMALL, max_shard_retries=1, retry_backoff_s=0.01)
     with pytest.raises(ShardFailedError) as excinfo:
-        supervise_shards(tasks, 1, policy=policy)
+        supervise_shards(config, [(0, [0, 10_000])], 1)
     kinds = [f.kind for f in excinfo.value.failures]
     assert kinds == ["error", "error"]
     assert "IndexError" in excinfo.value.failures[0].detail
+    assert "IndexError" in str(excinfo.value)
 
 
-def test_supervisor_policy_validation():
-    with pytest.raises(ConfigurationError):
-        SupervisorPolicy(max_retries=-1)
-    with pytest.raises(ConfigurationError):
-        SupervisorPolicy(shard_timeout_s=0.0)
-    with pytest.raises(ConfigurationError):
-        SupervisorPolicy(backoff_base_s=-0.1)
+def test_backoff_is_bounded_exponential(tmp_path):
+    """Re-dispatch k of a shard waits ``retry_backoff_s * 2**(k-1)``,
+    capped at :data:`BACKOFF_MAX_S`."""
+    config = CampaignConfig(**SMALL, retry_backoff_s=0.1, max_shard_retries=10)
+    coordinator = FabricCoordinator(config, str(tmp_path), shards=[(0, [0])])
+    for attempt in range(6):
+        coordinator._schedule_redispatch(0, "crash", "test", attempt, "w")
+    backoffs = [e["backoff_s"] for e in coordinator.lease_log]
+    assert backoffs == pytest.approx([0.1, 0.2, 0.4, 0.8, 1.6, BACKOFF_MAX_S])
 
 
-def test_backoff_is_bounded_exponential():
-    policy = SupervisorPolicy(backoff_base_s=0.1, backoff_max_s=0.5)
-    assert policy.backoff_s(0) == pytest.approx(0.1)
-    assert policy.backoff_s(1) == pytest.approx(0.2)
-    assert policy.backoff_s(10) == pytest.approx(0.5)
-
-
-def test_policy_from_config():
-    config = CampaignConfig(**SMALL, max_shard_retries=5, shard_timeout_s=9.0)
-    policy = SupervisorPolicy.from_config(config)
-    assert policy.max_retries == 5
-    assert policy.shard_timeout_s == 9.0
+def test_policy_from_config(tmp_path):
+    """The coordinator's budget, backoff and deadline cap are the
+    config's recovery knobs."""
+    config = CampaignConfig(
+        **SMALL, max_shard_retries=5, shard_timeout_s=9.0, retry_backoff_s=0.3
+    )
+    coordinator = FabricCoordinator(config, str(tmp_path), shards=[(0, [0])])
+    assert coordinator.max_retries == 5
+    assert coordinator.shard_timeout_s == 9.0
+    assert coordinator.backoff_base_s == 0.3
+    # No percentile samples yet: the timeout alone is the deadline.
+    assert coordinator._deadline() == 9.0
+    defaults = FabricCoordinator(
+        replace(config, max_shard_retries=None, shard_timeout_s=None),
+        str(tmp_path),
+    )
+    assert defaults.max_retries == 8
+    assert defaults._deadline() is None
 
 
 def test_pool_sized_to_tasks_not_workers(campaign_users, serial_dataset):
     """Over-provisioning regression: fewer users than workers must not
-    spawn idle processes (the pre-supervision engine spawned
-    ``n_shards`` processes even for empty shards)."""
+    start idle processes (a bare pool started ``n_shards`` processes
+    even for empty shards)."""
     dataset, stats = run_campaign(CampaignConfig(**SMALL, n_workers=64))
     assert dataset.page_loads == serial_dataset.page_loads
     assert stats.n_workers == 64

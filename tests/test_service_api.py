@@ -192,7 +192,7 @@ def test_experiments_metadata(port):
         (
             "POST",
             "/v1/campaigns",
-            {"config": {}, "mode": "fabric", "resume_from": "c-9999"},
+            {"config": {}, "resume_from": 9999},
             400,
             "invalid_request",
         ),
@@ -242,7 +242,7 @@ def records_campaign(port):
 
 def test_campaign_status_document(records_campaign):
     status = records_campaign
-    assert status["mode"] == "records"
+    assert "mode" not in status  # the worker count picks the placement
     assert status["error"] is None
     assert status["cancel_requested"] is False
     assert status["config"]["seed"] == DATA["seed"]
@@ -481,15 +481,18 @@ def test_aggregate_fold_exact_for_any_shards_and_order(
 
 
 def test_sketch_mode_is_rejected(port):
-    status, payload = api(
-        port, "POST", "/v1/campaigns", {"config": dict(DATA), "mode": "sketch"}
-    )
-    assert status == 400
-    assert payload["error"]["code"] == "invalid_request"
-    assert "('records', 'fabric')" in payload["error"]["message"]
+    """No submission names a mode any more: the worker count picks the
+    placement, and a body that still names one is an unknown key."""
+    for mode in ("sketch", "records", "fabric"):
+        status, payload = api(
+            port, "POST", "/v1/campaigns", {"config": dict(DATA), "mode": mode}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert "unknown submission key(s) ['mode']" in payload["error"]["message"]
 
 
-# -- fabric mode -----------------------------------------------------------
+# -- campaigns on fabric worker processes ----------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -498,7 +501,7 @@ def fabric_campaign(port):
         port,
         "POST",
         "/v1/campaigns",
-        {"config": {**DATA, "n_workers": 2}, "mode": "fabric"},
+        {"config": {**DATA, "n_workers": 2}},
     )
     final = wait_terminal(port, submitted["id"])
     assert final["state"] == "completed", final
@@ -508,9 +511,9 @@ def fabric_campaign(port):
 def test_fabric_campaign_results_identical_to_serial(
     port, fabric_campaign, serial_dataset
 ):
-    """A fabric-mode campaign over HTTP serves the bit-identical rows:
+    """A two-worker campaign over HTTP serves the bit-identical rows:
     lease-dispatched workers, manifest merge, same dataset."""
-    assert fabric_campaign["mode"] == "fabric"
+    assert fabric_campaign["fabric_dir"]
     # fabric workers are separate processes under a threaded parent, so
     # the service forces spawn
     assert fabric_campaign["config"]["mp_start_method"] == "spawn"
@@ -558,8 +561,8 @@ def test_retired_fabric_store_key_rejected_as_unknown(port):
     """The fabric coordinates through its own directory only, so a
     submission that still names a ``fabric_store`` is refused with the
     unknown-key error rather than silently ignored."""
-    for mode, value in (("fabric", "fs"), ("fabric", "object"), ("records", "fs")):
-        body = {"config": dict(DATA), "mode": mode, "fabric_store": value}
+    for value in ("fs", "object"):
+        body = {"config": dict(DATA), "fabric_store": value}
         status, payload = api(port, "POST", "/v1/campaigns", body)
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
@@ -598,8 +601,8 @@ def test_cancel_resume_lifecycle_bit_identical(port, serial_dataset):
     )
     assert status == 202
     campaign_id = submitted["id"]
-    # the service picked spawn (threaded parent) and the shared
-    # checkpoint root without changing the campaign identity
+    # the service picked spawn (threaded parent) and the campaign's own
+    # checkpoint directory without changing the campaign identity
     assert submitted["config"]["mp_start_method"] == "spawn"
     assert submitted["config"]["checkpoint_dir"]
     # n_workers/storage/faults are execution-only: same identity as the

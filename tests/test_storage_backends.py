@@ -30,7 +30,6 @@ from repro.extension.storage import Dataset
 from repro.runtime import (
     CheckpointStore,
     ShardStats,
-    SupervisorPolicy,
     crash_plan,
     run_campaign,
 )
@@ -98,19 +97,15 @@ def test_sharded_identity(backend, seed, reference, tmp_path):
 def test_kill_and_resume_identity(backend, seed, reference, tmp_path):
     """A campaign killed after k of n shards resumes from columnar
     checkpoints into any storage backend, bit-identically."""
-    config = storage_config(seed, backend, tmp_path, n_workers=4)
-    store = CheckpointStore(str(tmp_path / "ckpt"), config)
-    policy = SupervisorPolicy(
-        max_retries=1, backoff_base_s=0.01, in_process_fallback=False
+    config = replace(
+        storage_config(seed, backend, tmp_path, n_workers=4),
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        max_shard_retries=1,
+        retry_backoff_s=0.01,
     )
     with pytest.raises(ShardFailedError):
-        run_campaign(
-            config,
-            policy=policy,
-            fault_plan=crash_plan([1], attempts=(0, 1)),
-            checkpoint=store,
-        )
-    dataset, stats = run_campaign(config, checkpoint=store, resume=True)
+        run_campaign(config, fault_plan=crash_plan([1], attempts=(0, 1)))
+    dataset, stats = run_campaign(config, resume=True)
     assert stats.resumed_shards == 3
     assert dataset.storage == backend
     assert dataset.page_loads == reference.page_loads
