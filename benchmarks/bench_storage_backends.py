@@ -183,8 +183,8 @@ def test_columnar_checkpoint_merge_faster_than_pickle(benchmark, tmp_path):
         return dataset
 
     def columnar_load_and_merge():
-        recovered = store.load_matching(planned)
-        return merge_shard_results(list(recovered.values()), expected_indices=expected)
+        recovered = [store.load(shard_id, idx) for shard_id, idx in planned]
+        return merge_shard_results(recovered, expected_indices=expected)
 
     started = time.perf_counter()
     legacy_dataset = legacy_load_and_merge()

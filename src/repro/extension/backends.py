@@ -6,9 +6,10 @@ way, bit-identical through the :class:`~repro.extension.storage.Dataset`
 facade:
 
 * ``memory`` (:class:`ColumnStore`) — segments of numpy columns in RAM.
-* ``spill`` (:class:`SpillBackend`) — the same segments as ``.npz``
-  files plus a small JSON manifest, so only the staged records and the
-  segment being read are ever resident.
+* ``spill`` (:class:`SpillBackend`) — the same segments as checksummed
+  container files (:func:`~repro.extension.columnar.write_checksummed_npz`,
+  the format of a checkpoint segment) plus a small JSON manifest, so
+  only the staged records and the segment being read are ever resident.
 
 Both share one implementation.  Record appends stage up to
 ``segment_records`` records and compact them into one segment; array
@@ -18,8 +19,7 @@ segment at a time; full-column reads concatenate one column, and
 chunk reads yield one segment's requested columns.  Counts come from
 the segments' record counts, and ``delete_user`` rewrites only the
 segments that hold the user.  ``SpillBackend`` changes only where a
-segment lives, and adds the manifest, :meth:`SpillBackend.open` and
-:meth:`SpillBackend.quarantine`.
+segment lives, and adds the manifest and :meth:`SpillBackend.open`.
 
 The backend choice is an execution detail — it never changes the
 dataset's bits — so it is excluded from the campaign checkpoint
@@ -28,8 +28,6 @@ fingerprint, and ``serial ≡ sharded ≡ resumed`` holds for both.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import os
 import tempfile
@@ -442,24 +440,23 @@ class SpillBackend(ColumnStore):
     Layout (see DESIGN.md §9)::
 
         <directory>/manifest.json
-        <directory>/pl-00000.npz     # page-load segment 0
-        <directory>/st-00000.npz     # speedtest segment 0
+        <directory>/pl-00000.seg     # page-load segment 0
+        <directory>/st-00000.seg     # speedtest segment 0
 
-    Segments are plain ``np.savez`` archives (one member per schema
-    column), written atomically; the manifest records every segment's
-    file name, record count and sha256, and is itself rewritten
-    atomically after each change.  Reads load only the requested
-    members of one segment at a time.
+    Each segment is a checksummed container of
+    :mod:`repro.extension.columnar` (one member per schema column),
+    written atomically; the manifest records every segment's file
+    name, record count and the digest its container embeds, and is
+    itself rewritten atomically after each change.  Reads load only
+    the requested members of one segment at a time.
     """
 
     name = "spill"
 
     MANIFEST = "manifest.json"
-    MANIFEST_VERSION = 1
+    #: 2: segments are checksummed containers (1: bare npz archives).
+    MANIFEST_VERSION = 2
     _PREFIX = {"page_loads": "pl", "speedtests": "st"}
-
-    #: Subdirectory bad segments are moved into by :meth:`quarantine`.
-    QUARANTINE_DIR = "quarantine"
 
     def __init__(
         self,
@@ -477,13 +474,10 @@ class SpillBackend(ColumnStore):
         further appends.
 
         With ``verify=True`` every manifest-listed segment is read and
-        checked against its recorded sha256 up front; a truncated or
-        bit-flipped segment raises a precise :class:`DatasetError`
-        naming the bad file (rather than surfacing later, mid-stream,
-        from whichever read happens to touch it first).  Callers that
-        want to *recover* instead of fail — the fabric's re-dispatch
-        path — catch the error and hand the named segment to
-        :meth:`quarantine`.
+        checked against its recorded digest up front, so a truncated,
+        bit-flipped, stale or swapped segment raises a
+        :class:`DatasetError` naming the bad file at open rather than
+        mid-stream, from whichever read happens to touch it first.
         """
         manifest_path = os.path.join(directory, cls.MANIFEST)
         try:
@@ -535,53 +529,23 @@ class SpillBackend(ColumnStore):
     def _store(self, kind: str, arrays: dict[str, np.ndarray]) -> dict:
         index = self._next_segment[kind]
         self._next_segment[kind] += 1
-        file_name = f"{self._PREFIX[kind]}-{index:05d}.npz"
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        data = buffer.getvalue()
-        columnar.write_atomic(os.path.join(self.directory, file_name), data)
         columns, _, _ = _CODECS[kind]
-        return {
-            "file": file_name,
-            "n": int(len(arrays[columns[0]])),
-            "sha256": hashlib.sha256(data).hexdigest(),
-        }
+        n = int(len(arrays[columns[0]]))
+        file_name = f"{self._PREFIX[kind]}-{index:05d}.seg"
+        digest = columnar.write_checksummed_npz(
+            os.path.join(self.directory, file_name), arrays, {"n": n}
+        )
+        return {"file": file_name, "n": n, "sha256": digest}
 
     def _load(self, kind: str, entry: dict, columns) -> dict[str, np.ndarray]:
-        """One segment's ``columns``, checksum-verified.
+        """One segment's ``columns``, checked against its manifest entry.
 
-        The whole file is read and hashed against the manifest's
-        sha256 *before* npz decoding, so truncation and bit flips both
-        fail with a precise error naming the bad segment — never a
-        cryptic zipfile traceback from deep inside numpy.
+        The container refuses a torn, bit-flipped, stale or swapped
+        file with a :class:`DatasetError` naming it; a segment whose
+        columns disagree with the entry's record count is refused too.
         """
         path = self._segment_path(entry)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            raise DatasetError(
-                f"unreadable spill segment {entry['file']} (manifest "
-                f"says {entry['n']} records): {exc}"
-            ) from exc
-        expected = entry.get("sha256")
-        if expected:
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != expected:
-                raise DatasetError(
-                    f"spill segment {entry['file']} failed its checksum "
-                    f"(manifest sha256 {expected[:12]}…, file on disk "
-                    f"{digest[:12]}…, {len(data)} bytes) — torn write "
-                    f"or bit flip"
-                )
-        try:
-            with np.load(io.BytesIO(data)) as npz:
-                arrays = {name: npz[name] for name in columns}
-        except (OSError, ValueError, KeyError) as exc:
-            raise DatasetError(
-                f"torn spill segment {entry['file']} (manifest says "
-                f"{entry['n']} records): {exc}"
-            ) from exc
+        arrays, _ = columnar.read_checksummed_npz(path, columns, entry["sha256"])
         if any(len(arrays[name]) != entry["n"] for name in columns):
             raise DatasetError(
                 f"spill segment {entry['file']} length disagrees with "
@@ -591,45 +555,3 @@ class SpillBackend(ColumnStore):
 
     def _discard(self, kind: str, entry: dict) -> None:
         os.unlink(self._segment_path(entry))
-
-    def quarantine(self, kind: str, file_name: str, reason: str) -> dict:
-        """Move a bad segment aside and drop it from the manifest.
-
-        The recovery half of the torn-write story: after a
-        :class:`DatasetError` names a segment, callers (the fabric's
-        re-dispatch path, or an operator) quarantine it — the file
-        moves into ``<directory>/quarantine/`` for post-mortem, the
-        manifest is rewritten without it, and the returned report says
-        exactly what was lost (``kind``, ``file``, ``n_records_lost``,
-        ``reason``, the quarantine ``path``) so the caller knows what
-        to recompute.  Unknown file names report without mutating.
-        """
-        if kind not in _KINDS:
-            raise DatasetError(f"unknown record kind {kind!r}")
-        entries = self._segments[kind]
-        match = next((e for e in entries if e["file"] == file_name), None)
-        report = {
-            "kind": kind,
-            "file": file_name,
-            "reason": reason,
-            "quarantined": False,
-            "n_records_lost": 0,
-            "path": None,
-        }
-        if match is None:
-            return report
-        quarantine_dir = os.path.join(self.directory, self.QUARANTINE_DIR)
-        os.makedirs(quarantine_dir, exist_ok=True)
-        target = os.path.join(quarantine_dir, file_name)
-        try:
-            os.replace(self._segment_path(match), target)
-        except FileNotFoundError:
-            report["reason"] = f"{reason} (segment file already missing)"
-        else:
-            report["quarantined"] = True
-            report["path"] = target
-        self._segments[kind] = [e for e in entries if e is not match]
-        self._commit()
-        self._column_cache.clear()
-        report["n_records_lost"] = int(match["n"])
-        return report

@@ -87,8 +87,9 @@ class CampaignConfig:
             backoff.
         checkpoint_dir: Directory for completed shards (resume
             support): the campaign fingerprint's directory under it
-            holds an in-process run's shard, or a multi-shard run's
-            fabric directory; unset means no checkpointing.
+            keeps every shard segment in its ``segments/``, whether an
+            in-process run or a multi-shard run (whose fabric
+            directory it is) wrote it; unset means no checkpointing.
         resume: Adopt surviving checkpointed shards (validated against
             the config fingerprint and the planned partition) instead
             of re-running them.  ``False`` counts as unset, so
@@ -97,7 +98,7 @@ class CampaignConfig:
             recovery is bit-identical by the determinism contract.
         storage: Dataset storage backend — ``memory`` (default,
             typed numpy columns in RAM) or ``spill`` (the same columns
-            as bounded-memory ``.npz`` segments on disk, see DESIGN.md
+            as bounded-memory checksummed segments on disk, see DESIGN.md
             §9).  The dataset's records are bit-identical across
             backends.
         storage_dir: Directory for the ``spill`` backend's segments;
@@ -140,24 +141,14 @@ class CampaignConfig:
 
     # -- canonical JSON codec ---------------------------------------------
 
-    @classmethod
-    def execution_only_fields(cls) -> frozenset[str]:
-        """Fields that steer execution, never the dataset's bits.
-
-        Exactly the set :func:`repro.runtime.checkpoint.campaign_fingerprint`
-        excludes — the knob table's config fields, which two
-        interchangeable configs may differ in.
-        """
-        return EXECUTION_ONLY_FIELDS
-
     def to_json_dict(self) -> dict:
         """Canonical JSON-safe rendering of every field.
 
         The wire/document form of a campaign config: plain JSON types
         only (tuples become lists), one key per dataclass field, and a
         guaranteed bit-exact round-trip through
-        :meth:`from_json_dict`.  Checkpoint metadata and the campaign
-        service's submission body both speak this dialect.
+        :meth:`from_json_dict`.  The fabric's ``plan.json`` and the
+        campaign service's submission body both speak this dialect.
         """
         data = {}
         for field in fields(self):

@@ -23,9 +23,13 @@ tables.  This module is the single source of truth for that columnar view:
 * **Derived columns** — ``ptt_ms``/``plt_ms`` computed vectorised in the
   same operation order as the scalar properties, so column reads match
   per-record arithmetic bit-for-bit.
-* **A checksummed container** — a small framed file format (magic +
-  sha256 + npz payload) used by the checkpoint store, so truncated or
-  bit-flipped spill files are detected instead of half-loaded.
+* **A checksummed container** — the one file format for a block of
+  record columns (magic + sha256 + npz payload): a checkpoint or fabric
+  shard segment and a spill segment are both containers, so truncated
+  or bit-flipped files are detected instead of half-loaded.  A reader
+  may load a few members only, and may check the embedded digest
+  against one it recorded (the spill manifest binds each entry to one
+  version of its file this way).
 * **One atomic write** — :func:`write_atomic` (temp file, fsync,
   ``os.replace``) for every file the backends and the checkpoint store
   write; a failed write leaves the old file and no temp behind.
@@ -218,7 +222,7 @@ def derived_page_load_column(name: str, get) -> np.ndarray:
 
 #: Frame magic of the checksummed container (versioned).
 CONTAINER_MAGIC = b"RPRSEG1\n"
-_DIGEST_BYTES = 32
+_HEADER_BYTES = len(CONTAINER_MAGIC) + hashlib.sha256().digest_size
 _META_KEY = "__meta_json__"
 
 
@@ -267,39 +271,70 @@ def write_checksummed_npz(
 
     The embedded digest makes loads self-validating: truncation and bit
     flips anywhere in the payload are detected before any array is
-    trusted.  Returns ``path``.
+    trusted.  Returns the digest (hex), for a caller that records which
+    version of the file it wrote.
     """
     payload = _npz_bytes(arrays, meta)
-    write_atomic(path, CONTAINER_MAGIC, hashlib.sha256(payload).digest(), payload)
-    return path
+    digest = hashlib.sha256(payload).digest()
+    write_atomic(path, CONTAINER_MAGIC, digest, payload)
+    return digest.hex()
 
 
-def read_checksummed_npz(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Load a checksummed container; raises :class:`DatasetError` on any
-    corruption (missing/short file, wrong magic, digest mismatch,
-    unparsable payload)."""
+def read_checksummed_npz(
+    path: str, columns=None, digest: str | None = None
+) -> tuple[dict[str, np.ndarray], dict]:
+    """Load a checksummed container's arrays and metadata.
+
+    ``columns`` names the members to load (default: every one); the
+    whole payload is checked either way, so a bit flip in a member not
+    asked for still fails the read.  ``digest`` is the hex digest
+    :func:`write_checksummed_npz` returned: a container that is valid
+    on its own but embeds another digest (a stale or swapped file) is
+    refused.
+
+    Raises:
+        DatasetError: naming ``path`` on a missing or short file, wrong
+            magic, a digest mismatch, an unparsable payload or a
+            missing member.
+    """
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
         raise DatasetError(f"unreadable columnar segment {path}: {exc}") from exc
-    header = len(CONTAINER_MAGIC) + _DIGEST_BYTES
-    if len(blob) < header or not blob.startswith(CONTAINER_MAGIC):
-        raise DatasetError(f"not a columnar segment: {path}")
-    digest = blob[len(CONTAINER_MAGIC) : header]
-    payload = blob[header:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise DatasetError(f"columnar segment checksum mismatch: {path}")
+    if len(blob) < _HEADER_BYTES or not blob.startswith(CONTAINER_MAGIC):
+        raise DatasetError(
+            f"not a columnar segment: {path} ({len(blob)} bytes) — torn "
+            f"write or bit flip"
+        )
+    embedded = blob[len(CONTAINER_MAGIC) : _HEADER_BYTES]
+    if digest is not None and embedded.hex() != digest:
+        raise DatasetError(
+            f"columnar segment {path} is not the file that was recorded "
+            f"(sha256 {embedded.hex()[:12]}…, recorded {digest[:12]}…) — "
+            f"stale or swapped segment"
+        )
+    # Hash and parse the payload in place: the memoryview and the
+    # BytesIO share ``blob``'s buffer, and zipfile skips the header.
+    if hashlib.sha256(memoryview(blob)[_HEADER_BYTES:]).digest() != embedded:
+        raise DatasetError(
+            f"columnar segment {path} failed its checksum ({len(blob)} "
+            f"bytes) — torn write or bit flip"
+        )
+    stream = io.BytesIO(blob)
+    stream.seek(_HEADER_BYTES)
     try:
-        with np.load(io.BytesIO(payload)) as npz:
-            arrays = {name: npz[name] for name in npz.files}
+        with np.load(stream) as npz:
+            if _META_KEY not in npz.files:
+                raise DatasetError(f"columnar segment missing metadata: {path}")
+            if columns is None:
+                columns = [name for name in npz.files if name != _META_KEY]
+            arrays = {name: npz[name] for name in columns}
+            meta_blob = npz[_META_KEY]
     except (OSError, ValueError, KeyError) as exc:
         raise DatasetError(f"torn columnar segment {path}: {exc}") from exc
-    meta_blob = arrays.pop(_META_KEY, None)
-    if meta_blob is None:
-        raise DatasetError(f"columnar segment missing metadata: {path}")
     try:
-        meta = json.loads(bytes(meta_blob.tobytes()).decode("utf-8"))
+        meta = json.loads(meta_blob.tobytes().decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise DatasetError(f"unreadable segment metadata: {path}") from exc
     return arrays, meta

@@ -151,8 +151,8 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
     Knob("storage", str, "memory", env="REPRO_STORAGE",
          allowed=("memory", "spill"), flag="--storage",
          help="dataset storage backend (memory = typed columns in RAM; "
-         "spill = the same columns as bounded-memory .npz segments on "
-         "disk; dataset is bit-identical across backends)"),
+         "spill = the same columns as bounded-memory checksummed "
+         "segments on disk; dataset is bit-identical across backends)"),
     Knob("storage_dir", str, None, env="REPRO_STORAGE_DIR",
          flag="--storage-dir",
          help="segment directory for --storage spill (default: a fresh "

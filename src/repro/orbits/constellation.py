@@ -159,7 +159,6 @@ class WalkerShell:
         self._radius_m = EARTH_RADIUS_M + self.altitude_m
         self._inclination_rad = math.radians(self.inclination_deg)
         self._by_name = {s.name: s for s in self.satellites}
-        self._index_by_name = {s.name: i for i, s in enumerate(self.satellites)}
 
     # -- queries ----------------------------------------------------------
 
@@ -175,14 +174,6 @@ class WalkerShell:
         """Look up a satellite by name."""
         try:
             return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no satellite named {name!r} in shell") from None
-
-    def satellite_index(self, name: str) -> int:
-        """Index of a satellite in :attr:`satellites` (and in every
-        row of the batched position/geometry arrays)."""
-        try:
-            return self._index_by_name[name]
         except KeyError:
             raise KeyError(f"no satellite named {name!r} in shell") from None
 

@@ -30,8 +30,10 @@ reproducibility — and keeps it running when workers don't:
   (crash/hang/slow/corrupt/lease loss/torn segment per shard attempt)
   so all of the above is testable without flaky real crashes.
 * :mod:`repro.runtime.checkpoint` — completed-shard spill keyed by a
-  config fingerprint, so killed campaigns resume instead of restart;
-  a checkpoint file (a fabric segment) is a shard result's columns.
+  config fingerprint, so killed campaigns resume instead of restart:
+  every placement keeps a campaign's shard segments in one directory,
+  ``<checkpoint_dir>/campaign-<fp16>/segments/``, and a segment is a
+  shard result's columns in the checksummed container.
 * :mod:`repro.runtime.merge` — the sink: one stable sort of the
   shards' columns by user index, validated against the planned
   partition and adopted by the storage backend.

@@ -3,22 +3,32 @@
 A killed campaign (power loss, OOM, ctrl-C, a shard that used up its
 re-dispatch budget) should not forfeit the shards that already
 finished.  Every finished shard is spilled as soon as it completes —
-by an in-process run into its checkpoint directory, by a fabric worker
-as its segment — and a later run with ``resume`` enabled reloads the
-surviving shards and re-runs only the missing ones.  The determinism
-contract (DESIGN.md §6) is what makes this sound: a re-run shard is
-bit-identical to the one that was lost, so resumed and fresh campaigns
-produce the same dataset.
+by an in-process run or by a fabric worker, into the one segment
+directory of its campaign — and a later run with ``resume`` enabled
+reloads the surviving shards and re-runs only the missing ones.  The
+determinism contract (DESIGN.md §6) is what makes this sound: a re-run
+shard is bit-identical to the one that was lost, so resumed and fresh
+campaigns produce the same dataset.
 
-**Spill format.** A checkpoint file is a shard result as it is: the
+**Layout.** :func:`campaign_dir` maps a config to its campaign
+directory under the ``checkpoint_dir`` knob,
+``<checkpoint_dir>/campaign-<fingerprint16>/``, which is also the
+fabric directory of a multi-shard run; every shard segment of the
+campaign lives in its ``segments/`` subdirectory, whichever placement
+wrote it::
+
+    <checkpoint_dir>/campaign-<fingerprint16>/segments/shard-0003.ckpt
+
+**Spill format.** A segment is a shard result as it is: the
 :class:`~repro.runtime.shard.ShardResult`'s typed column arrays (the
 schema of :mod:`repro.extension.columnar` plus the ``int64``
 ``user_index`` column, in canonical order), written through the
-checksummed container (magic + sha256 + npz) with the shard id, user
-indices and stats as metadata.  :meth:`CheckpointStore.load` returns
-the same type, so a recovered shard and a fresh one are one thing to
-the merge.  Loads are self-validating: truncated or bit-flipped files
-are detected, not half-trusted.
+checksummed container (magic + sha256 + npz) with the full campaign
+fingerprint, the shard id, user indices and stats as metadata.
+:meth:`CheckpointStore.load` returns the same type, so a recovered
+shard and a fresh one are one thing to the merge.  Loads are
+self-validating: truncated or bit-flipped files are detected, not
+half-trusted.
 
 **Fingerprinting.** Checkpoints are only valid for the campaign that
 wrote them.  :func:`campaign_fingerprint` hashes every
@@ -26,21 +36,19 @@ wrote them.  :func:`campaign_fingerprint` hashes every
 duration, population, scaling...), deliberately excluding
 execution-only knobs (worker count, timeouts, retries, checkpoint
 settings, start method, storage backend) — those change how fast or
-where the dataset is produced, never its bits.  Each store lives under
-a directory named by the fingerprint, and every shard file embeds it
-again, so a config change silently invalidates old checkpoints instead
-of corrupting the merge.  Per-shard files additionally record the
-exact user-index set; a stored shard is adopted only when it matches
-the freshly planned partition (so resuming with a different
-``n_workers`` falls back to recomputing rather than mixing
-partitions).
+where the dataset is produced, never its bits.  The campaign
+directory is named by the fingerprint, and every segment embeds it
+whole, together with the exact user-index set: a stored shard is
+adopted only for the same fingerprint and the freshly planned
+partition, so a config change or a resume with another ``n_workers``
+(another partition) falls back to recomputing rather than mixing
+campaigns or partitions.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 from dataclasses import fields, is_dataclass
 
@@ -49,7 +57,8 @@ from repro.extension import columnar
 from repro.knobs import EXECUTION_ONLY_FIELDS, resolve
 from repro.runtime.shard import USER_INDEX_COLUMN, ShardResult, ShardStats
 
-_META_FILENAME = "meta.json"
+#: The subdirectory of a campaign directory that holds its segments.
+SEGMENTS_DIR = "segments"
 
 #: Array-key prefixes separating the two record kinds inside one
 #: spilled shard file.
@@ -82,96 +91,48 @@ def campaign_fingerprint(config) -> str:
     return hasher.hexdigest()
 
 
+def campaign_dir(config) -> str | None:
+    """``<checkpoint_dir>/campaign-<fingerprint16>`` for a config, or
+    ``None`` when the ``checkpoint_dir`` knob (DESIGN.md §5) is unset.
+
+    The one directory of a campaign under ``checkpoint_dir``: its
+    shard segments live in ``SEGMENTS_DIR`` below it, and a multi-shard
+    run uses it as its fabric directory.
+    """
+    root = resolve("checkpoint_dir", getattr(config, "checkpoint_dir", None))
+    if not root:
+        return None
+    return os.path.join(root, f"campaign-{campaign_fingerprint(config)[:16]}")
+
+
 class CheckpointStore:
-    """Atomic per-shard spill directory for one campaign fingerprint.
+    """The shard segments of one campaign, in one directory.
 
-    Layout::
-
-        <root>/campaign-<fingerprint16>/meta.json
-        <root>/campaign-<fingerprint16>/shard-0003.ckpt
-
-    Each ``.ckpt`` is a checksummed columnar segment (see
-    :func:`repro.extension.columnar.write_checksummed_npz`).  Writes
-    are atomic (:func:`repro.extension.columnar.write_atomic`), so a
-    kill or a failed write mid-spill leaves either the previous file or
-    nothing — never a torn segment or a stray temp file.  Loads
-    are paranoid: wrong fingerprint, wrong index set, wrong magic, a
-    failed checksum (truncation, bit flips) or malformed metadata all
-    mean "recompute this shard", never an exception into the campaign.
+    ``directory`` is used as given — a campaign directory's
+    ``segments/`` (:func:`campaign_dir`) — and holds one
+    ``shard-NNNN.ckpt`` per shard, each a checksummed columnar segment
+    (see :func:`repro.extension.columnar.write_checksummed_npz`).
+    Writes are atomic (:func:`repro.extension.columnar.write_atomic`),
+    so a kill or a failed write mid-spill leaves either the previous
+    file or nothing — never a torn segment or a stray temp file.
+    Loads are paranoid: wrong fingerprint, wrong shard id, wrong index
+    set, wrong magic, a failed checksum (truncation, bit flips) or
+    malformed metadata all mean "recompute this shard", never an
+    exception into the campaign.
     """
 
-    def __init__(self, root: str, config) -> None:
+    def __init__(self, directory: str, config) -> None:
         self.fingerprint = campaign_fingerprint(config)
-        self.directory = os.path.join(
-            root, f"campaign-{self.fingerprint[:16]}"
-        )
-        to_json = getattr(config, "to_json_dict", None)
-        self._config_json = to_json() if callable(to_json) else None
-        self._ensured = False
+        self.directory = directory
 
-    @classmethod
-    def from_config(cls, config) -> "CheckpointStore | None":
-        """The store a config asks for, or ``None`` when disabled.
-
-        The root is the ``checkpoint_dir`` knob (DESIGN.md §5).
-        """
-        root = resolve("checkpoint_dir", getattr(config, "checkpoint_dir", None))
-        if not root:
-            return None
-        return cls(root, config)
-
-    def _ensure(self) -> None:
-        if self._ensured:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        meta_path = os.path.join(self.directory, _META_FILENAME)
-        if os.path.exists(meta_path):
-            try:
-                with open(meta_path, "r", encoding="utf-8") as handle:
-                    meta = json.load(handle)
-            except (OSError, ValueError) as exc:
-                raise CheckpointError(
-                    f"unreadable checkpoint metadata at {meta_path}: {exc}"
-                ) from exc
-            if meta.get("fingerprint") != self.fingerprint:
-                raise CheckpointError(
-                    f"checkpoint directory {self.directory} belongs to "
-                    f"fingerprint {meta.get('fingerprint')!r}, not "
-                    f"{self.fingerprint!r}"
-                )
-        else:
-            # The store is self-describing: alongside the fingerprint
-            # it records the canonical JSON form of the config that
-            # wrote it (when the config speaks the codec), so tooling
-            # can reconstruct the campaign without ad-hoc dict
-            # handling.
-            meta = {"fingerprint": self.fingerprint}
-            if self._config_json is not None:
-                meta["config"] = self._config_json
-            columnar.write_atomic(
-                meta_path, json.dumps(meta, sort_keys=True).encode("utf-8")
-            )
-        self._ensured = True
-
-    def stored_config(self) -> dict | None:
-        """The codec JSON of the config that created this store, when
-        the store's ``meta.json`` recorded one."""
-        meta_path = os.path.join(self.directory, _META_FILENAME)
-        try:
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        config = meta.get("config")
-        return config if isinstance(config, dict) else None
-
-    def _shard_path(self, shard_id: int) -> str:
+    def segment_path(self, shard_id: int) -> str:
+        """Where shard ``shard_id``'s segment lives."""
         return os.path.join(self.directory, f"shard-{shard_id:04d}.ckpt")
 
     def save(self, result: ShardResult) -> str:
         """Spill one completed shard as a columnar segment; returns the
         file path."""
-        self._ensure()
+        os.makedirs(self.directory, exist_ok=True)
         arrays = {f"{_PL_PREFIX}{k}": v for k, v in result.page_load_arrays.items()}
         arrays.update(
             {f"{_ST_PREFIX}{k}": v for k, v in result.speedtest_arrays.items()}
@@ -182,7 +143,7 @@ class CheckpointStore:
             "user_indices": sorted(result.user_indices),
             "stats": dataclasses.asdict(result.stats),
         }
-        path = self._shard_path(result.shard_id)
+        path = self.segment_path(result.shard_id)
         columnar.write_checksummed_npz(path, arrays, meta)
         return path
 
@@ -195,7 +156,7 @@ class CheckpointStore:
         user-index set that differs from the planned one (e.g. the
         partition changed because ``n_workers`` did).
         """
-        path = self._shard_path(shard_id)
+        path = self.segment_path(shard_id)
         try:
             arrays, meta = columnar.read_checksummed_npz(path)
         except DatasetError:
@@ -235,13 +196,3 @@ class CheckpointStore:
             speedtest_arrays=st_arrays,
             stats=stats,
         )
-
-    def load_matching(self, planned) -> dict[int, ShardResult]:
-        """Stored shards matching a planned ``{shard_id: indices}``-style
-        list of ``(shard_id, user_indices)`` pairs."""
-        recovered: dict[int, ShardResult] = {}
-        for shard_id, user_indices in planned:
-            result = self.load(shard_id, user_indices)
-            if result is not None:
-                recovered[shard_id] = result
-        return recovered

@@ -18,10 +18,12 @@ join the same directory with ``repro.experiments worker``.
   already-valid manifest, so coordinator death loses nothing either.
 * **Workers** claim shard leases atomically, heartbeat while computing,
   spill each finished shard as a checksummed columnar segment through
-  the established :class:`~repro.runtime.checkpoint.CheckpointStore`
-  format, and offer a completion manifest created exclusively — first
-  valid manifest wins, always (see :mod:`repro.runtime.lease`).  A
-  shard that raises leaves an error document naming the exception.
+  the :class:`~repro.runtime.checkpoint.CheckpointStore` of the
+  directory's ``segments/`` — the campaign's one segment directory,
+  which an in-process run of the campaign uses too — and offer a
+  completion manifest created exclusively — first valid manifest wins,
+  always (see :mod:`repro.runtime.lease`).  A shard that raises leaves
+  an error document naming the exception.
 * The **coordinator loop** revokes a lease whose holder died (a local
   worker's process handle, or a heartbeat silent past the TTL), whose
   shard raised, or that is held past the deadline — the
@@ -33,9 +35,12 @@ join the same directory with ``repro.experiments worker``.
   ``max_shard_retries`` knobs) and are picked up by whichever worker is
   idle first — work stealing falls out of the claim protocol.
   Arriving manifests are validated by *loading* the segment (internal
-  sha256, fingerprint, exact user-index set); torn or corrupt segments
-  are quarantined and the shard re-dispatched.  A shard that uses up
-  its budget fails the run with
+  sha256, fingerprint, exact user-index set); a torn, corrupt or
+  missing segment, or one that another placement's run of the campaign
+  overwrote with its own partition, is quarantined and the shard
+  re-dispatched.  A local worker that died or was terminated has its
+  registry document written ``exited`` on the coordinator's side.  A
+  shard that uses up its budget fails the run with
   :class:`~repro.errors.ShardFailedError` once every other shard is
   stored.
 * Every lease transition (claimed / expired / revoked / lost /
@@ -58,9 +63,9 @@ only — never listings — a listing that lags behind writes costs at
 most a poll.  The final merge reuses the campaign-wide partition
 validation of :mod:`repro.runtime.merge` end to end.
 
-The data plane (spilled shard segments, quarantined files) sits beside
-the coordination keys: segments are bulk checksummed columnar blobs
-whose integrity the checkpoint format already owns, and only the
+The data plane (``segments/shard-NNNN.ckpt``, ``quarantine/``) sits
+beside the coordination keys: segments are bulk checksummed columnar
+blobs whose integrity the checkpoint format already owns, and only the
 *coordination* metadata needs the store's arbitration.
 """
 
@@ -82,7 +87,11 @@ from repro.errors import (
 )
 from repro.extension.backends import backend_for_config
 from repro.knobs import resolve
-from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
+from repro.runtime.checkpoint import (
+    SEGMENTS_DIR,
+    CheckpointStore,
+    campaign_fingerprint,
+)
 from repro.runtime.faults import FaultKind, FaultPlan, apply_post_run, apply_pre_run
 from repro.runtime.lease import (
     DEFAULT_LEASE_TTL_S,
@@ -157,13 +166,14 @@ def terminal_marker(store: CoordinationStore) -> str | None:
 
 
 class FabricPaths:
-    """The data plane of one fabric directory: ``segments/`` and
+    """The data plane of one fabric directory: ``segments/`` (the
+    campaign's shard segments, one :class:`CheckpointStore`) and
     ``quarantine/``.  The coordination keys beside them belong to the
     directory's :class:`~repro.runtime.store.FsStore`."""
 
     def __init__(self, root: str):
         self.root = root
-        self.segments = os.path.join(root, "segments")
+        self.segments = os.path.join(root, SEGMENTS_DIR)
         self.quarantine = os.path.join(root, "quarantine")
 
     def ensure(self) -> None:
@@ -185,7 +195,7 @@ def reset_fabric_dir(fabric_dir: str) -> None:
         "workers",
         "discards",
         "errors",
-        "segments",
+        SEGMENTS_DIR,
         "quarantine",
     ):
         shutil.rmtree(os.path.join(fabric_dir, name), ignore_errors=True)
@@ -932,18 +942,15 @@ class FabricCoordinator:
     ) -> dict:
         """Move a bad segment into ``quarantine/``; returns a report.
 
-        The report (segment path or absence, reason, attempt) is what
-        the re-dispatch log carries — the fabric-side consumer of the
-        :meth:`SpillBackend.quarantine <repro.extension.backends.SpillBackend>`
-        -style torn-write handling.
+        The one path that moves a bad segment aside.  The report
+        (segment path or absence, reason, attempt) is what the
+        re-dispatch log carries.
         """
         segment_rel = doc.get("segment")
         segment_path = (
             os.path.join(self.paths.root, segment_rel)
             if isinstance(segment_rel, str)
-            else os.path.join(
-                self.ckpt.directory, f"shard-{shard_id:04d}.ckpt"
-            )
+            else self.ckpt.segment_path(shard_id)
         )
         report = {
             "reason": reason,
@@ -1092,6 +1099,7 @@ class FabricCoordinator:
                     f"local worker {record.worker_id} exited with code "
                     f"{exitcode}",
                 )
+                local_workers.sign_off(record.worker_id)
                 self._replace_worker(local_workers, record.worker_id, accepted)
                 continue
             if record.expired(now):

@@ -410,6 +410,19 @@ class WorkerRegistry:
         self.write("exited")
 
     @staticmethod
+    def sign_off(
+        store: CoordinationStore, worker_id: str, exitcode, prefix: str = ""
+    ) -> None:
+        """Write ``exited`` for a worker that cannot do it itself (it
+        died or was terminated): its last document with no shard in
+        hand and its ``exitcode``."""
+        key = f"{prefix}{worker_id}.json"
+        doc = store.get_json(key) or {"worker_id": worker_id}
+        store.put_json(
+            key, {**doc, "state": "exited", "shard_id": None, "exitcode": exitcode}
+        )
+
+    @staticmethod
     def read_all(store: CoordinationStore, prefix: str = "") -> list[dict]:
         """Every readable worker document under ``prefix``, ordered by
         worker id."""

@@ -16,23 +16,26 @@ Every campaign run is the same three independent steps, which
   backend (:func:`~repro.runtime.merge.merge_shard_results`).
 
 The ``checkpoint_dir`` knob makes a run spill each accepted shard and,
-with ``resume``, adopt surviving shards instead of re-running them:
-an in-process run spills its shard to the campaign fingerprint's
-directory under it, and a multi-shard run uses that directory as its
-fabric directory (a temporary one without the knob).  Every placement
+with ``resume``, adopt surviving shards instead of re-running them.
+Both placements use the campaign fingerprint's directory under it
+(:func:`~repro.runtime.checkpoint.campaign_dir`) and keep their shard
+segments in its ``segments/``: an in-process run saves and resumes its
+shard there, and a multi-shard run uses the directory as its fabric
+directory (a temporary one without the knob).  Every placement
 produces a dataset bit-for-bit identical to the serial run (see the
 determinism contract in :mod:`repro.runtime.shard` and DESIGN.md).
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 from repro.errors import CampaignCancelledError
 from repro.extension.backends import backend_for_config
 from repro.extension.storage import Dataset
 from repro.knobs import resolve
-from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.checkpoint import SEGMENTS_DIR, CheckpointStore, campaign_dir
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.shard import (
     CampaignRunStats,
@@ -84,7 +87,7 @@ def run_campaign(
     """
     started = time.perf_counter()
     campaign, planned = plan_campaign(config)
-    checkpoint = CheckpointStore.from_config(config)
+    directory = campaign_dir(config)
     if resume is None:
         # resume is a plain bool field: False counts as unset.
         resume = resolve("resume", config.resume or None)
@@ -93,7 +96,7 @@ def run_campaign(
             config,
             planned,
             config.n_workers,
-            None if checkpoint is None else checkpoint.directory,
+            directory,
             resume=resume,
             fault_plan=fault_plan,
             on_event=on_event,
@@ -113,9 +116,15 @@ def run_campaign(
         n_users=len(campaign.population.users),
         n_workers=config.n_workers,
     )
+    checkpoint = None
+    if directory is not None:
+        checkpoint = CheckpointStore(os.path.join(directory, SEGMENTS_DIR), config)
     recovered = {}
     if checkpoint is not None and resume:
-        recovered = checkpoint.load_matching(planned)
+        for shard_id, indices in planned:
+            result = checkpoint.load(shard_id, indices)
+            if result is not None:
+                recovered[shard_id] = result
     results = []
     for shard_id in sorted(recovered):
         result = recovered[shard_id]

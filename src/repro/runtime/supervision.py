@@ -27,11 +27,13 @@ import time
 
 from repro.knobs import resolve
 from repro.runtime.fabric import (
+    WORKERS_PREFIX,
     FabricCoordinator,
     _fabric_worker_entry,
     reset_fabric_dir,
 )
-from repro.runtime.lease import default_worker_id
+from repro.runtime.lease import WorkerRegistry, default_worker_id
+from repro.runtime.store import FsStore
 
 #: How long torn-down workers get to see the terminal marker and exit
 #: before they are terminated.
@@ -52,7 +54,8 @@ class LocalWorkers:
     The coordinator starts them once its adopted shards are known,
     reads a dead one's exit code from its process handle, terminates
     one past the deadline, and starts a replacement for either while
-    shards remain.
+    shards remain.  A worker that died or was terminated is signed off
+    in the registry (:meth:`sign_off`).
     """
 
     def __init__(
@@ -60,6 +63,7 @@ class LocalWorkers:
     ):
         self.n_workers = n_workers
         self._args = (fabric_dir, heartbeat_interval_s, fault_plan)
+        self._store = FsStore(fabric_dir)
         self._context = context
         self._prefix = default_worker_id()
         self._processes: dict = {}
@@ -100,6 +104,16 @@ class LocalWorkers:
 
     def terminate(self, worker_id: str) -> None:
         _terminate(self._processes[worker_id])
+        self.sign_off(worker_id)
+
+    def sign_off(self, worker_id: str) -> None:
+        """Write a dead worker's registry document ``exited``, with its
+        exit code: a worker that crashed or was terminated cannot, and
+        would show ``running`` in :func:`~repro.runtime.fabric.fabric_status`
+        forever."""
+        WorkerRegistry.sign_off(
+            self._store, worker_id, self.exitcode(worker_id), prefix=WORKERS_PREFIX
+        )
 
     def stop(self) -> None:
         """Let the workers exit on the terminal marker, then terminate
@@ -107,9 +121,9 @@ class LocalWorkers:
         deadline = time.monotonic() + _EXIT_GRACE_S
         for process in self._processes.values():
             process.join(timeout=max(0.0, deadline - time.monotonic()))
-        for process in self._processes.values():
+        for worker_id, process in self._processes.items():
             if process.is_alive():
-                _terminate(process)
+                self.terminate(worker_id)
 
 
 def _terminate(process) -> None:

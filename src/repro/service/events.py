@@ -5,8 +5,9 @@ thread appends lifecycle events (shard dispatch/completion/failure,
 incremental aggregate partials, the terminal campaign event) as the
 run produces them; any number of SSE streams replay the log from an
 arbitrary position and then block on the log's condition variable for
-live events.  The log is closed exactly once, after the terminal event
-is appended, which is how a stream knows it has seen everything.
+live events.  A log holds exactly one terminal event, its last: the
+service appends it (after ``aggregate_final`` on completion) and then
+closes the log, which is how a stream knows it has seen everything.
 
 Events are plain JSON-safe dicts with a ``type`` key.  On the wire
 each becomes one Server-Sent-Events message::
@@ -24,8 +25,8 @@ from __future__ import annotations
 import json
 import threading
 
-#: Event types that end a campaign's stream (the log is closed right
-#: after one of these is appended).
+#: Event types that end a campaign's stream: one of them is its last
+#: event, and the log is closed right after it.
 TERMINAL_EVENT_TYPES = frozenset(
     {"campaign_completed", "campaign_failed", "campaign_cancelled"}
 )
@@ -43,8 +44,10 @@ def format_sse(event_id: int, event: dict) -> bytes:
 class EventLog:
     """Append-only, replayable event log with blocking tail reads.
 
-    Appends come from the campaign's single runner thread; reads come
-    from arbitrarily many HTTP handler threads.  Everything is guarded
+    It ends with one event of :data:`TERMINAL_EVENT_TYPES`, appended
+    just before :meth:`close`.  Appends come from the campaign's runner
+    thread (the coordinator's ``on_event`` calls run on it too); reads
+    come from arbitrarily many HTTP handler threads.  Everything is guarded
     by one condition variable, and events are never mutated after
     append, so a reader's snapshot slice is safe to serialise outside
     the lock.

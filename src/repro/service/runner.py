@@ -24,12 +24,18 @@ campaign's cancel event, the runtime's ``should_stop`` seam observes
 it within one dispatch cycle, tears down in-flight workers and raises
 :class:`~repro.errors.CampaignCancelledError`.  Shards checkpointed
 before the cancel survive; a new submission with ``resume_from`` (same
-fingerprint — validated) adopts them and re-runs only what's missing,
+fingerprint, and a source campaign that has reached a terminal state —
+both validated) adopts them and re-runs only what's missing,
 bit-identical to an uninterrupted run by the determinism contract.
 
-A resumed campaign runs in its source campaign's directory, where
-:class:`~repro.runtime.checkpoint.CheckpointStore` keys the shards by
+A resumed campaign runs in its source campaign's ``checkpoint_dir``,
+whose campaign directory
+(:func:`~repro.runtime.checkpoint.campaign_dir`) is named by the
 campaign fingerprint, so different campaigns can never mix.
+
+A campaign's event stream ends with exactly one terminal event, the
+service's own, after ``aggregate_final``; the coordinator's terminal
+records stay in its ``log.jsonl`` and the run's lease log.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import CampaignCancelledError, ConfigurationError
 from repro.extension.campaign import CampaignConfig
-from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
+from repro.runtime import checkpoint
+from repro.runtime.checkpoint import campaign_fingerprint
 from repro.runtime.faults import Fault, FaultKind, FaultPlan
 from repro.service.aggregates import CampaignAggregates
 from repro.service.errors import (
@@ -51,7 +58,7 @@ from repro.service.errors import (
     invalid_request,
     not_found,
 )
-from repro.service.events import EventLog
+from repro.service.events import TERMINAL_EVENT_TYPES, EventLog
 
 #: The keys a submission body may carry.
 SUBMISSION_KEYS = ("config", "faults", "resume_from")
@@ -89,7 +96,7 @@ class Campaign:
         processes; ``None`` for an in-process one."""
         if self.config.n_workers <= 1 or self.n_shards == 1:
             return None
-        return CheckpointStore(self.config.checkpoint_dir, self.config).directory
+        return checkpoint.campaign_dir(self.config)
 
     def status(self) -> dict:
         """The JSON status document of this campaign."""
@@ -296,6 +303,12 @@ class CampaignService:
                         "fingerprint": new_fp,
                     },
                 )
+            if source.state not in TERMINAL_STATES:
+                # Two coordinators must never share one directory.
+                raise conflict(
+                    f"campaign {resume_from} is {source.state}; resume it "
+                    "once it is completed, failed or cancelled"
+                )
             updates["resume"] = True
             updates["checkpoint_dir"] = source.config.checkpoint_dir
         return replace(config, **updates) if updates else config
@@ -360,12 +373,18 @@ class CampaignService:
             campaign.events.close()
 
     def _on_event(self, campaign: Campaign):
-        """The runtime's on_event seam: log, track the shard count."""
+        """The runtime's on_event seam: log, track the shard count.
+
+        The coordinator's own terminal events stay out of the stream:
+        the service appends the one terminal event, after
+        ``aggregate_final``.
+        """
 
         def on_event(event: dict) -> None:
             if event.get("type") == "campaign_planned":
                 campaign.n_shards = event.get("n_shards", 0)
-            campaign.events.append(event)
+            if event.get("type") not in TERMINAL_EVENT_TYPES:
+                campaign.events.append(event)
 
         return on_event
 

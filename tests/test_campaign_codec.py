@@ -1,7 +1,7 @@
 """The canonical CampaignConfig JSON codec.
 
 ``to_json_dict``/``from_json_dict`` are the wire dialect of the
-campaign service and the self-describing checkpoint metadata: the
+campaign service and of the fabric's ``plan.json``: the
 round trip must be bit-exact, unknown or mistyped keys must be
 rejected by name, and every dataclass field must have a registered
 decoder so a new field can never silently skip validation.
@@ -17,11 +17,7 @@ from repro.extension.campaign import (
     _CONFIG_FIELD_DECODERS,
     CampaignConfig,
 )
-from repro.runtime.checkpoint import (
-    EXECUTION_ONLY_FIELDS,
-    CheckpointStore,
-    campaign_fingerprint,
-)
+from repro.runtime.checkpoint import campaign_fingerprint
 
 #: One non-default, JSON-expressible value per dataclass field.
 EXPLICIT = dict(
@@ -157,12 +153,6 @@ def test_every_dataclass_field_has_a_registered_decoder():
 # -- fingerprints ----------------------------------------------------------
 
 
-def test_execution_only_fields_match_fingerprint_exclusions():
-    assert CampaignConfig.execution_only_fields() == EXECUTION_ONLY_FIELDS
-    field_names = {f.name for f in dataclasses.fields(CampaignConfig)}
-    assert EXECUTION_ONLY_FIELDS < field_names
-
-
 def test_fingerprint_invariant_under_execution_only_changes():
     base = CampaignConfig(seed=3, duration_s=86_400.0)
     tweaked = dataclasses.replace(
@@ -186,17 +176,3 @@ def test_fingerprint_changes_with_data_affecting_fields(change):
     assert campaign_fingerprint(
         dataclasses.replace(base, **change)
     ) != campaign_fingerprint(base)
-
-
-# -- checkpoint metadata ---------------------------------------------------
-
-
-def test_checkpoint_store_records_codec_config(tmp_path):
-    config = CampaignConfig(seed=9, duration_s=86_400.0, n_workers=2)
-    store = CheckpointStore(str(tmp_path), config)
-    store._ensure()
-    stored = store.stored_config()
-    assert stored == config.to_json_dict()
-    recovered = CampaignConfig.from_json_dict(stored)
-    assert recovered == config
-    assert campaign_fingerprint(recovered) == store.fingerprint

@@ -15,15 +15,23 @@ in population order, with no executor involved.  Cell ids read
 
 Faults are injected into worker processes, so an in-process run has
 no faulted cell.
+
+Both placements keep a campaign's shard segments in one directory,
+``<checkpoint_dir>/campaign-<fp16>/segments/``; the layout tests at the
+end check that directory across placements, and that directories
+written in the earlier layouts recompute.
 """
 
+import json
+import os
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import ShardFailedError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
-from repro.runtime import crash_plan, run_campaign
+from repro.runtime import campaign_fingerprint, crash_plan, run_campaign
+from repro.runtime.checkpoint import campaign_dir
 
 TINY = dict(
     seed=11,
@@ -131,3 +139,122 @@ def test_cell_matches_serial_oracle(oracle, tmp_path, placement, storage, run):
     assert dataset.page_loads == oracle[0]
     assert dataset.speedtests == oracle[1]
     _check_run(placement, run, stats)
+
+
+# -- the on-disk layout ----------------------------------------------------
+
+
+def _layout_config(n_workers, root):
+    return CampaignConfig(
+        **TINY, n_workers=n_workers, checkpoint_dir=str(root), **RECOVERY
+    )
+
+
+def _files(root):
+    """Every file under ``root``, as sorted relative paths."""
+    return sorted(
+        os.path.relpath(os.path.join(parent, name), root)
+        for parent, _, names in os.walk(root)
+        for name in names
+    )
+
+
+def _assert_oracle(dataset, oracle):
+    assert dataset.page_loads == oracle[0]
+    assert dataset.speedtests == oracle[1]
+
+
+def test_every_placement_keeps_segments_in_one_directory(oracle, tmp_path):
+    """A one-worker and a two-worker run of one campaign, each followed
+    by a resumed run, share ``campaign-<fp16>/segments/``: every shard
+    segment lands there, no ``meta.json`` is written, and each resumed
+    run adopts every shard and equals the oracle."""
+    root = tmp_path / "ckpt"
+    for n_workers in (1, N_WORKERS):
+        config = _layout_config(n_workers, root)
+        run_campaign(config)
+        dataset, stats = run_campaign(config, resume=True)
+        assert stats.resumed_shards == len(stats.shards) == n_workers
+        _assert_oracle(dataset, oracle)
+    campaign = os.path.basename(campaign_dir(config))
+    assert os.listdir(root) == [campaign]
+    files = _files(root)
+    assert [f for f in files if f.endswith(".ckpt")] == [
+        os.path.join(campaign, "segments", f"shard-{i:04d}.ckpt")
+        for i in range(N_WORKERS)
+    ]
+    assert "meta.json" not in {os.path.basename(f) for f in files}
+    nested = os.listdir(root / campaign / "segments")
+    assert not [name for name in nested if name.startswith("campaign-")]
+
+
+def test_resume_over_another_placements_segments(oracle, tmp_path):
+    """A resume adopts the segments of its own partition and recomputes
+    the rest: a one-worker resume over a two-worker run's segments
+    recomputes (and overwrites shard 0), and a two-worker resume then
+    quarantines the manifest's overwritten segment and re-dispatches
+    only that shard."""
+    root = tmp_path / "ckpt"
+    run_campaign(_layout_config(N_WORKERS, root))
+    dataset, stats = run_campaign(_layout_config(1, root), resume=True)
+    assert stats.resumed_shards == 0
+    _assert_oracle(dataset, oracle)
+    dataset, stats = run_campaign(_layout_config(N_WORKERS, root), resume=True)
+    _assert_oracle(dataset, oracle)
+    assert [s.shard_id for s in stats.shards if s.resumed] == [1]
+    assert [(f.shard_id, f.kind) for f in stats.failures] == [(0, "corrupt")]
+    (quarantined,) = stats.transitions("segment_quarantined")
+    assert quarantined["segment"] == os.path.join(
+        "quarantine", "shard-0000.ckpt.attempt-0"
+    )
+
+
+def test_old_layouts_recompute(oracle, tmp_path):
+    """Directories in the earlier layouts — an in-process checkpoint
+    beside its ``meta.json``, and a fabric directory whose segments sit
+    in ``segments/campaign-<fp16>/`` — hold no segment where the runs
+    look, so a resumed run over either recomputes every shard, raises
+    nothing and equals the oracle."""
+    # The in-process layout: campaign-<fp16>/{meta.json, shard-0000.ckpt}.
+    config = _layout_config(1, tmp_path / "serial")
+    run_campaign(config)
+    directory = campaign_dir(config)
+    os.replace(
+        os.path.join(directory, "segments", "shard-0000.ckpt"),
+        os.path.join(directory, "shard-0000.ckpt"),
+    )
+    os.rmdir(os.path.join(directory, "segments"))
+    meta = {"fingerprint": campaign_fingerprint(config)}
+    with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as handle:
+        json.dump(meta | {"config": config.to_json_dict()}, handle)
+    dataset, stats = run_campaign(config, resume=True)
+    assert stats.resumed_shards == 0
+    _assert_oracle(dataset, oracle)
+
+    # The fabric layout: segments/campaign-<fp16>/shard-NNNN.ckpt, named
+    # so by the manifests.
+    config = _layout_config(N_WORKERS, tmp_path / "fabric")
+    run_campaign(config)
+    directory = campaign_dir(config)
+    nested = os.path.join("segments", os.path.basename(directory))
+    os.mkdir(os.path.join(directory, nested))
+    for shard_id in range(N_WORKERS):
+        name = f"shard-{shard_id:04d}"
+        os.replace(
+            os.path.join(directory, "segments", f"{name}.ckpt"),
+            os.path.join(directory, nested, f"{name}.ckpt"),
+        )
+        manifest = os.path.join(directory, "manifests", f"{name}.json")
+        with open(manifest, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        assert doc["segment"] == os.path.join("segments", f"{name}.ckpt")
+        doc["segment"] = os.path.join(nested, f"{name}.ckpt")
+        with open(manifest, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    dataset, stats = run_campaign(config, resume=True)
+    assert stats.resumed_shards == 0
+    assert sorted((f.shard_id, f.kind) for f in stats.failures) == [
+        (0, "corrupt"),
+        (1, "corrupt"),
+    ]
+    _assert_oracle(dataset, oracle)

@@ -16,6 +16,7 @@ from repro.runtime import (
     run_campaign,
     run_shard,
 )
+from repro.runtime.checkpoint import campaign_dir
 
 SMALL = dict(
     seed=11,
@@ -241,28 +242,19 @@ def test_store_round_trips_stats_and_arrays(tmp_path):
     assert len(loaded.page_load_arrays["user_index"]) == result.stats.n_page_loads
 
 
-def test_store_rejects_foreign_fingerprint_dir(tmp_path):
-    config = CampaignConfig(**SMALL)
-    store = CheckpointStore(str(tmp_path), config)
-    store.save(run_shard(config, 0, [0]))
-    meta = os.path.join(store.directory, "meta.json")
-    with open(meta, "w", encoding="utf-8") as handle:
-        handle.write('{"fingerprint": "somebody-else"}')
-    fresh = CheckpointStore(str(tmp_path), config)
-    with pytest.raises(CheckpointError):
-        fresh.save(run_shard(config, 0, [0]))
-
-
 def test_stale_checkpoints_invisible_to_other_configs(tmp_path):
-    """A different data config hashes to a different directory, so its
-    shards can never leak into this campaign."""
-    config_a = CampaignConfig(**SMALL)
-    config_b = CampaignConfig(**SMALL | {"seed": 99})
+    """A different data config hashes to a different campaign
+    directory, and even a segment left in the same directory is
+    refused by the fingerprint it embeds, so another campaign's shards
+    can never leak into this one."""
+    config_a = CampaignConfig(**SMALL, checkpoint_dir=str(tmp_path))
+    config_b = CampaignConfig(**SMALL | {"seed": 99}, checkpoint_dir=str(tmp_path))
+    assert campaign_dir(config_a) != campaign_dir(config_b)
     store_a = CheckpointStore(str(tmp_path), config_a)
     store_a.save(run_shard(config_a, 0, [0]))
     store_b = CheckpointStore(str(tmp_path), config_b)
-    assert store_b.directory != store_a.directory
     assert store_b.load(0, [0]) is None
+    assert store_a.load(0, [0]) is not None
 
 
 # -- kill and resume ---------------------------------------------------
@@ -309,8 +301,8 @@ def test_serial_run_checkpoints_and_resumes(tmp_path, serial_dataset):
     its shard and a resumed serial run adopts it instead of re-running."""
     config = CampaignConfig(**SMALL, checkpoint_dir=str(tmp_path))
     ExtensionCampaign(config).run()
-    store = CheckpointStore(str(tmp_path), config)
-    assert os.path.exists(os.path.join(store.directory, "shard-0000.ckpt"))
+    segments = os.path.join(campaign_dir(config), "segments")
+    assert os.listdir(segments) == ["shard-0000.ckpt"]
     again = ExtensionCampaign(replace(config, resume=True))
     dataset = again.run()
     assert again.last_run_stats.resumed_shards == 1

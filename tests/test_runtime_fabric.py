@@ -40,7 +40,7 @@ from repro.runtime.fabric import (
     run_fabric_worker,
     write_or_adopt_plan,
 )
-from repro.runtime.faults import Fault, FaultPlan
+from repro.runtime.faults import CRASH_EXITCODE, Fault, FaultPlan
 from repro.runtime.store import FsStore
 from repro.runtime.supervision import mp_context, supervise_shards
 
@@ -461,3 +461,22 @@ def test_fabric_status_view(tmp_path):
     assert status["leases"] == []  # all released
     states = {doc["state"] for doc in status["workers"]}
     assert states <= {"exited"}  # every worker signed off
+
+
+def test_fabric_status_signs_off_a_crashed_worker(tmp_path):
+    """A local worker that crashed cannot write its own registry
+    document: the coordinator writes it ``exited`` with the exit code,
+    so the status shows no dead worker as ``running``."""
+    fabric_dir = str(tmp_path / "fabric")
+    _, stats = run_fabric_campaign(
+        CampaignConfig(**SMALL), n_workers=2, fabric_dir=fabric_dir,
+        n_shards=2, fault_plan=crash_plan([0]), **FAST,
+    )
+    (revoked,) = stats.transitions("lease_revoked")
+    assert revoked["kind"] == "crash"
+    workers = {doc["worker_id"]: doc for doc in fabric_status(fabric_dir)["workers"]}
+    assert all(doc["state"] != "running" for doc in workers.values()), workers
+    crashed = workers[revoked["worker_id"]]
+    assert crashed["state"] == "exited"
+    assert crashed["exitcode"] == CRASH_EXITCODE
+    assert crashed["shard_id"] is None

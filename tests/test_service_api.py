@@ -471,8 +471,7 @@ def test_aggregate_fold_exact_for_any_shards_and_order(
     store = CheckpointStore(str(tmp_path), config)
     for result in fresh:
         store.save(result)
-    recovered = store.load_matching(planned)
-    stored = [recovered[shard_id] for shard_id, _ in reversed(planned)]
+    stored = [store.load(shard_id, indices) for shard_id, indices in reversed(planned)]
     for results in (fresh, stored):
         aggregates = CampaignAggregates()
         for result in results:
@@ -540,6 +539,17 @@ def test_fabric_event_stream_carries_lease_transitions(
     assert "lease_claimed" in types
     assert "shard_completed" in types
     assert types.index("lease_claimed") < types.index("shard_completed")
+
+
+def test_event_stream_ends_with_its_one_terminal_event(port, fabric_campaign):
+    """The coordinator's own ``campaign_completed`` stays in its log:
+    the stream carries one terminal event, the service's, and it comes
+    last, after ``aggregate_final``."""
+    events, stopped = stream_events(port, fabric_campaign["id"], set())
+    assert stopped is None  # read until the server closed the stream
+    types = [event["data"]["type"] for event in events]
+    assert [t for t in types if t in TERMINAL_EVENTS] == ["campaign_completed"]
+    assert types[-2:] == ["aggregate_final", "campaign_completed"]
 
 
 def test_fabric_workers_view(port, fabric_campaign):
@@ -694,6 +704,34 @@ def test_cancel_resume_lifecycle_bit_identical(port, serial_dataset):
         "source_fingerprint",
         "fingerprint",
     }
+
+
+def test_resume_from_a_running_campaign_conflicts(port):
+    """Two coordinators must never share one campaign directory: a
+    resume of a campaign that has not reached a terminal state is a
+    409, and the source runs on undisturbed."""
+    config = {**DATA, "n_workers": 2}
+    faults = [{"shard_id": 1, "attempt": 0, "kind": "slow", "delay_s": 300.0}]
+    status, submitted = api(
+        port, "POST", "/v1/campaigns", {"config": config, "faults": faults}
+    )
+    assert status == 202
+    campaign_id = submitted["id"]
+    try:
+        status, payload = api(
+            port,
+            "POST",
+            "/v1/campaigns",
+            {"config": config, "resume_from": campaign_id},
+        )
+        assert status == 409, payload
+        assert payload["error"]["code"] == "conflict"
+        assert campaign_id in payload["error"]["message"]
+        _, source = api(port, "GET", f"/v1/campaigns/{campaign_id}")
+        assert source["state"] not in TERMINAL_STATES
+    finally:
+        api(port, "POST", f"/v1/campaigns/{campaign_id}/cancel")
+        assert wait_terminal(port, campaign_id)["state"] == "cancelled"
 
 
 # -- event-log unit behaviour ----------------------------------------------

@@ -259,38 +259,50 @@ def test_spill_open_verify_fails_fast(tmp_path):
         SpillBackend.open(str(tmp_path), verify=True)  # ... verify doesn't
 
 
-def test_spill_quarantine_and_report(tmp_path):
-    """The recovery path: quarantine the named segment, get a report of
-    exactly what was lost, and keep working with the survivors."""
+def test_spill_manifest_binds_each_segment_to_its_file(tmp_path):
+    """A segment that is valid on its own but is not the file its
+    manifest entry recorded (stale or swapped, same record count) is
+    refused, naming the overwritten file."""
     backend = SpillBackend(directory=str(tmp_path), segment_records=8)
     dataset = Dataset(backend=backend)
-    records = [_page_load(i) for i in range(20)]
-    dataset.extend_page_loads(records)
+    dataset.extend_page_loads([_page_load(i) for i in range(16)])
     dataset.flush()
-    entry = backend._segments["page_loads"][1]
-    path = tmp_path / entry["file"]
-    path.write_bytes(path.read_bytes()[:10])
-    report = backend.quarantine(
-        "page_loads", entry["file"], "checksum mismatch"
+    first, second = backend._segments["page_loads"]
+    assert first["n"] == second["n"] == 8
+    (tmp_path / second["file"]).write_bytes((tmp_path / first["file"]).read_bytes())
+    with pytest.raises(DatasetError, match=second["file"]) as excinfo:
+        Dataset(backend=SpillBackend.open(str(tmp_path))).page_loads
+    assert "stale or swapped" in str(excinfo.value)
+    with pytest.raises(DatasetError, match=second["file"]):
+        SpillBackend.open(str(tmp_path), verify=True)
+
+
+def test_spill_segments_are_checksummed_containers(tmp_path):
+    """A spill segment is the container a checkpoint segment is: it
+    reads back through ``columnar.read_checksummed_npz`` against the
+    digest its manifest entry recorded."""
+    backend = SpillBackend(directory=str(tmp_path), segment_records=8)
+    records = [_page_load(i) for i in range(8)]
+    backend.extend_page_loads(records)
+    backend.flush()
+    (entry,) = backend._segments["page_loads"]
+    assert set(entry) == {"file", "n", "sha256"}
+    assert not entry["file"].endswith(".npz")
+    arrays, meta = columnar.read_checksummed_npz(
+        str(tmp_path / entry["file"]), ("t_s",), entry["sha256"]
     )
-    assert report["quarantined"] is True
-    assert report["n_records_lost"] == 8
-    assert report["kind"] == "page_loads"
-    assert os.path.exists(report["path"])
-    assert report["path"].endswith(
-        os.path.join(SpillBackend.QUARANTINE_DIR, entry["file"])
+    assert list(arrays) == ["t_s"] and meta == {"n": 8}
+    np.testing.assert_array_equal(arrays["t_s"], [r.t_s for r in records])
+
+
+def test_spill_open_refuses_a_version_1_manifest(tmp_path):
+    """Version 1 manifests listed bare npz segments; opening one fails
+    with the unsupported-version error naming the version."""
+    (tmp_path / "manifest.json").write_text(
+        '{"version": 1, "segment_records": 4, "kinds": {}}', encoding="utf-8"
     )
-    # The manifest no longer lists the segment: the reopened backend
-    # verifies clean and serves the surviving records.
-    reopened = Dataset(backend=SpillBackend.open(str(tmp_path), verify=True))
-    survivors = records[:8] + records[16:]
-    assert reopened.page_loads == survivors
-    # Quarantining an unknown file reports without mutating anything.
-    noop = backend.quarantine("page_loads", "no-such-file.npz", "test")
-    assert noop["quarantined"] is False
-    assert noop["n_records_lost"] == 0
-    with pytest.raises(DatasetError):
-        backend.quarantine("bogus_kind", entry["file"], "test")
+    with pytest.raises(DatasetError, match="unsupported spill manifest version 1"):
+        SpillBackend.open(str(tmp_path))
 
 
 def test_jsonl_round_trip_across_backends(tmp_path):
