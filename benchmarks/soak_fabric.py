@@ -25,7 +25,7 @@ expiry, re-dispatch and work stealing.  Four things are asserted:
 Scales via ``--preset``: ``ci`` finishes in about a minute on two
 cores; ``overnight`` multiplies the simulated duration for a
 ~1M-record soak.  A JSON merge report (config, churn schedule, worker
-RSS, lease-log counters, identity verdict) is written to ``--out``;
+RSS, run-log counters, identity verdict) is written to ``--out``;
 exit status is non-zero on any violated bound.
 
 Usage::
@@ -171,12 +171,22 @@ def main(argv: list[str]) -> int:
         )
         print(f"[soak] serial fingerprint {serial_fingerprint[:16]}")
 
+    last_echo = [0.0]
+
+    def on_event(event):
+        if event["type"] in ("shard_completed", "shard_redispatched"):
+            now = time.time()
+            if now - last_echo[0] > 0.5:
+                last_echo[0] = now
+                print(f"[soak] {event['type']} shard={event['shard_id']}")
+
     coordinator = FabricCoordinator(
         config,
         fabric_dir,
         shards=plan_campaign(config, preset["n_shards"])[1],
         lease_ttl_s=args.lease_ttl,
         straggler_floor_s=max(10.0, 4 * args.lease_ttl),
+        on_event=on_event,
     )
     context = multiprocessing.get_context(args.mp_start)
     next_rank = 0
@@ -239,16 +249,6 @@ def main(argv: list[str]) -> int:
             )
             spawn_worker()
 
-    last_echo = [0.0]
-
-    def on_event(event):
-        if event["type"] in ("shard_completed", "shard_redispatched"):
-            now = time.time()
-            if now - last_echo[0] > 0.5:
-                last_echo[0] = now
-                print(f"[soak] {event['type']} shard={event['shard_id']}")
-
-    coordinator.on_event = on_event
     churn_thread = threading.Thread(target=churn_loop, daemon=True)
     churn_thread.start()
     started = time.time()
@@ -303,7 +303,7 @@ def main(argv: list[str]) -> int:
         "fingerprint": fingerprint,
         "serial_fingerprint": serial_fingerprint,
         "identity_ok": identity_ok,
-        "lease_log_events": len(stats.lease_log),
+        "log_events": len(stats.events),
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -188,7 +188,13 @@ def _fabric_campaign_config(args):
 
 
 def run_coordinate(args) -> int:
-    """The 'coordinate' verb: plan, watch, recover, merge one campaign."""
+    """The 'coordinate' verb: plan, watch, recover, merge one campaign.
+
+    Prints every record of the run log as ``[fabric] <type> k=v`` while
+    it runs (the same records are ``log.jsonl`` in the fabric
+    directory), then the run's summary, ``[fabric: ...]`` suffix
+    included.
+    """
     from repro.errors import ReproError
     from repro.runtime.fabric import run_fabric_campaign
     from repro.runtime.lease import DEFAULT_LEASE_TTL_S

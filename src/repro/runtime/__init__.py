@@ -22,7 +22,11 @@ reproducibility — and keeps it running when workers don't:
   stores and the merge adopts.
 
 * :mod:`repro.runtime.shard` — shard planning (balanced, deterministic),
-  the shard body, with timing/throughput counters and failure records.
+  the shard body with its timing/throughput counters, and the run log:
+  one ``RunLog`` writes every run's timestamped lifecycle records (to
+  the campaign directory's ``log.jsonl`` too, when there is one), in
+  either placement, and ``CampaignRunStats`` keeps them and reads its
+  failure and recovery counts off them.
 * :mod:`repro.runtime.supervision` — the one multi-process placement:
   local fabric workers for a planned campaign, kept alive and replaced
   while shards remain, driven by the fabric coordinator.
@@ -60,7 +64,6 @@ contract and the failure-handling design.
 from repro.runtime.checkpoint import CheckpointStore, campaign_fingerprint
 from repro.runtime.fabric import (
     FabricCoordinator,
-    FabricRunStats,
     fabric_status,
     run_fabric_campaign,
     run_fabric_worker,
@@ -85,6 +88,7 @@ from repro.runtime.merge import merge_shard_results
 from repro.runtime.pool import run_campaign
 from repro.runtime.shard import (
     CampaignRunStats,
+    RunLog,
     ShardFailure,
     ShardResult,
     ShardStats,
@@ -100,7 +104,6 @@ __all__ = [
     "CheckpointStore",
     "CoordinationStore",
     "FabricCoordinator",
-    "FabricRunStats",
     "Fault",
     "FaultKind",
     "FaultPlan",
@@ -108,6 +111,7 @@ __all__ = [
     "LeaseDir",
     "LeaseHeartbeat",
     "LeaseRecord",
+    "RunLog",
     "ShardFailure",
     "ShardResult",
     "ShardStats",

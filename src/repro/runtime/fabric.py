@@ -45,10 +45,17 @@ join the same directory with ``repro.experiments worker``.
   stored.
 * Every lease transition (claimed / expired / revoked / lost /
   straggler / re-dispatched / exhausted / stolen / completed / resumed /
-  discarded / quarantined) and worker replacement is appended to the
-  coordinator's structured log (``log.jsonl`` through the store) and
-  kept on the returned :class:`FabricRunStats`; the run's failure
-  records are read off it.
+  discarded / quarantined) and worker replacement is a record of the
+  run's one :class:`~repro.runtime.shard.RunLog` — the record an
+  in-process run writes too — appended to ``log.jsonl`` through the
+  store and kept as the returned stats' ``events``; the run's failure
+  records and recovery counts are read off it.
+* A manifest the coordinator finds when it starts (a restart, or
+  ``resume``) is adopted when its segment validates.  One that does not
+  — a segment an earlier run wrote in an older layout, or one another
+  placement's run overwrote — is quarantined and its shard queued for
+  its next attempt, uncharged: no failure record, backoff or
+  re-dispatch, since no attempt of this run failed.
 
 Correctness rests on two pillars.  (1) *Determinism*: every record is
 a pure function of ``(config, user)``, so any re-dispatch recomputes
@@ -75,7 +82,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +109,11 @@ from repro.runtime.lease import (
 )
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.shard import (
+    LOG_KEY,
     CampaignRunStats,
-    ShardFailure,
+    RunLog,
     plan_campaign,
+    run_failures,
     run_shard,
 )
 from repro.runtime.store import CoordinationStore, FsStore
@@ -123,18 +132,26 @@ _MARKERS = (DONE_MARKER, CANCELLED_MARKER, FAILED_MARKER)
 #: Upper bound on any one re-dispatch backoff delay.
 BACKOFF_MAX_S = 2.0
 
+#: How often the coordinator scans the directory, and an idle worker
+#: looks for claimable work.
+POLL_INTERVAL_S = 0.05
+
+#: The straggler rule (:func:`straggler_deadline_s`): a lease held past
+#: ``STRAGGLER_MULTIPLIER`` times the ``STRAGGLER_PERCENTILE``-th
+#: completed-shard duration, once ``STRAGGLER_MIN_SAMPLES`` shards have
+#: completed, is a straggler.
+STRAGGLER_PERCENTILE = 95.0
+STRAGGLER_MULTIPLIER = 3.0
+STRAGGLER_MIN_SAMPLES = 3
+
 #: Coordination key layout: each key is the file at that path under
 #: the fabric directory.
 PLAN_KEY = "plan.json"
-LOG_KEY = "log.jsonl"
 LEASES_PREFIX = "leases/"
 HOLDS_PREFIX = "holds/"
 WORKERS_PREFIX = "workers/"
 DISCARDS_PREFIX = "discards/"
 ERRORS_PREFIX = "errors/"
-
-#: Lease-log event types that each record one failed shard attempt.
-_FAILURE_EVENTS = ("shard_redispatched", "shard_exhausted")
 
 
 def _hold_key(shard_id: int) -> str:
@@ -309,70 +326,24 @@ def load_plan(store: FsStore) -> FabricPlan | None:
         ) from exc
 
 
-@dataclass
-class FabricRunStats(CampaignRunStats):
-    """Campaign stats plus the fabric's lease/recovery accounting."""
-
-    n_shards: int = 0
-    #: Shards the coordinator revoked and re-queued (any reason).
-    redispatched_shards: int = 0
-    #: Re-dispatched shards completed by a *different* worker than the
-    #: one revoked — the work-stealing counter.
-    stolen_shards: int = 0
-    #: Late duplicate manifests that lost the first-wins race.
-    discarded_manifests: int = 0
-    #: Torn segments moved aside before their shard was re-dispatched.
-    quarantined_segments: int = 0
-    #: The coordinator's structured lease-transition log (also in the
-    #: fabric directory as ``log.jsonl``).
-    lease_log: list = field(default_factory=list)
-
-    def transitions(self, event_type: str) -> list[dict]:
-        """The log entries of one transition type, in order."""
-        return [e for e in self.lease_log if e.get("type") == event_type]
-
-    def summary(self) -> str:
-        base = super().summary()
-        return (
-            f"{base} [fabric: {self.n_shards} shards, "
-            f"{self.redispatched_shards} re-dispatched, "
-            f"{self.stolen_shards} stolen, "
-            f"{self.discarded_manifests} discarded, "
-            f"{self.quarantined_segments} quarantined]"
-        )
-
-
-def straggler_deadline_s(
-    durations_s,
-    percentile: float = 95.0,
-    multiplier: float = 3.0,
-    floor_s: float = 1.0,
-    min_samples: int = 3,
-) -> float | None:
+def straggler_deadline_s(durations_s, floor_s: float = 1.0) -> float | None:
     """Percentile-based per-shard deadline from observed durations.
 
     The coordinator calls this with the wall-clock durations of shards
-    that already completed: a shard still held past ``multiplier``
-    times the ``percentile``-th duration is a straggler worth
-    re-dispatching.  Returns ``None`` until ``min_samples`` durations
-    exist — with too few samples any deadline is noise, and a premature
-    revocation would churn a healthy fleet.  ``floor_s`` bounds the
-    deadline from below so uniformly tiny shards don't produce a
-    hair-trigger.
+    that already completed: a shard still held past
+    :data:`STRAGGLER_MULTIPLIER` times the
+    :data:`STRAGGLER_PERCENTILE`-th duration is a straggler worth
+    re-dispatching.  Returns ``None`` until
+    :data:`STRAGGLER_MIN_SAMPLES` durations exist — with too few
+    samples any deadline is noise, and a premature revocation would
+    churn a healthy fleet.  ``floor_s`` bounds the deadline from below
+    so uniformly tiny shards don't produce a hair-trigger.
     """
-    if multiplier <= 0:
-        raise ConfigurationError(
-            f"straggler multiplier must be positive, got {multiplier}"
-        )
-    if not 0.0 < percentile <= 100.0:
-        raise ConfigurationError(
-            f"straggler percentile must be in (0, 100], got {percentile}"
-        )
     samples = [float(d) for d in durations_s]
-    if len(samples) < max(1, min_samples):
+    if len(samples) < STRAGGLER_MIN_SAMPLES:
         return None
-    reference = float(np.percentile(np.asarray(samples), percentile))
-    return max(float(floor_s), multiplier * reference)
+    reference = float(np.percentile(np.asarray(samples), STRAGGLER_PERCENTILE))
+    return max(float(floor_s), STRAGGLER_MULTIPLIER * reference)
 
 
 # -- worker --------------------------------------------------------------
@@ -390,9 +361,7 @@ def run_fabric_worker(
     worker_id: str | None = None,
     heartbeat_interval_s: float | None = None,
     fault_plan: FaultPlan | None = None,
-    poll_interval_s: float = 0.05,
     plan_wait_s: float = 60.0,
-    idle_exit_s: float | None = None,
 ) -> dict:
     """One fabric worker: claim → run → spill → manifest, until done.
 
@@ -404,11 +373,9 @@ def run_fabric_worker(
     heartbeat thread refreshing ownership; spill the result as a
     checksummed segment; offer the completion manifest with a
     create-exclusive put (a lost race writes a discard marker
-    instead).  Exits when the coordinator drops a terminal marker, or
-    after ``idle_exit_s`` without claimable work (``None`` waits
-    indefinitely).  Faults from ``fault_plan`` (keyed ``(shard_id,
-    attempt)``, see :mod:`repro.runtime.faults`) are injected after
-    the claim.
+    instead).  Exits when the coordinator drops a terminal marker.
+    Faults from ``fault_plan`` (keyed ``(shard_id, attempt)``, see
+    :mod:`repro.runtime.faults`) are injected after the claim.
 
     Returns a summary dict (``worker_id``, ``shards_completed``,
     ``manifests_discarded``).
@@ -433,7 +400,7 @@ def run_fabric_worker(
                 f"no fabric plan appeared at {store.path_for(PLAN_KEY)} "
                 f"within {plan_wait_s:.0f}s"
             )
-        time.sleep(poll_interval_s)
+        time.sleep(POLL_INTERVAL_S)
         plan = load_plan(store)
     if plan.config_json is None:
         raise FabricError(
@@ -459,7 +426,6 @@ def run_fabric_worker(
     )
     completed = 0
     discarded = 0
-    idle_since = time.time()
     try:
         while terminal_marker(store) is None:
             progress = False
@@ -494,16 +460,9 @@ def run_fabric_worker(
                 )
                 completed += outcome == "completed"
                 discarded += outcome == "discarded"
-            if progress:
-                idle_since = time.time()
-            else:
-                if (
-                    idle_exit_s is not None
-                    and time.time() - idle_since > idle_exit_s
-                ):
-                    break
+            if not progress:
                 registry.write()
-                time.sleep(poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
     finally:
         registry.set_exited()
     return {
@@ -621,7 +580,10 @@ class FabricCoordinator:
 
     The re-dispatch budget, backoff base and deadline cap are the
     config's ``max_shard_retries``, ``retry_backoff_s`` and
-    ``shard_timeout_s`` knobs (DESIGN.md §5).
+    ``shard_timeout_s`` knobs (DESIGN.md §5).  Every transition is a
+    record of :attr:`log`, the run's
+    :class:`~repro.runtime.shard.RunLog` over the directory's
+    ``log.jsonl``; ``on_event`` sees each record as it is logged.
     """
 
     def __init__(
@@ -631,11 +593,7 @@ class FabricCoordinator:
         *,
         shards=None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-        poll_interval_s: float = 0.05,
-        straggler_percentile: float = 95.0,
-        straggler_multiplier: float = 3.0,
         straggler_floor_s: float = 5.0,
-        straggler_min_samples: int = 3,
         on_event=None,
     ):
         self.config = config
@@ -652,16 +610,11 @@ class FabricCoordinator:
             self.store, ttl_s=self.plan.lease_ttl_s, prefix=LEASES_PREFIX
         )
         self.ckpt = CheckpointStore(self.paths.segments, config)
-        self.poll_interval_s = poll_interval_s
-        self.straggler_percentile = straggler_percentile
-        self.straggler_multiplier = straggler_multiplier
         self.straggler_floor_s = straggler_floor_s
-        self.straggler_min_samples = straggler_min_samples
         self.max_retries = resolve("max_shard_retries", config.max_shard_retries)
         self.backoff_base_s = resolve("retry_backoff_s", config.retry_backoff_s)
         self.shard_timeout_s = resolve("shard_timeout_s", config.shard_timeout_s)
-        self.on_event = on_event
-        self.lease_log: list[dict] = []
+        self.log = RunLog(on_event, self.store)
         # per-shard recovery book-keeping
         self._seen_token: dict[int, str] = {}
         #: Lease tokens whose attempt's outcome is recorded (accepted,
@@ -676,13 +629,6 @@ class FabricCoordinator:
         self._seen_discards: set[str] = set()
         self._seen_errors: set[str] = set()
         self._durations: list[float] = []
-        self._counters = {
-            "redispatched": 0,
-            "stolen": 0,
-            "discarded": 0,
-            "quarantined": 0,
-            "resumed": 0,
-        }
 
     def _clear_finished_run(self) -> None:
         for name in _MARKERS:
@@ -691,31 +637,8 @@ class FabricCoordinator:
             for key in self.store.list_prefix(prefix):
                 self.store.delete(key)
 
-    # -- logging -------------------------------------------------------
-
-    def _log(self, event_type: str, **data) -> dict:
-        event = {"type": event_type, "t": time.time(), **data}
-        self.lease_log.append(event)
-        try:
-            self.store.append_line(
-                LOG_KEY, json.dumps(event, sort_keys=True)
-            )
-        except (OSError, FabricError):
-            pass  # the in-memory log still records the transition
-        if self.on_event is not None:
-            self.on_event(event)
-        return event
-
     def _marker(self, name: str, **data) -> None:
         self.store.put_json(name, {"at": time.time(), **data})
-
-    def failures(self) -> list[ShardFailure]:
-        """One record per failed shard attempt, read off the log."""
-        return [
-            ShardFailure(e["shard_id"], e["failed_attempt"], e["kind"], e["detail"])
-            for e in self.lease_log
-            if e["type"] in _FAILURE_EVENTS
-        ]
 
     # -- run -----------------------------------------------------------
 
@@ -724,14 +647,16 @@ class FabricCoordinator:
 
         Shards whose manifests are already valid are adopted first (a
         restart, or ``resume``): they count as resumed and need no
-        worker.  ``local_workers`` (a
+        worker; a manifest whose segment does not validate is
+        quarantined and its shard queued, uncharged.  ``local_workers`` (a
         :class:`~repro.runtime.supervision.LocalWorkers`) then starts
         up to ``min(n_workers, unfinished shards)`` processes; the
         loop replaces one that dies holding a lease or that the
         deadline terminated, and fails fast if all of them exit with
         work outstanding and no external worker holding a lease.
 
-        Returns ``(dataset, FabricRunStats)``.
+        Returns ``(dataset, CampaignRunStats)``; the stats keep
+        :attr:`log`'s records, ``campaign_completed`` last.
 
         Raises:
             ShardFailedError: a shard used up its re-dispatch budget;
@@ -741,12 +666,13 @@ class FabricCoordinator:
         started = time.perf_counter()
         accepted: dict[int, object] = {}
         n_workers = local_workers.n_workers if local_workers is not None else 0
-        self._log(
+        self.log.log(
             "campaign_planned",
             n_shards=self.plan.n_shards,
             n_users=len(self.plan.expected_indices),
             n_workers=n_workers or None,
             fingerprint=self.plan.fingerprint,
+            placement="fabric",
         )
         try:
             self._scan_manifests(accepted, on_result, resumed=True)
@@ -769,9 +695,9 @@ class FabricCoordinator:
                 self._scan_errors(accepted)
                 self._scan_leases(accepted, local_workers)
                 self._check_local_workers(accepted, local_workers)
-                time.sleep(self.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
             if self._exhausted:
-                failures = self.failures()
+                failures = run_failures(self.log.events)
                 raise ShardFailedError(
                     f"shard(s) {sorted(self._exhausted)} exhausted "
                     f"{self.max_retries} re-dispatches; failure log: "
@@ -790,13 +716,13 @@ class FabricCoordinator:
             if local_workers is not None:
                 local_workers.stop()
             if cancelled:
-                self._log(
+                self.log.log(
                     "campaign_cancelled",
                     completed_shards=len(accepted),
                     n_shards=self.plan.n_shards,
                 )
             else:
-                self._log("campaign_failed", reason=str(exc))
+                self.log.log("campaign_failed", reason=str(exc))
             raise
         # Every shard is in: release the workers before merging.
         self._marker(DONE_MARKER, n_shards=self.plan.n_shards)
@@ -806,36 +732,32 @@ class FabricCoordinator:
             expected_indices=self.plan.expected_indices,
             backend=backend_for_config(self.config),
         )
-        self._log(
-            "campaign_completed",
-            n_shards=self.plan.n_shards,
-            redispatched=self._counters["redispatched"],
-            stolen=self._counters["stolen"],
-            discarded=self._counters["discarded"],
-            quarantined=self._counters["quarantined"],
-        )
-        stats = FabricRunStats.assemble(
+        stats = CampaignRunStats.assemble(
             (result.stats for result in accepted.values()),
             n_workers=n_workers or 1,
             started=started,
             sink_started=sink_started,
-            failures=self.failures(),
-            resumed_shards=self._counters["resumed"],
+            events=self.log.events,
             n_worker_processes=(
                 local_workers.n_initial if local_workers is not None else 0
             ),
-            n_shards=self.plan.n_shards,
-            redispatched_shards=self._counters["redispatched"],
-            stolen_shards=self._counters["stolen"],
-            discarded_manifests=self._counters["discarded"],
-            quarantined_segments=self._counters["quarantined"],
-            lease_log=list(self.lease_log),
+        )
+        self.log.log(
+            "campaign_completed",
+            n_shards=stats.n_shards,
+            redispatched=stats.redispatched_shards,
+            stolen=stats.stolen_shards,
+            discarded=stats.discarded_manifests,
+            quarantined=stats.quarantined_segments,
         )
         return dataset, stats
 
     # -- manifest intake -----------------------------------------------
 
     def _scan_manifests(self, accepted: dict, on_result, resumed=False) -> None:
+        """Accept every valid manifest; ``resumed`` marks the adopt pass,
+        whose acceptances are resumed shards and whose rejections are
+        uncharged."""
         now = time.time()
         for shard_id, indices in self.plan.shards:
             if shard_id in accepted:
@@ -850,19 +772,17 @@ class FabricCoordinator:
                 # torn so the shard isn't wedged forever.
                 first = self._manifest_first_seen.setdefault(shard_id, now)
                 if now - first > self.plan.lease_ttl_s:
-                    self._reject_manifest(
-                        shard_id, indices, {}, "unreadable manifest"
-                    )
+                    self._reject_manifest(shard_id, {}, "unreadable manifest")
                 continue
             self._manifest_first_seen.pop(shard_id, None)
             segment = self.ckpt.load(shard_id, list(indices))
             if segment is None:
                 self._reject_manifest(
                     shard_id,
-                    indices,
                     doc,
                     "segment failed validation (torn write, checksum "
                     "mismatch, or wrong partition)",
+                    charged=not resumed,
                 )
                 continue
             attempt = int(doc.get("attempt", 0))
@@ -885,8 +805,7 @@ class FabricCoordinator:
                 and context.get("worker_id") not in (None, doc.get("worker_id"))
             )
             if stolen:
-                self._counters["stolen"] += 1
-                self._log(
+                self.log.log(
                     "shard_stolen",
                     shard_id=shard_id,
                     worker_id=doc.get("worker_id"),
@@ -898,8 +817,7 @@ class FabricCoordinator:
             self.store.delete(_hold_key(shard_id))
             if on_result is not None:
                 on_result(segment)
-            self._counters["resumed"] += resumed
-            self._log(
+            self.log.log(
                 "shard_resumed" if resumed else "shard_completed",
                 shard_id=shard_id,
                 worker_id=doc.get("worker_id"),
@@ -913,17 +831,27 @@ class FabricCoordinator:
             )
 
     def _reject_manifest(
-        self, shard_id: int, indices, doc: dict, reason: str
+        self, shard_id: int, doc: dict, reason: str, charged: bool = True
     ) -> None:
-        """Quarantine a torn completion and re-queue the shard."""
+        """Quarantine a torn completion and re-queue the shard.
+
+        A ``charged`` rejection is a failed attempt of this run: it is
+        re-dispatched against the budget.  An uncharged one (a segment
+        an earlier run wrote) only holds the shard for its next attempt.
+        """
         self._settled.add(doc.get("token", ""))
         attempt = int(doc.get("attempt", self._attempt_of(shard_id)))
         report = self.quarantine_segment(shard_id, attempt, doc, reason)
-        self._counters["quarantined"] += bool(report.get("quarantined"))
-        self._log("segment_quarantined", shard_id=shard_id, **report)
-        self._schedule_redispatch(
-            shard_id, "corrupt", reason, attempt, doc.get("worker_id")
-        )
+        self.log.log("segment_quarantined", shard_id=shard_id, **report)
+        if charged:
+            self._schedule_redispatch(
+                shard_id, "corrupt", reason, attempt, doc.get("worker_id")
+            )
+        else:
+            self.store.put_json(
+                _hold_key(shard_id),
+                {"shard_id": shard_id, "attempt": attempt + 1, "reason": reason},
+            )
         # The hold (with the bumped attempt) is in place; only now make
         # the shard claimable again by moving the manifest aside.
         obj = self.store.get(_manifest_key(shard_id))
@@ -980,8 +908,7 @@ class FabricCoordinator:
                 continue
             self._seen_discards.add(name)
             doc = self.store.get_json(key) or {}
-            self._counters["discarded"] += 1
-            self._log(
+            self.log.log(
                 "manifest_discarded",
                 shard_id=doc.get("shard_id"),
                 worker_id=doc.get("worker_id"),
@@ -1021,11 +948,7 @@ class FabricCoordinator:
         """How long a lease may be held: the straggler deadline, capped
         by ``shard_timeout_s`` (which applies before enough samples)."""
         deadline = straggler_deadline_s(
-            self._durations,
-            percentile=self.straggler_percentile,
-            multiplier=self.straggler_multiplier,
-            floor_s=self.straggler_floor_s,
-            min_samples=self.straggler_min_samples,
+            self._durations, floor_s=self.straggler_floor_s
         )
         if self.shard_timeout_s is None:
             return deadline
@@ -1042,7 +965,7 @@ class FabricCoordinator:
         self._seen_token[record.shard_id] = record.token
         self._holder[record.shard_id] = record.worker_id
         self._claimed_at[record.token] = record.claimed_at
-        self._log(
+        self.log.log(
             "lease_claimed",
             shard_id=record.shard_id,
             worker_id=record.worker_id,
@@ -1074,7 +997,7 @@ class FabricCoordinator:
                 ):
                     self._settled.add(token)
                     worker = self._holder.get(shard_id)
-                    self._log(
+                    self.log.log(
                         "lease_lost",
                         shard_id=shard_id,
                         worker_id=worker,
@@ -1121,8 +1044,8 @@ class FabricCoordinator:
                 self._revoke(
                     shard_id, record, "lease_straggler", "timeout",
                     f"held {record.held_s(now):.2f}s > deadline "
-                    f"{deadline:.2f}s (p{self.straggler_percentile:.0f} x "
-                    f"{self.straggler_multiplier:g}, capped by "
+                    f"{deadline:.2f}s (p{STRAGGLER_PERCENTILE:.0f} x "
+                    f"{STRAGGLER_MULTIPLIER:g}, capped by "
                     f"shard_timeout_s={self.shard_timeout_s})",
                 )
                 if local:
@@ -1132,7 +1055,7 @@ class FabricCoordinator:
     def _revoke(
         self, shard_id: int, record, event: str, kind: str, detail: str
     ) -> None:
-        self._log(
+        self.log.log(
             event,
             shard_id=shard_id,
             worker_id=record.worker_id,
@@ -1171,7 +1094,7 @@ class FabricCoordinator:
                 _hold_key(shard_id),
                 {"shard_id": shard_id, "attempt": attempt + 1, "exhausted": True},
             )
-            self._log("shard_exhausted", **failure, redispatches=count - 1)
+            self.log.log("shard_exhausted", **failure, redispatches=count - 1)
             return
         backoff = min(self.backoff_base_s * (2.0 ** (count - 1)), BACKOFF_MAX_S)
         self.store.put_json(
@@ -1188,8 +1111,7 @@ class FabricCoordinator:
             "worker_id": worker_id,
             "reason": f"{kind}: {detail}",
         }
-        self._counters["redispatched"] += 1
-        self._log(
+        self.log.log(
             "shard_redispatched",
             **failure,
             attempt=attempt + 1,
@@ -1206,7 +1128,7 @@ class FabricCoordinator:
         unfinished = self.plan.n_shards - len(accepted) - len(self._exhausted)
         if local_workers.n_alive() < min(local_workers.n_workers, unfinished):
             (started,) = local_workers.start(1)
-            self._log("worker_replaced", worker_id=worker_id, by=started)
+            self.log.log("worker_replaced", worker_id=worker_id, by=started)
 
     def _check_local_workers(self, accepted: dict, local_workers) -> None:
         if local_workers is None or not local_workers.n_started:
@@ -1239,11 +1161,7 @@ def run_fabric_campaign(
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     heartbeat_interval_s: float | None = None,
     fault_plan: FaultPlan | None = None,
-    poll_interval_s: float = 0.05,
-    straggler_percentile: float = 95.0,
-    straggler_multiplier: float = 3.0,
     straggler_floor_s: float = 5.0,
-    straggler_min_samples: int = 3,
     fabric_store: str | None = None,
     on_event=None,
     on_result=None,
@@ -1253,16 +1171,21 @@ def run_fabric_campaign(
 
     Plans ``n_shards`` shards (default: one per worker) and hands them
     to :func:`~repro.runtime.supervision.supervise_shards`, the one
-    placement, with ``n_workers`` local workers (0: coordinator only)
-    over ``fabric_dir`` — adopting the plan and manifests a previous
+    placement, with ``n_workers`` local workers (0: coordinator only,
+    which needs a ``fabric_dir`` for workers to join) over
+    ``fabric_dir`` — adopting the plan and manifests a previous
     coordinator left there — or over a temporary directory removed
     afterwards.  Additional workers on other hosts may join the same
     ``fabric_dir`` at any time — the coordinator does not distinguish
     them from local ones.  ``fabric_store`` accepts only ``None`` or
     ``"fs"``, the one coordination store.
 
-    Returns ``(dataset, FabricRunStats)`` — the dataset bit-identical
+    Returns ``(dataset, CampaignRunStats)`` — the dataset bit-identical
     to the serial run regardless of the fault schedule survived.
+
+    Raises:
+        ConfigurationError: ``n_workers`` is negative, or 0 without a
+            ``fabric_dir`` (no worker could find the campaign).
     """
     from repro.runtime.supervision import supervise_shards
 
@@ -1274,8 +1197,9 @@ def run_fabric_campaign(
     if n_workers is None:
         n_workers = max(1, getattr(config, "n_workers", 1))
     if n_workers < 0:
-        # 0 is allowed: coordinator-only, workers join from elsewhere
-        # (the ``repro coordinate`` + ``repro worker`` deployment).
+        # 0 is allowed: coordinator-only, workers join the fabric
+        # directory from elsewhere (``repro coordinate`` + ``repro
+        # worker``); supervise_shards refuses it without a directory.
         raise ConfigurationError(f"n_workers must be >= 0, got {n_workers}")
     _, shards = plan_campaign(config, n_shards)
     return supervise_shards(
@@ -1289,11 +1213,7 @@ def run_fabric_campaign(
         on_result=on_result,
         should_stop=should_stop,
         lease_ttl_s=lease_ttl_s,
-        poll_interval_s=poll_interval_s,
-        straggler_percentile=straggler_percentile,
-        straggler_multiplier=straggler_multiplier,
         straggler_floor_s=straggler_floor_s,
-        straggler_min_samples=straggler_min_samples,
     )
 
 

@@ -24,6 +24,13 @@ shard there, and a multi-shard run uses the directory as its fabric
 directory (a temporary one without the knob).  Every placement
 produces a dataset bit-for-bit identical to the serial run (see the
 determinism contract in :mod:`repro.runtime.shard` and DESIGN.md).
+
+Both placements record the run through one
+:class:`~repro.runtime.shard.RunLog`: ``campaign_planned`` first, one
+terminal record last, every record timestamped, and — under the
+``checkpoint_dir`` knob — every record also a line of the campaign
+directory's ``log.jsonl`` (appended to by a resumed run, started afresh
+otherwise).  The returned stats keep the log and count from it.
 """
 
 from __future__ import annotations
@@ -35,14 +42,22 @@ from repro.errors import CampaignCancelledError
 from repro.extension.backends import backend_for_config
 from repro.extension.storage import Dataset
 from repro.knobs import resolve
-from repro.runtime.checkpoint import SEGMENTS_DIR, CheckpointStore, campaign_dir
+from repro.runtime.checkpoint import (
+    SEGMENTS_DIR,
+    CheckpointStore,
+    campaign_dir,
+    campaign_fingerprint,
+)
 from repro.runtime.merge import merge_shard_results
 from repro.runtime.shard import (
+    LOG_KEY,
     CampaignRunStats,
+    RunLog,
     ShardColumns,
     plan_campaign,
     run_users,
 )
+from repro.runtime.store import FsStore
 from repro.runtime.supervision import supervise_shards
 
 
@@ -66,11 +81,14 @@ def run_campaign(
             only.
         resume: Adopt surviving checkpointed shards instead of
             re-running them; default derives from the ``resume`` knob.
-        on_event: Progress-callback seam — one dict per lifecycle
-            transition (``campaign_planned``, ``shard_resumed``,
-            ``shard_dispatched``, ``shard_completed`` in-process, plus
-            every lease-log event of the fabric coordinator); the
-            campaign service streams these over SSE.
+        on_event: Progress-callback seam — every run-log record
+            (:class:`~repro.runtime.shard.RunLog`) as it is logged:
+            ``campaign_planned`` first, then ``shard_resumed``,
+            ``shard_dispatched`` and ``shard_completed`` in-process or
+            the fabric coordinator's lease transitions, and one terminal
+            record (``campaign_completed``, ``campaign_cancelled`` or
+            ``campaign_failed``) last; the campaign service streams all
+            but the terminal record over SSE.
         on_result: Invoked with every accepted shard result (fresh,
             recovered, or run in-process) as soon as it exists — after
             the checkpoint spill — so callers can fold incremental
@@ -106,16 +124,55 @@ def run_campaign(
         stats.wall_s = time.perf_counter() - started  # planning included
         return dataset, stats
 
-    def emit(event_type: str, **data) -> None:
-        if on_event is not None:
-            on_event({"type": event_type, **data})
-
-    emit(
+    store = None
+    if directory is not None:
+        store = FsStore(directory)
+        if not resume:
+            store.delete(LOG_KEY)
+    log = RunLog(on_event, store)
+    log.log(
         "campaign_planned",
         n_shards=len(planned),
         n_users=len(campaign.population.users),
         n_workers=config.n_workers,
+        fingerprint=campaign_fingerprint(config),
+        placement="in-process",
     )
+    try:
+        dataset, shards, sink_started = _run_in_process(
+            campaign, planned, directory, resume, log, on_result, should_stop
+        )
+    except CampaignCancelledError as exc:
+        log.log(
+            "campaign_cancelled",
+            completed_shards=exc.completed_shards,
+            n_shards=exc.n_shards,
+        )
+        raise
+    except Exception as exc:
+        log.log("campaign_failed", reason=str(exc))
+        raise
+    stats = CampaignRunStats.assemble(
+        shards,
+        n_workers=config.n_workers,
+        started=started,
+        sink_started=sink_started,
+        events=log.events,
+    )
+    log.log("campaign_completed", n_shards=len(planned))
+    return dataset, stats
+
+
+def _run_in_process(
+    campaign, planned, directory, resume, log, on_result, should_stop
+):
+    """The one-shard placement, on the planner's campaign.
+
+    Adopts the shard's checkpointed segment when resuming, else runs it
+    (:func:`_stream_records`) and spills it to the campaign's segment
+    directory.  Returns ``(dataset, shard stats, sink start)``.
+    """
+    config = campaign.config
     checkpoint = None
     if directory is not None:
         checkpoint = CheckpointStore(os.path.join(directory, SEGMENTS_DIR), config)
@@ -129,7 +186,7 @@ def run_campaign(
     for shard_id in sorted(recovered):
         result = recovered[shard_id]
         result.stats.resumed = True
-        emit(
+        log.log(
             "shard_resumed",
             shard_id=shard_id,
             n_page_loads=result.stats.n_page_loads,
@@ -138,8 +195,8 @@ def run_campaign(
         if on_result is not None:
             on_result(result)
         results.append(result)
-    streamed = None
-    streamed_stats = []
+    shards = [result.stats for result in results]
+    dataset = None
     if planned and not recovered:
         if should_stop is not None and should_stop():
             raise CampaignCancelledError(
@@ -148,9 +205,9 @@ def run_campaign(
                 n_shards=1,
             )
         shard_id, indices = planned[0]
-        emit("shard_dispatched", shard_id=shard_id, attempt=0)
+        log.log("shard_dispatched", shard_id=shard_id, attempt=0)
         keep = checkpoint is not None or on_result is not None
-        streamed, shard_stats, result = _stream_records(
+        dataset, shard_stats, result = _stream_records(
             campaign, shard_id, indices, keep
         )
         if result is not None:
@@ -158,7 +215,7 @@ def run_campaign(
                 checkpoint.save(result)
             if on_result is not None:
                 on_result(result)
-        emit(
+        log.log(
             "shard_completed",
             shard_id=shard_id,
             attempts=1,
@@ -166,24 +223,15 @@ def run_campaign(
             n_speedtests=shard_stats.n_speedtests,
             wall_s=shard_stats.wall_s,
         )
-        streamed_stats.append(shard_stats)
+        shards.append(shard_stats)
     sink_started = time.perf_counter()
-    if streamed is None:
+    if dataset is None:
         dataset = merge_shard_results(
             results,
             expected_indices={index for _, indices in planned for index in indices},
             backend=backend_for_config(config),
         )
-    else:
-        dataset = streamed
-    stats = CampaignRunStats.assemble(
-        [result.stats for result in results] + streamed_stats,
-        n_workers=config.n_workers,
-        started=started,
-        sink_started=sink_started,
-        resumed_shards=len(recovered),
-    )
-    return dataset, stats
+    return dataset, shards, sink_started
 
 
 def _stream_records(campaign, shard_id: int, indices, keep: bool):

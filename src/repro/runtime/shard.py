@@ -11,6 +11,12 @@ users' records once, in the worker, into the columns of
 holds no record object: that is what a worker pickles, what the
 checkpoint spills and what the merge adopts.
 
+Every run, in-process or on the fabric, records its lifecycle through
+one :class:`RunLog` (timestamped records, mirrored to the campaign
+directory's ``log.jsonl`` when it has one), and its
+:class:`CampaignRunStats` keeps that log and reads every recovery count
+off it.
+
 Determinism contract (see DESIGN.md): every record a user contributes
 is a pure function of ``(CampaignConfig, user)`` — all stochastic
 draws come from streams keyed by the root seed plus user-scoped labels
@@ -21,6 +27,7 @@ same per-user records, and the order-preserving merge
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -34,6 +41,12 @@ from repro.extension.campaign import ExtensionCampaign
 #: The per-record column a shard result carries beside the schema
 #: columns: the population index of the record's user.
 USER_INDEX_COLUMN = "user_index"
+
+#: The run log's key in a campaign directory: one JSON object per line.
+LOG_KEY = "log.jsonl"
+
+#: Run-log record types that each record one failed shard attempt.
+_FAILURE_EVENTS = ("shard_redispatched", "shard_exhausted")
 
 
 @dataclass
@@ -97,21 +110,112 @@ class ShardFailure:
         return f"shard {self.shard_id} attempt {self.attempt} {self.kind}{detail}"
 
 
+def run_failures(events) -> list[ShardFailure]:
+    """One :class:`ShardFailure` per failed shard attempt in a run log."""
+    return [
+        ShardFailure(e["shard_id"], e["failed_attempt"], e["kind"], e["detail"])
+        for e in events
+        if e["type"] in _FAILURE_EVENTS
+    ]
+
+
+class RunLog:
+    """The one writer of a campaign run's lifecycle records.
+
+    Both placements log through it: the in-process run and the fabric
+    coordinator.  :meth:`log` keeps each record in :attr:`events`,
+    appends it as one JSON line (sorted keys) to the store's
+    :data:`LOG_KEY` when a store is given, and hands it to
+    ``on_event``.  A failed append loses only the file's copy: the run
+    goes on, and :attr:`events` still holds the record.
+    """
+
+    def __init__(self, on_event=None, store=None):
+        self.events: list[dict] = []
+        self._on_event = on_event
+        self._store = store
+
+    def log(self, event_type: str, **data) -> None:
+        """Record one ``{"type", "t", **data}`` record."""
+        event = {"type": event_type, "t": time.time(), **data}
+        self.events.append(event)
+        if self._store is not None:
+            try:
+                self._store.append_line(LOG_KEY, json.dumps(event, sort_keys=True))
+            except OSError:
+                pass
+        if self._on_event is not None:
+            self._on_event(event)
+
+
 @dataclass
 class CampaignRunStats:
-    """Aggregate counters of one campaign run (serial or sharded)."""
+    """One campaign run's stats: its shards' counters and its run log.
+
+    Every recovery count is read off :attr:`events`, the run's
+    :class:`RunLog` records, so the log and the counts cannot disagree.
+    """
 
     n_workers: int
     wall_s: float = 0.0
     merge_s: float = 0.0
     shards: list[ShardStats] = field(default_factory=list)
-    #: Every failed shard attempt the run recovered from
-    #: (:class:`ShardFailure` entries, in the order they were seen).
-    failures: list = field(default_factory=list)
-    #: Shards adopted from a checkpoint instead of being re-run.
-    resumed_shards: int = 0
     #: Concurrent worker processes used (0 = everything in-process).
     n_worker_processes: int = 0
+    #: The run's log: ``campaign_planned`` first, one terminal record
+    #: last (also the campaign directory's ``log.jsonl``, if it has one).
+    events: list = field(default_factory=list)
+
+    def transitions(self, event_type: str) -> list[dict]:
+        """The log records of one type, in order."""
+        return [e for e in self.events if e["type"] == event_type]
+
+    def _planned(self) -> dict:
+        planned = self.transitions("campaign_planned")
+        return planned[0] if planned else {}
+
+    @property
+    def n_shards(self) -> int:
+        """Shards the run planned."""
+        return self._planned().get("n_shards", 0)
+
+    @property
+    def failures(self) -> list[ShardFailure]:
+        """Every failed shard attempt the run recovered from, in order."""
+        return run_failures(self.events)
+
+    @property
+    def n_failures(self) -> int:
+        """Failed shard attempts the run observed (and survived)."""
+        return len(self.failures)
+
+    @property
+    def resumed_shards(self) -> int:
+        """Shards adopted from a checkpoint instead of being re-run."""
+        return len(self.transitions("shard_resumed"))
+
+    @property
+    def redispatched_shards(self) -> int:
+        """Failed attempts re-queued for another (any reason)."""
+        return len(self.transitions("shard_redispatched"))
+
+    @property
+    def stolen_shards(self) -> int:
+        """Re-dispatched shards completed by a *different* worker than
+        the one revoked — the work-stealing counter."""
+        return len(self.transitions("shard_stolen"))
+
+    @property
+    def discarded_manifests(self) -> int:
+        """Late duplicate manifests that lost the first-wins race."""
+        return len(self.transitions("manifest_discarded"))
+
+    @property
+    def quarantined_segments(self) -> int:
+        """Bad segments moved aside into ``quarantine/``."""
+        return sum(
+            1 for e in self.transitions("segment_quarantined") if e["quarantined"]
+        )
 
     @property
     def n_records(self) -> int:
@@ -138,47 +242,46 @@ class CampaignRunStats:
         """Always 0 (see :attr:`ShardStats.timeline_hits`)."""
         return sum(s.timeline_hits for s in self.shards)
 
-    @property
-    def n_failures(self) -> int:
-        """Failed shard attempts the run observed (and survived)."""
-        return len(self.failures)
-
-    @property
-    def n_retried_shards(self) -> int:
-        """Shards that needed more than one attempt."""
-        return sum(1 for s in self.shards if s.attempts > 1)
-
     def summary(self) -> str:
-        """One-line human-readable report for experiment notes."""
+        """One-line human-readable report for experiment notes; a run on
+        the fabric ends in a ``[fabric: ...]`` suffix."""
         shard_part = ", ".join(
             f"shard{s.shard_id}: {s.n_users}u/{s.n_records}rec/{s.wall_s:.2f}s"
             + ("/resumed" if s.resumed else "")
             + (f"/{s.attempts}att" if s.attempts > 1 else "")
             for s in self.shards
         )
+        failures = self.failures
         fault_part = ""
-        if self.failures:
+        if failures:
             by_kind: dict[str, int] = {}
-            for failure in self.failures:
+            for failure in failures:
                 by_kind[failure.kind] = by_kind.get(failure.kind, 0) + 1
             kinds = ", ".join(
                 f"{kind} x{count}" for kind, count in sorted(by_kind.items())
             )
-            fault_part = (
-                f"; survived {len(self.failures)} failed attempt(s): {kinds}"
-            )
+            fault_part = f"; survived {len(failures)} failed attempt(s): {kinds}"
         resume_part = (
             f"; {self.resumed_shards} shard(s) resumed from checkpoint"
             if self.resumed_shards
             else ""
         )
+        fabric_part = ""
+        if self._planned().get("placement") == "fabric":
+            fabric_part = (
+                f" [fabric: {self.n_shards} shards, "
+                f"{self.redispatched_shards} re-dispatched, "
+                f"{self.stolen_shards} stolen, "
+                f"{self.discarded_manifests} discarded, "
+                f"{self.quarantined_segments} quarantined]"
+            )
         return (
             f"{self.n_workers} worker(s), {self.n_records} records in "
             f"{self.wall_s:.2f}s ({self.records_per_s:.0f} rec/s; "
             f"merge {self.merge_s * 1000.0:.0f} ms; link states: "
             f"{self.geometry_scans} epochs computed, {self.geometry_hits} "
             f"table hits, {self.timeline_hits} timeline hits"
-            f"{fault_part}{resume_part}) [{shard_part}]"
+            f"{fault_part}{resume_part}) [{shard_part}]{fabric_part}"
         )
 
     @classmethod
@@ -189,15 +292,16 @@ class CampaignRunStats:
         n_workers: int,
         started: float,
         sink_started: float,
-        **counters,
+        events: list,
+        n_worker_processes: int = 0,
     ) -> "CampaignRunStats":
         """The stats of a run whose sink just finished.
 
         ``shards`` are the :class:`ShardStats` of every shard the sink
         consumed, in any order; ``started``/``sink_started`` are the
-        ``perf_counter`` readings at the run's and the sink's start.
-        ``counters`` fill the remaining fields (failures, resume and
-        process accounting, and a subclass's own counters).
+        ``perf_counter`` readings at the run's and the sink's start;
+        ``events`` is the run's :attr:`RunLog.events`, kept as the list
+        itself, so the terminal record logged next is in it too.
         """
         finished = time.perf_counter()
         return cls(
@@ -205,7 +309,8 @@ class CampaignRunStats:
             wall_s=finished - started,
             merge_s=finished - sink_started,
             shards=sorted(shards, key=lambda s: s.shard_id),
-            **counters,
+            n_worker_processes=n_worker_processes,
+            events=events,
         )
 
 

@@ -9,8 +9,10 @@ there), keeps up to ``min(n_workers, unfinished shards)`` local fabric
 workers alive (:class:`LocalWorkers`), drives the
 :class:`~repro.runtime.fabric.FabricCoordinator` and tears the workers
 down however the run ends.  Every multi-process run therefore has one
-fault model, one re-dispatch budget and one progress log
-(``log.jsonl``): see :mod:`repro.runtime.fabric`.
+fault model and one re-dispatch budget (see :mod:`repro.runtime.fabric`),
+and records itself through the coordinator's
+:class:`~repro.runtime.shard.RunLog` into the directory's ``log.jsonl``,
+the run log an in-process run with a checkpoint directory writes too.
 
 Recovery is *provably correct*: every record is a pure function of
 ``(CampaignConfig, user)`` (DESIGN.md §6), so a re-dispatched attempt
@@ -25,6 +27,7 @@ import shutil
 import tempfile
 import time
 
+from repro.errors import ConfigurationError
 from repro.knobs import resolve
 from repro.runtime.fabric import (
     WORKERS_PREFIX,
@@ -149,7 +152,7 @@ def supervise_shards(
     **coordinator_options,
 ):
     """Run planned shards on local fabric workers; returns ``(dataset,
-    FabricRunStats)``.
+    CampaignRunStats)``, the stats keeping the run's log.
 
     Args:
         config: The campaign's
@@ -160,7 +163,8 @@ def supervise_shards(
         shards: The planned partition, ``(shard_id, user_indices)``
             pairs (:func:`~repro.runtime.shard.plan_campaign`).
         n_workers: Local worker processes to keep alive (0: none —
-            workers on other hosts do the work).
+            workers on other hosts do the work, so ``fabric_dir`` must
+            be given).
         fabric_dir: The fabric directory; ``None`` uses a temporary one,
             removed however the run ends.
         resume: Adopt the directory's plan and valid manifests (they
@@ -170,19 +174,26 @@ def supervise_shards(
             (:mod:`repro.runtime.faults`), applied in the workers.
         heartbeat_interval_s: Workers' lease heartbeat period (default:
             a third of the lease TTL).
-        on_event: Invoked with every lease-log event as it is logged.
+        on_event: Invoked with every run-log record as it is logged.
         on_result: Invoked with every accepted shard result, resumed
             ones first.
         should_stop: Cancellation seam polled every coordinator cycle.
-        coordinator_options: Lease TTL, poll interval and straggler
-            rule of the :class:`~repro.runtime.fabric.FabricCoordinator`.
+        coordinator_options: Lease TTL and straggler floor of the
+            :class:`~repro.runtime.fabric.FabricCoordinator`.
 
     Raises:
+        ConfigurationError: ``n_workers`` is 0 and no ``fabric_dir`` is
+            given: no worker could ever find the temporary directory.
         ShardFailedError: a shard used up its re-dispatch budget; every
             other shard was accepted and stored first.
         CampaignCancelledError: ``should_stop`` fired mid-run.
     """
     created = fabric_dir is None
+    if created and n_workers == 0:
+        raise ConfigurationError(
+            "a coordinator-only run (n_workers=0) needs a fabric_dir that "
+            "workers can join"
+        )
     if created:
         fabric_dir = tempfile.mkdtemp(prefix="repro-fabric-")
     elif not resume:

@@ -34,8 +34,9 @@ whose campaign directory
 campaign fingerprint, so different campaigns can never mix.
 
 A campaign's event stream ends with exactly one terminal event, the
-service's own, after ``aggregate_final``; the coordinator's terminal
-records stay in its ``log.jsonl`` and the run's lease log.
+service's own, after ``aggregate_final``.  The run log's own terminal
+record — every run logs one, in-process or on the fabric — stays in
+the run's stats and in the campaign directory's ``log.jsonl``.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class Campaign:
                 "n_speedtests": sum(s.n_speedtests for s in shards),
                 "n_shards": len(shards),
                 "resumed_shards": self.run_stats.resumed_shards,
-                "n_failures": len(self.run_stats.failures),
+                "n_failures": self.run_stats.n_failures,
                 "wall_s": self.run_stats.wall_s,
             }
         return {
@@ -375,9 +376,9 @@ class CampaignService:
     def _on_event(self, campaign: Campaign):
         """The runtime's on_event seam: log, track the shard count.
 
-        The coordinator's own terminal events stay out of the stream:
-        the service appends the one terminal event, after
-        ``aggregate_final``.
+        The run log's own terminal records (either placement's) stay
+        out of the stream: the service appends the one terminal event,
+        after ``aggregate_final``.
         """
 
         def on_event(event: dict) -> None:

@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import ShardFailedError
+from repro.errors import CampaignCancelledError, ShardFailedError
 from repro.extension.campaign import CampaignConfig, ExtensionCampaign
 from repro.runtime import campaign_fingerprint, crash_plan, run_campaign
 from repro.runtime.checkpoint import campaign_dir
@@ -114,7 +114,7 @@ def _check_run(placement, run, stats):
     assert len(stats.shards) == n_shards
     if run == "faulted":
         assert [f.kind for f in stats.failures] == ["crash", "crash"]
-        assert stats.n_retried_shards == 2
+        assert [s.attempts for s in stats.shards] == [2, 2]
     elif run == "resumed":
         rerun = [s.shard_id for s in stats.shards if not s.resumed]
         assert rerun == ([1] if placement == "processes" else [])
@@ -192,8 +192,8 @@ def test_resume_over_another_placements_segments(oracle, tmp_path):
     """A resume adopts the segments of its own partition and recomputes
     the rest: a one-worker resume over a two-worker run's segments
     recomputes (and overwrites shard 0), and a two-worker resume then
-    quarantines the manifest's overwritten segment and re-dispatches
-    only that shard."""
+    quarantines the manifest's overwritten segment and recomputes only
+    that shard, recording no failure: no attempt of the resume failed."""
     root = tmp_path / "ckpt"
     run_campaign(_layout_config(N_WORKERS, root))
     dataset, stats = run_campaign(_layout_config(1, root), resume=True)
@@ -202,7 +202,7 @@ def test_resume_over_another_placements_segments(oracle, tmp_path):
     dataset, stats = run_campaign(_layout_config(N_WORKERS, root), resume=True)
     _assert_oracle(dataset, oracle)
     assert [s.shard_id for s in stats.shards if s.resumed] == [1]
-    assert [(f.shard_id, f.kind) for f in stats.failures] == [(0, "corrupt")]
+    assert stats.failures == []
     (quarantined,) = stats.transitions("segment_quarantined")
     assert quarantined["segment"] == os.path.join(
         "quarantine", "shard-0000.ckpt.attempt-0"
@@ -214,7 +214,7 @@ def test_old_layouts_recompute(oracle, tmp_path):
     beside its ``meta.json``, and a fabric directory whose segments sit
     in ``segments/campaign-<fp16>/`` — hold no segment where the runs
     look, so a resumed run over either recomputes every shard, raises
-    nothing and equals the oracle."""
+    nothing, records no failure and equals the oracle."""
     # The in-process layout: campaign-<fp16>/{meta.json, shard-0000.ckpt}.
     config = _layout_config(1, tmp_path / "serial")
     run_campaign(config)
@@ -253,8 +253,123 @@ def test_old_layouts_recompute(oracle, tmp_path):
             json.dump(doc, handle)
     dataset, stats = run_campaign(config, resume=True)
     assert stats.resumed_shards == 0
-    assert sorted((f.shard_id, f.kind) for f in stats.failures) == [
-        (0, "corrupt"),
-        (1, "corrupt"),
-    ]
+    assert stats.failures == []
     _assert_oracle(dataset, oracle)
+
+
+def test_resume_does_not_charge_segments_it_cannot_adopt(oracle, tmp_path):
+    """A segment an earlier run wrote that the resume cannot adopt costs
+    no re-dispatch: with a budget of 0, a two-worker resume over a
+    one-worker run's overwritten shard 0 quarantines the segment,
+    recomputes the shard and completes."""
+    root = tmp_path / "ckpt"
+    run_campaign(_layout_config(N_WORKERS, root))
+    run_campaign(_layout_config(1, root))  # overwrites shard-0000.ckpt
+    config = replace(_layout_config(N_WORKERS, root), max_shard_retries=0)
+    dataset, stats = run_campaign(config, resume=True)
+    _assert_oracle(dataset, oracle)
+    assert stats.n_failures == 0
+    assert stats.redispatched_shards == 0
+    assert [e["shard_id"] for e in stats.transitions("segment_quarantined")] == [0]
+    assert [s.shard_id for s in stats.shards if s.resumed] == [1]
+
+
+# -- the run log -----------------------------------------------------------
+
+#: The keys of every run's first record, in either placement.
+PLANNED_KEYS = {
+    "type",
+    "t",
+    "n_shards",
+    "n_users",
+    "n_workers",
+    "fingerprint",
+    "placement",
+}
+
+TERMINAL = ("campaign_completed", "campaign_cancelled", "campaign_failed")
+
+
+def _log_lines(config):
+    path = os.path.join(campaign_dir(config), "log.jsonl")
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def _check_log(events, placement, terminal="campaign_completed"):
+    """One run's log: timestamped records in order, ``campaign_planned``
+    first, one terminal record last."""
+    assert all(isinstance(e["type"], str) for e in events)
+    times = [e["t"] for e in events]
+    assert all(isinstance(t, float) for t in times)
+    assert times == sorted(times)
+    planned = events[0]
+    assert planned["type"] == "campaign_planned"
+    assert set(planned) == PLANNED_KEYS
+    assert planned["placement"] == placement
+    assert [e["type"] for e in events if e["type"] in TERMINAL] == [terminal]
+    assert events[-1]["type"] == terminal
+    return planned
+
+
+def test_run_log_is_one_record_for_every_placement(oracle, tmp_path):
+    """A one-worker run, its resume, a two-worker run with a crash and
+    its resume each leave one run log: the same first record in both
+    placements, one terminal record last, every record appended to the
+    campaign directory's ``log.jsonl`` (a resume appends, a fresh run
+    starts the file), and the stats' counts read off it."""
+    root = tmp_path / "ckpt"
+    runs = [
+        (1, False, None),
+        (1, True, None),
+        (N_WORKERS, False, crash_plan([0])),
+        (N_WORKERS, True, None),
+    ]
+    first_records = []
+    for n_workers, resume, fault_plan in runs:
+        config = _layout_config(n_workers, root)
+        kept = _log_lines(config) if resume else []
+        dataset, stats = run_campaign(config, resume=resume, fault_plan=fault_plan)
+        _assert_oracle(dataset, oracle)
+        placement = "in-process" if n_workers == 1 else "fabric"
+        first_records.append(_check_log(stats.events, placement))
+        assert _log_lines(config) == kept + stats.events
+        assert stats.n_shards == n_workers
+        if resume:
+            assert stats.resumed_shards == stats.n_shards
+            assert stats.n_failures == 0
+        elif fault_plan is not None:
+            assert stats.redispatched_shards == 1
+            assert stats.stolen_shards == 1
+            assert stats.n_failures == 1
+            assert [(f.shard_id, f.kind) for f in stats.failures] == [(0, "crash")]
+        else:
+            assert stats.n_failures == 0 and stats.resumed_shards == 0
+        assert ("[fabric: " in stats.summary()) == (placement == "fabric")
+    n_users = len(ExtensionCampaign(config).population.users)
+    assert {(r["n_users"], r["fingerprint"]) for r in first_records} == {
+        (n_users, campaign_fingerprint(config))
+    }
+
+
+def test_in_process_log_ends_in_one_terminal_record(tmp_path):
+    """An in-process run that is cancelled, or whose shard fails, still
+    ends its log with its one terminal record, in ``log.jsonl`` too."""
+    config = _layout_config(1, tmp_path / "ckpt")
+    events = []
+    with pytest.raises(CampaignCancelledError):
+        run_campaign(config, on_event=events.append, should_stop=lambda: True)
+    _check_log(events, "in-process", "campaign_cancelled")
+    assert _log_lines(config) == events
+
+    def fail(result):
+        raise RuntimeError("sink down")
+
+    events = []
+    with pytest.raises(RuntimeError, match="sink down"):
+        run_campaign(config, on_event=events.append, on_result=fail)
+    _check_log(events, "in-process", "campaign_failed")
+    assert events[-1]["reason"] == "sink down"
+    assert _log_lines(config) == events

@@ -192,7 +192,7 @@ def test_double_completion_first_manifest_wins(tmp_path):
     )
     coordinator._scan_discards()
     discarded = [
-        e for e in coordinator.lease_log if e["type"] == "manifest_discarded"
+        e for e in coordinator.log.events if e["type"] == "manifest_discarded"
     ]
     assert len(discarded) == 1
     assert discarded[0]["worker_id"] == "w2"
@@ -200,7 +200,7 @@ def test_double_completion_first_manifest_wins(tmp_path):
     # Idempotent: a second scan does not double-log.
     coordinator._scan_discards()
     assert (
-        sum(e["type"] == "manifest_discarded" for e in coordinator.lease_log)
+        sum(e["type"] == "manifest_discarded" for e in coordinator.log.events)
         == 1
     )
 

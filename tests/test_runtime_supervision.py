@@ -90,7 +90,8 @@ def test_chaos_identity(serial_dataset, name, plan, expected_kind):
     assert dataset.speedtests == serial_dataset.speedtests
     assert stats.n_failures == len(plan.faults)
     assert all(f.kind == expected_kind for f in stats.failures)
-    assert stats.n_retried_shards == len({s for s, _ in plan.faults})
+    retried = [s.shard_id for s in stats.shards if s.attempts > 1]
+    assert retried == sorted({s for s, _ in plan.faults})
     assert "survived" in stats.summary()
     assert expected_kind in stats.summary()
 
@@ -165,7 +166,7 @@ def test_backoff_is_bounded_exponential(tmp_path):
     coordinator = FabricCoordinator(config, str(tmp_path), shards=[(0, [0])])
     for attempt in range(6):
         coordinator._schedule_redispatch(0, "crash", "test", attempt, "w")
-    backoffs = [e["backoff_s"] for e in coordinator.lease_log]
+    backoffs = [e["backoff_s"] for e in coordinator.log.events]
     assert backoffs == pytest.approx([0.1, 0.2, 0.4, 0.8, 1.6, BACKOFF_MAX_S])
 
 
