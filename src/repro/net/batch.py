@@ -1,17 +1,21 @@
 """Vectorised packet-path engine (the ``batch`` engine).
 
 The heap-driven :class:`repro.net.simulator.Simulator` walks every
-packet through ~4 Python callbacks per hop — after PR 2 batched the
-orbital side, that per-event loop dominates figure8/speedtest/campaign
-wall-clock.  This module advances whole flows in numpy chunks instead:
+packet through ~4 Python callbacks per hop, so a many-flow packet
+experiment such as Figure 8's CCA matrix spends its time in that
+per-event loop (campaign page loads and speedtests are analytic and
+run neither engine).  This module advances whole flows in numpy chunks
+instead:
 
 * **Chunked event horizons per link** — a link's FIFO service is the
   Lindley recursion ``start_i = max(arrival_i, finish_{i-1})``; with
   ``C = cumsum(tx)`` it closes to ``finish_i = C_i + max_{j<=i}(a_j -
   C_{j-1})``, one ``cumsum`` + ``maximum.accumulate`` per link per
-  chunk.  Tail drops are resolved iteratively: drop the first violator,
-  recompute the suffix (drops are rare outside overload, so the common
-  path is a single vector pass).
+  chunk.  Tail drops: a chunk whose bytes cannot fill the queue skips
+  admission, otherwise one vector pass finds whether any packet
+  violates capacity, and only then does an exact sequential scan
+  resolve the drops (rare outside overload).  A chunk that loses
+  nothing builds no drop or loss masks.
 * **Vectorised loss/queue draws** — loss models expose ``drop_mask``
   (see :mod:`repro.net.loss`), consuming their per-user RNG streams in
   exactly the per-packet call order, so single-link decisions are
@@ -88,42 +92,79 @@ def transmit_fifo(
     """
     arrival_s = np.asarray(arrival_s, dtype=float)
     size_bytes = np.asarray(size_bytes, dtype=float)
-    n = len(arrival_s)
+    accepted, start, finish = _serve(
+        arrival_s, size_bytes, rate_bps, capacity_bytes, busy_until_s
+    )
+    if accepted is None:
+        accepted = np.ones(len(arrival_s), dtype=bool)
+    return accepted, start, finish
+
+
+def _serve(
+    arrival_s: np.ndarray,
+    size_bytes: np.ndarray,
+    rate_bps: float,
+    capacity_bytes: int | None,
+    busy_until_s: float,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The one drop-tail admission check behind :func:`transmit_fifo`
+    and :meth:`BatchHop.traverse`.
+
+    Returns ``(accepted, start_s, finish_s)`` for float inputs;
+    ``accepted`` is ``None`` when every packet is admitted (the common
+    case), else a mask with NaN service times where dropped.
+    """
     tx_s = size_bytes * 8.0 / rate_bps
-    accepted = np.ones(n, dtype=bool)
-    start_all = np.full(n, np.nan)
-    finish_all = np.full(n, np.nan)
-    if n == 0:
-        return accepted, start_all, finish_all
     start, finish = fifo_horizon(arrival_s, tx_s, busy_until_s)
-    if capacity_bytes is not None:
-        # Queued bytes at each packet's arrival: predecessors whose
-        # service has not started yet (the packet in transmission has
-        # start <= arrival and is excluded, matching the queue's
-        # capacity model), plus the residual carried workload still
-        # unserved at the arrival instant.
-        cumulative = np.cumsum(size_bytes)
-        not_started = np.searchsorted(start, arrival_s, side="right")
-        ordinal = np.arange(n)
-        queued_bytes = np.where(ordinal > 0, cumulative[ordinal - 1], 0.0)
-        queued_bytes -= np.where(not_started > 0, cumulative[not_started - 1], 0.0)
-        queued_bytes += np.clip(busy_until_s - arrival_s, 0.0, None) * rate_bps / 8.0
-        violates = (start > arrival_s) & (
-            queued_bytes + size_bytes > capacity_bytes
+    if capacity_bytes is None:
+        return None, start, finish
+    # Queued bytes at each packet's arrival: predecessors whose service
+    # has not started yet (the packet in transmission has start <=
+    # arrival and is excluded, matching the queue's capacity model),
+    # plus the residual carried workload still unserved at the arrival
+    # instant.
+    cumulative = np.cumsum(size_bytes)
+    not_started = np.searchsorted(start, arrival_s, side="right")
+    ordinal = np.arange(len(arrival_s))
+    queued_bytes = np.where(ordinal > 0, cumulative[ordinal - 1], 0.0)
+    queued_bytes -= np.where(not_started > 0, cumulative[not_started - 1], 0.0)
+    queued_bytes += np.clip(busy_until_s - arrival_s, 0.0, None) * rate_bps / 8.0
+    violates = (start > arrival_s) & (queued_bytes + size_bytes > capacity_bytes)
+    if violates.any():
+        # Drops change the dynamics of everything after them, so the
+        # drop-free schedule above is only a fast path; resolve
+        # admission exactly with one O(n) sequential scan.
+        return _admit_sequential(
+            arrival_s, size_bytes, tx_s, rate_bps, capacity_bytes, busy_until_s
         )
-        if violates.any():
-            # Drops change the dynamics of everything after them, so
-            # the drop-free schedule above is only a fast path; resolve
-            # admission exactly with one O(n) sequential scan.
-            accepted, start, finish = _admit_sequential(
-                arrival_s, size_bytes, tx_s, rate_bps, capacity_bytes, busy_until_s
-            )
-            start_all[accepted] = start[accepted]
-            finish_all[accepted] = finish[accepted]
-            return accepted, start_all, finish_all
-    start_all[:] = start
-    finish_all[:] = finish
-    return accepted, start_all, finish_all
+    return None, start, finish
+
+
+_FIT_MARGIN = 1e-9
+"""Relative rounding margin on :func:`_cannot_overflow`'s bound."""
+
+
+def _cannot_overflow(
+    arrival_s: np.ndarray,
+    size_bytes: np.ndarray,
+    rate_bps: float,
+    capacity_bytes: int,
+    busy_until_s: float,
+) -> bool:
+    """Whether no packet of a sorted chunk can violate queue capacity.
+
+    A packet's queued bytes are some of its predecessors' plus the
+    carried residual, which shrinks as arrivals advance, so no packet
+    sees more than the chunk's bytes plus the residual at the first
+    arrival.  Kept under capacity with a margin far above the rounding
+    of :func:`_serve`'s ``cumsum``, the bound lets a chunk skip that
+    per-packet pass.
+    """
+    if not len(arrival_s):
+        return True
+    residual_bytes = max(0.0, busy_until_s - float(arrival_s[0])) * rate_bps / 8.0
+    bound = float(size_bytes.sum()) + residual_bytes
+    return bound * (1.0 + _FIT_MARGIN) < capacity_bytes
 
 
 def _admit_sequential(
@@ -138,8 +179,8 @@ def _admit_sequential(
 
     Replays the per-packet FIFO recursion with a deque of
     not-yet-started packets, so queued-bytes accounting is O(1)
-    amortised per packet — the slow path behind :func:`transmit_fifo`
-    when the drop-free schedule violates capacity.
+    amortised per packet — the slow path behind :func:`_serve` when
+    the drop-free schedule violates capacity.
     """
     from collections import deque
 
@@ -167,42 +208,6 @@ def _admit_sequential(
             pending.append((begin, size))
             pending_bytes += size
     return accepted, start_all, finish_all
-
-
-def _delay_at(delay, times_s: np.ndarray) -> np.ndarray:
-    """Evaluate a Link ``DelayProvider`` over a time vector."""
-    if not callable(delay):
-        return np.full(len(times_s), float(delay))
-    batched = getattr(delay, "batch", None)
-    if batched is not None:
-        values = np.asarray(batched(times_s), dtype=float)
-    else:
-        values = np.fromiter(
-            (float(delay(float(t))) for t in times_s), float, count=len(times_s)
-        )
-    if len(values) and float(values.min()) < 0:
-        raise ConfigurationError(
-            f"negative propagation delay from provider: {values.min()}"
-        )
-    return values
-
-
-def _extra_at(extra, times_s: np.ndarray, name: str) -> np.ndarray:
-    """Evaluate an ``extra_delay`` sampler over a time vector, in order."""
-    if extra is None:
-        return np.zeros(len(times_s))
-    batched = getattr(extra, "batch", None)
-    if batched is not None:
-        values = np.asarray(batched(times_s), dtype=float)
-    else:
-        values = np.fromiter(
-            (float(extra(float(t))) for t in times_s), float, count=len(times_s)
-        )
-    if len(values) and float(values.min()) < 0:
-        raise ConfigurationError(
-            f"extra_delay sampler on {name} returned {values.min()}"
-        )
-    return values
 
 
 @dataclass
@@ -237,55 +242,102 @@ class BatchHop:
         when each survivor reaches the next node's input (delivery plus
         the receiving node's processing delay), and the queueing delay
         accumulated on this hop (waiting + abstracted extra delay).
+
+        Most chunks lose nothing, so the masks and scatters over the
+        chunk are built only when a packet was dropped or lost.
         """
+        arrival_s = np.asarray(arrival_s, dtype=float)
+        size_bytes = np.asarray(size_bytes, dtype=float)
         n = len(arrival_s)
         self.offered += n
-        accepted, start, finish = transmit_fifo(
-            arrival_s,
-            size_bytes,
-            self.rate_bps,
-            self.queue_capacity_bytes,
-            busy_until_s=self._busy_until_s,
+        capacity = self.queue_capacity_bytes
+        if capacity is not None and _cannot_overflow(
+            arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s
+        ):
+            capacity = None
+        accepted, start, finish = _serve(
+            arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s
         )
-        self.drops += int(n - accepted.sum())
-        finish_accepted = finish[accepted]
-        if len(finish_accepted):
-            self._busy_until_s = float(finish_accepted[-1])
-        if self.loss is not None:
-            drop_mask = getattr(self.loss, "drop_mask", None)
-            if drop_mask is not None:
-                lost = drop_mask(finish_accepted)
-            else:
-                lost = np.fromiter(
-                    (
-                        bool(self.loss.should_drop(None, float(t)))
-                        for t in finish_accepted
-                    ),
-                    bool,
-                    count=len(finish_accepted),
-                )
+        served = finish if accepted is None else finish[accepted]
+        self.drops += n - len(served)
+        if len(served):
+            self._busy_until_s = float(served[-1])
+        lost = self._draw_losses(served)
+        if accepted is None and lost is None:
+            delivered_mask = np.ones(n, dtype=bool)
+            finish_delivered = finish
         else:
-            lost = np.zeros(len(finish_accepted), dtype=bool)
-        self.lost += int(lost.sum())
-        delivered_mask = accepted.copy()
-        delivered_mask[accepted] = ~lost
-        finish_delivered = finish[delivered_mask]
-        propagation = _delay_at(self.delay, finish_delivered)
-        extra = _extra_at(self.extra_delay, finish_delivered, self.name)
-        raw_delivery = finish_delivered + propagation + extra
+            if accepted is None:
+                accepted = np.ones(n, dtype=bool)
+            delivered_mask = accepted.copy()
+            if lost is not None:
+                delivered_mask[accepted] = ~lost
+            finish_delivered = finish[delivered_mask]
+        if callable(self.delay):
+            delay = self._evaluate(self.delay, finish_delivered, "delay")
+        else:
+            delay = float(self.delay)
+        raw_delivery = finish_delivered + delay
+        extra = None
+        if self.extra_delay is not None:
+            extra = self._evaluate(self.extra_delay, finish_delivered, "extra_delay")
+            raw_delivery += extra
         # FIFO monotone-delivery clamp, continuing across chunks.
-        delivery = np.maximum.accumulate(
-            np.concatenate(([self._last_delivery_s], raw_delivery))
-        )[1:]
+        delivery = np.maximum(
+            np.maximum.accumulate(raw_delivery), self._last_delivery_s
+        )
         if len(delivery):
             self._last_delivery_s = float(delivery[-1])
         self.delivered += len(delivery)
+        handoff = delivery + self.rx_processing_delay_s
+        if accepted is None:
+            queueing = start - arrival_s
+            if extra is not None:
+                queueing += extra
+            return delivered_mask, handoff, queueing
         queueing = np.zeros(n)
         queueing[accepted] = start[accepted] - arrival_s[accepted]
-        queueing[delivered_mask] += extra
-        handoff = np.full(n, np.nan)
-        handoff[delivered_mask] = delivery + self.rx_processing_delay_s
-        return delivered_mask, handoff, queueing
+        if extra is not None:
+            queueing[delivered_mask] += extra
+        handoff_all = np.full(n, np.nan)
+        handoff_all[delivered_mask] = handoff
+        return delivered_mask, handoff_all, queueing
+
+    def _evaluate(self, provider, times_s: np.ndarray, what: str) -> np.ndarray:
+        """Evaluate a per-packet time function (the ``delay`` provider or
+        the ``extra_delay`` sampler) over a time vector, in order,
+        through its ``.batch`` evaluator when it has one."""
+        batched = getattr(provider, "batch", None)
+        if batched is not None:
+            values = np.asarray(batched(times_s), dtype=float)
+        else:
+            values = np.fromiter(
+                (float(provider(float(t))) for t in times_s), float, count=len(times_s)
+            )
+        if len(values) and float(values.min()) < 0:
+            raise ConfigurationError(f"{what} on {self.name} returned {values.min()}")
+        return values
+
+    def _draw_losses(self, finish_s: np.ndarray) -> np.ndarray | None:
+        """Draw and count the loss model's decisions over the served
+        packets, in the event engine's per-packet order; ``None`` when
+        none was lost."""
+        if self.loss is None:
+            return None
+        drop_mask = getattr(self.loss, "drop_mask", None)
+        if drop_mask is not None:
+            lost = drop_mask(finish_s)
+        else:
+            lost = np.fromiter(
+                (bool(self.loss.should_drop(None, float(t))) for t in finish_s),
+                bool,
+                count=len(finish_s),
+            )
+        n_lost = int(np.count_nonzero(lost))
+        if not n_lost:
+            return None
+        self.lost += n_lost
+        return lost
 
     def check_conservation(self) -> None:
         """Assert offered == delivered + lost + drops (no in-flight
@@ -341,24 +393,22 @@ class BatchPath:
         departures; arrivals are NaN where the packet died en route.
         """
         departure_s = np.asarray(departure_s, dtype=float)
-        size_bytes = np.broadcast_to(
-            np.asarray(size_bytes, dtype=float), departure_s.shape
-        ).copy()
         n = len(departure_s)
-        alive = np.ones(n, dtype=bool)
-        times = departure_s.copy()
+        sizes = np.broadcast_to(np.asarray(size_bytes, dtype=float), (n,))
+        live = np.arange(n)  # departure indices of the packets in flight
+        times = departure_s
         queueing = np.zeros(n)
         for hop in self.hops:
-            if not alive.any():
+            if not len(live):
                 break
-            survived, handoff, hop_queueing = hop.traverse(
-                times[alive], size_bytes[alive]
-            )
-            live_indices = np.flatnonzero(alive)
-            queueing[live_indices] += hop_queueing
-            alive[live_indices[~survived]] = False
-            times[alive] = handoff[survived]
-        arrivals = np.where(alive, times, np.nan)
+            survived, times, hop_queueing = hop.traverse(times, sizes)
+            queueing[live] += hop_queueing
+            if not survived.all():
+                live, sizes, times = live[survived], sizes[survived], times[survived]
+        alive = np.zeros(n, dtype=bool)
+        alive[live] = True
+        arrivals = np.full(n, np.nan)
+        arrivals[live] = times
         return alive, arrivals, queueing
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -22,13 +22,6 @@ _COMPACT_MIN_HEAP = 64
 
 _COMPACT_RATIO = 4
 """Compact when cancelled entries outnumber live ones this many times."""
-
-
-@dataclass(order=True)
-class _HeapEntry:
-    time_s: float
-    sequence: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -72,7 +65,10 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[_HeapEntry] = []
+        # Entries are ``(time_s, sequence, event)`` tuples: the unique
+        # sequence breaks time ties by insertion order, so heap
+        # comparisons run in C and never reach the event.
+        self._heap: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._running = False
@@ -99,12 +95,13 @@ class Simulator:
         self._live -= 1
         # Lazily compact: a long-running flow cancels an RTO event per
         # ACK, so the heap would otherwise grow without bound relative
-        # to the live set.
+        # to the live set.  Compact in place: :meth:`run` holds a local
+        # alias of the list while callbacks cancel events.
         if (
             len(self._heap) > _COMPACT_MIN_HEAP
             and len(self._heap) > _COMPACT_RATIO * max(1, self._live)
         ):
-            self._heap = [e for e in self._heap if not e.event.cancelled]
+            self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
             heapq.heapify(self._heap)
 
     def schedule(
@@ -129,7 +126,7 @@ class Simulator:
             )
         event = Event(time_s, callback, args)
         event._on_cancel = self._note_cancel
-        heapq.heappush(self._heap, _HeapEntry(time_s, next(self._sequence), event))
+        heapq.heappush(self._heap, (time_s, next(self._sequence), event))
         self._live += 1
         return event
 
@@ -143,23 +140,26 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         executed = 0
+        heap = self._heap
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
         try:
-            while self._heap:
-                entry = self._heap[0]
-                if until is not None and entry.time_s > until:
+            while heap:
+                time_s, _, event = heap[0]
+                if time_s > horizon:
                     break
-                if entry.event.cancelled:
-                    heapq.heappop(self._heap)
+                if event.cancelled:
+                    heappop(heap)
                     continue
                 # Check *before* executing: the guard must stop at exactly
                 # max_events callbacks, leaving the excess event queued.
                 if executed >= max_events:
                     raise SimulationError(f"exceeded max_events={max_events}")
-                heapq.heappop(self._heap)
+                heappop(heap)
                 self._live -= 1
-                entry.event.fired = True
-                self._now = entry.time_s
-                entry.event.callback(*entry.event.args)
+                event.fired = True
+                self._now = time_s
+                event.callback(*event.args)
                 executed += 1
             if until is not None and self._now < until:
                 self._now = until

@@ -25,7 +25,6 @@ from repro.errors import ConfigurationError
 from repro.geo.cities import city
 from repro.net.batch import (
     BatchHop,
-    BatchPath,
     fifo_horizon,
     run_iperf_tcp_batch,
     run_udp_burst_batch,
@@ -277,6 +276,198 @@ def test_batch_hop_conservation_detects_tampering():
     hop.delivered += 1
     with pytest.raises(ConfigurationError, match="conservation"):
         hop.check_conservation()
+
+
+# -- the hop's common case against the full-mask reference ------------------
+
+
+class _ReferenceHop:
+    """The batch hop as first written: public :func:`transmit_fifo`
+    (which always runs the per-packet capacity pass) plus full drop and
+    loss masks and scatters on every chunk."""
+
+    def __init__(self, rate_bps, capacity_bytes, delay, loss, extra_delay, rx_s):
+        self.rate_bps = rate_bps
+        self.capacity_bytes = capacity_bytes
+        self.delay = delay
+        self.loss = loss
+        self.extra_delay = extra_delay
+        self.rx_s = rx_s
+        self.offered = self.delivered = self.lost = self.drops = 0
+        self.busy_until_s = 0.0
+        self.last_delivery_s = 0.0
+
+    @staticmethod
+    def _evaluate(provider, times_s):
+        batched = getattr(provider, "batch", None)
+        if batched is not None:
+            return np.asarray(batched(times_s), dtype=float)
+        return np.fromiter(
+            (float(provider(float(t))) for t in times_s), float, count=len(times_s)
+        )
+
+    def traverse(self, arrival_s, size_bytes):
+        n = len(arrival_s)
+        self.offered += n
+        accepted, start, finish = transmit_fifo(
+            arrival_s,
+            size_bytes,
+            self.rate_bps,
+            self.capacity_bytes,
+            busy_until_s=self.busy_until_s,
+        )
+        self.drops += int(n - accepted.sum())
+        finish_accepted = finish[accepted]
+        if len(finish_accepted):
+            self.busy_until_s = float(finish_accepted[-1])
+        lost = self.loss.drop_mask(finish_accepted)
+        self.lost += int(lost.sum())
+        delivered = accepted.copy()
+        delivered[accepted] = ~lost
+        finish_delivered = finish[delivered]
+        if callable(self.delay):
+            propagation = self._evaluate(self.delay, finish_delivered)
+        else:
+            propagation = np.full(len(finish_delivered), float(self.delay))
+        if self.extra_delay is None:
+            extra = np.zeros(len(finish_delivered))
+        else:
+            extra = self._evaluate(self.extra_delay, finish_delivered)
+        raw_delivery = finish_delivered + propagation + extra
+        delivery = np.maximum.accumulate(
+            np.concatenate(([self.last_delivery_s], raw_delivery))
+        )[1:]
+        if len(delivery):
+            self.last_delivery_s = float(delivery[-1])
+        self.delivered += len(delivery)
+        queueing = np.zeros(n)
+        queueing[accepted] = start[accepted] - arrival_s[accepted]
+        queueing[delivered] += extra
+        handoff = np.full(n, np.nan)
+        handoff[delivered] = delivery + self.rx_s
+        return delivered, handoff, queueing
+
+
+def _identity_loss(kind, seed):
+    rng = stream(seed, "hop-identity-loss", kind)
+    if kind == "noloss":
+        return NoLoss()
+    if kind == "bernoulli":
+        return BernoulliLoss(0.15, rng=rng)
+    windows = [(0.4, 0.9, 0.5), (1.6, 1.8, 0.95), (3.0, 3.5, 0.3)]
+    return HandoverBurstLoss(windows, residual_loss=0.02, rng=rng)
+
+
+def _identity_delay(kind):
+    if kind == "scalar":
+        return 0.012
+
+    def delay(now_s):
+        return 0.01 + 0.004 * float(np.sin(now_s))
+
+    delay.batch = lambda times_s: 0.01 + 0.004 * np.sin(times_s)
+    return delay
+
+
+def _identity_extra(kind, seed):
+    if kind == "none":
+        return None
+    rng = stream(seed, "hop-identity-jitter")
+
+    def sample(now_s):  # per packet: the reference and the hop draw alike
+        return float(rng.exponential(0.002))
+
+    return sample
+
+
+def _split_bytes(rng, total):
+    """Positive integer packet sizes summing to ``total`` bytes."""
+    n = max(1, int(total) // int(rng.integers(300, 1500)))
+    cuts = np.sort(rng.choice(np.arange(1, int(total)), n - 1, replace=False))
+    return np.diff(np.concatenate(([0], cuts, [int(total)]))).astype(float)
+
+
+def _identity_chunk(rng, clock_s, busy_until_s, rate_bps, capacity):
+    """One chunk: empty, random, or a burst whose bytes plus the
+    carried residual land within a byte of queue capacity."""
+    mode = rng.choice(["empty", "random", "drained", "carry"], p=[0.1, 0.3, 0.25, 0.35])
+    if mode == "empty":
+        return np.empty(0), np.empty(0)
+    if mode == "random":
+        n = int(rng.integers(1, 30))
+        arrivals = clock_s + np.sort(rng.uniform(0.0, 0.1, n))
+        return arrivals, rng.integers(40, 1501, n).astype(float)
+    margin = float(rng.choice([-1.0, 0.0, 1.0]))
+    if mode == "drained":  # server idle: no busy-carry
+        first = max(clock_s, busy_until_s) + rng.uniform(0.0, 0.01)
+        residual = 0.0
+    else:  # arrives while the previous chunk is still being served
+        lead_s = rng.uniform(0.0, 0.5) * capacity * 8.0 / rate_bps
+        first = max(clock_s, busy_until_s - lead_s)
+        residual = max(0.0, busy_until_s - first) * rate_bps / 8.0
+    sizes = _split_bytes(rng, round(capacity + margin - residual))
+    span = float(rng.choice([0.0, 1e-5, 1e-3]))
+    arrivals = first + np.sort(rng.uniform(0.0, span, len(sizes)))
+    return arrivals, sizes
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("extra_kind", ["none", "jitter"])
+@pytest.mark.parametrize("delay_kind", ["scalar", "callable"])
+@pytest.mark.parametrize("loss_kind", ["noloss", "bernoulli", "handover"])
+def test_batch_hop_bit_identical_to_full_mask_reference(
+    loss_kind, delay_kind, extra_kind
+):
+    """Randomized chunks near the capacity boundary, with and without
+    busy-carry: the hop's common-case path and its capacity bound must
+    reproduce the full-mask reference bit for bit (a bound that admits
+    a packet the per-packet pass drops fails here)."""
+    seed = 23
+    rate, capacity, rx_s = 1e6, 12_000, 0.0002
+    hop = BatchHop(
+        rate_bps=rate,
+        delay=_identity_delay(delay_kind),
+        queue_capacity_bytes=capacity,
+        loss=_identity_loss(loss_kind, seed),
+        extra_delay=_identity_extra(extra_kind, seed),
+        rx_processing_delay_s=rx_s,
+        name="identity-hop",
+    )
+    reference = _ReferenceHop(
+        rate,
+        capacity,
+        _identity_delay(delay_kind),
+        _identity_loss(loss_kind, seed),
+        _identity_extra(extra_kind, seed),
+        rx_s,
+    )
+    rng = stream(seed, "hop-identity", loss_kind, delay_kind, extra_kind)
+    clock = 0.0
+    for _ in range(120):
+        assert hop._busy_until_s == reference.busy_until_s
+        assert hop._last_delivery_s == reference.last_delivery_s
+        arrivals, sizes = _identity_chunk(
+            rng, clock, reference.busy_until_s, rate, capacity
+        )
+        if len(arrivals):
+            clock = float(arrivals[-1])
+        got = hop.traverse(arrivals, sizes)
+        want = reference.traverse(arrivals, sizes)
+        for got_array, want_array in zip(got, want):
+            _assert_bitwise(got_array, want_array)
+        assert (hop.offered, hop.delivered, hop.lost, hop.drops) == (
+            reference.offered,
+            reference.delivered,
+            reference.lost,
+            reference.drops,
+        )
+    assert hop.drops > 0
+    assert (hop.lost > 0) == (loss_kind != "noloss")
+    hop.check_conservation()
 
 
 # -- queue overflow x loss interaction (both engines) ------------------------

@@ -176,3 +176,45 @@ def test_heap_compaction_bounds_cancelled_entries():
         sim.schedule(1.0 + i * 1e-3, lambda: None).cancel()
     assert sim.pending_events == len(keep)
     assert len(sim._heap) < 256  # lazily compacted, not 5008
+
+
+def test_compaction_inside_run_keeps_order_and_count():
+    """Cancelling from inside a callback compacts the heap while
+    :meth:`Simulator.run` is popping from it: the survivors, and the
+    events scheduled after the compaction, still fire in (time,
+    insertion) order, and ``pending_events`` stays exact throughout."""
+    sim = Simulator()
+    log = []
+
+    def fire(tag):
+        log.append((sim.now, tag, sim.pending_events))
+
+    doomed = [sim.schedule(3.0 + i * 1e-3, fire, "doomed") for i in range(500)]
+    for i in range(6):
+        sim.schedule(2.0 + i % 3, fire, f"early{i}")
+    seen = {}
+
+    def cancel_most():
+        for event in doomed:
+            event.cancel()
+        seen["pending"] = sim.pending_events
+        seen["heap"] = len(sim._heap)
+        for i in range(3):
+            sim.schedule(1.0 + i, fire, f"late{i}")
+
+    sim.schedule(1.0, cancel_most)
+    assert sim.run() == 1 + 6 + 3
+    assert seen["pending"] == 6
+    assert seen["heap"] < 64  # compacted during the run, not 506
+    assert log == [
+        (2.0, "early0", 8),
+        (2.0, "early3", 7),
+        (2.0, "late0", 6),
+        (3.0, "early1", 5),
+        (3.0, "early4", 4),
+        (3.0, "late1", 3),
+        (4.0, "early2", 2),
+        (4.0, "early5", 1),
+        (4.0, "late2", 0),
+    ]
+    assert sim.pending_events == 0 and not sim._heap
