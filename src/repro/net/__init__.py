@@ -29,7 +29,7 @@ from repro.net.node import Node
 from repro.net.packet import Packet, Protocol
 from repro.net.ping import PingResult, ping
 from repro.net.queues import DropTailQueue
-from repro.net.simulator import Event, Simulator
+from repro.net.simulator import Simulator
 from repro.net.topology import Network
 from repro.net.trace import HopResult, TracerouteResult, traceroute
 
@@ -37,7 +37,6 @@ __all__ = [
     "BernoulliLoss",
     "CompositeLoss",
     "DropTailQueue",
-    "Event",
     "GilbertElliottLoss",
     "HandoverBurstLoss",
     "HopResult",

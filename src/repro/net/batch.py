@@ -1,11 +1,12 @@
 """Vectorised packet-path engine (the ``batch`` engine).
 
 The heap-driven :class:`repro.net.simulator.Simulator` walks every
-packet through ~4 Python callbacks per hop, so a many-flow packet
-experiment such as Figure 8's CCA matrix spends its time in that
-per-event loop (campaign page loads and speedtests are analytic and
-run neither engine).  This module advances whole flows in numpy chunks
-instead:
+packet through two scheduled events per hop (end of serialisation,
+delivery) plus a third at a router with a processing delay, each a
+Python callback, so a many-flow packet experiment such as Figure 8's
+CCA matrix spends its time in that per-event loop (campaign page loads
+and speedtests are analytic and run neither engine).  This module
+advances whole flows in numpy chunks instead:
 
 * **Chunked event horizons per link** — a link's FIFO service is the
   Lindley recursion ``start_i = max(arrival_i, finish_{i-1})``; with
@@ -234,14 +235,13 @@ class BatchHop:
 
     def traverse(
         self, arrival_s: np.ndarray, size_bytes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Push a sorted chunk of packets through this hop.
 
-        Returns ``(delivered_mask, handoff_s, queueing_s)`` over the
-        input chunk: who survived queue admission and the loss model,
-        when each survivor reaches the next node's input (delivery plus
-        the receiving node's processing delay), and the queueing delay
-        accumulated on this hop (waiting + abstracted extra delay).
+        Returns ``(delivered_mask, handoff_s)`` over the input chunk:
+        who survived queue admission and the loss model, and when each
+        survivor reaches the next node's input (delivery plus the
+        receiving node's processing delay; NaN where the packet died).
 
         Most chunks lose nothing, so the masks and scatters over the
         chunk are built only when a packet was dropped or lost.
@@ -255,7 +255,7 @@ class BatchHop:
             arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s
         ):
             capacity = None
-        accepted, start, finish = _serve(
+        accepted, _, finish = _serve(
             arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s
         )
         served = finish if accepted is None else finish[accepted]
@@ -263,7 +263,8 @@ class BatchHop:
         if len(served):
             self._busy_until_s = float(served[-1])
         lost = self._draw_losses(served)
-        if accepted is None and lost is None:
+        whole = accepted is None and lost is None
+        if whole:
             delivered_mask = np.ones(n, dtype=bool)
             finish_delivered = finish
         else:
@@ -278,10 +279,10 @@ class BatchHop:
         else:
             delay = float(self.delay)
         raw_delivery = finish_delivered + delay
-        extra = None
         if self.extra_delay is not None:
-            extra = self._evaluate(self.extra_delay, finish_delivered, "extra_delay")
-            raw_delivery += extra
+            raw_delivery += self._evaluate(
+                self.extra_delay, finish_delivered, "extra_delay"
+            )
         # FIFO monotone-delivery clamp, continuing across chunks.
         delivery = np.maximum(
             np.maximum.accumulate(raw_delivery), self._last_delivery_s
@@ -290,18 +291,11 @@ class BatchHop:
             self._last_delivery_s = float(delivery[-1])
         self.delivered += len(delivery)
         handoff = delivery + self.rx_processing_delay_s
-        if accepted is None:
-            queueing = start - arrival_s
-            if extra is not None:
-                queueing += extra
-            return delivered_mask, handoff, queueing
-        queueing = np.zeros(n)
-        queueing[accepted] = start[accepted] - arrival_s[accepted]
-        if extra is not None:
-            queueing[delivered_mask] += extra
+        if whole:
+            return delivered_mask, handoff
         handoff_all = np.full(n, np.nan)
         handoff_all[delivered_mask] = handoff
-        return delivered_mask, handoff_all, queueing
+        return delivered_mask, handoff_all
 
     def _evaluate(self, provider, times_s: np.ndarray, what: str) -> np.ndarray:
         """Evaluate a per-packet time function (the ``delay`` provider or
@@ -386,30 +380,28 @@ class BatchPath:
 
     def propagate(
         self, departure_s: np.ndarray, size_bytes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Push a sorted batch end-to-end through every hop.
 
-        Returns ``(delivered_mask, arrival_s, queueing_s)`` over the
-        departures; arrivals are NaN where the packet died en route.
+        Returns ``(delivered_mask, arrival_s)`` over the departures;
+        arrivals are NaN where the packet died en route.
         """
         departure_s = np.asarray(departure_s, dtype=float)
         n = len(departure_s)
         sizes = np.broadcast_to(np.asarray(size_bytes, dtype=float), (n,))
         live = np.arange(n)  # departure indices of the packets in flight
         times = departure_s
-        queueing = np.zeros(n)
         for hop in self.hops:
             if not len(live):
                 break
-            survived, times, hop_queueing = hop.traverse(times, sizes)
-            queueing[live] += hop_queueing
+            survived, times = hop.traverse(times, sizes)
             if not survived.all():
                 live, sizes, times = live[survived], sizes[survived], times[survived]
         alive = np.zeros(n, dtype=bool)
         alive[live] = True
         arrivals = np.full(n, np.nan)
         arrivals[live] = times
-        return alive, arrivals, queueing
+        return alive, arrivals
 
 
 # -- batched UDP burst ------------------------------------------------------
@@ -437,7 +429,7 @@ def run_udp_burst_batch(
     n_packets = int(duration_s / interval)
     base = path.network.sim.now
     departures = base + np.arange(n_packets) * interval
-    delivered, arrivals, _ = chain.propagate(departures, packet_bytes + 28)
+    delivered, arrivals = chain.propagate(departures, packet_bytes + 28)
     deadline = base + duration_s + drain_s
     in_time = np.nan_to_num(arrivals, nan=np.inf) <= deadline
     received = int((delivered & in_time).sum())
@@ -531,13 +523,11 @@ def run_iperf_tcp_batch(
         else:
             spacing = 0.0  # first round: initial-window burst
         departures = now + np.arange(len(seqs)) * spacing
-        data_ok, data_arrivals, _ = forward.propagate(departures, wire_bytes)
+        data_ok, data_arrivals = forward.propagate(departures, wire_bytes)
         ack_ok = np.zeros(len(seqs), dtype=bool)
         ack_arrivals = np.full(len(seqs), np.nan)
         if data_ok.any():
-            ok, arrivals, _ = reverse.propagate(
-                data_arrivals[data_ok], ACK_SIZE_BYTES
-            )
+            ok, arrivals = reverse.propagate(data_arrivals[data_ok], ACK_SIZE_BYTES)
             indices = np.flatnonzero(data_ok)
             ack_ok[indices[ok]] = True
             ack_arrivals[indices[ok]] = arrivals[ok]

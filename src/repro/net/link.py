@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - import for annotations only
 
 from repro.errors import ConfigurationError
 from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import Packet
+from repro.net.packet import UNASSIGNED_PACKET_ID, Packet
 from repro.net.queues import DropTailQueue
 from repro.net.simulator import Simulator
 
@@ -84,21 +84,18 @@ class Link:
             )
         return delay
 
-    def transmission_delay_s(self, packet: Packet) -> float:
-        """Serialisation delay for ``packet``, seconds."""
-        return packet.size_bytes * 8.0 / self.rate_bps
-
     # -- send path ----------------------------------------------------------
 
     def send(self, packet: Packet) -> None:
         """Offer a packet to the link (called by the source node)."""
-        packet.ensure_id(self.sim.packet_ids)
+        if packet.packet_id == UNASSIGNED_PACKET_ID:
+            packet.packet_id = self.sim.packet_ids.next_id()
         self.offered += 1
         if self._transmitting:
             if self.queue.offer(packet):
                 self._enqueue_times[packet.packet_id] = self.sim.now
             return
-        self._begin_transmission(packet)
+        self._begin_transmission(packet, self.sim.now)
 
     def clear_queue(self) -> list[Packet]:
         """Drop every queued packet and release its tracked state.
@@ -151,21 +148,27 @@ class Link:
                 f"{sorted(stale)[:10]}"
             )
 
-    def _begin_transmission(self, packet: Packet) -> None:
+    def _begin_transmission(self, packet: Packet, now: float) -> None:
         self._transmitting = True
-        queued_at = self._enqueue_times.pop(packet.packet_id, None)
-        if queued_at is not None:
-            packet.queueing_s += self.sim.now - queued_at
-        tx_delay = self.transmission_delay_s(packet)
-        self.sim.schedule(tx_delay, self._finish_transmission, packet)
+        if self._enqueue_times:
+            queued_at = self._enqueue_times.pop(packet.packet_id, None)
+            if queued_at is not None:
+                packet.queueing_s += now - queued_at
+        self.sim.schedule_at(
+            now + packet.size_bytes * 8.0 / self.rate_bps,
+            self._finish_transmission,
+            packet,
+        )
 
     def _finish_transmission(self, packet: Packet) -> None:
-        if self.loss.should_drop(packet, self.sim.now):
+        sim = self.sim
+        now = sim.now
+        if self.loss.should_drop(packet, now):
             self.lost += 1
         else:
-            total_delay = self.propagation_delay_s(self.sim.now)
+            total_delay = self.propagation_delay_s(now)
             if self.extra_delay is not None:
-                extra = self.extra_delay(self.sim.now)
+                extra = self.extra_delay(now)
                 if extra < 0:
                     raise ConfigurationError(
                         f"extra_delay sampler on {self.name} returned {extra}"
@@ -175,13 +178,16 @@ class Link:
             # A link is FIFO: stochastic extra delay (abstracted
             # queueing) must never reorder packets, so delivery is
             # clamped to be monotone.
-            delivery_at = max(self.sim.now + total_delay, self._last_delivery_s)
+            delivery_at = max(now + total_delay, self._last_delivery_s)
             self._last_delivery_s = delivery_at
             self._propagating += 1
-            self.sim.schedule(delivery_at - self.sim.now, self._deliver, packet)
+            # ``now + (delivery_at - now)`` can differ from
+            # ``delivery_at`` in the last bit; the delivery is timed by
+            # its delay from now, so keep that sum.
+            sim.schedule_at(now + (delivery_at - now), self._deliver, packet)
         next_packet = self.queue.poll()
         if next_packet is not None:
-            self._begin_transmission(next_packet)
+            self._begin_transmission(next_packet, now)
         else:
             self._transmitting = False
             if self._enqueue_times:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import RoutingError
-from repro.net.packet import Packet, Protocol
+from repro.net.packet import UNASSIGNED_PACKET_ID, Packet, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.net.link import Link
@@ -68,7 +68,8 @@ class Node:
 
     def send(self, packet: Packet) -> None:
         """Originate or forward a packet toward its destination."""
-        packet.ensure_id(self.sim.packet_ids)
+        if packet.packet_id == UNASSIGNED_PACKET_ID:
+            packet.packet_id = self.sim.packet_ids.next_id()
         if packet.dst == self.name:
             # Loopback: deliver immediately.
             self._deliver_local(packet)
@@ -96,7 +97,8 @@ class Node:
             return
         self.forwarded += 1
         if self.processing_delay_s > 0:
-            self.sim.schedule(self.processing_delay_s, self.send, packet)
+            sim = self.sim
+            sim.schedule_at(sim.now + self.processing_delay_s, self.send, packet)
         else:
             self.send(packet)
 

@@ -44,11 +44,6 @@ class PacketIdAllocator:
         self._next += 1
         return value
 
-    @property
-    def allocated(self) -> int:
-        """Number of ids handed out so far."""
-        return self._next - 1
-
 
 class Protocol(Enum):
     """Transport/network protocol of a packet."""
@@ -98,23 +93,6 @@ class Packet:
             raise ValueError(f"packet size must be positive: {self.size_bytes}")
         if self.ttl < 0:
             raise ValueError(f"ttl must be non-negative: {self.ttl}")
-
-    def ensure_id(self, allocator: PacketIdAllocator) -> int:
-        """Assign an id from ``allocator`` if the packet has none yet."""
-        if self.packet_id == UNASSIGNED_PACKET_ID:
-            self.packet_id = allocator.next_id()
-        return self.packet_id
-
-    def reply_template(self, protocol: Protocol, size_bytes: int) -> "Packet":
-        """A fresh packet from this packet's destination back to its source."""
-        return Packet(
-            src=self.dst,
-            dst=self.src,
-            protocol=protocol,
-            size_bytes=size_bytes,
-            flow_id=self.flow_id,
-            seq=self.seq,
-        )
 
     def copy(self) -> "Packet":
         """Deep-enough copy, unassigned until it enters a simulator

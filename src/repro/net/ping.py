@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.net.packet import Packet, Protocol
 from repro.net.topology import Network
-
-_ping_ids = itertools.count(1)
 
 
 @dataclass
@@ -66,7 +63,7 @@ def ping(
     """Send ``count`` ICMP echoes and collect RTTs (drives the simulator)."""
     sim = network.sim
     source = network.node(src)
-    flow_id = f"ping-{next(_ping_ids)}"
+    flow_id = sim.flow_id("ping")
     send_times: dict[int, float] = {}
     rtts: dict[int, float] = {}
 

@@ -33,11 +33,6 @@ class DropTailQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def bytes_queued(self) -> int:
-        """Bytes currently in the queue."""
-        return self._bytes
-
     def offer(self, packet: Packet) -> bool:
         """Enqueue if there is room; returns False (and counts a drop) if not."""
         if self._bytes + packet.size_bytes > self.capacity_bytes:

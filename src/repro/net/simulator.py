@@ -4,14 +4,23 @@ A classic heap-driven event loop.  Callbacks are scheduled at absolute or
 relative times; ties are broken by insertion order so runs are fully
 deterministic.  The simulator carries no global state — multiple
 simulators can coexist (the test suite relies on this), and every
-per-run counter (event sequence, packet ids) lives on the instance.
+per-run counter (event sequence, packet ids, flow ids) lives on the
+instance.
+
+Each scheduled event is its own heap entry, the list ``[time_s,
+sequence, callback, args]`` that :meth:`Simulator.schedule` returns as
+the event's handle.  The unique sequence breaks time ties by insertion
+order, so heap comparisons run in C and never reach the callback.
+:meth:`Simulator.cancel` clears the entry's callback, and so does
+:meth:`Simulator.run` when it fires the event: a cleared entry is
+skipped when it surfaces.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -23,30 +32,9 @@ _COMPACT_MIN_HEAP = 64
 _COMPACT_RATIO = 4
 """Compact when cancelled entries outnumber live ones this many times."""
 
-
-class Event:
-    """A scheduled callback.  Cancel with :meth:`cancel`."""
-
-    __slots__ = ("callback", "args", "cancelled", "fired", "time_s", "_on_cancel")
-
-    def __init__(
-        self, time_s: float, callback: Callable[..., None], args: tuple[Any, ...]
-    ):
-        self.time_s = time_s
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self._on_cancel: Callable[[], None] | None = None
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if already fired
-        or already cancelled)."""
-        if self.fired or self.cancelled:
-            return
-        self.cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
+EventEntry = list
+"""A scheduled event: ``[time_s, sequence, callback, args]``; the
+callback slot is ``None`` once the event has fired or been cancelled."""
 
 
 class Simulator:
@@ -55,7 +43,8 @@ class Simulator:
     Typical use::
 
         sim = Simulator()
-        sim.schedule(1.0, my_callback, arg1)
+        event = sim.schedule(1.0, my_callback, arg1)
+        sim.cancel(event)  # optional
         sim.run(until=10.0)
 
     Attributes:
@@ -65,15 +54,13 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        # Entries are ``(time_s, sequence, event)`` tuples: the unique
-        # sequence breaks time ties by insertion order, so heap
-        # comparisons run in C and never reach the event.
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[EventEntry] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._running = False
-        self._live = 0
+        self._cancelled = 0  # cancelled entries still in the heap
         self.packet_ids = PacketIdAllocator()
+        self._flow_ids = itertools.count(1)
 
     @property
     def now(self) -> float:
@@ -84,30 +71,23 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of *live* (not cancelled, not yet fired) events.
 
-        Cancelled events are excluded the moment :meth:`Event.cancel`
-        runs, even though their heap entries are only physically removed
-        when they surface (or at the next compaction) — so idle and
-        teardown logic can trust this count.
+        Cancelled events are excluded the moment :meth:`cancel` runs,
+        even though their heap entries are only physically removed when
+        they surface (or at the next compaction) — so idle and teardown
+        logic can trust this count.
         """
-        return self._live
+        return len(self._heap) - self._cancelled
 
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        # Lazily compact: a long-running flow cancels an RTO event per
-        # ACK, so the heap would otherwise grow without bound relative
-        # to the live set.  Compact in place: :meth:`run` holds a local
-        # alias of the list while callbacks cancel events.
-        if (
-            len(self._heap) > _COMPACT_MIN_HEAP
-            and len(self._heap) > _COMPACT_RATIO * max(1, self._live)
-        ):
-            self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
-            heapq.heapify(self._heap)
+    def flow_id(self, kind: str) -> str:
+        """A run-scoped flow id ``"<kind>-<n>"``, with ``n`` counting
+        from 1 over every flow id this simulator has handed out."""
+        return f"{kind}-{next(self._flow_ids)}"
 
     def schedule(
         self, delay_s: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Schedule ``callback(*args)`` after ``delay_s`` seconds.
+    ) -> EventEntry:
+        """Schedule ``callback(*args)`` after ``delay_s`` seconds and
+        return the event's handle for :meth:`cancel`.
 
         Raises:
             SimulationError: on negative delay.
@@ -118,17 +98,36 @@ class Simulator:
 
     def schedule_at(
         self, time_s: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Schedule ``callback(*args)`` at absolute time ``time_s``."""
+    ) -> EventEntry:
+        """Schedule ``callback(*args)`` at absolute time ``time_s`` and
+        return the event's handle for :meth:`cancel`."""
         if time_s < self._now:
             raise SimulationError(
                 f"cannot schedule at {time_s} < now {self._now}"
             )
-        event = Event(time_s, callback, args)
-        event._on_cancel = self._note_cancel
-        heapq.heappush(self._heap, (time_s, next(self._sequence), event))
-        self._live += 1
-        return event
+        entry = [time_s, next(self._sequence), callback, args]
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: EventEntry) -> None:
+        """Prevent a scheduled callback from running (no-op if it has
+        already fired or been cancelled)."""
+        if entry[2] is None:
+            return
+        entry[2] = None
+        entry[3] = ()
+        self._cancelled += 1
+        # Lazily compact: a long-running flow cancels an RTO event per
+        # ACK, so the heap would otherwise grow without bound relative
+        # to the live set.  Compact in place: :meth:`run` holds a local
+        # alias of the list while callbacks cancel events.
+        heap = self._heap
+        if len(heap) > _COMPACT_MIN_HEAP and len(heap) > _COMPACT_RATIO * max(
+            1, len(heap) - self._cancelled
+        ):
+            heap[:] = [live for live in heap if live[2] is not None]
+            heapify(heap)
+            self._cancelled = 0
 
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> int:
         """Run until the event queue drains or ``until`` is reached.
@@ -141,25 +140,26 @@ class Simulator:
         self._running = True
         executed = 0
         heap = self._heap
-        heappop = heapq.heappop
         horizon = math.inf if until is None else until
         try:
             while heap:
-                time_s, _, event = heap[0]
+                entry = heap[0]
+                time_s = entry[0]
                 if time_s > horizon:
                     break
-                if event.cancelled:
+                callback = entry[2]
+                if callback is None:
                     heappop(heap)
+                    self._cancelled -= 1
                     continue
                 # Check *before* executing: the guard must stop at exactly
                 # max_events callbacks, leaving the excess event queued.
                 if executed >= max_events:
                     raise SimulationError(f"exceeded max_events={max_events}")
                 heappop(heap)
-                self._live -= 1
-                event.fired = True
+                entry[2] = None
                 self._now = time_s
-                event.callback(*event.args)
+                callback(*entry[3])
                 executed += 1
             if until is not None and self._now < until:
                 self._now = until

@@ -107,7 +107,7 @@ def run_udp_burst(
     src, dst = (path.server, path.client) if download else (path.client, path.server)
     source = network.node(src)
     sink = network.node(dst)
-    flow_id = f"udp-burst-{id(path)}-{network.sim.now}"
+    flow_id = network.sim.flow_id("udp-burst")
     received = [0]
 
     def on_packet(packet: Packet, now: float) -> None:

@@ -18,7 +18,6 @@ acknowledges every arrival with the cumulative ACK plus SACK ranges.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,8 +28,6 @@ from repro.net.topology import Network
 from repro.tcp.cc import make_cc
 from repro.tcp.cc.base import AckSample, CongestionControl
 from repro.tcp.rtt import RttEstimator
-
-_flow_ids = itertools.count(1)
 
 DEFAULT_MSS_BYTES = 1448  # 1500-byte wire size with headers and options
 _DUP_THRESHOLD = 3  # FACK reordering tolerance, segments
@@ -149,7 +146,7 @@ class TcpFlow:
         self.dst = network.node(dst)
         self.cc = make_cc(cc) if isinstance(cc, str) else cc
         self.mss_bytes = mss_bytes
-        self.flow_id = f"tcp-{next(_flow_ids)}"
+        self.flow_id = self.sim.flow_id("tcp")
         self.total_segments = (
             None if total_bytes is None else max(1, math.ceil(total_bytes / mss_bytes))
         )
@@ -289,7 +286,7 @@ class TcpFlow:
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
             self._rto_event = None
 
     def _on_rto(self) -> None:
@@ -476,7 +473,7 @@ class TcpFlow:
         self.stats.end_s = self.sim.now
         self._cancel_rto()
         if self._pacing_event is not None:
-            self._pacing_event.cancel()
+            self.sim.cancel(self._pacing_event)
             self._pacing_event = None
         self.src.unregister_handler(self.flow_id)
         self.dst.unregister_handler(self.flow_id)

@@ -92,8 +92,7 @@ def _oracle_link_run(arrivals, sizes, rate_bps, capacity_bytes, loss, extra_dela
     delivered = {id(p): t for p, t in dst.received}
     mask = np.array([id(p) in delivered for p in packets])
     times = np.array([delivered.get(id(p), np.nan) for p in packets])
-    queueing = np.array([p.queueing_s for p in packets])
-    return link, mask, times, queueing
+    return link, mask, times
 
 
 def _batch_hop(rate_bps, capacity_bytes, loss, extra_delay):
@@ -151,7 +150,7 @@ def test_transmit_fifo_tail_drop_matches_oracle_link():
     arrivals = np.sort(rng.uniform(0.0, 0.2, size=120))
     sizes = np.full(120, 1000.0)
     rate, capacity = 1e6, 4000
-    link, oracle_mask, oracle_times, _ = _oracle_link_run(
+    link, oracle_mask, oracle_times = _oracle_link_run(
         arrivals, sizes, rate, capacity, NoLoss(), None
     )
     accepted, start, finish = transmit_fifo(arrivals, sizes, rate, capacity)
@@ -203,22 +202,19 @@ def test_drop_mask_bit_identical_to_scalar(kind):
 
 @pytest.mark.parametrize("kind", ["bernoulli", "gilbert", "handover"])
 def test_batch_hop_identical_to_link_under_loss(kind):
-    """Full single-hop identity: queueing + tail drop + loss draws."""
+    """Full single-hop identity: FIFO service, tail drop and loss draws."""
     scalar_model, batch_model = _loss_pair(kind)
     rng = stream(9, "hop", kind)
     arrivals = np.sort(rng.uniform(0.0, 0.3, size=150))
     sizes = np.full(150, 1200.0)
     rate, capacity = 2e6, 6000
-    link, oracle_mask, oracle_times, oracle_queueing = _oracle_link_run(
+    link, oracle_mask, oracle_times = _oracle_link_run(
         arrivals, sizes, rate, capacity, scalar_model, None
     )
     hop = _batch_hop(rate, capacity, batch_model, None)
-    delivered, handoff, queueing = hop.traverse(arrivals, sizes)
+    delivered, handoff = hop.traverse(arrivals, sizes)
     assert np.array_equal(delivered, oracle_mask)
     np.testing.assert_allclose(handoff[delivered], oracle_times[oracle_mask], atol=1e-9)
-    np.testing.assert_allclose(
-        queueing[delivered], oracle_queueing[oracle_mask], atol=1e-9
-    )
     assert (hop.offered, hop.delivered, hop.lost, hop.drops) == (
         link.offered,
         link.delivered,
@@ -243,11 +239,11 @@ def test_monotone_delivery_clamp_matches_link():
     rng = stream(2, "mono")
     arrivals = np.sort(rng.uniform(0.0, 0.1, size=80))
     sizes = np.full(80, 500.0)
-    _, oracle_mask, oracle_times, _ = _oracle_link_run(
+    _, oracle_mask, oracle_times = _oracle_link_run(
         arrivals, sizes, 5e6, None, NoLoss(), jitter()
     )
     hop = _batch_hop(5e6, None, NoLoss(), jitter())
-    delivered, handoff, _ = hop.traverse(arrivals, sizes)
+    delivered, handoff = hop.traverse(arrivals, sizes)
     assert delivered.all() and oracle_mask.all()
     assert np.all(np.diff(handoff) >= 0)
     np.testing.assert_allclose(handoff, oracle_times, atol=1e-9)
@@ -259,10 +255,10 @@ def test_batch_hop_busy_carry_across_chunks():
     arrivals = np.sort(rng.uniform(0.0, 0.05, size=100))
     sizes = np.full(100, 1000.0)
     whole = _batch_hop(1e6, None, NoLoss(), None)
-    _, handoff_whole, _ = whole.traverse(arrivals, sizes)
+    _, handoff_whole = whole.traverse(arrivals, sizes)
     split = _batch_hop(1e6, None, NoLoss(), None)
-    _, first, _ = split.traverse(arrivals[:50], sizes[:50])
-    _, second, _ = split.traverse(arrivals[50:], sizes[50:])
+    _, first = split.traverse(arrivals[:50], sizes[:50])
+    _, second = split.traverse(arrivals[50:], sizes[50:])
     np.testing.assert_allclose(
         np.concatenate([first, second]), handoff_whole, atol=1e-12
     )
@@ -309,7 +305,7 @@ class _ReferenceHop:
     def traverse(self, arrival_s, size_bytes):
         n = len(arrival_s)
         self.offered += n
-        accepted, start, finish = transmit_fifo(
+        accepted, _, finish = transmit_fifo(
             arrival_s,
             size_bytes,
             self.rate_bps,
@@ -340,12 +336,9 @@ class _ReferenceHop:
         if len(delivery):
             self.last_delivery_s = float(delivery[-1])
         self.delivered += len(delivery)
-        queueing = np.zeros(n)
-        queueing[accepted] = start[accepted] - arrival_s[accepted]
-        queueing[delivered] += extra
         handoff = np.full(n, np.nan)
         handoff[delivered] = delivery + self.rx_s
-        return delivered, handoff, queueing
+        return delivered, handoff
 
 
 def _identity_loss(kind, seed):
@@ -487,11 +480,11 @@ def test_overflow_and_loss_interact_identically(loss_rate):
     arrivals = np.sort(rng.uniform(0.0, 0.05, size=250))
     sizes = np.full(250, 1000.0)
     rate, capacity = 1e6, 3000
-    link, oracle_mask, oracle_times, _ = _oracle_link_run(
+    link, oracle_mask, oracle_times = _oracle_link_run(
         arrivals, sizes, rate, capacity, model(), None
     )
     hop = _batch_hop(rate, capacity, model(), None)
-    delivered, handoff, _ = hop.traverse(arrivals, sizes)
+    delivered, handoff = hop.traverse(arrivals, sizes)
     assert np.array_equal(delivered, oracle_mask)
     np.testing.assert_allclose(handoff[delivered], oracle_times[oracle_mask], atol=1e-9)
     assert hop.drops == link.queue.drops and hop.drops > 0

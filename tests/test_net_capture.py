@@ -1,5 +1,7 @@
 """Link-tap capture tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,11 @@ from repro.errors import ConfigurationError
 from repro.net.capture import CaptureEvent, tap_link
 from repro.net.loss import BernoulliLoss, HandoverBurstLoss
 from repro.net.packet import Packet, Protocol
+from repro.net.ping import ping
 from repro.net.topology import Network
+from repro.net.trace import traceroute
+from repro.nodes.iperf import run_udp_burst
+from repro.tcp.flow import TcpFlow
 
 
 def _two_node_net(loss=None, rate=10e6):
@@ -124,3 +130,35 @@ def test_tap_does_not_change_timing():
     tapped_net.node("b").register_handler("f", lambda p, t: arrivals_tapped.append(t))
     _blast(tapped_net, n=20)
     assert arrivals_ref == arrivals_tapped
+
+
+def _apps_once():
+    """Traceroute, ping, a UDP burst and a TCP flow on a fresh network,
+    captured on both directions of the client's access link."""
+    net = Network()
+    for name in ("client", "router", "server"):
+        net.add_node(name)
+    up, down = net.connect("client", "router", rate_bps=20e6, delay=0.002)
+    net.connect("router", "server", rate_bps=50e6, delay=0.01)
+    net.compute_routes()
+    taps = [tap_link(up), tap_link(down)]
+    path = SimpleNamespace(network=net, client="client", server="server")
+    traceroute(net, "client", "server", probes_per_hop=2, max_ttl=4)
+    ping(net, "client", "server", count=3)
+    run_udp_burst(path, rate_bps=5e6, duration_s=0.05, drain_s=0.5)
+    flow = TcpFlow(net, "server", "client", total_bytes=30_000, start_s=net.sim.now)
+    net.sim.run()
+    assert flow.done
+    return [tap.records for tap in taps]
+
+
+def test_flow_ids_and_captures_repeat_within_a_process():
+    """Flow ids come from the run's simulator, not from process-wide
+    counters (or an object's address), so a second run of the same
+    apps in one process carries the same ids and captures the same
+    records."""
+    first = _apps_once()
+    second = _apps_once()
+    assert first == second
+    flow_ids = {r.flow_id for records in first for r in records}
+    assert flow_ids == {"traceroute-1", "ping-2", "udp-burst-3", "tcp-4"}

@@ -3,19 +3,30 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.packet import (
-    UNASSIGNED_PACKET_ID,
-    Packet,
-    PacketIdAllocator,
-    Protocol,
-)
+from repro.net.packet import UNASSIGNED_PACKET_ID, Packet, Protocol
 from repro.net.queues import DropTailQueue
+from repro.net.topology import Network
 
 
 def _packet(size=1500, **kwargs):
     defaults = dict(src="a", dst="b", protocol=Protocol.UDP, size_bytes=size)
     defaults.update(kwargs)
     return Packet(**defaults)
+
+
+def _line(*names):
+    """A routed chain of nodes; returns the network and a list that
+    collects the packets each node's ``"f1"`` handler receives."""
+    net = Network()
+    for name in names:
+        net.add_node(name)
+    for a, b in zip(names, names[1:]):
+        net.connect(a, b, rate_bps=1e6, delay=0.001)
+    net.compute_routes()
+    received = []
+    for name in names:
+        net.node(name).register_handler("f1", lambda p, now: received.append(p))
+    return net, received
 
 
 def test_packet_created_unassigned():
@@ -25,12 +36,17 @@ def test_packet_created_unassigned():
 
 
 def test_packet_ids_unique_within_allocator():
-    allocator = PacketIdAllocator()
-    first, second = _packet(), _packet()
-    assert first.ensure_id(allocator) != second.ensure_id(allocator)
-    # ensure_id is idempotent: re-entering a simulator keeps the id.
-    assert first.ensure_id(allocator) == first.packet_id
-    assert allocator.allocated == 2
+    # The hop assigns a missing id from the run's allocator; a packet
+    # forwarded over a second link keeps the id it got on the first.
+    net, received = _line("a", "b", "c")
+    first, second = _packet(dst="c", flow_id="f1"), _packet(dst="c", flow_id="f1")
+    net.node("a").send(first)
+    net.node("a").send(second)
+    net.sim.run()
+    assert received == [first, second]
+    assert [p.hops for p in received] == [2, 2]
+    assert [p.packet_id for p in received] == [1, 2]
+    assert net.sim.packet_ids.next_id() == 3  # two ids handed out in all
 
 
 def test_packet_rejects_bad_size():
@@ -43,25 +59,34 @@ def test_packet_rejects_negative_ttl():
         _packet(ttl=-1)
 
 
-def test_reply_template_swaps_endpoints():
-    original = _packet(flow_id="f1", seq=42)
-    reply = original.reply_template(Protocol.ICMP, 56)
+def test_icmp_reply_swaps_endpoints():
+    # A UDP probe to a closed port draws the destination's ICMP reply.
+    net, received = _line("a", "b")
+    net.node("b").unregister_handler("f1")
+    net.node("a").send(_packet(flow_id="f1", seq=42))
+    net.sim.run()
+    (reply,) = received
     assert (reply.src, reply.dst) == ("b", "a")
+    assert (reply.protocol, reply.size_bytes) == (Protocol.ICMP, 56)
     assert reply.flow_id == "f1"
     assert reply.seq == 42
+    assert reply.payload["type"] == "port-unreachable"
 
 
 def test_copy_is_independent():
-    allocator = PacketIdAllocator()
-    original = _packet()
-    original.ensure_id(allocator)
+    net, received = _line("a", "b")
+    original = _packet(flow_id="f1")
+    net.node("a").send(original)
     original.payload["k"] = 1
     duplicate = original.copy()
     duplicate.payload["k"] = 2
     assert original.payload["k"] == 1
     # The copy is unassigned until it enters a simulator itself.
     assert duplicate.packet_id == UNASSIGNED_PACKET_ID
-    assert duplicate.ensure_id(allocator) != original.packet_id
+    net.node("a").send(duplicate)
+    net.sim.run()
+    assert received == [original, duplicate]
+    assert (original.packet_id, duplicate.packet_id) == (1, 2)
 
 
 def test_queue_fifo_order():
@@ -88,15 +113,18 @@ def test_queue_tail_drop_at_capacity():
 
 
 def test_queue_byte_accounting():
-    queue = DropTailQueue(capacity_bytes=10_000)
-    queue.offer(_packet(size=1000))
-    queue.offer(_packet(size=2000))
-    assert queue.bytes_queued == 3000
+    # Admission reads the queued bytes: full at 3000, 1000 freed by
+    # the poll, all of them by the clear.
+    queue = DropTailQueue(capacity_bytes=3000)
+    assert queue.offer(_packet(size=1000))
+    assert queue.offer(_packet(size=2000))
+    assert not queue.offer(_packet(size=1))
     queue.poll()
-    assert queue.bytes_queued == 2000
+    assert not queue.offer(_packet(size=1001))
+    assert queue.offer(_packet(size=1000))
     queue.clear()
-    assert queue.bytes_queued == 0
     assert len(queue) == 0
+    assert queue.offer(_packet(size=3000))
 
 
 def test_queue_frees_space_after_poll():

@@ -1,6 +1,11 @@
 """Discrete-event simulator tests."""
 
+import math
+from datetime import timedelta
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.net.simulator import Simulator
@@ -51,7 +56,7 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     log = []
     event = sim.schedule(1.0, log.append, "x")
-    event.cancel()
+    sim.cancel(event)
     sim.run()
     assert log == []
 
@@ -148,7 +153,7 @@ def test_max_events_skips_cancelled_events():
     """Cancelled events do not count against the budget."""
     sim = Simulator()
     for i in range(5):
-        sim.schedule(float(i), lambda: None).cancel()
+        sim.cancel(sim.schedule(float(i), lambda: None))
     sim.schedule(10.0, lambda: None)
     assert sim.run(max_events=1) == 1
 
@@ -159,9 +164,9 @@ def test_pending_events_excludes_cancelled():
     idle/teardown logic think work remained."""
     sim = Simulator()
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
-    events[1].cancel()
+    sim.cancel(events[1])
     assert sim.pending_events == 2
-    events[1].cancel()  # double-cancel must not double-decrement
+    sim.cancel(events[1])  # double-cancel must not double-decrement
     assert sim.pending_events == 2
     sim.run()
     assert sim.pending_events == 0
@@ -173,7 +178,7 @@ def test_heap_compaction_bounds_cancelled_entries():
     sim = Simulator()
     keep = [sim.schedule(1000.0 + i, lambda: None) for i in range(8)]
     for i in range(5000):
-        sim.schedule(1.0 + i * 1e-3, lambda: None).cancel()
+        sim.cancel(sim.schedule(1.0 + i * 1e-3, lambda: None))
     assert sim.pending_events == len(keep)
     assert len(sim._heap) < 256  # lazily compacted, not 5008
 
@@ -196,7 +201,7 @@ def test_compaction_inside_run_keeps_order_and_count():
 
     def cancel_most():
         for event in doomed:
-            event.cancel()
+            sim.cancel(event)
         seen["pending"] = sim.pending_events
         seen["heap"] = len(sim._heap)
         for i in range(3):
@@ -218,3 +223,133 @@ def test_compaction_inside_run_keeps_order_and_count():
         (4.0, "late2", 0),
     ]
     assert sim.pending_events == 0 and not sim._heap
+
+
+# -- differential property: the heap against a sorted reference -------------
+
+#: Event times and delays on a coarse grid, so exact ties are common.
+_TIMES = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 1.0, 2.0])
+
+
+class _ReferenceLoop:
+    """The event loop's contract spelled out: fire the live event with
+    the least ``(time, insertion order)`` until none is left at or
+    before the horizon, cancelling and scheduling as the programs say."""
+
+    def __init__(self, times, programs, bulk):
+        self.times = list(times)
+        self.status = ["pending"] * len(self.times)
+        self.programs = programs
+        self.bulk = bulk
+        self.now = 0.0
+        self.fired = []
+
+    def cancel(self, k):
+        if k < len(self.status) and self.status[k] == "pending":
+            self.status[k] = "cancelled"
+
+    def run(self, until=None, max_events=50_000_000):
+        horizon = math.inf if until is None else until
+        executed = 0
+        while True:
+            live = [
+                (t, k) for k, t in enumerate(self.times) if self.status[k] == "pending"
+            ]
+            if not live or min(live)[0] > horizon:
+                break
+            if executed >= max_events:
+                return "raised"
+            time_s, k = min(live)
+            self.status[k] = "fired"
+            self.now = time_s
+            self.fired.append(k)
+            executed += 1
+            cancels, delays, cancel_bulk = self.programs.get(k, ((), (), False))
+            for target in cancels:
+                self.cancel(target)
+            if cancel_bulk:
+                for target in self.bulk:
+                    self.cancel(target)
+            for delay in delays:
+                self.times.append(self.now + delay)
+                self.status.append("pending")
+        if until is not None and self.now < until:
+            self.now = until
+        return executed
+
+    @property
+    def pending(self):
+        return self.status.count("pending")
+
+
+@st.composite
+def _schedules(draw):
+    n = draw(st.integers(1, 20))
+    n_bulk = draw(st.sampled_from([0, 0, 90, 160]))
+    times = draw(st.lists(_TIMES, min_size=n, max_size=n))
+    times += [t + 3.0 for t in draw(st.lists(_TIMES, min_size=n_bulk, max_size=n_bulk))]
+    total = n + n_bulk
+    program = st.tuples(
+        st.lists(st.integers(0, total + 10), max_size=3),  # cancels, any state
+        st.lists(_TIMES, max_size=2),  # delays of events to schedule
+        st.booleans(),  # cancel every bulk event
+    )
+    # Programs for the ordinary events, and for scheduled ones when
+    # there is no bulk.
+    programs = draw(st.dictionaries(st.integers(0, n + 5), program, max_size=n))
+    return {
+        "times": times,
+        "bulk": list(range(n, total)),
+        "programs": programs,
+        "pre_cancels": draw(st.lists(st.integers(0, total - 1), max_size=8)),
+        "pre_cancel_bulk": n_bulk > 0 and draw(st.booleans()),
+        "until": draw(st.none() | _TIMES | st.just(3.5)),
+        "max_events": draw(st.none() | st.integers(0, 30)),
+    }
+
+
+@settings(max_examples=300, deadline=timedelta(milliseconds=500))
+@given(_schedules())
+def test_event_loop_matches_sorted_reference(case):
+    """Ties, cancels before and during ``run`` (double, after firing,
+    of the firing event itself, and bulk cancels that compact the heap),
+    ``until`` horizons and a ``max_events`` budget: the heap fires what
+    the reference fires, in its order, and agrees on ``run``'s result
+    and on ``pending_events`` after each of two runs."""
+    sim = Simulator()
+    reference = _ReferenceLoop(case["times"], case["programs"], case["bulk"])
+    entries = []
+    fired = []
+
+    def fire(k):
+        fired.append(k)
+        cancels, delays, cancel_bulk = case["programs"].get(k, ((), (), False))
+        for target in cancels:
+            if target < len(entries):
+                sim.cancel(entries[target])
+        if cancel_bulk:
+            for target in case["bulk"]:
+                sim.cancel(entries[target])
+        for delay in delays:
+            entries.append(sim.schedule(delay, fire, len(entries)))
+
+    for k, time_s in enumerate(case["times"]):
+        entries.append(sim.schedule_at(time_s, fire, k))
+    cancels = case["pre_cancels"] + (case["bulk"] if case["pre_cancel_bulk"] else [])
+    for target in cancels:
+        sim.cancel(entries[target])
+        reference.cancel(target)
+    assert sim.pending_events == reference.pending
+
+    budget = {} if case["max_events"] is None else {"max_events": case["max_events"]}
+    for until in (case["until"], None):
+        try:
+            result = sim.run(until=until, **budget)
+        except SimulationError:
+            result = "raised"
+        assert result == reference.run(until=until, **budget)
+        assert fired == reference.fired
+        assert sim.pending_events == reference.pending
+        assert sim.now == reference.now
+        budget = {}
+    assert sim.pending_events == 0

@@ -1,5 +1,7 @@
 """Traceroute and ping tests."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,31 @@ def test_two_traceroutes_do_not_interfere():
     second = traceroute(net, "h0", "h3")
     assert first.destination_reached and second.destination_reached
     assert len(first.hops) == len(second.hops)
+
+
+def test_traceroute_leaves_no_cyclic_garbage():
+    """A run's probe chain, reply tables and packets die by reference
+    counting: a chain that referred to itself (a closure scheduling
+    itself) would leave every call's tables to the cyclic collector."""
+    from repro.nodes.rpi import MeasurementNode
+    from repro.orbits.constellation import starlink_shell1
+
+    node = MeasurementNode(
+        "wiltshire", shell=starlink_shell1(n_planes=24, sats_per_plane=12), seed=3
+    )
+    path = node.build_path(8 * 3600.0, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        result = traceroute(
+            path.network,
+            path.client,
+            path.server,
+            probes_per_hop=30,
+            probe_size_bytes=60,
+        )
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert result.destination_reached
+    assert unreachable == 0

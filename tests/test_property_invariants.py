@@ -44,7 +44,10 @@ def test_queue_conserves_packets(sizes, capacity):
         drained += 1
     assert drained == accepted
     assert queue.drops == len(sizes) - accepted
-    assert queue.bytes_queued == 0
+    # Drained to zero bytes: a packet of the whole capacity fits.
+    assert queue.offer(
+        Packet(src="a", dst="b", protocol=Protocol.UDP, size_bytes=capacity)
+    )
 
 
 # --- TCP: stream integrity under arbitrary loss --------------------------------
