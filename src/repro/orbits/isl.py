@@ -19,8 +19,8 @@ measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT_M_S, STARLINK_MIN_ELEVATION_DEG
@@ -28,6 +28,9 @@ from repro.errors import VisibilityError
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.constellation import WalkerShell
 from repro.orbits.visibility import visible_satellites
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 ISL_PROCESSING_DELAY_S = 0.0003
 """Per-ISL-hop switching/processing delay, seconds."""
@@ -97,6 +100,8 @@ class IslNetwork:
 
     def graph_at(self, t_s: float) -> nx.Graph:
         """Weighted ISL graph at time ``t_s`` (weights = seconds)."""
+        import networkx as nx
+
         positions = self.shell.positions_ecef(t_s)
         graph = nx.Graph()
         graph.add_nodes_from(range(len(self.shell)))
@@ -136,6 +141,8 @@ class IslNetwork:
             VisibilityError: if either endpoint sees no satellite, or no
                 ISL path connects their access satellites.
         """
+        import networkx as nx
+
         graph = self.graph_at(t_s)
         self._attach_ground(graph, "src", src, t_s)
         self._attach_ground(graph, "dst", dst, t_s)
@@ -152,9 +159,3 @@ class IslNetwork:
             self.shell.satellites[n].name for n in nodes if isinstance(n, int)
         )
         return IslPath(hops=hops, latency_s=latency, distance_m=distance)
-
-    def latency_series(
-        self, src: GeoPoint, dst: GeoPoint, times_s
-    ) -> list[float]:
-        """One-way ISL latencies at several instants (seconds)."""
-        return [self.route(src, dst, float(t)).latency_s for t in times_s]

@@ -43,3 +43,26 @@ def stream(seed: int, *labels: str) -> np.random.Generator:
     True
     """
     return np.random.default_rng(substream_seed(seed, *labels))
+
+
+class CategoricalSampler:
+    """``Generator.choice(len(p), p=p)`` for a fixed ``p``, its CDF built once.
+
+    ``choice`` rebuilds the CDF on every call (``p.cumsum()`` divided by
+    its last element) and searches one ``random()`` draw in it; a call
+    here makes the same search over the same CDF, so it returns the same
+    index and leaves the generator in the same state, at a fraction of
+    the cost (``tests/test_rng.py`` pins this against the installed
+    numpy).
+    """
+
+    __slots__ = ("cdf",)
+
+    def __init__(self, probabilities) -> None:
+        cdf = np.asarray(probabilities, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+
+    def __call__(self, rng: np.random.Generator) -> int:
+        """Draw one category index from ``rng``."""
+        return int(self.cdf.searchsorted(rng.random(), side="right"))

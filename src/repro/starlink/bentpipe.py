@@ -62,13 +62,6 @@ SCHEDULER_DELAY_S = 0.006
 OUTAGE_RTT_PENALTY_S = 2.0
 """Analytic RTT charged when no satellite is visible (reconnect time)."""
 
-LINK_FILL_EPOCHS = 64
-"""Epochs per kernel call of :meth:`BentPipeModel.fill_link_states`.
-The kernel keeps about 25 float64 temporaries per candidate pair, about
-122 pairs per epoch at the campaign's shell, so this bounds a fill's
-working set at about 1.5 MB; one call for a whole campaign user's
-epochs raised the campaign's peak RSS by 8-12 MB."""
-
 
 @dataclass(frozen=True)
 class ServingGeometry:
@@ -315,9 +308,9 @@ class BentPipeModel:
 
         Epochs already in the table, times outside the weather history
         and epochs beyond the table's cap are left to :meth:`link_state`.
-        The rest go through :func:`~repro.starlink.timeline.\
-compute_serving_timeline`, bit-identical to the scan, in calls of
-        :data:`LINK_FILL_EPOCHS` epochs.
+        The rest go through one call of :func:`~repro.starlink.timeline.\
+compute_serving_timeline`, bit-identical to the scan, which bounds its
+        own working set by evaluating them a chunk at a time.
         """
         weather = self.weather
         epochs = {
@@ -327,20 +320,20 @@ compute_serving_timeline`, bit-identical to the scan, in calls of
         }
         missing = sorted(epoch for epoch in epochs if epoch not in self.link_states)
         del missing[self.link_states.max_entries :]
+        if not missing:
+            return
         from repro.starlink.timeline import compute_serving_timeline
 
-        for start in range(0, len(missing), LINK_FILL_EPOCHS):
-            batch = missing[start : start + LINK_FILL_EPOCHS]
-            geometries = compute_serving_timeline(
-                self.shell,
-                self.terminal,
-                self.gateway,
-                np.array(batch, dtype=np.int64),
-                min_elevation_deg=self.min_elevation_deg,
-                obstruction=self.obstruction,
-            )
-            for epoch, geometry in zip(batch, geometries):
-                self.link_states.put(epoch, self._link_state_at(epoch, geometry))
+        geometries = compute_serving_timeline(
+            self.shell,
+            self.terminal,
+            self.gateway,
+            np.array(missing, dtype=np.int64),
+            min_elevation_deg=self.min_elevation_deg,
+            obstruction=self.obstruction,
+        )
+        for epoch, geometry in zip(missing, geometries):
+            self.link_states.put(epoch, self._link_state_at(epoch, geometry))
 
     def _link_state_at(self, epoch: int, geometry: ServingGeometry | None) -> LinkState:
         # An hour is 240 epochs, so no epoch spans two weather hours and

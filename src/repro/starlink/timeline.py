@@ -19,13 +19,27 @@ just approximately.  (Numpy ufuncs are elementwise and shape-independent,
 so computing the same expressions over gathered 1-D arrays yields
 bitwise-equal values; ``tests/test_serving_timeline.py`` asserts it.)
 
-The kernel avoids scanning all ``T x N`` grid points: a satellite can
-serve a terminal only while its latitude is within the slant-geometry
-bound of the terminal's latitude (about +-8.5 degrees at the 25-degree
-mask), and satellite latitude is ``asin(sin(i) * sin(u))`` with the
-argument of latitude ``u`` linear in time — so the candidate epochs of
-each satellite are a periodic union of intervals that can be generated
-analytically.  Only ~20% of grid points are ever touched.
+The kernel never visits the full ``T x N`` grid.  Two conservative
+cuts, both from the largest Earth-central angle ``gamma`` at which a
+shell satellite clears the mask
+(:func:`repro.orbits.visibility.max_visible_central_angle_rad`), pick
+the (epoch, satellite) pairs the exact stage evaluates:
+
+* **Latitude arcs.** A satellite can serve only while its latitude
+  ``asin(sin(i) * sin(u))`` is within ``gamma`` of the terminal's (about
+  +-8.5 degrees at the 25-degree mask), and the argument of latitude
+  ``u`` is linear in time, so each satellite's candidate epochs are a
+  periodic union of intervals generated analytically.
+* **Central angle.** Per chunk, the cosine of each candidate's
+  geocentric angle to the terminal comes from ``cos``/``sin`` of its
+  ``u`` and of its plane's RAAN - GMST, and pairs beyond ``gamma`` plus
+  0.5 degrees go.  ``geodetic_to_ecef`` is a sphere and the ENU up is
+  radial, so elevation >= mask holds exactly when that angle is at most
+  ``gamma``: the cut drops only pairs the exact stage would mark
+  invisible, and every surviving float is computed as before.
+
+On the canonical campaign's 1,584-satellite shell the arcs leave about
+125 pairs per epoch and the cut about 7.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ import numpy as np
 
 from repro.constants import (
     EARTH_RADIUS_M,
+    EARTH_ROTATION_RAD_S,
     STARLINK_MIN_ELEVATION_DEG,
     STARLINK_RESCHEDULE_INTERVAL_S,
 )
@@ -46,10 +61,30 @@ from repro.orbits.propagator import gmst_rad
 from repro.orbits.visibility import max_visible_central_angle_rad
 from repro.starlink.bentpipe import ServingGeometry
 
-DEFAULT_CHUNK_EPOCHS = 256
-"""Epochs per kernel chunk; keeps working arrays cache-resident."""
+DEFAULT_CHUNK_EPOCHS = 64
+"""Epochs per kernel chunk, the kernel's one chunk size: candidate pairs
+are built, cut and evaluated a chunk at a time, so a call's working set
+does not grow with its epoch count."""
 
 _TWO_PI = 2.0 * math.pi
+
+_MARGIN_DEG = 0.5
+"""Slack on ``gamma`` in both cuts; covers their rounding."""
+
+
+def _max_central_angle_rad(
+    observer: GeoPoint, shell: WalkerShell, min_elevation_deg: float
+) -> float | None:
+    """The bound ``gamma`` of both cuts, or None for masks at or below
+    -90 degrees, which every direction clears.  The observer radius is
+    capped at the Earth's surface; a lower radius only widens ``gamma``.
+    """
+    if min_elevation_deg <= -90.0:
+        return None
+    r = EARTH_RADIUS_M + min(0.0, observer.altitude_m)
+    return max_visible_central_angle_rad(
+        r, shell._radius_m, math.radians(min_elevation_deg)
+    )
 
 
 def _candidate_arcs(
@@ -70,14 +105,13 @@ def _candidate_arcs(
     decreasing in central angle — so masked terminals also get pruned
     arcs; only masks at or below -90 degrees (nothing excluded)
     degenerate to the full circle, as do bands wide enough to clip
-    both latitude extremes.
+    both latitude extremes.  A band wholly poleward of the shell's
+    highest latitude has no arc.
     """
-    if min_elevation_deg <= -90.0:
+    gamma = _max_central_angle_rad(observer, shell, min_elevation_deg)
+    if gamma is None:
         return [(0.0, _TWO_PI)]
-    r = EARTH_RADIUS_M + min(0.0, observer.altitude_m)
-    el = math.radians(min_elevation_deg)
-    gamma = max_visible_central_angle_rad(r, shell._radius_m, el)
-    half_deg = math.degrees(gamma) + 0.5
+    half_deg = math.degrees(gamma) + _MARGIN_DEG
     lat = observer.latitude_deg
     lo = math.sin(math.radians(max(-90.0, lat - half_deg)))
     hi = math.sin(math.radians(min(90.0, lat + half_deg)))
@@ -87,6 +121,8 @@ def _candidate_arcs(
         return [(0.0, _TWO_PI)] if lo <= 0.0 <= hi else []
     su_lo = lo / sin_i
     su_hi = hi / sin_i
+    if su_lo >= 1.0 or su_hi <= -1.0:
+        return []
     lo_open = su_lo <= -1.0
     hi_open = su_hi >= 1.0
     if lo_open and hi_open:
@@ -102,85 +138,146 @@ def _candidate_arcs(
     return [(a, b - a), (math.pi - b, b - a)]
 
 
-def _candidate_pairs(
-    shell: WalkerShell,
-    observer: GeoPoint,
-    epochs: np.ndarray,
-    min_elevation_deg: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(row, satellite) candidate pairs, sorted by row.
+class _CandidatePairs:
+    """The (row, satellite) pairs of one kernel call that may clear the
+    mask, built a chunk of epochs at a time.
 
-    ``row`` indexes into ``epochs``.  Candidates are generated
-    analytically from the latitude-band arcs: for each satellite the
-    argument of latitude advances linearly, so its in-arc times form
-    one interval per orbit, widened by one epoch on each side for
-    floating-point soundness.  Within a row, satellites appear in
-    ascending index order (required by the first-max tie-break).
+    Candidates come analytically from the latitude-band arcs: each
+    satellite's argument of latitude advances linearly, so its in-arc
+    times form one interval per orbit, widened by one epoch on each side
+    for floating-point soundness.  The central-angle cut then drops the
+    pairs farther than ``gamma`` plus the margin from the observer.  The
+    constructor computes what no chunk's epochs change.
     """
-    arcs = _candidate_arcs(observer, shell, min_elevation_deg)
-    n_pos = len(epochs)
-    n_sats = len(shell.satellites)
-    if not arcs or n_pos == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    interval = STARLINK_RESCHEDULE_INTERVAL_S
-    u_dot = shell._arg_lat_dot
-    t_min = float(epochs[0]) * interval
-    t_max = float(epochs[-1]) * interval
-    first_epoch = int(epochs[0])
-    last_epoch = int(epochs[-1])
-    contiguous = last_epoch - first_epoch == n_pos - 1
 
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    u0 = shell._arg_lat0 - shell._arg_lat_dot * shell.epoch_s
-    for arc_start, arc_len in arcs:
-        if arc_len >= _TWO_PI:
-            rows = np.repeat(
-                np.arange(n_pos, dtype=np.int64)[:, None], n_sats, axis=1
-            ).ravel()
+    def __init__(
+        self, shell: WalkerShell, observer: GeoPoint, min_elevation_deg: float
+    ) -> None:
+        self.shell = shell
+        arcs = _candidate_arcs(observer, shell, min_elevation_deg)
+        self.full_circle = any(length >= _TWO_PI for _, length in arcs)
+        # Entry times of each satellite into an arc: u0 + u_dot t = start + 2 pi k
+        u_dot = shell._arg_lat_dot
+        u0 = shell._arg_lat0 - u_dot * shell.epoch_s
+        self.arcs = []
+        for start, length in arcs:
+            phase = (start - u0) / u_dot
+            self.arcs.append(
+                (phase, float(np.min(phase)), float(np.max(phase)), length / u_dot)
+            )
+        gamma = _max_central_angle_rad(observer, shell, min_elevation_deg)
+        bound = math.pi if gamma is None else gamma + math.radians(_MARGIN_DEG)
+        self.cos_limit = math.cos(bound) if bound < math.pi else None
+        if self.cos_limit is None:
+            return
+        raan, self.plane = np.unique(shell._raan0, return_inverse=True)
+        self.cos_raan, self.sin_raan = np.cos(raan), np.sin(raan)
+        self.cos_u0 = np.cos(shell._arg_lat0)
+        self.sin_u0 = np.sin(shell._arg_lat0)
+        lat = math.radians(observer.latitude_deg)
+        self.longitude = math.radians(observer.longitude_deg)
+        self.cos_lat = math.cos(lat)
+        self.sin_lat_sin_i = math.sin(lat) * math.sin(shell._inclination_rad)
+        self.cos_lat_cos_i = math.cos(lat) * math.cos(shell._inclination_rad)
+
+    def pairs(self, epochs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, satellite) candidates of ``epochs``, sorted by row.
+
+        ``row`` indexes into ``epochs``.  Within a row, satellites
+        appear in ascending index order (required by the first-max
+        tie-break).
+        """
+        n_pos = len(epochs)
+        n_sats = len(self.shell.satellites)
+        if self.full_circle:
+            rows = np.repeat(np.arange(n_pos, dtype=np.int64), n_sats)
             cols = np.tile(np.arange(n_sats, dtype=np.int64), n_pos)
-            return rows, cols
-        # Entry times of each satellite into the arc: u0 + u_dot t = start + 2 pi k
-        phase = (arc_start - u0) / u_dot  # (N,)
-        period = _TWO_PI / u_dot
-        k_lo = math.floor((t_min - float(np.max(phase))) / period) - 1
-        k_hi = math.ceil((t_max - float(np.min(phase))) / period) + 1
-        ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-        t_enter = phase[:, None] + ks[None, :] * period  # (N, K)
-        t_exit = t_enter + arc_len / u_dot
-        # Widen by one epoch per side: float slack, on top of the 0.5 deg margin.
-        e_start = np.floor(t_enter / interval).astype(np.int64) - 1
-        e_end = np.ceil(t_exit / interval).astype(np.int64) + 1
-        if contiguous:
-            p_start = np.clip(e_start - first_epoch, 0, n_pos)
-            p_end = np.clip(e_end - first_epoch + 1, 0, n_pos)
         else:
-            p_start = np.searchsorted(epochs, e_start, side="left")
-            p_end = np.searchsorted(epochs, e_end, side="right")
-        lengths = (p_end - p_start).ravel()
-        keep = lengths > 0
-        lengths = lengths[keep]
-        if len(lengths) == 0:
-            continue
-        starts = p_start.ravel()[keep]
-        sat_of = np.repeat(np.arange(n_sats, dtype=np.int64), len(ks))[keep]
-        total = int(lengths.sum())
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        flat = np.arange(total, dtype=np.int64)
-        rows_parts.append(
-            np.repeat(starts - offsets, lengths) + flat
-        )
-        cols_parts.append(np.repeat(sat_of, lengths))
-    if not rows_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    # Stable sort by row keeps per-satellite generation order, i.e.
-    # ascending satellite index within each row.
-    order = np.argsort(rows, kind="stable")
-    return rows[order], cols[order]
+            rows, cols = self._arc_pairs(epochs)
+        if self.cos_limit is not None and len(rows):
+            keep = self._cosines(epochs, rows, cols) >= self.cos_limit
+            rows, cols = rows[keep], cols[keep]
+        # Stable sort by row keeps per-satellite generation order, i.e.
+        # ascending satellite index within each row.
+        order = np.argsort(rows, kind="stable")
+        return rows[order], cols[order]
+
+    def _arc_pairs(self, epochs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs inside the latitude-band arcs, grouped by satellite."""
+        n_pos = len(epochs)
+        n_sats = len(self.shell.satellites)
+        interval = STARLINK_RESCHEDULE_INTERVAL_S
+        period = _TWO_PI / self.shell._arg_lat_dot
+        t_min = float(epochs[0]) * interval
+        t_max = float(epochs[-1]) * interval
+        first_epoch = int(epochs[0])
+        last_epoch = int(epochs[-1])
+        contiguous = last_epoch - first_epoch == n_pos - 1
+
+        rows_parts: list[np.ndarray] = []
+        cols_parts: list[np.ndarray] = []
+        for phase, phase_min, phase_max, duration in self.arcs:
+            k_lo = math.floor((t_min - phase_max) / period) - 1
+            k_hi = math.ceil((t_max - phase_min) / period) + 1
+            ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+            t_enter = phase[:, None] + ks[None, :] * period  # (N, K)
+            t_exit = t_enter + duration
+            # Widen by one epoch per side: float slack, on top of the margin.
+            e_start = np.floor(t_enter / interval).astype(np.int64) - 1
+            e_end = np.ceil(t_exit / interval).astype(np.int64) + 1
+            if contiguous:
+                p_start = np.clip(e_start - first_epoch, 0, n_pos)
+                p_end = np.clip(e_end - first_epoch + 1, 0, n_pos)
+            else:
+                p_start = np.searchsorted(epochs, e_start, side="left")
+                p_end = np.searchsorted(epochs, e_end, side="right")
+            lengths = (p_end - p_start).ravel()
+            keep = lengths > 0
+            lengths = lengths[keep]
+            if len(lengths) == 0:
+                continue
+            starts = p_start.ravel()[keep]
+            sat_of = np.repeat(np.arange(n_sats, dtype=np.int64), len(ks))[keep]
+            total = int(lengths.sum())
+            offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+            flat = np.arange(total, dtype=np.int64)
+            rows_parts.append(np.repeat(starts - offsets, lengths) + flat)
+            cols_parts.append(np.repeat(sat_of, lengths))
+        if not rows_parts:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        return np.concatenate(rows_parts), np.concatenate(cols_parts)
+
+    def _cosines(
+        self, epochs: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Cosine of each pair's geocentric angle to the observer.
+
+        The dot product of the two unit vectors is ``a cos(u) + b
+        sin(u)``, where ``a`` and ``b`` depend on the row and the
+        satellite's plane only, through ``alpha`` = RAAN - GMST - the
+        observer's longitude (a plane's satellites share ``_raan0``).
+        With ``u = u0 + du`` split by angle addition, a pair costs two
+        gathers per side and no trigonometry.  This is not the exact
+        stage's operation sequence; the cut's margin absorbs the
+        difference.
+        """
+        shell = self.shell
+        t = epochs * STARLINK_RESCHEDULE_INTERVAL_S
+        dt = t - shell.epoch_s
+        du = shell._arg_lat_dot * dt
+        beta = shell._raan_dot * dt - EARTH_ROTATION_RAD_S * t - self.longitude
+        cos_du, sin_du = np.cos(du)[:, None], np.sin(du)[:, None]
+        cos_b, sin_b = np.cos(beta)[:, None], np.sin(beta)[:, None]
+        # Per (row, plane): alpha = the plane's RAAN + beta.
+        cos_alpha = cos_b * self.cos_raan - sin_b * self.sin_raan
+        sin_alpha = sin_b * self.cos_raan + cos_b * self.sin_raan
+        a = self.cos_lat * cos_alpha
+        b = self.sin_lat_sin_i - self.cos_lat_cos_i * sin_alpha
+        at = rows * len(self.cos_raan) + self.plane[cols]
+        a_u0 = (a * cos_du + b * sin_du).take(at)
+        b_u0 = (b * cos_du - a * sin_du).take(at)
+        return self.cos_u0[cols] * a_u0 + self.sin_u0[cols] * b_u0
 
 
 def compute_serving_timeline(
@@ -213,23 +310,19 @@ def compute_serving_timeline(
     gateway_range = np.zeros(n)
     elevation_out = np.zeros(n)
 
-    rows, cols = _candidate_pairs(shell, terminal, epochs, min_elevation_deg)
-    if len(rows):
-        _fill_serving_arrays(
-            shell,
-            terminal,
-            gateway,
-            epochs,
-            rows,
-            cols,
-            min_elevation_deg,
-            obstruction,
-            chunk_epochs,
-            sat_index,
-            terminal_range,
-            gateway_range,
-            elevation_out,
-        )
+    _fill_serving_arrays(
+        shell,
+        terminal,
+        gateway,
+        epochs,
+        min_elevation_deg,
+        obstruction,
+        chunk_epochs,
+        sat_index,
+        terminal_range,
+        gateway_range,
+        elevation_out,
+    )
     satellites = shell.satellites
     return [
         None
@@ -267,8 +360,6 @@ def _fill_serving_arrays(
     terminal: GeoPoint,
     gateway: GeoPoint,
     epochs: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
     min_elevation_deg: float,
     obstruction,
     chunk_epochs: int,
@@ -279,7 +370,8 @@ def _fill_serving_arrays(
 ) -> None:
     """The chunked batch kernel; mutates the per-epoch output arrays.
 
-    Every numbered expression mirrors the scan path op for op:
+    Each chunk builds and cuts its own candidate pairs, then evaluates
+    the survivors.  Every expression mirrors the scan path op for op:
     ``WalkerShell.positions_ecef`` -> ``_enu_components`` ->
     ``np.hypot``/``np.arctan2`` elevation -> obstruction filter
     (``math.atan2`` azimuth) -> first-max selection -> ranges.
@@ -297,14 +389,12 @@ def _fill_serving_arrays(
     g_obs, g_sin_lat, g_cos_lat, g_sin_lon, g_cos_lon = _enu_constants(gateway)
     wedged = obstruction is not None and getattr(obstruction, "wedges", None)
 
+    candidates = _CandidatePairs(shell, terminal, min_elevation_deg)
     for p0 in range(0, n, chunk_epochs):
         p1 = min(n, p0 + chunk_epochs)
-        m0 = int(np.searchsorted(rows, p0, side="left"))
-        m1 = int(np.searchsorted(rows, p1, side="left"))
-        if m0 == m1:
+        r, c = candidates.pairs(epochs[p0:p1])
+        if len(r) == 0:
             continue
-        r = rows[m0:m1] - p0
-        c = cols[m0:m1]
         n_rows = p1 - p0
         ts = epochs[p0:p1] * interval
         dt = ts - shell.epoch_s

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.rng import stream
+from repro.rng import CategoricalSampler, stream
 
 
 class ServerKind(Enum):
@@ -60,6 +60,9 @@ _INTERCONTINENT_ONE_WAY_S = {
 #: Probability a foreign-hosted site's origin is on each continent
 #: (US-heavy, like the real web).
 _ORIGIN_CONTINENTS = {"USA": 0.55, "EU": 0.30, "AU": 0.03, "NA": 0.12}
+_ORIGIN_REGIONS = tuple(_ORIGIN_CONTINENTS)
+_ORIGIN_WEIGHTS = np.array(list(_ORIGIN_CONTINENTS.values()))
+_ORIGIN_DRAW = CategoricalSampler(_ORIGIN_WEIGHTS / _ORIGIN_WEIGHTS.sum())
 
 #: Resolutions a model memoises; beyond this the oldest are dropped, so
 #: a bounded-memory campaign stays bounded (a six-month campaign
@@ -133,11 +136,7 @@ class HostingModel:
             cross_continent = bool(rng.random() < (0.65 if region == "AU" else 0.15))
         else:
             kind = ServerKind.ORIGIN
-            continents = list(_ORIGIN_CONTINENTS)
-            weights = np.array([_ORIGIN_CONTINENTS[c] for c in continents])
-            origin_region = continents[
-                int(rng.choice(len(continents), p=weights / weights.sum()))
-            ]
+            origin_region = _ORIGIN_REGIONS[_ORIGIN_DRAW(rng)]
             cross_continent = origin_region != region and not (
                 {origin_region, region} <= {"USA", "NA"}
             )

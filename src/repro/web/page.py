@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.rng import CategoricalSampler
 from repro.web.tranco import Site
 
 
@@ -42,6 +43,7 @@ class PageProfileGenerator:
     MEDIAN_DOCUMENT_BYTES = 60_000
     DOCUMENT_SIGMA = 0.9
     REDIRECT_PROBABILITIES = (0.69, 0.25, 0.06)  # 0, 1, 2 redirects
+    _REDIRECTS = CategoricalSampler(REDIRECT_PROBABILITIES)
     MEDIAN_DOM_S = 0.25
     MEDIAN_RENDER_S = 0.10
     DEVICE_SIGMA = 0.5
@@ -52,13 +54,10 @@ class PageProfileGenerator:
             self.MEDIAN_DOCUMENT_BYTES * rng.lognormal(0.0, self.DOCUMENT_SIGMA)
         )
         document = max(2_000, min(document, 4_000_000))
-        n_redirects = int(
-            rng.choice(len(self.REDIRECT_PROBABILITIES), p=self.REDIRECT_PROBABILITIES)
-        )
         return PageProfile(
             site=site,
             document_bytes=document,
-            n_redirects=n_redirects,
+            n_redirects=self._REDIRECTS(rng),
             dom_work_s=float(self.MEDIAN_DOM_S * rng.lognormal(0.0, self.DEVICE_SIGMA)),
             render_work_s=float(
                 self.MEDIAN_RENDER_S * rng.lognormal(0.0, self.DEVICE_SIGMA)

@@ -1,5 +1,8 @@
 """Multi-shell constellation and ISL-routing tests."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,24 @@ def test_route_fails_without_visibility():
 def test_latency_series_stable(isl):
     london = city("london").location
     virginia = city("n_virginia").location
-    series = isl.latency_series(london, virginia, np.linspace(0, 600, 5))
-    assert len(series) == 5
+    series = [
+        isl.route(london, virginia, float(t)).latency_s for t in np.linspace(0, 600, 5)
+    ]
     assert max(series) < 2 * min(series)  # path wobbles, doesn't explode
+
+
+def test_networkx_loads_only_for_isl_routing():
+    """networkx is imported by ISL routing alone: the campaign, service
+    and fabric entry points (and so every fabric worker) start without
+    it."""
+    code = (
+        "import sys\n"
+        "import repro.experiments, repro.extension.campaign\n"
+        "import repro.service, repro.runtime.fabric\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == "False"

@@ -1,10 +1,13 @@
 """Deterministic RNG stream tests."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.rng import stream, substream_seed
+from repro.rng import CategoricalSampler, stream, substream_seed
+from repro.web.hosting import _ORIGIN_WEIGHTS
+from repro.web.page import PageProfileGenerator
 
 
 def test_same_labels_same_stream():
@@ -54,3 +57,28 @@ def test_stream_reproducible_property(seed):
     assert stream(seed, "t").integers(0, 1 << 30) == stream(seed, "t").integers(
         0, 1 << 30
     )
+
+
+@pytest.mark.parametrize(
+    "probabilities",
+    [
+        PageProfileGenerator.REDIRECT_PROBABILITIES,
+        _ORIGIN_WEIGHTS / _ORIGIN_WEIGHTS.sum(),
+    ],
+    ids=["redirects", "origin-continents"],
+)
+def test_categorical_sampler_matches_generator_choice(probabilities):
+    """The precomputed-CDF draw is ``Generator.choice(n, p=p)`` on the
+    installed numpy: same index on every draw and the same generator
+    state afterwards, so a numpy release that changes ``choice`` fails
+    here rather than moving the artefact digests."""
+    n = len(probabilities)
+    sampler = CategoricalSampler(probabilities)
+    by_choice = np.random.default_rng(2022)
+    by_sampler = np.random.default_rng(2022)
+    draws = 100_000
+    expected = [int(by_choice.choice(n, p=probabilities)) for _ in range(draws)]
+    got = [sampler(by_sampler) for _ in range(draws)]
+    assert got == expected
+    assert set(got) == set(range(n))
+    assert by_sampler.bit_generator.state == by_choice.bit_generator.state

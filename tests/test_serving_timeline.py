@@ -8,20 +8,25 @@ batch-fills a bent pipe's link-state table from it and the determinism
 contract rides on them.
 """
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import STARLINK_RESCHEDULE_INTERVAL_S
 from repro.errors import ConfigurationError
 from repro.geo.cities import city
-from repro.orbits.constellation import starlink_shell1
+from repro.geo.coordinates import GeoPoint
+from repro.orbits.constellation import WalkerShell, starlink_shell1
 from repro.starlink.bentpipe import (
     OUTAGE_RTT_PENALTY_S,
     PROCESSING_DELAY_S,
     SCHEDULER_DELAY_S,
     BentPipeModel,
 )
-from repro.starlink.obstruction import ObstructionMask
+from repro.starlink.obstruction import ObstructionMask, ObstructionWedge
 from repro.starlink.pop import pop_for_city
 from repro.starlink.timeline import compute_serving_timeline
 from repro.weather.history import WeatherHistory
@@ -289,14 +294,14 @@ def test_cached_epoch_keeps_the_weather_window_check(method):
 def test_negative_mask_candidate_arcs_are_pruned():
     """Masked/negative-elevation terminals get interval-pruned arcs,
     not the dense full-circle fallback."""
-    from repro.starlink.timeline import _TWO_PI, _candidate_arcs, _candidate_pairs
+    from repro.starlink.timeline import _TWO_PI, _candidate_arcs, _CandidatePairs
 
     observer = city("london").location
     shell = starlink_shell1(n_planes=24, sats_per_plane=12)
     arcs = _candidate_arcs(observer, shell, -5.0)
     assert sum(hi - lo for lo, hi in arcs) < _TWO_PI
     epochs = np.arange(0, 240, dtype=np.int64)
-    rows, _ = _candidate_pairs(shell, observer, epochs, -5.0)
+    rows, _ = _CandidatePairs(shell, observer, -5.0).pairs(epochs)
     assert len(rows) < len(epochs) * len(shell.satellites)
 
 
@@ -307,9 +312,95 @@ def test_negative_mask_timeline_matches_scan():
     _assert_matches_scan(model, _hours(1), _kernel(model, _hours(1)))
 
 
+@pytest.mark.parametrize("latitude", [85.0, -88.0, 90.0])
+def test_terminal_poleward_of_the_shell_is_an_outage(latitude):
+    """A latitude band wholly poleward of the shell has no candidate
+    arc, so the kernel reports the scan's outages instead of raising."""
+    model = _model(shell=starlink_shell1(n_planes=24, sats_per_plane=12))
+    model.terminal = GeoPoint(latitude, 10.0)
+    geometries = _kernel(model, _hours(1))
+    assert geometries == [None] * len(_hours(1))
+    _assert_matches_scan(model, _hours(1), geometries)
+
+
 def test_hemispheric_mask_degenerates_to_full_circle():
     from repro.starlink.timeline import _TWO_PI, _candidate_arcs
 
     shell = starlink_shell1(n_planes=24, sats_per_plane=12)
     arcs = _candidate_arcs(city("london").location, shell, -90.0)
     assert arcs == [(0.0, _TWO_PI)]
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A small shell, a terminal and mask at the edges of both cuts, and
+    a sparse or contiguous epoch set."""
+    inclination = draw(st.sampled_from([53.0, 70.0, 97.6]))
+    shell = WalkerShell(
+        altitude_m=draw(st.sampled_from([340e3, 550e3, 1150e3])),
+        inclination_deg=inclination,
+        n_planes=draw(st.integers(3, 12)),
+        sats_per_plane=draw(st.integers(2, 10)),
+    )
+    highest = min(inclination, 180.0 - inclination)
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    latitude = draw(
+        st.one_of(
+            st.floats(-90.0, 90.0),
+            st.floats(-12.0, 12.0).map(lambda d: sign * highest + d),
+            st.floats(0.0, 2.0).map(lambda d: sign * (90.0 - d)),
+        )
+    )
+    terminal = GeoPoint(
+        min(90.0, max(-90.0, latitude)),
+        draw(st.floats(-180.0, 180.0)),
+        draw(st.floats(-400.0, 3000.0)),
+    )
+    mask = draw(
+        st.one_of(
+            st.floats(-89.99, -0.01),
+            st.sampled_from([0.0, 25.0, 40.0]),
+            st.floats(-120.0, -90.0),
+        )
+    )
+    first = draw(st.integers(0, 50_000))
+    if draw(st.booleans()):
+        epochs = np.arange(first, first + draw(st.integers(1, 150)))
+    else:
+        offsets = draw(st.lists(st.integers(0, 20_000), min_size=1, max_size=80))
+        epochs = np.unique(np.array(offsets) + first)
+    obstruction = None
+    if draw(st.booleans()):
+        start = draw(st.floats(0.0, 360.0))
+        obstruction = ObstructionMask(
+            [
+                ObstructionWedge(
+                    start,
+                    (start + draw(st.floats(10.0, 200.0))) % 360.0,
+                    draw(st.floats(0.0, 70.0)),
+                )
+            ]
+        )
+    return shell, terminal, mask, epochs, obstruction
+
+
+@settings(max_examples=100, deadline=timedelta(milliseconds=2000))
+@given(_kernel_cases())
+def test_pruned_kernel_matches_scan_property(case):
+    """Both cuts drop only pairs the scan finds invisible: across
+    inclinations, terminals at the latitude band's edge and the poles,
+    masks from below -90 to 40 degrees and obstruction wedges, the kernel
+    equals the scan epoch by epoch."""
+    shell, terminal, mask, epochs, obstruction = case
+    gateway = GeoPoint(
+        min(90.0, terminal.latitude_deg + 1.5), terminal.longitude_deg / 2.0
+    )
+    model = BentPipeModel(
+        shell,
+        terminal,
+        gateway,
+        "seattle",
+        min_elevation_deg=mask,
+        obstruction=obstruction,
+    )
+    _assert_matches_scan(model, epochs, _kernel(model, epochs))
