@@ -5,9 +5,11 @@ tests) and TCP iperf flows (Figure 6(b)/Figure 8) over the broadband
 access path — under the heap-driven event engine and the vectorised
 batch engine, asserts the batch results stay inside the statistical
 equivalence bands (DESIGN.md §10), and asserts the >= 10x speedup the
-engine exists for.  The workload is UDP-heavy like the real campaigns;
-TCP-only microflows in pathological small-window regimes see less (the
-per-round numpy overhead dominates there, see DESIGN.md §10).
+engine exists for.  The workload is UDP-heavy like the real campaigns.
+TCP flows whose windows stay small see a lower ratio: a batch round
+pays a fixed count of numpy calls per hop however few packets it
+carries (about 40x on Figure 8's campus Wi-Fi path against about 90x on
+this broadband one, DESIGN.md §10).
 """
 
 from __future__ import annotations

@@ -15,8 +15,16 @@ advances whole flows in numpy chunks instead:
   chunk.  Tail drops: a chunk whose bytes cannot fill the queue skips
   admission, otherwise one vector pass finds whether any packet
   violates capacity, and only then does an exact sequential scan
-  resolve the drops (rare outside overload).  A chunk that loses
-  nothing builds no drop or loss masks.
+  resolve the drops (rare outside overload; it walks Python floats in
+  blocks of ``_SCAN_BLOCK`` packets).
+* **Numpy calls only where a result needs them** — a chunk's packets
+  share one scalar size, so a hop builds its cumulative sums from one
+  ``np.full`` and bounds its queue by ``n * size``.  A chunk that loses
+  nothing builds no drop or loss mask: :meth:`BatchHop.traverse` and
+  :meth:`BatchPath.propagate` return ``None`` for an all-delivered
+  mask, and the runners pass whole arrays on.  Every such path is
+  decided from the data, never from a loss model's type, and gives
+  the full path's values bit for bit.
 * **Vectorised loss/queue draws** — loss models expose ``drop_mask``
   (see :mod:`repro.net.loss`), consuming their per-user RNG streams in
   exactly the per-packet call order, so single-link decisions are
@@ -38,6 +46,7 @@ switch: a caller picks an engine by calling it — Figure 8 calls
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -54,77 +63,64 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 
 def fifo_horizon(
-    arrival_s: np.ndarray, tx_s: np.ndarray, busy_until_s: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Service start/finish times of a FIFO server (no drops).
+    arrival_s: np.ndarray, tx_s: float | np.ndarray, busy_until_s: float = 0.0
+) -> np.ndarray:
+    """Service finish times of a FIFO server (no drops).
 
     Closed form of the Lindley recursion for sorted arrivals:
     ``finish_i = C_i + max(busy, max_{j<=i}(a_j - C_{j-1}))`` with ``C``
     the cumulative transmission time and ``busy`` the initial workload
-    (the time the server is busy until from earlier chunks).
+    (the time the server is busy until from earlier chunks).  ``tx_s``
+    is one transmission time for every packet or one per packet; a
+    scalar builds ``C`` as ``np.full(n, tx).cumsum()``, the values the
+    per-packet ``cumsum`` gives.  Packet ``i`` starts service at
+    ``finish_i - tx_i``.
     """
-    cumulative = np.cumsum(tx_s)
+    if isinstance(tx_s, np.ndarray):
+        cumulative = np.cumsum(tx_s)
+    else:
+        cumulative = np.full(len(arrival_s), tx_s).cumsum()
     horizon = np.maximum.accumulate(arrival_s - (cumulative - tx_s))
-    finish = cumulative + np.maximum(horizon, busy_until_s)
-    return finish - tx_s, finish
-
-
-def transmit_fifo(
-    arrival_s: np.ndarray,
-    size_bytes: np.ndarray,
-    rate_bps: float,
-    capacity_bytes: int | None = None,
-    busy_until_s: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FIFO serialisation with drop-tail admission.
-
-    Mirrors :class:`repro.net.link.Link` + ``DropTailQueue`` exactly: a
-    packet arriving while the server is busy is dropped when the queued
-    bytes (excluding the packet in transmission) plus its own size
-    exceed ``capacity_bytes``; a packet arriving at an idle server is
-    always admitted.  ``busy_until_s`` carries the server's residual
-    workload from earlier chunks: it delays service starts and its
-    remaining bytes (``rate * (busy - arrival)``) count against queue
-    capacity, so backlog persists across chunk boundaries.
-
-    Returns:
-        ``(accepted, start_s, finish_s)`` — a boolean mask over the
-        input and per-packet service times (NaN where dropped).
-    """
-    arrival_s = np.asarray(arrival_s, dtype=float)
-    size_bytes = np.asarray(size_bytes, dtype=float)
-    accepted, start, finish = _serve(
-        arrival_s, size_bytes, rate_bps, capacity_bytes, busy_until_s
-    )
-    if accepted is None:
-        accepted = np.ones(len(arrival_s), dtype=bool)
-    return accepted, start, finish
+    return cumulative + np.maximum(horizon, busy_until_s)
 
 
 def _serve(
     arrival_s: np.ndarray,
-    size_bytes: np.ndarray,
+    size_bytes: float | np.ndarray,
     rate_bps: float,
     capacity_bytes: int | None,
     busy_until_s: float,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """The one drop-tail admission check behind :func:`transmit_fifo`
-    and :meth:`BatchHop.traverse`.
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Drop-tail admission and FIFO service of one sorted chunk.
 
-    Returns ``(accepted, start_s, finish_s)`` for float inputs;
-    ``accepted`` is ``None`` when every packet is admitted (the common
-    case), else a mask with NaN service times where dropped.
+    Mirrors :class:`repro.net.link.Link` + ``DropTailQueue``: a packet
+    arriving while the server is busy is dropped when the queued bytes
+    (excluding the packet in transmission) plus its own size exceed
+    ``capacity_bytes``; a packet arriving at an idle server is always
+    admitted.  ``busy_until_s`` carries the server's residual workload
+    from earlier chunks: it delays service starts and its remaining
+    bytes (``rate * (busy - arrival)``) count against queue capacity,
+    so backlog persists across chunk boundaries.  ``size_bytes`` is one
+    size for every packet or one per packet.
+
+    Returns ``(accepted, finish_s)``: ``accepted`` is ``None`` when
+    every packet is admitted (the common case), else a mask with NaN
+    finish times where dropped.
     """
     tx_s = size_bytes * 8.0 / rate_bps
-    start, finish = fifo_horizon(arrival_s, tx_s, busy_until_s)
+    finish = fifo_horizon(arrival_s, tx_s, busy_until_s)
     if capacity_bytes is None:
-        return None, start, finish
+        return None, finish
     # Queued bytes at each packet's arrival: predecessors whose service
     # has not started yet (the packet in transmission has start <=
     # arrival and is excluded, matching the queue's capacity model),
     # plus the residual carried workload still unserved at the arrival
     # instant.
-    cumulative = np.cumsum(size_bytes)
+    start = finish - tx_s
+    if isinstance(size_bytes, np.ndarray):
+        cumulative = np.cumsum(size_bytes)
+    else:
+        cumulative = np.full(len(arrival_s), size_bytes, dtype=float).cumsum()
     not_started = np.searchsorted(start, arrival_s, side="right")
     ordinal = np.arange(len(arrival_s))
     queued_bytes = np.where(ordinal > 0, cumulative[ordinal - 1], 0.0)
@@ -134,11 +130,14 @@ def _serve(
     if violates.any():
         # Drops change the dynamics of everything after them, so the
         # drop-free schedule above is only a fast path; resolve
-        # admission exactly with one O(n) sequential scan.
-        return _admit_sequential(
+        # admission exactly with one O(n) sequential scan.  The scan
+        # may still admit every packet: a start that rounds past its
+        # arrival looks like a wait above.
+        accepted, finish = _admit_sequential(
             arrival_s, size_bytes, tx_s, rate_bps, capacity_bytes, busy_until_s
         )
-    return None, start, finish
+        return (None if accepted.all() else accepted), finish
+    return None, finish
 
 
 _FIT_MARGIN = 1e-9
@@ -147,7 +146,7 @@ _FIT_MARGIN = 1e-9
 
 def _cannot_overflow(
     arrival_s: np.ndarray,
-    size_bytes: np.ndarray,
+    size_bytes: float | np.ndarray,
     rate_bps: float,
     capacity_bytes: int,
     busy_until_s: float,
@@ -161,54 +160,88 @@ def _cannot_overflow(
     of :func:`_serve`'s ``cumsum``, the bound lets a chunk skip that
     per-packet pass.
     """
-    if not len(arrival_s):
+    n = len(arrival_s)
+    if not n:
         return True
     residual_bytes = max(0.0, busy_until_s - float(arrival_s[0])) * rate_bps / 8.0
-    bound = float(size_bytes.sum()) + residual_bytes
-    return bound * (1.0 + _FIT_MARGIN) < capacity_bytes
+    if isinstance(size_bytes, np.ndarray):
+        chunk_bytes = float(size_bytes.sum())
+    else:
+        chunk_bytes = n * size_bytes
+    return (chunk_bytes + residual_bytes) * (1.0 + _FIT_MARGIN) < capacity_bytes
+
+
+_SCAN_BLOCK = 1024
+"""Packets :func:`_admit_sequential` converts to Python floats at once."""
 
 
 def _admit_sequential(
     arrival_s: np.ndarray,
-    size_bytes: np.ndarray,
-    tx_s: np.ndarray,
+    size_bytes: float | np.ndarray,
+    tx_s: float | np.ndarray,
     rate_bps: float,
     capacity_bytes: int,
     busy_until_s: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact drop-tail admission in one sequential pass.
 
     Replays the per-packet FIFO recursion with a deque of
     not-yet-started packets, so queued-bytes accounting is O(1)
     amortised per packet — the slow path behind :func:`_serve` when
-    the drop-free schedule violates capacity.
-    """
-    from collections import deque
+    the drop-free schedule violates capacity.  Returns ``(accepted,
+    finish_s)`` like :func:`_serve`.
 
+    The loop reads Python floats, converted ``_SCAN_BLOCK`` packets at
+    a time with ``tolist()``: a numpy scalar per packet costs several
+    times the arithmetic, and converting a whole chunk at once would
+    hold a Python float per packet (a UDP burst chunk has thousands)
+    for the length of the scan.  A packet that finds the server idle
+    is admitted without counting queued bytes; the not-yet-started
+    packets it leaves in the deque have all started by then, and the
+    next packet that waits pops them in the same order before any
+    other packet joins, so every sum is taken as in the per-packet
+    recursion.
+    """
     n = len(arrival_s)
     accepted = np.zeros(n, dtype=bool)
-    start_all = np.full(n, np.nan)
     finish_all = np.full(n, np.nan)
+    per_packet = isinstance(size_bytes, np.ndarray)
+    if not per_packet:
+        size = float(size_bytes)
+        tx = float(tx_s)
     pending: deque[tuple[float, float]] = deque()  # (start_s, size_bytes)
     pending_bytes = 0.0
     prev_finish = busy_until_s
-    for i in range(n):
-        arrival = float(arrival_s[i])
-        while pending and pending[0][0] <= arrival:
-            pending_bytes -= pending.popleft()[1]
-        queued = pending_bytes + max(0.0, busy_until_s - arrival) * rate_bps / 8.0
-        size = float(size_bytes[i])
-        begin = arrival if arrival > prev_finish else prev_finish
-        if begin > arrival and queued + size > capacity_bytes:
-            continue  # tail drop
-        accepted[i] = True
-        start_all[i] = begin
-        prev_finish = begin + float(tx_s[i])
-        finish_all[i] = prev_finish
-        if begin > arrival:
-            pending.append((begin, size))
-            pending_bytes += size
-    return accepted, start_all, finish_all
+    for lo in range(0, n, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, n)
+        arrivals = arrival_s[lo:hi].tolist()
+        if per_packet:
+            sizes = size_bytes[lo:hi].tolist()
+            txs = tx_s[lo:hi].tolist()
+        admitted = [False] * len(arrivals)
+        finishes = [math.nan] * len(arrivals)
+        for j, arrival in enumerate(arrivals):
+            if per_packet:
+                size = sizes[j]
+                tx = txs[j]
+            if arrival >= prev_finish:  # idle server: service starts now
+                prev_finish = arrival + tx
+            else:  # waits until prev_finish
+                while pending and pending[0][0] <= arrival:
+                    pending_bytes -= pending.popleft()[1]
+                queued = pending_bytes
+                if arrival < busy_until_s:
+                    queued += (busy_until_s - arrival) * rate_bps / 8.0
+                if queued + size > capacity_bytes:
+                    continue  # tail drop
+                pending.append((prev_finish, size))
+                pending_bytes += size
+                prev_finish += tx
+            admitted[j] = True
+            finishes[j] = prev_finish
+        accepted[lo:hi] = admitted
+        finish_all[lo:hi] = finishes
+    return accepted, finish_all
 
 
 @dataclass
@@ -234,20 +267,22 @@ class BatchHop:
     _busy_until_s: float = field(default=0.0, init=False)
 
     def traverse(
-        self, arrival_s: np.ndarray, size_bytes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, arrival_s: np.ndarray, size_bytes: float | np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray]:
         """Push a sorted chunk of packets through this hop.
 
-        Returns ``(delivered_mask, handoff_s)`` over the input chunk:
-        who survived queue admission and the loss model, and when each
-        survivor reaches the next node's input (delivery plus the
-        receiving node's processing delay; NaN where the packet died).
+        ``size_bytes`` is one size for every packet (what the runners
+        pass) or one per packet.  Returns ``(delivered_mask,
+        handoff_s)`` over the input chunk: who survived queue admission
+        and the loss model, and when each survivor reaches the next
+        node's input (delivery plus the receiving node's processing
+        delay; NaN where the packet died).  ``delivered_mask`` is
+        ``None`` when every packet was delivered.
 
         Most chunks lose nothing, so the masks and scatters over the
         chunk are built only when a packet was dropped or lost.
         """
         arrival_s = np.asarray(arrival_s, dtype=float)
-        size_bytes = np.asarray(size_bytes, dtype=float)
         n = len(arrival_s)
         self.offered += n
         capacity = self.queue_capacity_bytes
@@ -255,7 +290,7 @@ class BatchHop:
             arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s
         ):
             capacity = None
-        accepted, _, finish = _serve(
+        accepted, finish = _serve(
             arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s
         )
         served = finish if accepted is None else finish[accepted]
@@ -263,40 +298,39 @@ class BatchHop:
         if len(served):
             self._busy_until_s = float(served[-1])
         lost = self._draw_losses(served)
-        whole = accepted is None and lost is None
-        if whole:
-            delivered_mask = np.ones(n, dtype=bool)
-            finish_delivered = finish
+        if lost is None:
+            delivered_mask = accepted
+        elif accepted is None:
+            delivered_mask = ~lost
         else:
-            if accepted is None:
-                accepted = np.ones(n, dtype=bool)
             delivered_mask = accepted.copy()
-            if lost is not None:
-                delivered_mask[accepted] = ~lost
-            finish_delivered = finish[delivered_mask]
+            delivered_mask[accepted] = ~lost
+        finish_delivered = finish if delivered_mask is None else finish[delivered_mask]
         if callable(self.delay):
             delay = self._evaluate(self.delay, finish_delivered, "delay")
         else:
             delay = float(self.delay)
-        raw_delivery = finish_delivered + delay
+        delivery = finish_delivered + delay
         if self.extra_delay is not None:
-            raw_delivery += self._evaluate(
+            delivery += self._evaluate(
                 self.extra_delay, finish_delivered, "extra_delay"
             )
-        # FIFO monotone-delivery clamp, continuing across chunks.
-        delivery = np.maximum(
-            np.maximum.accumulate(raw_delivery), self._last_delivery_s
-        )
+        # FIFO monotone-delivery clamp, continuing across chunks: the
+        # running maximum is non-decreasing, so the carried delivery
+        # can only bind when the first delivery precedes it.
+        np.maximum.accumulate(delivery, out=delivery)
         if len(delivery):
+            if delivery[0] < self._last_delivery_s:
+                np.maximum(delivery, self._last_delivery_s, out=delivery)
             self._last_delivery_s = float(delivery[-1])
         self.delivered += len(delivery)
-        handoff = delivery + self.rx_processing_delay_s
-        if whole:
-            return delivered_mask, handoff
-        handoff_all = np.full(n, np.nan)
-        handoff_all[delivered_mask] = handoff
-        return delivered_mask, handoff_all
-
+        if self.rx_processing_delay_s:
+            delivery += self.rx_processing_delay_s
+        if delivered_mask is None:
+            return None, delivery
+        handoff = np.full(n, np.nan)
+        handoff[delivered_mask] = delivery
+        return delivered_mask, handoff
     def _evaluate(self, provider, times_s: np.ndarray, what: str) -> np.ndarray:
         """Evaluate a per-packet time function (the ``delay`` provider or
         the ``extra_delay`` sampler) over a time vector, in order,
@@ -379,24 +413,29 @@ class BatchPath:
         return cls(hops=hops, src=src, dst=dst)
 
     def propagate(
-        self, departure_s: np.ndarray, size_bytes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Push a sorted batch end-to-end through every hop.
+        self, departure_s: np.ndarray, size_bytes: float
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Push a sorted batch of ``size_bytes`` packets end-to-end
+        through every hop.
 
         Returns ``(delivered_mask, arrival_s)`` over the departures;
-        arrivals are NaN where the packet died en route.
+        arrivals are NaN where the packet died en route, and the mask
+        is ``None`` when every packet arrived.  The index and mask
+        arrays are built only after a hop lost a packet.
         """
         departure_s = np.asarray(departure_s, dtype=float)
-        n = len(departure_s)
-        sizes = np.broadcast_to(np.asarray(size_bytes, dtype=float), (n,))
-        live = np.arange(n)  # departure indices of the packets in flight
+        live = None  # departure indices in flight, once a packet died
         times = departure_s
         for hop in self.hops:
-            if not len(live):
+            if not len(times):
                 break
-            survived, times = hop.traverse(times, sizes)
-            if not survived.all():
-                live, sizes, times = live[survived], sizes[survived], times[survived]
+            survived, times = hop.traverse(times, size_bytes)
+            if survived is not None:
+                live = np.flatnonzero(survived) if live is None else live[survived]
+                times = times[survived]
+        if live is None:
+            return None, times
+        n = len(departure_s)
         alive = np.zeros(n, dtype=bool)
         alive[live] = True
         arrivals = np.full(n, np.nan)
@@ -429,10 +468,9 @@ def run_udp_burst_batch(
     n_packets = int(duration_s / interval)
     base = path.network.sim.now
     departures = base + np.arange(n_packets) * interval
-    delivered, arrivals = chain.propagate(departures, packet_bytes + 28)
-    deadline = base + duration_s + drain_s
-    in_time = np.nan_to_num(arrivals, nan=np.inf) <= deadline
-    received = int((delivered & in_time).sum())
+    _, arrivals = chain.propagate(departures, packet_bytes + 28)
+    # A packet that died en route arrives at NaN, which compares false.
+    received = int(np.count_nonzero(arrivals <= base + duration_s + drain_s))
     achieved = received * packet_bytes * 8.0 / duration_s
     loss = 1.0 - received / n_packets if n_packets else 0.0
     return UdpBurstResult(
@@ -524,14 +562,16 @@ def run_iperf_tcp_batch(
             spacing = 0.0  # first round: initial-window burst
         departures = now + np.arange(len(seqs)) * spacing
         data_ok, data_arrivals = forward.propagate(departures, wire_bytes)
-        ack_ok = np.zeros(len(seqs), dtype=bool)
-        ack_arrivals = np.full(len(seqs), np.nan)
-        if data_ok.any():
-            ok, arrivals = reverse.propagate(data_arrivals[data_ok], ACK_SIZE_BYTES)
-            indices = np.flatnonzero(data_ok)
-            ack_ok[indices[ok]] = True
-            ack_arrivals[indices[ok]] = arrivals[ok]
-        acked = ack_ok & (np.nan_to_num(ack_arrivals, nan=np.inf) <= deadline_s)
+        if data_ok is None:  # every segment arrived: each one is acked
+            _, ack_arrivals = reverse.propagate(data_arrivals, ACK_SIZE_BYTES)
+        else:
+            ack_arrivals = np.full(len(seqs), np.nan)
+            if data_ok.any():
+                ack_arrivals[data_ok] = reverse.propagate(
+                    data_arrivals[data_ok], ACK_SIZE_BYTES
+                )[1]
+        # A segment or ack that died arrives at NaN, which compares false.
+        acked = ack_arrivals <= deadline_s
         n_acked = int(acked.sum())
         if n_acked == 0:
             # Whole window lost: retransmission timeout.

@@ -4,15 +4,13 @@ Wraps a :class:`~repro.net.link.Link` so every delivery and loss is
 recorded with its timestamp — the simulated analogue of running tcpdump
 on an interface.  Used by debugging sessions and tests to verify
 traffic patterns (e.g. that loss really clusters inside handover
-windows) and to extract per-flow rate series for plotting.
+windows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.link import Link
@@ -77,29 +75,6 @@ class LinkTap:
         n_lost = len(self.lost(flow_id))
         n_total = n_lost + len(self.delivered(flow_id))
         return n_lost / n_total if n_total else 0.0
-
-    def throughput_series(
-        self, bin_s: float = 1.0, flow_id: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(bin starts, Mbps per bin) of delivered traffic."""
-        if bin_s <= 0:
-            raise ConfigurationError(f"bin size must be positive: {bin_s}")
-        delivered = self.delivered(flow_id)
-        if not delivered:
-            return np.array([]), np.array([])
-        times = np.array([r.t_s for r in delivered])
-        sizes = np.array([r.size_bytes for r in delivered], dtype=float)
-        start = float(times.min())
-        bins = ((times - start) // bin_s).astype(int)
-        n_bins = int(bins.max()) + 1
-        bytes_per_bin = np.zeros(n_bins)
-        np.add.at(bytes_per_bin, bins, sizes)
-        bin_starts = start + np.arange(n_bins) * bin_s
-        return bin_starts, bytes_per_bin * 8.0 / bin_s / 1e6
-
-    def loss_times(self) -> np.ndarray:
-        """Timestamps of every loss (for clump analysis)."""
-        return np.array([r.t_s for r in self.records if r.event is CaptureEvent.LOST])
 
 
 def tap_link(link: Link) -> LinkTap:

@@ -146,14 +146,6 @@ class GilbertElliottLoss:
             sojourn_mean = self.mean_bad_s if self._in_bad else self.mean_good_s
             self._next_transition_s += self.rng.exponential(sojourn_mean)
 
-    @property
-    def stationary_loss_rate(self) -> float:
-        """Long-run average loss probability."""
-        total = self.mean_good_s + self.mean_bad_s
-        return (
-            self.loss_good * self.mean_good_s + self.loss_bad * self.mean_bad_s
-        ) / total
-
     def should_drop(self, packet: Packet, now_s: float) -> bool:
         """Drop with the current state's probability (time-driven)."""
         self._advance(now_s)

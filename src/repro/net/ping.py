@@ -40,12 +40,6 @@ class PingResult:
         """Minimum RTT, or None if everything was lost."""
         return min(self.rtts_s) if self.rtts_s else None
 
-    def avg_rtt_s(self) -> float | None:
-        """Mean RTT, or None if everything was lost."""
-        if not self.rtts_s:
-            return None
-        return sum(self.rtts_s) / len(self.rtts_s)
-
     def max_rtt_s(self) -> float | None:
         """Maximum RTT, or None if everything was lost."""
         return max(self.rtts_s) if self.rtts_s else None

@@ -48,16 +48,6 @@ class HopResult:
         """Maximum observed RTT, or None."""
         return max(self.rtts_s) if self.rtts_s else None
 
-    def median_rtt_s(self) -> float | None:
-        """Median observed RTT, or None."""
-        if not self.rtts_s:
-            return None
-        ordered = sorted(self.rtts_s)
-        middle = len(ordered) // 2
-        if len(ordered) % 2 == 1:
-            return ordered[middle]
-        return 0.5 * (ordered[middle - 1] + ordered[middle])
-
 
 @dataclass
 class TracerouteResult:

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet, Protocol
+from repro.net.topology import Network
 from repro.starlink.access import AccessPath
 from repro.tcp.flow import TcpFlow
 from repro.units import bps_to_mbps
@@ -88,6 +89,62 @@ def run_iperf_tcp(
     )
 
 
+class _UdpBurst:
+    """The packets of one UDP burst and the count that arrived.
+
+    Packet ``seq`` is sent at ``base_s + seq * interval_s``, and each
+    send schedules the next one before its packet leaves, so one send
+    is pending instead of the whole burst.  The chain is a bound
+    method, not a closure that refers to itself: such a cycle would
+    leave every call's state to the cyclic garbage collector (as
+    :class:`repro.net.trace._ProbeChain`).
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        src: str,
+        dst: str,
+        size_bytes: int,
+        n_packets: int,
+        interval_s: float,
+    ) -> None:
+        self.sim = network.sim
+        self.source = network.node(src)
+        self.src = src
+        self.dst = dst
+        self.flow_id = self.sim.flow_id("udp-burst")
+        self.size_bytes = size_bytes
+        self.n_packets = n_packets
+        self.interval_s = interval_s
+        self.base_s = self.sim.now
+        self.received = 0
+
+    def schedule(self, seq: int) -> None:
+        """Schedule the send of packet ``seq``."""
+        self.sim.schedule_at(self.base_s + seq * self.interval_s, self.send, seq)
+
+    def send(self, seq: int) -> None:
+        """Send packet ``seq``, after scheduling the next one."""
+        if seq + 1 < self.n_packets:
+            self.schedule(seq + 1)
+        self.source.send(
+            Packet(
+                src=self.src,
+                dst=self.dst,
+                protocol=Protocol.UDP,
+                size_bytes=self.size_bytes,
+                flow_id=self.flow_id,
+                seq=seq,
+                created_s=self.sim.now,
+            )
+        )
+
+    def on_packet(self, packet: Packet, now: float) -> None:
+        """Count one arrival at the sink."""
+        self.received += 1
+
+
 def run_udp_burst(
     path: AccessPath,
     rate_bps: float,
@@ -105,44 +162,23 @@ def run_udp_burst(
         raise ConfigurationError(f"rate must be positive: {rate_bps}")
     network = path.network
     src, dst = (path.server, path.client) if download else (path.client, path.server)
-    source = network.node(src)
-    sink = network.node(dst)
-    flow_id = network.sim.flow_id("udp-burst")
-    received = [0]
-
-    def on_packet(packet: Packet, now: float) -> None:
-        received[0] += 1
-
-    sink.register_handler(flow_id, on_packet)
     interval = packet_bytes * 8.0 / rate_bps
     n_packets = int(duration_s / interval)
-    base = network.sim.now
-
-    def send(seq: int) -> None:
-        source.send(
-            Packet(
-                src=src,
-                dst=dst,
-                protocol=Protocol.UDP,
-                size_bytes=packet_bytes + 28,
-                flow_id=flow_id,
-                seq=seq,
-                created_s=network.sim.now,
-            )
-        )
-
-    for seq in range(n_packets):
-        network.sim.schedule_at(base + seq * interval, send, seq)
-    network.sim.run(until=base + duration_s + drain_s)
-    sink.unregister_handler(flow_id)
-    achieved = received[0] * packet_bytes * 8.0 / duration_s
-    loss = 1.0 - received[0] / n_packets if n_packets else 0.0
+    burst = _UdpBurst(network, src, dst, packet_bytes + 28, n_packets, interval)
+    sink = network.node(dst)
+    sink.register_handler(burst.flow_id, burst.on_packet)
+    if n_packets > 0:
+        burst.schedule(0)
+    network.sim.run(until=burst.base_s + duration_s + drain_s)
+    sink.unregister_handler(burst.flow_id)
+    achieved = burst.received * packet_bytes * 8.0 / duration_s
+    loss = 1.0 - burst.received / n_packets if n_packets else 0.0
     return UdpBurstResult(
         offered_mbps=bps_to_mbps(rate_bps),
         achieved_mbps=bps_to_mbps(achieved),
         loss_fraction=loss,
         packets_sent=n_packets,
-        packets_received=received[0],
+        packets_received=burst.received,
     )
 
 

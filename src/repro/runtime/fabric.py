@@ -799,6 +799,17 @@ class FabricCoordinator:
                 )
             elif doc.get("wall_s"):
                 self._durations.append(float(doc["wall_s"]))
+            if not resumed and self._seen_token.get(shard_id) != token:
+                # Claimed and completed between two lease scans: log the
+                # claim the scans never saw, from the manifest.
+                self.log.log(
+                    "lease_claimed",
+                    shard_id=shard_id,
+                    worker_id=doc.get("worker_id"),
+                    token=token,
+                    attempt=attempt,
+                    redispatched=shard_id in self._pending,
+                )
             context = self._pending.pop(shard_id, None)
             stolen = (
                 context is not None

@@ -18,17 +18,23 @@ transitional ``run_experiment(engine=)`` changes nothing.
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.geo.cities import city
+from repro.net import batch
 from repro.net.batch import (
     BatchHop,
+    BatchPath,
     fifo_horizon,
     run_iperf_tcp_batch,
     run_udp_burst_batch,
-    transmit_fifo,
 )
 from repro.net.link import Link
 from repro.net.loss import (
@@ -95,6 +101,77 @@ def _oracle_link_run(arrivals, sizes, rate_bps, capacity_bytes, loss, extra_dela
     return link, mask, times
 
 
+def _scan_elementwise(arrival_s, size_bytes, rate_bps, capacity_bytes, busy_until_s):
+    """Exact drop-tail admission one numpy scalar at a time: the scan
+    behind the hop as first written.  Returns ``(accepted, finish_s)``."""
+    tx_s = size_bytes * 8.0 / rate_bps
+    n = len(arrival_s)
+    accepted = np.zeros(n, dtype=bool)
+    finish_all = np.full(n, np.nan)
+    pending = deque()  # (start_s, size_bytes) of packets not yet started
+    pending_bytes = 0.0
+    prev_finish = busy_until_s
+    for i in range(n):
+        arrival = float(arrival_s[i])
+        while pending and pending[0][0] <= arrival:
+            pending_bytes -= pending.popleft()[1]
+        queued = pending_bytes + max(0.0, busy_until_s - arrival) * rate_bps / 8.0
+        size = float(size_bytes[i])
+        begin = arrival if arrival > prev_finish else prev_finish
+        if begin > arrival and queued + size > capacity_bytes:
+            continue  # tail drop
+        accepted[i] = True
+        prev_finish = begin + float(tx_s[i])
+        finish_all[i] = prev_finish
+        if begin > arrival:
+            pending.append((begin, size))
+            pending_bytes += size
+    return accepted, finish_all
+
+
+def transmit_fifo(
+    arrival_s, size_bytes, rate_bps, capacity_bytes=None, busy_until_s=0.0
+):
+    """FIFO serialisation with drop-tail admission, the reference the
+    batch hop is held to: the closed-form schedule, the per-packet
+    capacity pass on every chunk, and the element-wise scan once a
+    packet violates capacity.
+
+    Mirrors ``Link`` + ``DropTailQueue``: a packet arriving while the
+    server is busy is dropped when the queued bytes (excluding the
+    packet in transmission) plus its own size exceed ``capacity_bytes``;
+    one arriving at an idle server is always admitted.  ``busy_until_s``
+    carries the residual workload of earlier chunks.  Returns
+    ``(accepted, finish_s)``, NaN where dropped.
+    """
+    arrival_s = np.asarray(arrival_s, dtype=float)
+    size_bytes = np.asarray(size_bytes, dtype=float)
+    tx_s = size_bytes * 8.0 / rate_bps
+    finish = fifo_horizon(arrival_s, tx_s, busy_until_s)
+    accepted = np.ones(len(arrival_s), dtype=bool)
+    if capacity_bytes is None:
+        return accepted, finish
+    start = finish - tx_s
+    cumulative = np.cumsum(size_bytes)
+    not_started = np.searchsorted(start, arrival_s, side="right")
+    ordinal = np.arange(len(arrival_s))
+    queued_bytes = np.where(ordinal > 0, cumulative[ordinal - 1], 0.0)
+    queued_bytes -= np.where(not_started > 0, cumulative[not_started - 1], 0.0)
+    queued_bytes += np.clip(busy_until_s - arrival_s, 0.0, None) * rate_bps / 8.0
+    violates = (start > arrival_s) & (queued_bytes + size_bytes > capacity_bytes)
+    if violates.any():
+        return _scan_elementwise(
+            arrival_s, size_bytes, rate_bps, capacity_bytes, busy_until_s
+        )
+    return accepted, finish
+
+
+def _full_mask(mask, n):
+    """A delivered mask with ``None`` (every packet delivered) read as
+    all-true."""
+    return np.ones(n, dtype=bool) if mask is None else mask
+
+
 def _batch_hop(rate_bps, capacity_bytes, loss, extra_delay):
     return BatchHop(
         rate_bps=rate_bps,
@@ -125,7 +202,8 @@ def test_fifo_horizon_matches_sequential_recursion():
     rng = stream(7, "horizon")
     arrivals = np.sort(rng.uniform(0.0, 1.0, size=200))
     tx = rng.uniform(1e-4, 5e-3, size=200)
-    start, finish = fifo_horizon(arrivals, tx)
+    finish = fifo_horizon(arrivals, tx)
+    start = finish - tx
     prev = 0.0
     for i in range(200):
         begin = max(arrivals[i], prev)
@@ -137,15 +215,17 @@ def test_fifo_horizon_matches_sequential_recursion():
 def test_fifo_horizon_busy_carry_delays_service():
     arrivals = np.array([0.0, 1.0])
     tx = np.array([0.1, 0.1])
-    start, finish = fifo_horizon(arrivals, tx, busy_until_s=0.5)
+    finish = fifo_horizon(arrivals, tx, busy_until_s=0.5)
+    start = finish - tx
     assert start[0] == pytest.approx(0.5)
     assert finish[0] == pytest.approx(0.6)
     assert start[1] == pytest.approx(1.0)  # server idle again by then
 
 
 def test_transmit_fifo_tail_drop_matches_oracle_link():
-    """Admission decisions and service times are bit-identical to the
-    event-driven Link + DropTailQueue under bursty overload."""
+    """Admission decisions and service times of the reference FIFO and
+    of the hop (one scalar size) are bit-identical to the event-driven
+    Link + DropTailQueue under bursty overload."""
     rng = stream(3, "drop")
     arrivals = np.sort(rng.uniform(0.0, 0.2, size=120))
     sizes = np.full(120, 1000.0)
@@ -153,13 +233,18 @@ def test_transmit_fifo_tail_drop_matches_oracle_link():
     link, oracle_mask, oracle_times = _oracle_link_run(
         arrivals, sizes, rate, capacity, NoLoss(), None
     )
-    accepted, start, finish = transmit_fifo(arrivals, sizes, rate, capacity)
+    accepted, finish = transmit_fifo(arrivals, sizes, rate, capacity)
     assert np.array_equal(accepted, oracle_mask)
     assert link.queue.drops == int((~accepted).sum())
     # Oracle delivery = finish + 10 ms propagation.
     np.testing.assert_allclose(
         finish[accepted] + 0.01, oracle_times[oracle_mask], atol=1e-9
     )
+    hop = _batch_hop(rate, capacity, NoLoss(), None)
+    delivered, handoff = hop.traverse(arrivals, 1000)
+    assert np.array_equal(delivered, oracle_mask)
+    assert hop.drops == link.queue.drops > 0
+    _assert_bitwise(handoff[delivered], finish[accepted] + 0.01)
 
 
 def test_transmit_fifo_idle_arrivals_never_dropped():
@@ -167,8 +252,12 @@ def test_transmit_fifo_idle_arrivals_never_dropped():
     # than the queue capacity (the capacity bounds *waiting* bytes).
     arrivals = np.array([0.0, 10.0, 20.0])
     sizes = np.array([3000.0, 3000.0, 3000.0])
-    accepted, _, _ = transmit_fifo(arrivals, sizes, 1e6, capacity_bytes=100)
+    accepted, _ = transmit_fifo(arrivals, sizes, 1e6, capacity_bytes=100)
     assert accepted.all()
+    hop = _batch_hop(1e6, 100, NoLoss(), None)
+    delivered, handoff = hop.traverse(arrivals, 3000)
+    assert delivered is None  # every packet delivered
+    assert hop.drops == 0 and not np.isnan(handoff).any()
 
 
 # -- loss-model stream identity ---------------------------------------------
@@ -213,6 +302,7 @@ def test_batch_hop_identical_to_link_under_loss(kind):
     )
     hop = _batch_hop(rate, capacity, batch_model, None)
     delivered, handoff = hop.traverse(arrivals, sizes)
+    delivered = _full_mask(delivered, len(arrivals))
     assert np.array_equal(delivered, oracle_mask)
     np.testing.assert_allclose(handoff[delivered], oracle_times[oracle_mask], atol=1e-9)
     assert (hop.offered, hop.delivered, hop.lost, hop.drops) == (
@@ -244,7 +334,7 @@ def test_monotone_delivery_clamp_matches_link():
     )
     hop = _batch_hop(5e6, None, NoLoss(), jitter())
     delivered, handoff = hop.traverse(arrivals, sizes)
-    assert delivered.all() and oracle_mask.all()
+    assert delivered is None and oracle_mask.all()  # None: all delivered
     assert np.all(np.diff(handoff) >= 0)
     np.testing.assert_allclose(handoff, oracle_times, atol=1e-9)
 
@@ -278,9 +368,9 @@ def test_batch_hop_conservation_detects_tampering():
 
 
 class _ReferenceHop:
-    """The batch hop as first written: public :func:`transmit_fifo`
-    (which always runs the per-packet capacity pass) plus full drop and
-    loss masks and scatters on every chunk."""
+    """The batch hop as first written: :func:`transmit_fifo` (which
+    always runs the per-packet capacity pass) plus full drop and loss
+    masks and scatters on every chunk."""
 
     def __init__(self, rate_bps, capacity_bytes, delay, loss, extra_delay, rx_s):
         self.rate_bps = rate_bps
@@ -305,7 +395,7 @@ class _ReferenceHop:
     def traverse(self, arrival_s, size_bytes):
         n = len(arrival_s)
         self.offered += n
-        accepted, _, finish = transmit_fifo(
+        accepted, finish = transmit_fifo(
             arrival_s,
             size_bytes,
             self.rate_bps,
@@ -448,10 +538,10 @@ def test_batch_hop_bit_identical_to_full_mask_reference(
         )
         if len(arrivals):
             clock = float(arrivals[-1])
-        got = hop.traverse(arrivals, sizes)
-        want = reference.traverse(arrivals, sizes)
-        for got_array, want_array in zip(got, want):
-            _assert_bitwise(got_array, want_array)
+        got_mask, got_handoff = hop.traverse(arrivals, sizes)
+        want_mask, want_handoff = reference.traverse(arrivals, sizes)
+        _assert_bitwise(_full_mask(got_mask, len(arrivals)), want_mask)
+        _assert_bitwise(got_handoff, want_handoff)
         assert (hop.offered, hop.delivered, hop.lost, hop.drops) == (
             reference.offered,
             reference.delivered,
@@ -461,6 +551,224 @@ def test_batch_hop_bit_identical_to_full_mask_reference(
     assert hop.drops > 0
     assert (hop.lost > 0) == (loss_kind != "noloss")
     hop.check_conservation()
+
+
+# -- chains of hops: one scalar size, per-packet sizes, the reference -------
+
+#: One hop of a drawn chain: loss, delay and extra-delay kinds (the
+#: ``_identity_*`` factories), the receiver's processing delay, the
+#: link rate and the queue capacity.
+_HOP_SPECS = st.tuples(
+    st.sampled_from(["noloss", "bernoulli", "handover"]),
+    st.sampled_from(["scalar", "callable"]),
+    st.sampled_from(["none", "jitter"]),
+    st.sampled_from([0.0, 0.0002]),
+    st.sampled_from([1e6, 4e6]),
+    st.sampled_from([12_000, 4_500, None]),
+)
+
+#: One chunk: its mode, its one packet size, packets off the first
+#: hop's queue capacity, the spread of its arrivals and the clock gap
+#: (or busy-carry lead) before it.
+_CHUNK_SPECS = st.tuples(
+    st.sampled_from(["empty", "random", "drained", "carry"]),
+    st.sampled_from([52, 600, 1500]),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([0.0, 1e-5, 1e-3]),
+    st.floats(0.0, 1.0),
+)
+
+
+def _chain_hops(specs, seed, make):
+    """One hop per spec, built by ``make`` from the ``_identity_*``
+    factories (hop ``i`` seeds its loss and jitter with ``seed + i``)."""
+    hops = []
+    for index, spec in enumerate(specs):
+        loss_kind, delay_kind, extra_kind, rx_s, rate, capacity = spec
+        hops.append(
+            make(
+                rate,
+                capacity,
+                _identity_delay(delay_kind),
+                _identity_loss(loss_kind, seed + index),
+                _identity_extra(extra_kind, seed + index),
+                rx_s,
+            )
+        )
+    return hops
+
+
+def _batch_hop_of(rate, capacity, delay, loss, extra, rx_s):
+    return BatchHop(
+        rate_bps=rate,
+        delay=delay,
+        queue_capacity_bytes=capacity,
+        loss=loss,
+        extra_delay=extra,
+        rx_processing_delay_s=rx_s,
+        name="chain-hop",
+    )
+
+
+def _through(hops, arrivals, sizes):
+    """Push a chunk with one size per packet through a chain of hops,
+    compacting the survivors after each hop as ``propagate`` does;
+    ``(delivered_mask, arrival_s)``."""
+    n = len(arrivals)
+    live = np.arange(n)
+    times = arrivals
+    for hop in hops:
+        if not len(live):
+            break
+        mask, times = hop.traverse(times, sizes[live])
+        mask = _full_mask(mask, len(live))
+        live, times = live[mask], times[mask]
+    alive = np.zeros(n, dtype=bool)
+    alive[live] = True
+    out = np.full(n, np.nan)
+    out[live] = times
+    return alive, out
+
+
+def _chain_chunk(rng, spec, clock_s, busy_until_s, rate_bps, capacity):
+    """Arrivals of one chunk of equal-size packets; near-capacity modes
+    fill the first hop's queue to within a packet, counting the
+    busy-carry residual."""
+    mode, size, margin, span, gap = spec
+    if mode == "empty":
+        return np.empty(0)
+    if mode == "random":
+        n = int(rng.integers(1, 30))
+        return clock_s + gap * 0.3 + np.sort(rng.uniform(0.0, 0.1, n))
+    room = 12_000 if capacity is None else capacity
+    if mode == "drained":  # server idle: no busy-carry
+        first = max(clock_s, busy_until_s) + gap * 0.01
+        residual = 0.0
+    else:  # arrives while the previous chunk is still being served
+        first = max(clock_s, busy_until_s - gap * 0.5 * room * 8.0 / rate_bps)
+        residual = max(0.0, busy_until_s - first) * rate_bps / 8.0
+    n = max(1, int((room - residual) // size) + margin)
+    return first + np.sort(rng.uniform(0.0, span, n))
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.lists(_HOP_SPECS, min_size=1, max_size=4),
+    st.lists(_CHUNK_SPECS, min_size=1, max_size=12),
+    st.integers(0, 2**16),
+)
+def test_hop_chain_scalar_size_matches_array_and_reference(hop_specs, chunks, seed):
+    """Chains of 1–4 hops, every loss, delay and extra-delay kind, zero
+    and non-zero processing delay, near-capacity and busy-carry chunks:
+    ``BatchPath.propagate`` with one scalar size, the same hops given
+    the size as an array, and the full-mask reference deliver the same
+    packets at the same times, bit for bit (NaN at the same positions),
+    with the same counters on every hop."""
+    scalar = BatchPath(
+        hops=_chain_hops(hop_specs, seed, _batch_hop_of), src="a", dst="b"
+    )
+    per_packet = _chain_hops(hop_specs, seed, _batch_hop_of)
+    reference = _chain_hops(hop_specs, seed, _ReferenceHop)
+    rng = stream(seed, "hop-chain")
+    first = reference[0]
+    clock = 0.0
+    for spec in chunks:
+        arrivals = _chain_chunk(
+            rng, spec, clock, first.busy_until_s, first.rate_bps, first.capacity_bytes
+        )
+        if len(arrivals):
+            clock = float(arrivals[-1])
+        size = spec[1]
+        sizes = np.full(len(arrivals), float(size))
+        got_mask, got = scalar.propagate(arrivals, size)
+        array_mask, array_got = _through(per_packet, arrivals, sizes)
+        want_mask, want = _through(reference, arrivals, sizes)
+        _assert_bitwise(_full_mask(got_mask, len(arrivals)), want_mask)
+        _assert_bitwise(array_mask, want_mask)
+        _assert_bitwise(got, want)
+        _assert_bitwise(array_got, want)
+        for hop, twin, ref in zip(scalar.hops, per_packet, reference):
+            counters = (ref.offered, ref.delivered, ref.lost, ref.drops)
+            assert (hop.offered, hop.delivered, hop.lost, hop.drops) == counters
+            assert (twin.offered, twin.delivered, twin.lost, twin.drops) == counters
+            assert hop._busy_until_s == twin._busy_until_s == ref.busy_until_s
+            assert hop._last_delivery_s == ref.last_delivery_s
+    for hop in scalar.hops + per_packet:
+        hop.check_conservation()
+
+
+# -- the exact drop-tail scan -----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3 * 1024 + 7])
+def test_admit_sequential_blocks_match_elementwise_scan(n):
+    """Around every block boundary the blocked scan admits the packets
+    the element-wise scan admits and finishes them at the same times,
+    bit for bit: per-packet and scalar sizes, under- and overload, with
+    and without busy-carry, and arrivals that tie the previous finish
+    exactly (back to back at the link rate)."""
+    rate, capacity = 1e6, 6000
+    rng = stream(n, "scan-blocks")
+    cases = []
+    for load in (0.7, 1.5, 4.0):
+        sizes = rng.integers(40, 1501, n).astype(float)
+        span = float(sizes.sum()) * 8.0 / rate / load
+        cases.append((np.sort(rng.uniform(0.0, span, n)), sizes, None))
+        equal = np.full(n, 1000.0)
+        span = n * 1000.0 * 8.0 / rate / load
+        cases.append((np.sort(rng.uniform(0.0, span, n)), equal, 1000))
+    tx = 1000.0 * 8.0 / rate
+    back_to_back = np.concatenate(([0.0], np.full(max(n - 1, 0), tx).cumsum()))[:n]
+    cases.append((back_to_back, np.full(n, 1000.0), 1000))
+    cases.append((back_to_back * 0.5, np.full(n, 1000.0), 1000))
+    for arrivals, sizes, size in cases:
+        for busy in (0.0, 0.004):
+            want = _scan_elementwise(arrivals, sizes, rate, capacity, busy)
+            got = batch._admit_sequential(
+                arrivals, sizes, sizes * 8.0 / rate, rate, capacity, busy
+            )
+            for got_array, want_array in zip(got, want):
+                _assert_bitwise(got_array, want_array)
+            if size is not None:
+                got = batch._admit_sequential(
+                    arrivals, size, size * 8.0 / rate, rate, capacity, busy
+                )
+                for got_array, want_array in zip(got, want):
+                    _assert_bitwise(got_array, want_array)
+    if n > 1:
+        assert not want[0].all()  # the last case overloads the queue
+
+
+def test_admit_sequential_peak_memory_stays_blocked(monkeypatch):
+    """The scan holds Python floats for one block at a time, so its
+    peak stays near its output arrays (9 bytes a packet); converting
+    the whole chunk at once (one block of every packet) would hold
+    tens of bytes a packet more, and fails the bound."""
+    n = 50_000
+    rate, capacity, size = 30e6, 60_000, 1500
+    arrivals = np.sort(
+        stream(4, "scan-peak").uniform(0.0, n * size * 8.0 / rate / 1.2, n)
+    )
+    bound = 16 * n + 256 * 1024
+
+    def peak(block):
+        monkeypatch.setattr(batch, "_SCAN_BLOCK", block)
+        tracemalloc.start()
+        try:
+            accepted, _ = batch._admit_sequential(
+                arrivals, size, size * 8.0 / rate, rate, capacity, 0.0
+            )
+            assert not accepted.all()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(batch._SCAN_BLOCK) < bound
+    assert peak(n) > bound
 
 
 # -- queue overflow x loss interaction (both engines) ------------------------
@@ -485,6 +793,7 @@ def test_overflow_and_loss_interact_identically(loss_rate):
     )
     hop = _batch_hop(rate, capacity, model(), None)
     delivered, handoff = hop.traverse(arrivals, sizes)
+    delivered = _full_mask(delivered, len(arrivals))
     assert np.array_equal(delivered, oracle_mask)
     np.testing.assert_allclose(handoff[delivered], oracle_times[oracle_mask], atol=1e-9)
     assert hop.drops == link.queue.drops and hop.drops > 0

@@ -74,26 +74,24 @@ def test_tap_filters_by_flow():
 
 
 def test_tap_throughput_series():
+    """The delivered records carry the blast's rate: 4 Mb/s in the
+    first half second."""
     net, link = _two_node_net()
     tap = tap_link(link)
     _blast(net, n=500)  # 1000 B every 2 ms = 4 Mbps for 1 s
-    bins, mbps = tap.throughput_series(bin_s=0.5)
-    assert len(bins) >= 2
-    assert mbps[0] == pytest.approx(4.0, rel=0.15)
+    delivered = tap.delivered()
+    start = delivered[0].t_s
+    first_bin = [r.size_bytes for r in delivered if r.t_s - start < 0.5]
+    assert delivered[-1].t_s - start >= 0.5
+    assert sum(first_bin) * 8.0 / 0.5 / 1e6 == pytest.approx(4.0, rel=0.15)
 
 
 def test_tap_empty_series():
     net, link = _two_node_net()
     tap = tap_link(link)
-    bins, mbps = tap.throughput_series()
-    assert bins.size == 0 and mbps.size == 0
-
-
-def test_tap_rejects_bad_bin():
-    net, link = _two_node_net()
-    tap = tap_link(link)
-    with pytest.raises(ConfigurationError):
-        tap.throughput_series(bin_s=0.0)
+    assert len(tap) == 0
+    assert tap.delivered() == [] and tap.lost() == []
+    assert tap.loss_fraction() == 0.0
 
 
 def test_double_tap_rejected():
@@ -112,7 +110,7 @@ def test_tap_confirms_loss_clumping():
     net, link = _two_node_net(loss=loss)
     tap = tap_link(link)
     _blast(net, n=500)
-    loss_times = tap.loss_times()
+    loss_times = np.array([r.t_s for r in tap.lost()])
     assert loss_times.size > 10
     assert loss_times.min() >= 0.39
     assert loss_times.max() <= 0.61

@@ -5,6 +5,7 @@ import gc
 import numpy as np
 import pytest
 
+from repro.analysis.stats import median
 from repro.net.loss import BernoulliLoss
 from repro.net.ping import ping
 from repro.net.topology import Network
@@ -33,15 +34,15 @@ def test_traceroute_discovers_all_hops():
 def test_traceroute_rtts_increase_along_path():
     net, _ = _chain(5, hop_delay=0.01)
     result = traceroute(net, "h0", "h4", probes_per_hop=3)
-    medians = [hop.median_rtt_s() for hop in result.hops]
+    medians = [median(hop.rtts_s) for hop in result.hops]
     assert all(b > a for a, b in zip(medians, medians[1:]))
 
 
 def test_traceroute_hop_rtt_matches_topology():
     net, _ = _chain(3, hop_delay=0.01)
     result = traceroute(net, "h0", "h2")
-    assert result.hops[0].median_rtt_s() == pytest.approx(0.02, rel=0.05)
-    assert result.hops[1].median_rtt_s() == pytest.approx(0.04, rel=0.05)
+    assert median(result.hops[0].rtts_s) == pytest.approx(0.02, rel=0.05)
+    assert median(result.hops[1].rtts_s) == pytest.approx(0.04, rel=0.05)
 
 
 def test_traceroute_counts_losses():
@@ -69,7 +70,7 @@ def test_hop_result_statistics():
     result = traceroute(net, "h0", "h2", probes_per_hop=5)
     hop = result.hops[0]
     assert hop.sent == 5
-    assert hop.min_rtt_s() <= hop.median_rtt_s() <= hop.max_rtt_s()
+    assert hop.min_rtt_s() <= median(hop.rtts_s) <= hop.max_rtt_s()
 
 
 def test_ping_measures_rtt():
@@ -77,7 +78,7 @@ def test_ping_measures_rtt():
     result = ping(net, "h0", "h2", count=5)
     assert result.received == 5
     assert result.loss_fraction == 0.0
-    assert result.avg_rtt_s() == pytest.approx(0.04, rel=0.05)
+    assert median(result.rtts_s) == pytest.approx(0.04, rel=0.05)
 
 
 def test_ping_with_total_loss():
@@ -85,8 +86,8 @@ def test_ping_with_total_loss():
     result = ping(net, "h0", "h1", count=4, timeout_s=0.5)
     assert result.received == 0
     assert result.loss_fraction == 1.0
+    assert result.rtts_s == []
     assert result.min_rtt_s() is None
-    assert result.avg_rtt_s() is None
 
 
 def test_two_traceroutes_do_not_interfere():

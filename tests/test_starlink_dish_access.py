@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.stats import median
 from repro.geo.cities import city
 from repro.net.trace import traceroute
 from repro.orbits.constellation import starlink_shell1
@@ -72,7 +73,7 @@ def test_starlink_path_traceroute_shape(bentpipe):
     assert names[0] == "dish"
     assert names[1] == "starlink-pop"
     # The bent-pipe hop dominates: big jump from hop 1 to hop 2.
-    jump = trace.hops[1].median_rtt_s() - trace.hops[0].median_rtt_s()
+    jump = median(trace.hops[1].rtts_s) - median(trace.hops[0].rtts_s)
     assert jump > 0.015
 
 
@@ -94,7 +95,7 @@ def test_cellular_first_hop_slow():
         city("london").location, city("n_virginia").location
     ).build()
     trace = traceroute(path.network, path.client, path.server, probes_per_hop=5)
-    first_hop = trace.hops[0].median_rtt_s()
+    first_hop = median(trace.hops[0].rtts_s)
     assert first_hop > 0.030
 
 
@@ -103,7 +104,7 @@ def test_broadband_first_hop_fast():
         city("london").location, city("n_virginia").location
     ).build()
     trace = traceroute(path.network, path.client, path.server, probes_per_hop=5)
-    assert trace.hops[0].median_rtt_s() < 0.015
+    assert median(trace.hops[0].rtts_s) < 0.015
 
 
 def test_figure5_ordering(bentpipe):
@@ -122,5 +123,5 @@ def test_figure5_ordering(bentpipe):
         ("cellular", Scenario.cellular(london, virginia).build()),
     ):
         trace = traceroute(path.network, path.client, path.server, probes_per_hop=7)
-        finals[name] = trace.hops[-1].median_rtt_s()
+        finals[name] = median(trace.hops[-1].rtts_s)
     assert finals["broadband"] < finals["starlink"] < finals["cellular"]
