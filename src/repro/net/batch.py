@@ -1,12 +1,13 @@
 """Vectorised packet-path engine (the ``batch`` engine).
 
 The heap-driven :class:`repro.net.simulator.Simulator` walks every
-packet through two scheduled events per hop (end of serialisation,
-delivery) plus a third at a router with a processing delay, each a
-Python callback, so a many-flow packet experiment such as Figure 8's
-CCA matrix spends its time in that per-event loop (campaign page loads
-and speedtests are analytic and run neither engine).  This module
-advances whole flows in numpy chunks instead:
+packet through two scheduled events per hop (end of serialisation, and
+arrival at the receiver, which a forwarding router's link schedules a
+processing delay late), each a Python callback, so a many-flow packet
+experiment such as Figure 8's CCA matrix spends its time in that
+per-event loop (campaign page loads and speedtests are analytic and run
+neither engine).  This module advances whole flows in numpy chunks
+instead:
 
 * **Chunked event horizons per link** — a link's FIFO service is the
   Lindley recursion ``start_i = max(arrival_i, finish_{i-1})``; with
@@ -18,13 +19,18 @@ advances whole flows in numpy chunks instead:
   resolve the drops (rare outside overload; it walks Python floats in
   blocks of ``_SCAN_BLOCK`` packets).
 * **Numpy calls only where a result needs them** — a chunk's packets
-  share one scalar size, so a hop builds its cumulative sums from one
-  ``np.full`` and bounds its queue by ``n * size``.  A chunk that loses
-  nothing builds no drop or loss mask: :meth:`BatchHop.traverse` and
+  share one scalar size, so a hop slices its cumulative service sums
+  from a prefix it keeps for that size (chunks of up to
+  ``_PREFIX_MAX`` packets; ``cumsum`` adds in order, so the first
+  ``n`` sums of a longer run are the sums of ``n`` packets, to the
+  bit) and bounds its queue by ``n * size``.  A chunk that loses
+  nothing builds no drop or loss mask: a loss model's ``drop_mask``
+  may answer ``None`` (no drops), :meth:`BatchHop.traverse` and
   :meth:`BatchPath.propagate` return ``None`` for an all-delivered
   mask, and the runners pass whole arrays on.  Every such path is
-  decided from the data, never from a loss model's type, and gives
-  the full path's values bit for bit.
+  decided from the data (a chunk's size, the mask a model returns),
+  never from a loss model's type, and gives the full path's values
+  bit for bit.
 * **Vectorised loss/queue draws** — loss models expose ``drop_mask``
   (see :mod:`repro.net.loss`), consuming their per-user RNG streams in
   exactly the per-packet call order, so single-link decisions are
@@ -62,8 +68,17 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 # -- vectorised link primitives ---------------------------------------------
 
 
+_PREFIX_MAX = 2048
+"""Longest chunk a hop serves from its cached service sums; longer
+chunks (the UDP bursts' thousands of packets) compute their own, so no
+burst-sized array outlives its call."""
+
+
 def fifo_horizon(
-    arrival_s: np.ndarray, tx_s: float | np.ndarray, busy_until_s: float = 0.0
+    arrival_s: np.ndarray,
+    tx_s: float | np.ndarray,
+    busy_until_s: float = 0.0,
+    sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Service finish times of a FIFO server (no drops).
 
@@ -73,14 +88,19 @@ def fifo_horizon(
     (the time the server is busy until from earlier chunks).  ``tx_s``
     is one transmission time for every packet or one per packet; a
     scalar builds ``C`` as ``np.full(n, tx).cumsum()``, the values the
-    per-packet ``cumsum`` gives.  Packet ``i`` starts service at
-    ``finish_i - tx_i``.
+    per-packet ``cumsum`` gives.  ``sums``, when given, is ``(C, C -
+    tx)`` for these packets, already built (a hop's cached prefix).
+    Packet ``i`` starts service at ``finish_i - tx_i``.
     """
-    if isinstance(tx_s, np.ndarray):
-        cumulative = np.cumsum(tx_s)
+    if sums is not None:
+        cumulative, before = sums
     else:
-        cumulative = np.full(len(arrival_s), tx_s).cumsum()
-    horizon = np.maximum.accumulate(arrival_s - (cumulative - tx_s))
+        if isinstance(tx_s, np.ndarray):
+            cumulative = np.cumsum(tx_s)
+        else:
+            cumulative = np.full(len(arrival_s), tx_s).cumsum()
+        before = cumulative - tx_s
+    horizon = np.maximum.accumulate(arrival_s - before)
     return cumulative + np.maximum(horizon, busy_until_s)
 
 
@@ -90,6 +110,7 @@ def _serve(
     rate_bps: float,
     capacity_bytes: int | None,
     busy_until_s: float,
+    sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Drop-tail admission and FIFO service of one sorted chunk.
 
@@ -101,14 +122,15 @@ def _serve(
     from earlier chunks: it delays service starts and its remaining
     bytes (``rate * (busy - arrival)``) count against queue capacity,
     so backlog persists across chunk boundaries.  ``size_bytes`` is one
-    size for every packet or one per packet.
+    size for every packet or one per packet; ``sums`` goes to
+    :func:`fifo_horizon`.
 
     Returns ``(accepted, finish_s)``: ``accepted`` is ``None`` when
     every packet is admitted (the common case), else a mask with NaN
     finish times where dropped.
     """
     tx_s = size_bytes * 8.0 / rate_bps
-    finish = fifo_horizon(arrival_s, tx_s, busy_until_s)
+    finish = fifo_horizon(arrival_s, tx_s, busy_until_s, sums)
     if capacity_bytes is None:
         return None, finish
     # Queued bytes at each packet's arrival: predecessors whose service
@@ -265,6 +287,10 @@ class BatchHop:
     drops: int = field(default=0, init=False)
     _last_delivery_s: float = field(default=0.0, init=False)
     _busy_until_s: float = field(default=0.0, init=False)
+    _prefix_tx_s: float = field(default=math.nan, init=False, repr=False)
+    _prefix: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def traverse(
         self, arrival_s: np.ndarray, size_bytes: float | np.ndarray
@@ -290,8 +316,11 @@ class BatchHop:
             arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s
         ):
             capacity = None
+        sums = None
+        if n <= _PREFIX_MAX and not isinstance(size_bytes, np.ndarray):
+            sums = self._service_sums(n, size_bytes * 8.0 / self.rate_bps)
         accepted, finish = _serve(
-            arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s
+            arrival_s, size_bytes, self.rate_bps, capacity, self._busy_until_s, sums
         )
         served = finish if accepted is None else finish[accepted]
         self.drops += n - len(served)
@@ -331,6 +360,23 @@ class BatchHop:
         handoff = np.full(n, np.nan)
         handoff[delivered_mask] = delivery
         return delivered_mask, handoff
+
+    def _service_sums(self, n: int, tx_s: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(C, C - tx)`` of ``n`` packets of one transmission time,
+        sliced from the hop's prefix of ``_PREFIX_MAX`` packets.
+
+        The prefix is rebuilt when ``tx_s`` changes (the runners send
+        one size per path, so it is built once).  ``cumsum`` adds in
+        order, so the first ``n`` sums of the prefix are, bit for bit,
+        the sums :func:`fifo_horizon` would build for ``n`` packets.
+        """
+        if tx_s != self._prefix_tx_s:
+            cumulative = np.full(_PREFIX_MAX, tx_s).cumsum()
+            self._prefix = (cumulative, cumulative - tx_s)
+            self._prefix_tx_s = tx_s
+        cumulative, before = self._prefix
+        return cumulative[:n], before[:n]
+
     def _evaluate(self, provider, times_s: np.ndarray, what: str) -> np.ndarray:
         """Evaluate a per-packet time function (the ``delay`` provider or
         the ``extra_delay`` sampler) over a time vector, in order,
@@ -349,12 +395,14 @@ class BatchHop:
     def _draw_losses(self, finish_s: np.ndarray) -> np.ndarray | None:
         """Draw and count the loss model's decisions over the served
         packets, in the event engine's per-packet order; ``None`` when
-        none was lost."""
+        none was lost (a ``drop_mask`` answer of ``None`` means so)."""
         if self.loss is None:
             return None
         drop_mask = getattr(self.loss, "drop_mask", None)
         if drop_mask is not None:
             lost = drop_mask(finish_s)
+            if lost is None:
+                return None
         else:
             lost = np.fromiter(
                 (bool(self.loss.should_drop(None, float(t))) for t in finish_s),

@@ -8,6 +8,13 @@ this to follow the moving serving satellite — and an optional
 ``extra_delay`` sampler models queueing experienced inside an abstracted
 multi-router segment (used for transit hops whose internal routers we do
 not simulate individually).
+
+A hop costs two scheduled events: the end of serialisation, then the
+packet's delivery to the receiver.  A router's processing delay is
+applied here, not by the router: when the receiver will forward the
+packet (:meth:`Node.forwards`), its delivery is scheduled that delay
+late and the router sends it on at once, so forwarding costs no third
+event.  The batch engine's ``BatchHop`` applies the delay the same way.
 """
 
 from __future__ import annotations
@@ -57,6 +64,11 @@ class Link:
         self.dst = dst
         self.rate_bps = rate_bps
         self._delay = delay
+        # The receiver's forwarding latency, read once as
+        # ``BatchPath.from_access_path`` reads it (``Node`` keeps it
+        # read-only); a receiver without one (a bare sink) has none.
+        processing_s = getattr(dst, "processing_delay_s", 0.0)
+        self._processing_s = processing_s if processing_s > 0 else 0.0
         self.queue = queue if queue is not None else DropTailQueue()
         self.loss = loss if loss is not None else NoLoss()
         self.extra_delay = extra_delay
@@ -184,7 +196,12 @@ class Link:
             # ``now + (delivery_at - now)`` can differ from
             # ``delivery_at`` in the last bit; the delivery is timed by
             # its delay from now, so keep that sum.
-            sim.schedule_at(now + (delivery_at - now), self._deliver, packet)
+            deliver_at = now + (delivery_at - now)
+            if self._processing_s and self.dst.forwards(packet):
+                # The receiver sends it on when it arrives, so it
+                # arrives once the receiver's processing is done.
+                deliver_at += self._processing_s
+            sim.schedule_at(deliver_at, self._deliver, packet)
         next_packet = self.queue.poll()
         if next_packet is not None:
             self._begin_transmission(next_packet, now)

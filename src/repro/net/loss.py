@@ -27,7 +27,11 @@ class LossModel(TypingProtocol):
     Models may additionally implement ``drop_mask(times_s)`` — a
     batched equivalent returning a boolean array for a sorted vector of
     transmission times, consuming the generator in the same order as
-    the equivalent sequence of ``should_drop`` calls.  The batch engine
+    the equivalent sequence of ``should_drop`` calls.  ``drop_mask``
+    may return ``None`` instead of an array when it drops nothing; the
+    models here do so when they also draw nothing (``NoLoss`` always,
+    a zero rate, no time inside a loss window), so a caller that
+    reads ``None`` as no drops skips a mask.  The batch engine
     (:mod:`repro.net.batch`) uses it when present and falls back to
     per-packet ``should_drop`` otherwise.
     """
@@ -45,9 +49,9 @@ class NoLoss:
         """Always False."""
         return False
 
-    def drop_mask(self, times_s: np.ndarray) -> np.ndarray:
-        """All False, no generator consumption."""
-        return np.zeros(len(times_s), dtype=bool)
+    def drop_mask(self, times_s: np.ndarray) -> None:
+        """``None``: nothing dropped, no generator consumption."""
+        return None
 
     def reset(self) -> None:
         """No state to clear."""
@@ -70,17 +74,17 @@ class BernoulliLoss:
             return False
         return bool(self.rng.random() < self.rate)
 
-    def drop_mask(self, times_s: np.ndarray) -> np.ndarray:
+    def drop_mask(self, times_s: np.ndarray) -> np.ndarray | None:
         """Batched draws, bit-identical to sequential ``should_drop``.
 
         ``Generator.random(n)`` consumes the stream exactly like ``n``
         scalar calls, so the scalar and batched paths drop the same
-        packets (the oracle-identity tests pin this).
+        packets (the oracle-identity tests pin this).  A zero rate
+        draws nothing and returns ``None``.
         """
-        n = len(times_s)
         if self.rate == 0.0:
-            return np.zeros(n, dtype=bool)
-        return self.rng.random(n) < self.rate
+            return None
+        return self.rng.random(len(times_s)) < self.rate
 
     def reset(self) -> None:
         """No state to clear (draws are i.i.d.)."""
@@ -258,19 +262,21 @@ class HandoverBurstLoss:
                        out=probabilities)
         return probabilities
 
-    def drop_mask(self, times_s: np.ndarray) -> np.ndarray:
+    def drop_mask(self, times_s: np.ndarray) -> np.ndarray | None:
         """Batched drop decisions, bit-identical to scalar evaluation.
 
         The scalar path draws a uniform only where the probability is
         non-zero; the batch draws one block for exactly those
-        positions, preserving the stream alignment.
+        positions, preserving the stream alignment.  ``None`` when no
+        time has a non-zero probability (nothing drawn or dropped).
         """
         probabilities = self.probabilities(times_s)
-        mask = np.zeros(len(probabilities), dtype=bool)
         drawing = probabilities > 0.0
         n_draws = int(drawing.sum())
-        if n_draws:
-            mask[drawing] = self.rng.random(n_draws) < probabilities[drawing]
+        if not n_draws:
+            return None
+        mask = np.zeros(len(probabilities), dtype=bool)
+        mask[drawing] = self.rng.random(n_draws) < probabilities[drawing]
         return mask
 
     @classmethod
@@ -343,25 +349,33 @@ class CompositeLoss:
             return True
         return self.extra_rate > 0.0 and self.rng.random() < self.extra_rate
 
-    def drop_mask(self, times_s: np.ndarray) -> np.ndarray:
+    def drop_mask(self, times_s: np.ndarray) -> np.ndarray | None:
         """Batched composite decisions (component order preserved).
 
         Components with a ``drop_mask`` evaluate batched; others fall
-        back per-packet.  The extra-rate uniform is drawn only where no
-        component dropped, matching the scalar short-circuit.
+        back per-packet.  A component's ``None`` reads as no drops.  The
+        extra-rate uniform is drawn only where no component dropped,
+        matching the scalar short-circuit.  ``None`` when every
+        component answered ``None`` and there is no extra rate.
         """
         times = np.asarray(times_s, dtype=float)
-        dropped = np.zeros(len(times), dtype=bool)
+        dropped = None
         for model in self.models:
             batched = getattr(model, "drop_mask", None)
             if batched is not None:
-                dropped |= batched(times)
+                component = batched(times)
+                if component is None:
+                    continue
             else:
                 component = np.zeros(len(times), dtype=bool)
                 for index, now_s in enumerate(times):
                     component[index] = model.should_drop(None, float(now_s))
-                dropped |= component
+            if dropped is None:
+                dropped = np.zeros(len(times), dtype=bool)
+            dropped |= component
         if self.extra_rate > 0.0:
+            if dropped is None:
+                dropped = np.zeros(len(times), dtype=bool)
             survivors = ~dropped
             n_draws = int(survivors.sum())
             if n_draws:

@@ -5,6 +5,11 @@ time-exceeded replies when it expires — which is all traceroute needs.
 UDP packets arriving for a flow id with no registered handler trigger a
 port-unreachable reply (how classic UDP traceroute detects the final
 hop), and ICMP echoes are answered with echo replies (ping).
+
+A router's processing delay is applied by the incoming link, not here:
+a link whose packet the router will forward (:meth:`Node.forwards`)
+delivers it that delay late, and :meth:`Node.receive` sends it on at
+once, so a forwarding hop costs no extra event.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ class Node:
         links: Outgoing links keyed by neighbour name.
         routes: Next-hop neighbour name keyed by destination name.
         processing_delay_s: Fixed per-packet forwarding latency (router
-            lookup cost); zero for hosts.
+            lookup cost); zero for hosts.  Read-only: incoming links read
+            it when they are built and apply it to the packets this node
+            forwards.
     """
 
     def __init__(
@@ -39,7 +46,7 @@ class Node:
     ) -> None:
         self.sim = sim
         self.name = name
-        self.processing_delay_s = processing_delay_s
+        self._processing_delay_s = processing_delay_s
         self.links: dict[str, Link] = {}
         self.routes: dict[str, str] = {}
         self._handlers: dict[str, PacketHandler] = {}
@@ -49,6 +56,11 @@ class Node:
 
     def __repr__(self) -> str:
         return f"Node({self.name!r})"
+
+    @property
+    def processing_delay_s(self) -> float:
+        """Fixed per-packet forwarding latency, seconds."""
+        return self._processing_delay_s
 
     # -- wiring -----------------------------------------------------------
 
@@ -84,8 +96,18 @@ class Node:
 
     # -- receive path ---------------------------------------------------------
 
+    def forwards(self, packet: Packet) -> bool:
+        """Whether :meth:`receive` will send ``packet`` on: it is
+        addressed elsewhere and its TTL survives the decrement."""
+        return packet.dst != self.name and packet.ttl > 1
+
     def receive(self, packet: Packet, link: "Link") -> None:
-        """Entry point for packets delivered by an incoming link."""
+        """Entry point for packets delivered by an incoming link.
+
+        The forwarding branch is the one :meth:`forwards` predicts (keep
+        the two in step); it sends at once, because the link delivered
+        the packet this node's processing delay late.
+        """
         self.received += 1
         if packet.dst == self.name:
             self._deliver_local(packet)
@@ -96,11 +118,7 @@ class Node:
             self._send_time_exceeded(packet)
             return
         self.forwarded += 1
-        if self.processing_delay_s > 0:
-            sim = self.sim
-            sim.schedule_at(sim.now + self.processing_delay_s, self.send, packet)
-        else:
-            self.send(packet)
+        self.send(packet)
 
     def _deliver_local(self, packet: Packet) -> None:
         if packet.protocol is Protocol.ICMP and packet.payload.get("type") == "echo":

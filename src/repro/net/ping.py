@@ -24,26 +24,6 @@ class PingResult:
     sent: int
     rtts_s: list[float] = field(default_factory=list)
 
-    @property
-    def received(self) -> int:
-        """Number of echo replies received."""
-        return len(self.rtts_s)
-
-    @property
-    def loss_fraction(self) -> float:
-        """Fraction of unanswered requests."""
-        if self.sent == 0:
-            return 0.0
-        return 1.0 - self.received / self.sent
-
-    def min_rtt_s(self) -> float | None:
-        """Minimum RTT, or None if everything was lost."""
-        return min(self.rtts_s) if self.rtts_s else None
-
-    def max_rtt_s(self) -> float | None:
-        """Maximum RTT, or None if everything was lost."""
-        return max(self.rtts_s) if self.rtts_s else None
-
 
 def ping(
     network: Network,

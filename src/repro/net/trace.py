@@ -33,21 +33,6 @@ class HopResult:
     rtts_s: list[float] = field(default_factory=list)
     sent: int = 0
 
-    @property
-    def loss_fraction(self) -> float:
-        """Fraction of probes that went unanswered."""
-        if self.sent == 0:
-            return 0.0
-        return 1.0 - len(self.rtts_s) / self.sent
-
-    def min_rtt_s(self) -> float | None:
-        """Minimum observed RTT, or None."""
-        return min(self.rtts_s) if self.rtts_s else None
-
-    def max_rtt_s(self) -> float | None:
-        """Maximum observed RTT, or None."""
-        return max(self.rtts_s) if self.rtts_s else None
-
 
 @dataclass
 class TracerouteResult:
@@ -57,10 +42,6 @@ class TracerouteResult:
     dst: str
     hops: list[HopResult]
     destination_reached: bool
-
-    def hop_names(self) -> list[str | None]:
-        """Responder per hop, in TTL order."""
-        return [hop.responder for hop in self.hops]
 
 
 class _ProbeChain:

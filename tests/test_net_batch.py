@@ -39,6 +39,7 @@ from repro.net.batch import (
 from repro.net.link import Link
 from repro.net.loss import (
     BernoulliLoss,
+    CompositeLoss,
     GilbertElliottLoss,
     HandoverBurstLoss,
     NoLoss,
@@ -407,6 +408,8 @@ class _ReferenceHop:
         if len(finish_accepted):
             self.busy_until_s = float(finish_accepted[-1])
         lost = self.loss.drop_mask(finish_accepted)
+        if lost is None:  # the model dropped nothing
+            lost = np.zeros(len(finish_accepted), dtype=bool)
         self.lost += int(lost.sum())
         delivered = accepted.copy()
         delivered[accepted] = ~lost
@@ -769,6 +772,141 @@ def test_admit_sequential_peak_memory_stays_blocked(monkeypatch):
 
     assert peak(batch._SCAN_BLOCK) < bound
     assert peak(n) > bound
+
+
+# -- the hop's cached service sums ---------------------------------------------
+
+
+@pytest.mark.parametrize("capacity", [None, 60_000])
+def test_prefix_sums_match_uncached_horizon(capacity):
+    """One hop whose chunks grow, shrink, cross ``_PREFIX_MAX`` and
+    change packet size serves each chunk as the uncached reference
+    does, bit for bit: the first ``n`` sums of the kept prefix are the
+    sums of ``n`` packets, and a new size rebuilds the prefix."""
+    rate = 1e6
+    hop = BatchHop(
+        rate_bps=rate,
+        delay=0.004,
+        queue_capacity_bytes=capacity,
+        loss=NoLoss(),
+        extra_delay=None,
+        name="prefix-hop",
+    )
+    reference = _ReferenceHop(rate, capacity, 0.004, NoLoss(), None, 0.0)
+    cap = batch._PREFIX_MAX
+    chunks = [
+        (1, 1000), (7, 1000), (300, 1000), (cap, 1000), (5, 1000),
+        (cap + 1, 1000), (3000, 600), (40, 600), (cap, 40), (cap - 1, 40),
+        (2, 1500), (1, 1500), (64, 1000),
+    ]
+    rng = stream(8, "prefix-chunks")
+    clock = 0.0
+    for n, size in chunks:
+        # Mostly back to back at about the link rate, so some chunks
+        # queue behind the carried workload and some overflow.
+        span = n * size * 8.0 / rate * float(rng.choice([0.5, 1.2]))
+        arrivals = clock + np.sort(rng.uniform(0.0, span, n))
+        clock = float(arrivals[-1])
+        kept = hop._prefix
+        got_mask, got = hop.traverse(arrivals, size)
+        want_mask, want = reference.traverse(arrivals, np.full(n, float(size)))
+        _assert_bitwise(_full_mask(got_mask, n), want_mask)
+        _assert_bitwise(got, want)
+        assert (hop.delivered, hop.drops) == (reference.delivered, reference.drops)
+        if n <= cap:
+            assert hop._prefix_tx_s == size * 8.0 / rate
+        else:  # a long chunk neither reads nor replaces the prefix
+            assert hop._prefix is kept
+    if capacity is not None:
+        assert hop.drops > 0
+    fresh = BatchHop(rate, 0.004, capacity, NoLoss(), None)
+    tx = 1500 * 8.0 / rate
+    for n in (1, 2, 1000, cap):
+        cumulative, before = fresh._service_sums(n, tx)
+        _assert_bitwise(cumulative, np.full(n, tx).cumsum())
+        _assert_bitwise(before, np.full(n, tx).cumsum() - tx)
+
+
+def test_scalar_burst_chunk_leaves_no_cached_prefix():
+    """A chunk past ``_PREFIX_MAX`` (a UDP burst's) computes its own
+    sums and keeps none of them: after a 50,000-packet chunk the hop
+    holds no prefix and traced memory is back near where it started,
+    far below one burst-sized array (400 kB).  A chunk within the cap
+    then keeps exactly one prefix of ``_PREFIX_MAX`` sums."""
+    n = 50_000
+    hop = BatchHop(
+        rate_bps=30e6,
+        delay=0.01,
+        queue_capacity_bytes=None,
+        loss=NoLoss(),
+        extra_delay=None,
+        name="burst-hop",
+    )
+    arrivals = np.sort(stream(6, "burst-prefix").uniform(0.0, 2.0, n))
+    tracemalloc.start()
+    try:
+        delivered, handoff = hop.traverse(arrivals, 1500)
+        assert delivered is None and len(handoff) == n
+        del delivered, handoff
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hop._prefix is None
+    assert retained < 64 * 1024
+    hop.traverse(arrivals[:100] + 3.0, 1500)
+    assert [len(sums) for sums in hop._prefix] == [batch._PREFIX_MAX] * 2
+
+
+# -- drop masks that answer None -----------------------------------------------
+
+
+def test_drop_mask_answers_none_when_nothing_is_drawn():
+    """``NoLoss``, a zero rate and a handover model with no window over
+    the chunk draw nothing and answer ``None``; a hop reads that as no
+    losses and leaves the generator where it was."""
+    times = np.sort(stream(2, "none-times").uniform(5.0, 6.0, 50))
+    rng = stream(2, "none-rng")
+    state = rng.bit_generator.state
+    models = [
+        NoLoss(),
+        BernoulliLoss(0.0, rng=rng),
+        HandoverBurstLoss([(0.0, 1.0, 0.9)], residual_loss=0.0, rng=rng),
+    ]
+    for model in models:
+        assert model.drop_mask(times) is None
+        hop = _batch_hop(1e6, None, model, None)
+        delivered, _ = hop.traverse(times, 100)
+        assert delivered is None and hop.lost == 0
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("extra_rate", [0.0, 0.1])
+@pytest.mark.parametrize("components", ["noloss", "noloss+bernoulli"])
+def test_composite_loss_with_noloss_matches_should_drop(components, extra_rate):
+    """A composite with a ``NoLoss`` component (whose ``drop_mask``
+    answers ``None``) drops exactly the packets per-packet
+    ``should_drop`` drops, and leaves every generator in the same
+    state; with nothing to draw it answers ``None`` itself."""
+
+    def make():
+        models = [NoLoss()]
+        if components == "noloss+bernoulli":
+            models += [BernoulliLoss(0.2, rng=stream(3, "composite-b")), NoLoss()]
+        return CompositeLoss(models, extra_rate=extra_rate, rng=stream(3, "composite"))
+
+    times = np.sort(stream(4, "composite-times").uniform(0.0, 1.0, 400))
+    scalar_model, batch_model = make(), make()
+    scalar = np.array([scalar_model.should_drop(None, float(t)) for t in times])
+    batched = batch_model.drop_mask(times)
+    if components == "noloss" and extra_rate == 0.0:
+        assert batched is None and not scalar.any()
+    else:
+        assert np.array_equal(batched, scalar) and scalar.any()
+    for scalar_rng, batch_rng in zip(
+        [scalar_model.rng] + [m.rng for m in scalar_model.models if hasattr(m, "rng")],
+        [batch_model.rng] + [m.rng for m in batch_model.models if hasattr(m, "rng")],
+    ):
+        assert scalar_rng.bit_generator.state == batch_rng.bit_generator.state
 
 
 # -- queue overflow x loss interaction (both engines) ------------------------

@@ -1,4 +1,4 @@
-"""Link-tap capture tests."""
+"""Link-tap capture tests (the tap lives in ``tests/capture.py``)."""
 
 from types import SimpleNamespace
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.capture import CaptureEvent, tap_link
 from repro.net.loss import BernoulliLoss, HandoverBurstLoss
 from repro.net.packet import Packet, Protocol
 from repro.net.ping import ping
@@ -14,6 +13,7 @@ from repro.net.topology import Network
 from repro.net.trace import traceroute
 from repro.nodes.iperf import run_udp_burst
 from repro.tcp.flow import TcpFlow
+from tests.capture import CaptureEvent, tap_link
 
 
 def _two_node_net(loss=None, rate=10e6):
@@ -160,3 +160,34 @@ def test_flow_ids_and_captures_repeat_within_a_process():
     assert first == second
     flow_ids = {r.flow_id for records in first for r in records}
     assert flow_ids == {"traceroute-1", "ping-2", "udp-burst-3", "tcp-4"}
+
+
+def test_tap_records_a_forwarded_packet_at_its_handoff():
+    """On a link into a router with a processing delay, a packet the
+    router forwards is recorded at delivery plus that delay (the batch
+    engine's ``handoff_s``, when the router sends it on), and a packet
+    whose TTL expires there at the bare delivery time."""
+    net = Network()
+    net.add_node("a")
+    net.add_node("r", processing_delay_s=0.001)
+    net.add_node("b")
+    link, _ = net.connect("a", "r", rate_bps=10e6, delay=0.005)
+    net.connect("r", "b", rate_bps=10e6, delay=0.005)
+    net.compute_routes()
+    tap = tap_link(link)
+    for seq, ttl in enumerate((2, 1)):
+        net.sim.schedule_at(
+            seq * 0.1,
+            net.node("a").send,
+            Packet(
+                src="a", dst="b", protocol=Protocol.UDP, size_bytes=1000,
+                ttl=ttl, flow_id="f", seq=seq,
+            ),
+        )
+    net.sim.run()
+    forwarded, expired = tap.delivered()
+    delivery = 1000 * 8.0 / 10e6 + 0.005
+    assert forwarded.seq == 0 and forwarded.t_s == pytest.approx(delivery + 0.001)
+    assert expired.seq == 1 and expired.t_s == pytest.approx(0.1 + delivery)
+    # r forwards the first packet and b's port-unreachable reply to it.
+    assert net.node("r").forwarded == 2 and net.node("r").ttl_expired == 1

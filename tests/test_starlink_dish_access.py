@@ -69,7 +69,7 @@ def test_starlink_path_traceroute_shape(bentpipe):
     assert path.technology is AccessTechnology.STARLINK
     trace = traceroute(path.network, path.client, path.server, probes_per_hop=3)
     assert trace.destination_reached
-    names = trace.hop_names()
+    names = [hop.responder for hop in trace.hops]
     assert names[0] == "dish"
     assert names[1] == "starlink-pop"
     # The bent-pipe hop dominates: big jump from hop 1 to hop 2.
