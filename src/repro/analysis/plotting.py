@@ -1,8 +1,8 @@
 """Terminal (ASCII) rendering of the paper's figure types.
 
 The experiment harness is console-first; these renderers let examples
-and the CLI *draw* the figures — CDF/CCDF curves, time series and bar
-charts — without any plotting dependency.  Output is deterministic, so
+and the CLI *draw* the figures — CDF/CCDF curves, sparklines and time
+series — without any plotting dependency.  Output is deterministic, so
 tests can assert on it.
 """
 
@@ -73,28 +73,6 @@ def ascii_cdf(
         f"{glyphs[i % len(glyphs)]} {name}" for i, name in enumerate(series)
     )
     lines.append("      " + legend)
-    return "\n".join(lines)
-
-
-def bar_chart(
-    labels: list[str], values: list[float], width: int = 48, unit: str = ""
-) -> str:
-    """Horizontal bar chart with value annotations."""
-    if len(labels) != len(values):
-        raise DatasetError("labels and values must align")
-    if not values:
-        raise DatasetError("no bars to draw")
-    peak = max(values)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        filled = int(round(value / peak * width))
-        lines.append(
-            f"{label.ljust(label_width)} |{'█' * filled}{' ' * (width - filled)}| "
-            f"{value:.3g}{unit}"
-        )
     return "\n".join(lines)
 
 

@@ -121,11 +121,6 @@ class UserPopulation:
         """Users on Starlink."""
         return [u for u in self.users if u.isp.is_starlink]
 
-    @property
-    def non_starlink_users(self) -> list[User]:
-        """Users on traditional broadband or cellular."""
-        return [u for u in self.users if not u.isp.is_starlink]
-
     def in_city(self, city_name: str) -> list[User]:
         """Users living in a city."""
         return [u for u in self.users if u.city_name == city_name]

@@ -4,19 +4,14 @@ The paper's §5 takeaway suggests "new transport protocols that are
 specially adapted to LEO satellite connections and are able to deliver
 the full theoretical bandwidth capacity despite regular periods of high
 packet loss".  This class is a minimal such adaptation of BBRv1, built
-on two observations about Starlink's loss process:
-
-1. Severe loss arrives as short *blackouts* (handover bursts and the
-   15-second reconfiguration gaps), not as congestion.  Collapsing the
-   window on RTO therefore throws away a correct network model: after
-   the blackout the path is exactly as it was.  BBR-LEO keeps its
-   bandwidth/RTT model and its cwnd across timeouts, so the instant the
-   link returns it transmits at full rate instead of slow-starting from
-   4 segments.
-2. Blackouts are *periodic* (the scheduler epoch).  BBR-LEO tracks the
-   spacing of its timeout events; once it has seen a stable period it
-   knows a blackout is expected soon after each multiple and treats the
-   next timeout as confirmation rather than evidence of collapse.
+on one observation about Starlink's loss process: severe loss arrives
+as short *blackouts* (handover bursts and the 15-second reconfiguration
+gaps), not as congestion.  Collapsing the window on RTO therefore
+throws away a correct network model: after the blackout the path is
+exactly as it was.  BBR-LEO keeps its bandwidth/RTT model and its cwnd
+across timeouts, so the instant the link returns it transmits at full
+rate instead of slow-starting from 4 segments.  It does not model the
+blackouts' period: every timeout is handled the same way.
 
 The `extension_transport` experiment quantifies the gain over stock
 BBR on the Figure 8 stress link.
@@ -32,33 +27,6 @@ class LeoBbr(Bbr):
 
     name = "bbr-leo"
 
-    #: How many timeout intervals to remember for periodicity detection.
-    GAP_HISTORY = 8
-
-    def __init__(self, initial_cwnd: float = 10.0) -> None:
-        super().__init__(initial_cwnd)
-        self._timeout_times: list[float] = []
-
-    # -- blackout bookkeeping ------------------------------------------------
-
-    def _record_timeout(self, now_s: float) -> None:
-        self._timeout_times.append(now_s)
-        if len(self._timeout_times) > self.GAP_HISTORY:
-            self._timeout_times.pop(0)
-
-    @property
-    def estimated_gap_period_s(self) -> float | None:
-        """Estimated blackout period, or None before enough evidence."""
-        if len(self._timeout_times) < 3:
-            return None
-        gaps = [
-            b - a for a, b in zip(self._timeout_times, self._timeout_times[1:])
-        ]
-        gaps.sort()
-        return gaps[len(gaps) // 2]
-
-    # -- overrides -------------------------------------------------------------
-
     def on_timeout(self, now_s: float) -> None:
         """Keep the model: a blackout is not congestion.
 
@@ -66,7 +34,6 @@ class LeoBbr(Bbr):
         stock minimum), so retransmission after the blackout proceeds at
         full rate.  Stock BBR collapses to 4 segments here.
         """
-        self._record_timeout(now_s)
         if self.btlbw_bps > 0:
             # Trust the pre-blackout model.
             target = self.cwnd_gain * self._bdp_packets(1448)

@@ -57,16 +57,6 @@ class FlowStats:
     timeouts: int = 0
     rtt_samples: int = 0
 
-    def goodput_bps(self, duration_s: float | None = None) -> float:
-        """Average goodput over the flow (or an explicit duration)."""
-        if duration_s is None:
-            if self.end_s is None:
-                raise FlowError("flow not finished; pass an explicit duration")
-            duration_s = self.end_s - self.start_s
-        if duration_s <= 0:
-            return 0.0
-        return self.delivered_bytes * 8.0 / duration_s
-
 
 class _Receiver:
     """Reassembly state on the destination node."""

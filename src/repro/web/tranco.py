@@ -66,11 +66,6 @@ class Site:
         """Tranco-top-200 'popular' classification used by Figure 3."""
         return self.rank <= POPULAR_CUTOFF_RANK
 
-    @property
-    def is_google_service(self) -> bool:
-        """Whether this domain counts as a Google service (Figure 4)."""
-        return self.domain in GOOGLE_SERVICE_DOMAINS
-
 
 class TrancoList:
     """Rank -> domain mapping plus the paper's sampling recipes.

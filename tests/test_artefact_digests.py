@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.validation import SHAPE_EXPECTATIONS, validate
+from repro.analysis.validation import validate
 from repro.experiments import EXPERIMENTS, run_experiment
 
 DIGEST_FILE = Path(__file__).with_name("artefact_digests.json")
@@ -54,9 +54,7 @@ def digests(result) -> dict[str, str]:
 
 
 def shape_failures(result) -> list[str]:
-    """The result's failed shape checks (none if it has no checks)."""
-    if result.experiment_id not in SHAPE_EXPECTATIONS:
-        return []
+    """The result's failed shape checks."""
     return [
         f"{outcome.description} ({outcome.detail})"
         for outcome in validate(result)

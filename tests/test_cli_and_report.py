@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.experiments.__main__ import dump_series, main
-from repro.experiments import run_experiment
+from repro.experiments import EXPERIMENTS, run_experiment
 
 
 def test_cli_list(capsys):
@@ -92,13 +92,40 @@ def test_cli_entrypoint_subprocess():
 
 
 def test_report_renderer_marks_checks():
+    from repro.analysis.validation import validate
     from repro.experiments.report import _render_markdown
 
     result = run_experiment("figure1", seed=0)
-    text = _render_markdown("figure1", result, 0.1)
+    text = _render_markdown("figure1", result, validate(result), 0.1)
     assert "Shape checks: 3/3 pass" in text
     assert "- [x]" in text
     assert "| city |" in text or "| city " in text
+
+
+def test_report_exits_1_naming_each_failed_check(tmp_path, monkeypatch, capsys):
+    """The report is written either way; a failed shape check makes
+    ``main`` return 1 and is named on stderr."""
+    from repro.analysis.validation import SHAPE_EXPECTATIONS, Check
+    from repro.experiments import report
+
+    monkeypatch.setattr(report, "EXPERIMENTS", {"figure1": EXPERIMENTS["figure1"]})
+    out = tmp_path / "report.md"
+    assert report.main(["--out", str(out)]) == 0
+    assert "Shape checks: 3/3 pass" in out.read_text(encoding="utf-8")
+
+    never = Check("never holds", lambda metrics: False)
+    checks = [*SHAPE_EXPECTATIONS["figure1"], never]
+    monkeypatch.setitem(SHAPE_EXPECTATIONS, "figure1", checks)
+    assert report.main(["--out", str(out)]) == 1
+    assert "- [ ] never holds" in out.read_text(encoding="utf-8")
+    assert "figure1: never holds (violated)" in capsys.readouterr().err
+
+
+def test_report_scales_name_registered_experiments():
+    # A mistyped key would silently run its experiment at scale 1.0.
+    from repro.experiments.report import REPORT_SCALES
+
+    assert set(REPORT_SCALES) <= set(EXPERIMENTS)
 
 
 def test_experiments_md_header_is_the_generators():

@@ -1,8 +1,9 @@
 """Smoke tests: the runnable examples must stay runnable.
 
 Each fast example is executed in a subprocess exactly as a user would
-run it; slow ones (campaign-scale studies, full ASCII figures) are
-covered by the benchmark suite instead.
+run it; slow ones (campaign-scale studies, full ASCII figures) are not
+run here; the experiments behind them are checked by
+``test_experiments.py::test_findings_hold`` and the report instead.
 """
 
 import subprocess

@@ -1,12 +1,15 @@
-"""Experiment-harness tests: shape assertions per paper artefact.
+"""Experiment-harness tests: the registry, and the paper's findings.
 
-Every experiment runs at a small scale; assertions target the *shape*
-findings the paper reports (orderings, ratios, qualitative effects),
-which must hold at any reasonable sample size.
+The findings live in one table,
+:data:`repro.analysis.validation.SHAPE_EXPECTATIONS`; this module runs
+the experiments at small scales and checks each result against it.
+The *shape* findings (orderings, ratios, qualitative effects) must
+hold at any reasonable sample size.
 """
 
 import pytest
 
+from repro.analysis.validation import validate_or_raise
 from repro.errors import ConfigurationError
 from repro.experiments import EXPERIMENTS, run_experiment
 
@@ -34,160 +37,83 @@ def test_unknown_experiment_rejected():
         run_experiment("figure99")
 
 
-def test_figure1_population_shape():
-    result = run_experiment("figure1")
-    assert result.metrics["total_users"] == 28
-    assert result.metrics["starlink_users"] == 18
-    assert result.metrics["cities"] == 10
-    assert result.render()  # renders without error
+#: Experiments whose findings tier-1 checks at seeds 0, 1 and 2, with the
+#: scale of each.  Several seeds: a finding must not depend on RNG luck,
+#: which guards the calibration against overfitting to one random stream.
+ACROSS_SEEDS = {
+    "table1": 0.2,
+    "figure2": 1.0,
+    "figure5": 0.5,
+    "table3": 0.5,
+    "figure6a": 0.5,
+    "figure6b": 1.0,
+    "figure6c": 0.5,
+    "figure7": 1.0,
+    "ablation_cell": 0.5,
+    "extension_isl": 0.4,
+}
+
+#: Every (experiment, seed, scale) point at which tier-1 checks the
+#: paper's findings (``repro.analysis.validation.SHAPE_EXPECTATIONS``).
+#: The report checks each experiment at its reference scale.
+POINTS = [
+    *(
+        (experiment_id, seed, scale)
+        for experiment_id, scale in ACROSS_SEEDS.items()
+        for seed in (0, 1, 2)
+    ),
+    ("table1", 1, 0.12),
+    ("figure1", 0, 1.0),
+    ("figure4", 1, 0.5),
+    ("table2", 1, 0.4),
+    ("figure6a", 1, 0.4),
+    ("figure6c", 1, 0.4),
+    ("ablation_loss", 0, 1.0),
+    ("ablation_loss", 1, 1.0),
+    ("ablation_cdn", 1, 0.4),
+    ("ablation_queueing", 1, 0.5),
+    ("ablation_ptt", 0, 0.3),
+    ("ablation_ptt", 0, 0.5),
+    ("extension_geo", 0, 0.5),
+    ("extension_quic", 0, 0.4),
+]
 
 
-def test_table1_orderings():
-    result = run_experiment("table1", seed=1, scale=0.12)
-    metrics = result.metrics
-    # Starlink beats the observed non-Starlink connections in London/Sydney.
-    assert (
-        metrics["london_starlink_median_ptt_ms"]
-        < metrics["london_non_starlink_median_ptt_ms"]
-    )
-    assert (
-        metrics["sydney_starlink_median_ptt_ms"]
-        < metrics["sydney_non_starlink_median_ptt_ms"]
-    )
-    # Sydney pays a big geographic penalty over London (paper: ~1.9x).
-    assert metrics["sydney_over_london_starlink"] > 1.3
-    # Medians live in the right regime (hundreds of ms).
-    assert 150 < metrics["london_starlink_median_ptt_ms"] < 700
+@pytest.mark.parametrize(("experiment_id", "seed", "scale"), POINTS)
+def test_findings_hold(experiment_id, seed, scale):
+    result = run_experiment(experiment_id, seed=seed, scale=scale)
+    validate_or_raise(result)
+    text = result.render()
+    assert experiment_id in text
+    assert "paper reference" in text
 
 
-def test_figure4_weather_effect():
-    result = run_experiment("figure4", seed=1, scale=0.5)
-    metrics = result.metrics
-    assert metrics["moderate_rain_over_clear"] > 1.4
-    assert (
-        metrics["moderate_rain_median_ptt_ms"]
-        > metrics["light_rain_median_ptt_ms"]
-        > metrics["clear_sky_median_ptt_ms"]
-    )
-
-
-def test_figure5_access_technology_ordering():
-    result = run_experiment("figure5", seed=1, scale=0.5)
-    metrics = result.metrics
-    assert (
-        metrics["broadband_final_rtt_ms"]
-        < metrics["starlink_final_rtt_ms"]
-        < metrics["cellular_final_rtt_ms"]
-    )
-    # Starlink's first hop is wired-fast; the PoP hop jumps.
-    assert metrics["starlink_first_hop_ms"] < 5.0
-    assert metrics["starlink_pop_hop_ms"] > 20.0
-    # Cellular radio hop is slow from the start.
-    assert metrics["cellular_first_hop_ms"] > 30.0
-
-
-def test_table2_queueing_shape():
-    result = run_experiment("table2", seed=1, scale=0.4)
-    metrics = result.metrics
-    # North Carolina >> UK > Barcelona on wireless queueing.
-    assert (
-        metrics["north_carolina_wireless_median_ms"]
-        > metrics["wiltshire_wireless_median_ms"]
-        > metrics["barcelona_wireless_median_ms"]
-    )
-    # The bent pipe contributes a large share of whole-path queueing.
-    for node in ("north_carolina", "wiltshire", "barcelona"):
-        assert metrics[f"{node}_wireless_fraction"] > 0.35
-
-
-def test_table3_throughput_ordering():
-    result = run_experiment("table3", seed=1, scale=0.5)
-    metrics = result.metrics
-    assert (
-        metrics["london_dl_mbps"]
-        > metrics["seattle_dl_mbps"]
-        > metrics["toronto_dl_mbps"]
-        > metrics["warsaw_dl_mbps"]
-    )
-    assert 1.1 < metrics["london_over_seattle_dl"] < 1.8
-    assert 1.5 < metrics["london_over_toronto_dl"] < 2.5
-    # London's uplink roughly doubles Seattle/Toronto (paper).
-    assert metrics["london_ul_mbps"] > 1.4 * metrics["seattle_ul_mbps"]
-
-
-def test_figure6a_geography():
-    result = run_experiment("figure6a", seed=1, scale=0.4)
-    metrics = result.metrics
-    assert (
-        metrics["barcelona_median_mbps"]
-        > metrics["wiltshire_median_mbps"]
-        > metrics["north_carolina_median_mbps"]
-    )
-    assert metrics["barcelona_over_nc"] > 2.0
-    assert metrics["north_carolina_max_mbps"] < 230.0  # paper: never above 196
-
-
-def test_figure6b_diurnal():
-    result = run_experiment("figure6b", seed=1, scale=1.0)
-    metrics = result.metrics
-    assert metrics["night_over_evening"] > 1.6
-    assert metrics["dl_max_mbps"] > 1.8 * metrics["evening_median_dl_mbps"]
-    assert 3.0 < metrics["ul_median_mbps"] < 16.0
-
-
-def test_figure6c_loss_ccdf():
-    result = run_experiment("figure6c", seed=1, scale=0.4)
-    metrics = result.metrics
-    assert 0.04 < metrics["p_loss_ge_5pct"] < 0.3
-    assert metrics["p_loss_ge_10pct"] < metrics["p_loss_ge_5pct"]
-    assert metrics["max_loss_pct"] > 10.0
-    assert metrics["median_loss_pct"] < 3.0
-
-
-def test_figure7_handover_correlation():
-    result = run_experiment("figure7", seed=1)
-    metrics = result.metrics
-    assert metrics["n_handovers"] >= 3
-    assert metrics["clump_handover_association"] > 0.8
-    assert metrics["serving_satellites"] >= 2
-    assert "loss_pct" in result.series
-
-
-def test_ablation_loss_clumping():
-    result = run_experiment("ablation_loss", seed=1)
-    metrics = result.metrics
-    assert metrics["burst_clumpiness"] > 2 * metrics["iid_clumpiness"]
-
-
-def test_ablation_cdn_gap():
-    result = run_experiment("ablation_cdn", seed=1, scale=0.4)
-    metrics = result.metrics
-    assert metrics["aware_gap_ms"] > 2 * abs(metrics["uniform_gap_ms"])
-
-
-def test_ablation_queueing_attribution():
-    result = run_experiment("ablation_queueing", seed=1, scale=0.5)
-    metrics = result.metrics
-    assert (
-        metrics["bentpipe_model_wireless_fraction"]
-        > metrics["transit_model_wireless_fraction"] + 0.2
-    )
-
-
-def test_results_render_without_error():
-    for experiment_id in ("figure1", "ablation_loss"):
-        text = run_experiment(experiment_id, seed=0).render()
-        assert experiment_id in text
-        assert "paper reference" in text
+# Headline findings with a test of their own name, each at one point of
+# POINTS; Figure 2 and Figure 7 also check structure that no finding reads.
 
 
 def test_figure2_setup_instantiated():
-    from repro.analysis.validation import validate_or_raise
-
-    result = run_experiment("figure2", seed=1)
+    result = run_experiment("figure2", seed=1, scale=1.0)
     validate_or_raise(result)
-    assert result.metrics["n_nodes"] == 3
-    assert len(result.rows) == 3
+    assert len(result.rows) == 3  # one row per volunteer node
+
+
+def test_figure5_access_technology_ordering():
+    validate_or_raise(run_experiment("figure5", seed=1, scale=0.5))
+
+
+def test_table3_throughput_ordering():
+    validate_or_raise(run_experiment("table3", seed=1, scale=0.5))
+
+
+def test_figure6b_diurnal():
+    validate_or_raise(run_experiment("figure6b", seed=1, scale=1.0))
+
+
+def test_figure7_handover_correlation():
+    result = run_experiment("figure7", seed=1, scale=1.0)
+    validate_or_raise(result)
+    assert "loss_pct" in result.series
 
 
 def test_every_runner_has_uniform_signature():

@@ -10,7 +10,6 @@ def test_population_matches_paper_counts():
     population = UserPopulation(seed=0)
     assert len(population) == 28
     assert len(population.starlink_users) == 18
-    assert len(population.non_starlink_users) == 10
     assert len(population.cities) == 10
 
 

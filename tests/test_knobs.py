@@ -186,6 +186,7 @@ def test_report_flag_reaches_the_resolver(knob, clean_env, monkeypatch, tmp_path
 
     def fake_generate(path, seed=0, n_workers=1):
         seen["value"] = _reached(knob, n_workers)
+        return []  # no failed shape check
 
     monkeypatch.setattr(report, "generate", fake_generate)
     assert report.main([*_argv(knob), "--out", str(tmp_path / "E.md")]) == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.plotting import ascii_cdf, bar_chart, sparkline, timeseries_plot
+from repro.analysis.plotting import ascii_cdf, sparkline, timeseries_plot
 from repro.analysis.stats import ecdf
 from repro.errors import ConfigurationError, DatasetError
 
@@ -51,21 +51,6 @@ def test_ascii_cdf_multiple_series_glyphs():
 def test_ascii_cdf_empty_raises():
     with pytest.raises(DatasetError):
         ascii_cdf({})
-
-
-def test_bar_chart_proportions():
-    chart = bar_chart(["x", "yy"], [10.0, 5.0], width=20, unit=" Mbps")
-    lines = chart.splitlines()
-    assert lines[0].count("█") == 20
-    assert lines[1].count("█") == 10
-    assert "Mbps" in chart
-
-
-def test_bar_chart_validation():
-    with pytest.raises(DatasetError):
-        bar_chart(["a"], [1.0, 2.0])
-    with pytest.raises(DatasetError):
-        bar_chart([], [])
 
 
 def test_timeseries_plot_shape():

@@ -105,15 +105,6 @@ def test_flow_recovers_after_burst_outage():
     assert flow.stats.timeouts >= 1
 
 
-def test_goodput_bps_api():
-    net = _link_net()
-    flow = TcpFlow(net, "c", "s", total_bytes=100_000)
-    with pytest.raises(FlowError):
-        flow.stats.goodput_bps()
-    net.sim.run(until=5.0)
-    assert flow.stats.goodput_bps() > 0
-
-
 def test_rtt_estimate_matches_path():
     net = _link_net(rtt_ms=60.0)
     flow = TcpFlow(net, "c", "s", duration_s=5.0)

@@ -9,12 +9,19 @@ from repro.analysis.validation import (
     validate_or_raise,
 )
 from repro.errors import ConfigurationError
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS
 from repro.experiments.base import ExperimentResult
 
 
 def test_every_experiment_has_expectations():
     assert set(SHAPE_EXPECTATIONS) == set(EXPERIMENTS)
+
+
+def test_check_descriptions_unique_per_experiment():
+    # A finding merged into the table twice shows up as a repeated line.
+    for experiment_id, checks in SHAPE_EXPECTATIONS.items():
+        descriptions = [check.description for check in checks]
+        assert len(set(descriptions)) == len(descriptions), experiment_id
 
 
 def _fake_result(experiment_id, metrics):
@@ -46,12 +53,4 @@ def test_validate_or_raise_reports_all_failures():
         "figure1", {"total_users": 27.0, "starlink_users": 18.0, "cities": 10.0}
     )
     with pytest.raises(AssertionError, match="1 shape check"):
-        validate_or_raise(result)
-
-
-def test_validation_against_live_experiments():
-    # Cheap experiments validated end-to-end through the DSL.
-    for experiment_id, scale in (("figure1", 1.0), ("ablation_loss", 1.0),
-                                 ("ablation_ptt", 0.3), ("extension_geo", 0.5)):
-        result = run_experiment(experiment_id, seed=0, scale=scale)
         validate_or_raise(result)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.rng import stream
-from repro.web.tranco import POPULAR_CUTOFF_RANK, TrancoList
+from repro.web.tranco import GOOGLE_SERVICE_DOMAINS, POPULAR_CUTOFF_RANK, TrancoList
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +40,11 @@ def test_popular_cutoff(tranco):
 
 
 def test_google_service_flag(tranco):
-    assert tranco.site(1).is_google_service
-    assert not tranco.site(50).is_google_service or tranco.site(50).domain in (
-        "google.com",
-        "youtube.com",
-    )
+    # Figure 4 selects its Google-service requests by this set.
+    assert tranco.site(1).domain in GOOGLE_SERVICE_DOMAINS
+    domain = tranco.site(50).domain
+    google_or_youtube = domain in ("google.com", "youtube.com")
+    assert google_or_youtube or domain not in GOOGLE_SERVICE_DOMAINS
 
 
 def test_details_tab_sample_recipe(tranco):
